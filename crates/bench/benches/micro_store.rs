@@ -1,6 +1,7 @@
 //! Micro-benchmark of the per-process [`EventStore`] hot paths —
 //! insert, watermark collection, anti-entropy diffing, and retirement
-//! pruning — across the flat (single-shard) and sharded layouts.
+//! pruning — across the flat (single-shard) and sharded layouts, plus
+//! the age-guarded garbage collector every process runs from `tick`.
 //!
 //! The sharded layout exists to shrink the per-operation BTreeMap that
 //! any one sensor's traffic touches: with S shards, a home with N
@@ -115,11 +116,58 @@ fn bench_retirement(c: &mut Criterion) {
     g.finish();
 }
 
+/// The GC call `tick` makes per sensor, against a sensor that retains
+/// 20 k events (the straggler window of a 600 ev/s stream). Its cost
+/// must follow what it removes, not what is retained: `noop` (all
+/// processed, none old enough) is the common tick and should cost one
+/// look at the oldest entry; `one_percent_old` is the steady-state
+/// tick, which collects the 200 events that aged out and — to keep the
+/// window full, as the stream does — takes in 200 fresh ones.
+fn bench_prune_processed(c: &mut Criterion) {
+    const RETAINED: u64 = 20_000;
+    const AGED_OUT: u64 = RETAINED / 100;
+    let sensor = SensorId(0);
+    let window = || {
+        let mut store = EventStore::new(RETAINED as usize * 2);
+        for seq in 0..RETAINED {
+            store.insert(ev(0, seq));
+        }
+        store
+    };
+    let mut g = c.benchmark_group("store_prune_processed");
+
+    let mut store = window();
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("noop", |b| {
+        b.iter(|| black_box(store.prune_processed(sensor, black_box(u64::MAX), Time::ZERO)));
+    });
+    assert_eq!(store.len(), RETAINED as usize);
+
+    // `ev` stamps `emitted_at = seq` ms, so the window slides by
+    // advancing the cutoff and the head together.
+    let mut store = window();
+    let mut oldest = 0u64;
+    g.throughput(Throughput::Elements(AGED_OUT));
+    g.bench_function("one_percent_old", |b| {
+        b.iter(|| {
+            oldest += AGED_OUT;
+            let pruned = store.prune_processed(sensor, u64::MAX, Time::from_millis(oldest));
+            for seq in oldest + RETAINED - AGED_OUT..oldest + RETAINED {
+                store.insert(ev(0, seq));
+            }
+            black_box(pruned)
+        });
+    });
+    assert_eq!(store.len(), RETAINED as usize);
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_insert,
     bench_watermarks,
     bench_diff,
-    bench_retirement
+    bench_retirement,
+    bench_prune_processed
 );
 criterion_main!(benches);

@@ -94,15 +94,17 @@ impl Membership {
         view
     }
 
-    /// The ring successor of `me` in the current view: the next process
-    /// id cyclically. Returns `None` when `me` is alone.
+    /// The ring successor of `me` within `view`: the next process id
+    /// cyclically, `None` when `me` is alone. `view` must be a view this
+    /// membership produced ([`Membership::view`]: sorted, `me` in it);
+    /// taking it as an argument lets an activation that needs both
+    /// build the view once.
     #[must_use]
-    pub fn ring_successor(&self, now: Time) -> Option<ProcessId> {
-        let view = self.view(now);
+    pub fn successor_in(&self, view: &[ProcessId]) -> Option<ProcessId> {
         if view.len() <= 1 {
             return None;
         }
-        let idx = view.iter().position(|p| *p == self.me).expect("me in view");
+        let idx = view.binary_search(&self.me).expect("me in view");
         Some(view[(idx + 1) % view.len()])
     }
 }
@@ -170,7 +172,7 @@ mod tests {
         let mut m = m3();
         let t = Time::from_secs(1);
         // Full view {0,1,2}: successor of 1 is 2.
-        assert_eq!(m.ring_successor(t), Some(ProcessId(2)));
+        assert_eq!(m.successor_in(&m.view(t)), Some(ProcessId(2)));
         // Highest process wraps to lowest.
         let m2 = Membership::new(
             ProcessId(2),
@@ -178,17 +180,18 @@ mod tests {
             Duration::from_secs(2),
             Time::ZERO,
         );
-        assert_eq!(m2.ring_successor(t), Some(ProcessId(0)));
+        assert_eq!(m2.successor_in(&m2.view(t)), Some(ProcessId(0)));
         // After suspecting 2, successor of 1 wraps to 0.
         let late = Time::from_secs(5);
         m.heard_from(ProcessId(0), Time::from_secs(4));
-        assert_eq!(m.ring_successor(late), Some(ProcessId(0)));
+        assert_eq!(m.successor_in(&m.view(late)), Some(ProcessId(0)));
+        assert_eq!(m.successor_in(&m.view(Time::from_secs(50))), None);
     }
 
     #[test]
     fn singleton_home_has_no_successor() {
         let m = Membership::new(ProcessId(0), &[], Duration::from_secs(2), Time::ZERO);
-        assert_eq!(m.ring_successor(Time::ZERO), None);
+        assert_eq!(m.successor_in(&m.view(Time::ZERO)), None);
         assert_eq!(m.view(Time::from_secs(100)), pids(&[0]));
     }
 

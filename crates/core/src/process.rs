@@ -644,7 +644,8 @@ impl RivuletProcess {
                 });
             }
             // Ring successor maintenance + anti-entropy.
-            let successor = st.membership.ring_successor(now);
+            let view = st.membership.view(now);
+            let successor = st.membership.successor_in(&view);
             if successor != st.last_successor {
                 st.last_successor = successor;
                 if let Some(action) = st.gapless.on_successor_change(successor) {
@@ -1678,7 +1679,7 @@ impl RivuletProcess {
                 let (actions, broadcast) = {
                     let st = self.st.as_mut().expect("initialized");
                     let view = st.membership.view(now);
-                    let successor = st.membership.ring_successor(now);
+                    let successor = st.membership.successor_in(&view);
                     let tracked = event.clone();
                     let outcome = st.gapless.on_local_ingest(event, &view, successor);
                     if !outcome.actions.is_empty() {
@@ -1795,7 +1796,7 @@ impl RivuletProcess {
                 let (actions, broadcast) = {
                     let st = self.st.as_mut().expect("initialized");
                     let view = st.membership.view(now);
-                    let successor = st.membership.ring_successor(now);
+                    let successor = st.membership.successor_in(&view);
                     let outcome = st.gapless.on_ring(event, seen, need, &view, successor);
                     (outcome.actions, outcome.start_broadcast)
                 };

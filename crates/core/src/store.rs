@@ -13,6 +13,7 @@
 //! queries (watermarks, diffs) merge the shards back into sensor order,
 //! keeping the wire encoding deterministic regardless of shard count.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
@@ -132,31 +133,27 @@ impl EventStore {
     }
 
     /// Inserts `event`; returns `true` if it was new, `false` if it was
-    /// a duplicate (in which case the store is unchanged).
+    /// a duplicate (in which case the store is unchanged). One tree
+    /// descent decides both (the `Entry` is reused for the insert).
     pub fn insert(&mut self, mut event: Event) -> bool {
         let cap = self.cap_per_sensor;
-        let mut evicted = 0u64;
-        {
-            let shard = self.shard_index(event.id.sensor);
-            let per = self.shards[shard].entry(event.id.sensor).or_default();
-            if per.contains_key(&event.id.seq) {
-                return false;
-            }
-            // Re-home only *retained* payloads (duplicates bailed out
-            // above): the copy happens once per stored event, off the
-            // dedup fast path.
-            if let Some(arena) = &mut self.arena {
-                event.payload = arena.rehome(event.payload);
-            }
-            per.insert(event.id.seq, event);
-            while per.len() > cap {
-                let oldest = *per.keys().next().expect("non-empty");
-                per.remove(&oldest);
-                evicted += 1;
-            }
+        let shard = self.shard_index(event.id.sensor);
+        let per = self.shards[shard].entry(event.id.sensor).or_default();
+        let Entry::Vacant(slot) = per.entry(event.id.seq) else {
+            return false;
+        };
+        // Re-home only *retained* payloads (duplicates bailed out
+        // above): the copy happens once per stored event, off the
+        // dedup fast path.
+        if let Some(arena) = &mut self.arena {
+            event.payload = arena.rehome(event.payload);
+        }
+        slot.insert(event);
+        while per.len() > cap {
+            per.pop_first();
+            self.evicted += 1;
         }
         self.inserted += 1;
-        self.evicted += evicted;
         true
     }
 
@@ -258,20 +255,31 @@ impl EventStore {
     /// straggling duplicate copy (a late ring message, broadcast
     /// retransmission, or anti-entropy refill) still hits the store's
     /// duplicate check instead of being re-delivered to applications.
+    ///
+    /// Costs O(removed · log n), independent of how many events are
+    /// retained: events are popped from the low-`seq` end and the walk
+    /// stops at the first one that is unprocessed or too young. Sensors
+    /// stamp `emitted_at` with the clock while incrementing `seq`, so
+    /// `emitted_at` is non-decreasing in `seq` and everything behind
+    /// that first survivor survives the age guard too — the removed set
+    /// is exactly "processed and old". On a stream whose timestamps run
+    /// backwards the walk still removes only events that are processed
+    /// and old, just fewer of them: collection is delayed to a later
+    /// call (or to the per-sensor cap), never widened.
     pub fn prune_processed(&mut self, sensor: SensorId, upto: u64, emitted_before: Time) -> usize {
         let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
             return 0;
         };
-        let doomed: Vec<u64> = per
-            .range(..=upto)
-            .filter(|(_, e)| e.emitted_at < emitted_before)
-            .map(|(seq, _)| *seq)
-            .collect();
-        for seq in &doomed {
-            per.remove(seq);
+        let mut removed = 0usize;
+        while let Some(first) = per.first_entry() {
+            if *first.key() > upto || first.get().emitted_at >= emitted_before {
+                break;
+            }
+            first.remove();
+            removed += 1;
         }
-        self.evicted += doomed.len() as u64;
-        doomed.len()
+        self.evicted += removed as u64;
+        removed
     }
 
     /// Events ever inserted (excluding rejected duplicates).
@@ -323,6 +331,40 @@ impl EventStore {
 impl Default for EventStore {
     fn default() -> Self {
         Self::new(1)
+    }
+}
+
+/// The pre-front-stop garbage collector, kept as the oracle the tests
+/// compare [`EventStore::prune_processed`] against: a full scan of the
+/// processed range that removes every event older than the cutoff.
+#[cfg(test)]
+impl EventStore {
+    fn prune_processed_full_scan(
+        &mut self,
+        sensor: SensorId,
+        upto: u64,
+        emitted_before: Time,
+    ) -> usize {
+        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+            return 0;
+        };
+        let doomed: Vec<u64> = per
+            .range(..=upto)
+            .filter(|(_, e)| e.emitted_at < emitted_before)
+            .map(|(seq, _)| *seq)
+            .collect();
+        for seq in &doomed {
+            per.remove(seq);
+        }
+        self.evicted += doomed.len() as u64;
+        doomed.len()
+    }
+
+    fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
+        self.shard(sensor)
+            .get(&sensor)
+            .map(|per| per.keys().copied().collect())
+            .unwrap_or_default()
     }
 }
 
@@ -513,6 +555,65 @@ mod tests {
     }
 
     #[test]
+    fn prune_processed_matches_full_scan_on_monotone_stream() {
+        // Three sensors, bursts sharing a timestamp, holes in `seq`,
+        // and a GC cursor that advances like `tick` does.
+        let mut new = EventStore::with_shards(10_000, 2);
+        let mut reference = EventStore::with_shards(10_000, 2);
+        for sensor in 1..=3u32 {
+            for seq in (0..600u64).filter(|q| q % 7 != 3) {
+                let e = Event::new(
+                    EventId::new(SensorId(sensor), seq),
+                    EventKind::Motion,
+                    Time::from_millis(seq / 4 * u64::from(sensor)),
+                );
+                assert!(new.insert(e.clone()));
+                assert!(reference.insert(e));
+            }
+        }
+        for step in 0..40u64 {
+            for sensor in 1..=3u32 {
+                let upto = step * 17;
+                let cutoff = Time::from_millis(step * 9);
+                assert_eq!(
+                    new.prune_processed(SensorId(sensor), upto, cutoff),
+                    reference.prune_processed_full_scan(SensorId(sensor), upto, cutoff),
+                    "step {step} sensor {sensor}"
+                );
+                assert_eq!(
+                    new.retained_seqs(SensorId(sensor)),
+                    reference.retained_seqs(SensorId(sensor))
+                );
+            }
+            assert_eq!(new.evicted(), reference.evicted());
+            assert_eq!(new.len(), reference.len());
+        }
+        assert!(new.evicted() > 0 && !new.is_empty(), "partial collection");
+        assert_eq!(new.prune_processed(SensorId(9), 10, Time::MAX), 0);
+    }
+
+    #[test]
+    fn prune_processed_stops_at_first_young_event() {
+        // seq 1 carries a timestamp from the future of seq 2..: the
+        // front-stop keeps everything behind it (the full scan would
+        // take 2 and 3) until the cutoff passes it.
+        let mut s = EventStore::new(100);
+        for (seq, ms) in [(0u64, 1u64), (1, 50), (2, 3), (3, 4), (4, 60)] {
+            s.insert(Event::new(
+                EventId::new(SensorId(1), seq),
+                EventKind::Motion,
+                Time::from_millis(ms),
+            ));
+        }
+        assert_eq!(s.prune_processed(SensorId(1), 4, Time::from_millis(10)), 1);
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![1, 2, 3, 4]);
+        // Delayed, not lost: once seq 1 ages out the rest follow.
+        assert_eq!(s.prune_processed(SensorId(1), 4, Time::from_millis(55)), 3);
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![4]);
+        assert_eq!(s.evicted(), 4);
+    }
+
+    #[test]
     fn prune_at_u64_max_clears_sensor() {
         let mut s = EventStore::new(100);
         s.insert(Event::new(
@@ -669,6 +770,78 @@ mod proptests {
             let fa: Vec<EventId> = flat.diff_for(&peer).iter().map(|e| e.id).collect();
             let sa: Vec<EventId> = sharded.diff_for(&peer).iter().map(|e| e.id).collect();
             prop_assert_eq!(fa, sa);
+        }
+
+        /// On a stream whose `emitted_at` never decreases with `seq`
+        /// (what every shipped sensor produces) the front-stop GC is
+        /// indistinguishable from the full scan: same counts, same
+        /// survivors, same `evicted()`, call after call.
+        #[test]
+        fn prune_processed_equals_full_scan_when_timestamps_are_monotone(
+            steps in proptest::collection::vec((0u64..3, 0u64..4), 1..120),
+            calls in proptest::collection::vec((0u64..200, 0u64..400), 1..12),
+        ) {
+            let mut new = EventStore::new(1000);
+            let mut reference = EventStore::new(1000);
+            let (mut seq, mut at) = (0u64, 0u64);
+            for (dseq, dt) in steps {
+                seq += dseq + 1; // holes allowed
+                at += dt; // repeats allowed, never backwards
+                let e = Event::new(
+                    EventId::new(SensorId(1), seq),
+                    EventKind::Motion,
+                    Time::from_millis(at),
+                );
+                new.insert(e.clone());
+                reference.insert(e);
+            }
+            for (upto, cutoff) in calls {
+                let cutoff = Time::from_millis(cutoff);
+                prop_assert_eq!(
+                    new.prune_processed(SensorId(1), upto, cutoff),
+                    reference.prune_processed_full_scan(SensorId(1), upto, cutoff)
+                );
+                prop_assert_eq!(
+                    new.retained_seqs(SensorId(1)),
+                    reference.retained_seqs(SensorId(1))
+                );
+                prop_assert_eq!(new.evicted(), reference.evicted());
+            }
+        }
+
+        /// With arbitrary timestamps the front-stop GC removes a prefix
+        /// of the stored sequence numbers, and only events the full
+        /// scan would also remove: it may delay collection, it never
+        /// over-collects.
+        #[test]
+        fn prune_processed_is_a_prefix_subset_for_arbitrary_timestamps(
+            events in proptest::collection::vec((0u64..80, 0u64..100), 1..80),
+            upto in 0u64..90,
+            cutoff in 0u64..110,
+        ) {
+            let mut new = EventStore::new(1000);
+            let mut reference = EventStore::new(1000);
+            for (seq, at) in events {
+                let e = Event::new(
+                    EventId::new(SensorId(1), seq),
+                    EventKind::Motion,
+                    Time::from_millis(at),
+                );
+                new.insert(e.clone());
+                reference.insert(e);
+            }
+            let before = new.retained_seqs(SensorId(1));
+            let cutoff = Time::from_millis(cutoff);
+            let removed = new.prune_processed(SensorId(1), upto, cutoff);
+            let full = reference.prune_processed_full_scan(SensorId(1), upto, cutoff);
+            prop_assert!(removed <= full);
+            let after = new.retained_seqs(SensorId(1));
+            prop_assert_eq!(&before[removed..], &after[..], "removed set is a seq-prefix");
+            let reference_after = reference.retained_seqs(SensorId(1));
+            for survivor in &reference_after {
+                prop_assert!(after.contains(survivor), "over-collected seq {survivor}");
+            }
+            prop_assert_eq!(new.evicted(), removed as u64);
         }
     }
 }

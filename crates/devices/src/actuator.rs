@@ -8,6 +8,7 @@
 //! suppress duplicates. [`ActuatorDevice`] implements both and records
 //! every physical effect so experiments can count duplicate actuations.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -104,19 +105,24 @@ impl ActuatorProbe {
 /// commands with the same effect are deliberately applied again — that
 /// duplication hazard is the subject of the paper's idempotence
 /// discussion.
+///
+/// The debounce memory (applied command ids, committed routine
+/// instances) is hashed, so a command costs O(1) expected however many
+/// the actuator has already applied.
 #[derive(Debug)]
 pub struct ActuatorDevice {
     actuator: ActuatorId,
     state: ActuationState,
     probe: Arc<ActuatorProbe>,
-    applied_ids: Vec<CommandId>,
+    /// Ids of commands that took effect; a repeat is refused.
+    applied_ids: HashSet<CommandId>,
     /// Commands withheld for staged routine steps, fired in step order
     /// on [`RadioFrame::CommitRoutine`] or discarded on
     /// [`RadioFrame::AbortRoutine`].
     staged: Vec<(RoutineId, u64, u32, Command)>,
     /// Instances already committed here — repeated commit frames (e.g.
     /// re-sent after coordinator recovery) apply nothing.
-    committed: Vec<(RoutineId, u64)>,
+    committed: HashSet<(RoutineId, u64)>,
     /// Seeded fault schedule, if a [`crate::fault::FaultPlan`] names
     /// this actuator. `Missed` drops commands before they are seen;
     /// `StuckAt` acks them without applying.
@@ -135,9 +141,9 @@ impl ActuatorDevice {
             actuator,
             state: initial,
             probe,
-            applied_ids: Vec::new(),
+            applied_ids: HashSet::new(),
             staged: Vec::new(),
-            committed: Vec::new(),
+            committed: HashSet::new(),
             faults: None,
             fault_probe: None,
             obs: Recorder::new(),
@@ -192,7 +198,7 @@ impl ActuatorDevice {
         match cmd.kind {
             CommandKind::Set(desired) => {
                 self.state = desired;
-                self.applied_ids.push(cmd.id);
+                self.applied_ids.insert(cmd.id);
                 self.probe
                     .effects
                     .lock()
@@ -204,7 +210,7 @@ impl ActuatorDevice {
             CommandKind::TestAndSet { expected, desired } => {
                 if Self::states_equal(self.state, expected) {
                     self.state = desired;
-                    self.applied_ids.push(cmd.id);
+                    self.applied_ids.insert(cmd.id);
                     self.probe
                         .effects
                         .lock()
@@ -246,8 +252,7 @@ impl ActuatorDevice {
         self.probe.commands_received.fetch_add(1, Ordering::SeqCst);
         let stuck = decision.corrupt == Some(FaultKind::StuckAt);
 
-        let already_applied = self.applied_ids.contains(&cmd.id);
-        let applied = if stuck && !already_applied {
+        let applied = if stuck && !self.applied_ids.contains(&cmd.id) {
             // Mechanically stuck: the actuator hears the command but
             // cannot move. It honestly acks `applied = false` with its
             // real (unchanged) state.
@@ -342,7 +347,7 @@ impl ActuatorDevice {
         for (_, cmd) in &held {
             let _ = self.apply_locally(now, cmd);
         }
-        self.committed.push((routine, instance));
+        self.committed.insert((routine, instance));
         if !held.is_empty() {
             self.probe.routine_commits.fetch_add(1, Ordering::SeqCst);
         }
@@ -394,23 +399,30 @@ mod tests {
     use rivulet_net::sim::{SimConfig, SimNet};
     use rivulet_types::{Command, OperatorId, ProcessId};
 
-    /// Issues a scripted series of commands and records acks.
+    type AckLog = Arc<Mutex<Vec<(CommandId, bool, ActuationState)>>>;
+
+    /// Issues a scripted series of commands — the first after
+    /// `first_ms`, then one every `period_ms` — and records acks.
     struct Issuer {
         target: ActorId,
         script: Vec<Command>,
-        acks: Arc<Mutex<Vec<(CommandId, bool, ActuationState)>>>,
+        acks: AckLog,
         idx: usize,
+        first_ms: u64,
+        period_ms: u64,
     }
 
     impl Actor for Issuer {
         fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
             match event {
-                ActorEvent::Start => ctx.set_timer(rivulet_types::Duration::from_millis(10), 1),
+                ActorEvent::Start => {
+                    ctx.set_timer(rivulet_types::Duration::from_millis(self.first_ms), 1);
+                }
                 ActorEvent::Timer { .. } => {
                     if let Some(cmd) = self.script.get(self.idx) {
                         self.idx += 1;
                         ctx.send(self.target, RadioFrame::Actuate(cmd.clone()).to_payload());
-                        ctx.set_timer(rivulet_types::Duration::from_millis(10), 1);
+                        ctx.set_timer(rivulet_types::Duration::from_millis(self.period_ms), 1);
                     }
                 }
                 ActorEvent::Message { payload, .. } => {
@@ -461,6 +473,8 @@ mod tests {
                 script: s.clone(),
                 acks: Arc::clone(&a),
                 idx: 0,
+                first_ms: 10,
+                period_ms: 10,
             })
         });
         net.run_until(Time::from_secs(5));
@@ -535,6 +549,128 @@ mod tests {
             ActuationState::Switch(true),
             "ack reports real state"
         );
+    }
+
+    #[test]
+    fn replayed_streams_match_a_vec_based_reference() {
+        // Two issuers, 40 command ids each, every id sent three times
+        // (three passes over the script, so replays are far apart), the
+        // issuers' frames alternating at the actuator 10 ms apart. The
+        // mix has plain `Set`s, `TestAndSet`s whose expectation holds
+        // and `TestAndSet`s whose expectation is stale — a refused
+        // Test&Set is not remembered, so its replay is judged afresh.
+        let initial = ActuationState::Level(0.0);
+        let script_of = |issuer: u32| -> Vec<Command> {
+            let once: Vec<Command> = (0..40u64)
+                .map(|seq| {
+                    let kind = match seq % 4 {
+                        0 | 1 => CommandKind::Set(ActuationState::Level((seq % 8) as f64)),
+                        2 => CommandKind::TestAndSet {
+                            // What the other issuer's previous `Set`
+                            // left behind, or not, depending on phase.
+                            expected: ActuationState::Level(((seq - 1) % 8) as f64),
+                            desired: ActuationState::Level(100.0 + seq as f64),
+                        },
+                        _ => CommandKind::TestAndSet {
+                            expected: ActuationState::Level(-1.0), // never true
+                            desired: ActuationState::Level(200.0),
+                        },
+                    };
+                    Command::new(
+                        CommandId::new(ProcessId(issuer), OperatorId(0), seq),
+                        ActuatorId(1),
+                        kind,
+                        Time::ZERO,
+                    )
+                })
+                .collect();
+            [once.clone(), once.clone(), once].concat()
+        };
+        let scripts = [script_of(1), script_of(2)];
+
+        // The reference: the device's rules over a `Vec` of applied ids,
+        // fed the arrival order (issuer 1 at 10, 30, … ms; issuer 2 at
+        // 20, 40, … ms; the radio is far faster than 10 ms).
+        let mut state = initial;
+        let mut applied_ids: Vec<CommandId> = Vec::new();
+        let mut want_effects = Vec::new();
+        let mut want_acks: [Vec<(CommandId, bool, ActuationState)>; 2] = [Vec::new(), Vec::new()];
+        let mut want_suppressed = 0u64;
+        for i in 0..scripts[0].len() {
+            for (issuer, script) in scripts.iter().enumerate() {
+                let cmd = &script[i];
+                let applied = if applied_ids.contains(&cmd.id) {
+                    want_suppressed += 1;
+                    false
+                } else {
+                    match cmd.kind {
+                        CommandKind::Set(desired) => {
+                            state = desired;
+                            true
+                        }
+                        CommandKind::TestAndSet { expected, desired } => {
+                            if expected == state {
+                                state = desired;
+                                true
+                            } else {
+                                want_suppressed += 1;
+                                false
+                            }
+                        }
+                        _ => unreachable!("script only issues Set and TestAndSet"),
+                    }
+                };
+                if applied {
+                    applied_ids.push(cmd.id);
+                    want_effects.push((cmd.id, state));
+                }
+                want_acks[issuer].push((cmd.id, applied, state));
+            }
+        }
+        assert!(
+            want_suppressed > 160,
+            "replays and stale Test&Sets both occur"
+        );
+        assert!(
+            want_effects
+                .iter()
+                .any(|(_, s)| matches!(s, ActuationState::Level(l) if *l > 100.0)),
+            "some Test&Set succeeds"
+        );
+
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        let probe = ActuatorProbe::new(initial);
+        let p = Arc::clone(&probe);
+        let dev = net.add_actor("dimmer", ActorClass::Device, move || {
+            Box::new(ActuatorDevice::new(ActuatorId(1), initial, Arc::clone(&p)))
+        });
+        let logs: [AckLog; 2] = [AckLog::default(), AckLog::default()];
+        for (issuer, script) in scripts.iter().enumerate() {
+            let (script, log) = (script.clone(), Arc::clone(&logs[issuer]));
+            net.add_actor("issuer", ActorClass::Process, move || {
+                Box::new(Issuer {
+                    target: dev,
+                    script: script.clone(),
+                    acks: Arc::clone(&log),
+                    idx: 0,
+                    first_ms: 10 * (issuer as u64 + 1),
+                    period_ms: 20,
+                })
+            });
+        }
+        net.run_until(Time::from_secs(5));
+
+        let got_effects: Vec<(CommandId, ActuationState)> = probe
+            .effects()
+            .into_iter()
+            .map(|(_, id, state)| (id, state))
+            .collect();
+        assert_eq!(got_effects, want_effects);
+        assert_eq!(probe.duplicates_suppressed(), want_suppressed);
+        assert_eq!(probe.commands_received(), 240);
+        for (issuer, log) in logs.iter().enumerate() {
+            assert_eq!(*log.lock().unwrap(), want_acks[issuer], "issuer {issuer}");
+        }
     }
 
     #[test]
