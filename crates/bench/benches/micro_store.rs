@@ -1,20 +1,12 @@
 //! Micro-benchmark of the per-process [`EventStore`] hot paths —
 //! insert, watermark collection, anti-entropy diffing, and retirement
-//! pruning — across the flat (single-shard) and sharded layouts, plus
-//! the age-guarded garbage collector every process runs from `tick`.
-//!
-//! The sharded layout exists to shrink the per-operation BTreeMap that
-//! any one sensor's traffic touches: with S shards, a home with N
-//! sensors pays `log(N/S)` on the outer lookup instead of `log(N)`,
-//! and the k-way merge on read-side scans only runs for the rare
-//! full-store iteration (watermarks, diffs). This bench pins both
-//! layouts against the same workload so a regression in either shows
-//! up as a cross-layout gap.
+//! pruning — plus the age-guarded garbage collector every process runs
+//! from `tick`.
 //!
 //! CI runs this in smoke mode (`cargo bench --bench micro_store --
 //! --test`) so the loops stay wired without paying full sample counts.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rivulet_core::store::EventStore;
 use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
 use std::hint::black_box;
@@ -22,9 +14,6 @@ use std::hint::black_box;
 const SENSORS: u32 = 64;
 const EVENTS_PER_SENSOR: u64 = 64;
 const CAP_PER_SENSOR: usize = 128;
-
-/// `(name, shard count)` — 1 shard is the original flat layout.
-const LAYOUTS: [(&str, usize); 3] = [("flat", 1), ("sharded_4", 4), ("sharded_8", 8)];
 
 fn ev(sensor: u32, seq: u64) -> Event {
     Event::new(
@@ -37,8 +26,8 @@ fn ev(sensor: u32, seq: u64) -> Event {
 /// A store pre-filled with `EVENTS_PER_SENSOR` events on each of
 /// `SENSORS` sensors, interleaved the way ring traffic arrives
 /// (round-robin across sensors, ascending sequence).
-fn filled(shards: usize) -> EventStore {
-    let mut store = EventStore::with_shards(CAP_PER_SENSOR, shards);
+fn filled() -> EventStore {
+    let mut store = EventStore::new(CAP_PER_SENSOR);
     for seq in 0..EVENTS_PER_SENSOR {
         for sensor in 0..SENSORS {
             store.insert(ev(sensor, seq));
@@ -50,69 +39,60 @@ fn filled(shards: usize) -> EventStore {
 fn bench_insert(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_insert");
     g.throughput(Throughput::Elements(u64::from(SENSORS) * EVENTS_PER_SENSOR));
-    for (name, shards) in LAYOUTS {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &shards, |b, &shards| {
-            b.iter(|| {
-                let mut store = EventStore::with_shards(CAP_PER_SENSOR, shards);
-                for seq in 0..EVENTS_PER_SENSOR {
-                    for sensor in 0..SENSORS {
-                        store.insert(black_box(ev(sensor, seq)));
-                    }
+    g.bench_function("flat", |b| {
+        b.iter(|| {
+            let mut store = EventStore::new(CAP_PER_SENSOR);
+            for seq in 0..EVENTS_PER_SENSOR {
+                for sensor in 0..SENSORS {
+                    store.insert(black_box(ev(sensor, seq)));
                 }
-                black_box(store.len())
-            });
+            }
+            black_box(store.len())
         });
-    }
+    });
     g.finish();
 }
 
 fn bench_watermarks(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_watermarks");
     g.throughput(Throughput::Elements(u64::from(SENSORS)));
-    for (name, shards) in LAYOUTS {
-        let store = filled(shards);
-        g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
-            b.iter(|| black_box(store.watermarks()));
-        });
-    }
+    let store = filled();
+    g.bench_function("flat", |b| {
+        b.iter(|| black_box(store.watermarks()));
+    });
     g.finish();
 }
 
 fn bench_diff(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_diff_for");
     g.throughput(Throughput::Elements(u64::from(SENSORS)));
-    for (name, shards) in LAYOUTS {
-        let store = filled(shards);
-        // A peer that is halfway behind on every sensor: the diff has
-        // to materialize EVENTS_PER_SENSOR / 2 events per sensor.
-        let peer: Vec<(SensorId, u64)> = (0..SENSORS)
-            .map(|s| (SensorId(s), EVENTS_PER_SENSOR / 2))
-            .collect();
-        g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
-            b.iter(|| black_box(store.diff_for(&peer)));
-        });
-    }
+    let store = filled();
+    // A peer that is halfway behind on every sensor: the diff has to
+    // materialize EVENTS_PER_SENSOR / 2 events per sensor.
+    let peer: Vec<(SensorId, u64)> = (0..SENSORS)
+        .map(|s| (SensorId(s), EVENTS_PER_SENSOR / 2))
+        .collect();
+    g.bench_function("flat", |b| {
+        b.iter(|| black_box(store.diff_for(&peer)));
+    });
     g.finish();
 }
 
 fn bench_retirement(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_prune_through");
     g.throughput(Throughput::Elements(u64::from(SENSORS)));
-    for (name, shards) in LAYOUTS {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &shards, |b, &shards| {
-            // The vendored criterion has no `iter_batched`, so the
-            // fill is measured alongside the prune; the layouts still
-            // compare like-for-like because both pay the same fill.
-            b.iter(|| {
-                let mut store = filled(shards);
-                let mut pruned = 0;
-                for sensor in 0..SENSORS {
-                    pruned += store.prune_through(SensorId(sensor), EVENTS_PER_SENSOR / 2);
-                }
-                black_box(pruned)
-            });
+    g.bench_function("flat", |b| {
+        // The vendored criterion has no `iter_batched`, so the fill is
+        // measured alongside the prune.
+        b.iter(|| {
+            let mut store = filled();
+            let mut pruned = 0;
+            for sensor in 0..SENSORS {
+                pruned += store.prune_through(SensorId(sensor), EVENTS_PER_SENSOR / 2);
+            }
+            black_box(pruned)
         });
-    }
+    });
     g.finish();
 }
 

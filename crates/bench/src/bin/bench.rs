@@ -1,6 +1,7 @@
 //! Fan-out benchmark runner: measures the encode-once / coalescing
-//! hot path before and after the optimization and writes the results
-//! to `BENCH_fanout.json` (plus a human-readable summary on stdout).
+//! send path against the per-peer re-encode it replaced and writes the
+//! results to `BENCH_fanout.json` (plus a human-readable summary on
+//! stdout).
 //!
 //! ```text
 //! cargo run --release -p rivulet-bench --bin bench \
@@ -8,26 +9,13 @@
 //! ```
 //!
 //! `--quick` shrinks the iteration counts for CI smoke runs.
-//! `--assert-baseline PATH` enables the regression gates:
-//!
-//! 1. micro: the fresh coalesced throughput (measured with a
-//!    *disabled* observability recorder on the hot path) must stay
-//!    within `--tolerance` of the committed `BENCH_fanout.json`
-//!    (default 0.25 — wide enough for cross-machine noise in CI;
-//!    tighten locally to verify the < 3% acceptance bound on stable
-//!    hardware);
-//! 2. sim: every optimized workload must be at least as fast as its
-//!    unoptimized twin *from the same fresh run* (minus tolerance) —
-//!    self-relative, so it holds on any machine;
-//! 3. sim: every optimized workload must retire events through
-//!    cumulative acks (`acks_avoided > 0`) — this is exact, because a
-//!    zero means the wiring is dead, which is how the original
-//!    regression went unnoticed;
-//! 4. sim: the round-3 machinery must be live on every optimized
-//!    workload — `ring_pops`, `ring_batches`, `arena_allocs`, and
-//!    `arena_recycled` all > 0 (a zero means a dead knob or dead
-//!    chunk recycling, both of which defeat the optimization while
-//!    leaving behavior correct).
+//! `--assert-baseline PATH` enables the regression gate: the fresh
+//! coalesced throughput (measured with a *disabled* observability
+//! recorder on the hot path) must stay within `--tolerance` of the
+//! committed `BENCH_fanout.json` (default 0.25 — wide enough for
+//! cross-machine noise in CI; tighten locally to verify the < 3%
+//! acceptance bound on stable hardware). Whole-platform throughput,
+//! latency and bytes per event are the `perf/` harness's job.
 //!
 //! `--fleet-fresh PATH` (with `--fleet-baseline PATH`) gates a fresh
 //! `BENCH_fleet.json` from the fleet orchestrator: any home failing
@@ -36,15 +24,12 @@
 //! the committed fleet baseline. `--fleet-only` runs just that gate,
 //! skipping the fan-out benchmarks.
 
-use rivulet_bench::fanout::{
-    run_micro, run_sim_twin, MicroPoint, MicroWorkload, SimPoint, SimWorkload,
-};
+use rivulet_bench::fanout::{run_micro, MicroPoint, MicroWorkload};
 use rivulet_bench::fault::{correctness_table, render_json, render_table};
 use rivulet_bench::routine::{
     corruption_exactness, render_json as routine_json, render_table as routine_md, routines_table,
     CRASH_OFFSETS_MS,
 };
-use rivulet_bench::tables::render_fanout_table;
 use rivulet_types::Duration;
 
 /// Runs the correctness-vs-fault-rate sweep, prints the table, writes
@@ -180,33 +165,6 @@ fn micro_json(p: &MicroPoint) -> String {
         "{{\"events_per_sec\": {}, \"bytes_per_event\": {}}}",
         json_f(p.events_per_sec),
         json_f(p.bytes_per_event)
-    )
-}
-
-fn sim_json(p: &SimPoint) -> String {
-    format!(
-        concat!(
-            "{{\"workload\": \"{}\", \"optimized\": {}, \"emitted\": {}, ",
-            "\"delivered\": {}, \"events_per_sec\": {}, \"bytes_per_event\": {}, ",
-            "\"frames_coalesced\": {}, \"messages_avoided\": {}, ",
-            "\"encode_bytes_saved\": {}, \"acks_avoided\": {}, ",
-            "\"ring_pops\": {}, \"ring_batches\": {}, ",
-            "\"arena_allocs\": {}, \"arena_recycled\": {}}}"
-        ),
-        p.workload,
-        p.optimized,
-        p.emitted,
-        p.delivered,
-        json_f(p.events_per_sec),
-        json_f(p.bytes_per_event),
-        p.fanout.frames_coalesced,
-        p.fanout.messages_avoided,
-        p.fanout.encode_bytes_saved,
-        p.fanout.acks_avoided,
-        p.ring_pops,
-        p.ring_batches,
-        p.arena_allocs,
-        p.arena_recycled,
     )
 }
 
@@ -430,110 +388,11 @@ fn main() {
         );
     }
 
-    // Sim: whole-platform before/after for ring and broadcast-heavy.
-    // Each workload's twins run with interleaved repetitions (see
-    // `run_sim_twin`) so the self-relative gate below compares points
-    // measured under the same host conditions.
-    let mut sims: Vec<SimPoint> = Vec::new();
-    for workload in [
-        SimWorkload::Ring,
-        SimWorkload::RingCrash,
-        SimWorkload::Broadcast,
-    ] {
-        let (before, after) = run_sim_twin(workload, 5);
-        for p in [before, after] {
-            println!(
-                "sim {} {}: {} delivered, {:>9.0} events/s (host), {:>8.1} B/event",
-                p.workload,
-                if p.optimized { "after " } else { "before" },
-                p.delivered,
-                p.events_per_sec,
-                p.bytes_per_event,
-            );
-            sims.push(p);
-        }
-    }
-    let rows: Vec<(String, f64, rivulet_net::metrics::FanoutSnapshot)> = sims
-        .iter()
-        .map(|p| {
-            (
-                format!(
-                    "{}/{}",
-                    p.workload,
-                    if p.optimized { "after" } else { "before" }
-                ),
-                p.events_per_sec,
-                p.fanout,
-            )
-        })
-        .collect();
-    print!("{}", render_fanout_table(&rows));
-
-    // Sim gates: self-relative (fresh optimized vs fresh unoptimized
-    // twin), so they hold on any machine, plus the exact cumulative-ack
-    // liveness check.
-    if baseline_path.is_some() {
-        for p in sims.iter().filter(|p| p.optimized) {
-            let twin = sims
-                .iter()
-                .find(|q| !q.optimized && q.workload == p.workload)
-                .expect("every optimized sim point has an unoptimized twin");
-            let floor = twin.events_per_sec * (1.0 - tolerance);
-            println!(
-                "sim gate {}: optimized {:.0} events/s vs unoptimized {:.0} (floor {floor:.0})",
-                p.workload, p.events_per_sec, twin.events_per_sec
-            );
-            assert!(
-                p.events_per_sec >= floor,
-                "optimized sim workload {} is slower than its unoptimized twin: \
-                 {:.0} events/s < floor {floor:.0} ({:.0} - {tolerance:.2})",
-                p.workload,
-                p.events_per_sec,
-                twin.events_per_sec
-            );
-            assert!(
-                p.fanout.acks_avoided > 0,
-                "cumulative acks retired nothing on optimized sim workload {} \
-                 (acks_avoided == 0): the watermark-retirement path is dead",
-                p.workload
-            );
-            // Round-3 liveness: an optimized run with zero ring or
-            // arena activity means the knob is wired to nothing —
-            // exactly how the original coalescing regression hid.
-            assert!(
-                p.ring_pops > 0 && p.ring_batches > 0,
-                "exec ring moved nothing on optimized sim workload {} \
-                 (ring_pops {}, ring_batches {}): the SPSC handoff is dead",
-                p.workload,
-                p.ring_pops,
-                p.ring_batches
-            );
-            assert!(
-                p.arena_allocs > 0,
-                "payload arena re-homed nothing on optimized sim workload {} \
-                 (arena_allocs == 0): the arena hook in EventStore::insert is dead",
-                p.workload
-            );
-            assert!(
-                p.arena_recycled > 0,
-                "payload arena recycled no chunks on optimized sim workload {} \
-                 (arena_recycled == 0): retirement is dropping chunks instead of \
-                 reclaiming them (see arena::tests::exactly_filled_chunks_still_recycle)",
-                p.workload
-            );
-        }
-        println!(
-            "sim gate: all optimized workloads >= unoptimized twins; \
-             acks_avoided, ring_pops, arena_allocs, arena_recycled all > 0"
-        );
-    }
-
     let json = format!(
         concat!(
             "{{\n  \"micro\": {{\n    \"workload\": \"broadcast_heavy\",\n",
             "    \"peers\": {}, \"batch\": {}, \"payload_bytes\": {},\n",
-            "    \"before\": {},\n    \"after\": {},\n    \"speedup\": {}\n  }},\n",
-            "  \"sim\": [\n    {}\n  ]\n}}\n"
+            "    \"before\": {},\n    \"after\": {},\n    \"speedup\": {}\n  }}\n}}\n"
         ),
         w.peers,
         w.batch,
@@ -541,10 +400,6 @@ fn main() {
         micro_json(&before),
         micro_json(&after),
         format_args!("{speedup:.2}"),
-        sims.iter()
-            .map(sim_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
     );
     std::fs::write(&out_path, json).expect("write BENCH_fanout.json");
     println!("wrote {out_path}");

@@ -66,20 +66,9 @@ pub struct DeliveryScenario {
     pub crash_app_at: Option<Time>,
     /// Failure-detection threshold (2 s in §8.4).
     pub failure_timeout: Duration,
-    /// Same-destination frame coalescing on the process send path.
-    pub coalescing: bool,
     /// Broadcast acknowledgement mode (cumulative keep-alive
     /// watermarks vs per-event acks).
     pub ack_mode: AckMode,
-    /// Delivery→execution SPSC ring (off measures the inline
-    /// delivery baseline).
-    pub exec_ring: bool,
-    /// Payload-arena re-homing in the event store (off measures the
-    /// frame-pinning clone baseline).
-    pub payload_arena: bool,
-    /// Adaptive WAL group-commit gating (off pins the fixed
-    /// `wal_max_gated` bound).
-    pub wal_adaptive: bool,
     /// Enable the observability recorder for this run (figures read
     /// their numbers from the resulting [`ObsSnapshot`]).
     pub obs: bool,
@@ -120,11 +109,7 @@ impl DeliveryScenario {
             loss: 0.0,
             crash_app_at: None,
             failure_timeout: Duration::from_secs(2),
-            coalescing: true,
             ack_mode: AckMode::Cumulative,
-            exec_ring: true,
-            payload_arena: true,
-            wal_adaptive: true,
             obs: false,
             durable: false,
             fault_kind: None,
@@ -200,11 +185,7 @@ pub fn run_delivery_with_probes(
     let mut config = RivuletConfig::default()
         .with_failure_timeout(cfg.failure_timeout)
         .with_forwarding(cfg.forwarding)
-        .with_coalescing(cfg.coalescing)
         .with_ack_mode(cfg.ack_mode)
-        .with_exec_ring(cfg.exec_ring)
-        .with_payload_arena(cfg.payload_arena)
-        .with_wal_adaptive_gating(cfg.wal_adaptive)
         .with_repair(cfg.repair);
     if cfg.routines {
         config = config
@@ -329,11 +310,7 @@ pub fn background_wifi_bytes(cfg: &DeliveryScenario) -> u64 {
     let config = RivuletConfig::default()
         .with_failure_timeout(quiet.failure_timeout)
         .with_forwarding(quiet.forwarding)
-        .with_coalescing(quiet.coalescing)
-        .with_ack_mode(quiet.ack_mode)
-        .with_exec_ring(quiet.exec_ring)
-        .with_payload_arena(quiet.payload_arena)
-        .with_wal_adaptive_gating(quiet.wal_adaptive);
+        .with_ack_mode(quiet.ack_mode);
     let mut home = HomeBuilder::new(&mut net).with_config(config);
     let pids: Vec<ProcessId> = (0..quiet.n_processes)
         .map(|i| home.add_host(format!("host{i}")))

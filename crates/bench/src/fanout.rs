@@ -1,31 +1,21 @@
-//! Fan-out throughput workloads behind `BENCH_fanout.json`.
-//!
-//! Two layers of measurement:
-//!
-//! - **Micro**: the per-activation encode path in isolation. The
-//!   *naive* variant re-encodes every protocol message once per peer
-//!   and sends each unframed — exactly what the process actor did
-//!   before encode-once fan-out landed. The *coalesced* variant
-//!   encodes each message once into pooled buffers and assembles one
-//!   multi-command frame per destination from the shared parts. Both
-//!   run in the same binary so the comparison is apples-to-apples.
-//! - **Sim**: whole-platform runs of the §8 delivery scenario (ring
-//!   and the broadcast-heavy baseline) with the optimizations toggled
-//!   on and off, reporting host-side throughput, per-event network
-//!   bytes, and the coalescing counters.
+//! The fan-out micro workload behind `BENCH_fanout.json`: the
+//! per-activation encode path in isolation. The *naive* variant
+//! re-encodes every protocol message once per peer and sends each
+//! unframed — exactly what the process actor did before encode-once
+//! fan-out landed. The *coalesced* variant encodes each message once
+//! into pooled buffers and assembles one multi-command frame per
+//! destination from the shared parts. Both run in the same binary so
+//! the comparison is apples-to-apples. Whole-platform throughput,
+//! bytes per event and the coalescing counters are measured by the
+//! `perf/` harness.
 
 use std::time::Instant;
 
 use bytes::Bytes;
-use rivulet_core::config::{AckMode, ForwardingMode};
-use rivulet_core::delivery::Delivery;
 use rivulet_core::messages::{Frame, ProcMsg};
-use rivulet_net::metrics::FanoutSnapshot;
 use rivulet_obs::Recorder;
 use rivulet_types::wire::{Wire, WriterPool};
-use rivulet_types::{Duration, Event, EventId, EventKind, Payload, ProcessId, SensorId, Time};
-
-use crate::common::{background_wifi_bytes, run_delivery, DeliveryScenario};
+use rivulet_types::{Event, EventId, EventKind, Payload, ProcessId, SensorId, Time};
 
 /// One micro-workload shape: an actor activation that must fan
 /// `batch` broadcast messages out to `peers` destinations.
@@ -182,188 +172,13 @@ pub fn run_micro(w: &MicroWorkload, activations: u64, coalesced: bool) -> MicroP
     }
 }
 
-/// Which whole-platform scenario a sim point runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimWorkload {
-    /// Ring forwarding, failure-free.
-    Ring,
-    /// Ring forwarding with the application-bearing process crashing
-    /// mid-run — exercises the reliable-broadcast fallback and its
-    /// acknowledgement traffic.
-    RingCrash,
-    /// The eager-broadcast baseline (broadcast-heavy).
-    Broadcast,
-}
-
-impl SimWorkload {
-    /// Short label used in tables and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Ring => "ring",
-            Self::RingCrash => "ring_crash",
-            Self::Broadcast => "broadcast",
-        }
-    }
-}
-
-/// Result of one whole-platform simulation point.
-#[derive(Debug, Clone)]
-pub struct SimPoint {
-    /// Scenario label (`ring` / `ring_crash` / `broadcast`).
-    pub workload: &'static str,
-    /// Whether coalescing + cumulative acks were enabled.
-    pub optimized: bool,
-    /// Events the sensor emitted.
-    pub emitted: u64,
-    /// Distinct events delivered to the application.
-    pub delivered: usize,
-    /// Host-side throughput: delivered events per wall-clock second of
-    /// simulation execution.
-    pub events_per_sec: f64,
-    /// Inter-process bytes per delivered event, background subtracted.
-    pub bytes_per_event: f64,
-    /// Coalescing counters recorded during the run.
-    pub fanout: FanoutSnapshot,
-    /// Events handed through the delivery→execution SPSC ring.
-    pub ring_pops: u64,
-    /// Batched ring drains (pops ÷ batches = mean batch size).
-    pub ring_batches: u64,
-    /// Payloads re-homed into the event-payload arena.
-    pub arena_allocs: u64,
-    /// Arena chunk refills served by recycling a drained chunk.
-    pub arena_recycled: u64,
-}
-
-/// The §8 scenario used for the sim points: 1 KiB events at 50/s for
-/// 60 virtual seconds on a five-process home.
-#[must_use]
-pub fn sim_scenario(workload: SimWorkload, optimized: bool) -> DeliveryScenario {
-    let mut cfg = DeliveryScenario::paper_default(Delivery::Gapless);
-    cfg.event_bytes = 1024;
-    cfg.rate_per_sec = 50;
-    cfg.duration = Duration::from_secs(60);
-    cfg.forwarding = if workload == SimWorkload::Broadcast {
-        ForwardingMode::EagerBroadcast
-    } else {
-        ForwardingMode::Ring
-    };
-    if workload == SimWorkload::RingCrash {
-        cfg.crash_app_at = Some(Time::ZERO + Duration::from_secs(20));
-    }
-    cfg.coalescing = optimized;
-    cfg.ack_mode = if optimized {
-        AckMode::Cumulative
-    } else {
-        AckMode::PerEvent
-    };
-    // Round-3 hot-path knobs ride the same optimized/unoptimized twin
-    // split: the baseline twin measures inline delivery, frame-pinning
-    // payload clones, and the fixed group-commit bound.
-    cfg.exec_ring = optimized;
-    cfg.payload_arena = optimized;
-    cfg.wal_adaptive = optimized;
-    cfg
-}
-
-/// Runs one sim point best-of-3 (see [`run_sim_point_best_of`]).
-#[must_use]
-pub fn run_sim_point(workload: SimWorkload, optimized: bool) -> SimPoint {
-    run_sim_point_best_of(workload, optimized, 3)
-}
-
-/// Runs one sim point `runs` times and keeps the fastest repetition.
-///
-/// The simulation itself is deterministic (same seed → identical
-/// deliveries, bytes, and counters); only the host wall clock varies,
-/// and single-run timings are noisy enough to flip an
-/// optimized-vs-unoptimized comparison. Best-of-N is the standard cure
-/// (the micro bench already uses it): the minimum elapsed time is the
-/// least-interfered-with measurement of the same fixed work.
-#[must_use]
-pub fn run_sim_point_best_of(workload: SimWorkload, optimized: bool, runs: usize) -> SimPoint {
-    let mut cfg = sim_scenario(workload, optimized);
-    cfg.obs = true;
-    let background = background_wifi_bytes(&cfg);
-    let mut best: Option<SimPoint> = None;
-    for _ in 0..runs.max(1) {
-        let point = run_sim_rep(&cfg, workload, optimized, background);
-        if best
-            .as_ref()
-            .is_none_or(|b| point.events_per_sec > b.events_per_sec)
-        {
-            best = Some(point);
-        }
-    }
-    best.expect("at least one run")
-}
-
-/// Runs a workload's unoptimized/optimized twins with *interleaved*
-/// repetitions and returns `(unoptimized, optimized)` best points.
-///
-/// Best-of-N blocks run back to back are still fooled by host noise
-/// that spans a whole block (frequency scaling, a neighbour burning
-/// the core for a second): whichever twin lands in the slow phase
-/// loses by 20% regardless of the code. Alternating single
-/// repetitions exposes both twins to the same noise distribution, so
-/// the best-of ratio measures the code, not the scheduler. The
-/// `--assert-baseline` twin gates compare points from this runner.
-#[must_use]
-pub fn run_sim_twin(workload: SimWorkload, runs: usize) -> (SimPoint, SimPoint) {
-    let mut twins: Vec<(DeliveryScenario, u64, Option<SimPoint>)> = [false, true]
-        .into_iter()
-        .map(|optimized| {
-            let mut cfg = sim_scenario(workload, optimized);
-            cfg.obs = true;
-            let background = background_wifi_bytes(&cfg);
-            (cfg, background, None)
-        })
-        .collect();
-    for _ in 0..runs.max(1) {
-        for (optimized, (cfg, background, best)) in [false, true].into_iter().zip(&mut twins) {
-            let point = run_sim_rep(cfg, workload, optimized, *background);
-            if best
-                .as_ref()
-                .is_none_or(|b: &SimPoint| point.events_per_sec > b.events_per_sec)
-            {
-                *best = Some(point);
-            }
-        }
-    }
-    let optimized = twins.pop().and_then(|t| t.2).expect("at least one run");
-    let unoptimized = twins.pop().and_then(|t| t.2).expect("at least one run");
-    (unoptimized, optimized)
-}
-
-/// One timed repetition of a prepared scenario.
-fn run_sim_rep(
-    cfg: &DeliveryScenario,
-    workload: SimWorkload,
-    optimized: bool,
-    background: u64,
-) -> SimPoint {
-    let start = Instant::now();
-    let out = run_delivery(cfg);
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let foreground = out.obs.counter("net.wifi_bytes").saturating_sub(background);
-    SimPoint {
-        workload: workload.label(),
-        optimized,
-        emitted: out.emitted,
-        delivered: out.unique_delivered,
-        events_per_sec: out.unique_delivered as f64 / elapsed,
-        bytes_per_event: foreground as f64 / out.unique_delivered.max(1) as f64,
-        ring_pops: out.obs.counter("ring.pops"),
-        ring_batches: out.obs.counter("ring.batches"),
-        arena_allocs: out.obs.counter("arena.allocs"),
-        arena_recycled: out.obs.counter("arena.recycled"),
-        fanout: out.fanout,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{run_delivery, DeliveryScenario};
+    use rivulet_core::config::ForwardingMode;
+    use rivulet_core::delivery::Delivery;
+    use rivulet_types::Duration;
 
     #[test]
     fn both_paths_agree_on_message_count_semantics() {
@@ -411,9 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn optimized_sim_point_records_savings() {
-        let mut cfg = sim_scenario(SimWorkload::Broadcast, true);
+    fn broadcast_run_records_savings() {
+        let mut cfg = DeliveryScenario::paper_default(Delivery::Gapless);
+        cfg.event_bytes = 1024;
+        cfg.rate_per_sec = 50;
         cfg.duration = Duration::from_secs(10);
+        cfg.forwarding = ForwardingMode::EagerBroadcast;
         let out = run_delivery(&cfg);
         assert!(
             out.fanout.encode_bytes_saved > 0,

@@ -1,11 +1,10 @@
 //! Tables 1 and 3 — the application and sensor surveys — the Fig. 2
-//! deployment diagram, and the fan-out coalescing counter table,
-//! rendered as text for the `figures` and `bench` binaries.
+//! deployment diagram, and the fleet per-axis breakdown, rendered as
+//! text for the `figures` and `fleet` binaries.
 
 use rivulet_core::app::catalog as app_catalog;
 use rivulet_core::execution::placement::{chain_for, Reachability};
 use rivulet_devices::catalog as device_catalog;
-use rivulet_net::metrics::FanoutSnapshot;
 use rivulet_types::{ActuatorId, ProcessId, SensorId};
 
 /// Renders Table 1 (applications and their delivery guarantees).
@@ -112,59 +111,13 @@ pub fn render_fig2() -> String {
 }
 
 /// A dead (zero) counter renders as `-` so it cannot be mistaken for a
-/// small-but-live one: a column of dashes says "this path never fired",
-/// which is exactly the signal that caught the dead cumulative-ack
-/// wiring.
+/// small-but-live one: a column of dashes says "this path never fired".
 fn fmt_counter(v: u64) -> String {
     if v == 0 {
         "-".to_owned()
     } else {
         v.to_string()
     }
-}
-
-/// Renders the encode-once / frame-coalescing counters of a set of
-/// labelled runs as one table (consumed by the `bench` binary next to
-/// `BENCH_fanout.json`). Rows are `(label, events/s, counters)`; every
-/// `<workload>/after` row also reports its speedup over the matching
-/// `<workload>/before` row, so an optimized-mode regression is visible
-/// as a `< 1.00x` entry right in the printed table.
-#[must_use]
-pub fn render_fanout_table(rows: &[(String, f64, FanoutSnapshot)]) -> String {
-    let mut out = String::from(
-        "Fan-out savings: frames coalesced / messages avoided / encode bytes saved / acks avoided\n",
-    );
-    out.push_str(&format!(
-        "{:<24} {:>12} {:>10} {:>12} {:>16} {:>12} {:>9}\n",
-        "run", "events/s", "frames", "msgs-avoid", "enc-bytes-saved", "acks-avoid", "speedup"
-    ));
-    for (label, events_per_sec, snap) in rows {
-        let speedup = label
-            .strip_suffix("/after")
-            .and_then(|workload| {
-                let twin = format!("{workload}/before");
-                rows.iter().find(|(l, ..)| *l == twin)
-            })
-            .map_or_else(
-                || "-".to_owned(),
-                |(_, base, _)| {
-                    if *base > 0.0 {
-                        format!("{:.2}x", events_per_sec / base)
-                    } else {
-                        "-".to_owned()
-                    }
-                },
-            );
-        out.push_str(&format!(
-            "{label:<24} {:>12.0} {:>10} {:>12} {:>16} {:>12} {speedup:>9}\n",
-            events_per_sec,
-            fmt_counter(snap.frames_coalesced),
-            fmt_counter(snap.messages_avoided),
-            fmt_counter(snap.encode_bytes_saved),
-            fmt_counter(snap.acks_avoided),
-        ));
-    }
-    out
 }
 
 /// One row of a fleet per-axis breakdown: all homes sharing one value
@@ -293,47 +246,5 @@ mod tests {
         let tv_line = f2.lines().find(|l| l.starts_with("tv")).unwrap();
         assert!(tv_line.starts_with("tv"));
         assert_eq!(tv_line.matches("active").count(), 1, "TV: active DS only");
-    }
-
-    #[test]
-    fn fanout_table_renders_every_row() {
-        let rows = vec![
-            (
-                "ring/before".to_owned(),
-                50_000.0,
-                FanoutSnapshot::default(),
-            ),
-            (
-                "ring/after".to_owned(),
-                60_000.0,
-                FanoutSnapshot {
-                    frames_coalesced: 3,
-                    messages_avoided: 4,
-                    encode_bytes_saved: 1024,
-                    acks_avoided: 7,
-                },
-            ),
-        ];
-        let t = render_fanout_table(&rows);
-        assert_eq!(t.lines().count(), 2 + rows.len());
-        assert!(t.contains("ring/after"));
-        assert!(t.contains("1024"));
-        // The optimized row reports its speedup over the before twin.
-        assert!(t.contains("1.20x"), "speedup column missing: {t}");
-    }
-
-    #[test]
-    fn fanout_table_dashes_zero_counters_and_unpaired_rows() {
-        let rows = vec![(
-            "micro/after".to_owned(),
-            1_000_000.0,
-            FanoutSnapshot::default(),
-        )];
-        let t = render_fanout_table(&rows);
-        let row = t.lines().last().unwrap();
-        // All four counters are zero and there is no before twin: every
-        // one of them, plus the speedup cell, renders as a dash.
-        assert_eq!(row.matches(" -").count(), 5, "row was: {row}");
-        assert!(!row.contains(" 0 "), "zero must not render as 0: {row}");
     }
 }

@@ -61,54 +61,9 @@ pub struct RivuletConfig {
     /// Gapless replication protocol (ring, or the broadcast baseline
     /// used for the Fig. 5 comparison).
     pub forwarding: ForwardingMode,
-    /// Whether replicated events below the home-wide processed
-    /// watermark are garbage-collected from the store each tick. They
-    /// can never be needed by a failover replay again; disabling this
-    /// keeps full history (useful for debugging).
-    pub store_gc: bool,
-    /// Whether messages queued to the same destination within one actor
-    /// activation are coalesced into a single multi-command frame.
-    /// Batching points derive from virtual-time activations only, so
-    /// coalescing never changes what is delivered or per-stream order —
-    /// only per-message transport overhead. Disable to measure the
-    /// uncoalesced baseline.
-    pub coalescing: bool,
     /// How broadcast deliveries are acknowledged (cumulative watermarks
     /// by default; per-event acks as a fallback).
     pub ack_mode: AckMode,
-    /// Number of sensor shards in the replication store (and the
-    /// pending-delivery maps keyed the same way). One shard reproduces
-    /// the original flat layout; more shards keep hot-path tree walks
-    /// short when many sensors are live.
-    pub store_shards: usize,
-    /// Durability back-pressure: when this many actions are gated
-    /// behind un-flushed WAL appends, the process forces a group commit
-    /// instead of waiting for the flush policy's own trigger. Bounds
-    /// gated-queue growth (and flush latency) under broadcast storms.
-    /// With [`RivuletConfig::wal_adaptive_gating`] this is the
-    /// *initial* bound; the live bound then tracks observed burst
-    /// depth.
-    pub wal_max_gated: usize,
-    /// Whether the group-commit bound adapts to load: repeated forced
-    /// flushes (bursts) grow it so commits stay batched, idle flushes
-    /// at low depth shrink it back so latency stays bounded. Disabled,
-    /// the bound is pinned at `wal_max_gated`.
-    pub wal_adaptive_gating: bool,
-    /// Whether the delivery→execution handoff runs through a bounded
-    /// lock-free SPSC ring with batched pops instead of delivering
-    /// inline per action. Behavior-neutral (same events, same order);
-    /// disable to measure the inline baseline.
-    pub exec_ring: bool,
-    /// Slots in the delivery→execution ring (rounded up to a power of
-    /// two). When the ring fills, delivery falls back to inline
-    /// execution for that event, so this bounds batching, not
-    /// correctness.
-    pub exec_ring_capacity: usize,
-    /// Whether stored event payloads that pin a larger backing buffer
-    /// (views into arrival frames) are re-homed into a refcounted
-    /// payload arena recycled on watermark retirement. Disable to
-    /// measure the frame-pinning baseline.
-    pub payload_arena: bool,
     /// Master switch for the device-fault detection + repair layer
     /// (per-sensor health models, outlier substitution, quarantine,
     /// stall re-polls). **Off by default**: with repair disabled the
@@ -154,15 +109,7 @@ impl Default for RivuletConfig {
             store_cap_per_sensor: 100_000,
             repoll_margin: Duration::from_millis(200),
             forwarding: ForwardingMode::Ring,
-            store_gc: true,
-            coalescing: true,
             ack_mode: AckMode::Cumulative,
-            store_shards: 8,
-            wal_max_gated: 512,
-            wal_adaptive_gating: true,
-            exec_ring: true,
-            exec_ring_capacity: 1024,
-            payload_arena: true,
             repair: false,
             repair_stuck_run: 6,
             repair_disagreement: 4.0,
@@ -204,76 +151,11 @@ impl RivuletConfig {
         self
     }
 
-    /// Returns a config with store garbage collection enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_store_gc(mut self, enabled: bool) -> Self {
-        self.store_gc = enabled;
-        self
-    }
-
-    /// Returns a config with same-destination frame coalescing enabled
-    /// or disabled.
-    #[must_use]
-    pub fn with_coalescing(mut self, enabled: bool) -> Self {
-        self.coalescing = enabled;
-        self
-    }
-
     /// Returns a config with the broadcast acknowledgement mode
     /// replaced.
     #[must_use]
     pub fn with_ack_mode(mut self, mode: AckMode) -> Self {
         self.ack_mode = mode;
-        self
-    }
-
-    /// Returns a config with the store shard count replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "store shard count must be positive");
-        self.store_shards = shards;
-        self
-    }
-
-    /// Returns a config with adaptive WAL group-commit gating enabled
-    /// or disabled.
-    #[must_use]
-    pub fn with_wal_adaptive_gating(mut self, enabled: bool) -> Self {
-        self.wal_adaptive_gating = enabled;
-        self
-    }
-
-    /// Returns a config with the delivery→execution SPSC ring enabled
-    /// or disabled.
-    #[must_use]
-    pub fn with_exec_ring(mut self, enabled: bool) -> Self {
-        self.exec_ring = enabled;
-        self
-    }
-
-    /// Returns a config with the delivery→execution ring capacity
-    /// replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_exec_ring_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "exec ring capacity must be positive");
-        self.exec_ring_capacity = capacity;
-        self
-    }
-
-    /// Returns a config with payload-arena re-homing enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_payload_arena(mut self, enabled: bool) -> Self {
-        self.payload_arena = enabled;
         self
     }
 
@@ -358,14 +240,7 @@ mod tests {
         assert_eq!(c.failure_timeout, Duration::from_secs(2));
         assert_eq!(c.keepalive_interval, Duration::from_millis(500));
         assert!(c.anti_entropy);
-        assert!(c.coalescing, "coalescing is on by default");
         assert_eq!(c.ack_mode, AckMode::Cumulative);
-        assert_eq!(c.store_shards, 8);
-        assert!(c.wal_max_gated > 0);
-        assert!(c.wal_adaptive_gating, "adaptive gating on by default");
-        assert!(c.exec_ring, "exec ring on by default");
-        assert!(c.exec_ring_capacity > 0);
-        assert!(c.payload_arena, "payload arena on by default");
         assert!(!c.repair, "repair layer is opt-in");
         assert!(c.repair_stuck_run >= 2);
         assert!(c.repair_disagreement > 0.0);
@@ -415,42 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn round3_builders() {
-        let c = RivuletConfig::default()
-            .with_wal_adaptive_gating(false)
-            .with_exec_ring(false)
-            .with_exec_ring_capacity(64)
-            .with_payload_arena(false);
-        assert!(!c.wal_adaptive_gating);
-        assert!(!c.exec_ring);
-        assert_eq!(c.exec_ring_capacity, 64);
-        assert!(!c.payload_arena);
-    }
-
-    #[test]
-    #[should_panic(expected = "exec ring capacity must be positive")]
-    fn zero_ring_capacity_panics() {
-        let _ = RivuletConfig::default().with_exec_ring_capacity(0);
-    }
-
-    #[test]
-    fn store_shards_builder() {
-        let c = RivuletConfig::default().with_store_shards(2);
-        assert_eq!(c.store_shards, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_store_shards_panics() {
-        let _ = RivuletConfig::default().with_store_shards(0);
-    }
-
-    #[test]
-    fn coalescing_and_ack_builders() {
-        let c = RivuletConfig::default()
-            .with_coalescing(false)
-            .with_ack_mode(AckMode::PerEvent);
-        assert!(!c.coalescing);
+    fn ack_mode_builder() {
+        let c = RivuletConfig::default().with_ack_mode(AckMode::PerEvent);
         assert_eq!(c.ack_mode, AckMode::PerEvent);
     }
 

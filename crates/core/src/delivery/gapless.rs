@@ -43,26 +43,12 @@ pub struct GaplessState {
 }
 
 impl GaplessState {
-    /// Creates Gapless state for process `me` with a single-shard
-    /// store (the original flat layout; tests and simple harnesses).
+    /// Creates Gapless state for process `me`.
     #[must_use]
     pub fn new(me: ProcessId, store_cap_per_sensor: usize, anti_entropy: bool) -> Self {
-        Self::new_sharded(me, store_cap_per_sensor, 1, anti_entropy)
-    }
-
-    /// Creates Gapless state whose replicated store is sharded by
-    /// sensor ([`EventStore::with_shards`]); processes size this from
-    /// `RivuletConfig::store_shards`.
-    #[must_use]
-    pub fn new_sharded(
-        me: ProcessId,
-        store_cap_per_sensor: usize,
-        store_shards: usize,
-        anti_entropy: bool,
-    ) -> Self {
         Self {
             me,
-            store: EventStore::with_shards(store_cap_per_sensor, store_shards),
+            store: EventStore::new(store_cap_per_sensor),
             synced_successor: None,
             anti_entropy,
         }

@@ -1,32 +1,18 @@
-//! Durability gating: the queue of actions awaiting a WAL flush, and
-//! the adaptive group-commit bound that forces one.
+//! Durability gating: the adaptive group-commit bound.
 //!
 //! A process appends `Deliver` events to the WAL and holds *all*
-//! resulting actions back until the append is durable
-//! (`process::apply_actions_durably`). Two pieces live here:
-//!
-//! * [`GatedQueue`] — the held-back actions. The WAL flush path used
-//!   to walk one flat `Vec<Action>`; like the PR 6 `EventStore` and
-//!   rbcast pending maps, it is now **sharded by sensor** so a flush
-//!   releasing thousands of gated deliveries touches short per-sensor
-//!   queues. Each action is tagged with its global arrival sequence,
-//!   and [`GatedQueue::drain_into`] k-way-merges the shard fronts by
-//!   that tag, so release order is *exactly* arrival order — the
-//!   deliver-before-ack and outbox-coalescing behavior of the flat
-//!   queue is preserved bit for bit.
-//! * [`AdaptiveGate`] — the group-commit bound. A fixed
-//!   `wal_max_gated` stalls bursty workloads (every burst larger than
-//!   the cap pays a forced flush) and over-delays sparse ones. The
-//!   gate grows the bound multiplicatively when bursts force flushes
-//!   and shrinks it when flushes fire at low depth, following the
-//!   adaptive group-commit argument of the user-space WAL literature:
-//!   batch size should track observed arrival pressure, not a
-//!   constant.
+//! resulting actions back, in arrival order, until the append is
+//! durable (`process::apply_actions_durably`). [`AdaptiveGate`] bounds
+//! how many may wait before the process forces a flush. A fixed bound
+//! stalls bursty workloads (every burst larger than the cap pays a
+//! forced flush) and over-delays sparse ones, so the gate grows the
+//! bound multiplicatively when bursts force flushes and shrinks it when
+//! flushes fire at low depth, following the adaptive group-commit
+//! argument of the user-space WAL literature: batch size should track
+//! observed arrival pressure, not a constant.
 
-use std::collections::VecDeque;
-
-use crate::delivery::Action;
-
+/// The bound a process's gate starts from ([`AdaptiveGate::default`]).
+const GATE_INITIAL: usize = 512;
 /// Multiplicative step for [`AdaptiveGate`] growth and shrink.
 const GATE_STEP: usize = 2;
 /// The bound grows to at most `initial × GATE_MAX_FACTOR`.
@@ -44,31 +30,29 @@ const GATE_MAX_FACTOR: usize = 16;
 ///   the bound means the workload no longer fills batches — the bound
 ///   halves (floored at 1) so a later trickle isn't held hostage to a
 ///   burst-sized batch.
-/// * Disabled, the bound pins at `initial` — the PR 6 fixed-cap
-///   behavior.
 #[derive(Debug, Clone)]
 pub struct AdaptiveGate {
     bound: usize,
     initial: usize,
-    adaptive: bool,
     /// Forced flushes observed (bursts that hit the bound).
     pub forced: u64,
-    /// Bound adjustments made (grow + shrink).
-    pub adjustments: u64,
+}
+
+impl Default for AdaptiveGate {
+    fn default() -> Self {
+        Self::new(GATE_INITIAL)
+    }
 }
 
 impl AdaptiveGate {
-    /// Creates a gate starting at `initial` (clamped to ≥ 1);
-    /// `adaptive = false` pins the bound there.
+    /// Creates a gate starting at `initial` (clamped to ≥ 1).
     #[must_use]
-    pub fn new(initial: usize, adaptive: bool) -> Self {
+    pub fn new(initial: usize) -> Self {
         let initial = initial.max(1);
         Self {
             bound: initial,
             initial,
-            adaptive,
             forced: 0,
-            adjustments: 0,
         }
     }
 
@@ -82,147 +66,27 @@ impl AdaptiveGate {
     /// forced; grows the bound.
     pub fn on_forced_flush(&mut self) {
         self.forced += 1;
-        if !self.adaptive {
-            return;
-        }
         let max = self.initial.saturating_mul(GATE_MAX_FACTOR);
-        let grown = self.bound.saturating_mul(GATE_STEP).min(max);
-        if grown != self.bound {
-            self.bound = grown;
-            self.adjustments += 1;
-        }
+        self.bound = self.bound.saturating_mul(GATE_STEP).min(max);
     }
 
     /// Records a flush that fired without back-pressure (timer tick,
     /// checkpoint, policy trigger) at the given gated depth; shrinks
     /// the bound when the batch ran well under it.
     pub fn on_idle_flush(&mut self, depth: usize) {
-        if !self.adaptive {
-            return;
-        }
         if depth < (self.bound / 4).max(1) {
-            let shrunk = (self.bound / GATE_STEP).max(1);
-            if shrunk != self.bound {
-                self.bound = shrunk;
-                self.adjustments += 1;
-            }
+            self.bound = (self.bound / GATE_STEP).max(1);
         }
-    }
-}
-
-/// Actions gated behind un-flushed WAL appends, sharded by sensor.
-///
-/// `Deliver` actions go to `shard(sensor) = sensor % shards`; `Send`/
-/// `Fanout` actions go to a misc queue. Every push is tagged with a
-/// global sequence number and each queue is FIFO, so each queue front
-/// is its queue's minimum tag — [`GatedQueue::drain_into`] merges the
-/// fronts to reproduce exact arrival order.
-#[derive(Debug)]
-pub struct GatedQueue {
-    shards: Vec<VecDeque<(u64, Action)>>,
-    misc: VecDeque<(u64, Action)>,
-    next_seq: u64,
-    len: usize,
-}
-
-impl GatedQueue {
-    /// Creates a queue with `shards` sensor shards (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            shards: (0..shards).map(|_| VecDeque::new()).collect(),
-            misc: VecDeque::new(),
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of gated actions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no actions are gated.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Length of the deepest sensor shard (observability gauge).
-    #[must_use]
-    pub fn max_shard_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(VecDeque::len)
-            .max()
-            .unwrap_or(0)
-            .max(self.misc.len())
-    }
-
-    /// Gates an action, preserving global arrival order via the
-    /// sequence tag.
-    pub fn push(&mut self, action: Action) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let queue = match &action {
-            Action::Deliver { event } => {
-                let shard = event.id.sensor.as_u32() as usize % self.shards.len();
-                &mut self.shards[shard]
-            }
-            Action::Send { .. } | Action::Fanout { .. } => &mut self.misc,
-        };
-        queue.push_back((seq, action));
-        self.len += 1;
-    }
-
-    /// Releases every gated action into `out` in exact arrival order
-    /// (k-way merge of the shard fronts by sequence tag).
-    pub fn drain_into(&mut self, out: &mut Vec<Action>) {
-        out.reserve(self.len);
-        loop {
-            // Each queue is FIFO in seq, so the global minimum is one
-            // of the fronts.
-            let mut best: Option<(&mut VecDeque<(u64, Action)>, u64)> = None;
-            for q in self
-                .shards
-                .iter_mut()
-                .chain(std::iter::once(&mut self.misc))
-            {
-                if let Some(&(seq, _)) = q.front() {
-                    match best {
-                        Some((_, best_seq)) if best_seq <= seq => {}
-                        _ => best = Some((q, seq)),
-                    }
-                }
-            }
-            let Some((q, _)) = best else { break };
-            let (_, action) = q.pop_front().expect("front probed above");
-            out.push(action);
-        }
-        self.len = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
-
-    fn deliver(sensor: u32, seq: u64) -> Action {
-        Action::Deliver {
-            event: Event::new(
-                EventId::new(SensorId(sensor), seq),
-                EventKind::Motion,
-                Time::ZERO,
-            ),
-        }
-    }
 
     #[test]
     fn gate_grows_under_burst() {
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(8);
         assert_eq!(gate.bound(), 8);
         gate.on_forced_flush();
         assert_eq!(gate.bound(), 16);
@@ -235,7 +99,7 @@ mod tests {
 
     #[test]
     fn gate_shrinks_when_idle_never_below_one() {
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(8);
         for _ in 0..3 {
             gate.on_forced_flush();
         }
@@ -246,78 +110,15 @@ mod tests {
         }
         assert_eq!(gate.bound(), 1, "shrink floors at 1, never 0");
         // A deep idle flush does not shrink.
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(8);
         gate.on_forced_flush();
         gate.on_idle_flush(15); // 15 ≥ 16/4
         assert_eq!(gate.bound(), 16);
     }
 
     #[test]
-    fn disabled_gate_pins_bound() {
-        let mut gate = AdaptiveGate::new(512, false);
-        for _ in 0..10 {
-            gate.on_forced_flush();
-            gate.on_idle_flush(0);
-        }
-        assert_eq!(gate.bound(), 512);
-        assert_eq!(gate.adjustments, 0);
-        assert_eq!(gate.forced, 10, "forced flushes still counted");
-    }
-
-    #[test]
     fn zero_initial_clamps_to_one() {
-        let gate = AdaptiveGate::new(0, true);
+        let gate = AdaptiveGate::new(0);
         assert_eq!(gate.bound(), 1);
-    }
-
-    #[test]
-    fn sharded_queue_preserves_arrival_order() {
-        let mut q = GatedQueue::new(4);
-        // Interleave sensors (different shards), including shard
-        // collisions (0 and 4) and misc actions.
-        let actions: Vec<Action> = vec![
-            deliver(0, 0),
-            deliver(1, 0),
-            deliver(4, 0), // same shard as sensor 0
-            deliver(0, 1),
-            deliver(2, 0),
-            deliver(4, 1),
-            deliver(3, 0),
-        ];
-        for a in actions.clone() {
-            q.push(a);
-        }
-        assert_eq!(q.len(), 7);
-        assert!(q.max_shard_depth() >= 2, "collisions stack in one shard");
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert!(q.is_empty());
-        let ids = |v: &[Action]| -> Vec<(u32, u64)> {
-            v.iter()
-                .map(|a| match a {
-                    Action::Deliver { event } => (event.id.sensor.as_u32(), event.id.seq),
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        assert_eq!(ids(&out), ids(&actions), "exact arrival order");
-    }
-
-    #[test]
-    fn queue_reusable_after_drain() {
-        let mut q = GatedQueue::new(2);
-        q.push(deliver(0, 0));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        q.push(deliver(1, 0));
-        q.push(deliver(0, 1));
-        out.clear();
-        q.drain_into(&mut out);
-        assert_eq!(out.len(), 2);
-        // Seq tags keep increasing across drains; order still holds.
-        let Action::Deliver { event } = &out[0] else {
-            panic!()
-        };
-        assert_eq!(event.id.sensor, SensorId(1));
     }
 }

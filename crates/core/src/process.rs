@@ -25,7 +25,6 @@ use bytes::Bytes;
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
 use rivulet_net::metrics::FanoutStats;
-use rivulet_net::ring::SpscRing;
 use rivulet_obs::Recorder;
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{
@@ -42,7 +41,7 @@ use crate::delivery::rbcast::RbcastState;
 use crate::delivery::{Action, Delivery};
 use crate::deploy::{Directory, DirectoryData};
 use crate::execution::{placement, ExecutionState, Transition};
-use crate::gating::{AdaptiveGate, GatedQueue};
+use crate::gating::AdaptiveGate;
 use crate::membership::Membership;
 use crate::messages::{Frame, ProcMsg};
 use crate::probe::{AppProbe, DeliveryRecord, StoreProbe};
@@ -185,25 +184,9 @@ struct Initialized {
     wal: Option<Wal>,
     /// Adaptive group-commit bound on the gated queue.
     gate: AdaptiveGate,
-    /// Delivery-service actions withheld until the WAL events they
-    /// depend on are flushed (group commit), sharded by sensor.
-    gated: GatedQueue,
-    /// Delivery→execution handoff: `Deliver` events queue here during
-    /// action application and drain in batches afterwards, so the
-    /// execution stage amortizes its entry cost over a burst instead of
-    /// paying it per action.
-    exec_ring: Option<SpscRing<Event>>,
-    /// Reusable batch buffer for ring drains.
-    ring_scratch: Vec<Event>,
-    /// Deepest ring occupancy seen since the last tick gauge.
-    ring_max_depth: usize,
-    /// Ring traffic accumulated since the last tick export. Plain
-    /// fields, not recorder calls: the ring moves every delivered
-    /// event, and a string-keyed recorder update per event would cost
-    /// more than the handoff it measures. Ticks export the deltas.
-    ring_counts: RingCounts,
-    /// Ring counters already exported to the recorder (delta basis).
-    ring_reported: RingCounts,
+    /// Delivery-service actions withheld, in arrival order, until the
+    /// WAL events they depend on are flushed (group commit).
+    gated: Vec<Action>,
     /// Arena counters already exported to the recorder (delta basis).
     arena_reported: ArenaStats,
     /// Per-activation send queue, flushed (and coalesced) at the end of
@@ -220,17 +203,6 @@ struct Initialized {
     /// [`OpOutput::RunRoutine`] triggers staged all-or-nothing
     /// multi-actuator firings recorded in the hash-chained ledger.
     routines: Option<RoutineEngine>,
-}
-
-/// Hot-path ring counters, exported to the recorder as deltas on
-/// process ticks (`ring.pushes` / `ring.pops` / `ring.batches` /
-/// `ring.fallbacks`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct RingCounts {
-    pushes: u64,
-    pops: u64,
-    batches: u64,
-    fallbacks: u64,
 }
 
 /// Folds a repair-counter delta into the recorder. A clean delta (the
@@ -272,9 +244,8 @@ fn same_parts(a: &[Bytes], b: &[Bytes]) -> bool {
 /// coalescing. Protocol messages are encoded exactly once into pooled
 /// buffers; every queued entry is a cheap [`Bytes`] clone. At the end
 /// of the activation, entries for the same destination are folded into
-/// one multi-command [`Frame`] (when coalescing is enabled), so a
-/// cascade of ring forwards, acks, and sync traffic to one peer costs
-/// one network message. Grouping order derives purely from queue order
+/// one multi-command [`Frame`], so a cascade of ring forwards, acks,
+/// and sync traffic to one peer costs one network message. Grouping order derives purely from queue order
 /// within the virtual-time activation, keeping batching deterministic.
 struct Outbox {
     /// `(destination, pre-encoded message)` in queue order.
@@ -444,18 +415,11 @@ impl RivuletProcess {
         // them) and the newest checkpoint seeds the processed
         // watermarks, so a later promotion replays only the suffix
         // beyond the checkpoint.
-        let mut gapless = GaplessState::new_sharded(
+        let mut gapless = GaplessState::new(
             me,
             self.spec.config.store_cap_per_sensor,
-            self.spec.config.store_shards,
             self.spec.config.anti_entropy,
         );
-        if self.spec.config.payload_arena {
-            // Re-home stored blob payloads that pin larger arrival
-            // frames into recycled arena chunks (recovered events
-            // included — they arrive as views into WAL segment reads).
-            gapless.store_mut().enable_arena();
-        }
         let mut processed: HashMap<SensorId, u64> = HashMap::new();
         let mut recovered_ledger: Vec<LedgerEntry> = Vec::new();
         let wal = self.spec.storage.as_ref().map(|durability| {
@@ -538,20 +502,8 @@ impl RivuletProcess {
             cmd_seq,
             last_successor: None,
             wal,
-            gate: AdaptiveGate::new(
-                self.spec.config.wal_max_gated,
-                self.spec.config.wal_adaptive_gating,
-            ),
-            gated: GatedQueue::new(self.spec.config.store_shards),
-            exec_ring: self
-                .spec
-                .config
-                .exec_ring
-                .then(|| SpscRing::with_capacity(self.spec.config.exec_ring_capacity)),
-            ring_scratch: Vec::new(),
-            ring_max_depth: 0,
-            ring_counts: RingCounts::default(),
-            ring_reported: RingCounts::default(),
+            gate: AdaptiveGate::default(),
+            gated: Vec::new(),
             arena_reported: ArenaStats::default(),
             outbox: Outbox {
                 queue: Vec::new(),
@@ -572,10 +524,6 @@ impl RivuletProcess {
         // idempotent commits, abort-and-compensate interrupted stagings
         // (their fresh `Aborted` entries go through the WAL first).
         self.replay_routine_recovery(ctx, routine_recovery);
-
-        self.spec
-            .obs
-            .observe("store.shard.count", self.spec.config.store_shards as u64);
 
         // Arm the durability timers: the group-commit flush interval
         // (when the policy is time-based) and the checkpoint cadence.
@@ -610,16 +558,32 @@ impl RivuletProcess {
         let mut actions: Vec<Action> = Vec::new();
         {
             let st = self.st.as_mut().expect("initialized");
-            // Keep-alives go to every configured peer, not just the
-            // view: a healed partition must be able to un-suspect. One
-            // fan-out action: the beacon is encoded once and
-            // cheap-cloned to every destination.
+            // The processed watermarks bound garbage collection and
+            // then ride the keep-alive beacon.
             let processed: Vec<(SensorId, u64)> = {
                 let mut v: Vec<(SensorId, u64)> =
                     st.processed.iter().map(|(s, q)| (*s, *q)).collect();
                 v.sort_unstable_by_key(|(s, _)| *s);
                 v
             };
+            // Watermark garbage collection: events processed home-wide
+            // and older than the straggler horizon will never be
+            // replayed or synced again. Relay markers below the same
+            // watermark can never be re-flooded, so they go with them.
+            let horizon = now.duration_since(Time::ZERO);
+            let cutoff = if horizon > GC_STRAGGLER_HORIZON {
+                Time::ZERO + (horizon - GC_STRAGGLER_HORIZON)
+            } else {
+                Time::ZERO
+            };
+            for &(sensor, upto) in &processed {
+                let _ = st.gapless.store_mut().prune_processed(sensor, upto, cutoff);
+                st.rbcast.prune_relayed(sensor, upto);
+            }
+            // Keep-alives go to every configured peer, not just the
+            // view: a healed partition must be able to un-suspect. One
+            // fan-out action: the beacon is encoded once and
+            // cheap-cloned to every destination.
             let received: Vec<(SensorId, u64)> = {
                 let mut v: Vec<(SensorId, u64)> =
                     st.received_marks.iter().map(|(s, q)| (*s, *q)).collect();
@@ -654,65 +618,20 @@ impl RivuletProcess {
             }
             // Reliable-broadcast retransmission (age-guarded: entries
             // whose cumulative-ack window is still open are skipped).
-            let view = st.membership.view(now);
             actions.extend(st.rbcast.on_tick(&view, now));
-            // Watermark garbage collection: events processed home-wide
-            // and older than the straggler horizon will never be
-            // replayed or synced again. Relay markers below the same
-            // watermark can never be re-flooded, so they go with them.
-            if self.spec.config.store_gc {
-                let horizon = now.duration_since(Time::ZERO);
-                let cutoff = if horizon > GC_STRAGGLER_HORIZON {
-                    Time::ZERO + (horizon - GC_STRAGGLER_HORIZON)
-                } else {
-                    Time::ZERO
-                };
-                let marks: Vec<(SensorId, u64)> =
-                    st.processed.iter().map(|(s, q)| (*s, *q)).collect();
-                for (sensor, upto) in marks {
-                    let _ = st.gapless.store_mut().prune_processed(sensor, upto, cutoff);
-                    st.rbcast.prune_relayed(sensor, upto);
-                }
-            }
             if let Some(probe) = &self.spec.store_probe {
                 probe.record_len(now, me, st.gapless.store().len());
             }
             self.spec
                 .obs
                 .observe("store.len", st.gapless.store().len() as u64);
-            self.spec.obs.observe(
-                "store.shard.max_len",
-                st.gapless.store().max_shard_len() as u64,
-            );
             self.spec
                 .obs
                 .observe("rbcast.pending", st.rbcast.pending_count() as u64);
-            if st.exec_ring.is_some() {
-                self.spec
-                    .obs
-                    .observe("ring.max_depth", st.ring_max_depth as u64);
-                st.ring_max_depth = 0;
-                let ring = st.ring_counts;
-                if ring != st.ring_reported {
-                    let prev = st.ring_reported;
-                    self.spec.obs.add("ring.pushes", ring.pushes - prev.pushes);
-                    self.spec.obs.add("ring.pops", ring.pops - prev.pops);
-                    self.spec
-                        .obs
-                        .add("ring.batches", ring.batches - prev.batches);
-                    self.spec
-                        .obs
-                        .add("ring.fallbacks", ring.fallbacks - prev.fallbacks);
-                    st.ring_reported = ring;
-                }
-            }
             if st.wal.is_some() {
                 self.spec
                     .obs
                     .set_gauge("wal.gated_bound", st.gate.bound() as i64);
-                self.spec
-                    .obs
-                    .observe("wal.gated_max_shard", st.gated.max_shard_depth() as u64);
             }
             let arena = st.gapless.store().arena_stats();
             if arena != st.arena_reported {
@@ -1001,84 +920,18 @@ impl RivuletProcess {
         }
     }
 
-    /// Applies delivery-service actions (sends + local deliveries).
-    ///
-    /// With the execution ring enabled, `Deliver` actions queue their
-    /// events on the SPSC ring and the ring drains in batches after
-    /// the action loop. App processing only ever *queues* sends (via
-    /// the outbox) and actuations — it never re-enters this function —
-    /// so batching the deliveries keeps per-sensor order and the
-    /// delivered set identical to the inline path; only the handoff
-    /// cost changes.
+    /// Applies delivery-service actions (sends + local deliveries) in
+    /// list order.
     fn apply_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
-        let mut queued = 0u64;
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.send_proc(to, &msg),
                 Action::Fanout { to, msg } => self.send_fanout(&to, &msg),
                 Action::Deliver { event } => {
                     self.note_received(&event);
-                    let inline = {
-                        let st = self.st.as_mut().expect("initialized");
-                        match &st.exec_ring {
-                            Some(ring) => match ring.push(event) {
-                                Ok(()) => {
-                                    queued += 1;
-                                    None
-                                }
-                                // Full ring: deliver this one inline
-                                // rather than blocking or dropping, so
-                                // capacity bounds batching, never
-                                // correctness.
-                                Err(event) => {
-                                    st.ring_counts.fallbacks += 1;
-                                    Some(event)
-                                }
-                            },
-                            None => Some(event),
-                        }
-                    };
-                    if let Some(event) = inline {
-                        self.deliver_to_apps(ctx, &event);
-                    }
+                    self.deliver_to_apps(ctx, &event);
                 }
             }
-        }
-        if queued > 0 {
-            self.st.as_mut().expect("initialized").ring_counts.pushes += queued;
-            self.drain_exec_ring(ctx);
-        }
-    }
-
-    /// How many events one ring drain iteration moves at most; bounds
-    /// the scratch buffer while still amortizing the consumer's
-    /// acquire load over a burst.
-    const RING_DRAIN_BATCH: usize = 64;
-
-    /// Drains the delivery→execution ring in batches, routing each
-    /// event to the active apps. The scratch vector is recycled across
-    /// drains so steady-state batching allocates nothing.
-    fn drain_exec_ring(&mut self, ctx: &mut Context<'_>) {
-        loop {
-            let mut batch = {
-                let st = self.st.as_mut().expect("initialized");
-                let Some(ring) = &st.exec_ring else { return };
-                st.ring_max_depth = st.ring_max_depth.max(ring.len());
-                let mut scratch = std::mem::take(&mut st.ring_scratch);
-                scratch.clear();
-                if ring.pop_batch(&mut scratch, Self::RING_DRAIN_BATCH) == 0 {
-                    st.ring_scratch = scratch;
-                    return;
-                }
-                st.ring_counts.pops += scratch.len() as u64;
-                st.ring_counts.batches += 1;
-                scratch
-            };
-            for event in &batch {
-                self.deliver_to_apps(ctx, event);
-            }
-            batch.clear();
-            self.st.as_mut().expect("initialized").ring_scratch = batch;
         }
     }
 
@@ -1115,9 +968,7 @@ impl RivuletProcess {
                         st.gated.push(action);
                     }
                     if wal.pending_events() == 0 {
-                        let mut out = Vec::new();
-                        st.gated.drain_into(&mut out);
-                        Some(out)
+                        Some(std::mem::take(&mut st.gated))
                     } else if st.gated.len() >= st.gate.bound() {
                         // Back-pressure: a broadcast storm outran the
                         // flush policy. Force the group commit now so
@@ -1127,9 +978,7 @@ impl RivuletProcess {
                         wal.flush().expect("wal flush");
                         st.gate.on_forced_flush();
                         self.spec.obs.inc("wal.forced_flushes");
-                        let mut out = Vec::new();
-                        st.gated.drain_into(&mut out);
-                        Some(out)
+                        Some(std::mem::take(&mut st.gated))
                     } else {
                         None
                     }
@@ -1154,9 +1003,7 @@ impl RivuletProcess {
                     // A timer-driven flush at low depth is the signal
                     // that bursts have subsided: walk the bound back.
                     st.gate.on_idle_flush(st.gated.len());
-                    let mut out = Vec::new();
-                    st.gated.drain_into(&mut out);
-                    Some(out)
+                    Some(std::mem::take(&mut st.gated))
                 }
                 _ => None,
             }
@@ -1188,9 +1035,7 @@ impl RivuletProcess {
                     // gated is now durable; a low-depth checkpoint also
                     // counts as an idle flush for the adaptive bound.
                     st.gate.on_idle_flush(st.gated.len());
-                    let mut out = Vec::new();
-                    st.gated.drain_into(&mut out);
-                    Some(out)
+                    Some(std::mem::take(&mut st.gated))
                 }
             }
         };
@@ -1257,15 +1102,13 @@ impl RivuletProcess {
         }
     }
 
-    /// Drains the outbox at the end of an activation. With coalescing
-    /// enabled, messages to the same destination are folded into one
-    /// multi-command [`Frame`] (frame assembly concatenates the
-    /// already-encoded parts — nothing is re-encoded); with it
-    /// disabled, entries go out individually in queue order. Both the
-    /// grouping and its order are pure functions of the activation's
-    /// queue, so delivery stays deterministic.
+    /// Drains the outbox at the end of an activation. Messages to the
+    /// same destination are folded into one multi-command [`Frame`]
+    /// (frame assembly concatenates the already-encoded parts — nothing
+    /// is re-encoded). Both the grouping and its order are pure
+    /// functions of the activation's queue, so delivery stays
+    /// deterministic.
     fn flush_outbox(&mut self, ctx: &mut Context<'_>) {
-        let coalesce = self.spec.config.coalescing;
         let Some(st) = self.st.as_mut() else { return };
         let Initialized {
             outbox,
@@ -1281,14 +1124,6 @@ impl RivuletProcess {
             let (to, payload) = outbox.queue.pop().expect("one entry");
             if let Some(actor) = peer_actors.get(&to).copied() {
                 ctx.send(actor, payload);
-            }
-            return;
-        }
-        if !coalesce {
-            for (to, payload) in outbox.queue.drain(..) {
-                if let Some(actor) = peer_actors.get(&to).copied() {
-                    ctx.send(actor, payload);
-                }
             }
             return;
         }

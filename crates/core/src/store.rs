@@ -5,129 +5,58 @@
 //! deduplicates (the ring revisits processes), answers the Bayou-style
 //! watermark queries used by successor synchronization, and computes
 //! the difference set to ship to a lagging successor.
-//!
-//! The store is sharded by sensor ([`EventStore::with_shards`]): each
-//! sensor hashes to one shard's `BTreeMap`, so the insert/seen/prune
-//! operations on the delivery hot path walk a tree holding only
-//! `sensors / shards` keys instead of one global map. Cross-sensor
-//! queries (watermarks, diffs) merge the shards back into sensor order,
-//! keeping the wire encoding deterministic regardless of shard count.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
 
-type SensorShard = BTreeMap<SensorId, BTreeMap<u64, Event>>;
-
-/// A bounded, per-sensor-ordered store of replicated events, sharded by
-/// sensor.
-///
-/// Within a shard, sensors live in a `BTreeMap` so per-shard iteration
-/// is sensor-ordered for free; cross-shard queries merge the (already
-/// sorted) shard iterators so callers always observe ascending sensor
-/// order, exactly as the pre-sharding flat layout did.
+/// A bounded, per-sensor-ordered store of replicated events. Sensors
+/// live in a `BTreeMap`, so cross-sensor queries (watermarks, diffs)
+/// iterate in ascending sensor order and the wire encoding is
+/// deterministic without a separate sort.
 #[derive(Debug)]
 pub struct EventStore {
-    shards: Vec<SensorShard>,
+    sensors: BTreeMap<SensorId, BTreeMap<u64, Event>>,
     cap_per_sensor: usize,
     inserted: u64,
     evicted: u64,
-    /// When attached ([`EventStore::enable_arena`]), blob payloads that
-    /// pin a larger backing buffer (views into arrival frames) are
-    /// re-homed into recycled arena chunks on insert, so a retained
-    /// 40-byte payload stops holding a kilobyte frame alive.
-    arena: Option<PayloadArena>,
+    /// Blob payloads that pin a larger backing buffer (views into
+    /// arrival frames) are re-homed into recycled arena chunks on
+    /// insert, so a retained 40-byte payload stops holding a kilobyte
+    /// frame alive.
+    arena: PayloadArena,
 }
 
 impl EventStore {
-    /// Creates a single-shard store retaining at most `cap_per_sensor`
-    /// events per sensor (oldest evicted first). Equivalent to the
-    /// original flat layout; production processes use
-    /// [`EventStore::with_shards`].
+    /// Creates a store retaining at most `cap_per_sensor` events per
+    /// sensor (oldest evicted first).
     ///
     /// # Panics
     ///
     /// Panics if `cap_per_sensor` is zero.
     #[must_use]
     pub fn new(cap_per_sensor: usize) -> Self {
-        Self::with_shards(cap_per_sensor, 1)
-    }
-
-    /// Creates a store with `shards` sensor shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap_per_sensor` or `shards` is zero.
-    #[must_use]
-    pub fn with_shards(cap_per_sensor: usize, shards: usize) -> Self {
         assert!(cap_per_sensor > 0, "store capacity must be positive");
-        assert!(shards > 0, "store shard count must be positive");
         Self {
-            shards: (0..shards).map(|_| SensorShard::new()).collect(),
+            sensors: BTreeMap::new(),
             cap_per_sensor,
             inserted: 0,
             evicted: 0,
-            arena: None,
+            arena: PayloadArena::new(),
         }
     }
 
-    /// Attaches a payload arena: from now on, inserted events whose
-    /// blob payload pins a larger backing allocation are re-homed into
-    /// dense recycled chunks ([`PayloadArena::rehome`]).
-    pub fn enable_arena(&mut self) {
-        if self.arena.is_none() {
-            self.arena = Some(PayloadArena::new());
-        }
-    }
-
-    /// Arena allocation counters; all-zero when no arena is attached.
+    /// Arena allocation counters.
     #[must_use]
     pub fn arena_stats(&self) -> ArenaStats {
-        self.arena
-            .as_ref()
-            .map(PayloadArena::stats)
-            .unwrap_or_default()
-    }
-
-    #[inline]
-    fn shard_index(&self, sensor: SensorId) -> usize {
-        sensor.as_u32() as usize % self.shards.len()
-    }
-
-    #[inline]
-    fn shard(&self, sensor: SensorId) -> &SensorShard {
-        &self.shards[self.shard_index(sensor)]
-    }
-
-    #[inline]
-    fn shard_mut(&mut self, sensor: SensorId) -> &mut SensorShard {
-        let i = self.shard_index(sensor);
-        &mut self.shards[i]
-    }
-
-    /// Sensor maps across all shards, ascending by sensor. With one
-    /// shard this is the shard's own iterator; with more, a k-way merge
-    /// over the per-shard (already sorted) iterators.
-    fn iter_sensors(&self) -> impl Iterator<Item = (&SensorId, &BTreeMap<u64, Event>)> {
-        let mut cursors: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
-        std::iter::from_fn(move || {
-            let mut best: Option<(usize, SensorId)> = None;
-            for (i, c) in cursors.iter_mut().enumerate() {
-                if let Some((sensor, _)) = c.peek() {
-                    if best.is_none_or(|(_, k)| **sensor < k) {
-                        best = Some((i, **sensor));
-                    }
-                }
-            }
-            best.and_then(|(i, _)| cursors[i].next())
-        })
+        self.arena.stats()
     }
 
     /// Whether the event identified by `id` has been stored before.
     #[must_use]
     pub fn seen(&self, id: EventId) -> bool {
-        self.shard(id.sensor)
+        self.sensors
             .get(&id.sensor)
             .is_some_and(|m| m.contains_key(&id.seq))
     }
@@ -137,17 +66,14 @@ impl EventStore {
     /// descent decides both (the `Entry` is reused for the insert).
     pub fn insert(&mut self, mut event: Event) -> bool {
         let cap = self.cap_per_sensor;
-        let shard = self.shard_index(event.id.sensor);
-        let per = self.shards[shard].entry(event.id.sensor).or_default();
+        let per = self.sensors.entry(event.id.sensor).or_default();
         let Entry::Vacant(slot) = per.entry(event.id.seq) else {
             return false;
         };
         // Re-home only *retained* payloads (duplicates bailed out
         // above): the copy happens once per stored event, off the
         // dedup fast path.
-        if let Some(arena) = &mut self.arena {
-            event.payload = arena.rehome(event.payload);
-        }
+        event.payload = self.arena.rehome(event.payload);
         slot.insert(event);
         while per.len() > cap {
             per.pop_first();
@@ -161,14 +87,12 @@ impl EventStore {
     /// Bayou-style watermark exchanged during successor sync.
     #[must_use]
     pub fn watermark(&self, sensor: SensorId) -> Option<u64> {
-        self.shard(sensor)
+        self.sensors
             .get(&sensor)
             .and_then(|m| m.keys().next_back().copied())
     }
 
-    /// All `(sensor, watermark)` pairs, ascending by sensor — the shard
-    /// merge yields sensor order directly, so the wire encoding is
-    /// deterministic without a separate sort.
+    /// All `(sensor, watermark)` pairs, ascending by sensor.
     #[must_use]
     pub fn watermarks(&self) -> Vec<(SensorId, u64)> {
         self.iter_watermarks().collect()
@@ -177,7 +101,8 @@ impl EventStore {
     /// Iterates `(sensor, watermark)` pairs ascending by sensor without
     /// materializing a `Vec`.
     pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
-        self.iter_sensors()
+        self.sensors
+            .iter()
             .filter_map(|(s, m)| m.keys().next_back().map(|q| (*s, *q)))
     }
 
@@ -185,7 +110,7 @@ impl EventStore {
     /// `after` (or all if `after` is `None`), ascending.
     #[must_use]
     pub fn events_after(&self, sensor: SensorId, after: Option<u64>) -> Vec<Event> {
-        let Some(per) = self.shard(sensor).get(&sensor) else {
+        let Some(per) = self.sensors.get(&sensor) else {
             return Vec::new();
         };
         match after {
@@ -208,9 +133,9 @@ impl EventStore {
     pub fn diff_for(&self, peer_watermarks: &[(SensorId, u64)]) -> Vec<Event> {
         let peer: HashMap<SensorId, u64> = peer_watermarks.iter().copied().collect();
         let mut out = Vec::new();
-        // The shard merge is already sensor-ordered; per-sensor ranges
-        // stream straight into the output with no intermediate Vec.
-        for (sensor, per) in self.iter_sensors() {
+        // Per-sensor ranges stream straight into the output with no
+        // intermediate Vec.
+        for (sensor, per) in &self.sensors {
             match peer.get(sensor) {
                 None => out.extend(per.values().cloned()),
                 Some(&wm) => out.extend(per.range(wm.saturating_add(1)..).map(|(_, e)| e.clone())),
@@ -230,7 +155,7 @@ impl EventStore {
     /// weight. Production GC uses [`EventStore::prune_processed`],
     /// which additionally age-guards against straggler duplicates.
     pub fn prune_through(&mut self, sensor: SensorId, upto: u64) -> usize {
-        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+        let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
         let removed = if upto == u64::MAX {
@@ -267,7 +192,7 @@ impl EventStore {
     /// and old, just fewer of them: collection is delayed to a later
     /// call (or to the per-sensor cap), never widened.
     pub fn prune_processed(&mut self, sensor: SensorId, upto: u64, emitted_before: Time) -> usize {
-        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+        let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
         let mut removed = 0usize;
@@ -297,34 +222,13 @@ impl EventStore {
     /// Current number of retained events across all sensors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(BTreeMap::len)
-            .sum()
+        self.sensors.values().map(BTreeMap::len).sum()
     }
 
     /// Whether the store holds no events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of sensor shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Retained events in the fullest shard — the load-balance gauge
-    /// exported as `store.shard.max_len`.
-    #[must_use]
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.values().map(BTreeMap::len).sum())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -345,7 +249,7 @@ impl EventStore {
         upto: u64,
         emitted_before: Time,
     ) -> usize {
-        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+        let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
         let doomed: Vec<u64> = per
@@ -361,7 +265,7 @@ impl EventStore {
     }
 
     fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
-        self.shard(sensor)
+        self.sensors
             .get(&sensor)
             .map(|per| per.keys().copied().collect())
             .unwrap_or_default()
@@ -463,43 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_matches_flat_semantics() {
-        // The same event stream through 1-shard and 8-shard stores must
-        // be observationally identical on every query path.
-        let mut flat = EventStore::new(10);
-        let mut sharded = EventStore::with_shards(10, 8);
-        assert_eq!(sharded.shard_count(), 8);
-        for sensor in [13u32, 2, 8, 21, 5, 16] {
-            for seq in [3u64, 0, 7] {
-                assert_eq!(
-                    flat.insert(ev(sensor, seq)),
-                    sharded.insert(ev(sensor, seq))
-                );
-            }
-        }
-        assert!(
-            !sharded.insert(ev(2, 0)),
-            "duplicate rejected across shards"
-        );
-        assert_eq!(flat.len(), sharded.len());
-        assert_eq!(flat.watermarks(), sharded.watermarks());
-        let peer = [(SensorId(2), 3), (SensorId(16), 0)];
-        let ids = |evs: Vec<Event>| -> Vec<(u32, u64)> {
-            evs.iter()
-                .map(|e| (e.id.sensor.as_u32(), e.id.seq))
-                .collect()
-        };
-        assert_eq!(ids(flat.diff_for(&peer)), ids(sharded.diff_for(&peer)));
-        assert_eq!(
-            flat.prune_through(SensorId(13), 3),
-            sharded.prune_through(SensorId(13), 3)
-        );
-        assert_eq!(flat.watermarks(), sharded.watermarks());
-        assert!(sharded.max_shard_len() <= sharded.len());
-        assert!(sharded.max_shard_len() >= sharded.len().div_ceil(8));
-    }
-
-    #[test]
     fn capacity_evicts_oldest() {
         let mut s = EventStore::new(3);
         for seq in 0..5 {
@@ -558,8 +425,8 @@ mod tests {
     fn prune_processed_matches_full_scan_on_monotone_stream() {
         // Three sensors, bursts sharing a timestamp, holes in `seq`,
         // and a GC cursor that advances like `tick` does.
-        let mut new = EventStore::with_shards(10_000, 2);
-        let mut reference = EventStore::with_shards(10_000, 2);
+        let mut new = EventStore::new(10_000);
+        let mut reference = EventStore::new(10_000);
         for sensor in 1..=3u32 {
             for seq in (0..600u64).filter(|q| q % 7 != 3) {
                 let e = Event::new(
@@ -633,17 +500,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_shards_panics() {
-        let _ = EventStore::with_shards(10, 0);
-    }
-
-    #[test]
     fn arena_rehomes_frame_pinning_payloads() {
         use bytes::Bytes;
         use rivulet_types::Payload;
         let mut s = EventStore::new(10);
-        s.enable_arena();
         assert_eq!(s.arena_stats(), ArenaStats::default());
         // A payload sliced out of a big "frame" (larger than an arena
         // chunk, so the chunk's own backing is the smaller home) pins
@@ -668,15 +528,6 @@ mod tests {
         dup.payload = Payload::Blob(frame.slice_ref(&frame[10..50]));
         assert!(!s.insert(dup));
         assert_eq!(s.arena_stats().allocs, 1, "no copy for duplicates");
-        // Without an arena the view passes through untouched.
-        let mut plain = EventStore::new(10);
-        let mut e2 = ev(2, 0);
-        e2.payload = Payload::Blob(frame.slice_ref(&frame[10..50]));
-        assert!(plain.insert(e2));
-        let Payload::Blob(kept) = &plain.events_after(SensorId(2), None)[0].payload else {
-            panic!();
-        };
-        assert_eq!(kept.backing_len(), frame.len(), "baseline pins the frame");
     }
 
     #[test]
@@ -685,7 +536,6 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.watermarks().is_empty());
         assert!(s.diff_for(&[]).is_empty());
-        assert_eq!(s.max_shard_len(), 0);
     }
 }
 
@@ -749,27 +599,6 @@ mod proptests {
             let ia: Vec<u64> = a.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
             let ib: Vec<u64> = b.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
             prop_assert_eq!(ia, ib);
-        }
-
-        /// A sharded store is observationally identical to the flat
-        /// (single-shard) layout for any insert sequence.
-        #[test]
-        fn sharding_is_transparent(
-            inserts in proptest::collection::vec((0u32..16, 0u64..60), 0..120),
-            shards in 1usize..9,
-        ) {
-            let mut flat = EventStore::new(50);
-            let mut sharded = EventStore::with_shards(50, shards);
-            for (s, q) in &inserts {
-                prop_assert_eq!(flat.insert(ev(*s, *q)), sharded.insert(ev(*s, *q)));
-            }
-            prop_assert_eq!(flat.len(), sharded.len());
-            prop_assert_eq!(flat.watermarks(), sharded.watermarks());
-            prop_assert_eq!(flat.inserted(), sharded.inserted());
-            let peer = [(SensorId(3), 20), (SensorId(11), 5)];
-            let fa: Vec<EventId> = flat.diff_for(&peer).iter().map(|e| e.id).collect();
-            let sa: Vec<EventId> = sharded.diff_for(&peer).iter().map(|e| e.id).collect();
-            prop_assert_eq!(fa, sa);
         }
 
         /// On a stream whose `emitted_at` never decreases with `seq`

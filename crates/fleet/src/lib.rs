@@ -15,7 +15,7 @@
 //! 2. **Executor** ([`executor`]): a fixed-size worker pool stealing
 //!    homes off a shared queue runs every home to completion — each
 //!    an isolated seeded simulation exercising Gapless delivery,
-//!    rbcast, the WAL, and the sharded event store at once — and
+//!    rbcast, the WAL, and the event store at once — and
 //!    judges a per-home delivery-correctness verdict.
 //! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge (in
 //!    home-index order, so the result is byte-identical across thread

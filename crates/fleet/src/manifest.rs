@@ -62,8 +62,6 @@ pub struct HomeParams {
     pub ack_mode: AckMode,
     /// Loss probability on each sensor→receiver link.
     pub loss: f64,
-    /// Same-destination frame coalescing.
-    pub coalescing: bool,
     /// Attach per-process durable storage (simulated WAL backend).
     pub durable: bool,
     /// Crash the application-bearing process at this virtual second;
@@ -101,7 +99,6 @@ impl Default for HomeParams {
             forwarding: ForwardingMode::Ring,
             ack_mode: AckMode::Cumulative,
             loss: 0.0,
-            coalescing: true,
             durable: false,
             crash_at_secs: -1.0,
             failure_timeout_secs: 2.0,
@@ -163,10 +160,6 @@ impl HomeParams {
             "loss" => match value.as_f64() {
                 Some(v) if (0.0..1.0).contains(&v) => self.loss = v,
                 _ => return bad(key, "a probability in [0, 1)", value),
-            },
-            "coalescing" => match value.as_bool() {
-                Some(v) => self.coalescing = v,
-                None => return bad(key, "a bool", value),
             },
             "durable" => match value.as_bool() {
                 Some(v) => self.durable = v,
@@ -261,7 +254,6 @@ impl HomeParams {
         cfg.duration = secs_f64(self.duration_secs);
         cfg.forwarding = self.forwarding;
         cfg.ack_mode = self.ack_mode;
-        cfg.coalescing = self.coalescing;
         cfg.loss = self.loss;
         cfg.crash_app_at = self.crash_at();
         cfg.failure_timeout = secs_f64(self.failure_timeout_secs);
@@ -586,6 +578,11 @@ ack_mode = ["cumulative", "per_event"]
         let bad = MANIFEST.replace("rate_per_sec = 20", "rate_per_sec = -20");
         let e = FleetManifest::from_text(&bad).unwrap_err();
         assert!(e.message.contains("`base.rate_per_sec`"), "{e}");
+
+        // A removed knob is an unknown key like any other.
+        let bad = MANIFEST.replace("processes = 5", "coalescing = true");
+        let e = FleetManifest::from_text(&bad).unwrap_err();
+        assert!(e.message.contains("`base.coalescing`"), "{e}");
     }
 
     #[test]

@@ -66,13 +66,12 @@
 //! assert!(net.metrics().messages_sent >= 2);
 //! ```
 
-#![deny(unsafe_code)] // allowed, with documented invariants, in `ring` only
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod actor;
 pub mod link;
 pub mod live;
 pub mod metrics;
-pub mod ring;
 pub mod sim;
 pub mod trace;

@@ -1,7 +1,7 @@
 //! Integration tests for encode-once fan-out, frame coalescing, and
-//! cumulative acks: the optimizations must change *how many* network
-//! messages carry the protocol, never *what* gets delivered — and a
-//! seeded run must stay fully deterministic with them enabled.
+//! cumulative acks: the acknowledgement mode must change *how many*
+//! network messages carry the protocol, never *what* gets delivered —
+//! and a seeded run must stay fully deterministic.
 
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::config::AckMode;
@@ -76,8 +76,8 @@ fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
 /// crashes and recovers mid-stream, exercising ring forwarding,
 /// anti-entropy sync, and retransmission alongside steady-state
 /// keep-alive traffic.
-fn faulty_run(config: RivuletConfig, seed: u64) -> (Vec<u64>, usize, u64, u64) {
-    // Returns (delivered seqs, unique delivered, messages sent, frames coalesced).
+fn faulty_run(config: RivuletConfig, seed: u64) -> (Vec<u64>, usize) {
+    // Returns (delivered seqs, unique delivered).
     let script: Vec<Time> = (1..=25).map(|i| Time::from_millis(400 * i)).collect();
     let mut s = scripted_home(script, config, seed);
     let dev = s.home.sensor_actor(s.sensor);
@@ -89,35 +89,7 @@ fn faulty_run(config: RivuletConfig, seed: u64) -> (Vec<u64>, usize, u64, u64) {
     s.net.crash_at(tv, Time::from_secs(4));
     s.net.recover_at(tv, Time::from_secs(8));
     s.net.run_until(Time::from_secs(16));
-    (
-        delivered_seqs(&s.probe),
-        s.probe.unique_delivered(),
-        s.net.metrics().messages_sent,
-        s.net.metrics().fanout.snapshot().frames_coalesced,
-    )
-}
-
-#[test]
-fn coalescing_on_and_off_deliver_identical_semantics() {
-    // Coalescing changes message sizes (and therefore arrival micros),
-    // so the comparison is semantic: the set of delivered events must
-    // be identical; only the message count may shrink.
-    let on = faulty_run(RivuletConfig::default().with_coalescing(true), 11);
-    let off = faulty_run(RivuletConfig::default().with_coalescing(false), 11);
-    assert_eq!(on.0, off.0, "delivered event sets must match");
-    assert_eq!(on.1, off.1);
-    assert!(
-        on.3 > 0 && off.3 == 0,
-        "coalescing on emitted {} frames, off {}",
-        on.3,
-        off.3
-    );
-    assert!(
-        on.2 < off.2,
-        "coalescing should reduce messages: on {} vs off {}",
-        on.2,
-        off.2
-    );
+    (delivered_seqs(&s.probe), s.probe.unique_delivered())
 }
 
 #[test]
@@ -135,10 +107,9 @@ fn cumulative_and_per_event_acks_deliver_identical_semantics() {
 }
 
 #[test]
-fn seeded_run_with_coalescing_is_byte_identical() {
-    // Full determinism with the optimizations enabled (the defaults):
-    // two same-seed runs must agree on every delivery timestamp and
-    // every counter, not just the delivered set.
+fn seeded_coalesced_run_is_byte_identical() {
+    // Full determinism: two same-seed runs must agree on every delivery
+    // timestamp and every counter, not just the delivered set.
     let trace = |seed: u64| {
         let script: Vec<Time> = (1..=15).map(|i| Time::from_millis(600 * i)).collect();
         let mut s = scripted_home(script, RivuletConfig::default(), seed);
@@ -167,7 +138,5 @@ fn seeded_run_with_coalescing_is_byte_identical() {
 
 #[test]
 fn defaults_enable_the_optimizations() {
-    let config = RivuletConfig::default();
-    assert!(config.coalescing);
-    assert_eq!(config.ack_mode, AckMode::Cumulative);
+    assert_eq!(RivuletConfig::default().ack_mode, AckMode::Cumulative);
 }

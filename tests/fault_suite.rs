@@ -5,8 +5,7 @@
 //! 1. **Toggle invariance** — attaching a rate-0 [`FaultPlan`] and/or
 //!    enabling the repair layer on a clean run changes *nothing*: the
 //!    full delivery trace and the exported `ObsSnapshot` JSON are
-//!    byte-identical to a seed-matched baseline (the pattern of
-//!    `tests/hot_path_round3.rs`).
+//!    byte-identical to a seed-matched baseline.
 //! 2. **Reproducibility** — a faulty run is a pure function of its
 //!    seed: same `(seed, kind, rate, repair)` twice → identical
 //!    outcome fields and byte-identical obs JSON.
