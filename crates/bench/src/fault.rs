@@ -207,9 +207,7 @@ pub fn run_fault(cfg: &FaultScenario) -> FaultOutcome {
 pub fn run_repoll(rate: f64, repair: bool, seed: u64) -> FaultOutcome {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     net.recorder().set_enabled(true);
-    let config = RivuletConfig::default()
-        .with_repair(repair)
-        .with_repair_stall_timeout(Duration::from_secs(2));
+    let config = RivuletConfig::default().with_repair(repair);
     let mut home = HomeBuilder::new(&mut net).with_config(config);
     let hosts: Vec<ProcessId> = (0..2).map(|i| home.add_host(format!("host{i}"))).collect();
     let (sensor, poll_probe) = home.add_poll_sensor(

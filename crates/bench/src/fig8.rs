@@ -14,7 +14,7 @@ use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_types::{AppId, Duration, Time};
 
 /// One sensor's polling measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PollingPoint {
     /// Sensor name from the device catalog.
     pub sensor: &'static str,
@@ -176,6 +176,12 @@ mod tests {
                 point.normalized
             );
         }
+    }
+
+    #[test]
+    fn same_seed_runs_measure_the_same_points() {
+        let first = run(Mode::Uncoordinated, LEN, 3);
+        assert_eq!(run(Mode::Uncoordinated, LEN, 3), first);
     }
 
     #[test]

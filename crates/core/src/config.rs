@@ -23,8 +23,9 @@ pub enum AckMode {
     /// acknowledges every broadcast the peer has durably received, so
     /// no per-event ack messages exist on the wire. Acknowledgement
     /// latency is bounded by the keep-alive interval, which equals the
-    /// retransmit interval by default — at most one redundant
-    /// retransmission in the worst case.
+    /// retransmit interval
+    /// ([`crate::delivery::rbcast::RETRANSMIT_INTERVAL`]) by default —
+    /// at most one redundant retransmission in the worst case.
     Cumulative,
     /// The original protocol: every `Broadcast` receipt immediately
     /// sends a dedicated `BroadcastAck`. Kept as a fallback for
@@ -45,19 +46,10 @@ pub struct RivuletConfig {
     /// Silence threshold after which a peer is suspected crashed. The
     /// evaluation uses 2 s, producing the ~20-event gap of Fig. 7.
     pub failure_timeout: Duration,
-    /// Interval between reliable-broadcast retransmissions for
-    /// unacknowledged events.
-    pub rbcast_retransmit: Duration,
     /// Whether a process that gains a new ring successor synchronizes
     /// its event store with it (§4.1, Bayou-style). Disabling this is
     /// an ablation that demonstrates permanent gaps after partitions.
     pub anti_entropy: bool,
-    /// Cap on events retained per sensor in the replication store;
-    /// oldest events are evicted first. Home-scale memory bound.
-    pub store_cap_per_sensor: usize,
-    /// Extra wait beyond a sensor's poll latency before a poll is
-    /// considered failed and retried (Gapless polling only).
-    pub repoll_margin: Duration,
     /// Gapless replication protocol (ring, or the broadcast baseline
     /// used for the Fig. 5 comparison).
     pub forwarding: ForwardingMode,
@@ -70,19 +62,6 @@ pub struct RivuletConfig {
     /// runtime allocates no health state and writes no `repair.*`
     /// counters, and runs are bit-identical to pre-repair builds.
     pub repair: bool,
-    /// Exact-repeat run length after which a scalar sensor is judged
-    /// stuck and its readings become untrusted.
-    pub repair_stuck_run: u32,
-    /// Absolute disagreement from the healthy-peer midpoint
-    /// (Marzullo) beyond which a reading is an outlier and is
-    /// substituted/dropped.
-    pub repair_disagreement: f64,
-    /// Outliers tolerated from one sensor before it is quarantined
-    /// (all further events from it are dropped at delivery).
-    pub repair_outlier_quarantine: u32,
-    /// Silence threshold after which a *pollable* sensor is considered
-    /// stalled and re-polled through the polling service.
-    pub repair_stall_timeout: Duration,
     /// Master switch for the routine execution engine (all-or-nothing
     /// multi-actuator command sequences, staged two-phase against the
     /// hash-chained execution-integrity ledger). **Off by default**:
@@ -104,17 +83,10 @@ impl Default for RivuletConfig {
         Self {
             keepalive_interval: Duration::from_millis(500),
             failure_timeout: Duration::from_secs(2),
-            rbcast_retransmit: Duration::from_millis(500),
             anti_entropy: true,
-            store_cap_per_sensor: 100_000,
-            repoll_margin: Duration::from_millis(200),
             forwarding: ForwardingMode::Ring,
             ack_mode: AckMode::Cumulative,
             repair: false,
-            repair_stuck_run: 6,
-            repair_disagreement: 4.0,
-            repair_outlier_quarantine: 10,
-            repair_stall_timeout: Duration::from_secs(2),
             routines: false,
             routine_stage_timeout: Duration::from_secs(2),
             routine_ledger_seed: 0,
@@ -167,41 +139,6 @@ impl RivuletConfig {
         self
     }
 
-    /// Returns a config with the stuck-run detection length replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` is < 2 (a single repeat is normal behaviour).
-    #[must_use]
-    pub fn with_repair_stuck_run(mut self, run: u32) -> Self {
-        assert!(run >= 2, "stuck run must be at least 2");
-        self.repair_stuck_run = run;
-        self
-    }
-
-    /// Returns a config with the outlier disagreement threshold
-    /// replaced.
-    #[must_use]
-    pub fn with_repair_disagreement(mut self, threshold: f64) -> Self {
-        self.repair_disagreement = threshold;
-        self
-    }
-
-    /// Returns a config with the quarantine outlier budget replaced.
-    #[must_use]
-    pub fn with_repair_outlier_quarantine(mut self, outliers: u32) -> Self {
-        self.repair_outlier_quarantine = outliers;
-        self
-    }
-
-    /// Returns a config with the sensor-stall re-poll threshold
-    /// replaced.
-    #[must_use]
-    pub fn with_repair_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.repair_stall_timeout = timeout;
-        self
-    }
-
     /// Returns a config with the routine execution engine enabled or
     /// disabled.
     #[must_use]
@@ -242,10 +179,6 @@ mod tests {
         assert!(c.anti_entropy);
         assert_eq!(c.ack_mode, AckMode::Cumulative);
         assert!(!c.repair, "repair layer is opt-in");
-        assert!(c.repair_stuck_run >= 2);
-        assert!(c.repair_disagreement > 0.0);
-        assert!(c.repair_outlier_quarantine > 0);
-        assert!(c.repair_stall_timeout > Duration::ZERO);
         assert!(!c.routines, "routine engine is opt-in");
         assert!(c.routine_stage_timeout > Duration::ZERO);
         assert_eq!(c.routine_ledger_seed, 0);
@@ -266,27 +199,6 @@ mod tests {
     #[should_panic(expected = "stage timeout must be positive")]
     fn zero_stage_timeout_panics() {
         let _ = RivuletConfig::default().with_routine_stage_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    fn repair_builders() {
-        let c = RivuletConfig::default()
-            .with_repair(true)
-            .with_repair_stuck_run(4)
-            .with_repair_disagreement(2.5)
-            .with_repair_outlier_quarantine(3)
-            .with_repair_stall_timeout(Duration::from_secs(1));
-        assert!(c.repair);
-        assert_eq!(c.repair_stuck_run, 4);
-        assert!((c.repair_disagreement - 2.5).abs() < f64::EPSILON);
-        assert_eq!(c.repair_outlier_quarantine, 3);
-        assert_eq!(c.repair_stall_timeout, Duration::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "stuck run must be at least 2")]
-    fn tiny_stuck_run_panics() {
-        let _ = RivuletConfig::default().with_repair_stuck_run(1);
     }
 
     #[test]

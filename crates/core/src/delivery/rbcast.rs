@@ -33,6 +33,12 @@ use crate::messages::ProcMsg;
 
 use super::Action;
 
+/// Pause between reliable-broadcast retransmissions of an
+/// unacknowledged event. Equal to the default keep-alive interval, so
+/// cumulative acknowledgement costs at most one redundant
+/// retransmission.
+pub const RETRANSMIT_INTERVAL: Duration = Duration::from_millis(500);
+
 /// One process's reliable-broadcast state.
 #[derive(Debug)]
 pub struct RbcastState {

@@ -1,15 +1,33 @@
-//! Durability gating: the adaptive group-commit bound.
+//! Durability gating: the one place where "durable before
+//! acknowledged" is decided.
 //!
-//! A process appends `Deliver` events to the WAL and holds *all*
-//! resulting actions back, in arrival order, until the append is
-//! durable (`process::apply_actions_durably`). [`AdaptiveGate`] bounds
-//! how many may wait before the process forces a flush. A fixed bound
-//! stalls bursty workloads (every burst larger than the cap pays a
-//! forced flush) and over-delays sparse ones, so the gate grows the
-//! bound multiplicatively when bursts force flushes and shrinks it when
-//! flushes fire at low depth, following the adaptive group-commit
-//! argument of the user-space WAL literature: batch size should track
-//! observed arrival pressure, not a constant.
+//! A durable process appends every newly stored event to its
+//! write-ahead log and must not act on it — deliver it, forward it on
+//! the ring, relay or acknowledge a broadcast — before the append is on
+//! disk. [`DurableGate`] owns that rule: it holds the log, the actions
+//! waiting on it (in arrival order) and the [`AdaptiveGate`] bound on
+//! how many may wait, and it hands actions back only as [`Released`],
+//! the sole type the process runtime applies deliveries from. Nothing
+//! here touches a driver, so the rule is unit-tested against a
+//! simulated disk.
+//!
+//! A fixed bound stalls bursty workloads (every burst larger than the
+//! cap pays a forced flush) and over-delays sparse ones, so the gate
+//! grows the bound multiplicatively when bursts force flushes and
+//! shrinks it when flushes fire at low depth, following the adaptive
+//! group-commit argument of the user-space WAL literature: batch size
+//! should track observed arrival pressure, not a constant.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use rivulet_obs::Recorder;
+use rivulet_storage::{
+    Checkpoint, FlushPolicy, LedgerEntry, Recovered, StorageBackend, Wal, WalOptions,
+};
+use rivulet_types::{Duration, SensorId, Time};
+
+use crate::delivery::Action;
 
 /// The bound a process's gate starts from ([`AdaptiveGate::default`]).
 const GATE_INITIAL: usize = 512;
@@ -80,9 +98,284 @@ impl AdaptiveGate {
     }
 }
 
+/// Actions a [`DurableGate`] has let through: every event they carry
+/// or advertise is on disk (or the process keeps nothing on disk).
+/// Only the gate can build one, and the process runtime delivers events
+/// from nothing else.
+#[derive(Debug, Default, PartialEq)]
+pub struct Released(Vec<Action>);
+
+impl IntoIterator for Released {
+    type Item = Action;
+    type IntoIter = std::vec::IntoIter<Action>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+/// The write-ahead log of one process together with everything that
+/// waits on it.
+///
+/// Without storage the gate is transparent: [`DurableGate::admit`]
+/// releases its input at once and every other method is a no-op, which
+/// is the paper's all-volatile model.
+#[derive(Debug)]
+pub struct DurableGate {
+    wal: Option<Wal>,
+    bound: AdaptiveGate,
+    /// Actions held back, in arrival order, until the appends they
+    /// depend on are flushed (group commit).
+    withheld: Vec<Action>,
+    obs: Recorder,
+}
+
+impl DurableGate {
+    /// Opens the log on `storage` (if any) and returns the gate with
+    /// the durable prefix found there; without storage the prefix is
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the backend fails: a process that cannot read its
+    /// log must not run on a guess.
+    #[must_use]
+    pub fn open(
+        storage: Option<(Arc<dyn StorageBackend>, WalOptions)>,
+        obs: &Recorder,
+    ) -> (Self, Recovered) {
+        let (wal, recovered) = match storage {
+            None => (None, Recovered::default()),
+            Some((backend, options)) => {
+                let (mut wal, recovered) = Wal::open(backend, options).expect("wal open");
+                wal.attach_recorder(obs.clone());
+                obs.inc("wal.recoveries");
+                obs.add("wal.recovered_events", recovered.events.len() as u64);
+                obs.add("wal.recovery_dropped_bytes", recovered.dropped_bytes as u64);
+                (Some(wal), recovered)
+            }
+        };
+        let gate = Self {
+            wal,
+            bound: AdaptiveGate::default(),
+            withheld: Vec::new(),
+            obs: obs.clone(),
+        };
+        (gate, recovered)
+    }
+
+    /// The current group-commit bound; `None` without storage.
+    #[must_use]
+    pub fn bound(&self) -> Option<usize> {
+        self.wal.as_ref().map(|_| self.bound.bound())
+    }
+
+    /// The period of the flush timer the owner must run, when the
+    /// flush policy is time-based.
+    #[must_use]
+    pub fn flush_interval(&self) -> Option<Duration> {
+        match self.wal.as_ref()?.options().flush_policy {
+            FlushPolicy::EveryInterval(period) => Some(period),
+            FlushPolicy::PerEvent | FlushPolicy::EveryN(_) => None,
+        }
+    }
+
+    /// Takes delivery-service actions in. Every freshly stored event
+    /// (each `Deliver` carries exactly one) is appended to the log and
+    /// no action — delivery, ring forward, broadcast relay or ack —
+    /// comes back out until the append is durable. Under group commit
+    /// the actions wait for the flush policy, [`DurableGate::flush`] or
+    /// the bound, whichever comes first.
+    pub fn admit(&mut self, actions: Vec<Action>) -> Released {
+        let Some(wal) = self.wal.as_mut() else {
+            return Released(actions);
+        };
+        if actions.is_empty() {
+            return Released::default();
+        }
+        for action in actions {
+            if let Action::Deliver { event } = &action {
+                wal.append_event(event).expect("wal append");
+            }
+            self.withheld.push(action);
+        }
+        if wal.pending_events() > 0 {
+            if self.withheld.len() < self.bound.bound() {
+                return Released::default();
+            }
+            // Back-pressure: a broadcast storm outran the flush policy.
+            // Force the group commit now so withheld actions (and their
+            // memory) stay bounded; the bound grows so the next burst
+            // batches more per flush.
+            wal.flush().expect("wal flush");
+            self.bound.on_forced_flush();
+            self.obs.inc("wal.forced_flushes");
+        }
+        Released(std::mem::take(&mut self.withheld))
+    }
+
+    /// Flushes the log and releases everything withheld. Driven by the
+    /// `EveryInterval` flush timer and, as a backstop, by the periodic
+    /// tick, so an `EveryN` batch that never fills cannot strand its
+    /// actions. A flush at low depth is the signal that bursts have
+    /// subsided: the bound walks back.
+    pub fn flush(&mut self) -> Released {
+        match self.wal.as_mut() {
+            Some(wal) if wal.pending_events() > 0 || !self.withheld.is_empty() => {
+                wal.flush().expect("wal flush");
+                self.bound.on_idle_flush(self.withheld.len());
+                Released(std::mem::take(&mut self.withheld))
+            }
+            _ => Released::default(),
+        }
+    }
+
+    /// Writes a checkpoint of the `processed` watermarks and compacts
+    /// the segments they cover. The checkpoint forces a flush, so
+    /// everything withheld is released; at low depth it also counts as
+    /// an idle flush for the bound.
+    pub fn checkpoint(&mut self, at: Time, processed: &BTreeMap<SensorId, u64>) -> Released {
+        let Some(wal) = self.wal.as_mut() else {
+            return Released::default();
+        };
+        wal.append_checkpoint(&Checkpoint {
+            at,
+            processed: processed.iter().map(|(s, q)| (*s, *q)).collect(),
+        })
+        .expect("wal checkpoint");
+        let _ = wal.compact(processed).expect("wal compact");
+        self.bound.on_idle_flush(self.withheld.len());
+        Released(std::mem::take(&mut self.withheld))
+    }
+
+    /// Appends a routine ledger entry, durable before this returns:
+    /// routine transitions are write-ahead, so the caller sends the
+    /// transition's frames only afterwards.
+    pub fn append_ledger(&mut self, entry: &LedgerEntry) {
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append_ledger(entry).expect("ledger append");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ProcMsg;
+    use rivulet_storage::{LedgerChain, RoutineTransition, SimBackend};
+    use rivulet_types::{Event, EventId, EventKind, ProcessId, RoutineId};
+
+    fn gate_on(backend: &Arc<SimBackend>, flush_policy: FlushPolicy) -> (DurableGate, Recovered) {
+        let options = WalOptions {
+            flush_policy,
+            ..WalOptions::default()
+        };
+        let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
+        DurableGate::open(Some((storage, options)), &Recorder::default())
+    }
+
+    /// What a replica does with broadcast copy `seq`: deliver it, then
+    /// tell the origin it holds it.
+    fn deliver_and_ack(seq: u64) -> Vec<Action> {
+        let id = EventId::new(SensorId(1), seq);
+        let event = Event::new(id, EventKind::Motion, Time::from_millis(seq));
+        let from = ProcessId(1);
+        let ack = ProcMsg::BroadcastAck { id, from };
+        let to = ProcessId(0);
+        vec![Action::Deliver { event }, Action::Send { to, msg: ack }]
+    }
+
+    #[test]
+    fn nothing_leaves_before_the_flush_and_everything_after_in_arrival_order() {
+        let backend = Arc::new(SimBackend::new(1));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let mut arrived = Vec::new();
+        for seq in 0..7 {
+            arrived.extend(deliver_and_ack(seq));
+            assert_eq!(gate.admit(deliver_and_ack(seq)), Released::default());
+        }
+        assert_eq!(backend.durable_len(0), Some(0), "no ack ahead of the disk");
+        arrived.extend(deliver_and_ack(7));
+        let released = gate.admit(deliver_and_ack(7));
+        assert!(
+            backend.durable_len(0) > Some(0),
+            "the eighth append flushed"
+        );
+        assert_eq!(released.0, arrived);
+        backend.crash();
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
+        assert_eq!(recovered.events.len(), 8, "what was acked survived");
+    }
+
+    #[test]
+    fn reaching_the_bound_forces_a_flush_and_doubles_the_bound() {
+        let backend = Arc::new(SimBackend::new(2));
+        let never = FlushPolicy::EveryInterval(Duration::from_secs(3600));
+        let (mut gate, _) = gate_on(&backend, never);
+        assert_eq!(gate.flush_interval(), Some(Duration::from_secs(3600)));
+        let bound = gate.bound().expect("durable");
+        let mut withheld = 0;
+        for seq in 0.. {
+            let released = gate.admit(deliver_and_ack(seq)).0;
+            withheld += 2;
+            if withheld < bound {
+                assert!(released.is_empty(), "{withheld} of {bound} withheld");
+            } else {
+                assert_eq!(released.len(), withheld, "the burst left as one batch");
+                break;
+            }
+        }
+        assert!(backend.durable_len(0) > Some(0));
+        assert_eq!(gate.bound(), Some(bound * 2));
+    }
+
+    #[test]
+    fn timer_flush_and_checkpoint_release_and_shrink_an_idle_bound() {
+        let backend = Arc::new(SimBackend::new(3));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let bound = gate.bound().expect("durable");
+        assert_eq!(gate.flush(), Released::default(), "nothing pending");
+        assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
+
+        assert_eq!(gate.admit(deliver_and_ack(0)), Released::default());
+        assert_eq!(gate.flush().0, deliver_and_ack(0));
+        assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
+
+        assert_eq!(gate.admit(deliver_and_ack(1)), Released::default());
+        let processed = BTreeMap::from([(SensorId(1), 0)]);
+        let released = gate.checkpoint(Time::from_secs(1), &processed);
+        assert_eq!(released.0, deliver_and_ack(1));
+        assert_eq!(gate.bound(), Some(bound / 4));
+        backend.crash();
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
+        assert_eq!(recovered.events.len(), 2);
+        let checkpoint = recovered.checkpoint.expect("checkpoint is durable");
+        assert_eq!(checkpoint.processed, vec![(SensorId(1), 0)]);
+    }
+
+    #[test]
+    fn a_gate_without_storage_releases_at_once() {
+        let (mut gate, recovered) = DurableGate::open(None, &Recorder::default());
+        assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
+        assert_eq!((gate.bound(), gate.flush_interval()), (None, None));
+        assert_eq!(gate.admit(deliver_and_ack(0)).0, deliver_and_ack(0));
+        assert_eq!(gate.flush(), Released::default());
+        let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new());
+        assert_eq!(released, Released::default());
+    }
+
+    #[test]
+    fn a_ledger_entry_is_durable_when_append_returns() {
+        let backend = Arc::new(SimBackend::new(4));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let mut chain = LedgerChain::seeded(9);
+        let staged = RoutineTransition::Staged;
+        let entry = chain.append(RoutineId(1), 0, staged, Time::from_secs(1), Vec::new());
+        gate.append_ledger(&entry);
+        backend.crash();
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
+        assert_eq!(recovered.ledger, vec![entry]);
+    }
 
     #[test]
     fn gate_grows_under_burst() {

@@ -1,0 +1,256 @@
+//! Delivery glue: sensor ingest, the peer protocol, and the one path a
+//! newly stored event takes — delivery state machine → durability gate
+//! → [`Running::apply_actions`] → outbox.
+
+use rivulet_devices::frame::RadioFrame;
+use rivulet_net::actor::Context;
+use rivulet_types::{Event, ProcessId, SensorId};
+
+use super::{advance, Running};
+use crate::config::{AckMode, ForwardingMode};
+use crate::delivery::gap::{self, GapRole};
+use crate::delivery::{Action, Delivery};
+use crate::gating::Released;
+use crate::messages::ProcMsg;
+
+impl Running {
+    /// Whether any deployed app subscribes to `sensor`. Events of
+    /// unsubscribed sensors are dropped at ingest instead of being
+    /// stored and replicated: no app will ever process them, so their
+    /// watermarks never advance and the store would retain them until
+    /// the per-sensor cap — unbounded residency in practice.
+    fn sensor_subscribed(&self, sensor: SensorId) -> bool {
+        let rt = self.sensors.get(&sensor);
+        rt.is_some_and(|rt| !rt.subscribed_apps.is_empty())
+    }
+
+    /// An event arrived from a physical sensor via the local adapter.
+    pub(super) fn on_sensor_event(&mut self, ctx: &mut Context<'_>, event: Event) {
+        let now = ctx.now();
+        self.note_epoch_event(ctx, &event);
+        let Some(rt) = self.sensors.get(&event.id.sensor) else {
+            return; // unknown device: ignore
+        };
+        let Some(&first_app) = rt.subscribed_apps.first() else {
+            return; // no app will ever process it: do not store/replicate
+        };
+        match rt.delivery {
+            Delivery::Gapless if self.config.forwarding == ForwardingMode::EagerBroadcast => {
+                // Fig. 5 baseline: flood to all peers unless the event
+                // already arrived from another process. The flood goes
+                // through the rbcast state machine so the origin tracks
+                // which peers still owe an acknowledgement — per-event
+                // `BroadcastAck`s or (default) the cumulative received
+                // watermarks on their keep-alive beacons.
+                if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
+                    let view = self.membership.view(now);
+                    let mut actions = vec![deliver];
+                    actions.extend(self.rbcast.start(event, &view, now));
+                    self.admit(ctx, actions);
+                }
+            }
+            Delivery::Gapless => {
+                let view = self.membership.view(now);
+                let successor = self.membership.successor_in(&view);
+                let tracked = event.clone();
+                let outcome = self.gapless.on_local_ingest(event, &view, successor);
+                if !outcome.actions.is_empty() {
+                    // Fresh ingest: register replication tracking.
+                    // The ring carries the event (no extra traffic);
+                    // peers retire the entry via their keep-alive
+                    // received watermarks, and an entry that
+                    // outlives the failure timeout escalates to a
+                    // flood — closing the silent-stall window where
+                    // a ring message dies with a crashed hop and no
+                    // survivor ever observes the stall condition.
+                    self.rbcast.track(tracked, &view, now);
+                }
+                self.admit(ctx, outcome.actions);
+                if let Some(ev) = outcome.start_broadcast {
+                    self.start_broadcast(ctx, ev);
+                }
+            }
+            Delivery::Gap => {
+                // The Gap chain follows the placement chain of the
+                // first subscribing app.
+                let app = &self.apps[first_app];
+                let alive = |p| self.membership.is_alive(p, now);
+                let Some(active) = app.exec.believed_active(alive) else {
+                    return;
+                };
+                match gap::role_of(self.me, app.exec.chain(), &rt.reachers, alive, active) {
+                    GapRole::DeliverLocally => self.deliver_to_apps(ctx, &event),
+                    GapRole::ForwardTo(target) => {
+                        self.send_proc(target, &ProcMsg::GapForward { event });
+                    }
+                    GapRole::Discard => {}
+                }
+            }
+        }
+    }
+
+    fn start_broadcast(&mut self, ctx: &mut Context<'_>, event: Event) {
+        let now = ctx.now();
+        let view = self.membership.view(now);
+        let actions = self.rbcast.start(event, &view, now);
+        // Broadcasting advertises possession: gate it like any other
+        // delivery action (the event itself was appended when it was
+        // first stored, so this queues behind that flush).
+        self.admit(ctx, actions);
+    }
+
+    /// A protocol message arrived from a peer process.
+    pub(super) fn on_proc_msg(&mut self, ctx: &mut Context<'_>, msg: ProcMsg) {
+        let now = ctx.now();
+        // Any traffic proves liveness.
+        match &msg {
+            ProcMsg::KeepAlive { from, .. }
+            | ProcMsg::SyncRequest { from }
+            | ProcMsg::SyncReply { from, .. }
+            | ProcMsg::BroadcastAck { from, .. }
+            | ProcMsg::Broadcast { origin: from, .. } => self.membership.heard_from(*from, now),
+            _ => {}
+        }
+        match msg {
+            ProcMsg::KeepAlive {
+                from,
+                processed,
+                received,
+            } => {
+                for (sensor, seq) in processed {
+                    advance(&mut self.processed, sensor, seq);
+                }
+                // The peer's durable-receipt watermarks acknowledge
+                // every covered pending broadcast in one beacon. Each
+                // retirement in cumulative mode is one per-event ack
+                // message that never had to cross the wire.
+                if !received.is_empty() {
+                    let retired = self.rbcast.on_cumulative_ack(from, &received);
+                    if retired > 0 && self.config.ack_mode == AckMode::Cumulative {
+                        self.fanout.record_acks_avoided(retired as u64);
+                    }
+                }
+            }
+            ProcMsg::Ring { event, seen, need } => {
+                if !self.sensor_subscribed(event.id.sensor) {
+                    return;
+                }
+                let view = self.membership.view(now);
+                let successor = self.membership.successor_in(&view);
+                let outcome = self.gapless.on_ring(event, seen, need, &view, successor);
+                self.admit(ctx, outcome.actions);
+                if let Some(ev) = outcome.start_broadcast {
+                    self.start_broadcast(ctx, ev);
+                }
+            }
+            ProcMsg::Broadcast { event, origin } => {
+                if !self.sensor_subscribed(event.id.sensor) {
+                    return;
+                }
+                let deliver = self.gapless.on_broadcast_copy(event.clone());
+                // Receivers acknowledge every broadcast copy: per
+                // event (an immediate `BroadcastAck`) or, by
+                // default, cumulatively via the received watermark
+                // on their next keep-alive beacon. In the eager
+                // baseline only the origin floods, so the relay
+                // view is empty; the ring's stall fallback relays
+                // through the full view to survive origin crashes.
+                let view = match self.config.forwarding {
+                    ForwardingMode::EagerBroadcast => Vec::new(),
+                    ForwardingMode::Ring => self.membership.view(now),
+                };
+                let eager_ack = self.config.ack_mode == AckMode::PerEvent;
+                let fresh = deliver.is_some();
+                let acks = self
+                    .rbcast
+                    .on_broadcast(&event, origin, fresh, &view, eager_ack, now);
+                // Deliver first, then ack — and neither before the
+                // event is durable: the ack tells the origin this
+                // replica holds the event.
+                self.admit(ctx, deliver.into_iter().chain(acks).collect());
+            }
+            ProcMsg::BroadcastAck { id, from } => self.rbcast.on_ack(id, from),
+            ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
+            ProcMsg::SyncRequest { from } => {
+                let reply = self.gapless.on_sync_request(from);
+                self.send_action(reply);
+            }
+            ProcMsg::SyncReply { from, watermarks } => {
+                if let Some(diff) = self.gapless.on_sync_reply(from, &watermarks) {
+                    self.send_action(diff);
+                }
+            }
+            ProcMsg::SyncEvents { mut events } => {
+                events.retain(|e| self.sensor_subscribed(e.id.sensor));
+                let actions = self.gapless.on_sync_events(events);
+                self.admit(ctx, actions);
+            }
+            ProcMsg::CmdForward { command } => {
+                let actuator = command.actuator;
+                self.actuators
+                    .radio(ctx, actuator, &RadioFrame::Actuate(command));
+            }
+        }
+    }
+
+    /// Passes delivery-service actions through the durability gate and
+    /// applies whatever it releases.
+    fn admit(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
+        let released = self.gate.admit(actions);
+        self.apply_actions(ctx, released);
+    }
+
+    /// Applies released actions (sends + local deliveries) in list
+    /// order.
+    pub(super) fn apply_actions(&mut self, ctx: &mut Context<'_>, released: Released) {
+        for action in released {
+            match action {
+                Action::Deliver { event } => {
+                    // The received watermark advertises durable
+                    // possession; past the gate is the only place it
+                    // moves, so it never runs ahead of the WAL.
+                    advance(&mut self.received_marks, event.id.sensor, event.id.seq);
+                    self.deliver_to_apps(ctx, &event);
+                }
+                send => self.send_action(send),
+            }
+        }
+    }
+
+    /// Queues a send: one the durability gate released, or control
+    /// traffic it has no say in (beacons, anti-entropy,
+    /// retransmissions — none carries a newly stored event).
+    pub(super) fn send_action(&mut self, action: Action) {
+        match action {
+            Action::Send { to, msg } => self.send_proc(to, &msg),
+            Action::Fanout { to, msg } => self.send_fanout(&to, &msg),
+            Action::Deliver { .. } => unreachable!("deliveries leave the durability gate only"),
+        }
+    }
+
+    /// Queues one protocol message to one peer; it leaves with the rest
+    /// of the activation's traffic in [`Running::flush_outbox`].
+    pub(super) fn send_proc(&mut self, to: ProcessId, msg: &ProcMsg) {
+        if self.peer_actors.contains_key(&to) {
+            self.outbox.queue(to, msg);
+        }
+    }
+
+    /// Queues one protocol message to several peers, encoded once.
+    pub(super) fn send_fanout(&mut self, to: &[ProcessId], msg: &ProcMsg) {
+        let peers = &self.peer_actors;
+        let known = to.iter().copied().filter(|p| peers.contains_key(p));
+        self.outbox.fanout(known, msg);
+    }
+
+    /// Sends everything queued during this activation, same-destination
+    /// messages coalesced into frames.
+    pub(super) fn flush_outbox(&mut self, ctx: &mut Context<'_>) {
+        let peers = &self.peer_actors;
+        self.outbox.flush(|to, payload| {
+            if let Some(actor) = peers.get(&to) {
+                ctx.send(*actor, payload);
+            }
+        });
+    }
+}

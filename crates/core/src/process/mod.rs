@@ -1,0 +1,692 @@
+//! The Rivulet process: one runtime instance per host (§3.3).
+//!
+//! A [`RivuletProcess`] is an actor gluing every platform service
+//! together: adapters decode device frames, the membership service
+//! maintains the local view, the delivery service runs the Gap chain
+//! and Gapless ring (with reliable-broadcast fallback and anti-entropy),
+//! the polling coordinator schedules poll-based sensors, and the
+//! execution service elects active logic nodes and runs app runtimes.
+//!
+//! The actor itself is only a [`ProcessSpec`] and, once started, one
+//! `Running` state whose methods are the handlers. This file owns that
+//! state: how it is built (and recovered) at start-up, the periodic
+//! tick, and the dispatch of messages and timers. The services live
+//! beside it, one file each — `delivery` (ingest, peer protocol, the
+//! path through the durability gate), `exec` (election, app routing,
+//! actuation), `polling` (epoch, slot and re-poll timers), `routines`
+//! (routine coordinator) and `outbox` (encode-once sends, coalesced per
+//! activation).
+//!
+//! By default all state is volatile: a crash loses it, and a recovered
+//! process is rebuilt from its (re-invoked) factory, re-joining via
+//! keep-alives and receiving missed events through anti-entropy — the
+//! crash-recovery model of §3.1. With a [`DurabilitySpec`] attached,
+//! the process additionally appends every replicated event and
+//! periodic operator checkpoints to a write-ahead log
+//! ([`rivulet_storage::Wal`]) and withholds ring acknowledgements,
+//! broadcast relays, and local delivery until the append is durable
+//! ([`crate::gating::DurableGate`]); recovery then restores the event
+//! store and processed watermarks from the log instead of relying
+//! solely on peers.
+
+mod delivery;
+mod exec;
+mod outbox;
+mod polling;
+mod routines;
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+use bytes::Bytes;
+use rivulet_devices::frame::RadioFrame;
+use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
+use rivulet_net::metrics::FanoutStats;
+use rivulet_obs::Recorder;
+use rivulet_storage::{StorageBackend, WalOptions};
+use rivulet_types::wire::Wire;
+use rivulet_types::{
+    ActuatorId, ArenaStats, CommandId, Duration, OperatorId, ProcessId, SensorId, Time,
+};
+
+use crate::app::{AppRuntime, AppSpec, StreamKey};
+use crate::config::RivuletConfig;
+use crate::delivery::gapless::GaplessState;
+use crate::delivery::polling::{PollPlan, PollState};
+use crate::delivery::rbcast::{self, RbcastState};
+use crate::delivery::Delivery;
+use crate::deploy::{Directory, SensorEntry};
+use crate::execution::{placement, ExecutionState};
+use crate::gating::DurableGate;
+use crate::membership::Membership;
+use crate::messages::{Frame, ProcMsg};
+use crate::probe::{AppProbe, StoreProbe};
+use crate::repair::HealthModel;
+use crate::routine::{RoutineEngine, RoutineProbe, RoutineSpec};
+
+use outbox::Outbox;
+
+const TOKEN_INIT_RETRY: u64 = 0;
+const TOKEN_TICK: u64 = 1;
+const TOKEN_FLUSH: u64 = 2;
+const TOKEN_CHECKPOINT: u64 = 3;
+const KIND_EPOCH: u64 = 2;
+const KIND_SLOT: u64 = 3;
+const KIND_REPOLL: u64 = 4;
+const KIND_WINDOW: u64 = 5;
+const KIND_ROUTINE: u64 = 6;
+
+/// Cap on events retained per sensor in the replication store; oldest
+/// events are evicted first. Home-scale memory bound.
+const STORE_CAP_PER_SENSOR: usize = 100_000;
+
+/// Processed events younger than this are retained so straggling
+/// duplicate copies still deduplicate against the store.
+const GC_STRAGGLER_HORIZON: Duration = Duration::from_secs(30);
+
+fn token(kind: u64, idx: u32) -> u64 {
+    (kind << 32) | u64::from(idx)
+}
+
+/// Raises the watermark under `key` to `to`; watermarks never move
+/// back.
+fn advance<K: Ord>(marks: &mut BTreeMap<K, u64>, key: K, to: u64) {
+    let mark = marks.entry(key).or_insert(0);
+    *mark = (*mark).max(to);
+}
+
+/// Durable-storage attachment for one process: the backend outlives
+/// crashes (it is cloned into the factory as an `Arc`), so a recovered
+/// incarnation reopens the same log.
+#[derive(Clone)]
+pub struct DurabilitySpec {
+    /// Where segments live (a real directory or a simulated disk).
+    pub backend: Arc<dyn StorageBackend>,
+    /// WAL tuning: flush policy and segment size.
+    pub options: WalOptions,
+    /// How often the process checkpoints processed watermarks and
+    /// compacts fully-acked segments.
+    pub checkpoint_interval: Duration,
+}
+
+impl std::fmt::Debug for DurabilitySpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DurabilitySpec")
+            .field("options", &self.options)
+            .field("checkpoint_interval", &self.checkpoint_interval)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Static description used to construct a process actor (shared by the
+/// factory so crash–recovery rebuilds an identical fresh process).
+#[derive(Clone)]
+pub struct ProcessSpec {
+    /// The process identity.
+    pub pid: ProcessId,
+    /// Platform configuration.
+    pub config: RivuletConfig,
+    /// Applications deployed home-wide (every process knows all apps;
+    /// active/shadow roles are decided by the execution service).
+    pub apps: Vec<(Arc<AppSpec>, Arc<AppProbe>)>,
+    /// The shared deployment directory, filled before the drivers run.
+    pub directory: Arc<Directory>,
+    /// Optional durable storage; `None` keeps the paper's all-volatile
+    /// model.
+    pub storage: Option<DurabilitySpec>,
+    /// Optional store-residency probe sampled on every tick.
+    pub store_probe: Option<Arc<StoreProbe>>,
+    /// Shared counters for encode-once / coalescing savings, reported
+    /// through the driver's net metrics.
+    pub fanout: Arc<FanoutStats>,
+    /// Unified observability handle (cloned from the driver); disabled
+    /// recorders make every record call a no-op.
+    pub obs: Recorder,
+    /// Routines deployed home-wide (every process knows all routines;
+    /// the coordinator is the active logic node whose operator triggers
+    /// the firing). Ignored unless [`RivuletConfig::routines`] is on.
+    pub routines: Vec<(Arc<RoutineSpec>, Arc<RoutineProbe>)>,
+}
+
+impl std::fmt::Debug for ProcessSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProcessSpec")
+            .field("pid", &self.pid)
+            .field("apps", &self.apps.len())
+            .finish_non_exhaustive()
+    }
+}
+
+struct SensorRt {
+    device: ActorId,
+    reachers: Vec<ProcessId>,
+    delivery: Delivery,
+    poll: Option<PollRt>,
+    subscribed_apps: Vec<usize>,
+}
+
+struct PollRt {
+    state: PollState,
+    participates: bool,
+}
+
+impl SensorRt {
+    /// Delivery guarantee and polling plan of a sensor are taken from
+    /// the app inputs wiring it (the last one wins).
+    fn wire(entry: &SensorEntry, me: ProcessId, apps: &[(Arc<AppSpec>, Arc<AppProbe>)]) -> Self {
+        let mut delivery = Delivery::Gapless;
+        let mut poll = None;
+        let mut subscribed_apps = Vec::new();
+        let inputs = apps.iter().enumerate().flat_map(|(idx, (app, _))| {
+            let inputs = app.operators.iter().flat_map(|op| &op.inputs);
+            inputs.map(move |input| (idx, input))
+        });
+        for (idx, input) in inputs.filter(|(_, input)| input.sensor == entry.id) {
+            if !subscribed_apps.contains(&idx) {
+                subscribed_apps.push(idx);
+            }
+            delivery = input.delivery;
+            let slot = entry.reachers.iter().position(|p| *p == me);
+            if let (Some(spec), Some(slot), Some(latency)) =
+                (input.poll.as_ref(), slot, entry.poll_latency)
+            {
+                let plan = PollPlan {
+                    sensor: entry.id,
+                    epoch: spec.epoch,
+                    poll_latency: latency,
+                    strategy: spec.effective_strategy(input.delivery),
+                };
+                poll = Some(PollRt {
+                    state: PollState::new(plan, slot, entry.reachers.len()),
+                    participates: false,
+                });
+            }
+        }
+        Self {
+            device: entry.actor,
+            reachers: entry.reachers.clone(),
+            delivery,
+            poll,
+            subscribed_apps,
+        }
+    }
+}
+
+struct AppRt {
+    spec: Arc<AppSpec>,
+    probe: Arc<AppProbe>,
+    exec: ExecutionState,
+    runtime: Option<AppRuntime>,
+    /// Stale-drop count already copied into the probe.
+    stale_reported: u64,
+    /// Actor ids of suspected-dead chain predecessors whose `failover`
+    /// spans this freshly-promoted node must close at its first
+    /// application activity (delivery or actuation).
+    pending_failover: Vec<u64>,
+}
+
+/// The home's actuators as this process sees them. A command or routine
+/// frame reaches a device only over the radio of a process that adapts
+/// it, and this is the one place that decides whether we do.
+struct Actuators {
+    me: ProcessId,
+    by_id: HashMap<ActuatorId, (ActorId, Vec<ProcessId>)>,
+}
+
+impl Actuators {
+    /// The device behind `actuator`, if this process adapts it.
+    fn local(&self, actuator: ActuatorId) -> Option<ActorId> {
+        let (device, reachers) = self.by_id.get(&actuator)?;
+        reachers.contains(&self.me).then_some(*device)
+    }
+
+    /// Sends `frame` to `actuator` if this process adapts it; stays
+    /// silent otherwise.
+    fn radio(&self, ctx: &mut Context<'_>, actuator: ActuatorId, frame: &RadioFrame) {
+        if let Some(device) = self.local(actuator) {
+            ctx.send(device, frame.to_payload());
+        }
+    }
+
+    /// The processes that adapt `actuator` (none for an unknown one).
+    fn reachers(&self, actuator: ActuatorId) -> &[ProcessId] {
+        self.by_id.get(&actuator).map_or(&[], |(_, r)| r.as_slice())
+    }
+}
+
+/// The per-operator command sequences of this process — the only place
+/// a [`CommandId`] is minted. Actuators dedup by id, so two sources of
+/// ids that disagree on the next sequence number silently lose
+/// commands.
+struct CommandIds {
+    me: ProcessId,
+    next: BTreeMap<OperatorId, u64>,
+}
+
+impl CommandIds {
+    fn mint(&mut self, operator: OperatorId) -> CommandId {
+        let seq = self.next.entry(operator).or_insert(0);
+        let id = CommandId::new(self.me, operator, *seq);
+        *seq += 1;
+        id
+    }
+}
+
+/// Everything a started process holds. Handlers are methods on this
+/// state; [`RivuletProcess`] reaches it through one `Option`.
+struct Running {
+    me: ProcessId,
+    config: RivuletConfig,
+    obs: Recorder,
+    fanout: Arc<FanoutStats>,
+    store_probe: Option<Arc<StoreProbe>>,
+    checkpoint_interval: Option<Duration>,
+    membership: Membership,
+    gapless: GaplessState,
+    rbcast: RbcastState,
+    apps: Vec<AppRt>,
+    /// Ordered, like every map below that is iterated: timer sequence
+    /// numbers and RNG draws are handed out in iteration order, and a
+    /// seeded run must repeat them exactly.
+    sensors: BTreeMap<SensorId, SensorRt>,
+    actuators: Actuators,
+    /// Every other process of the home (never `me`).
+    peer_actors: BTreeMap<ProcessId, ActorId>,
+    /// Processed watermarks learned from peers' keep-alives, merged
+    /// with our own processing.
+    processed: BTreeMap<SensorId, u64>,
+    /// Durable-receipt watermarks: highest replicated-store seq per
+    /// sensor, advanced only after the durability gate. Advertised on
+    /// keep-alives as the cumulative broadcast acknowledgement.
+    received_marks: BTreeMap<SensorId, u64>,
+    window_timers: Vec<(usize, OperatorId, StreamKey, Duration)>,
+    command_ids: CommandIds,
+    last_successor: Option<ProcessId>,
+    /// The write-ahead log (when durable storage is attached) and the
+    /// delivery-service actions waiting on it.
+    gate: DurableGate,
+    /// Arena counters already exported to the recorder (delta basis).
+    arena_reported: ArenaStats,
+    /// Per-activation send queue, flushed (and coalesced) at the end of
+    /// every actor activation.
+    outbox: Outbox,
+    /// Device-fault health model; `None` unless
+    /// [`RivuletConfig::repair`] is on, in which case delivered
+    /// readings are health-checked (stuck/outlier detection,
+    /// peer-midpoint substitution, quarantine) and stalled pollable
+    /// sensors are re-polled from the tick.
+    repair: Option<HealthModel>,
+    /// Routine execution engine; `None` unless
+    /// [`RivuletConfig::routines`] is on, in which case
+    /// [`crate::app::OpOutput::RunRoutine`] triggers staged
+    /// all-or-nothing multi-actuator firings recorded in the
+    /// hash-chained ledger.
+    routines: Option<RoutineEngine>,
+}
+
+/// The Rivulet process actor.
+pub struct RivuletProcess {
+    spec: ProcessSpec,
+    running: Option<Running>,
+}
+
+impl std::fmt::Debug for RivuletProcess {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RivuletProcess")
+            .field("pid", &self.spec.pid)
+            .field("initialized", &self.running.is_some())
+            .finish()
+    }
+}
+
+impl RivuletProcess {
+    /// Creates an uninitialized process; full initialization happens on
+    /// [`ActorEvent::Start`], when the deployment directory is
+    /// guaranteed to be filled.
+    #[must_use]
+    pub fn new(spec: ProcessSpec) -> Self {
+        Self {
+            spec,
+            running: None,
+        }
+    }
+}
+
+impl Running {
+    /// Builds the running state from the deployment directory and
+    /// whatever the log holds, then starts the periodic work. `None`
+    /// (with a retry timer armed) while the directory is unpublished.
+    fn start(spec: &ProcessSpec, ctx: &mut Context<'_>) -> Option<Self> {
+        // Under the live driver, Start can race directory publication;
+        // retry shortly (the simulator publishes before running, so the
+        // retry path never triggers there).
+        let Some(dir) = spec.directory.try_get() else {
+            ctx.set_timer(Duration::from_millis(10), TOKEN_INIT_RETRY);
+            return None;
+        };
+        let me = spec.pid;
+        let peers: Vec<ProcessId> = dir.processes.iter().map(|(p, _)| *p).collect();
+
+        // Placement chains are computed from the directory's static
+        // reachability — identically at every process (§7).
+        let reach: Vec<placement::Reachability> = peers
+            .iter()
+            .map(|p| {
+                let sensors = dir.sensors.iter().filter(|s| s.reachers.contains(p));
+                let actuators = dir.actuators.iter().filter(|a| a.reachers.contains(p));
+                placement::Reachability::new(
+                    *p,
+                    sensors.map(|s| s.id).collect(),
+                    actuators.map(|a| a.id).collect(),
+                )
+            })
+            .collect();
+
+        let mut apps = Vec::new();
+        let mut window_timers = Vec::new();
+        for (idx, (app, probe)) in spec.apps.iter().enumerate() {
+            let chain = placement::chain_for(&reach, &app.sensors(), &app.actuators());
+            // Window timer inventory comes from a throwaway runtime.
+            let rt = AppRuntime::new(Arc::clone(app)).expect("validated app");
+            for (op, stream, period) in rt.timer_streams() {
+                window_timers.push((idx, op, stream, period));
+            }
+            apps.push(AppRt {
+                spec: Arc::clone(app),
+                probe: Arc::clone(probe),
+                exec: ExecutionState::new(me, chain),
+                runtime: None,
+                stale_reported: 0,
+                pending_failover: Vec::new(),
+            });
+        }
+
+        // Open the WAL (if storage is attached) and recover the
+        // durable prefix: events re-enter the replicated store
+        // silently (no delivery, no ring traffic — peers already saw
+        // them) and the newest checkpoint seeds the processed
+        // watermarks, so a later promotion replays only the suffix
+        // beyond the checkpoint.
+        let storage = spec.storage.as_ref();
+        let (gate, recovered) = DurableGate::open(
+            storage.map(|d| (Arc::clone(&d.backend), d.options)),
+            &spec.obs,
+        );
+        let mut gapless = GaplessState::new(me, STORE_CAP_PER_SENSOR, spec.config.anti_entropy);
+        let mut processed = BTreeMap::new();
+        for (sensor, seq) in recovered.checkpoint.into_iter().flat_map(|c| c.processed) {
+            advance(&mut processed, sensor, seq);
+        }
+        for event in recovered.events {
+            gapless.store_mut().insert(event);
+        }
+
+        // Rebuild the routine engine and classify every ledger instance
+        // the crash left unresolved: committed firings re-drive their
+        // idempotent commit, interrupted stagings abort and compensate
+        // (`replay_routine_recovery`, once the state exists).
+        let mut routines = spec
+            .config
+            .routines
+            .then(|| RoutineEngine::new(spec.config.routine_ledger_seed, &spec.routines));
+        let mut routine_recovery = Vec::new();
+        if let Some(engine) = routines.as_mut() {
+            if !recovered.ledger.is_empty() {
+                let entries = recovered.ledger.len() as u64;
+                spec.obs.add("ledger.recovered_entries", entries);
+                routine_recovery = engine.recover(&recovered.ledger, ctx.now());
+            }
+        }
+
+        // Command sequence counters must resume past every id the
+        // ledger proves was already issued: actuators dedup by
+        // `CommandId`, so a reused (operator, seq) pair after a crash
+        // would be silently suppressed as a pre-crash duplicate.
+        let mut next = BTreeMap::new();
+        for (_, cmd) in recovered.ledger.iter().flat_map(|e| &e.commands) {
+            if cmd.issuer == me {
+                advance(&mut next, cmd.operator, cmd.seq + 1);
+            }
+        }
+
+        // Recovered events are already durable: re-advertise their
+        // receipt watermarks so peers' pending broadcasts retire.
+        let received_marks = gapless.store().iter_watermarks().collect();
+        let app_specs: Vec<Arc<AppSpec>> = spec.apps.iter().map(|(s, _)| Arc::clone(s)).collect();
+        let mut run = Self {
+            me,
+            config: spec.config.clone(),
+            obs: spec.obs.clone(),
+            fanout: Arc::clone(&spec.fanout),
+            store_probe: spec.store_probe.clone(),
+            checkpoint_interval: storage.map(|d| d.checkpoint_interval),
+            membership: Membership::new(me, &peers, spec.config.failure_timeout, ctx.now()),
+            gapless,
+            // Tracked ring-origin entries get the failure timeout as
+            // grace, so healthy runs always retire them via beacon
+            // watermarks before any fallback flood fires.
+            rbcast: RbcastState::new(me)
+                .with_timing(rbcast::RETRANSMIT_INTERVAL, spec.config.failure_timeout),
+            apps,
+            sensors: dir
+                .sensors
+                .iter()
+                .map(|entry| (entry.id, SensorRt::wire(entry, me, &spec.apps)))
+                .collect(),
+            actuators: Actuators {
+                me,
+                by_id: dir
+                    .actuators
+                    .iter()
+                    .map(|a| (a.id, (a.actor, a.reachers.clone())))
+                    .collect(),
+            },
+            peer_actors: dir
+                .processes
+                .iter()
+                .copied()
+                .filter(|(p, _)| *p != me)
+                .collect(),
+            processed,
+            received_marks,
+            window_timers,
+            command_ids: CommandIds { me, next },
+            last_successor: None,
+            gate,
+            arena_reported: ArenaStats::default(),
+            outbox: Outbox::new(Arc::clone(&spec.fanout)),
+            repair: spec
+                .config
+                .repair
+                .then(|| HealthModel::from_apps(&app_specs)),
+            routines,
+        };
+
+        // Drive the recovery verdicts now that the state exists:
+        // re-send idempotent commits, abort-and-compensate interrupted
+        // stagings (their fresh `Aborted` entries go through the WAL
+        // first).
+        run.replay_routine_recovery(ctx, routine_recovery);
+
+        // Arm the durability timers: the group-commit flush interval
+        // (when the policy is time-based) and the checkpoint cadence.
+        if let Some(period) = run.gate.flush_interval() {
+            ctx.set_timer(period, TOKEN_FLUSH);
+        }
+        if let Some(interval) = run.checkpoint_interval {
+            ctx.set_timer(interval, TOKEN_CHECKPOINT);
+        }
+
+        // Kick off the periodic tick (keep-alives, failure detection,
+        // election, broadcast retransmission) and polling epochs.
+        run.tick(ctx);
+        let polled = run.sensors.iter().filter(|(_, s)| s.poll.is_some());
+        for sensor in polled.map(|(id, _)| *id).collect::<Vec<_>>() {
+            run.epoch_boundary(ctx, sensor);
+        }
+        Some(run)
+    }
+
+    /// The periodic tick: keep-alives, view maintenance, election,
+    /// broadcast retransmission.
+    fn tick(&mut self, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        // Watermark garbage collection: events processed home-wide
+        // and older than the straggler horizon will never be
+        // replayed or synced again. Relay markers below the same
+        // watermark can never be re-flooded, so they go with them.
+        // (`Duration` subtraction saturates at zero.)
+        let cutoff = Time::ZERO + (now.duration_since(Time::ZERO) - GC_STRAGGLER_HORIZON);
+        for (&sensor, &upto) in &self.processed {
+            let _ = self
+                .gapless
+                .store_mut()
+                .prune_processed(sensor, upto, cutoff);
+            self.rbcast.prune_relayed(sensor, upto);
+        }
+        // Keep-alives go to every configured peer, not just the
+        // view: a healed partition must be able to un-suspect. One
+        // fan-out: the beacon is encoded once and cheap-cloned to
+        // every destination. The processed watermarks that bounded
+        // the collection above ride it.
+        let beacon = ProcMsg::KeepAlive {
+            from: self.me,
+            processed: self.processed.iter().map(|(s, q)| (*s, *q)).collect(),
+            received: self.received_marks.iter().map(|(s, q)| (*s, *q)).collect(),
+        };
+        let peers = self.membership.peers().to_vec();
+        self.send_fanout(&peers, &beacon);
+        // Ring successor maintenance + anti-entropy.
+        let view = self.membership.view(now);
+        let successor = self.membership.successor_in(&view);
+        if successor != self.last_successor {
+            self.last_successor = successor;
+            if let Some(action) = self.gapless.on_successor_change(successor) {
+                self.send_action(action);
+            }
+        }
+        // Reliable-broadcast retransmission (age-guarded: entries
+        // whose cumulative-ack window is still open are skipped).
+        for action in self.rbcast.on_tick(&view, now) {
+            self.send_action(action);
+        }
+        if let Some(probe) = &self.store_probe {
+            probe.record_len(now, self.me, self.gapless.store().len());
+        }
+        self.obs
+            .observe("store.len", self.gapless.store().len() as u64);
+        self.obs
+            .observe("rbcast.pending", self.rbcast.pending_count() as u64);
+        if let Some(bound) = self.gate.bound() {
+            self.obs.set_gauge("wal.gated_bound", bound as i64);
+        }
+        let arena = self.gapless.store().arena_stats();
+        let prev = std::mem::replace(&mut self.arena_reported, arena);
+        if arena != prev {
+            self.obs.add("arena.allocs", arena.allocs - prev.allocs);
+            self.obs.add("arena.bytes", arena.bytes - prev.bytes);
+            self.obs.add("arena.chunks", arena.chunks - prev.chunks);
+            self.obs
+                .add("arena.recycled", arena.recycled - prev.recycled);
+            self.obs
+                .add("arena.oversize", arena.oversize - prev.oversize);
+        }
+        // Group-commit backstop: a partial EveryN batch (or an idle
+        // interval policy) must not withhold its actions longer than
+        // one keep-alive period.
+        let released = self.gate.flush();
+        self.apply_actions(ctx, released);
+        self.election(ctx);
+        self.repair_tick(ctx);
+        ctx.set_timer(self.config.keepalive_interval, TOKEN_TICK);
+    }
+
+    /// A message arrived: a protocol message (or frame of them) from a
+    /// peer process, or a radio frame from a device.
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: ActorId, payload: &Bytes) {
+        if self.peer_actors.values().any(|a| *a == from) {
+            // First-byte dispatch: the frame tag is disjoint from
+            // every `ProcMsg` tag. Decoding from the shared buffer
+            // keeps event payload blobs zero-copy.
+            if Frame::sniff(payload) {
+                if let Ok(frame) = Frame::from_shared_bytes(payload) {
+                    for msg in frame.msgs {
+                        self.on_proc_msg(ctx, msg);
+                    }
+                }
+            } else if let Ok(msg) = ProcMsg::from_shared_bytes(payload) {
+                self.on_proc_msg(ctx, msg);
+            }
+        } else if let Ok(frame) = RadioFrame::from_shared_bytes(payload) {
+            match frame {
+                RadioFrame::Event(event) => self.on_sensor_event(ctx, event),
+                RadioFrame::StageAck {
+                    routine,
+                    instance,
+                    step,
+                    accepted,
+                } => self.on_stage_ack(ctx, routine, instance, step, accepted),
+                // Acknowledgements are observable via the actuator
+                // probe; devices never send the rest to processes.
+                RadioFrame::ActuateAck { .. }
+                | RadioFrame::PollRequest { .. }
+                | RadioFrame::Actuate(_)
+                | RadioFrame::Stage { .. }
+                | RadioFrame::CommitRoutine { .. }
+                | RadioFrame::AbortRoutine { .. } => {}
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, t: u64) {
+        match (t >> 32, t & 0xffff_ffff) {
+            (0, TOKEN_TICK) => self.tick(ctx),
+            (0, TOKEN_FLUSH) => {
+                let released = self.gate.flush();
+                self.apply_actions(ctx, released);
+                if let Some(period) = self.gate.flush_interval() {
+                    ctx.set_timer(period, TOKEN_FLUSH);
+                }
+            }
+            (0, TOKEN_CHECKPOINT) => {
+                let released = self.gate.checkpoint(ctx.now(), &self.processed);
+                self.apply_actions(ctx, released);
+                if let Some(interval) = self.checkpoint_interval {
+                    ctx.set_timer(interval, TOKEN_CHECKPOINT);
+                }
+            }
+            (KIND_EPOCH, s) => self.epoch_boundary(ctx, SensorId(s as u32)),
+            (KIND_SLOT, s) => self.slot_fired(ctx, SensorId(s as u32)),
+            (KIND_REPOLL, s) => self.repoll_fired(ctx, SensorId(s as u32)),
+            (KIND_WINDOW, i) => self.window_fired(ctx, i as usize),
+            (KIND_ROUTINE, i) => self.routine_timeout_fired(ctx, i),
+            _ => {}
+        }
+    }
+}
+
+impl Actor for RivuletProcess {
+    fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+        let starting = match event {
+            ActorEvent::Start => true,
+            ActorEvent::Timer { token } => self.running.is_none() && token == TOKEN_INIT_RETRY,
+            ActorEvent::Message { .. } => false,
+        };
+        if starting {
+            self.running = Running::start(&self.spec, ctx);
+        }
+        // A message or timer that races ahead of Start finds nothing to
+        // run on and is dropped.
+        let Some(run) = self.running.as_mut() else {
+            return;
+        };
+        match event {
+            ActorEvent::Start => {}
+            ActorEvent::Message { from, payload } => run.on_message(ctx, from, &payload),
+            ActorEvent::Timer { token } => run.on_timer(ctx, token),
+        }
+        // Everything queued during this activation goes out now, with
+        // same-destination messages coalesced into frames.
+        run.flush_outbox(ctx);
+    }
+}

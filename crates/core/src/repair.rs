@@ -6,20 +6,20 @@
 //! of each active logic node:
 //!
 //! * **Stuck detection** — a scalar sensor repeating the exact same
-//!   reading `repair_stuck_run` times in a row is flagged untrusted.
+//!   reading [`STUCK_RUN`] times in a row is flagged untrusted.
 //! * **Outlier detection** — a reading disagreeing with the
 //!   Marzullo midpoint of its *redundant peers* (the other sensors
 //!   feeding the same fault-tolerant combiner) by more than
-//!   `repair_disagreement` is an outlier. This catches drift,
+//!   [`DISAGREEMENT`] is an outlier. This catches drift,
 //!   flapping, and ghost readings without modelling any of them.
 //! * **Substitution** — outlier/untrusted readings are replaced by the
 //!   peer midpoint when enough healthy peers exist (the
 //!   `FTCombiner` contract: `tolerate + 1` independent witnesses),
 //!   so the app still sees an event with a plausible value.
-//! * **Quarantine** — a sensor accumulating `repair_outlier_quarantine`
+//! * **Quarantine** — a sensor accumulating [`OUTLIER_QUARANTINE`]
 //!   outliers is quarantined: every further event from it (including
 //!   ghosts) is dropped before reaching any app.
-//! * **Re-poll** — a pollable sensor silent for `repair_stall_timeout`
+//! * **Re-poll** — a pollable sensor silent for [`STALL_TIMEOUT`]
 //!   is re-polled through the existing polling service (missed events
 //!   and battery decay look like silence, and a fresh poll repairs
 //!   them).
@@ -36,10 +36,22 @@
 
 use std::collections::HashMap;
 
-use rivulet_types::{Event, Payload, SensorId, Time};
+use rivulet_types::{Duration, Event, Payload, SensorId, Time};
 
 use crate::app::{marzullo_midpoint, AppSpec, CombinerSpec};
-use crate::config::RivuletConfig;
+
+/// Exact-repeat run length after which a scalar sensor is judged stuck
+/// and its readings become untrusted (a single repeat is normal).
+pub const STUCK_RUN: u32 = 6;
+/// Absolute disagreement from the healthy-peer midpoint (Marzullo)
+/// beyond which a reading is an outlier and is substituted/dropped.
+pub const DISAGREEMENT: f64 = 4.0;
+/// Outliers tolerated from one sensor before it is quarantined (all
+/// further events from it are dropped at delivery).
+pub const OUTLIER_QUARANTINE: u32 = 10;
+/// Silence after which a *pollable* sensor is considered stalled and
+/// re-polled through the polling service.
+pub const STALL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// What the health model decided about one delivered event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,10 +116,6 @@ pub struct RepairCounts {
 /// Per-process sensor health model (see module docs).
 #[derive(Debug)]
 pub struct HealthModel {
-    stuck_run: u32,
-    disagreement: f64,
-    quarantine_budget: u32,
-    stall_timeout: rivulet_types::Duration,
     /// Sensor → its redundancy group (first fault-tolerant operator
     /// naming it wins).
     groups: HashMap<SensorId, PeerGroup>,
@@ -121,7 +129,7 @@ impl HealthModel {
     /// operator with a [`CombinerSpec::FaultTolerant`] combiner and at
     /// least two sensor inputs contributes a redundancy group.
     #[must_use]
-    pub fn from_apps(config: &RivuletConfig, apps: &[std::sync::Arc<AppSpec>]) -> Self {
+    pub fn from_apps(apps: &[std::sync::Arc<AppSpec>]) -> Self {
         let mut groups: HashMap<SensorId, PeerGroup> = HashMap::new();
         for app in apps {
             for op in &app.operators {
@@ -141,10 +149,6 @@ impl HealthModel {
             }
         }
         Self {
-            stuck_run: config.repair_stuck_run,
-            disagreement: config.repair_disagreement,
-            quarantine_budget: config.repair_outlier_quarantine,
-            stall_timeout: config.repair_stall_timeout,
             groups,
             sensors: HashMap::new(),
             counts: RepairCounts::default(),
@@ -200,20 +204,20 @@ impl HealthModel {
             h.repeat_run = 1;
         }
         h.last_raw = Some(value);
-        let stuck = h.repeat_run >= self.stuck_run;
-        if h.repeat_run == self.stuck_run {
+        let stuck = h.repeat_run >= STUCK_RUN;
+        if h.repeat_run == STUCK_RUN {
             self.counts.stuck_flagged += 1;
         }
         // Outlier detection: disagreement with the healthy-peer
         // midpoint.
-        let outlier = midpoint.is_some_and(|m| (value - m).abs() > self.disagreement);
+        let outlier = midpoint.is_some_and(|m| (value - m).abs() > DISAGREEMENT);
         if !stuck && !outlier {
             h.accepted = Some((now, value));
             return RepairVerdict::Accept;
         }
         if outlier {
             h.outliers += 1;
-            if h.outliers >= self.quarantine_budget {
+            if h.outliers >= OUTLIER_QUARANTINE {
                 h.quarantined = true;
                 self.counts.quarantines += 1;
             }
@@ -256,11 +260,7 @@ impl HealthModel {
         if values.len() < group.tolerate + 1 {
             return None;
         }
-        marzullo_midpoint(
-            &values,
-            self.disagreement,
-            group.tolerate.min(values.len() - 1),
-        )
+        marzullo_midpoint(&values, DISAGREEMENT, group.tolerate.min(values.len() - 1))
     }
 
     /// Stall check, run from the process tick for pollable sensors:
@@ -278,7 +278,7 @@ impl HealthModel {
                 h.last_arrival = Some(now);
                 false
             }
-            Some(last) if now.duration_since(last) > self.stall_timeout => {
+            Some(last) if now.duration_since(last) > STALL_TIMEOUT => {
                 h.last_arrival = Some(now);
                 true
             }
@@ -316,10 +316,6 @@ mod tests {
         Arc::new(op.done().build().expect("valid test app"))
     }
 
-    fn cfg() -> RivuletConfig {
-        RivuletConfig::default().with_repair(true)
-    }
-
     fn ev(sensor: u32, seq: u64, value: f64, at: Time) -> Event {
         Event::with_payload(
             EventId::new(SensorId(sensor), seq),
@@ -339,7 +335,7 @@ mod tests {
 
     #[test]
     fn healthy_readings_are_accepted() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1, 2, 3], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
         for seq in 0..20 {
             let at = Time::from_secs(seq);
             feed_peers(&mut h, at, seq, 20.0 + seq as f64 * 0.01);
@@ -351,7 +347,7 @@ mod tests {
 
     #[test]
     fn outliers_are_substituted_from_peer_midpoint() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1, 2, 3], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
         let at = Time::from_secs(1);
         feed_peers(&mut h, at, 0, 20.0);
         let v = h.observe(at, &ev(1, 0, 400.0, at));
@@ -364,15 +360,14 @@ mod tests {
 
     #[test]
     fn repeated_outliers_quarantine_the_sensor() {
-        let config = cfg().with_repair_outlier_quarantine(3);
-        let mut h = HealthModel::from_apps(&config, &[ft_app(&[1, 2, 3], 1)]);
-        for seq in 0..5 {
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        for seq in 0..u64::from(OUTLIER_QUARANTINE) + 2 {
             let at = Time::from_secs(seq + 1);
             feed_peers(&mut h, at, seq, 20.0);
             let _ = h.observe(at, &ev(1, seq, 900.0 + seq as f64, at));
         }
         assert!(h.is_quarantined(SensorId(1)));
-        let at = Time::from_secs(10);
+        let at = Time::from_secs(100);
         let v = h.observe(at, &ev(1, 99, 20.0, at));
         assert_eq!(v, RepairVerdict::DropQuarantined, "even healthy values");
         let counts = h.take_counts();
@@ -382,7 +377,7 @@ mod tests {
 
     #[test]
     fn stuck_run_is_flagged_and_substituted() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1, 2, 3], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
         let mut verdicts = Vec::new();
         for seq in 0..10 {
             let at = Time::from_secs(seq + 1);
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn observe_is_idempotent_per_event() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1, 2, 3], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
         let at = Time::from_secs(1);
         feed_peers(&mut h, at, 0, 20.0);
         let e = ev(1, 0, 400.0, at);
@@ -417,7 +412,7 @@ mod tests {
 
     #[test]
     fn stall_detection_rate_limits() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1, 2], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2], 1)]);
         assert!(
             !h.check_stall(SensorId(1), Time::from_secs(1)),
             "arms clock"
@@ -435,7 +430,7 @@ mod tests {
 
     #[test]
     fn lone_sensor_without_peers_is_accepted() {
-        let mut h = HealthModel::from_apps(&cfg(), &[ft_app(&[1], 1)]);
+        let mut h = HealthModel::from_apps(&[ft_app(&[1], 1)]);
         for seq in 0..20 {
             let at = Time::from_secs(seq);
             let v = h.observe(at, &ev(1, seq, 42.0, at));

@@ -5,7 +5,7 @@
 //! that claim is the fleet, not the home. This crate turns a single
 //! declarative **scenario manifest** into a bulk experiment:
 //!
-//! 1. **Manifest** ([`manifest`]): a TOML-subset or JSON file
+//! 1. **Manifest** ([`manifest`]): a TOML-subset file
 //!    declaring a base home plus sweep axes (home size, device mix,
 //!    link quality, failure schedule, ack mode, storage). The axes
 //!    expand into the deterministic cartesian set of per-home

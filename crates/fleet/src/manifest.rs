@@ -327,7 +327,7 @@ impl fmt::Display for HomeSpec {
 }
 
 impl FleetManifest {
-    /// Parses a manifest from TOML-subset or JSON text.
+    /// Parses a manifest from TOML-subset text.
     pub fn from_text(text: &str) -> Result<Self, ParseError> {
         Self::from_document(parse(text)?)
     }

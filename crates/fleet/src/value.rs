@@ -1,14 +1,12 @@
 //! A minimal self-contained manifest document model.
 //!
 //! Fleet manifests are flat two-level documents — named sections of
-//! scalar or array values — expressible in either a TOML subset or
-//! JSON. The build environment is fully offline and the workspace
-//! vendors no serde/toml stack, so this module carries its own
-//! parsers: a line-oriented TOML-subset reader and a recursive-descent
-//! JSON reader, both producing the same [`Document`] tree. The subset
-//! is deliberately small (no nested tables, no multi-line strings, no
-//! datetimes); `manifests/fleet_smoke.toml` shows everything the
-//! grammar supports.
+//! scalar or array values — written in a TOML subset. The build
+//! environment is fully offline and the workspace vendors no
+//! serde/toml stack, so this module carries its own line-oriented
+//! reader producing a [`Document`] tree. The subset is deliberately
+//! small (no nested tables, no multi-line strings, no datetimes);
+//! `manifests/fleet_smoke.toml` shows everything the grammar supports.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -121,19 +119,9 @@ fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Parses manifest text, auto-detecting the format: input whose first
-/// non-whitespace byte is `{` is JSON, anything else is the TOML
-/// subset.
-pub fn parse(text: &str) -> Result<Document, ParseError> {
-    match text.trim_start().chars().next() {
-        Some('{') => parse_json(text),
-        _ => parse_toml(text),
-    }
-}
-
 /// Parses the TOML subset: `[section]` headers, `key = value` lines,
 /// `#` comments, single-line arrays.
-pub fn parse_toml(text: &str) -> Result<Document, ParseError> {
+pub fn parse(text: &str) -> Result<Document, ParseError> {
     let mut doc = Document::new();
     let mut section: Option<String> = None;
     for (idx, raw) in text.lines().enumerate() {
@@ -197,36 +185,10 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Parses a JSON document of shape `{"section": {"key": value}}`.
-pub fn parse_json(text: &str) -> Result<Document, ParseError> {
-    let mut scanner = Scanner::new(text);
-    scanner.skip_ws();
-    let sections = scanner.json_object()?;
-    scanner.skip_ws();
-    if !scanner.done() {
-        return err("trailing characters after top-level object");
-    }
-    // Top-level values must all be nested section objects, which
-    // json_object hoists into `objects`; any entry left in `sections`
-    // is a scalar that sat at top level.
-    let mut doc = Document::new();
-    if let Some((name, _)) = sections.into_iter().next() {
-        return err(format!("top-level key `{name}` must be an object section"));
-    }
-    for (name, entries) in scanner.objects {
-        doc.insert(name, entries);
-    }
-    Ok(doc)
-}
-
-/// Character-level scanner shared by the TOML value grammar and the
-/// JSON reader.
+/// Character-level scanner for the value grammar.
 struct Scanner<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Nested objects hoisted by [`Scanner::json_object`]: section
-    /// name → entries.
-    objects: Vec<(String, BTreeMap<String, Value>)>,
 }
 
 impl<'a> Scanner<'a> {
@@ -234,7 +196,6 @@ impl<'a> Scanner<'a> {
         Self {
             bytes: text.as_bytes(),
             pos: 0,
-            objects: Vec::new(),
         }
     }
 
@@ -266,7 +227,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Parses one scalar or array value (shared TOML/JSON grammar).
+    /// Parses one scalar or array value.
     fn value(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
@@ -363,45 +324,6 @@ impl<'a> Scanner<'a> {
             }
         }
     }
-
-    /// Parses a JSON object whose values are either nested one-level
-    /// objects (hoisted into `self.objects` as sections) or scalars /
-    /// arrays (returned directly — used for the nested level).
-    fn json_object(&mut self) -> Result<BTreeMap<String, Value>, ParseError> {
-        self.expect(b'{')?;
-        let mut entries = BTreeMap::new();
-        loop {
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(entries);
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            if self.peek() == Some(b'{') {
-                let nested = self.json_object()?;
-                if self.objects.iter().any(|(name, _)| *name == key) {
-                    return err(format!("duplicate section `{key}`"));
-                }
-                self.objects.push((key, nested));
-            } else {
-                let value = self.value()?;
-                if entries.insert(key.clone(), value).is_some() {
-                    return err(format!("duplicate key `{key}`"));
-                }
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {}
-                _ => return err("expected `,` or `}` in object"),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -440,20 +362,6 @@ crash_at_secs = [-1.0, 5.0]
     }
 
     #[test]
-    fn json_equivalent_parses_to_same_document() {
-        let json = r#"{
-            "fleet": {"name": "smoke", "seed": 7, "homes_per_config": 2},
-            "base": {"loss": 0.0, "durable": false, "receivers": 1},
-            "axes": {
-                "loss": [0.0, 0.1],
-                "ack_mode": ["cumulative", "per_event"],
-                "crash_at_secs": [-1.0, 5.0]
-            }
-        }"#;
-        assert_eq!(parse(json).unwrap(), parse(TOML).unwrap());
-    }
-
-    #[test]
     fn errors_carry_line_numbers() {
         let e = parse("[fleet]\nseed 7\n").unwrap_err();
         assert!(e.message.contains("line 2"), "{e}");
@@ -461,6 +369,9 @@ crash_at_secs = [-1.0, 5.0]
         assert!(e.message.contains("before any [section]"), "{e}");
         let e = parse("[fleet]\nseed = 7\nseed = 8\n").unwrap_err();
         assert!(e.message.contains("duplicate key"), "{e}");
+        // Manifests are TOML only: a JSON document is not special-cased.
+        let e = parse("{\"fleet\": {\"seed\": 7}}").unwrap_err();
+        assert!(e.message.contains("line 1: expected `key = value`"), "{e}");
     }
 
     #[test]
@@ -475,10 +386,5 @@ crash_at_secs = [-1.0, 5.0]
         assert_eq!(Value::Int(5).label(), "5");
         assert_eq!(Value::Str("ring".into()).label(), "ring");
         assert_eq!(Value::Bool(true).label(), "true");
-    }
-
-    #[test]
-    fn json_rejects_scalar_at_top_level() {
-        assert!(parse(r#"{"fleet": 3}"#).is_err());
     }
 }

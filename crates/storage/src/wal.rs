@@ -351,7 +351,7 @@ impl Wal {
     /// # Errors
     ///
     /// Propagates backend failures.
-    pub fn compact(&mut self, processed: &HashMap<SensorId, u64>) -> Result<usize> {
+    pub fn compact(&mut self, processed: &BTreeMap<SensorId, u64>) -> Result<usize> {
         let Some(checkpoint_seg) = self.latest_checkpoint_segment else {
             return Ok(0);
         };
@@ -588,7 +588,7 @@ mod tests {
             processed: vec![(SensorId(1), 20)],
         };
         wal.append_checkpoint(&cp).unwrap();
-        let mut processed = HashMap::new();
+        let mut processed = BTreeMap::new();
         processed.insert(SensorId(1), 20u64);
         let deleted = wal.compact(&processed).unwrap();
         assert!(deleted > 0);
@@ -616,7 +616,7 @@ mod tests {
         };
         wal.append_checkpoint(&cp).unwrap();
         // Nothing processed yet: every event segment must survive.
-        let deleted = wal.compact(&HashMap::new()).unwrap();
+        let deleted = wal.compact(&BTreeMap::new()).unwrap();
         assert_eq!(deleted, 0);
     }
 
@@ -688,7 +688,7 @@ mod tests {
             processed: vec![(SensorId(1), 20)],
         })
         .unwrap();
-        let mut processed = HashMap::new();
+        let mut processed = BTreeMap::new();
         processed.insert(SensorId(1), 20u64);
         let deleted = wal.compact(&processed).unwrap();
         // The ledger entry sits in the first segment, so the contiguous
