@@ -61,7 +61,7 @@ fn bench_ring_handling(c: &mut Criterion) {
                 &view,
                 Some(ProcessId(2)),
             );
-            black_box(outcome.actions.len())
+            black_box((outcome.actions.len(), outcome.relay.is_some()))
         })
     });
 }

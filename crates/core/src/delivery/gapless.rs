@@ -24,8 +24,14 @@ use super::Action;
 /// Outcome of processing one Gapless input.
 #[derive(Debug, Default)]
 pub struct GaplessOutcome {
-    /// Effects to apply (sends, local delivery).
+    /// Effects that wait for the durability gate: the local delivery
+    /// and, at the process that ingested the event, its first ring
+    /// forward (DESIGN §4.2, "Durability gating").
     pub actions: Vec<Action>,
+    /// A relay's onward ring forward. Some peer's disk already backs
+    /// the event, so it is sent in the same activation, after `actions`
+    /// went to the gate and without waiting for it.
+    pub relay: Option<Action>,
     /// If set, the caller must initiate reliable broadcast of this
     /// event (the ring detected a stall).
     pub start_broadcast: Option<Event>,
@@ -80,7 +86,9 @@ impl GaplessState {
 
     /// An event arrived directly from the physical sensor at this
     /// process (via an adapter). `view` is the local view `vᵢ` and
-    /// `successor` the ring successor (None when alone).
+    /// `successor` the ring successor (None when alone). The first ring
+    /// forward stays in `actions`, behind the delivery: an event goes on
+    /// the wire only after one disk holds it.
     pub fn on_local_ingest(
         &mut self,
         event: Event,
@@ -108,7 +116,10 @@ impl GaplessState {
         out
     }
 
-    /// A ring message `(event : seen : need)` arrived from a peer.
+    /// A ring message `(event : seen : need)` arrived from a peer. A
+    /// first sighting delivers through `actions` and forwards through
+    /// `relay`; `S ∪ {me}` says "`me` has forwarded the event", which is
+    /// all the stall test reads from it — not that `me`'s disk holds it.
     pub fn on_ring(
         &mut self,
         event: Event,
@@ -137,7 +148,7 @@ impl GaplessState {
                     }
                 }
                 new_need.sort_unstable();
-                out.actions.push(Action::Send {
+                out.relay = Some(Action::Send {
                     to: succ,
                     msg: ProcMsg::Ring {
                         event,
@@ -246,6 +257,17 @@ mod tests {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
+    /// Takes a ring send apart: `(to, event, seen, need)`.
+    fn ring_send(action: Action) -> (ProcessId, Event, Vec<ProcessId>, Vec<ProcessId>) {
+        match action {
+            Action::Send {
+                to,
+                msg: ProcMsg::Ring { event, seen, need },
+            } => (to, event, seen, need),
+            other => panic!("expected ring send, got {other:?}"),
+        }
+    }
+
     fn deliver_count(actions: &[Action]) -> usize {
         actions
             .iter()
@@ -257,20 +279,16 @@ mod tests {
     fn local_ingest_delivers_and_forwards_to_successor() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1, 2]);
-        let out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
         assert!(out.start_broadcast.is_none());
-        assert_eq!(deliver_count(&out.actions), 1);
-        match &out.actions[1] {
-            Action::Send {
-                to,
-                msg: ProcMsg::Ring { seen, need, .. },
-            } => {
-                assert_eq!(*to, ProcessId(1));
-                assert_eq!(*seen, pids(&[0]));
-                assert_eq!(*need, view);
-            }
-            other => panic!("expected ring send, got {other:?}"),
-        }
+        assert!(
+            out.relay.is_none(),
+            "the origin's forward waits for its disk"
+        );
+        assert_eq!(out.actions.len(), 2);
+        let (to, _, seen, need) = ring_send(out.actions.remove(1));
+        assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
+        assert_eq!((to, seen, need), (ProcessId(1), pids(&[0]), view));
     }
 
     #[test]
@@ -292,23 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_extends_seen_and_need_and_forwards() {
+    fn first_sighting_gates_the_delivery_and_relays_past_the_gate() {
         let mut g = GaplessState::new(ProcessId(1), 100, true);
         // p1's view knows p3, which the sender's view did not.
         let view = pids(&[0, 1, 3]);
         let out = g.on_ring(ev(0), pids(&[0]), pids(&[0, 1]), &view, Some(ProcessId(3)));
-        assert_eq!(deliver_count(&out.actions), 1);
-        match &out.actions[1] {
-            Action::Send {
-                to,
-                msg: ProcMsg::Ring { seen, need, .. },
-            } => {
-                assert_eq!(*to, ProcessId(3));
-                assert_eq!(*seen, pids(&[0, 1]));
-                assert_eq!(*need, pids(&[0, 1, 3]), "need extended with our view");
-            }
-            other => panic!("expected ring send, got {other:?}"),
-        }
+        assert!(out.start_broadcast.is_none());
+        assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
+        let (to, event, seen, need) = ring_send(out.relay.expect("a relay forwards"));
+        assert_eq!((to, event), (ProcessId(3), ev(0)));
+        assert_eq!(seen, pids(&[0, 1]));
+        assert_eq!(need, pids(&[0, 1, 3]), "need extended with our view");
     }
 
     #[test]
@@ -318,7 +330,7 @@ mod tests {
         let view = pids(&[0, 1, 2]);
         let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
         let out = g.on_ring(ev(0), view.clone(), view.clone(), &view, Some(ProcessId(1)));
-        assert!(out.actions.is_empty());
+        assert!(out.actions.is_empty() && out.relay.is_none());
         assert!(out.start_broadcast.is_none(), "S == V means all covered");
     }
 
@@ -336,6 +348,7 @@ mod tests {
             Some(ProcessId(1)),
         );
         assert_eq!(out.start_broadcast, Some(ev(0)));
+        assert!(out.actions.is_empty() && out.relay.is_none());
     }
 
     #[test]
@@ -354,7 +367,7 @@ mod tests {
             Some(ProcessId(0)),
         );
         assert!(out.start_broadcast.is_none());
-        assert!(out.actions.is_empty());
+        assert!(out.actions.is_empty() && out.relay.is_none());
     }
 
     #[test]
@@ -366,30 +379,14 @@ mod tests {
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let out0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            ..
-        } = out0.actions[1].clone()
-        else {
-            panic!()
-        };
+        let mut out0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let (_, event, seen, need) = ring_send(out0.actions.remove(1));
         let out1 = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            ..
-        } = out1.actions[1].clone()
-        else {
-            panic!()
-        };
+        assert_eq!(deliver_count(&out1.actions), 1);
+        let (_, event, seen, need) = ring_send(out1.relay.expect("p1 relays"));
         let out2 = p2.on_ring(event, seen, need, &view, Some(ProcessId(0)));
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            to,
-        } = out2.actions[1].clone()
-        else {
-            panic!()
-        };
+        assert_eq!(deliver_count(&out2.actions), 1);
+        let (to, event, seen, need) = ring_send(out2.relay.expect("p2 relays"));
         assert_eq!(to, ProcessId(0));
         // Ring returns to p0: S == V == {0,1,2} → silent completion.
         let back = p0.on_ring(event, seen, need, &view, Some(ProcessId(1)));
@@ -407,36 +404,18 @@ mod tests {
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let o0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
-        let o1 = p1.on_local_ingest(ev(0), &view, Some(ProcessId(2)));
+        let mut o0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let mut o1 = p1.on_local_ingest(ev(0), &view, Some(ProcessId(2)));
         // p1 receives p0's ring copy: already seen, S={0}, p1 ∉ S → ignore.
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            ..
-        } = o0.actions[1].clone()
-        else {
-            panic!()
-        };
+        let (_, event, seen, need) = ring_send(o0.actions.remove(1));
         let r = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
-        assert!(r.start_broadcast.is_none());
+        assert!(r.start_broadcast.is_none() && r.relay.is_none());
         // p2 receives p1's ring copy: new → delivers, forwards to p0.
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            ..
-        } = o1.actions[1].clone()
-        else {
-            panic!()
-        };
+        let (_, event, seen, need) = ring_send(o1.actions.remove(1));
         let r2 = p2.on_ring(event, seen, need, &view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&r2.actions), 1);
         // p0 gets it back: S={1,2}≠V, p0 ∉ S → ignore (no broadcast).
-        let Action::Send {
-            msg: ProcMsg::Ring { event, seen, need },
-            ..
-        } = r2.actions[1].clone()
-        else {
-            panic!()
-        };
+        let (_, event, seen, need) = ring_send(r2.relay.expect("p2 relays"));
         let r3 = p0.on_ring(event, seen, need, &view, Some(ProcessId(1)));
         assert!(r3.start_broadcast.is_none());
         assert!(p2.seen(&ev(0)));

@@ -2,14 +2,17 @@
 //! acknowledged" is decided.
 //!
 //! A durable process appends every newly stored event to its
-//! write-ahead log and must not act on it — deliver it, forward it on
-//! the ring, relay or acknowledge a broadcast — before the append is on
-//! disk. [`DurableGate`] owns that rule: it holds the log, the actions
-//! waiting on it (in arrival order) and the [`AdaptiveGate`] bound on
-//! how many may wait, and it hands actions back only as [`Released`],
-//! the sole type the process runtime applies deliveries from. Nothing
-//! here touches a driver, so the rule is unit-tested against a
-//! simulated disk.
+//! write-ahead log and must not claim it — deliver it, advertise its
+//! receipt, relay or acknowledge a broadcast of it, or be the first to
+//! put it on the ring — before the append is on disk. [`DurableGate`]
+//! owns that rule: it holds the log, the actions waiting on it (in
+//! arrival order) and the [`AdaptiveGate`] bound on how many may wait,
+//! and it hands actions back only as [`Released`], the sole type the
+//! process runtime applies deliveries from. The one thing the gate is
+//! never asked about is a ring *relay* of an event a peer's disk
+//! already backs; DESIGN §4.2 ("Durability gating") states the rule in
+//! full. Nothing here touches a driver, so the rule is unit-tested
+//! against a simulated disk.
 //!
 //! A fixed bound stalls bursty workloads (every burst larger than the
 //! cap pays a forced flush) and over-delays sparse ones, so the gate
@@ -127,6 +130,9 @@ pub struct DurableGate {
     /// Actions held back, in arrival order, until the appends they
     /// depend on are flushed (group commit).
     withheld: Vec<Action>,
+    /// When each withheld `Deliver` came in, for `wal.gate_wait_us`;
+    /// stays empty while the recorder is off.
+    admitted_at: Vec<Time>,
     obs: Recorder,
 }
 
@@ -159,6 +165,7 @@ impl DurableGate {
             wal,
             bound: AdaptiveGate::default(),
             withheld: Vec::new(),
+            admitted_at: Vec::new(),
             obs: obs.clone(),
         };
         (gate, recovered)
@@ -180,22 +187,27 @@ impl DurableGate {
         }
     }
 
-    /// Takes delivery-service actions in. Every freshly stored event
-    /// (each `Deliver` carries exactly one) is appended to the log and
-    /// no action — delivery, ring forward, broadcast relay or ack —
-    /// comes back out until the append is durable. Under group commit
-    /// the actions wait for the flush policy, [`DurableGate::flush`] or
-    /// the bound, whichever comes first.
-    pub fn admit(&mut self, actions: Vec<Action>) -> Released {
+    /// Takes delivery-service actions in at `now`. Every freshly stored
+    /// event (each `Deliver` carries exactly one) is appended to the log
+    /// and no action handed in — delivery, the ingest process's first
+    /// ring forward, broadcast relay or ack — comes back out until the
+    /// append is durable. Under group commit the actions wait for the
+    /// flush policy, [`DurableGate::flush`] or the bound, whichever
+    /// comes first.
+    pub fn admit(&mut self, now: Time, actions: Vec<Action>) -> Released {
         let Some(wal) = self.wal.as_mut() else {
             return Released(actions);
         };
         if actions.is_empty() {
             return Released::default();
         }
+        let timed = self.obs.is_enabled();
         for action in actions {
             if let Action::Deliver { event } = &action {
                 wal.append_event(event).expect("wal append");
+                if timed {
+                    self.admitted_at.push(now);
+                }
             }
             self.withheld.push(action);
         }
@@ -211,6 +223,16 @@ impl DurableGate {
             self.bound.on_forced_flush();
             self.obs.inc("wal.forced_flushes");
         }
+        self.release(now)
+    }
+
+    /// Hands out everything withheld — the caller has just made it
+    /// durable — and records how long each delivery waited.
+    fn release(&mut self, now: Time) -> Released {
+        for at in self.admitted_at.drain(..) {
+            let waited = now.duration_since(at).as_micros();
+            self.obs.observe("wal.gate_wait_us", waited);
+        }
         Released(std::mem::take(&mut self.withheld))
     }
 
@@ -219,12 +241,12 @@ impl DurableGate {
     /// tick, so an `EveryN` batch that never fills cannot strand its
     /// actions. A flush at low depth is the signal that bursts have
     /// subsided: the bound walks back.
-    pub fn flush(&mut self) -> Released {
+    pub fn flush(&mut self, now: Time) -> Released {
         match self.wal.as_mut() {
             Some(wal) if wal.pending_events() > 0 || !self.withheld.is_empty() => {
                 wal.flush().expect("wal flush");
                 self.bound.on_idle_flush(self.withheld.len());
-                Released(std::mem::take(&mut self.withheld))
+                self.release(now)
             }
             _ => Released::default(),
         }
@@ -234,18 +256,18 @@ impl DurableGate {
     /// the segments they cover. The checkpoint forces a flush, so
     /// everything withheld is released; at low depth it also counts as
     /// an idle flush for the bound.
-    pub fn checkpoint(&mut self, at: Time, processed: &BTreeMap<SensorId, u64>) -> Released {
+    pub fn checkpoint(&mut self, now: Time, processed: &BTreeMap<SensorId, u64>) -> Released {
         let Some(wal) = self.wal.as_mut() else {
             return Released::default();
         };
         wal.append_checkpoint(&Checkpoint {
-            at,
+            at: now,
             processed: processed.iter().map(|(s, q)| (*s, *q)).collect(),
         })
         .expect("wal checkpoint");
         let _ = wal.compact(processed).expect("wal compact");
         self.bound.on_idle_flush(self.withheld.len());
-        Released(std::mem::take(&mut self.withheld))
+        self.release(now)
     }
 
     /// Appends a routine ledger entry, durable before this returns:
@@ -265,13 +287,24 @@ mod tests {
     use rivulet_storage::{LedgerChain, RoutineTransition, SimBackend};
     use rivulet_types::{Event, EventId, EventKind, ProcessId, RoutineId};
 
+    /// The tests that do not measure waiting all happen at one instant.
+    const NOW: Time = Time::from_secs(1);
+
     fn gate_on(backend: &Arc<SimBackend>, flush_policy: FlushPolicy) -> (DurableGate, Recovered) {
+        recorded_gate_on(backend, flush_policy, &Recorder::default())
+    }
+
+    fn recorded_gate_on(
+        backend: &Arc<SimBackend>,
+        flush_policy: FlushPolicy,
+        obs: &Recorder,
+    ) -> (DurableGate, Recovered) {
         let options = WalOptions {
             flush_policy,
             ..WalOptions::default()
         };
         let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
-        DurableGate::open(Some((storage, options)), &Recorder::default())
+        DurableGate::open(Some((storage, options)), obs)
     }
 
     /// What a replica does with broadcast copy `seq`: deliver it, then
@@ -292,11 +325,11 @@ mod tests {
         let mut arrived = Vec::new();
         for seq in 0..7 {
             arrived.extend(deliver_and_ack(seq));
-            assert_eq!(gate.admit(deliver_and_ack(seq)), Released::default());
+            assert_eq!(gate.admit(NOW, deliver_and_ack(seq)), Released::default());
         }
         assert_eq!(backend.durable_len(0), Some(0), "no ack ahead of the disk");
         arrived.extend(deliver_and_ack(7));
-        let released = gate.admit(deliver_and_ack(7));
+        let released = gate.admit(NOW, deliver_and_ack(7));
         assert!(
             backend.durable_len(0) > Some(0),
             "the eighth append flushed"
@@ -316,7 +349,7 @@ mod tests {
         let bound = gate.bound().expect("durable");
         let mut withheld = 0;
         for seq in 0.. {
-            let released = gate.admit(deliver_and_ack(seq)).0;
+            let released = gate.admit(NOW, deliver_and_ack(seq)).0;
             withheld += 2;
             if withheld < bound {
                 assert!(released.is_empty(), "{withheld} of {bound} withheld");
@@ -334,14 +367,14 @@ mod tests {
         let backend = Arc::new(SimBackend::new(3));
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
         let bound = gate.bound().expect("durable");
-        assert_eq!(gate.flush(), Released::default(), "nothing pending");
+        assert_eq!(gate.flush(NOW), Released::default(), "nothing pending");
         assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
 
-        assert_eq!(gate.admit(deliver_and_ack(0)), Released::default());
-        assert_eq!(gate.flush().0, deliver_and_ack(0));
+        assert_eq!(gate.admit(NOW, deliver_and_ack(0)), Released::default());
+        assert_eq!(gate.flush(NOW).0, deliver_and_ack(0));
         assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
 
-        assert_eq!(gate.admit(deliver_and_ack(1)), Released::default());
+        assert_eq!(gate.admit(NOW, deliver_and_ack(1)), Released::default());
         let processed = BTreeMap::from([(SensorId(1), 0)]);
         let released = gate.checkpoint(Time::from_secs(1), &processed);
         assert_eq!(released.0, deliver_and_ack(1));
@@ -354,12 +387,34 @@ mod tests {
     }
 
     #[test]
+    fn each_delivery_records_its_wait_from_admit_to_release() {
+        let backend = Arc::new(SimBackend::new(5));
+        let obs = Recorder::enabled();
+        let (mut gate, _) = recorded_gate_on(&backend, FlushPolicy::EveryN(8), &obs);
+        let _ = gate.admit(Time::from_millis(1), deliver_and_ack(0));
+        let _ = gate.admit(Time::from_millis(4), deliver_and_ack(1));
+        assert!(obs.snapshot().histogram("wal.gate_wait_us").is_none());
+        let released = gate.flush(Time::from_millis(10));
+        assert_eq!(released.0.len(), 4);
+        let snap = obs.snapshot();
+        let waits = snap.histogram("wal.gate_wait_us").expect("recorded");
+        assert_eq!((waits.count(), waits.sum()), (2, 9_000 + 6_000));
+        assert_eq!((waits.min(), waits.max()), (Some(6_000), Some(9_000)));
+
+        // With the recorder off nothing is kept per admit.
+        obs.set_enabled(false);
+        let _ = gate.admit(Time::from_millis(11), deliver_and_ack(2));
+        assert!(gate.admitted_at.is_empty());
+        assert_eq!(gate.flush(Time::from_millis(20)).0, deliver_and_ack(2));
+    }
+
+    #[test]
     fn a_gate_without_storage_releases_at_once() {
         let (mut gate, recovered) = DurableGate::open(None, &Recorder::default());
         assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
         assert_eq!((gate.bound(), gate.flush_interval()), (None, None));
-        assert_eq!(gate.admit(deliver_and_ack(0)).0, deliver_and_ack(0));
-        assert_eq!(gate.flush(), Released::default());
+        assert_eq!(gate.admit(NOW, deliver_and_ack(0)).0, deliver_and_ack(0));
+        assert_eq!(gate.flush(NOW), Released::default());
         let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new());
         assert_eq!(released, Released::default());
     }

@@ -138,7 +138,13 @@ impl Running {
                 let view = self.membership.view(now);
                 let successor = self.membership.successor_in(&view);
                 let outcome = self.gapless.on_ring(event, seen, need, &view, successor);
+                // Gate first, relay second: a transparent gate applies
+                // the delivery at once, so a volatile home keeps the
+                // send order it has always had.
                 self.admit(ctx, outcome.actions);
+                if let Some(relay) = outcome.relay {
+                    self.send_action(relay);
+                }
                 if let Some(ev) = outcome.start_broadcast {
                     self.start_broadcast(ctx, ev);
                 }
@@ -196,7 +202,7 @@ impl Running {
     /// Passes delivery-service actions through the durability gate and
     /// applies whatever it releases.
     fn admit(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
-        let released = self.gate.admit(actions);
+        let released = self.gate.admit(ctx.now(), actions);
         self.apply_actions(ctx, released);
     }
 
@@ -217,9 +223,10 @@ impl Running {
         }
     }
 
-    /// Queues a send: one the durability gate released, or control
-    /// traffic it has no say in (beacons, anti-entropy,
-    /// retransmissions — none carries a newly stored event).
+    /// Queues a send: one the durability gate released, or one it has
+    /// no say in — control traffic that carries no newly stored event
+    /// (beacons, anti-entropy, retransmissions) and a ring relay, whose
+    /// event a peer's disk already backs (DESIGN §4.2).
     pub(super) fn send_action(&mut self, action: Action) {
         match action {
             Action::Send { to, msg } => self.send_proc(to, &msg),

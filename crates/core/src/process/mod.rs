@@ -23,11 +23,12 @@
 //! crash-recovery model of §3.1. With a [`DurabilitySpec`] attached,
 //! the process additionally appends every replicated event and
 //! periodic operator checkpoints to a write-ahead log
-//! ([`rivulet_storage::Wal`]) and withholds ring acknowledgements,
-//! broadcast relays, and local delivery until the append is durable
-//! ([`crate::gating::DurableGate`]); recovery then restores the event
-//! store and processed watermarks from the log instead of relying
-//! solely on peers.
+//! ([`rivulet_storage::Wal`]) and withholds local delivery, receipt
+//! watermarks, broadcast relays and acknowledgements, and the ingest
+//! process's first ring forward until the append is durable
+//! ([`crate::gating::DurableGate`]; ring relays do not wait — DESIGN
+//! §4.2); recovery then restores the event store and processed
+//! watermarks from the log instead of relying solely on peers.
 
 mod delivery;
 mod exec;
@@ -594,7 +595,7 @@ impl Running {
         // Group-commit backstop: a partial EveryN batch (or an idle
         // interval policy) must not withhold its actions longer than
         // one keep-alive period.
-        let released = self.gate.flush();
+        let released = self.gate.flush(now);
         self.apply_actions(ctx, released);
         self.election(ctx);
         self.repair_tick(ctx);
@@ -642,7 +643,7 @@ impl Running {
         match (t >> 32, t & 0xffff_ffff) {
             (0, TOKEN_TICK) => self.tick(ctx),
             (0, TOKEN_FLUSH) => {
-                let released = self.gate.flush();
+                let released = self.gate.flush(ctx.now());
                 self.apply_actions(ctx, released);
                 if let Some(period) = self.gate.flush_interval() {
                     ctx.set_timer(period, TOKEN_FLUSH);

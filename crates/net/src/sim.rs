@@ -214,6 +214,10 @@ pub struct SimNet {
     max_events: u64,
     /// Link-degradation bursts currently in force (lazily pruned).
     bursts: Vec<ActiveBurst>,
+    /// The effect list lent to each activation's [`Context`]: always
+    /// empty between activations, its capacity kept so a handler that
+    /// sends or arms a timer does not allocate one per event.
+    effects: Vec<Effect>,
 }
 
 impl SimNet {
@@ -231,6 +235,7 @@ impl SimNet {
             trace: Trace::new(),
             max_events: config.max_events_per_run,
             bursts: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -530,8 +535,9 @@ impl SimNet {
             .take()
             .expect("fire() requires a live actor");
         let mut ctx = Context::new(actor, self.now, &mut self.rng);
+        ctx.effects = std::mem::take(&mut self.effects);
         instance.on_event(&mut ctx, event);
-        let effects = std::mem::take(&mut ctx.effects);
+        let mut effects = std::mem::take(&mut ctx.effects);
         // Put the instance back before applying effects, unless the
         // actor halted itself.
         let mut halted = false;
@@ -543,9 +549,10 @@ impl SimNet {
         if !halted {
             self.slots[actor.0 as usize].instance = Some(instance);
         }
-        for effect in effects {
+        for effect in effects.drain(..) {
             self.apply_effect(actor, effect);
         }
+        self.effects = effects;
     }
 
     /// Applies active bursts to a routed delivery: returns the

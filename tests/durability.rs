@@ -5,14 +5,20 @@
 
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
-use rivulet::core::deploy::{Home, HomeBuilder};
+use rivulet::core::deploy::{Driver, Home, HomeBuilder};
+use rivulet::core::messages::{Frame, ProcMsg};
 use rivulet::core::probe::{AppProbe, StoreProbe};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
+use rivulet::net::actor::{Actor, ActorEvent, ActorId, Context};
+use rivulet::net::link::ActorClass;
+use rivulet::net::metrics::FanoutStats;
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, WalOptions};
+use rivulet::obs::Recorder;
+use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
+use rivulet::types::wire::Wire;
 use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, Time};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct Setup {
     net: SimNet,
@@ -22,34 +28,123 @@ struct Setup {
     emissions: Arc<EmissionProbe>,
     pids: Vec<ProcessId>,
     backends: Vec<Arc<SimBackend>>,
+    /// What the process actors were sent, when the home is tapped.
+    heard: Heard,
+}
+
+/// Every message a process actor received: when, from whom, the bytes.
+type Heard = Arc<Mutex<Vec<(Time, ActorId, Vec<u8>)>>>;
+
+/// A process actor that notes each inbound message before handling it.
+struct Tap {
+    inner: Box<dyn Actor>,
+    heard: Heard,
+}
+
+impl Actor for Tap {
+    fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+        if let ActorEvent::Message { from, payload } = &event {
+            let entry = (ctx.now(), *from, payload.to_vec());
+            self.heard.lock().expect("tap lock").push(entry);
+        }
+        self.inner.on_event(ctx, event);
+    }
+}
+
+/// Deploys onto `net`, wrapping every process actor in a [`Tap`] when
+/// there is a `tap` to record into.
+struct TapDriver<'a> {
+    net: &'a mut SimNet,
+    tap: Option<Heard>,
+}
+
+impl Driver for TapDriver<'_> {
+    fn add_boxed_actor(
+        &mut self,
+        name: &str,
+        class: ActorClass,
+        mut factory: Box<dyn FnMut() -> Box<dyn Actor> + Send>,
+    ) -> ActorId {
+        let tap = self.tap.clone().filter(|_| class == ActorClass::Process);
+        self.net.add_actor(name, class, move || match &tap {
+            Some(heard) => Box::new(Tap {
+                inner: factory(),
+                heard: Arc::clone(heard),
+            }),
+            None => factory(),
+        })
+    }
+
+    fn fanout_stats(&self) -> Arc<FanoutStats> {
+        Arc::clone(&self.net.metrics().fanout)
+    }
+
+    fn recorder(&self) -> Recorder {
+        self.net.recorder()
+    }
+}
+
+fn wal_options(policy: FlushPolicy) -> WalOptions {
+    WalOptions {
+        flush_policy: policy,
+        segment_max_bytes: 64 * 1024,
+    }
 }
 
 /// The `failover.rs` standard home (five hosts, one Gapless sensor at
-/// 10 ev/s, app anchored at host 0) with a per-process simulated disk.
+/// 10 ev/s heard by all, app anchored at host 0) with a per-process
+/// simulated disk.
 fn durable_home(seed: u64, policy: FlushPolicy, config: RivuletConfig) -> Setup {
+    let schedule = EmissionSchedule::Periodic(Duration::from_millis(100));
+    deploy(
+        seed,
+        Some(policy),
+        config,
+        schedule,
+        &[0, 1, 2, 3, 4],
+        false,
+    )
+}
+
+/// Five hosts, the app anchored at host 0, one Gapless sensor heard by
+/// the hosts `heard_by` and, given a `policy`, a simulated disk per
+/// process.
+fn deploy(
+    seed: u64,
+    policy: Option<FlushPolicy>,
+    config: RivuletConfig,
+    schedule: EmissionSchedule,
+    heard_by: &[usize],
+    tapped: bool,
+) -> Setup {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
-    let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let heard = Heard::default();
+    let mut driver = TapDriver {
+        net: &mut net,
+        tap: tapped.then(|| Arc::clone(&heard)),
+    };
+    let mut home = HomeBuilder::new(&mut driver).with_config(config);
     let pids: Vec<ProcessId> = (0..5).map(|i| home.add_host(format!("host{i}"))).collect();
     let backends: Vec<Arc<SimBackend>> = (0..5)
         .map(|i| Arc::new(SimBackend::new(seed.wrapping_mul(31).wrapping_add(i))))
         .collect();
-    let for_factory = backends.clone();
-    let mut home = home.with_storage(
-        WalOptions {
-            flush_policy: policy,
-            segment_max_bytes: 64 * 1024,
-        },
-        Duration::from_secs(5),
-        move |pid: ProcessId| {
-            Arc::clone(&for_factory[pid.as_u32() as usize]) as Arc<dyn StorageBackend>
-        },
-    );
+    if let Some(policy) = policy {
+        let for_factory = backends.clone();
+        home = home.with_storage(
+            wal_options(policy),
+            Duration::from_secs(5),
+            move |pid: ProcessId| {
+                Arc::clone(&for_factory[pid.as_u32() as usize]) as Arc<dyn StorageBackend>
+            },
+        );
+    }
     let store_probe = home.with_store_probe();
+    let hearers: Vec<ProcessId> = heard_by.iter().map(|i| pids[*i]).collect();
     let (sensor, emissions) = home.add_push_sensor(
         "motion",
         PayloadSpec::KindOnly(EventKind::Motion),
-        EmissionSchedule::Periodic(Duration::from_millis(100)),
-        &pids,
+        schedule,
+        &hearers,
     );
     let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &[pids[0]]);
     let app = AppBuilder::new(AppId(1), "activity")
@@ -73,6 +168,7 @@ fn durable_home(seed: u64, policy: FlushPolicy, config: RivuletConfig) -> Setup 
         emissions,
         pids,
         backends,
+        heard,
     }
 }
 
@@ -238,4 +334,133 @@ fn store_residency_is_bounded_with_unsubscribed_traffic() {
         max <= 400,
         "store residency unbounded: {max} events resident"
     );
+}
+
+/// The group-commit tick of the pipelining tests: wide enough that
+/// "before the flush" and "after the flush" are unmistakable next to
+/// the few milliseconds a ring hop takes. Every process arms its flush
+/// timer at start-up, so all five disks flush at multiples of it.
+const TICK: Duration = Duration::from_millis(250);
+
+/// The pipelining home: the sensor is heard only by host 1, the app
+/// lives at host 0, and the ring runs 1 → 2 → 3 → 4 → 0 — every event
+/// crosses four hops, the farthest the app can be from an ingest.
+fn far_sensor_home(policy: Option<FlushPolicy>, schedule: EmissionSchedule, tapped: bool) -> Setup {
+    deploy(21, policy, RivuletConfig::default(), schedule, &[1], tapped)
+}
+
+/// Emission instants `at` (milliseconds), as a sensor script.
+fn script(at: &[u64]) -> EmissionSchedule {
+    EmissionSchedule::Script(at.iter().map(|ms| Time::from_millis(*ms)).collect())
+}
+
+/// Sequence numbers of the events a process would recover from its
+/// disk right now, in log order.
+fn seqs_on_disk(backend: &Arc<SimBackend>) -> Vec<u64> {
+    let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
+    let (_, recovered) = Wal::open(storage, wal_options(FlushPolicy::PerEvent)).expect("reopen");
+    recovered.events.iter().map(|e| e.id.seq).collect()
+}
+
+fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
+    probe.deliveries().iter().map(|d| d.event.seq).collect()
+}
+
+/// Shape of the durable ring path, in virtual time: the ingest process
+/// holds an event for its own flush and the app's host holds the
+/// delivery for its own, but the relays in between pass it on at ring
+/// speed, so the median costs under two ticks on top of the volatile
+/// path. (When every hop withheld its forward, the same home measured
+/// more than four.)
+#[test]
+fn durable_ring_delivery_costs_two_flush_waits_not_one_per_hop() {
+    let median_delay = |policy| {
+        // 97 ms against a 250 ms tick: emissions sweep every phase.
+        let schedule = EmissionSchedule::Periodic(Duration::from_millis(97));
+        let mut s = far_sensor_home(policy, schedule, false);
+        s.net.run_until(Time::from_secs(20));
+        let mut delays = s.probe.delays();
+        assert!(delays.len() > 150, "only {} deliveries", delays.len());
+        delays.sort_unstable();
+        delays[delays.len() / 2]
+    };
+    let volatile = median_delay(None);
+    let durable = median_delay(Some(FlushPolicy::EveryInterval(TICK)));
+    assert!(volatile < Duration::from_millis(25), "ring path {volatile}");
+    assert!(
+        durable < TICK + TICK + volatile,
+        "median {durable} on a {volatile} ring path: a relay waited for its flush"
+    );
+    assert!(
+        durable > TICK,
+        "median {durable}: something skipped its flush"
+    );
+}
+
+/// The ingest process is the one place an event waits before it first
+/// goes on the wire: losing power there between ingest and flush loses
+/// the event everywhere, so nobody ever held a copy no disk backed.
+#[test]
+fn an_event_lost_before_its_origin_flushed_reached_nobody() {
+    // Ticks fall at 1500 and 1750 ms; the third event is caught between.
+    let policy = FlushPolicy::EveryInterval(TICK);
+    let mut s = far_sensor_home(Some(policy), script(&[560, 1060, 1560]), false);
+    let origin = s.home.actor_of(s.pids[1]);
+    s.net.crash_at(origin, Time::from_millis(1600));
+    s.net.run_until(Time::from_millis(1600));
+    s.backends[1].crash();
+    s.net.run_until(Time::from_secs(4));
+
+    assert_eq!(s.emissions.emitted(), 3, "the event was emitted, and heard");
+    assert_eq!(delivered_seqs(&s.probe), vec![0, 1]);
+    for (pid, backend) in s.backends.iter().enumerate() {
+        assert_eq!(seqs_on_disk(backend), vec![0, 1], "process {pid}'s disk");
+    }
+}
+
+/// A relay that loses power after passing an event on and before its
+/// own flush harms nobody: the event is already downstream, the relay
+/// recovers without it (as it would have had it withheld the forward),
+/// and it never told anyone it held it.
+#[test]
+fn a_relay_lost_between_forward_and_flush_harms_nobody() {
+    // The third event leaves the origin at the 1750 ms tick and is past
+    // every relay milliseconds later; their disks flush at 2000 ms. The
+    // later events follow once the ring has closed around the hole.
+    let policy = FlushPolicy::EveryInterval(TICK);
+    let emissions = script(&[560, 1060, 1560, 6060, 6560, 7060]);
+    let mut s = far_sensor_home(Some(policy), emissions, true);
+    let relay = s.home.actor_of(s.pids[3]);
+    let crash = Time::from_millis(1900);
+    s.net.crash_at(relay, crash);
+    s.net.run_until(crash);
+    s.backends[3].crash();
+    let on_relay_disk = seqs_on_disk(&s.backends[3]);
+    assert_eq!(on_relay_disk, vec![0, 1], "a valid prefix, without event 2");
+    s.net.run_until(Time::from_secs(9));
+
+    assert_eq!(delivered_seqs(&s.probe), vec![0, 1, 2, 3, 4, 5]);
+
+    // Possession is advertised only past the gate: no beacon the relay
+    // ever sent acknowledged event 2.
+    let heard = s.heard.lock().expect("tap lock");
+    let from_relay = heard.iter().filter(|(_, from, _)| *from == relay);
+    let mut beacons = 0;
+    for (at, _, payload) in from_relay {
+        let msgs = if Frame::sniff(payload) {
+            Frame::from_bytes(payload).expect("frame").msgs
+        } else {
+            vec![ProcMsg::from_bytes(payload).expect("message")]
+        };
+        for msg in msgs {
+            if let ProcMsg::KeepAlive { received, .. } = msg {
+                beacons += 1;
+                assert!(
+                    received.iter().all(|(_, seq)| *seq < 2),
+                    "beacon at {at} acknowledged {received:?}"
+                );
+            }
+        }
+    }
+    assert!(beacons > 0, "the relay's beacons were seen");
 }
