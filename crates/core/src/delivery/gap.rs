@@ -42,6 +42,49 @@ pub fn forwarder(
         .map(|(_, p)| p)
 }
 
+/// Decides which process sends a Gapless event's **express copy**
+/// straight to the application-bearing process `host` (the process
+/// [`forwarder`] would forward a Gap event to), so delivery does not
+/// wait for the ring to walk there, and which processes that copy
+/// marks as seen.
+///
+/// * `view` — the caller's local view: the live processes in ring
+///   order (ascending ids, cyclically).
+/// * `reachers` — processes that can hear the physical sensor; one
+///   outside `view` is suspected and skipped.
+///
+/// Returns the sender and the copy's `S`. The sender is the first live
+/// reacher after `host` in ring order: the arc its ordinary token covers
+/// on the way to `host` contains every other reacher, so the half-ring
+/// `host` starts ends at that sender and an event costs n messages
+/// whatever the reacher layout. `S` is that arc, sorted: the sender and
+/// the view members strictly between it and `host`, never `host`.
+/// Returns `None` when `host` or its ring predecessor is a live reacher
+/// — the event is at most one hop away already, and a copy would only
+/// race the ordinary forward — and when `host` is not in `view`.
+#[must_use]
+pub fn express_sender(
+    view: &[ProcessId],
+    reachers: &[ProcessId],
+    host: ProcessId,
+) -> Option<(ProcessId, Vec<ProcessId>)> {
+    let host_at = view.iter().position(|p| *p == host)?;
+    let predecessor = view[(host_at + view.len() - 1) % view.len()];
+    if reachers.contains(&host) || reachers.contains(&predecessor) {
+        return None;
+    }
+    // Everyone but the host, in ring order from its successor to its
+    // predecessor: the arc is the tail that starts at the first reacher.
+    let after_host = view.iter().cycle().skip(host_at + 1).take(view.len() - 1);
+    let mut arc: Vec<ProcessId> = after_host
+        .skip_while(|p| !reachers.contains(p))
+        .copied()
+        .collect();
+    let sender = *arc.first()?;
+    arc.sort_unstable();
+    Some((sender, arc))
+}
+
 /// What a process holding a freshly received Gap event should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapRole {
@@ -82,6 +125,51 @@ mod tests {
     }
 
     const ALL_ALIVE: fn(ProcessId) -> bool = |_| true;
+
+    #[test]
+    fn express_sender_is_the_first_live_reacher_after_a_far_host() {
+        let ring = pids(&[0, 1, 2, 3, 4]);
+        let without_2 = pids(&[0, 1, 3, 4]);
+        let sender = |view: &[ProcessId], reachers: &[u32], host: u32| {
+            express_sender(view, &pids(reachers), ProcessId(host)).map(|(p, _)| p.0)
+        };
+        let arc = |view: &[ProcessId], reachers: &[u32], host: u32| {
+            express_sender(view, &pids(reachers), ProcessId(host)).map(|(_, seen)| seen)
+        };
+        assert_eq!(sender(&ring, &[0, 2], 0), None, "the host hears the sensor");
+        assert_eq!(sender(&ring, &[2, 4], 0), None, "its ring predecessor does");
+        assert_eq!(sender(&ring, &[1], 2), None, "predecessor, mid-ring host");
+        assert_eq!(sender(&ring, &[1], 0), Some(1), "farthest from the host");
+        assert_eq!(
+            sender(&ring, &[2, 3], 0),
+            Some(2),
+            "two far reachers, one sender"
+        );
+        assert_eq!(
+            sender(&ring, &[3, 2], 0),
+            Some(2),
+            "whatever the listing order"
+        );
+        assert_eq!(
+            sender(&ring, &[0, 1], 3),
+            Some(0),
+            "ring order wraps around"
+        );
+        assert_eq!(
+            sender(&without_2, &[2, 3], 0),
+            Some(3),
+            "suspected reacher skipped"
+        );
+        assert_eq!(sender(&without_2, &[1], 2), None, "host outside the view");
+        assert_eq!(sender(&ring, &[], 0), None, "nobody hears the sensor");
+        // The copy's S: the sender and everyone strictly between it and
+        // the host, sorted — never the host, and wrapping with the ring.
+        assert_eq!(arc(&ring, &[1], 4), Some(pids(&[1, 2, 3])));
+        assert_eq!(arc(&ring, &[2, 3], 0), Some(pids(&[2, 3, 4])));
+        assert_eq!(arc(&ring, &[3], 1), Some(pids(&[0, 3, 4])));
+        assert_eq!(arc(&without_2, &[1], 4), Some(pids(&[1, 3])));
+        assert_eq!(sender(&pids(&[0]), &[0], 0), None, "alone");
+    }
 
     #[test]
     fn closest_reacher_forwards() {

@@ -4,15 +4,27 @@
 //! any correct process is eventually delivered to, and processed by,
 //! interested applications. Rivulet achieves this optimistically: a
 //! light-weight **ring** circulates each event once around the local
-//! views (n messages instead of the O(m·n) of broadcasting from every
-//! receiving process), and only when the ring detects trouble does the
-//! protocol fall back to reliable broadcast.
+//! views (at most n messages instead of the O(m·n) of broadcasting from
+//! every receiving process), and only when the ring detects trouble
+//! does the protocol fall back to reliable broadcast.
 //!
 //! The ring message is the paper's `(e : S : V)` triple — the event,
 //! the processes that have *seen* it, and the processes that *need* it.
 //! The fallback trigger is exactly the paper's condition: a process
 //! that receives an event it has already seen, with `S ≠ V` and itself
 //! in `S`, knows the ring stalled before covering `V`, and broadcasts.
+//!
+//! Two rules of ours shorten that walk without changing the triple
+//! (DESIGN §4.1). The **self-closing ring**: a relay whose successor is
+//! already in `S` sends nothing when `S = V` — the successor would have
+//! ignored the message — and relays as before when `S ≠ V`, so the stall
+//! test runs where it always has, at a process whose view counts the
+//! uncovered member. The **express copy**: the origin of an event heard
+//! far from the app's host sends that host a second ring message whose
+//! `S` is the arc the ordinary token is about to cover, so the host
+//! delivers at one hop and walks the rest of the ring while the ordinary
+//! token walks the arc. An event heard by one process costs n − 1
+//! messages without an express copy and n with one.
 
 use rivulet_types::{Event, ProcessId, SensorId};
 
@@ -35,6 +47,8 @@ pub struct GaplessOutcome {
     /// If set, the caller must initiate reliable broadcast of this
     /// event (the ring detected a stall).
     pub start_broadcast: Option<Event>,
+    /// The ring ended here, at its last hop, without a closing message.
+    pub closed: bool,
 }
 
 /// One process's Gapless protocol state.
@@ -89,11 +103,19 @@ impl GaplessState {
     /// `successor` the ring successor (None when alone). The first ring
     /// forward stays in `actions`, behind the delivery: an event goes on
     /// the wire only after one disk holds it.
+    ///
+    /// `express` is `(host, S)` when this process is the event's express
+    /// sender ([`super::gap::express_sender`] chose it and computed the
+    /// copy's `S`). The express copy is a first forward too and waits in
+    /// `actions` with the other one. The ordinary token (`S = {me}`) is
+    /// what it is without a copy and still runs all the way to the host,
+    /// so a lost express copy costs latency and nothing else.
     pub fn on_local_ingest(
         &mut self,
         event: Event,
         view: &[ProcessId],
         successor: Option<ProcessId>,
+        express: Option<(ProcessId, Vec<ProcessId>)>,
     ) -> GaplessOutcome {
         let mut out = GaplessOutcome::default();
         if !self.store.insert(event.clone()) {
@@ -103,16 +125,26 @@ impl GaplessState {
         out.actions.push(Action::Deliver {
             event: event.clone(),
         });
-        if let Some(succ) = successor {
-            out.actions.push(Action::Send {
-                to: succ,
-                msg: ProcMsg::Ring {
-                    event,
-                    seen: vec![self.me],
-                    need: view.to_vec(),
-                },
-            });
-        }
+        let Some(succ) = successor else {
+            return out;
+        };
+        let express = express.map(|(host, seen)| Action::Send {
+            to: host,
+            msg: ProcMsg::Ring {
+                event: event.clone(),
+                seen,
+                need: view.to_vec(),
+            },
+        });
+        out.actions.push(Action::Send {
+            to: succ,
+            msg: ProcMsg::Ring {
+                event,
+                seen: vec![self.me],
+                need: view.to_vec(),
+            },
+        });
+        out.actions.extend(express);
         out
     }
 
@@ -120,6 +152,11 @@ impl GaplessState {
     /// first sighting delivers through `actions` and forwards through
     /// `relay`; `S ∪ {me}` says "`me` has forwarded the event", which is
     /// all the stall test reads from it — not that `me`'s disk holds it.
+    /// An express copy is handled like any other ring message. When
+    /// `S ∪ {me} = V ∪ view` the ring closes here: the successor, in our
+    /// view and so in `S`, would ignore the message, and it is not sent.
+    /// With `S ≠ V` it is sent even to a successor in `S`, whose stall
+    /// test floods *its* view, which may reach a process ours skips.
     pub fn on_ring(
         &mut self,
         event: Event,
@@ -148,14 +185,20 @@ impl GaplessState {
                     }
                 }
                 new_need.sort_unstable();
-                out.relay = Some(Action::Send {
-                    to: succ,
-                    msg: ProcMsg::Ring {
-                        event,
-                        seen: new_seen,
-                        need: new_need,
-                    },
-                });
+                // V has our view in it, successor included: S = V says the
+                // successor has the event and its stall test would pass.
+                if new_seen == new_need {
+                    out.closed = true;
+                } else {
+                    out.relay = Some(Action::Send {
+                        to: succ,
+                        msg: ProcMsg::Ring {
+                            event,
+                            seen: new_seen,
+                            need: new_need,
+                        },
+                    });
+                }
             }
             return out;
         }
@@ -243,6 +286,7 @@ impl GaplessState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::gap::express_sender;
     use rivulet_types::{EventId, EventKind, Time};
 
     fn ev(seq: u64) -> Event {
@@ -279,7 +323,7 @@ mod tests {
     fn local_ingest_delivers_and_forwards_to_successor() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1, 2]);
-        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
         assert!(out.start_broadcast.is_none());
         assert!(
             out.relay.is_none(),
@@ -295,8 +339,8 @@ mod tests {
     fn duplicate_local_ingest_is_silent() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
-        let out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
         assert!(out.actions.is_empty());
         assert!(out.start_broadcast.is_none());
     }
@@ -304,7 +348,7 @@ mod tests {
     #[test]
     fn singleton_home_just_delivers() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let out = g.on_local_ingest(ev(0), &pids(&[0]), None);
+        let out = g.on_local_ingest(ev(0), &pids(&[0]), None, None);
         assert_eq!(deliver_count(&out.actions), 1);
         assert_eq!(out.actions.len(), 1, "no sends when alone");
     }
@@ -328,7 +372,7 @@ mod tests {
         // p0 ingests, then receives its own event back with S == V.
         let mut g = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
         let out = g.on_ring(ev(0), view.clone(), view.clone(), &view, Some(ProcessId(1)));
         assert!(out.actions.is_empty() && out.relay.is_none());
         assert!(out.start_broadcast.is_none(), "S == V means all covered");
@@ -339,7 +383,7 @@ mod tests {
         // Paper's condition: seen event again, S != V, me ∈ S.
         let mut g = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
         let out = g.on_ring(
             ev(0),
             pids(&[0, 1]),
@@ -358,7 +402,7 @@ mod tests {
         // process's ring is still progressing — do not broadcast.
         let mut g = GaplessState::new(ProcessId(2), 100, true);
         let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(0)));
+        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(0)), None);
         let out = g.on_ring(
             ev(0),
             pids(&[0, 1]),
@@ -373,26 +417,163 @@ mod tests {
     #[test]
     fn three_process_ring_full_cycle_no_failures() {
         // End-to-end hand simulation: sensor → p0 only; verify everyone
-        // delivers exactly once with exactly n ring messages.
+        // delivers exactly once with exactly n − 1 ring messages.
         let view = pids(&[0, 1, 2]);
         let mut p0 = GaplessState::new(ProcessId(0), 100, true);
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let mut out0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
+        let mut out0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
         let (_, event, seen, need) = ring_send(out0.actions.remove(1));
         let out1 = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
         assert_eq!(deliver_count(&out1.actions), 1);
         let (_, event, seen, need) = ring_send(out1.relay.expect("p1 relays"));
         let out2 = p2.on_ring(event, seen, need, &view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&out2.actions), 1);
-        let (to, event, seen, need) = ring_send(out2.relay.expect("p2 relays"));
-        assert_eq!(to, ProcessId(0));
-        // Ring returns to p0: S == V == {0,1,2} → silent completion.
-        let back = p0.on_ring(event, seen, need, &view, Some(ProcessId(1)));
-        assert!(back.actions.is_empty());
-        assert!(back.start_broadcast.is_none());
+        // p2's successor p0 is in S: S ∪ {p2} == V == {0,1,2} → p2 closes
+        // the ring silently instead of sending it back.
+        assert!(out2.closed && out2.relay.is_none());
+        assert!(out2.start_broadcast.is_none());
         assert!(p0.seen(&ev(0)) && p1.seen(&ev(0)) && p2.seen(&ev(0)));
+    }
+
+    #[test]
+    fn last_hop_with_an_uncovered_process_relays_so_its_successor_runs_the_stall_test() {
+        // p0 and p1 count p3 into V; p2 suspects it, so p2's successor is
+        // p0 ∈ S although S ∪ {p2} = {0,1,2} ≠ V ∪ view = {0,1,2,3}. p2
+        // must not close: its own flood would skip p3, the very process
+        // the ring missed. It relays, and p0 — whose view has p3 — runs
+        // the paper's stall test and floods.
+        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let out = p2.on_ring(
+            ev(0),
+            pids(&[0, 1]),
+            pids(&[0, 1, 2, 3]),
+            &pids(&[0, 1, 2]),
+            Some(ProcessId(0)),
+        );
+        assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
+        assert!(!out.closed && out.start_broadcast.is_none());
+        let (to, event, seen, need) = ring_send(out.relay.expect("S ≠ V: the ring goes on"));
+        assert_eq!(
+            (to, &seen, &need),
+            (ProcessId(0), &pids(&[0, 1, 2]), &pids(&[0, 1, 2, 3]))
+        );
+        let view0 = pids(&[0, 1, 2, 3]);
+        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
+        let _ = p0.on_local_ingest(ev(0), &view0, Some(ProcessId(1)), None);
+        let out = p0.on_ring(event, seen, need, &view0, Some(ProcessId(1)));
+        assert_eq!(
+            out.start_broadcast,
+            Some(ev(0)),
+            "flooded from a view with p3"
+        );
+    }
+
+    #[test]
+    fn express_copy_pre_marks_the_arc_to_the_host_and_never_the_host() {
+        // p1 ingests, the app's host is p4: the ordinary token is about
+        // to cover p2 and p3.
+        let view = pids(&[0, 1, 2, 3, 4]);
+        let (sender, arc) = express_sender(&view, &pids(&[1]), ProcessId(4)).expect("far host");
+        assert_eq!((sender, &arc), (ProcessId(1), &pids(&[1, 2, 3])));
+        let mut g = GaplessState::new(ProcessId(1), 100, true);
+        let express = Some((ProcessId(4), arc.clone()));
+        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(2)), express);
+        assert!(out.relay.is_none(), "both first forwards wait for the disk");
+        assert_eq!(out.actions.len(), 3);
+        let (to, event, seen, need) = ring_send(out.actions.remove(2));
+        assert_eq!((to, event), (ProcessId(4), ev(0)));
+        assert_eq!((seen, need), (arc, view.clone()));
+        // The ordinary forward is what it is without an express copy.
+        let (to, _, seen, need) = ring_send(out.actions.remove(1));
+        assert_eq!((to, seen, need), (ProcessId(2), pids(&[1]), view));
+    }
+
+    /// Runs one event, ingested at p1 with p0 as the app's host, through
+    /// a five-process ring. `express_first` is the order in which p0
+    /// receives the express copy and the ordinary token's last hop.
+    /// Returns `(messages, deliveries per process)`.
+    fn five_process_ring_with_express(express_first: bool) -> (usize, Vec<usize>) {
+        let view = pids(&[0, 1, 2, 3, 4]);
+        let succ = |p: u32| Some(ProcessId((p + 1) % 5));
+        let mut procs: Vec<GaplessState> = (0..5)
+            .map(|p| GaplessState::new(ProcessId(p), 100, true))
+            .collect();
+        let mut delivered = vec![0; 5];
+        let (_, arc) = express_sender(&view, &pids(&[1]), ProcessId(0)).expect("far host");
+        let mut out = procs[1].on_local_ingest(ev(0), &view, succ(1), Some((ProcessId(0), arc)));
+        delivered[1] += deliver_count(&out.actions);
+        let express = ring_send(out.actions.remove(2));
+        let ordinary = ring_send(out.actions.remove(1));
+        // The ordinary token walks p2 → p3 → p4 and is held at p0's door.
+        let mut messages = 2;
+        let mut token = ordinary;
+        while token.0 != ProcessId(0) {
+            let (to, event, seen, need) = token;
+            let at = to.0 as usize;
+            let out = procs[at].on_ring(event, seen, need, &view, succ(to.0));
+            assert!(out.start_broadcast.is_none() && !out.closed);
+            delivered[at] += deliver_count(&out.actions);
+            token = ring_send(out.relay.expect("the token runs all the way to the host"));
+            messages += 1;
+        }
+        assert!(
+            !token.2.contains(&ProcessId(0)),
+            "I2: the host is not pre-marked"
+        );
+        let arrivals = if express_first {
+            [express, token]
+        } else {
+            [token, express]
+        };
+        for (i, (_, event, seen, need)) in arrivals.into_iter().enumerate() {
+            let out = procs[0].on_ring(event, seen, need, &view, succ(0));
+            delivered[0] += deliver_count(&out.actions);
+            // p0's successor p1 is in both copies' S: whichever comes
+            // first closes the ring, the other is an ignored duplicate.
+            assert_eq!(out.closed, i == 0);
+            assert!(out.relay.is_none() && out.start_broadcast.is_none());
+        }
+        (messages, delivered)
+    }
+
+    #[test]
+    fn five_process_ring_with_express_delivers_once_everywhere_in_n_messages() {
+        assert_eq!(five_process_ring_with_express(true), (5, vec![1; 5]));
+    }
+
+    #[test]
+    fn express_copy_arriving_after_the_ordinary_token_is_ignored() {
+        assert_eq!(five_process_ring_with_express(false), (5, vec![1; 5]));
+    }
+
+    #[test]
+    fn host_relays_the_far_half_of_the_ring_after_an_express_copy() {
+        // I1: p3 ingests, host p0. The express copy marks {3, 4}; p0's
+        // successor p1 is not in S, so p0 forwards like any relay, and
+        // the half-ring stops at p2, whose successor is the origin.
+        let view = pids(&[0, 1, 2, 3, 4]);
+        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
+        let out = p0.on_ring(
+            ev(0),
+            pids(&[3, 4]),
+            view.clone(),
+            &view,
+            Some(ProcessId(1)),
+        );
+        assert_eq!(deliver_count(&out.actions), 1);
+        let (to, _, seen, _) = ring_send(out.relay.expect("the host keeps the ring moving"));
+        assert_eq!((to, seen), (ProcessId(1), pids(&[0, 3, 4])));
+        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let out = p2.on_ring(
+            ev(0),
+            pids(&[0, 1, 3, 4]),
+            view.clone(),
+            &view,
+            Some(ProcessId(3)),
+        );
+        assert!(out.closed && out.relay.is_none() && out.start_broadcast.is_none());
     }
 
     #[test]
@@ -404,8 +585,8 @@ mod tests {
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let mut o0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)));
-        let mut o1 = p1.on_local_ingest(ev(0), &view, Some(ProcessId(2)));
+        let mut o0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let mut o1 = p1.on_local_ingest(ev(0), &view, Some(ProcessId(2)), None);
         // p1 receives p0's ring copy: already seen, S={0}, p1 ∉ S → ignore.
         let (_, event, seen, need) = ring_send(o0.actions.remove(1));
         let r = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
@@ -426,10 +607,10 @@ mod tests {
         let mut ahead = GaplessState::new(ProcessId(0), 100, true);
         let view = pids(&[0, 1]);
         for seq in 0..5 {
-            let _ = ahead.on_local_ingest(ev(seq), &view, None);
+            let _ = ahead.on_local_ingest(ev(seq), &view, None, None);
         }
         let mut behind = GaplessState::new(ProcessId(1), 100, true);
-        let _ = behind.on_local_ingest(ev(0), &view, None);
+        let _ = behind.on_local_ingest(ev(0), &view, None, None);
 
         // New successor appears → ahead asks for watermarks.
         let req = ahead.on_successor_change(Some(ProcessId(1)));

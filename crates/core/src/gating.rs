@@ -237,10 +237,10 @@ impl DurableGate {
     }
 
     /// Flushes the log and releases everything withheld. Driven by the
-    /// `EveryInterval` flush timer and, as a backstop, by the periodic
-    /// tick, so an `EveryN` batch that never fills cannot strand its
-    /// actions. A flush at low depth is the signal that bursts have
-    /// subsided: the bound walks back.
+    /// `EveryInterval` flush timer or — under a policy without one — by
+    /// the periodic tick as a backstop, so an `EveryN` batch that never
+    /// fills cannot strand its actions. A flush at low depth is the
+    /// signal that bursts have subsided: the bound walks back.
     pub fn flush(&mut self, now: Time) -> Released {
         match self.wal.as_mut() {
             Some(wal) if wal.pending_events() > 0 || !self.withheld.is_empty() => {

@@ -52,9 +52,23 @@ impl Running {
             Delivery::Gapless => {
                 let view = self.membership.view(now);
                 let successor = self.membership.successor_in(&view);
+                // The express copy goes where a Gap event would: the
+                // believed-active host of the first subscribing app.
+                let alive = |p| self.membership.is_alive(p, now);
+                let host = self.apps[first_app].exec.believed_active(alive);
+                let express = host.and_then(|h| {
+                    let (sender, seen) = gap::express_sender(&view, &rt.reachers, h)?;
+                    (sender == self.me).then_some((h, seen))
+                });
+                let sends_express = express.is_some();
                 let tracked = event.clone();
-                let outcome = self.gapless.on_local_ingest(event, &view, successor);
+                let outcome = self
+                    .gapless
+                    .on_local_ingest(event, &view, successor, express);
                 if !outcome.actions.is_empty() {
+                    if sends_express {
+                        self.obs.inc("ring.express");
+                    }
                     // Fresh ingest: register replication tracking.
                     // The ring carries the event (no extra traffic);
                     // peers retire the entry via their keep-alive
@@ -144,6 +158,9 @@ impl Running {
                 self.admit(ctx, outcome.actions);
                 if let Some(relay) = outcome.relay {
                     self.send_action(relay);
+                }
+                if outcome.closed {
+                    self.obs.inc("ring.closed");
                 }
                 if let Some(ev) = outcome.start_broadcast {
                     self.start_broadcast(ctx, ev);

@@ -592,11 +592,14 @@ impl Running {
             self.obs
                 .add("arena.oversize", arena.oversize - prev.oversize);
         }
-        // Group-commit backstop: a partial EveryN batch (or an idle
-        // interval policy) must not withhold its actions longer than
-        // one keep-alive period.
-        let released = self.gate.flush(now);
-        self.apply_actions(ctx, released);
+        // Group-commit backstop: a partial EveryN batch must not
+        // withhold its actions longer than one keep-alive period. An
+        // interval policy has its own timer, which never idles; a flush
+        // here would be a second, unaligned commit clock.
+        if self.gate.flush_interval().is_none() {
+            let released = self.gate.flush(now);
+            self.apply_actions(ctx, released);
+        }
         self.election(ctx);
         self.repair_tick(ctx);
         ctx.set_timer(self.config.keepalive_interval, TOKEN_TICK);

@@ -4,15 +4,18 @@
 //! processes, apps — through scripted failures and check the exact
 //! per-event semantics of Gap and Gapless delivery.
 
+mod common;
+
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::config::ForwardingMode;
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
+use rivulet::core::messages::ProcMsg;
 use rivulet::core::probe::AppProbe;
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::types::{ActuationState, AppId, EventKind, ProcessId, SensorId, Time};
+use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, SensorId, Time};
 use std::sync::Arc;
 
 struct Setup {
@@ -192,4 +195,207 @@ fn delivery_is_deterministic_for_a_seed() {
         (delivered_seqs(&s.probe), s.net.metrics().messages_sent)
     };
     assert_eq!(run(77), run(77));
+}
+
+/// One WiFi hop between two processes and the sensor's radio, as the
+/// simulator's default links price a kind-only event (≈ 2 ms, ≈ 1 ms).
+const HOP: Duration = Duration::from_millis(2);
+const RADIO: Duration = Duration::from_millis(1);
+
+/// The volatile five-host home of `tests/common`: app at host 0, ring
+/// 0 → 1 → 2 → 3 → 4 → 0, one Gapless sensor heard by `heard_by`.
+fn ring_home(seed: u64, schedule: EmissionSchedule, heard_by: &[usize]) -> common::Setup {
+    common::deploy(
+        seed,
+        None,
+        RivuletConfig::default(),
+        schedule,
+        heard_by,
+        true,
+    )
+}
+
+/// How many ring messages the home's processes received.
+fn ring_messages(s: &common::Setup) -> u64 {
+    let msgs = common::peer_msgs(s);
+    let rings = msgs.iter().filter(|m| matches!(m.2, ProcMsg::Ring { .. }));
+    rings.count() as u64
+}
+
+fn median(mut delays: Vec<Duration>) -> Duration {
+    delays.sort_unstable();
+    delays[delays.len() / 2]
+}
+
+/// Shape of the express lane. A sensor heard only by host 1 — four ring
+/// hops from the app — is delivered one hop after the radio, and the
+/// event still costs n ring messages: four ordinary forwards and the
+/// express copy, none to close the ring. A sensor the host hears itself
+/// costs n − 1.
+#[test]
+fn far_sensor_is_delivered_at_one_hop_in_n_ring_messages() {
+    let mut far = ring_home(31, common::paced(100), &[1]);
+    far.net.recorder().set_enabled(true);
+    far.net.run_until(Time::from_secs(10));
+    let events = far.emissions.emitted();
+    assert_eq!(events, 100);
+    assert_eq!(far.probe.deliveries().len(), far.probe.unique_delivered());
+    assert_eq!(far.probe.unique_delivered() as u64, events);
+    let delay = median(far.probe.delays());
+    assert!(
+        delay <= RADIO + HOP + Duration::from_micros(200),
+        "median {delay}: the event walked the ring to its app"
+    );
+    assert_eq!(ring_messages(&far), 5 * events);
+    let obs = far.net.obs_snapshot();
+    assert_eq!(obs.counter("ring.express"), events);
+    assert_eq!(obs.counter("ring.closed"), events);
+
+    let mut near = ring_home(31, common::paced(100), &[0]);
+    near.net.run_until(Time::from_secs(10));
+    let events = near.emissions.emitted();
+    assert_eq!(near.probe.unique_delivered() as u64, events);
+    assert_eq!(ring_messages(&near), 4 * events);
+    // No express copy here — and with the recorder off, no counter.
+    let obs = near.net.obs_snapshot();
+    assert_eq!(obs.counter("ring.express") + obs.counter("ring.closed"), 0);
+}
+
+/// Guards I2 (DESIGN §4.1): the ordinary token never pre-marks the
+/// host, so a lost express copy costs latency and nothing else. The
+/// origin ↔ host link is cut for 1.5 s — shorter than the failure
+/// timeout, so no view changes — while both still reach everyone else:
+/// every event reaches the app exactly once and in order, the ones
+/// emitted during the cut by the ordinary ring, four hops late.
+#[test]
+fn a_lost_express_copy_costs_latency_and_nothing_else() {
+    let mut s = ring_home(32, common::paced(100), &[1]);
+    let (origin, host) = (s.home.actor_of(s.pids[1]), s.home.actor_of(s.pids[0]));
+    let (cut, healed) = (Time::from_millis(4_000), Time::from_millis(5_500));
+    s.net.partition_at(cut, vec![vec![origin], vec![host]]);
+    s.net.heal_at(healed);
+    s.net.run_until(Time::from_secs(10));
+
+    let deliveries = s.probe.deliveries();
+    let in_order: Vec<u64> = (0..100).collect();
+    assert_eq!(common::delivered_seqs(&s.probe), in_order, "exactly once");
+    let promotions = s.probe.transitions().iter().filter(|t| t.2).count();
+    assert_eq!(promotions, 1, "the cut is too short to move the app");
+    // Events within 20 ms of either edge are left unjudged.
+    let emitted_in = |from_ms: u64, to_ms: u64| {
+        let (from, to) = (Time::from_millis(from_ms), Time::from_millis(to_ms));
+        let inside = deliveries
+            .iter()
+            .filter(move |d| d.emitted_at > from && d.emitted_at < to);
+        inside.map(|d| d.delay()).collect::<Vec<_>>()
+    };
+    let during = emitted_in(4_020, 5_480);
+    assert!(during.len() > 10, "only {} events in the cut", during.len());
+    let ring_path = RADIO + HOP.saturating_mul(4);
+    assert!(during.iter().all(|d| *d >= ring_path), "{during:?}");
+    let outside = [emitted_in(0, 3_980), emitted_in(5_520, 10_000)].concat();
+    let two_hops = RADIO + HOP.saturating_mul(2);
+    assert!(outside.iter().all(|d| *d < two_hops), "{outside:?}");
+}
+
+/// Guards I1 (DESIGN §4.1): an express copy replaces no forward of the
+/// ordinary ring, so a relay that dies between the origin and the host
+/// is handled as it was. Host 3 dies; until the views drop it the
+/// token stops there, yet the host delivers events 3 and 4 at one hop.
+/// Host 4, behind the dead relay, gets them when the origin's
+/// `rbcast.track` entries outlive the failure timeout and flood, and
+/// the app sees no duplicate. (The emissions are sparse on purpose: a
+/// later event would raise host 4's received watermark over the hole
+/// and retire those entries unrepaired — ROADMAP item 2a, as before.)
+#[test]
+fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
+    let emissions = common::script(&[1000, 2000, 3000, 4100, 4300, 8000, 8200, 8400]);
+    let mut s = ring_home(33, emissions, &[1]);
+    let origin = s.home.actor_of(s.pids[1]);
+    s.net
+        .crash_at(s.home.actor_of(s.pids[3]), Time::from_secs(4));
+    s.net.run_until(Time::from_secs(10));
+
+    let in_order: Vec<u64> = (0..8).collect();
+    assert_eq!(common::delivered_seqs(&s.probe), in_order, "exactly once");
+    let worst = s.probe.delays().into_iter().max().expect("events");
+    assert!(
+        worst <= RADIO + HOP + Duration::from_micros(200),
+        "a delivery took {worst}: it waited for the dead relay"
+    );
+
+    let mut flooded: Vec<u64> = common::peer_msgs(&s)
+        .into_iter()
+        .filter_map(|(_, from, msg)| match msg {
+            ProcMsg::Broadcast { event, .. } if from == origin => Some(event.id.seq),
+            _ => None,
+        })
+        .collect();
+    flooded.sort_unstable();
+    flooded.dedup();
+    assert_eq!(flooded, vec![3, 4], "the stalled events, and only they");
+    let samples = s.store_probe.samples();
+    let of_host_4 = samples.iter().filter(|(_, p, _)| *p == s.pids[4]);
+    let held = of_host_4.map(|(_, _, len)| *len).next_back();
+    assert_eq!(held, Some(8), "host 4 was repaired");
+}
+
+/// Guards the self-closing rule's condition (DESIGN §4.1): a last hop
+/// closes the ring only when `S = V`. The link host 1 ↔ host 2 is cut
+/// for good; once both views have dropped the other end, host 1's
+/// successor is the origin, host 3 — in `S`, while host 2 is in `V` and
+/// not in `S`. Host 1 cannot reach host 2, so a flood of its own view
+/// would repair nobody: it relays, the origin's stall test floods a
+/// view that has host 2, and host 2 holds the event a few hops after
+/// its emission instead of a failure timeout later. (No emission while
+/// the views still disagree: ROADMAP item 2a, as in the test above.)
+#[test]
+fn a_process_the_last_hop_suspects_is_repaired_by_the_origins_flood() {
+    let emitted_ms = [1000, 2000, 6000, 6200, 6400];
+    let mut s = ring_home(34, common::script(&emitted_ms), &[3]);
+    let (origin, cut_off) = (s.home.actor_of(s.pids[3]), s.pids[2]);
+    let ends = vec![
+        vec![s.home.actor_of(s.pids[1])],
+        vec![s.home.actor_of(cut_off)],
+    ];
+    s.net.partition_at(Time::from_millis(2_500), ends);
+    s.net.run_until(Time::from_secs(8));
+
+    let in_order: Vec<u64> = (0..5).collect();
+    assert_eq!(common::delivered_seqs(&s.probe), in_order, "exactly once");
+    // The origin's flood: radio, express copy, host 0 → host 1 → origin.
+    let stall_seen = RADIO + HOP.saturating_mul(3) + Duration::from_micros(500);
+    let mut flooded = Vec::new();
+    for (at, from, msg) in common::peer_msgs(&s) {
+        match msg {
+            ProcMsg::Broadcast { event, .. } if from == origin => {
+                let emitted = Time::from_millis(emitted_ms[event.id.seq as usize]);
+                // One more hop to arrive where the tap sees it.
+                assert!(
+                    at <= emitted + stall_seen + HOP,
+                    "seq {} at {at}",
+                    event.id.seq
+                );
+                flooded.push(event.id.seq);
+            }
+            _ => {}
+        }
+    }
+    flooded.sort_unstable();
+    flooded.dedup();
+    assert_eq!(
+        flooded,
+        vec![2, 3, 4],
+        "every event host 2 was cut off from"
+    );
+    // Host 2's store, sampled on its keep-alive tick, within one second.
+    let samples = s.store_probe.samples();
+    let held_at = |ms: u64| {
+        let of_host_2 = samples
+            .iter()
+            .filter(|(at, p, _)| *p == cut_off && at.as_millis() <= ms);
+        of_host_2.map(|(_, _, len)| *len).next_back()
+    };
+    assert_eq!(held_at(5_900), Some(2));
+    assert_eq!(held_at(7_000), Some(5), "repaired without the grace period");
 }

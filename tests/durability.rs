@@ -3,93 +3,19 @@
 //! (actor crash *plus* disk losing its unsynced tail), and recovers its
 //! event store and processed watermarks from the log.
 
+mod common;
+
+use common::{delivered_seqs, deploy, peer_msgs, script, wal_options, Setup};
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
-use rivulet::core::deploy::{Driver, Home, HomeBuilder};
-use rivulet::core::messages::{Frame, ProcMsg};
-use rivulet::core::probe::{AppProbe, StoreProbe};
+use rivulet::core::deploy::HomeBuilder;
+use rivulet::core::messages::ProcMsg;
 use rivulet::core::RivuletConfig;
-use rivulet::devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
-use rivulet::net::actor::{Actor, ActorEvent, ActorId, Context};
-use rivulet::net::link::ActorClass;
-use rivulet::net::metrics::FanoutStats;
+use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::obs::Recorder;
-use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
-use rivulet::types::wire::Wire;
+use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal};
 use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, Time};
-use std::sync::{Arc, Mutex};
-
-struct Setup {
-    net: SimNet,
-    home: Home,
-    probe: Arc<AppProbe>,
-    store_probe: Arc<StoreProbe>,
-    emissions: Arc<EmissionProbe>,
-    pids: Vec<ProcessId>,
-    backends: Vec<Arc<SimBackend>>,
-    /// What the process actors were sent, when the home is tapped.
-    heard: Heard,
-}
-
-/// Every message a process actor received: when, from whom, the bytes.
-type Heard = Arc<Mutex<Vec<(Time, ActorId, Vec<u8>)>>>;
-
-/// A process actor that notes each inbound message before handling it.
-struct Tap {
-    inner: Box<dyn Actor>,
-    heard: Heard,
-}
-
-impl Actor for Tap {
-    fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
-        if let ActorEvent::Message { from, payload } = &event {
-            let entry = (ctx.now(), *from, payload.to_vec());
-            self.heard.lock().expect("tap lock").push(entry);
-        }
-        self.inner.on_event(ctx, event);
-    }
-}
-
-/// Deploys onto `net`, wrapping every process actor in a [`Tap`] when
-/// there is a `tap` to record into.
-struct TapDriver<'a> {
-    net: &'a mut SimNet,
-    tap: Option<Heard>,
-}
-
-impl Driver for TapDriver<'_> {
-    fn add_boxed_actor(
-        &mut self,
-        name: &str,
-        class: ActorClass,
-        mut factory: Box<dyn FnMut() -> Box<dyn Actor> + Send>,
-    ) -> ActorId {
-        let tap = self.tap.clone().filter(|_| class == ActorClass::Process);
-        self.net.add_actor(name, class, move || match &tap {
-            Some(heard) => Box::new(Tap {
-                inner: factory(),
-                heard: Arc::clone(heard),
-            }),
-            None => factory(),
-        })
-    }
-
-    fn fanout_stats(&self) -> Arc<FanoutStats> {
-        Arc::clone(&self.net.metrics().fanout)
-    }
-
-    fn recorder(&self) -> Recorder {
-        self.net.recorder()
-    }
-}
-
-fn wal_options(policy: FlushPolicy) -> WalOptions {
-    WalOptions {
-        flush_policy: policy,
-        segment_max_bytes: 64 * 1024,
-    }
-}
+use std::sync::Arc;
 
 /// The `failover.rs` standard home (five hosts, one Gapless sensor at
 /// 10 ev/s heard by all, app anchored at host 0) with a per-process
@@ -104,72 +30,6 @@ fn durable_home(seed: u64, policy: FlushPolicy, config: RivuletConfig) -> Setup 
         &[0, 1, 2, 3, 4],
         false,
     )
-}
-
-/// Five hosts, the app anchored at host 0, one Gapless sensor heard by
-/// the hosts `heard_by` and, given a `policy`, a simulated disk per
-/// process.
-fn deploy(
-    seed: u64,
-    policy: Option<FlushPolicy>,
-    config: RivuletConfig,
-    schedule: EmissionSchedule,
-    heard_by: &[usize],
-    tapped: bool,
-) -> Setup {
-    let mut net = SimNet::new(SimConfig::with_seed(seed));
-    let heard = Heard::default();
-    let mut driver = TapDriver {
-        net: &mut net,
-        tap: tapped.then(|| Arc::clone(&heard)),
-    };
-    let mut home = HomeBuilder::new(&mut driver).with_config(config);
-    let pids: Vec<ProcessId> = (0..5).map(|i| home.add_host(format!("host{i}"))).collect();
-    let backends: Vec<Arc<SimBackend>> = (0..5)
-        .map(|i| Arc::new(SimBackend::new(seed.wrapping_mul(31).wrapping_add(i))))
-        .collect();
-    if let Some(policy) = policy {
-        let for_factory = backends.clone();
-        home = home.with_storage(
-            wal_options(policy),
-            Duration::from_secs(5),
-            move |pid: ProcessId| {
-                Arc::clone(&for_factory[pid.as_u32() as usize]) as Arc<dyn StorageBackend>
-            },
-        );
-    }
-    let store_probe = home.with_store_probe();
-    let hearers: Vec<ProcessId> = heard_by.iter().map(|i| pids[*i]).collect();
-    let (sensor, emissions) = home.add_push_sensor(
-        "motion",
-        PayloadSpec::KindOnly(EventKind::Motion),
-        schedule,
-        &hearers,
-    );
-    let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &[pids[0]]);
-    let app = AppBuilder::new(AppId(1), "activity")
-        .operator(
-            "sink",
-            CombinerSpec::Any,
-            |_: &mut OpCtx, _: &CombinedWindows| {},
-        )
-        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
-        .actuator(anchor, Delivery::Gapless)
-        .done()
-        .build()
-        .expect("valid app");
-    let probe = home.add_app(app);
-    let home = home.build();
-    Setup {
-        net,
-        home,
-        probe,
-        store_probe,
-        emissions,
-        pids,
-        backends,
-        heard,
-    }
 }
 
 /// Crashes the active process at 24s together with its disk's unsynced
@@ -349,21 +209,12 @@ fn far_sensor_home(policy: Option<FlushPolicy>, schedule: EmissionSchedule, tapp
     deploy(21, policy, RivuletConfig::default(), schedule, &[1], tapped)
 }
 
-/// Emission instants `at` (milliseconds), as a sensor script.
-fn script(at: &[u64]) -> EmissionSchedule {
-    EmissionSchedule::Script(at.iter().map(|ms| Time::from_millis(*ms)).collect())
-}
-
 /// Sequence numbers of the events a process would recover from its
 /// disk right now, in log order.
 fn seqs_on_disk(backend: &Arc<SimBackend>) -> Vec<u64> {
     let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
     let (_, recovered) = Wal::open(storage, wal_options(FlushPolicy::PerEvent)).expect("reopen");
     recovered.events.iter().map(|e| e.id.seq).collect()
-}
-
-fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
-    probe.deliveries().iter().map(|d| d.event.seq).collect()
 }
 
 /// Shape of the durable ring path, in virtual time: the ingest process
@@ -443,17 +294,10 @@ fn a_relay_lost_between_forward_and_flush_harms_nobody() {
 
     // Possession is advertised only past the gate: no beacon the relay
     // ever sent acknowledged event 2.
-    let heard = s.heard.lock().expect("tap lock");
-    let from_relay = heard.iter().filter(|(_, from, _)| *from == relay);
     let mut beacons = 0;
-    for (at, _, payload) in from_relay {
-        let msgs = if Frame::sniff(payload) {
-            Frame::from_bytes(payload).expect("frame").msgs
-        } else {
-            vec![ProcMsg::from_bytes(payload).expect("message")]
-        };
-        for msg in msgs {
-            if let ProcMsg::KeepAlive { received, .. } = msg {
+    for (at, from, msg) in peer_msgs(&s) {
+        if let ProcMsg::KeepAlive { received, .. } = msg {
+            if from == relay {
                 beacons += 1;
                 assert!(
                     received.iter().all(|(_, seq)| *seq < 2),
@@ -463,4 +307,18 @@ fn a_relay_lost_between_forward_and_flush_harms_nobody() {
         }
     }
     assert!(beacons > 0, "the relay's beacons were seen");
+}
+
+/// Under an interval policy the flush timer is the only commit clock.
+/// It fires at multiples of 300 ms here and the keep-alive tick at
+/// multiples of 500 ms: an event admitted at 951 ms is released by the
+/// flush at 1200 ms, not by the tick at 1000 ms.
+#[test]
+fn the_keepalive_tick_does_not_flush_an_interval_policy() {
+    let policy = FlushPolicy::EveryInterval(Duration::from_millis(300));
+    let config = RivuletConfig::default();
+    let mut s = deploy(21, Some(policy), config, script(&[950]), &[0], false);
+    s.net.run_until(Time::from_secs(2));
+    let released: Vec<Time> = s.probe.deliveries().iter().map(|d| d.at).collect();
+    assert_eq!(released, vec![Time::from_millis(1200)]);
 }

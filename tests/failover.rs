@@ -1,6 +1,8 @@
 //! Integration tests for the execution service (paper §5, §8.4):
 //! promotion, demotion, replay, and repeated failovers.
 
+mod common;
+
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
@@ -8,6 +10,7 @@ use rivulet::core::probe::AppProbe;
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
+use rivulet::storage::FlushPolicy;
 use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, Time};
 use std::sync::Arc;
 
@@ -183,4 +186,39 @@ fn sensor_crash_is_survived_and_resumed() {
         .count();
     assert_eq!(during, 0, "a dead sensor reports nothing");
     assert!(after > 50, "events resume after sensor recovery: {after}");
+}
+
+/// Guards I3 (DESIGN §4.1): an express copy waits at its origin's gate
+/// and the host's delivery at the host's own, so a host that loses
+/// power with express copies in flight — on the wire, or received and
+/// not yet flushed — takes nothing with it. The sensor is heard only
+/// by host 1; host 0 and its disk's unsynced tail go at 4 s; host 1,
+/// promoted, replays every event host 0 had not processed from its own
+/// store, and events emitted while host 0 was still in its view too.
+#[test]
+fn host_crash_with_express_copies_in_flight_loses_nothing() {
+    let policy = FlushPolicy::EveryInterval(Duration::from_millis(50));
+    let config = RivuletConfig::default();
+    let mut s = common::deploy(41, Some(policy), config, common::paced(100), &[1], false);
+    let crash = Time::from_secs(4);
+    s.net.crash_at(s.home.actor_of(s.pids[0]), crash);
+    s.net.run_until(crash);
+    s.backends[0].crash();
+    s.net.run_until(Time::from_secs(12));
+
+    let deliveries = s.probe.deliveries();
+    let mut seqs = common::delivered_seqs(&s.probe);
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(
+        seqs,
+        (0..100).collect::<Vec<_>>(),
+        "gapless across the crash"
+    );
+    let after = deliveries.iter().filter(|d| d.at > crash);
+    assert!(
+        after.clone().count() >= 59,
+        "events 41.. were emitted after"
+    );
+    assert!(after.clone().all(|d| d.by == s.pids[1]), "by the shadow");
 }
