@@ -9,7 +9,7 @@ use rivulet_core::delivery::gapless::GaplessState;
 use rivulet_core::messages::ProcMsg;
 use rivulet_core::store::EventStore;
 use rivulet_types::wire::Wire;
-use rivulet_types::{Event, EventId, EventKind, Payload, ProcessId, SensorId, Time};
+use rivulet_types::{Event, EventId, EventKind, Payload, ProcSet, ProcessId, SensorId, Time};
 use std::hint::black_box;
 
 fn event_of(bytes: usize, seq: u64) -> Event {
@@ -49,7 +49,8 @@ fn bench_wire_codec(c: &mut Criterion) {
 
 fn bench_ring_handling(c: &mut Criterion) {
     c.bench_function("gapless_ring_step", |b| {
-        let view: Vec<ProcessId> = (0..5).map(ProcessId).collect();
+        let everyone: Vec<ProcessId> = (0..5).map(ProcessId).collect();
+        let view: ProcSet = everyone.iter().copied().collect();
         let mut seq = 0u64;
         let mut state = GaplessState::new(ProcessId(1), 1_000_000, true);
         b.iter(|| {
@@ -57,8 +58,8 @@ fn bench_ring_handling(c: &mut Criterion) {
             let outcome = state.on_ring(
                 event_of(4, seq),
                 vec![ProcessId(0)],
-                view.clone(),
-                &view,
+                everyone.clone(),
+                view,
                 Some(ProcessId(2)),
             );
             black_box((outcome.actions.len(), outcome.relay.is_some()))

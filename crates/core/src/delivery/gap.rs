@@ -8,7 +8,7 @@
 //! in the application's event stream — the trade-off Table 1 apps
 //! accept in exchange for near-zero overhead.
 
-use rivulet_types::ProcessId;
+use rivulet_types::{ProcSet, ProcessId};
 
 /// Decides which process should forward a sensor's events to the
 /// application-bearing process, per the Gap chain rule.
@@ -27,7 +27,7 @@ use rivulet_types::ProcessId;
 #[must_use]
 pub fn forwarder(
     chain: &[ProcessId],
-    reachers: &[ProcessId],
+    reachers: ProcSet,
     alive: impl Fn(ProcessId) -> bool,
     active_logic: ProcessId,
 ) -> Option<ProcessId> {
@@ -35,7 +35,6 @@ pub fn forwarder(
     let logic_pos = pos(active_logic)?;
     reachers
         .iter()
-        .copied()
         .filter(|p| alive(*p))
         .filter_map(|p| pos(p).map(|i| (i, p)))
         .min_by_key(|(i, _)| (i.abs_diff(logic_pos), *i))
@@ -48,8 +47,8 @@ pub fn forwarder(
 /// wait for the ring to walk there, and which processes that copy
 /// marks as seen.
 ///
-/// * `view` — the caller's local view: the live processes in ring
-///   order (ascending ids, cyclically).
+/// * `view` — the caller's local view: the live processes, in ring
+///   order when walked by ascending id, cyclically.
 /// * `reachers` — processes that can hear the physical sensor; one
 ///   outside `view` is suspected and skipped.
 ///
@@ -57,31 +56,30 @@ pub fn forwarder(
 /// reacher after `host` in ring order: the arc its ordinary token covers
 /// on the way to `host` contains every other reacher, so the half-ring
 /// `host` starts ends at that sender and an event costs n messages
-/// whatever the reacher layout. `S` is that arc, sorted: the sender and
-/// the view members strictly between it and `host`, never `host`.
+/// whatever the reacher layout. `S` is that arc: the sender and the view
+/// members strictly between it and `host`, never `host`.
 /// Returns `None` when `host` or its ring predecessor is a live reacher
 /// — the event is at most one hop away already, and a copy would only
 /// race the ordinary forward — and when `host` is not in `view`.
 #[must_use]
 pub fn express_sender(
-    view: &[ProcessId],
-    reachers: &[ProcessId],
+    view: ProcSet,
+    reachers: ProcSet,
     host: ProcessId,
-) -> Option<(ProcessId, Vec<ProcessId>)> {
-    let host_at = view.iter().position(|p| *p == host)?;
-    let predecessor = view[(host_at + view.len() - 1) % view.len()];
-    if reachers.contains(&host) || reachers.contains(&predecessor) {
+) -> Option<(ProcessId, ProcSet)> {
+    if !view.contains(host) || reachers.contains(host) {
         return None;
     }
-    // Everyone but the host, in ring order from its successor to its
-    // predecessor: the arc is the tail that starts at the first reacher.
-    let after_host = view.iter().cycle().skip(host_at + 1).take(view.len() - 1);
-    let mut arc: Vec<ProcessId> = after_host
-        .skip_while(|p| !reachers.contains(p))
-        .copied()
-        .collect();
-    let sender = *arc.first()?;
-    arc.sort_unstable();
+    if reachers.contains(view.predecessor_of(host)?) {
+        return None;
+    }
+    let sender = reachers.intersection(view).successor_of(host)?;
+    let mut arc = ProcSet::EMPTY;
+    let mut at = sender;
+    while at != host {
+        arc.insert(at);
+        at = view.successor_of(at)?;
+    }
     Some((sender, arc))
 }
 
@@ -103,7 +101,7 @@ pub enum GapRole {
 pub fn role_of(
     me: ProcessId,
     chain: &[ProcessId],
-    reachers: &[ProcessId],
+    reachers: ProcSet,
     alive: impl Fn(ProcessId) -> bool,
     active_logic: ProcessId,
 ) -> GapRole {
@@ -124,51 +122,51 @@ mod tests {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
+    fn set(ids: &[u32]) -> ProcSet {
+        ids.iter().map(|i| ProcessId(*i)).collect()
+    }
+
     const ALL_ALIVE: fn(ProcessId) -> bool = |_| true;
 
     #[test]
     fn express_sender_is_the_first_live_reacher_after_a_far_host() {
-        let ring = pids(&[0, 1, 2, 3, 4]);
-        let without_2 = pids(&[0, 1, 3, 4]);
-        let sender = |view: &[ProcessId], reachers: &[u32], host: u32| {
-            express_sender(view, &pids(reachers), ProcessId(host)).map(|(p, _)| p.0)
+        let ring = set(&[0, 1, 2, 3, 4]);
+        let without_2 = set(&[0, 1, 3, 4]);
+        let sender = |view: ProcSet, reachers: &[u32], host: u32| {
+            express_sender(view, set(reachers), ProcessId(host)).map(|(p, _)| p.0)
         };
-        let arc = |view: &[ProcessId], reachers: &[u32], host: u32| {
-            express_sender(view, &pids(reachers), ProcessId(host)).map(|(_, seen)| seen)
+        let arc = |view: ProcSet, reachers: &[u32], host: u32| {
+            express_sender(view, set(reachers), ProcessId(host)).map(|(_, seen)| seen)
         };
-        assert_eq!(sender(&ring, &[0, 2], 0), None, "the host hears the sensor");
-        assert_eq!(sender(&ring, &[2, 4], 0), None, "its ring predecessor does");
-        assert_eq!(sender(&ring, &[1], 2), None, "predecessor, mid-ring host");
-        assert_eq!(sender(&ring, &[1], 0), Some(1), "farthest from the host");
+        assert_eq!(sender(ring, &[0, 2], 0), None, "the host hears the sensor");
+        assert_eq!(sender(ring, &[2, 4], 0), None, "its ring predecessor does");
+        assert_eq!(sender(ring, &[1], 2), None, "predecessor, mid-ring host");
+        assert_eq!(sender(ring, &[1], 0), Some(1), "farthest from the host");
         assert_eq!(
-            sender(&ring, &[2, 3], 0),
+            sender(ring, &[2, 3], 0),
             Some(2),
             "two far reachers, one sender"
         );
         assert_eq!(
-            sender(&ring, &[3, 2], 0),
+            sender(ring, &[3, 2], 0),
             Some(2),
             "whatever the listing order"
         );
+        assert_eq!(sender(ring, &[0, 1], 3), Some(0), "ring order wraps around");
         assert_eq!(
-            sender(&ring, &[0, 1], 3),
-            Some(0),
-            "ring order wraps around"
-        );
-        assert_eq!(
-            sender(&without_2, &[2, 3], 0),
+            sender(without_2, &[2, 3], 0),
             Some(3),
             "suspected reacher skipped"
         );
-        assert_eq!(sender(&without_2, &[1], 2), None, "host outside the view");
-        assert_eq!(sender(&ring, &[], 0), None, "nobody hears the sensor");
+        assert_eq!(sender(without_2, &[1], 2), None, "host outside the view");
+        assert_eq!(sender(ring, &[], 0), None, "nobody hears the sensor");
         // The copy's S: the sender and everyone strictly between it and
         // the host, sorted — never the host, and wrapping with the ring.
-        assert_eq!(arc(&ring, &[1], 4), Some(pids(&[1, 2, 3])));
-        assert_eq!(arc(&ring, &[2, 3], 0), Some(pids(&[2, 3, 4])));
-        assert_eq!(arc(&ring, &[3], 1), Some(pids(&[0, 3, 4])));
-        assert_eq!(arc(&without_2, &[1], 4), Some(pids(&[1, 3])));
-        assert_eq!(sender(&pids(&[0]), &[0], 0), None, "alone");
+        assert_eq!(arc(ring, &[1], 4), Some(set(&[1, 2, 3])));
+        assert_eq!(arc(ring, &[2, 3], 0), Some(set(&[2, 3, 4])));
+        assert_eq!(arc(ring, &[3], 1), Some(set(&[0, 3, 4])));
+        assert_eq!(arc(without_2, &[1], 4), Some(set(&[1, 3])));
+        assert_eq!(sender(set(&[0]), &[0], 0), None, "alone");
     }
 
     #[test]
@@ -177,17 +175,17 @@ mod tests {
         // door sensor reaches TV and fridge; logic is active at hub.
         // TV (distance 1) forwards; fridge discards.
         let chain = pids(&[0, 1, 2]);
-        let reachers = pids(&[1, 2]);
+        let reachers = set(&[1, 2]);
         assert_eq!(
-            forwarder(&chain, &reachers, ALL_ALIVE, ProcessId(0)),
+            forwarder(&chain, reachers, ALL_ALIVE, ProcessId(0)),
             Some(ProcessId(1))
         );
         assert_eq!(
-            role_of(ProcessId(1), &chain, &reachers, ALL_ALIVE, ProcessId(0)),
+            role_of(ProcessId(1), &chain, reachers, ALL_ALIVE, ProcessId(0)),
             GapRole::ForwardTo(ProcessId(0))
         );
         assert_eq!(
-            role_of(ProcessId(2), &chain, &reachers, ALL_ALIVE, ProcessId(0)),
+            role_of(ProcessId(2), &chain, reachers, ALL_ALIVE, ProcessId(0)),
             GapRole::Discard
         );
     }
@@ -195,14 +193,14 @@ mod tests {
     #[test]
     fn app_host_reaching_sensor_delivers_locally() {
         let chain = pids(&[0, 1, 2]);
-        let reachers = pids(&[0, 1]);
+        let reachers = set(&[0, 1]);
         assert_eq!(
-            role_of(ProcessId(0), &chain, &reachers, ALL_ALIVE, ProcessId(0)),
+            role_of(ProcessId(0), &chain, reachers, ALL_ALIVE, ProcessId(0)),
             GapRole::DeliverLocally
         );
         // And the forwarder computation also picks it (distance 0).
         assert_eq!(
-            forwarder(&chain, &reachers, ALL_ALIVE, ProcessId(0)),
+            forwarder(&chain, reachers, ALL_ALIVE, ProcessId(0)),
             Some(ProcessId(0))
         );
     }
@@ -210,15 +208,15 @@ mod tests {
     #[test]
     fn forwarder_failover_moves_down_the_chain() {
         let chain = pids(&[0, 1, 2]);
-        let reachers = pids(&[1, 2]);
+        let reachers = set(&[1, 2]);
         // TV (p1) crashed: fridge becomes closest live reacher.
         let alive = |p: ProcessId| p != ProcessId(1);
         assert_eq!(
-            forwarder(&chain, &reachers, alive, ProcessId(0)),
+            forwarder(&chain, reachers, alive, ProcessId(0)),
             Some(ProcessId(2))
         );
         assert_eq!(
-            role_of(ProcessId(2), &chain, &reachers, alive, ProcessId(0)),
+            role_of(ProcessId(2), &chain, reachers, alive, ProcessId(0)),
             GapRole::ForwardTo(ProcessId(0))
         );
     }
@@ -228,9 +226,9 @@ mod tests {
         // Logic at position 1; reachers at positions 0 and 2 are
         // equidistant — the earlier chain position wins.
         let chain = pids(&[10, 11, 12]);
-        let reachers = pids(&[10, 12]);
+        let reachers = set(&[10, 12]);
         assert_eq!(
-            forwarder(&chain, &reachers, ALL_ALIVE, ProcessId(11)),
+            forwarder(&chain, reachers, ALL_ALIVE, ProcessId(11)),
             Some(ProcessId(10))
         );
     }
@@ -238,11 +236,11 @@ mod tests {
     #[test]
     fn no_live_reacher_means_nobody_forwards() {
         let chain = pids(&[0, 1, 2]);
-        let reachers = pids(&[1, 2]);
+        let reachers = set(&[1, 2]);
         let alive = |p: ProcessId| p == ProcessId(0);
-        assert_eq!(forwarder(&chain, &reachers, alive, ProcessId(0)), None);
+        assert_eq!(forwarder(&chain, reachers, alive, ProcessId(0)), None);
         assert_eq!(
-            role_of(ProcessId(1), &chain, &reachers, alive, ProcessId(0)),
+            role_of(ProcessId(1), &chain, reachers, alive, ProcessId(0)),
             GapRole::Discard
         );
     }
@@ -250,16 +248,13 @@ mod tests {
     #[test]
     fn unknown_logic_process_yields_none() {
         let chain = pids(&[0, 1]);
-        assert_eq!(
-            forwarder(&chain, &pids(&[0]), ALL_ALIVE, ProcessId(9)),
-            None
-        );
+        assert_eq!(forwarder(&chain, set(&[0]), ALL_ALIVE, ProcessId(9)), None);
     }
 
     #[test]
     fn reacher_outside_chain_is_ignored() {
         let chain = pids(&[0, 1]);
-        let reachers = pids(&[5]);
-        assert_eq!(forwarder(&chain, &reachers, ALL_ALIVE, ProcessId(0)), None);
+        let reachers = set(&[5]);
+        assert_eq!(forwarder(&chain, reachers, ALL_ALIVE, ProcessId(0)), None);
     }
 }

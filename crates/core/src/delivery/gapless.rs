@@ -10,6 +10,9 @@
 //!
 //! The ring message is the paper's `(e : S : V)` triple — the event,
 //! the processes that have *seen* it, and the processes that *need* it.
+//! Both sets, like the local view, are [`ProcSet`] bitmasks here, so
+//! every rule below is a word operation: `S ∪ {me}`, `V ∪ view`, `S = V`,
+//! `me ∈ S`.
 //! The fallback trigger is exactly the paper's condition: a process
 //! that receives an event it has already seen, with `S ≠ V` and itself
 //! in `S`, knows the ring stalled before covering `V`, and broadcasts.
@@ -26,7 +29,7 @@
 //! token walks the arc. An event heard by one process costs n − 1
 //! messages without an express copy and n with one.
 
-use rivulet_types::{Event, ProcessId, SensorId};
+use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
 use crate::messages::ProcMsg;
 use crate::store::EventStore;
@@ -113,9 +116,9 @@ impl GaplessState {
     pub fn on_local_ingest(
         &mut self,
         event: Event,
-        view: &[ProcessId],
+        view: ProcSet,
         successor: Option<ProcessId>,
-        express: Option<(ProcessId, Vec<ProcessId>)>,
+        express: Option<(ProcessId, ProcSet)>,
     ) -> GaplessOutcome {
         let mut out = GaplessOutcome::default();
         if !self.store.insert(event.clone()) {
@@ -130,19 +133,11 @@ impl GaplessState {
         };
         let express = express.map(|(host, seen)| Action::Send {
             to: host,
-            msg: ProcMsg::Ring {
-                event: event.clone(),
-                seen,
-                need: view.to_vec(),
-            },
+            msg: ring_msg(event.clone(), seen, view),
         });
         out.actions.push(Action::Send {
             to: succ,
-            msg: ProcMsg::Ring {
-                event,
-                seen: vec![self.me],
-                need: view.to_vec(),
-            },
+            msg: ring_msg(event, ProcSet::singleton(self.me), view),
         });
         out.actions.extend(express);
         out
@@ -157,15 +152,20 @@ impl GaplessState {
     /// view and so in `S`, would ignore the message, and it is not sent.
     /// With `S ≠ V` it is sent even to a successor in `S`, whose stall
     /// test floods *its* view, which may reach a process ours skips.
+    ///
+    /// `seen` and `need` are the message's own lists; a relay refills
+    /// and sends them on.
     pub fn on_ring(
         &mut self,
         event: Event,
-        seen: Vec<ProcessId>,
-        need: Vec<ProcessId>,
-        view: &[ProcessId],
+        mut seen: Vec<ProcessId>,
+        mut need: Vec<ProcessId>,
+        view: ProcSet,
         successor: Option<ProcessId>,
     ) -> GaplessOutcome {
         let mut out = GaplessOutcome::default();
+        let s: ProcSet = seen.iter().copied().collect();
+        let v: ProcSet = need.iter().copied().collect();
         if self.store.insert(event.clone()) {
             // First sighting: deliver locally and keep the ring moving,
             // extending S with ourselves and V with our own view.
@@ -173,30 +173,21 @@ impl GaplessState {
                 event: event.clone(),
             });
             if let Some(succ) = successor {
-                let mut new_seen = seen;
-                if !new_seen.contains(&self.me) {
-                    new_seen.push(self.me);
-                }
-                new_seen.sort_unstable();
-                let mut new_need = need;
-                for p in view {
-                    if !new_need.contains(p) {
-                        new_need.push(*p);
-                    }
-                }
-                new_need.sort_unstable();
+                let new_seen = s.with(self.me);
+                let new_need = v.union(view);
                 // V has our view in it, successor included: S = V says the
                 // successor has the event and its stall test would pass.
                 if new_seen == new_need {
                     out.closed = true;
                 } else {
+                    // Refill the lists in the blocks they arrived in.
+                    seen.clear();
+                    seen.extend(new_seen);
+                    need.clear();
+                    need.extend(new_need);
                     out.relay = Some(Action::Send {
                         to: succ,
-                        msg: ProcMsg::Ring {
-                            event,
-                            seen: new_seen,
-                            need: new_need,
-                        },
+                        msg: ProcMsg::Ring { event, seen, need },
                     });
                 }
             }
@@ -205,11 +196,7 @@ impl GaplessState {
         // Already seen. The paper's stall test: S ≠ V and me ∈ S means
         // we forwarded this event before, yet it has not reached every
         // process some view said it should — fall back to broadcast.
-        let mut seen_sorted = seen;
-        seen_sorted.sort_unstable();
-        let mut need_sorted = need;
-        need_sorted.sort_unstable();
-        if seen_sorted != need_sorted && seen_sorted.contains(&self.me) {
+        if s != v && s.contains(self.me) {
             out.start_broadcast = Some(event);
         }
         out
@@ -283,6 +270,15 @@ impl GaplessState {
     }
 }
 
+/// The ring message `(event : seen : need)`.
+fn ring_msg(event: Event, seen: ProcSet, need: ProcSet) -> ProcMsg {
+    ProcMsg::Ring {
+        event,
+        seen: seen.iter().collect(),
+        need: need.iter().collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +294,10 @@ mod tests {
     }
 
     fn pids(ids: &[u32]) -> Vec<ProcessId> {
+        ids.iter().map(|i| ProcessId(*i)).collect()
+    }
+
+    fn set(ids: &[u32]) -> ProcSet {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
@@ -322,8 +322,8 @@ mod tests {
     #[test]
     fn local_ingest_delivers_and_forwards_to_successor() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let view = pids(&[0, 1, 2]);
-        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let view = set(&[0, 1, 2]);
+        let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         assert!(out.start_broadcast.is_none());
         assert!(
             out.relay.is_none(),
@@ -332,15 +332,18 @@ mod tests {
         assert_eq!(out.actions.len(), 2);
         let (to, _, seen, need) = ring_send(out.actions.remove(1));
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
-        assert_eq!((to, seen, need), (ProcessId(1), pids(&[0]), view));
+        assert_eq!(
+            (to, seen, need),
+            (ProcessId(1), pids(&[0]), pids(&[0, 1, 2]))
+        );
     }
 
     #[test]
     fn duplicate_local_ingest_is_silent() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let view = pids(&[0, 1]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
-        let out = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let view = set(&[0, 1]);
+        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         assert!(out.actions.is_empty());
         assert!(out.start_broadcast.is_none());
     }
@@ -348,7 +351,7 @@ mod tests {
     #[test]
     fn singleton_home_just_delivers() {
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let out = g.on_local_ingest(ev(0), &pids(&[0]), None, None);
+        let out = g.on_local_ingest(ev(0), set(&[0]), None, None);
         assert_eq!(deliver_count(&out.actions), 1);
         assert_eq!(out.actions.len(), 1, "no sends when alone");
     }
@@ -357,8 +360,8 @@ mod tests {
     fn first_sighting_gates_the_delivery_and_relays_past_the_gate() {
         let mut g = GaplessState::new(ProcessId(1), 100, true);
         // p1's view knows p3, which the sender's view did not.
-        let view = pids(&[0, 1, 3]);
-        let out = g.on_ring(ev(0), pids(&[0]), pids(&[0, 1]), &view, Some(ProcessId(3)));
+        let view = set(&[0, 1, 3]);
+        let out = g.on_ring(ev(0), pids(&[0]), pids(&[0, 1]), view, Some(ProcessId(3)));
         assert!(out.start_broadcast.is_none());
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
         let (to, event, seen, need) = ring_send(out.relay.expect("a relay forwards"));
@@ -371,9 +374,10 @@ mod tests {
     fn completed_ring_is_ignored() {
         // p0 ingests, then receives its own event back with S == V.
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
-        let out = g.on_ring(ev(0), view.clone(), view.clone(), &view, Some(ProcessId(1)));
+        let view = set(&[0, 1, 2]);
+        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let everyone = pids(&[0, 1, 2]);
+        let out = g.on_ring(ev(0), everyone.clone(), everyone, view, Some(ProcessId(1)));
         assert!(out.actions.is_empty() && out.relay.is_none());
         assert!(out.start_broadcast.is_none(), "S == V means all covered");
     }
@@ -382,13 +386,13 @@ mod tests {
     fn stalled_ring_triggers_broadcast() {
         // Paper's condition: seen event again, S != V, me ∈ S.
         let mut g = GaplessState::new(ProcessId(0), 100, true);
-        let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let view = set(&[0, 1, 2]);
+        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let out = g.on_ring(
             ev(0),
             pids(&[0, 1]),
             pids(&[0, 1, 2]),
-            &view,
+            view,
             Some(ProcessId(1)),
         );
         assert_eq!(out.start_broadcast, Some(ev(0)));
@@ -401,13 +405,13 @@ mod tests {
         // the sensor but never forwarded this ring copy): another
         // process's ring is still progressing — do not broadcast.
         let mut g = GaplessState::new(ProcessId(2), 100, true);
-        let view = pids(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), &view, Some(ProcessId(0)), None);
+        let view = set(&[0, 1, 2]);
+        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(0)), None);
         let out = g.on_ring(
             ev(0),
             pids(&[0, 1]),
             pids(&[0, 1, 2]),
-            &view,
+            view,
             Some(ProcessId(0)),
         );
         assert!(out.start_broadcast.is_none());
@@ -418,17 +422,17 @@ mod tests {
     fn three_process_ring_full_cycle_no_failures() {
         // End-to-end hand simulation: sensor → p0 only; verify everyone
         // delivers exactly once with exactly n − 1 ring messages.
-        let view = pids(&[0, 1, 2]);
+        let view = set(&[0, 1, 2]);
         let mut p0 = GaplessState::new(ProcessId(0), 100, true);
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let mut out0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
+        let mut out0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let (_, event, seen, need) = ring_send(out0.actions.remove(1));
-        let out1 = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
+        let out1 = p1.on_ring(event, seen, need, view, Some(ProcessId(2)));
         assert_eq!(deliver_count(&out1.actions), 1);
         let (_, event, seen, need) = ring_send(out1.relay.expect("p1 relays"));
-        let out2 = p2.on_ring(event, seen, need, &view, Some(ProcessId(0)));
+        let out2 = p2.on_ring(event, seen, need, view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&out2.actions), 1);
         // p2's successor p0 is in S: S ∪ {p2} == V == {0,1,2} → p2 closes
         // the ring silently instead of sending it back.
@@ -449,7 +453,7 @@ mod tests {
             ev(0),
             pids(&[0, 1]),
             pids(&[0, 1, 2, 3]),
-            &pids(&[0, 1, 2]),
+            set(&[0, 1, 2]),
             Some(ProcessId(0)),
         );
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
@@ -459,10 +463,10 @@ mod tests {
             (to, &seen, &need),
             (ProcessId(0), &pids(&[0, 1, 2]), &pids(&[0, 1, 2, 3]))
         );
-        let view0 = pids(&[0, 1, 2, 3]);
+        let view0 = set(&[0, 1, 2, 3]);
         let mut p0 = GaplessState::new(ProcessId(0), 100, true);
-        let _ = p0.on_local_ingest(ev(0), &view0, Some(ProcessId(1)), None);
-        let out = p0.on_ring(event, seen, need, &view0, Some(ProcessId(1)));
+        let _ = p0.on_local_ingest(ev(0), view0, Some(ProcessId(1)), None);
+        let out = p0.on_ring(event, seen, need, view0, Some(ProcessId(1)));
         assert_eq!(
             out.start_broadcast,
             Some(ev(0)),
@@ -471,23 +475,82 @@ mod tests {
     }
 
     #[test]
+    fn a_first_sighting_closes_exactly_when_s_with_me_is_v_with_the_view() {
+        // (me, S, V, view, closes): the rule in set terms, views that
+        // agree and views that do not.
+        type Case<'a> = (u32, &'a [u32], &'a [u32], &'a [u32], bool);
+        let cases: [Case<'_>; 7] = [
+            (2, &[0, 1], &[0, 1, 2], &[0, 1, 2], true), // last hop
+            (1, &[0], &[0, 1, 2], &[0, 1, 2], false),   // mid-ring
+            // The origin counted p3 and the last hop suspects it: S ∪ {me}
+            // = {0,1,2} ≠ V ∪ view = {0,1,2,3}, so it relays (its own
+            // flood would skip p3).
+            (2, &[0, 1], &[0, 1, 2, 3], &[0, 1, 2], false),
+            // The other way round: the last hop's view has a process no
+            // earlier view had. V grows and the ring goes on to it.
+            (2, &[0, 1], &[0, 1, 2], &[0, 1, 2, 3], false),
+            // V and the view each know a process the other does not.
+            (1, &[0], &[0, 1, 4], &[0, 1, 2], false),
+            // An express copy at the host, then the far half's last hop.
+            (0, &[3, 4], &[0, 1, 2, 3, 4], &[0, 1, 2, 3, 4], false),
+            (2, &[0, 1, 3, 4], &[0, 1, 2, 3, 4], &[0, 1, 2, 3, 4], true),
+        ];
+        for (me, s, v, view, closes) in cases {
+            let (me, view) = (ProcessId(me), set(view));
+            let succ = view.successor_of(me);
+            let mut g = GaplessState::new(me, 100, true);
+            let out = g.on_ring(ev(0), pids(s), pids(v), view, succ);
+            assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
+            assert!(out.start_broadcast.is_none());
+            assert_eq!(out.closed, closes, "{me}: S={s:?} V={v:?} view={view:?}");
+            assert_eq!(out.relay.is_none(), closes);
+            if let Some(relay) = out.relay {
+                let (to, _, seen, need) = ring_send(relay);
+                assert_eq!(Some(to), succ);
+                assert_eq!(seen, set(s).with(me).iter().collect::<Vec<_>>());
+                assert_eq!(need, set(v).union(view).iter().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn the_stall_test_is_s_differs_from_v_and_me_in_s() {
+        // (S, V, floods) at p0, which has already seen the event.
+        let cases: [(&[u32], &[u32], bool); 4] = [
+            (&[0, 1], &[0, 1, 2], true),
+            (&[0, 1, 2], &[0, 1, 2], false), // S = V: everyone covered
+            (&[1, 2], &[0, 1, 2], false),    // me ∉ S: someone else's ring
+            (&[2, 1, 0], &[0, 1, 2], false), // listing order is not content
+        ];
+        for (s, v, floods) in cases {
+            let view = set(&[0, 1, 2]);
+            let mut g = GaplessState::new(ProcessId(0), 100, true);
+            let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+            let out = g.on_ring(ev(0), pids(s), pids(v), view, Some(ProcessId(1)));
+            assert_eq!(out.start_broadcast.is_some(), floods, "S={s:?} V={v:?}");
+            assert!(out.actions.is_empty() && out.relay.is_none() && !out.closed);
+        }
+    }
+
+    #[test]
     fn express_copy_pre_marks_the_arc_to_the_host_and_never_the_host() {
         // p1 ingests, the app's host is p4: the ordinary token is about
         // to cover p2 and p3.
-        let view = pids(&[0, 1, 2, 3, 4]);
-        let (sender, arc) = express_sender(&view, &pids(&[1]), ProcessId(4)).expect("far host");
-        assert_eq!((sender, &arc), (ProcessId(1), &pids(&[1, 2, 3])));
+        let view = set(&[0, 1, 2, 3, 4]);
+        let (sender, arc) = express_sender(view, set(&[1]), ProcessId(4)).expect("far host");
+        assert_eq!((sender, arc), (ProcessId(1), set(&[1, 2, 3])));
         let mut g = GaplessState::new(ProcessId(1), 100, true);
-        let express = Some((ProcessId(4), arc.clone()));
-        let mut out = g.on_local_ingest(ev(0), &view, Some(ProcessId(2)), express);
+        let express = Some((ProcessId(4), arc));
+        let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(2)), express);
         assert!(out.relay.is_none(), "both first forwards wait for the disk");
         assert_eq!(out.actions.len(), 3);
         let (to, event, seen, need) = ring_send(out.actions.remove(2));
         assert_eq!((to, event), (ProcessId(4), ev(0)));
-        assert_eq!((seen, need), (arc, view.clone()));
+        let everyone = pids(&[0, 1, 2, 3, 4]);
+        assert_eq!((seen, &need), (pids(&[1, 2, 3]), &everyone));
         // The ordinary forward is what it is without an express copy.
         let (to, _, seen, need) = ring_send(out.actions.remove(1));
-        assert_eq!((to, seen, need), (ProcessId(2), pids(&[1]), view));
+        assert_eq!((to, seen, need), (ProcessId(2), pids(&[1]), everyone));
     }
 
     /// Runs one event, ingested at p1 with p0 as the app's host, through
@@ -495,14 +558,14 @@ mod tests {
     /// receives the express copy and the ordinary token's last hop.
     /// Returns `(messages, deliveries per process)`.
     fn five_process_ring_with_express(express_first: bool) -> (usize, Vec<usize>) {
-        let view = pids(&[0, 1, 2, 3, 4]);
+        let view = set(&[0, 1, 2, 3, 4]);
         let succ = |p: u32| Some(ProcessId((p + 1) % 5));
         let mut procs: Vec<GaplessState> = (0..5)
             .map(|p| GaplessState::new(ProcessId(p), 100, true))
             .collect();
         let mut delivered = vec![0; 5];
-        let (_, arc) = express_sender(&view, &pids(&[1]), ProcessId(0)).expect("far host");
-        let mut out = procs[1].on_local_ingest(ev(0), &view, succ(1), Some((ProcessId(0), arc)));
+        let (_, arc) = express_sender(view, set(&[1]), ProcessId(0)).expect("far host");
+        let mut out = procs[1].on_local_ingest(ev(0), view, succ(1), Some((ProcessId(0), arc)));
         delivered[1] += deliver_count(&out.actions);
         let express = ring_send(out.actions.remove(2));
         let ordinary = ring_send(out.actions.remove(1));
@@ -512,7 +575,7 @@ mod tests {
         while token.0 != ProcessId(0) {
             let (to, event, seen, need) = token;
             let at = to.0 as usize;
-            let out = procs[at].on_ring(event, seen, need, &view, succ(to.0));
+            let out = procs[at].on_ring(event, seen, need, view, succ(to.0));
             assert!(out.start_broadcast.is_none() && !out.closed);
             delivered[at] += deliver_count(&out.actions);
             token = ring_send(out.relay.expect("the token runs all the way to the host"));
@@ -528,7 +591,7 @@ mod tests {
             [token, express]
         };
         for (i, (_, event, seen, need)) in arrivals.into_iter().enumerate() {
-            let out = procs[0].on_ring(event, seen, need, &view, succ(0));
+            let out = procs[0].on_ring(event, seen, need, view, succ(0));
             delivered[0] += deliver_count(&out.actions);
             // p0's successor p1 is in both copies' S: whichever comes
             // first closes the ring, the other is an ignored duplicate.
@@ -553,13 +616,14 @@ mod tests {
         // I1: p3 ingests, host p0. The express copy marks {3, 4}; p0's
         // successor p1 is not in S, so p0 forwards like any relay, and
         // the half-ring stops at p2, whose successor is the origin.
-        let view = pids(&[0, 1, 2, 3, 4]);
+        let view = set(&[0, 1, 2, 3, 4]);
+        let everyone = pids(&[0, 1, 2, 3, 4]);
         let mut p0 = GaplessState::new(ProcessId(0), 100, true);
         let out = p0.on_ring(
             ev(0),
             pids(&[3, 4]),
-            view.clone(),
-            &view,
+            everyone.clone(),
+            view,
             Some(ProcessId(1)),
         );
         assert_eq!(deliver_count(&out.actions), 1);
@@ -569,8 +633,8 @@ mod tests {
         let out = p2.on_ring(
             ev(0),
             pids(&[0, 1, 3, 4]),
-            view.clone(),
-            &view,
+            everyone,
+            view,
             Some(ProcessId(3)),
         );
         assert!(out.closed && out.relay.is_none() && out.start_broadcast.is_none());
@@ -580,24 +644,24 @@ mod tests {
     fn multi_receiver_rings_do_not_broadcast() {
         // Both p0 and p1 receive the event from the sensor (multicast)
         // and start rings; no false broadcast should fire.
-        let view = pids(&[0, 1, 2]);
+        let view = set(&[0, 1, 2]);
         let mut p0 = GaplessState::new(ProcessId(0), 100, true);
         let mut p1 = GaplessState::new(ProcessId(1), 100, true);
         let mut p2 = GaplessState::new(ProcessId(2), 100, true);
 
-        let mut o0 = p0.on_local_ingest(ev(0), &view, Some(ProcessId(1)), None);
-        let mut o1 = p1.on_local_ingest(ev(0), &view, Some(ProcessId(2)), None);
+        let mut o0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let mut o1 = p1.on_local_ingest(ev(0), view, Some(ProcessId(2)), None);
         // p1 receives p0's ring copy: already seen, S={0}, p1 ∉ S → ignore.
         let (_, event, seen, need) = ring_send(o0.actions.remove(1));
-        let r = p1.on_ring(event, seen, need, &view, Some(ProcessId(2)));
+        let r = p1.on_ring(event, seen, need, view, Some(ProcessId(2)));
         assert!(r.start_broadcast.is_none() && r.relay.is_none());
         // p2 receives p1's ring copy: new → delivers, forwards to p0.
         let (_, event, seen, need) = ring_send(o1.actions.remove(1));
-        let r2 = p2.on_ring(event, seen, need, &view, Some(ProcessId(0)));
+        let r2 = p2.on_ring(event, seen, need, view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&r2.actions), 1);
         // p0 gets it back: S={1,2}≠V, p0 ∉ S → ignore (no broadcast).
         let (_, event, seen, need) = ring_send(r2.relay.expect("p2 relays"));
-        let r3 = p0.on_ring(event, seen, need, &view, Some(ProcessId(1)));
+        let r3 = p0.on_ring(event, seen, need, view, Some(ProcessId(1)));
         assert!(r3.start_broadcast.is_none());
         assert!(p2.seen(&ev(0)));
     }
@@ -605,12 +669,12 @@ mod tests {
     #[test]
     fn sync_handshake_ships_missing_events() {
         let mut ahead = GaplessState::new(ProcessId(0), 100, true);
-        let view = pids(&[0, 1]);
+        let view = set(&[0, 1]);
         for seq in 0..5 {
-            let _ = ahead.on_local_ingest(ev(seq), &view, None, None);
+            let _ = ahead.on_local_ingest(ev(seq), view, None, None);
         }
         let mut behind = GaplessState::new(ProcessId(1), 100, true);
-        let _ = behind.on_local_ingest(ev(0), &view, None, None);
+        let _ = behind.on_local_ingest(ev(0), view, None, None);
 
         // New successor appears → ahead asks for watermarks.
         let req = ahead.on_successor_change(Some(ProcessId(1)));

@@ -13,7 +13,7 @@ pub mod gapless;
 pub mod polling;
 pub mod rbcast;
 
-use rivulet_types::{Event, ProcessId};
+use rivulet_types::{Event, ProcSet, ProcessId};
 
 use crate::messages::ProcMsg;
 
@@ -51,8 +51,8 @@ pub enum Action {
     /// every destination, so an n-peer flood costs one encode instead
     /// of n.
     Fanout {
-        /// Destination processes, ascending, excluding the sender.
-        to: Vec<ProcessId>,
+        /// Destination processes, excluding the sender.
+        to: ProcSet,
         /// The message.
         msg: ProcMsg,
     },

@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rivulet_types::{Duration, Event, EventId, ProcessId, SensorId, Time};
+use rivulet_types::{Duration, Event, EventId, ProcSet, ProcessId, SensorId, Time};
 
 use crate::messages::ProcMsg;
 
@@ -64,7 +64,7 @@ pub struct RbcastState {
 #[derive(Debug)]
 struct PendingBroadcast {
     event: Event,
-    unacked: BTreeSet<ProcessId>,
+    unacked: ProcSet,
     /// Do not retransmit before this instant (age guard: cumulative
     /// retirement via keep-alives must get a chance first).
     retransmit_at: Time,
@@ -102,7 +102,7 @@ impl RbcastState {
         self.n_pending
     }
 
-    fn insert_pending(&mut self, event: Event, unacked: BTreeSet<ProcessId>, retransmit_at: Time) {
+    fn insert_pending(&mut self, event: Event, unacked: ProcSet, retransmit_at: Time) {
         let id = event.id;
         let prior = self.pending.entry(id.sensor).or_default().insert(
             id.seq,
@@ -119,8 +119,8 @@ impl RbcastState {
 
     /// Initiates (or re-initiates) a broadcast of `event` to every peer
     /// in `view` except `me`, as a single encode-once fan-out action.
-    pub fn start(&mut self, event: Event, view: &[ProcessId], now: Time) -> Vec<Action> {
-        let peers: BTreeSet<ProcessId> = view.iter().copied().filter(|p| *p != self.me).collect();
+    pub fn start(&mut self, event: Event, view: ProcSet, now: Time) -> Vec<Action> {
+        let peers = view.without(self.me);
         if peers.is_empty() {
             return Vec::new();
         }
@@ -129,7 +129,7 @@ impl RbcastState {
             .or_default()
             .insert(event.id.seq);
         let actions = vec![Action::Fanout {
-            to: peers.iter().copied().collect(),
+            to: peers,
             msg: ProcMsg::Broadcast {
                 event: event.clone(),
                 origin: self.me,
@@ -144,7 +144,7 @@ impl RbcastState {
     /// the received watermarks on their keep-alives; an entry still
     /// unacked after the track grace period is re-flooded by
     /// [`RbcastState::on_tick`] (the silent-stall fallback).
-    pub fn track(&mut self, event: Event, view: &[ProcessId], now: Time) {
+    pub fn track(&mut self, event: Event, view: ProcSet, now: Time) {
         if self
             .pending
             .get(&event.id.sensor)
@@ -152,7 +152,7 @@ impl RbcastState {
         {
             return; // already pending (e.g. an explicit flood)
         }
-        let peers: BTreeSet<ProcessId> = view.iter().copied().filter(|p| *p != self.me).collect();
+        let peers = view.without(self.me);
         if peers.is_empty() {
             return;
         }
@@ -171,7 +171,7 @@ impl RbcastState {
         event: &Event,
         origin: ProcessId,
         was_new: bool,
-        view: &[ProcessId],
+        view: ProcSet,
         eager_ack: bool,
         now: Time,
     ) -> Vec<Action> {
@@ -214,7 +214,7 @@ impl RbcastState {
             .and_then(|m| m.get_mut(&id.seq))
         {
             Some(p) => {
-                p.unacked.remove(&from);
+                p.unacked.remove(from);
                 p.unacked.is_empty()
             }
             None => false,
@@ -249,7 +249,7 @@ impl RbcastState {
             };
             let mut done: Vec<u64> = Vec::new();
             for (seq, p) in per.range_mut(..=*wm) {
-                if p.unacked.remove(&from) {
+                if p.unacked.remove(from) {
                     retired += 1;
                 }
                 if p.unacked.is_empty() {
@@ -274,14 +274,14 @@ impl RbcastState {
     /// action to its unacked peers; entries still inside their guard
     /// are left untouched so cumulative keep-alive retirement can beat
     /// the retransmission.
-    pub fn on_tick(&mut self, view: &[ProcessId], now: Time) -> Vec<Action> {
+    pub fn on_tick(&mut self, view: ProcSet, now: Time) -> Vec<Action> {
         let mut actions = Vec::new();
         let me = self.me;
         let retransmit_after = self.retransmit_after;
         let mut dropped = 0usize;
         for per in self.pending.values_mut() {
             per.retain(|_, p| {
-                p.unacked.retain(|peer| view.contains(peer));
+                p.unacked = p.unacked.intersection(view);
                 if p.unacked.is_empty() {
                     dropped += 1;
                     return false;
@@ -289,7 +289,7 @@ impl RbcastState {
                 if now >= p.retransmit_at {
                     p.retransmit_at = now + retransmit_after;
                     actions.push(Action::Fanout {
-                        to: p.unacked.iter().copied().collect(),
+                        to: p.unacked,
                         msg: ProcMsg::Broadcast {
                             event: p.event.clone(),
                             origin: me,
@@ -344,31 +344,29 @@ mod tests {
         )
     }
 
-    fn pids(ids: &[u32]) -> Vec<ProcessId> {
+    fn pids(ids: &[u32]) -> ProcSet {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
-    fn send_targets(actions: &[Action]) -> Vec<ProcessId> {
-        actions
-            .iter()
-            .flat_map(|a| match a {
-                Action::Send {
-                    to,
-                    msg: ProcMsg::Broadcast { .. },
-                } => vec![*to],
-                Action::Fanout {
-                    to,
-                    msg: ProcMsg::Broadcast { .. },
-                } => to.clone(),
-                _ => Vec::new(),
-            })
-            .collect()
+    fn send_targets(actions: &[Action]) -> ProcSet {
+        let targets = actions.iter().map(|a| match a {
+            Action::Send {
+                to,
+                msg: ProcMsg::Broadcast { .. },
+            } => ProcSet::singleton(*to),
+            Action::Fanout {
+                to,
+                msg: ProcMsg::Broadcast { .. },
+            } => *to,
+            _ => ProcSet::EMPTY,
+        });
+        targets.fold(ProcSet::EMPTY, ProcSet::union)
     }
 
     #[test]
     fn start_floods_view_except_self() {
         let mut b = RbcastState::new(ProcessId(0));
-        let actions = b.start(ev(0), &pids(&[0, 1, 2]), Time::ZERO);
+        let actions = b.start(ev(0), pids(&[0, 1, 2]), Time::ZERO);
         assert_eq!(send_targets(&actions), pids(&[1, 2]));
         assert_eq!(b.pending_count(), 1);
     }
@@ -376,7 +374,7 @@ mod tests {
     #[test]
     fn acks_retire_pending() {
         let mut b = RbcastState::new(ProcessId(0));
-        let _ = b.start(ev(0), &pids(&[0, 1, 2]), Time::ZERO);
+        let _ = b.start(ev(0), pids(&[0, 1, 2]), Time::ZERO);
         b.on_ack(ev(0).id, ProcessId(1));
         assert_eq!(b.pending_count(), 1);
         b.on_ack(ev(0).id, ProcessId(2));
@@ -388,22 +386,44 @@ mod tests {
     #[test]
     fn tick_retransmits_only_unacked_live_peers() {
         let mut b = RbcastState::new(ProcessId(0));
-        let _ = b.start(ev(0), &pids(&[0, 1, 2, 3]), Time::ZERO);
+        let _ = b.start(ev(0), pids(&[0, 1, 2, 3]), Time::ZERO);
         b.on_ack(ev(0).id, ProcessId(1));
         // p3 left the view: written off.
-        let actions = b.on_tick(&pids(&[0, 1, 2]), Time::ZERO);
+        let actions = b.on_tick(pids(&[0, 1, 2]), Time::ZERO);
         assert_eq!(send_targets(&actions), pids(&[2]));
         // Everyone relevant acked or gone → pending clears.
         b.on_ack(ev(0).id, ProcessId(2));
         assert_eq!(b.pending_count(), 0);
-        assert!(b.on_tick(&pids(&[0, 1, 2]), Time::ZERO).is_empty());
+        assert!(b.on_tick(pids(&[0, 1, 2]), Time::ZERO).is_empty());
+    }
+
+    #[test]
+    fn a_peer_that_left_the_view_is_written_off() {
+        let mut b = RbcastState::new(ProcessId(0));
+        b.track(ev(0), pids(&[0, 1, 2, 3]), Time::ZERO);
+        // unacked ∩ view: p3 is suspected and leaves the entry for good…
+        let due = b.on_tick(pids(&[0, 1, 2]), Time::ZERO);
+        assert_eq!(send_targets(&due), pids(&[1, 2]));
+        // …so it is not flooded when a later view has it back (its ring
+        // predecessor's anti-entropy repairs it instead).
+        let due = b.on_tick(pids(&[0, 1, 2, 3]), Time::ZERO);
+        assert_eq!(send_targets(&due), pids(&[1, 2]));
+        assert_eq!(
+            b.on_cumulative_ack(ProcessId(3), &[(SensorId(1), 0)]),
+            0,
+            "nothing of p3's left to retire"
+        );
+        // The entry now waits for the peers still counted, nobody else.
+        b.on_ack(ev(0).id, ProcessId(1));
+        b.on_ack(ev(0).id, ProcessId(2));
+        assert_eq!(b.pending_count(), 0);
     }
 
     #[test]
     fn all_peers_departed_clears_pending() {
         let mut b = RbcastState::new(ProcessId(0));
-        let _ = b.start(ev(0), &pids(&[0, 1]), Time::ZERO);
-        let actions = b.on_tick(&pids(&[0]), Time::ZERO);
+        let _ = b.start(ev(0), pids(&[0, 1]), Time::ZERO);
+        let actions = b.on_tick(pids(&[0]), Time::ZERO);
         assert!(actions.is_empty());
         assert_eq!(b.pending_count(), 0);
     }
@@ -412,7 +432,7 @@ mod tests {
     fn receiver_acks_and_relays_new_events_once() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, &view, true, Time::ZERO);
+        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, view, true, Time::ZERO);
         // First action: ack to origin.
         assert!(matches!(
             actions[0],
@@ -424,7 +444,7 @@ mod tests {
         // Relay flood to peers.
         assert_eq!(send_targets(&actions), pids(&[0, 2]));
         // Second receipt: ack only, no re-relay.
-        let again = b.on_broadcast(&ev(0), ProcessId(2), false, &view, true, Time::ZERO);
+        let again = b.on_broadcast(&ev(0), ProcessId(2), false, view, true, Time::ZERO);
         assert_eq!(again.len(), 1);
         assert!(matches!(
             again[0],
@@ -439,7 +459,7 @@ mod tests {
     fn known_event_not_relayed() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), false, &view, true, Time::ZERO);
+        let actions = b.on_broadcast(&ev(0), ProcessId(0), false, view, true, Time::ZERO);
         assert_eq!(actions.len(), 1, "ack only for already-known events");
     }
 
@@ -448,10 +468,17 @@ mod tests {
         // The eager-broadcast baseline: receivers acknowledge but never
         // re-flood (the origin is the only flooder).
         let mut b = RbcastState::new(ProcessId(1));
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, &[], true, Time::ZERO);
+        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, ProcSet::EMPTY, true, Time::ZERO);
         assert_eq!(actions.len(), 1, "ack only");
         assert_eq!(b.pending_count(), 0, "nothing pending without a view");
-        let silent = b.on_broadcast(&ev(1), ProcessId(0), true, &[], false, Time::ZERO);
+        let silent = b.on_broadcast(
+            &ev(1),
+            ProcessId(0),
+            true,
+            ProcSet::EMPTY,
+            false,
+            Time::ZERO,
+        );
         assert!(silent.is_empty(), "cumulative mode: beacon acks later");
     }
 
@@ -459,7 +486,7 @@ mod tests {
     fn cumulative_mode_skips_eager_ack_but_still_relays() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, &view, false, Time::ZERO);
+        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, view, false, Time::ZERO);
         assert!(
             !actions.iter().any(|a| matches!(
                 a,
@@ -478,7 +505,7 @@ mod tests {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1, 2]);
         for seq in 0..4 {
-            let _ = b.start(ev(seq), &view, Time::ZERO);
+            let _ = b.start(ev(seq), view, Time::ZERO);
         }
         assert_eq!(b.pending_count(), 4);
         // Peer 1's beacon covers seqs 0..=2 in one message.
@@ -498,9 +525,9 @@ mod tests {
     fn cumulative_ack_spans_sensors() {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1]);
-        let _ = b.start(ev_on(1, 0), &view, Time::ZERO);
-        let _ = b.start(ev_on(2, 5), &view, Time::ZERO);
-        let _ = b.start(ev_on(3, 9), &view, Time::ZERO);
+        let _ = b.start(ev_on(1, 0), view, Time::ZERO);
+        let _ = b.start(ev_on(2, 5), view, Time::ZERO);
+        let _ = b.start(ev_on(3, 9), view, Time::ZERO);
         // One beacon covering two of the three sensors.
         let retired = b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 10), (SensorId(3), 9)]);
         assert_eq!(retired, 2);
@@ -511,9 +538,9 @@ mod tests {
     fn retransmissions_are_ordered_fanouts() {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1, 2]);
-        let _ = b.start(ev(1), &view, Time::ZERO);
-        let _ = b.start(ev(0), &view, Time::ZERO);
-        let actions = b.on_tick(&view, Time::ZERO);
+        let _ = b.start(ev(1), view, Time::ZERO);
+        let _ = b.start(ev(0), view, Time::ZERO);
+        let actions = b.on_tick(view, Time::ZERO);
         // One fan-out per pending event, in EventId order.
         let seqs: Vec<u64> = actions
             .iter()
@@ -533,16 +560,16 @@ mod tests {
         let mut b = RbcastState::new(ProcessId(0))
             .with_timing(Duration::from_millis(500), Duration::from_secs(2));
         let view = pids(&[0, 1]);
-        let _ = b.start(ev(0), &view, Time::ZERO);
+        let _ = b.start(ev(0), view, Time::ZERO);
         assert!(
-            b.on_tick(&view, Time::from_millis(499)).is_empty(),
+            b.on_tick(view, Time::from_millis(499)).is_empty(),
             "inside the guard: no retransmission"
         );
-        let due = b.on_tick(&view, Time::from_millis(500));
+        let due = b.on_tick(view, Time::from_millis(500));
         assert_eq!(send_targets(&due), pids(&[1]));
         // The guard re-arms from the retransmission instant.
-        assert!(b.on_tick(&view, Time::from_millis(999)).is_empty());
-        assert!(!b.on_tick(&view, Time::from_millis(1_000)).is_empty());
+        assert!(b.on_tick(view, Time::from_millis(999)).is_empty());
+        assert!(!b.on_tick(view, Time::from_millis(1_000)).is_empty());
     }
 
     #[test]
@@ -550,18 +577,18 @@ mod tests {
         let mut b = RbcastState::new(ProcessId(0))
             .with_timing(Duration::from_millis(500), Duration::from_secs(2));
         let view = pids(&[0, 1, 2]);
-        b.track(ev(0), &view, Time::ZERO);
-        b.track(ev(1), &view, Time::ZERO);
+        b.track(ev(0), view, Time::ZERO);
+        b.track(ev(1), view, Time::ZERO);
         assert_eq!(b.pending_count(), 2);
         // No flood was sent and none is due inside the grace period.
-        assert!(b.on_tick(&view, Time::from_secs(1)).is_empty());
+        assert!(b.on_tick(view, Time::from_secs(1)).is_empty());
         // Keep-alive watermarks retire without any broadcast traffic.
         assert_eq!(b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 1)]), 2);
         assert_eq!(b.on_cumulative_ack(ProcessId(2), &[(SensorId(1), 0)]), 1);
         assert_eq!(b.pending_count(), 1, "seq 1 still awaits peer 2");
         // Past the grace period the survivor escalates to a flood
         // addressed to the lagging peer only.
-        let due = b.on_tick(&view, Time::from_secs(2));
+        let due = b.on_tick(view, Time::from_secs(2));
         assert_eq!(send_targets(&due), pids(&[2]));
     }
 
@@ -569,13 +596,13 @@ mod tests {
     fn track_is_idempotent_and_respects_existing_floods() {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1]);
-        let _ = b.start(ev(0), &view, Time::ZERO);
-        b.track(ev(0), &view, Time::ZERO);
+        let _ = b.start(ev(0), view, Time::ZERO);
+        b.track(ev(0), view, Time::ZERO);
         assert_eq!(b.pending_count(), 1, "flood entry not duplicated");
-        b.track(ev(1), &view, Time::ZERO);
-        b.track(ev(1), &view, Time::ZERO);
+        b.track(ev(1), view, Time::ZERO);
+        b.track(ev(1), view, Time::ZERO);
         assert_eq!(b.pending_count(), 2);
-        b.track(ev(2), &pids(&[0]), Time::ZERO);
+        b.track(ev(2), pids(&[0]), Time::ZERO);
         assert_eq!(b.pending_count(), 2, "no peers, nothing to track");
     }
 
@@ -584,7 +611,7 @@ mod tests {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1]);
         for seq in 0..4 {
-            let _ = b.start(ev(seq), &view, Time::ZERO);
+            let _ = b.start(ev(seq), view, Time::ZERO);
         }
         assert_eq!(b.relayed_count(), 4);
         b.prune_relayed(SensorId(1), 2);
@@ -598,7 +625,7 @@ mod tests {
     #[test]
     fn singleton_start_is_noop() {
         let mut b = RbcastState::new(ProcessId(0));
-        assert!(b.start(ev(0), &pids(&[0]), Time::ZERO).is_empty());
+        assert!(b.start(ev(0), pids(&[0]), Time::ZERO).is_empty());
         assert_eq!(b.pending_count(), 0);
     }
 }

@@ -22,7 +22,7 @@ use rivulet_net::live::LiveNet;
 use rivulet_net::metrics::FanoutStats;
 use rivulet_net::sim::SimNet;
 use rivulet_obs::Recorder;
-use rivulet_types::{ActuationState, ActuatorId, Duration, ProcessId, SensorId};
+use rivulet_types::{ActuationState, ActuatorId, Duration, ProcSet, ProcessId, SensorId};
 
 use crate::app::AppSpec;
 use crate::config::RivuletConfig;
@@ -364,7 +364,17 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
     /// Declares a host (TV, fridge, hub, …); returns its process id.
     /// Process ids are assigned in declaration order, which also fixes
     /// ring order and placement tie-breaking.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 65th host: process sets are one-word bitmasks
+    /// ([`ProcSet::CAPACITY`]).
     pub fn add_host(&mut self, name: impl Into<String>) -> ProcessId {
+        assert!(
+            self.hosts.len() < ProcSet::CAPACITY,
+            "a home holds at most {} processes",
+            ProcSet::CAPACITY
+        );
         let pid = ProcessId(self.hosts.len() as u32);
         self.hosts.push(name.into());
         pid
@@ -675,6 +685,17 @@ mod tests {
         let dir = Directory::new();
         dir.set(DirectoryData::default());
         dir.set(DirectoryData::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "a home holds at most 64 processes")]
+    fn a_65th_host_is_refused_by_name_of_the_limit() {
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        let mut b = HomeBuilder::new(&mut net);
+        for i in 0..64 {
+            assert_eq!(b.add_host(format!("host-{i}")), ProcessId(i));
+        }
+        b.add_host("one too many");
     }
 
     #[test]

@@ -8,13 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use rivulet_types::{Duration, ProcessId, Time};
+use rivulet_types::{Duration, ProcSet, ProcessId, Time};
 
 /// One process's failure detector and local view.
 #[derive(Debug)]
 pub struct Membership {
     me: ProcessId,
-    peers: Vec<ProcessId>,
+    peers: ProcSet,
     last_heard: BTreeMap<ProcessId, Time>,
     failure_timeout: Duration,
 }
@@ -26,16 +26,20 @@ impl Membership {
     /// assumed alive as of `now` — a freshly (re)started process must
     /// not instantly suspect the whole home and wrongly promote itself
     /// before its first keep-alive exchange completes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` or a peer has an id past the home-size limit
+    /// ([`ProcSet::CAPACITY`]).
     #[must_use]
     pub fn new(me: ProcessId, peers: &[ProcessId], failure_timeout: Duration, now: Time) -> Self {
-        let mut all: Vec<ProcessId> = peers.iter().copied().filter(|p| *p != me).collect();
-        all.sort_unstable();
-        all.dedup();
-        let last_heard = all.iter().map(|p| (*p, now)).collect();
+        // `with(me)` holds `me` to the size limit too.
+        let all = peers.iter().copied().collect::<ProcSet>().with(me);
+        let peers = all.without(me);
         Self {
             me,
-            peers: all,
-            last_heard,
+            peers,
+            last_heard: peers.iter().map(|p| (p, now)).collect(),
             failure_timeout,
         }
     }
@@ -46,10 +50,10 @@ impl Membership {
         self.me
     }
 
-    /// All known peers (excluding `me`), sorted.
+    /// All known peers (excluding `me`).
     #[must_use]
-    pub fn peers(&self) -> &[ProcessId] {
-        &self.peers
+    pub fn peers(&self) -> ProcSet {
+        self.peers
     }
 
     /// Records a sign of life from `from` at `now` (keep-alive or any
@@ -65,9 +69,14 @@ impl Membership {
         }
     }
 
+    /// A peer is suspected once `failure_timeout` has elapsed since it
+    /// was last heard.
+    fn fresh(&self, last: Time, now: Time) -> bool {
+        now.duration_since(last) < self.failure_timeout
+    }
+
     /// Whether `p` is currently believed alive. `me` is always alive
-    /// ("a process never suspects itself", §4.1). A peer is suspected
-    /// once `failure_timeout` has elapsed since it was last heard.
+    /// ("a process never suspects itself", §4.1).
     #[must_use]
     pub fn is_alive(&self, p: ProcessId, now: Time) -> bool {
         if p == self.me {
@@ -75,37 +84,25 @@ impl Membership {
         }
         match self.last_heard.get(&p) {
             None => false,
-            Some(last) => now.duration_since(*last) < self.failure_timeout,
+            Some(last) => self.fresh(*last, now),
         }
     }
 
     /// The local view `vᵢ` at `now`: all live processes including
-    /// `me`, sorted by process id.
+    /// `me`.
     #[must_use]
-    pub fn view(&self, now: Time) -> Vec<ProcessId> {
-        let mut view: Vec<ProcessId> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| self.is_alive(*p, now))
-            .collect();
-        view.push(self.me);
-        view.sort_unstable();
-        view
+    pub fn view(&self, now: Time) -> ProcSet {
+        let live = self.last_heard.iter();
+        live.filter(|(_, last)| self.fresh(**last, now))
+            .fold(ProcSet::singleton(self.me), |view, (p, _)| view.with(*p))
     }
 
     /// The ring successor of `me` within `view`: the next process id
-    /// cyclically, `None` when `me` is alone. `view` must be a view this
-    /// membership produced ([`Membership::view`]: sorted, `me` in it);
-    /// taking it as an argument lets an activation that needs both
-    /// build the view once.
+    /// cyclically, `None` when `me` is alone. Taking the view as an
+    /// argument lets an activation that needs both build it once.
     #[must_use]
-    pub fn successor_in(&self, view: &[ProcessId]) -> Option<ProcessId> {
-        if view.len() <= 1 {
-            return None;
-        }
-        let idx = view.binary_search(&self.me).expect("me in view");
-        Some(view[(idx + 1) % view.len()])
+    pub fn successor_in(&self, view: ProcSet) -> Option<ProcessId> {
+        view.successor_of(self.me)
     }
 }
 
@@ -115,6 +112,10 @@ mod tests {
 
     fn pids(ids: &[u32]) -> Vec<ProcessId> {
         ids.iter().map(|i| ProcessId(*i)).collect()
+    }
+
+    fn set(ids: &[u32]) -> ProcSet {
+        pids(ids).into_iter().collect()
     }
 
     fn m3() -> Membership {
@@ -129,16 +130,16 @@ mod tests {
     #[test]
     fn fresh_membership_trusts_everyone_briefly() {
         let m = m3();
-        assert_eq!(m.view(Time::from_millis(100)), pids(&[0, 1, 2]));
+        assert_eq!(m.view(Time::from_millis(100)), set(&[0, 1, 2]));
     }
 
     #[test]
     fn silence_causes_suspicion_and_contact_restores() {
         let mut m = m3();
         let late = Time::from_secs(5);
-        assert_eq!(m.view(late), pids(&[1]), "everyone silent too long");
+        assert_eq!(m.view(late), set(&[1]), "everyone silent too long");
         m.heard_from(ProcessId(0), Time::from_secs(4));
-        assert_eq!(m.view(late), pids(&[0, 1]));
+        assert_eq!(m.view(late), set(&[0, 1]));
         assert!(!m.is_alive(ProcessId(2), late));
         m.heard_from(ProcessId(2), late);
         assert!(m.is_alive(ProcessId(2), late));
@@ -156,7 +157,7 @@ mod tests {
         m.heard_from(ProcessId(42), t); // unknown: ignored
         assert!(!m.is_alive(ProcessId(42), t));
         m.heard_from(ProcessId(1), t); // self: ignored
-        assert!(m.view(t).contains(&ProcessId(1)));
+        assert!(m.view(t).contains(ProcessId(1)));
     }
 
     #[test]
@@ -172,7 +173,7 @@ mod tests {
         let mut m = m3();
         let t = Time::from_secs(1);
         // Full view {0,1,2}: successor of 1 is 2.
-        assert_eq!(m.successor_in(&m.view(t)), Some(ProcessId(2)));
+        assert_eq!(m.successor_in(m.view(t)), Some(ProcessId(2)));
         // Highest process wraps to lowest.
         let m2 = Membership::new(
             ProcessId(2),
@@ -180,19 +181,19 @@ mod tests {
             Duration::from_secs(2),
             Time::ZERO,
         );
-        assert_eq!(m2.successor_in(&m2.view(t)), Some(ProcessId(0)));
+        assert_eq!(m2.successor_in(m2.view(t)), Some(ProcessId(0)));
         // After suspecting 2, successor of 1 wraps to 0.
         let late = Time::from_secs(5);
         m.heard_from(ProcessId(0), Time::from_secs(4));
-        assert_eq!(m.successor_in(&m.view(late)), Some(ProcessId(0)));
-        assert_eq!(m.successor_in(&m.view(Time::from_secs(50))), None);
+        assert_eq!(m.successor_in(m.view(late)), Some(ProcessId(0)));
+        assert_eq!(m.successor_in(m.view(Time::from_secs(50))), None);
     }
 
     #[test]
     fn singleton_home_has_no_successor() {
         let m = Membership::new(ProcessId(0), &[], Duration::from_secs(2), Time::ZERO);
-        assert_eq!(m.successor_in(&m.view(Time::ZERO)), None);
-        assert_eq!(m.view(Time::from_secs(100)), pids(&[0]));
+        assert_eq!(m.successor_in(m.view(Time::ZERO)), None);
+        assert_eq!(m.view(Time::from_secs(100)), set(&[0]));
     }
 
     #[test]
@@ -205,10 +206,10 @@ mod tests {
             Duration::from_secs(2),
             Time::from_secs(80),
         );
-        assert_eq!(m.view(Time::from_secs(81)), pids(&[0, 1, 2]));
+        assert_eq!(m.view(Time::from_secs(81)), set(&[0, 1, 2]));
         assert_eq!(
             m.view(Time::from_secs(83)),
-            pids(&[2]),
+            set(&[2]),
             "then silence counts"
         );
     }
@@ -221,6 +222,13 @@ mod tests {
             Duration::from_secs(2),
             Time::ZERO,
         );
-        assert_eq!(m.peers(), &pids(&[0, 2])[..]);
+        assert_eq!(m.peers(), set(&[0, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a home holds at most 64 processes")]
+    fn a_65th_process_is_refused_by_name_of_the_limit() {
+        let home: Vec<ProcessId> = (0..65).map(ProcessId).collect();
+        let _ = Membership::new(ProcessId(0), &home, Duration::from_secs(2), Time::ZERO);
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! Everything Rivulet processes say to each other over the home WiFi
 //! mesh. Sizes matter: the network-overhead experiment (Fig. 5)
-//! measures exactly these messages, including the Gapless ring's
-//! `seen`/`need` metadata sets, which the paper notes dominate overhead
-//! at small event sizes.
+//! measures exactly these messages. The paper notes that the Gapless
+//! ring's `seen`/`need` metadata sets dominate overhead at small event
+//! sizes; here each set crosses the wire as one [`ProcSet`] bitmask —
+//! one byte in a home of up to seven processes — so a ring message is
+//! two bytes longer than the Gap forward of the same event.
 
 use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
-use rivulet_types::{Command, Event, EventId, ProcessId, SensorId};
+use rivulet_types::{Command, Event, EventId, ProcSet, ProcessId, SensorId};
 
 /// A message between two Rivulet processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +37,15 @@ pub enum ProcMsg {
     },
     /// Gapless ring forwarding: `(e : S : V)` from the paper — the
     /// event, the processes that have **seen** it, and the processes
-    /// that **need** to see it.
+    /// that **need** to see it. Both sets are [`ProcSet`]s on the wire
+    /// and in the protocol; a decoded message lists them ascending and
+    /// without duplicates, whatever order the sender's lists had.
+    ///
+    /// # Panics
+    ///
+    /// Encoding (and `encoded_len`) panics if either list names a
+    /// process id of [`ProcSet::CAPACITY`] or more: a home holds at most
+    /// 64 processes, and the deployment rejects a 65th.
     Ring {
         /// The event being replicated.
         event: Event,
@@ -111,6 +121,24 @@ impl ProcMsg {
     }
 }
 
+/// The members of a decoded ring set, ascending, in a block with room
+/// for one more: a relay adds itself to `S`.
+fn decode_members(r: &mut WireReader<'_>) -> Result<Vec<ProcessId>, WireError> {
+    let set = ProcSet::decode(r)?;
+    let mut members = Vec::with_capacity(set.len() + 1);
+    members.extend(set);
+    Ok(members)
+}
+
+/// A ring message's member list as the set that crosses the wire.
+///
+/// # Panics
+///
+/// Panics if a member's id is not below [`ProcSet::CAPACITY`].
+fn as_set(members: &[ProcessId]) -> ProcSet {
+    members.iter().copied().collect()
+}
+
 impl Wire for ProcMsg {
     fn encoded_len(&self) -> usize {
         1 + match self {
@@ -120,7 +148,7 @@ impl Wire for ProcMsg {
                 received,
             } => from.encoded_len() + processed.encoded_len() + received.encoded_len(),
             ProcMsg::Ring { event, seen, need } => {
-                event.encoded_len() + seen.encoded_len() + need.encoded_len()
+                event.encoded_len() + as_set(seen).encoded_len() + as_set(need).encoded_len()
             }
             ProcMsg::Broadcast { event, origin } => event.encoded_len() + origin.encoded_len(),
             ProcMsg::BroadcastAck { id, from } => id.encoded_len() + from.encoded_len(),
@@ -148,8 +176,8 @@ impl Wire for ProcMsg {
             }
             ProcMsg::Ring { event, seen, need } => {
                 event.encode(w);
-                seen.encode(w);
-                need.encode(w);
+                as_set(seen).encode(w);
+                as_set(need).encode(w);
             }
             ProcMsg::Broadcast { event, origin } => {
                 event.encode(w);
@@ -179,8 +207,8 @@ impl Wire for ProcMsg {
             }),
             1 => Ok(ProcMsg::Ring {
                 event: Event::decode(r)?,
-                seen: Vec::decode(r)?,
-                need: Vec::decode(r)?,
+                seen: decode_members(r)?,
+                need: decode_members(r)?,
             }),
             2 => Ok(ProcMsg::Broadcast {
                 event: Event::decode(r)?,
@@ -386,17 +414,65 @@ mod tests {
     }
 
     #[test]
-    fn ring_metadata_costs_bytes() {
+    fn ring_metadata_costs_one_byte_a_set() {
         // The paper observes Gapless has higher overhead than Gap at
-        // one receiving process because of the S and V sets; verify the
-        // codec reflects that.
+        // one receiving process because of the S and V sets; as
+        // bitmasks they cost a home of up to seven processes two bytes.
         let gap = ProcMsg::GapForward { event: ev(0) };
         let ring = ProcMsg::Ring {
             event: ev(0),
             seen: vec![ProcessId(0)],
             need: (0..5).map(ProcessId).collect(),
         };
-        assert!(ring.encoded_len() > gap.encoded_len());
+        assert_eq!(ring.encoded_len(), gap.encoded_len() + 2);
+        let bytes = ring.to_bytes();
+        assert_eq!(bytes[bytes.len() - 2..], [0b1, 0b1_1111]);
+    }
+
+    #[test]
+    fn ring_sets_decode_ascending_with_room_for_the_relay() {
+        let sent = ProcMsg::Ring {
+            event: ev(0),
+            seen: vec![ProcessId(3), ProcessId(1), ProcessId(3)],
+            need: vec![ProcessId(4), ProcessId(0), ProcessId(1), ProcessId(3)],
+        };
+        let ProcMsg::Ring { seen, need, .. } = ProcMsg::from_bytes(&sent.to_bytes()).unwrap()
+        else {
+            panic!("a ring message")
+        };
+        assert_eq!(seen, vec![ProcessId(1), ProcessId(3)]);
+        assert_eq!(
+            need,
+            vec![ProcessId(0), ProcessId(1), ProcessId(3), ProcessId(4)]
+        );
+        assert!(seen.capacity() > seen.len(), "S ∪ {{me}} fits the block");
+    }
+
+    #[test]
+    fn ring_set_wider_than_64_bits_is_rejected() {
+        let mut bytes = ProcMsg::Ring {
+            event: ev(0),
+            seen: vec![],
+            need: vec![],
+        }
+        .to_bytes()
+        .to_vec();
+        // Replace the empty V with an eleven-byte varint.
+        bytes.pop();
+        bytes.extend_from_slice(&[0xff; 10]);
+        bytes.push(0x01);
+        assert_eq!(ProcMsg::from_bytes(&bytes), Err(WireError::VarintOverflow));
+    }
+
+    #[test]
+    #[should_panic(expected = "a home holds at most 64 processes")]
+    fn encoding_a_ring_member_past_the_home_limit_names_the_limit() {
+        let _ = ProcMsg::Ring {
+            event: ev(0),
+            seen: vec![ProcessId(0)],
+            need: vec![ProcessId(0), ProcessId(64)],
+        }
+        .to_bytes();
     }
 
     #[test]
@@ -530,8 +606,21 @@ mod proptests {
             })
     }
 
+    /// Any listing of a home's processes: any order, duplicates.
     fn arb_pids() -> impl Strategy<Value = Vec<ProcessId>> {
-        proptest::collection::vec(any::<u32>().prop_map(ProcessId), 0..8)
+        proptest::collection::vec((0u32..64).prop_map(ProcessId), 0..8)
+    }
+
+    /// What `msg` decodes to: a ring message's sets come back ascending
+    /// and without duplicates; everything else comes back as sent.
+    fn canonical(mut msg: ProcMsg) -> ProcMsg {
+        if let ProcMsg::Ring { seen, need, .. } = &mut msg {
+            for members in [seen, need] {
+                members.sort_unstable();
+                members.dedup();
+            }
+        }
+        msg
     }
 
     fn arb_msg() -> impl Strategy<Value = ProcMsg> {
@@ -579,7 +668,9 @@ mod proptests {
         /// accounting.
         #[test]
         fn any_message_roundtrips(msg in arb_msg()) {
-            roundtrip(&msg);
+            let bytes = msg.to_bytes();
+            prop_assert_eq!(bytes.len(), msg.encoded_len());
+            prop_assert_eq!(ProcMsg::from_bytes(&bytes).unwrap(), canonical(msg));
         }
 
         /// Decoding attacker-controlled bytes never panics.
@@ -608,7 +699,7 @@ mod proptests {
         /// encoder and via hot-path concatenation of pre-encoded parts.
         #[test]
         fn any_frame_roundtrips(msgs in proptest::collection::vec(arb_msg(), 1..6)) {
-            let frame = Frame { msgs };
+            let frame = Frame { msgs: msgs.into_iter().map(canonical).collect() };
             roundtrip(&frame);
             let parts: Vec<bytes::Bytes> = frame.msgs.iter().map(Wire::to_bytes).collect();
             let mut w = WireWriter::new();

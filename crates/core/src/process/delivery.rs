@@ -4,7 +4,7 @@
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
-use rivulet_types::{Event, ProcessId, SensorId};
+use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
 use super::{advance, Running};
 use crate::config::{AckMode, ForwardingMode};
@@ -45,26 +45,26 @@ impl Running {
                 if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
                     let view = self.membership.view(now);
                     let mut actions = vec![deliver];
-                    actions.extend(self.rbcast.start(event, &view, now));
+                    actions.extend(self.rbcast.start(event, view, now));
                     self.admit(ctx, actions);
                 }
             }
             Delivery::Gapless => {
                 let view = self.membership.view(now);
-                let successor = self.membership.successor_in(&view);
+                let successor = self.membership.successor_in(view);
                 // The express copy goes where a Gap event would: the
                 // believed-active host of the first subscribing app.
                 let alive = |p| self.membership.is_alive(p, now);
                 let host = self.apps[first_app].exec.believed_active(alive);
                 let express = host.and_then(|h| {
-                    let (sender, seen) = gap::express_sender(&view, &rt.reachers, h)?;
+                    let (sender, seen) = gap::express_sender(view, rt.reachers, h)?;
                     (sender == self.me).then_some((h, seen))
                 });
                 let sends_express = express.is_some();
                 let tracked = event.clone();
                 let outcome = self
                     .gapless
-                    .on_local_ingest(event, &view, successor, express);
+                    .on_local_ingest(event, view, successor, express);
                 if !outcome.actions.is_empty() {
                     if sends_express {
                         self.obs.inc("ring.express");
@@ -77,7 +77,7 @@ impl Running {
                     // flood — closing the silent-stall window where
                     // a ring message dies with a crashed hop and no
                     // survivor ever observes the stall condition.
-                    self.rbcast.track(tracked, &view, now);
+                    self.rbcast.track(tracked, view, now);
                 }
                 self.admit(ctx, outcome.actions);
                 if let Some(ev) = outcome.start_broadcast {
@@ -92,7 +92,7 @@ impl Running {
                 let Some(active) = app.exec.believed_active(alive) else {
                     return;
                 };
-                match gap::role_of(self.me, app.exec.chain(), &rt.reachers, alive, active) {
+                match gap::role_of(self.me, app.exec.chain(), rt.reachers, alive, active) {
                     GapRole::DeliverLocally => self.deliver_to_apps(ctx, &event),
                     GapRole::ForwardTo(target) => {
                         self.send_proc(target, &ProcMsg::GapForward { event });
@@ -106,7 +106,7 @@ impl Running {
     fn start_broadcast(&mut self, ctx: &mut Context<'_>, event: Event) {
         let now = ctx.now();
         let view = self.membership.view(now);
-        let actions = self.rbcast.start(event, &view, now);
+        let actions = self.rbcast.start(event, view, now);
         // Broadcasting advertises possession: gate it like any other
         // delivery action (the event itself was appended when it was
         // first stored, so this queues behind that flush).
@@ -150,8 +150,8 @@ impl Running {
                     return;
                 }
                 let view = self.membership.view(now);
-                let successor = self.membership.successor_in(&view);
-                let outcome = self.gapless.on_ring(event, seen, need, &view, successor);
+                let successor = self.membership.successor_in(view);
+                let outcome = self.gapless.on_ring(event, seen, need, view, successor);
                 // Gate first, relay second: a transparent gate applies
                 // the delivery at once, so a volatile home keeps the
                 // send order it has always had.
@@ -179,14 +179,14 @@ impl Running {
                 // view is empty; the ring's stall fallback relays
                 // through the full view to survive origin crashes.
                 let view = match self.config.forwarding {
-                    ForwardingMode::EagerBroadcast => Vec::new(),
+                    ForwardingMode::EagerBroadcast => ProcSet::EMPTY,
                     ForwardingMode::Ring => self.membership.view(now),
                 };
                 let eager_ack = self.config.ack_mode == AckMode::PerEvent;
                 let fresh = deliver.is_some();
                 let acks = self
                     .rbcast
-                    .on_broadcast(&event, origin, fresh, &view, eager_ack, now);
+                    .on_broadcast(&event, origin, fresh, view, eager_ack, now);
                 // Deliver first, then ack — and neither before the
                 // event is durable: the ack tells the origin this
                 // replica holds the event.
@@ -247,7 +247,7 @@ impl Running {
     pub(super) fn send_action(&mut self, action: Action) {
         match action {
             Action::Send { to, msg } => self.send_proc(to, &msg),
-            Action::Fanout { to, msg } => self.send_fanout(&to, &msg),
+            Action::Fanout { to, msg } => self.send_fanout(to, &msg),
             Action::Deliver { .. } => unreachable!("deliveries leave the durability gate only"),
         }
     }
@@ -261,9 +261,9 @@ impl Running {
     }
 
     /// Queues one protocol message to several peers, encoded once.
-    pub(super) fn send_fanout(&mut self, to: &[ProcessId], msg: &ProcMsg) {
+    pub(super) fn send_fanout(&mut self, to: ProcSet, msg: &ProcMsg) {
         let peers = &self.peer_actors;
-        let known = to.iter().copied().filter(|p| peers.contains_key(p));
+        let known = to.iter().filter(|p| peers.contains_key(p));
         self.outbox.fanout(known, msg);
     }
 

@@ -223,7 +223,8 @@ impl Running {
     /// with an active actuator node (§4's "analogous" command path).
     pub(super) fn route_command(&mut self, ctx: &mut Context<'_>, command: Command) {
         if let Some(device) = self.actuators.local(command.actuator) {
-            ctx.send(device, RadioFrame::Actuate(command).to_payload());
+            let frame = RadioFrame::Actuate(command);
+            self.actuators.send(ctx, device, &frame);
             return;
         }
         let now = ctx.now();

@@ -45,9 +45,9 @@ use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
 use rivulet_net::metrics::FanoutStats;
 use rivulet_obs::Recorder;
 use rivulet_storage::{StorageBackend, WalOptions};
-use rivulet_types::wire::Wire;
+use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{
-    ActuatorId, ArenaStats, CommandId, Duration, OperatorId, ProcessId, SensorId, Time,
+    ActuatorId, ArenaStats, CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time,
 };
 
 use crate::app::{AppRuntime, AppSpec, StreamKey};
@@ -160,7 +160,7 @@ impl std::fmt::Debug for ProcessSpec {
 
 struct SensorRt {
     device: ActorId,
-    reachers: Vec<ProcessId>,
+    reachers: ProcSet,
     delivery: Delivery,
     poll: Option<PollRt>,
     subscribed_apps: Vec<usize>,
@@ -205,7 +205,7 @@ impl SensorRt {
         }
         Self {
             device: entry.actor,
-            reachers: entry.reachers.clone(),
+            reachers: entry.reachers.iter().copied().collect(),
             delivery,
             poll,
             subscribed_apps,
@@ -232,6 +232,9 @@ struct AppRt {
 struct Actuators {
     me: ProcessId,
     by_id: HashMap<ActuatorId, (ActorId, Vec<ProcessId>)>,
+    /// Radio frames are encoded into recycled buffers, like the
+    /// outbox's protocol messages.
+    pool: WriterPool,
 }
 
 impl Actuators {
@@ -241,11 +244,16 @@ impl Actuators {
         reachers.contains(&self.me).then_some(*device)
     }
 
+    /// Sends `frame` to `device`, one of ours ([`Actuators::local`]).
+    fn send(&mut self, ctx: &mut Context<'_>, device: ActorId, frame: &RadioFrame) {
+        ctx.send(device, self.pool.encode(frame));
+    }
+
     /// Sends `frame` to `actuator` if this process adapts it; stays
     /// silent otherwise.
-    fn radio(&self, ctx: &mut Context<'_>, actuator: ActuatorId, frame: &RadioFrame) {
+    fn radio(&mut self, ctx: &mut Context<'_>, actuator: ActuatorId, frame: &RadioFrame) {
         if let Some(device) = self.local(actuator) {
-            ctx.send(device, frame.to_payload());
+            self.send(ctx, device, frame);
         }
     }
 
@@ -481,6 +489,7 @@ impl Running {
                     .iter()
                     .map(|a| (a.id, (a.actor, a.reachers.clone())))
                     .collect(),
+                pool: WriterPool::new(),
             },
             peer_actors: dir
                 .processes
@@ -555,11 +564,10 @@ impl Running {
             processed: self.processed.iter().map(|(s, q)| (*s, *q)).collect(),
             received: self.received_marks.iter().map(|(s, q)| (*s, *q)).collect(),
         };
-        let peers = self.membership.peers().to_vec();
-        self.send_fanout(&peers, &beacon);
+        self.send_fanout(self.membership.peers(), &beacon);
         // Ring successor maintenance + anti-entropy.
         let view = self.membership.view(now);
-        let successor = self.membership.successor_in(&view);
+        let successor = self.membership.successor_in(view);
         if successor != self.last_successor {
             self.last_successor = successor;
             if let Some(action) = self.gapless.on_successor_change(successor) {
@@ -568,7 +576,7 @@ impl Running {
         }
         // Reliable-broadcast retransmission (age-guarded: entries
         // whose cumulative-ack window is still open are skipped).
-        for action in self.rbcast.on_tick(&view, now) {
+        for action in self.rbcast.on_tick(view, now) {
             self.send_action(action);
         }
         if let Some(probe) = &self.store_probe {

@@ -61,7 +61,7 @@ impl Running {
                 let app = &self.apps[idx];
                 let alive = |p| self.membership.is_alive(p, now);
                 app.exec.believed_active(alive).is_some_and(|active| {
-                    gap::forwarder(app.exec.chain(), &rt.reachers, alive, active) == Some(self.me)
+                    gap::forwarder(app.exec.chain(), rt.reachers, alive, active) == Some(self.me)
                 })
             }),
         };

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use rivulet_net::actor::{Actor, ActorEvent, Context};
 use rivulet_obs::Recorder;
-use rivulet_types::wire::Wire;
+use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{ActuationState, ActuatorId, Command, CommandId, CommandKind, RoutineId, Time};
 
 use crate::fault::{DeviceFaults, FaultKind, FaultProbe};
@@ -131,6 +131,8 @@ pub struct ActuatorDevice {
     fault_probe: Option<Arc<FaultProbe>>,
     /// `fault.*` counters (disabled recorder by default).
     obs: Recorder,
+    /// Acknowledgements are encoded into recycled buffers.
+    pool: WriterPool,
 }
 
 impl ActuatorDevice {
@@ -147,6 +149,7 @@ impl ActuatorDevice {
             faults: None,
             fault_probe: None,
             obs: Recorder::new(),
+            pool: WriterPool::new(),
         }
     }
 
@@ -269,7 +272,7 @@ impl ActuatorDevice {
             applied,
             state: self.state,
         };
-        ctx.send(from, ack.to_payload());
+        ctx.send(from, self.pool.encode(&ack));
     }
 
     /// Holds a routine step for later commit and acks the staging.
@@ -326,7 +329,7 @@ impl ActuatorDevice {
             step,
             accepted,
         };
-        ctx.send(from, ack.to_payload());
+        ctx.send(from, self.pool.encode(&ack));
     }
 
     /// Fires every held step of `(routine, instance)` in step order.

@@ -16,7 +16,7 @@ use rivulet_bench::common::DeliveryScenario;
 use rivulet_core::config::{AckMode, ForwardingMode};
 use rivulet_core::delivery::Delivery;
 use rivulet_devices::fault::FaultKind;
-use rivulet_types::{Duration, Time};
+use rivulet_types::{Duration, ProcSet, Time};
 
 use crate::value::{parse, Document, ParseError, Value};
 
@@ -212,6 +212,15 @@ impl HomeParams {
 
     /// Cross-field validation applied after all axis substitutions.
     pub fn validate(&self) -> Result<(), ParseError> {
+        if self.processes > ProcSet::CAPACITY {
+            return Err(ParseError {
+                message: format!(
+                    "processes ({}) exceeds the home-size limit of {}",
+                    self.processes,
+                    ProcSet::CAPACITY
+                ),
+            });
+        }
         if self.receivers > self.processes {
             return Err(ParseError {
                 message: format!(
@@ -646,6 +655,15 @@ fault_rate = [0.0, 0.25, 0.5]
         let bad = "[base]\nprocesses = 1\nreceivers = 1\ncrash_at_secs = 3.0\n";
         let e = FleetManifest::from_text(bad).unwrap_err();
         assert!(e.message.contains("fail over"), "{e}");
+    }
+
+    #[test]
+    fn a_65_process_home_is_refused_by_name_of_the_limit() {
+        let ok = "[base]\nprocesses = 64\nreceivers = 1\n";
+        assert!(FleetManifest::from_text(ok).is_ok());
+        let bad = "[base]\nprocesses = 65\nreceivers = 1\n";
+        let e = FleetManifest::from_text(bad).unwrap_err();
+        assert!(e.message.contains("home-size limit of 64"), "{e}");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! # Overview
 //!
 //! * [`ProcessId`], [`SensorId`], [`ActuatorId`] — identities of the
-//!   participants in a home deployment.
+//!   participants in a home deployment; [`ProcSet`] — a set of
+//!   processes (a local view, the ring's `S` and `V`) as one bitmask.
 //! * [`Time`] — an instant of virtual (or wall-clock) time with
 //!   microsecond resolution.
 //! * [`Event`] — a sensed value flowing from a sensor toward logic
@@ -48,6 +49,7 @@
 mod command;
 mod event;
 mod id;
+mod procset;
 mod time;
 
 pub mod arena;
@@ -57,4 +59,5 @@ pub use arena::{ArenaStats, PayloadArena};
 pub use command::{ActuationState, Command, CommandId, CommandKind};
 pub use event::{Event, EventKind, Payload, SizeClass};
 pub use id::{ActuatorId, AppId, EventId, OperatorId, ProcessId, RoutineId, SensorId};
+pub use procset::{ProcSet, ProcSetIter};
 pub use time::{Duration, Time};

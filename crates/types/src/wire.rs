@@ -143,15 +143,17 @@ impl WireWriter {
 
     /// Appends `v` as an LEB128 varint.
     pub fn put_varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
+        // Built on the stack and appended once: one capacity check per
+        // varint instead of one per byte.
+        let mut bytes = [0u8; 10];
+        let mut n = 0;
+        while v >= 0x80 {
+            bytes[n] = (v & 0x7f) as u8 | 0x80;
             v >>= 7;
-            if v == 0 {
-                self.buf.put_u8(byte);
-                return;
-            }
-            self.buf.put_u8(byte | 0x80);
+            n += 1;
         }
+        bytes[n] = v as u8;
+        self.buf.put_slice(&bytes[..=n]);
     }
 
     /// Consumes the writer, yielding the encoded bytes.
