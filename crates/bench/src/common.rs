@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use rivulet_core::app::{AppBuilder, CombinerSpec, WindowSpec};
-use rivulet_core::config::{AckMode, ForwardingMode};
+use rivulet_core::config::ForwardingMode;
 use rivulet_core::delivery::Delivery;
 use rivulet_core::deploy::{Home, HomeBuilder};
 use rivulet_core::probe::{AppProbe, DeliveryRecord};
@@ -66,9 +66,6 @@ pub struct DeliveryScenario {
     pub crash_app_at: Option<Time>,
     /// Failure-detection threshold (2 s in §8.4).
     pub failure_timeout: Duration,
-    /// Broadcast acknowledgement mode (cumulative keep-alive
-    /// watermarks vs per-event acks).
-    pub ack_mode: AckMode,
     /// Enable the observability recorder for this run (figures read
     /// their numbers from the resulting [`ObsSnapshot`]).
     pub obs: bool,
@@ -109,7 +106,6 @@ impl DeliveryScenario {
             loss: 0.0,
             crash_app_at: None,
             failure_timeout: Duration::from_secs(2),
-            ack_mode: AckMode::Cumulative,
             obs: false,
             durable: false,
             fault_kind: None,
@@ -185,7 +181,6 @@ pub fn run_delivery_with_probes(
     let mut config = RivuletConfig::default()
         .with_failure_timeout(cfg.failure_timeout)
         .with_forwarding(cfg.forwarding)
-        .with_ack_mode(cfg.ack_mode)
         .with_repair(cfg.repair);
     if cfg.routines {
         config = config

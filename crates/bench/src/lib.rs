@@ -3,8 +3,7 @@
 //!
 //! Each module builds a deterministic simulated deployment, runs it,
 //! and returns the measurements the corresponding figure plots. The
-//! `figures` binary renders them as the paper's rows; the Criterion
-//! benches wrap the same scenarios.
+//! `figures` binary renders them as the paper's rows.
 //!
 //! | module | reproduces |
 //! |--------|------------|
@@ -16,7 +15,6 @@
 //! | [`fig7`] | Fig. 7 — failover timeline around an induced process crash |
 //! | [`fig8`] | Fig. 8 — coordinated vs uncoordinated polling overhead |
 //! | [`tables`] | Tables 1 and 3 — app and sensor surveys |
-//! | [`fanout`] | encode-once fan-out + frame coalescing throughput (`BENCH_fanout.json`) |
 //! | [`fault`] | correctness vs device-fault rate, repair off/on (`BENCH_fault.json`) |
 //! | [`routine`] | routines under injected crashes + ledger audit (`BENCH_routines.json`) |
 
@@ -24,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod fanout;
 pub mod fault;
 pub mod fig1;
 pub mod fig3;

@@ -203,8 +203,8 @@ mod tests {
                 failed: 0,
             },
             AxisRow {
-                axis: "ack_mode".into(),
-                value: "cumulative".into(),
+                axis: "forwarding".into(),
+                value: "ring".into(),
                 homes: 8,
                 emitted: 800,
                 delivered: 796,
@@ -213,7 +213,7 @@ mod tests {
         ];
         let t = render_axis_table(&rows);
         assert!(t.contains("loss"));
-        assert!(t.contains("ack_mode"));
+        assert!(t.contains("forwarding"));
         assert!(t.contains("99.0%"), "{t}");
         // Zero failures render as a dash, like every dead counter.
         assert!(t.lines().any(|l| l.trim_end().ends_with('-')), "{t}");

@@ -14,26 +14,6 @@ pub enum ForwardingMode {
     EagerBroadcast,
 }
 
-/// How reliable-broadcast deliveries are acknowledged back to the
-/// broadcast origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckMode {
-    /// Per-sensor *received* watermarks piggybacked on the keep-alive
-    /// beacon retire pending retransmissions cumulatively: one beacon
-    /// acknowledges every broadcast the peer has durably received, so
-    /// no per-event ack messages exist on the wire. Acknowledgement
-    /// latency is bounded by the keep-alive interval, which equals the
-    /// retransmit interval
-    /// ([`crate::delivery::rbcast::RETRANSMIT_INTERVAL`]) by default —
-    /// at most one redundant retransmission in the worst case.
-    Cumulative,
-    /// The original protocol: every `Broadcast` receipt immediately
-    /// sends a dedicated `BroadcastAck`. Kept as a fallback for
-    /// experiments that measure per-event acknowledgement latency
-    /// (Fig. 7 failover timing).
-    PerEvent,
-}
-
 /// Tunable parameters of a Rivulet process.
 ///
 /// Defaults follow the paper's evaluation setup: keep-alives every
@@ -53,9 +33,6 @@ pub struct RivuletConfig {
     /// Gapless replication protocol (ring, or the broadcast baseline
     /// used for the Fig. 5 comparison).
     pub forwarding: ForwardingMode,
-    /// How broadcast deliveries are acknowledged (cumulative watermarks
-    /// by default; per-event acks as a fallback).
-    pub ack_mode: AckMode,
     /// Master switch for the device-fault detection + repair layer
     /// (per-sensor health models, outlier substitution, quarantine,
     /// stall re-polls). **Off by default**: with repair disabled the
@@ -85,7 +62,6 @@ impl Default for RivuletConfig {
             failure_timeout: Duration::from_secs(2),
             anti_entropy: true,
             forwarding: ForwardingMode::Ring,
-            ack_mode: AckMode::Cumulative,
             repair: false,
             routines: false,
             routine_stage_timeout: Duration::from_secs(2),
@@ -120,14 +96,6 @@ impl RivuletConfig {
     #[must_use]
     pub fn with_forwarding(mut self, mode: ForwardingMode) -> Self {
         self.forwarding = mode;
-        self
-    }
-
-    /// Returns a config with the broadcast acknowledgement mode
-    /// replaced.
-    #[must_use]
-    pub fn with_ack_mode(mut self, mode: AckMode) -> Self {
-        self.ack_mode = mode;
         self
     }
 
@@ -177,7 +145,6 @@ mod tests {
         assert_eq!(c.failure_timeout, Duration::from_secs(2));
         assert_eq!(c.keepalive_interval, Duration::from_millis(500));
         assert!(c.anti_entropy);
-        assert_eq!(c.ack_mode, AckMode::Cumulative);
         assert!(!c.repair, "repair layer is opt-in");
         assert!(!c.routines, "routine engine is opt-in");
         assert!(c.routine_stage_timeout > Duration::ZERO);
@@ -199,12 +166,6 @@ mod tests {
     #[should_panic(expected = "stage timeout must be positive")]
     fn zero_stage_timeout_panics() {
         let _ = RivuletConfig::default().with_routine_stage_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    fn ack_mode_builder() {
-        let c = RivuletConfig::default().with_ack_mode(AckMode::PerEvent);
-        assert_eq!(c.ack_mode, AckMode::PerEvent);
     }
 
     #[test]

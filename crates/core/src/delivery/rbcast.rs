@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rivulet_types::{Duration, Event, EventId, ProcSet, ProcessId, SensorId, Time};
+use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
 use crate::messages::ProcMsg;
 
@@ -159,75 +159,34 @@ impl RbcastState {
         self.insert_pending(event, peers, now + self.track_grace);
     }
 
-    /// A broadcast copy arrived. With `eager_ack` (the `PerEvent` ack
-    /// mode) the origin gets an immediate `BroadcastAck`; otherwise the
-    /// receipt is acknowledged cumulatively by the *received* watermark
-    /// on our next keep-alive beacon. If `was_new` and not already
-    /// relayed, a relay flood of our own makes delivery survive origin
+    /// A broadcast copy arrived. The receipt itself is acknowledged by
+    /// the *received* watermark on our next keep-alive beacon, so the
+    /// only thing to send is a relay: if `was_new` and not already
+    /// relayed, a flood of our own makes delivery survive origin
     /// crashes (pass an empty `view` to suppress relaying — the eager
     /// baseline floods only from the origin).
     pub fn on_broadcast(
         &mut self,
         event: &Event,
-        origin: ProcessId,
         was_new: bool,
         view: ProcSet,
-        eager_ack: bool,
         now: Time,
     ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if eager_ack {
-            actions.push(Action::Send {
-                to: origin,
-                msg: ProcMsg::BroadcastAck {
-                    id: event.id,
-                    from: self.me,
-                },
-            });
-        }
         let already_relayed = self
             .relayed
             .get(&event.id.sensor)
             .is_some_and(|s| s.contains(&event.id.seq));
         if was_new && !already_relayed {
-            actions.extend(self.start(event.clone(), view, now));
-        }
-        actions
-    }
-
-    fn remove_pending(&mut self, id: EventId) {
-        if let Some(per) = self.pending.get_mut(&id.sensor) {
-            if per.remove(&id.seq).is_some() {
-                self.n_pending -= 1;
-            }
-            if per.is_empty() {
-                self.pending.remove(&id.sensor);
-            }
-        }
-    }
-
-    /// A peer acknowledged one of our broadcasts.
-    pub fn on_ack(&mut self, id: EventId, from: ProcessId) {
-        let done = match self
-            .pending
-            .get_mut(&id.sensor)
-            .and_then(|m| m.get_mut(&id.seq))
-        {
-            Some(p) => {
-                p.unacked.remove(from);
-                p.unacked.is_empty()
-            }
-            None => false,
-        };
-        if done {
-            self.remove_pending(id);
+            self.start(event.clone(), view, now)
+        } else {
+            Vec::new()
         }
     }
 
     /// A peer's cumulative *received* watermarks arrived (piggybacked
     /// on its keep-alive). Every pending broadcast whose event is
     /// covered by the peer's watermark is acknowledged at once — one
-    /// beacon retires arbitrarily many per-event acks. Returns how many
+    /// beacon retires arbitrarily many entries. Returns how many
     /// pending entries this ack retired for `from`.
     ///
     /// The pending shard for each sensor is scanned only up to the
@@ -326,7 +285,7 @@ impl RbcastState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rivulet_types::{EventKind, SensorId, Time};
+    use rivulet_types::{EventId, EventKind};
 
     fn ev(seq: u64) -> Event {
         Event::new(
@@ -371,28 +330,33 @@ mod tests {
         assert_eq!(b.pending_count(), 1);
     }
 
+    /// Peer `from`'s beacon covering seq 0 of the test sensor.
+    fn ack0(b: &mut RbcastState, from: u32) -> usize {
+        b.on_cumulative_ack(ProcessId(from), &[(SensorId(1), 0)])
+    }
+
     #[test]
     fn acks_retire_pending() {
         let mut b = RbcastState::new(ProcessId(0));
         let _ = b.start(ev(0), pids(&[0, 1, 2]), Time::ZERO);
-        b.on_ack(ev(0).id, ProcessId(1));
+        assert_eq!(ack0(&mut b, 1), 1);
         assert_eq!(b.pending_count(), 1);
-        b.on_ack(ev(0).id, ProcessId(2));
+        assert_eq!(ack0(&mut b, 2), 1);
         assert_eq!(b.pending_count(), 0);
         // Late/duplicate acks are harmless.
-        b.on_ack(ev(0).id, ProcessId(2));
+        assert_eq!(ack0(&mut b, 2), 0);
     }
 
     #[test]
     fn tick_retransmits_only_unacked_live_peers() {
         let mut b = RbcastState::new(ProcessId(0));
         let _ = b.start(ev(0), pids(&[0, 1, 2, 3]), Time::ZERO);
-        b.on_ack(ev(0).id, ProcessId(1));
+        ack0(&mut b, 1);
         // p3 left the view: written off.
         let actions = b.on_tick(pids(&[0, 1, 2]), Time::ZERO);
         assert_eq!(send_targets(&actions), pids(&[2]));
         // Everyone relevant acked or gone → pending clears.
-        b.on_ack(ev(0).id, ProcessId(2));
+        ack0(&mut b, 2);
         assert_eq!(b.pending_count(), 0);
         assert!(b.on_tick(pids(&[0, 1, 2]), Time::ZERO).is_empty());
     }
@@ -408,14 +372,10 @@ mod tests {
         // predecessor's anti-entropy repairs it instead).
         let due = b.on_tick(pids(&[0, 1, 2, 3]), Time::ZERO);
         assert_eq!(send_targets(&due), pids(&[1, 2]));
-        assert_eq!(
-            b.on_cumulative_ack(ProcessId(3), &[(SensorId(1), 0)]),
-            0,
-            "nothing of p3's left to retire"
-        );
+        assert_eq!(ack0(&mut b, 3), 0, "nothing of p3's left to retire");
         // The entry now waits for the peers still counted, nobody else.
-        b.on_ack(ev(0).id, ProcessId(1));
-        b.on_ack(ev(0).id, ProcessId(2));
+        ack0(&mut b, 1);
+        ack0(&mut b, 2);
         assert_eq!(b.pending_count(), 0);
     }
 
@@ -429,75 +389,33 @@ mod tests {
     }
 
     #[test]
-    fn receiver_acks_and_relays_new_events_once() {
+    fn receiver_relays_new_events_once() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, view, true, Time::ZERO);
-        // First action: ack to origin.
-        assert!(matches!(
-            actions[0],
-            Action::Send {
-                to: ProcessId(0),
-                msg: ProcMsg::BroadcastAck { .. }
-            }
-        ));
-        // Relay flood to peers.
+        let actions = b.on_broadcast(&ev(0), true, view, Time::ZERO);
+        // Nothing but the relay flood: the keep-alive beacon acks.
+        assert_eq!(actions.len(), 1);
         assert_eq!(send_targets(&actions), pids(&[0, 2]));
-        // Second receipt: ack only, no re-relay.
-        let again = b.on_broadcast(&ev(0), ProcessId(2), false, view, true, Time::ZERO);
-        assert_eq!(again.len(), 1);
-        assert!(matches!(
-            again[0],
-            Action::Send {
-                to: ProcessId(2),
-                msg: ProcMsg::BroadcastAck { .. }
-            }
-        ));
+        // A second copy is not relayed again, whatever the store says
+        // of it.
+        assert!(b.on_broadcast(&ev(0), true, view, Time::ZERO).is_empty());
     }
 
     #[test]
     fn known_event_not_relayed() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), false, view, true, Time::ZERO);
-        assert_eq!(actions.len(), 1, "ack only for already-known events");
+        assert!(b.on_broadcast(&ev(0), false, view, Time::ZERO).is_empty());
     }
 
     #[test]
     fn empty_view_suppresses_relay() {
-        // The eager-broadcast baseline: receivers acknowledge but never
-        // re-flood (the origin is the only flooder).
+        // The eager-broadcast baseline: receivers never re-flood (the
+        // origin is the only flooder).
         let mut b = RbcastState::new(ProcessId(1));
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, ProcSet::EMPTY, true, Time::ZERO);
-        assert_eq!(actions.len(), 1, "ack only");
+        let actions = b.on_broadcast(&ev(0), true, ProcSet::EMPTY, Time::ZERO);
+        assert!(actions.is_empty());
         assert_eq!(b.pending_count(), 0, "nothing pending without a view");
-        let silent = b.on_broadcast(
-            &ev(1),
-            ProcessId(0),
-            true,
-            ProcSet::EMPTY,
-            false,
-            Time::ZERO,
-        );
-        assert!(silent.is_empty(), "cumulative mode: beacon acks later");
-    }
-
-    #[test]
-    fn cumulative_mode_skips_eager_ack_but_still_relays() {
-        let mut b = RbcastState::new(ProcessId(1));
-        let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), ProcessId(0), true, view, false, Time::ZERO);
-        assert!(
-            !actions.iter().any(|a| matches!(
-                a,
-                Action::Send {
-                    msg: ProcMsg::BroadcastAck { .. },
-                    ..
-                }
-            )),
-            "no per-event ack in cumulative mode"
-        );
-        assert_eq!(send_targets(&actions), pids(&[0, 2]), "relay still floods");
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //!
 //! A durable process appends every newly stored event to its
 //! write-ahead log and must not claim it — deliver it, advertise its
-//! receipt, relay or acknowledge a broadcast of it, or be the first to
-//! put it on the ring — before the append is on disk. [`DurableGate`]
-//! owns that rule: it holds the log, the actions waiting on it (in
-//! arrival order) and the [`AdaptiveGate`] bound on how many may wait,
-//! and it hands actions back only as [`Released`], the sole type the
-//! process runtime applies deliveries from. The one thing the gate is
-//! never asked about is a ring *relay* of an event a peer's disk
-//! already backs; DESIGN §4.2 ("Durability gating") states the rule in
-//! full. Nothing here touches a driver, so the rule is unit-tested
-//! against a simulated disk.
+//! receipt (which is the acknowledgement), relay a broadcast of it, or
+//! be the first to put it on the ring — before the append is on disk.
+//! [`DurableGate`] owns that rule: it holds the log, the actions
+//! waiting on it (in arrival order) and the [`AdaptiveGate`] bound on
+//! how many may wait, and it hands actions back only as [`Released`],
+//! the sole type the process runtime applies deliveries from. The one
+//! thing the gate is never asked about is a ring *relay* of an event a
+//! peer's disk already backs; DESIGN §4.2 ("Durability gating") states
+//! the rule in full. Nothing here touches a driver, so the rule is
+//! unit-tested against a simulated disk.
 //!
 //! A fixed bound stalls bursty workloads (every burst larger than the
 //! cap pays a forced flush) and over-delays sparse ones, so the gate
@@ -308,14 +308,16 @@ mod tests {
     }
 
     /// What a replica does with broadcast copy `seq`: deliver it, then
-    /// tell the origin it holds it.
-    fn deliver_and_ack(seq: u64) -> Vec<Action> {
+    /// relay it, which tells the receiver this replica holds it.
+    fn deliver_and_relay(seq: u64) -> Vec<Action> {
         let id = EventId::new(SensorId(1), seq);
         let event = Event::new(id, EventKind::Motion, Time::from_millis(seq));
-        let from = ProcessId(1);
-        let ack = ProcMsg::BroadcastAck { id, from };
+        let relay = ProcMsg::Broadcast {
+            event: event.clone(),
+            origin: ProcessId(1),
+        };
         let to = ProcessId(0);
-        vec![Action::Deliver { event }, Action::Send { to, msg: ack }]
+        vec![Action::Deliver { event }, Action::Send { to, msg: relay }]
     }
 
     #[test]
@@ -324,12 +326,16 @@ mod tests {
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
         let mut arrived = Vec::new();
         for seq in 0..7 {
-            arrived.extend(deliver_and_ack(seq));
-            assert_eq!(gate.admit(NOW, deliver_and_ack(seq)), Released::default());
+            arrived.extend(deliver_and_relay(seq));
+            assert_eq!(gate.admit(NOW, deliver_and_relay(seq)), Released::default());
         }
-        assert_eq!(backend.durable_len(0), Some(0), "no ack ahead of the disk");
-        arrived.extend(deliver_and_ack(7));
-        let released = gate.admit(NOW, deliver_and_ack(7));
+        assert_eq!(
+            backend.durable_len(0),
+            Some(0),
+            "no relay ahead of the disk"
+        );
+        arrived.extend(deliver_and_relay(7));
+        let released = gate.admit(NOW, deliver_and_relay(7));
         assert!(
             backend.durable_len(0) > Some(0),
             "the eighth append flushed"
@@ -349,7 +355,7 @@ mod tests {
         let bound = gate.bound().expect("durable");
         let mut withheld = 0;
         for seq in 0.. {
-            let released = gate.admit(NOW, deliver_and_ack(seq)).0;
+            let released = gate.admit(NOW, deliver_and_relay(seq)).0;
             withheld += 2;
             if withheld < bound {
                 assert!(released.is_empty(), "{withheld} of {bound} withheld");
@@ -370,14 +376,14 @@ mod tests {
         assert_eq!(gate.flush(NOW), Released::default(), "nothing pending");
         assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
 
-        assert_eq!(gate.admit(NOW, deliver_and_ack(0)), Released::default());
-        assert_eq!(gate.flush(NOW).0, deliver_and_ack(0));
+        assert_eq!(gate.admit(NOW, deliver_and_relay(0)), Released::default());
+        assert_eq!(gate.flush(NOW).0, deliver_and_relay(0));
         assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
 
-        assert_eq!(gate.admit(NOW, deliver_and_ack(1)), Released::default());
+        assert_eq!(gate.admit(NOW, deliver_and_relay(1)), Released::default());
         let processed = BTreeMap::from([(SensorId(1), 0)]);
         let released = gate.checkpoint(Time::from_secs(1), &processed);
-        assert_eq!(released.0, deliver_and_ack(1));
+        assert_eq!(released.0, deliver_and_relay(1));
         assert_eq!(gate.bound(), Some(bound / 4));
         backend.crash();
         let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
@@ -391,8 +397,8 @@ mod tests {
         let backend = Arc::new(SimBackend::new(5));
         let obs = Recorder::enabled();
         let (mut gate, _) = recorded_gate_on(&backend, FlushPolicy::EveryN(8), &obs);
-        let _ = gate.admit(Time::from_millis(1), deliver_and_ack(0));
-        let _ = gate.admit(Time::from_millis(4), deliver_and_ack(1));
+        let _ = gate.admit(Time::from_millis(1), deliver_and_relay(0));
+        let _ = gate.admit(Time::from_millis(4), deliver_and_relay(1));
         assert!(obs.snapshot().histogram("wal.gate_wait_us").is_none());
         let released = gate.flush(Time::from_millis(10));
         assert_eq!(released.0.len(), 4);
@@ -403,9 +409,9 @@ mod tests {
 
         // With the recorder off nothing is kept per admit.
         obs.set_enabled(false);
-        let _ = gate.admit(Time::from_millis(11), deliver_and_ack(2));
+        let _ = gate.admit(Time::from_millis(11), deliver_and_relay(2));
         assert!(gate.admitted_at.is_empty());
-        assert_eq!(gate.flush(Time::from_millis(20)).0, deliver_and_ack(2));
+        assert_eq!(gate.flush(Time::from_millis(20)).0, deliver_and_relay(2));
     }
 
     #[test]
@@ -413,7 +419,10 @@ mod tests {
         let (mut gate, recovered) = DurableGate::open(None, &Recorder::default());
         assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
         assert_eq!((gate.bound(), gate.flush_interval()), (None, None));
-        assert_eq!(gate.admit(NOW, deliver_and_ack(0)).0, deliver_and_ack(0));
+        assert_eq!(
+            gate.admit(NOW, deliver_and_relay(0)).0,
+            deliver_and_relay(0)
+        );
         assert_eq!(gate.flush(NOW), Released::default());
         let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new());
         assert_eq!(released, Released::default());

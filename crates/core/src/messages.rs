@@ -9,7 +9,7 @@
 //! two bytes longer than the Gap forward of the same event.
 
 use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
-use rivulet_types::{Command, Event, EventId, ProcSet, ProcessId, SensorId};
+use rivulet_types::{Command, Event, ProcSet, ProcessId, SensorId};
 
 /// A message between two Rivulet processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,9 +30,8 @@ pub enum ProcMsg {
         /// `(sensor, highest seq durably received at the sender)` —
         /// cumulative ack watermarks piggybacked on the beacon. A
         /// broadcast origin retires every pending retransmission whose
-        /// seq is covered by the peer's watermark, replacing the
-        /// per-event [`ProcMsg::BroadcastAck`] storm (see
-        /// `AckMode::Cumulative`). Empty until the first delivery.
+        /// seq is covered by the peer's watermark; no per-event ack
+        /// exists on the wire. Empty until the first delivery.
         received: Vec<(SensorId, u64)>,
     },
     /// Gapless ring forwarding: `(e : S : V)` from the paper — the
@@ -61,14 +60,6 @@ pub enum ProcMsg {
         event: Event,
         /// The process that initiated the broadcast.
         origin: ProcessId,
-    },
-    /// Acknowledgement of a [`ProcMsg::Broadcast`] so the origin can
-    /// stop retransmitting.
-    BroadcastAck {
-        /// The acknowledged event.
-        id: EventId,
-        /// The acknowledging process.
-        from: ProcessId,
     },
     /// Gap chain forwarding: the closest active sensor node sends the
     /// event straight to the application-bearing process (§4.2).
@@ -106,12 +97,13 @@ pub enum ProcMsg {
 }
 
 impl ProcMsg {
+    /// The first wire byte. Tag 3 is retired (it was the per-event
+    /// broadcast ack) and decodes to an error; it is not reused.
     fn tag(&self) -> u8 {
         match self {
             ProcMsg::KeepAlive { .. } => 0,
             ProcMsg::Ring { .. } => 1,
             ProcMsg::Broadcast { .. } => 2,
-            ProcMsg::BroadcastAck { .. } => 3,
             ProcMsg::GapForward { .. } => 4,
             ProcMsg::SyncRequest { .. } => 5,
             ProcMsg::SyncReply { .. } => 6,
@@ -151,7 +143,6 @@ impl Wire for ProcMsg {
                 event.encoded_len() + as_set(seen).encoded_len() + as_set(need).encoded_len()
             }
             ProcMsg::Broadcast { event, origin } => event.encoded_len() + origin.encoded_len(),
-            ProcMsg::BroadcastAck { id, from } => id.encoded_len() + from.encoded_len(),
             ProcMsg::GapForward { event } => event.encoded_len(),
             ProcMsg::SyncRequest { from } => from.encoded_len(),
             ProcMsg::SyncReply { from, watermarks } => {
@@ -183,10 +174,6 @@ impl Wire for ProcMsg {
                 event.encode(w);
                 origin.encode(w);
             }
-            ProcMsg::BroadcastAck { id, from } => {
-                id.encode(w);
-                from.encode(w);
-            }
             ProcMsg::GapForward { event } => event.encode(w),
             ProcMsg::SyncRequest { from } => from.encode(w),
             ProcMsg::SyncReply { from, watermarks } => {
@@ -213,10 +200,6 @@ impl Wire for ProcMsg {
             2 => Ok(ProcMsg::Broadcast {
                 event: Event::decode(r)?,
                 origin: ProcessId::decode(r)?,
-            }),
-            3 => Ok(ProcMsg::BroadcastAck {
-                id: EventId::decode(r)?,
-                from: ProcessId::decode(r)?,
             }),
             4 => Ok(ProcMsg::GapForward {
                 event: Event::decode(r)?,
@@ -359,7 +342,7 @@ impl Wire for Frame {
 mod tests {
     use super::*;
     use rivulet_types::wire::roundtrip;
-    use rivulet_types::{EventKind, Time};
+    use rivulet_types::{EventId, EventKind, Time};
 
     fn ev(seq: u64) -> Event {
         Event::new(
@@ -397,10 +380,6 @@ mod tests {
         roundtrip(&ProcMsg::Broadcast {
             event: ev(1),
             origin: ProcessId(2),
-        });
-        roundtrip(&ProcMsg::BroadcastAck {
-            id: EventId::new(SensorId(1), 1),
-            from: ProcessId(0),
         });
         roundtrip(&ProcMsg::GapForward { event: ev(2) });
         roundtrip(&ProcMsg::SyncRequest { from: ProcessId(4) });
@@ -496,6 +475,100 @@ mod tests {
         ));
     }
 
+    /// What a peer built before tag 3 was retired sends as a
+    /// per-event broadcast ack: the tag, an event id, a process id.
+    fn old_ack_bytes() -> bytes::Bytes {
+        let mut w = WireWriter::new();
+        w.put_u8(3);
+        EventId::new(SensorId(1), 1).encode(&mut w);
+        ProcessId(1).encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn retired_tag_3_is_rejected_bare_and_inside_a_frame() {
+        let old_ack = old_ack_bytes();
+        let retired = Err(WireError::InvalidTag {
+            ty: "ProcMsg",
+            tag: 3,
+        });
+        assert_eq!(ProcMsg::from_bytes(&old_ack), retired);
+        assert_eq!(ProcMsg::from_bytes(&[3]), retired);
+
+        let keepalive = ProcMsg::KeepAlive {
+            from: ProcessId(0),
+            processed: vec![],
+            received: vec![],
+        }
+        .to_bytes();
+        let framed = Frame::encode_parts(&mut WireWriter::new(), &[keepalive, old_ack]);
+        assert_eq!(
+            Frame::from_bytes(&framed),
+            Err(WireError::InvalidTag {
+                ty: "ProcMsg",
+                tag: 3
+            })
+        );
+    }
+
+    #[test]
+    fn a_process_drops_the_retired_tag_without_panicking() {
+        use crate::config::RivuletConfig;
+        use crate::deploy::{Directory, DirectoryData};
+        use crate::process::{ProcessSpec, RivuletProcess};
+        use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
+        use rivulet_net::link::ActorClass;
+        use rivulet_net::sim::{SimConfig, SimNet};
+        use std::sync::Arc;
+
+        /// A peer from before tag 3 was retired: acks on start-up.
+        struct StalePeer {
+            to: ActorId,
+            payloads: Vec<bytes::Bytes>,
+        }
+        impl Actor for StalePeer {
+            fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+                if matches!(event, ActorEvent::Start) {
+                    for payload in &self.payloads {
+                        ctx.send(self.to, payload.clone());
+                    }
+                }
+            }
+        }
+
+        let old_ack = old_ack_bytes();
+        let framed = Frame::encode_parts(&mut WireWriter::new(), std::slice::from_ref(&old_ack));
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        let directory = Directory::new();
+        let spec = ProcessSpec {
+            pid: ProcessId(0),
+            config: RivuletConfig::default(),
+            apps: Vec::new(),
+            directory: Arc::clone(&directory),
+            storage: None,
+            store_probe: None,
+            fanout: Arc::default(),
+            obs: net.recorder(),
+            routines: Vec::new(),
+        };
+        let process = net.add_actor("p0", ActorClass::Process, move || {
+            Box::new(RivuletProcess::new(spec.clone()))
+        });
+        let peer = net.add_actor("p1", ActorClass::Process, move || {
+            Box::new(StalePeer {
+                to: process,
+                payloads: vec![old_ack.clone(), framed.clone()],
+            })
+        });
+        directory.set(DirectoryData {
+            processes: vec![(ProcessId(0), process), (ProcessId(1), peer)],
+            ..DirectoryData::default()
+        });
+        net.run_for(rivulet_types::Duration::from_secs(1));
+        assert!(net.metrics().messages_delivered >= 2, "both copies arrived");
+        assert!(net.is_up(process));
+    }
+
     #[test]
     fn frame_tag_disjoint_from_procmsg_tags() {
         // Receive-path dispatch relies on the first byte alone.
@@ -585,7 +658,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use rivulet_types::wire::roundtrip;
-    use rivulet_types::{EventKind, Payload, Time};
+    use rivulet_types::{EventId, EventKind, Payload, Time};
 
     fn arb_event() -> impl Strategy<Value = Event> {
         (
@@ -649,12 +722,6 @@ mod proptests {
             (arb_event(), any::<u32>()).prop_map(|(event, o)| ProcMsg::Broadcast {
                 event,
                 origin: ProcessId(o)
-            }),
-            (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(s, q, f)| {
-                ProcMsg::BroadcastAck {
-                    id: EventId::new(SensorId(s), q),
-                    from: ProcessId(f),
-                }
             }),
             arb_event().prop_map(|event| ProcMsg::GapForward { event }),
             any::<u32>().prop_map(|f| ProcMsg::SyncRequest { from: ProcessId(f) }),

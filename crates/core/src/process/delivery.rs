@@ -7,7 +7,7 @@ use rivulet_net::actor::Context;
 use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
 use super::{advance, Running};
-use crate::config::{AckMode, ForwardingMode};
+use crate::config::ForwardingMode;
 use crate::delivery::gap::{self, GapRole};
 use crate::delivery::{Action, Delivery};
 use crate::gating::Released;
@@ -39,9 +39,9 @@ impl Running {
                 // Fig. 5 baseline: flood to all peers unless the event
                 // already arrived from another process. The flood goes
                 // through the rbcast state machine so the origin tracks
-                // which peers still owe an acknowledgement — per-event
-                // `BroadcastAck`s or (default) the cumulative received
-                // watermarks on their keep-alive beacons.
+                // which peers still owe an acknowledgement: the
+                // cumulative received watermarks on their keep-alive
+                // beacons.
                 if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
                     let view = self.membership.view(now);
                     let mut actions = vec![deliver];
@@ -121,7 +121,6 @@ impl Running {
             ProcMsg::KeepAlive { from, .. }
             | ProcMsg::SyncRequest { from }
             | ProcMsg::SyncReply { from, .. }
-            | ProcMsg::BroadcastAck { from, .. }
             | ProcMsg::Broadcast { origin: from, .. } => self.membership.heard_from(*from, now),
             _ => {}
         }
@@ -135,12 +134,10 @@ impl Running {
                     advance(&mut self.processed, sensor, seq);
                 }
                 // The peer's durable-receipt watermarks acknowledge
-                // every covered pending broadcast in one beacon. Each
-                // retirement in cumulative mode is one per-event ack
-                // message that never had to cross the wire.
+                // every covered pending broadcast in one beacon.
                 if !received.is_empty() {
                     let retired = self.rbcast.on_cumulative_ack(from, &received);
-                    if retired > 0 && self.config.ack_mode == AckMode::Cumulative {
+                    if retired > 0 {
                         self.fanout.record_acks_avoided(retired as u64);
                     }
                 }
@@ -166,33 +163,28 @@ impl Running {
                     self.start_broadcast(ctx, ev);
                 }
             }
-            ProcMsg::Broadcast { event, origin } => {
+            ProcMsg::Broadcast { event, .. } => {
                 if !self.sensor_subscribed(event.id.sensor) {
                     return;
                 }
                 let deliver = self.gapless.on_broadcast_copy(event.clone());
-                // Receivers acknowledge every broadcast copy: per
-                // event (an immediate `BroadcastAck`) or, by
-                // default, cumulatively via the received watermark
-                // on their next keep-alive beacon. In the eager
-                // baseline only the origin floods, so the relay
-                // view is empty; the ring's stall fallback relays
-                // through the full view to survive origin crashes.
+                // Receivers acknowledge every broadcast copy
+                // cumulatively, via the received watermark on their
+                // next keep-alive beacon. In the eager baseline only
+                // the origin floods, so the relay view is empty; the
+                // ring's stall fallback relays through the full view
+                // to survive origin crashes.
                 let view = match self.config.forwarding {
                     ForwardingMode::EagerBroadcast => ProcSet::EMPTY,
                     ForwardingMode::Ring => self.membership.view(now),
                 };
-                let eager_ack = self.config.ack_mode == AckMode::PerEvent;
                 let fresh = deliver.is_some();
-                let acks = self
-                    .rbcast
-                    .on_broadcast(&event, origin, fresh, view, eager_ack, now);
-                // Deliver first, then ack — and neither before the
-                // event is durable: the ack tells the origin this
+                let relay = self.rbcast.on_broadcast(&event, fresh, view, now);
+                // Deliver first, then relay — and neither before the
+                // event is durable: a relay tells its receivers this
                 // replica holds the event.
-                self.admit(ctx, deliver.into_iter().chain(acks).collect());
+                self.admit(ctx, deliver.into_iter().chain(relay).collect());
             }
-            ProcMsg::BroadcastAck { id, from } => self.rbcast.on_ack(id, from),
             ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
             ProcMsg::SyncRequest { from } => {
                 let reply = self.gapless.on_sync_request(from);

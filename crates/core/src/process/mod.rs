@@ -24,8 +24,8 @@
 //! the process additionally appends every replicated event and
 //! periodic operator checkpoints to a write-ahead log
 //! ([`rivulet_storage::Wal`]) and withholds local delivery, receipt
-//! watermarks, broadcast relays and acknowledgements, and the ingest
-//! process's first ring forward until the append is durable
+//! watermarks (the broadcast acknowledgement), broadcast relays, and
+//! the ingest process's first ring forward until the append is durable
 //! ([`crate::gating::DurableGate`]; ring relays do not wait — DESIGN
 //! §4.2); recovery then restores the event store and processed
 //! watermarks from the log instead of relying solely on peers.

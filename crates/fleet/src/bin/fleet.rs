@@ -1,7 +1,7 @@
 //! The fleet orchestrator CLI.
 //!
 //! ```text
-//! fleet run     <manifest> [--threads N] [--out PATH] [--obs-out PATH] [--scaling]
+//! fleet run     <manifest> [--threads N] [--out PATH] [--obs-out PATH]
 //! fleet expand  <manifest>
 //! fleet home    <manifest> <home-index>
 //! ```
@@ -11,8 +11,6 @@
 //!   `BENCH_fleet.json` aggregate (`--out`, default `BENCH_fleet.json`).
 //!   `--obs-out` additionally writes the merged `ObsSnapshot` JSON —
 //!   the document CI compares byte-for-byte across `--threads` values.
-//!   `--scaling` re-runs the fleet at one worker and one worker per
-//!   core and records speedup/efficiency in the JSON.
 //! * `expand` prints the resolved home list without running anything.
 //! * `home` re-runs a single home standalone — the debugging path for
 //!   a failure found in a fleet run; seeds derive from
@@ -20,13 +18,13 @@
 
 use std::process::ExitCode;
 
-use rivulet_fleet::executor::{effective_threads, run_fleet, run_home};
-use rivulet_fleet::report::{render_bench_json, render_summary, Scaling, ScalingPoint};
+use rivulet_fleet::executor::{run_fleet, run_home};
+use rivulet_fleet::report::{render_bench_json, render_summary};
 use rivulet_fleet::FleetManifest;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: fleet run <manifest> [--threads N] [--out PATH] [--obs-out PATH] [--scaling]\n\
+        "usage: fleet run <manifest> [--threads N] [--out PATH] [--obs-out PATH]\n\
          \x20      fleet expand <manifest>\n\
          \x20      fleet home <manifest> <home-index>"
     );
@@ -71,7 +69,6 @@ fn main() -> ExitCode {
             let out_path =
                 flag_value(&args, "--out").unwrap_or_else(|| "BENCH_fleet.json".to_owned());
             let obs_out = flag_value(&args, "--obs-out");
-            let measure_scaling = args.iter().any(|a| a == "--scaling");
 
             println!(
                 "fleet `{}`: {} configs x {} homes/config = {} homes",
@@ -83,45 +80,7 @@ fn main() -> ExitCode {
             let outcome = run_fleet(&manifest, threads);
             print!("{}", render_summary(&outcome));
 
-            let scaling = measure_scaling.then(|| {
-                let cores = effective_threads(0);
-                if cores == 1 {
-                    eprintln!(
-                        "scaling: WARNING: host reports a single core; the full-core \
-                         point degenerates to the single-worker run and measures no \
-                         parallelism"
-                    );
-                }
-                println!("scaling: re-running at 1 and {cores} worker(s)...");
-                let single = run_fleet(&manifest, 1);
-                let full = run_fleet(&manifest, cores);
-                // Record the thread counts the runs *actually used*
-                // (the pool clamps to the home count), not the request
-                // — the baseline gate audits `full.threads` for bogus
-                // single-thread "scaling" results on multi-core hosts.
-                let s = Scaling {
-                    single: ScalingPoint {
-                        threads: single.threads,
-                        wall_secs: single.wall_secs,
-                        events_per_sec: single.events_per_sec(),
-                    },
-                    full: ScalingPoint {
-                        threads: full.threads,
-                        wall_secs: full.wall_secs,
-                        events_per_sec: full.events_per_sec(),
-                    },
-                };
-                println!(
-                    "scaling: {:.2}x speedup on {} worker(s) ({:.0}% of ideal)",
-                    s.speedup(),
-                    full.threads,
-                    s.efficiency() * 100.0
-                );
-                s
-            });
-
-            std::fs::write(&out_path, render_bench_json(&outcome, scaling.as_ref()))
-                .expect("write fleet bench json");
+            std::fs::write(&out_path, render_bench_json(&outcome)).expect("write fleet bench json");
             println!("wrote {out_path}");
             if let Some(obs_path) = obs_out {
                 std::fs::write(&obs_path, outcome.merged.to_json())

@@ -342,7 +342,7 @@ rate_per_sec = 10
 duration_secs = 4.0
 
 [axes]
-ack_mode = ["cumulative", "per_event"]
+forwarding = ["ring", "broadcast"]
 "#;
 
     #[test]

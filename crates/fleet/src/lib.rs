@@ -7,7 +7,7 @@
 //!
 //! 1. **Manifest** ([`manifest`]): a TOML-subset file
 //!    declaring a base home plus sweep axes (home size, device mix,
-//!    link quality, failure schedule, ack mode, storage). The axes
+//!    link quality, failure schedule, storage). The axes
 //!    expand into the deterministic cartesian set of per-home
 //!    configurations, each with a seed derived purely from
 //!    `(fleet_seed, home_index)` — so any home of a 100 000-home
@@ -20,8 +20,7 @@
 //! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge (in
 //!    home-index order, so the result is byte-identical across thread
 //!    counts) into one fleet-wide snapshot with `fleet.*` counters, a
-//!    per-axis breakdown table, and the `BENCH_fleet.json` aggregate
-//!    the CI baseline gate consumes.
+//!    per-axis breakdown table, and the `BENCH_fleet.json` aggregate.
 //!
 //! ```text
 //! cargo run -p rivulet-fleet --release -- run manifests/fleet_smoke.toml
@@ -40,5 +39,5 @@ pub mod value;
 
 pub use executor::{run_fleet, run_home, FleetOutcome, HomeResult};
 pub use manifest::{derive_home_seed, FleetManifest, HomeParams, HomeSpec};
-pub use report::{axis_breakdown, render_bench_json, render_summary, Scaling, ScalingPoint};
+pub use report::{axis_breakdown, render_bench_json, render_summary};
 pub use value::{ParseError, Value};

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use rivulet_bench::common::DeliveryScenario;
-use rivulet_core::config::{AckMode, ForwardingMode};
+use rivulet_core::config::ForwardingMode;
 use rivulet_core::delivery::Delivery;
 use rivulet_devices::fault::FaultKind;
 use rivulet_types::{Duration, ProcSet, Time};
@@ -57,9 +57,6 @@ pub struct HomeParams {
     pub delivery: Delivery,
     /// Gapless forwarding protocol (`"ring"` / `"broadcast"`).
     pub forwarding: ForwardingMode,
-    /// Broadcast acknowledgement mode (`"cumulative"` /
-    /// `"per_event"`).
-    pub ack_mode: AckMode,
     /// Loss probability on each sensor→receiver link.
     pub loss: f64,
     /// Attach per-process durable storage (simulated WAL backend).
@@ -97,7 +94,6 @@ impl Default for HomeParams {
             duration_secs: 10.0,
             delivery: Delivery::Gapless,
             forwarding: ForwardingMode::Ring,
-            ack_mode: AckMode::Cumulative,
             loss: 0.0,
             durable: false,
             crash_at_secs: -1.0,
@@ -151,11 +147,6 @@ impl HomeParams {
                 Some("ring") => self.forwarding = ForwardingMode::Ring,
                 Some("broadcast") => self.forwarding = ForwardingMode::EagerBroadcast,
                 _ => return bad(key, "\"ring\" or \"broadcast\"", value),
-            },
-            "ack_mode" => match value.as_str() {
-                Some("cumulative") => self.ack_mode = AckMode::Cumulative,
-                Some("per_event") => self.ack_mode = AckMode::PerEvent,
-                _ => return bad(key, "\"cumulative\" or \"per_event\"", value),
             },
             "loss" => match value.as_f64() {
                 Some(v) if (0.0..1.0).contains(&v) => self.loss = v,
@@ -262,7 +253,6 @@ impl HomeParams {
         cfg.rate_per_sec = self.rate_per_sec;
         cfg.duration = secs_f64(self.duration_secs);
         cfg.forwarding = self.forwarding;
-        cfg.ack_mode = self.ack_mode;
         cfg.loss = self.loss;
         cfg.crash_app_at = self.crash_at();
         cfg.failure_timeout = secs_f64(self.failure_timeout_secs);
@@ -532,7 +522,7 @@ duration_secs = 5.0
 
 [axes]
 loss = [0.0, 0.1]
-ack_mode = ["cumulative", "per_event"]
+durable = [false, true]
 "#;
 
     #[test]
@@ -551,9 +541,9 @@ ack_mode = ["cumulative", "per_event"]
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 12, "derived seeds are unique");
-        // Sorted axis order: ack_mode before loss; last axis (loss)
+        // Sorted axis order: durable before loss; last axis (loss)
         // cycles fastest.
-        assert_eq!(specs[0].axis_values[0].0, "ack_mode");
+        assert_eq!(specs[0].axis_values[0].0, "durable");
         assert_eq!(specs[0].axis_values[1], ("loss".into(), "0".into()));
         assert_eq!(specs[3].axis_values[1], ("loss".into(), "0.1".into()));
     }
@@ -561,8 +551,8 @@ ack_mode = ["cumulative", "per_event"]
     #[test]
     fn declaration_order_does_not_matter() {
         let swapped = MANIFEST.replace(
-            "loss = [0.0, 0.1]\nack_mode = [\"cumulative\", \"per_event\"]",
-            "ack_mode = [\"cumulative\", \"per_event\"]\nloss = [0.0, 0.1]",
+            "loss = [0.0, 0.1]\ndurable = [false, true]",
+            "durable = [false, true]\nloss = [0.0, 0.1]",
         );
         assert_ne!(swapped, MANIFEST);
         let a = FleetManifest::from_text(MANIFEST).unwrap();
@@ -592,6 +582,26 @@ ack_mode = ["cumulative", "per_event"]
         let bad = MANIFEST.replace("processes = 5", "coalescing = true");
         let e = FleetManifest::from_text(&bad).unwrap_err();
         assert!(e.message.contains("`base.coalescing`"), "{e}");
+    }
+
+    #[test]
+    fn the_removed_ack_mode_key_is_rejected_in_base_and_axes() {
+        let bad = MANIFEST.replace("processes = 5", "ack_mode = \"per_event\"");
+        let e = FleetManifest::from_text(&bad).unwrap_err();
+        assert!(
+            e.message.contains("unknown home parameter `ack_mode`"),
+            "{e}"
+        );
+
+        let bad = MANIFEST.replace(
+            "durable = [false, true]",
+            "ack_mode = [\"cumulative\", \"per_event\"]",
+        );
+        let e = FleetManifest::from_text(&bad).unwrap_err();
+        assert!(
+            e.message.contains("unknown home parameter `ack_mode`"),
+            "{e}"
+        );
     }
 
     #[test]

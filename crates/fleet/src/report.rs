@@ -1,5 +1,5 @@
 //! Fleet reports: per-axis breakdowns, the human-readable summary, and
-//! the `BENCH_fleet.json` document the CI baseline gate consumes.
+//! the `BENCH_fleet.json` document CI uploads.
 
 use rivulet_bench::tables::{render_axis_table, AxisRow};
 
@@ -42,41 +42,6 @@ pub fn axis_breakdown(outcome: &FleetOutcome) -> Vec<AxisRow> {
     // Present grouped by axis (stable sort keeps value order).
     rows.sort_by(|a, b| a.axis.cmp(&b.axis));
     rows
-}
-
-/// One measured point of the thread-scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
-    /// Worker threads.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole fleet.
-    pub wall_secs: f64,
-    /// Aggregate delivered events per second.
-    pub events_per_sec: f64,
-}
-
-/// Thread-scaling measurement: the same fleet run with one worker and
-/// with one worker per core.
-#[derive(Debug, Clone, Copy)]
-pub struct Scaling {
-    /// The single-worker run.
-    pub single: ScalingPoint,
-    /// The all-cores run.
-    pub full: ScalingPoint,
-}
-
-impl Scaling {
-    /// Measured speedup of the all-cores run over one worker.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.full.events_per_sec / self.single.events_per_sec.max(1e-9)
-    }
-
-    /// Fraction of ideal (linear-in-threads) speedup achieved.
-    #[must_use]
-    pub fn efficiency(&self) -> f64 {
-        self.speedup() / self.full.threads.max(1) as f64
-    }
 }
 
 /// Renders the human-readable fleet summary printed after a run.
@@ -128,13 +93,12 @@ fn json_f(v: f64) -> String {
     }
 }
 
-/// Renders `BENCH_fleet.json`: the fleet aggregate block the baseline
-/// gate parses, the per-axis breakdown, and (when measured) the
-/// thread-scaling section. Wall-clock figures live *only* here — the
+/// Renders `BENCH_fleet.json`: the fleet aggregate block and the
+/// per-axis breakdown. Wall-clock figures live *only* here — the
 /// merged `ObsSnapshot` stays wall-clock-free so it can be compared
 /// byte-for-byte across thread counts.
 #[must_use]
-pub fn render_bench_json(outcome: &FleetOutcome, scaling: Option<&Scaling>) -> String {
+pub fn render_bench_json(outcome: &FleetOutcome) -> String {
     let mut out = String::from("{\n  \"fleet\": {\n");
     out.push_str(&format!("    \"name\": \"{}\",\n", outcome.name));
     out.push_str(&format!("    \"seed\": {},\n", outcome.seed));
@@ -186,24 +150,7 @@ pub fn render_bench_json(outcome: &FleetOutcome, scaling: Option<&Scaling>) -> S
         })
         .collect();
     out.push_str(&rendered.join(",\n"));
-    out.push_str("\n  ]");
-    if let Some(s) = scaling {
-        out.push_str(",\n  \"scaling\": {\n");
-        for (label, point) in [("single", s.single), ("full", s.full)] {
-            out.push_str(&format!(
-                "    \"{label}\": {{\"threads\": {}, \"wall_secs\": {}, \"events_per_sec\": {}}},\n",
-                point.threads,
-                json_f(point.wall_secs),
-                json_f(point.events_per_sec),
-            ));
-        }
-        out.push_str(&format!("    \"speedup\": {},\n", json_f(s.speedup())));
-        out.push_str(&format!(
-            "    \"efficiency\": {}\n  }}",
-            json_f(s.efficiency())
-        ));
-    }
-    out.push_str("\n}\n");
+    out.push_str("\n  ]\n}\n");
     out
 }
 
@@ -255,26 +202,10 @@ durable = [false, true]
     #[test]
     fn bench_json_contains_gate_fields() {
         let out = outcome();
-        let json = render_bench_json(&out, None);
+        let json = render_bench_json(&out);
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"homes_failed\": 0"));
         assert!(json.contains("\"axis\": \"loss\""));
-        assert!(!json.contains("scaling"));
-        let s = Scaling {
-            single: ScalingPoint {
-                threads: 1,
-                wall_secs: 2.0,
-                events_per_sec: 100.0,
-            },
-            full: ScalingPoint {
-                threads: 4,
-                wall_secs: 0.55,
-                events_per_sec: 364.0,
-            },
-        };
-        let json = render_bench_json(&out, Some(&s));
-        assert!(json.contains("\"scaling\""));
-        assert!(json.contains("\"efficiency\": 0.910"), "{json}");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum Value {
 impl Value {
     /// Renders the value the way a manifest would write it — used as
     /// the per-axis label in fleet reports (`loss=0.1`,
-    /// `ack_mode=per_event`).
+    /// `forwarding=broadcast`).
     #[must_use]
     pub fn label(&self) -> String {
         match self {
@@ -344,7 +344,7 @@ receivers = 1
 
 [axes]
 loss = [0.0, 0.1]
-ack_mode = ["cumulative", "per_event"]
+forwarding = ["ring", "broadcast"]
 crash_at_secs = [-1.0, 5.0]
 "#;
 
@@ -357,8 +357,8 @@ crash_at_secs = [-1.0, 5.0]
         assert_eq!(doc["base"]["durable"], Value::Bool(false));
         let crash = doc["axes"]["crash_at_secs"].as_array().unwrap();
         assert_eq!(crash, &[Value::Float(-1.0), Value::Float(5.0)]);
-        let acks = doc["axes"]["ack_mode"].as_array().unwrap();
-        assert_eq!(acks[1], Value::Str("per_event".into()));
+        let modes = doc["axes"]["forwarding"].as_array().unwrap();
+        assert_eq!(modes[1], Value::Str("broadcast".into()));
     }
 
     #[test]

@@ -6,14 +6,14 @@
 use rivulet_fleet::executor::run_fleet;
 use rivulet_fleet::FleetManifest;
 
-/// A 12-home fleet crossing link quality with a failure schedule —
+/// A 16-home fleet crossing link quality with a failure schedule —
 /// enough to exercise crash spans, loss randomness, and the WAL in the
 /// merged snapshot.
 const MANIFEST: &str = r#"
 [fleet]
 name = "determinism"
 seed = 1234
-homes_per_config = 2
+homes_per_config = 4
 
 [base]
 processes = 3
@@ -25,7 +25,6 @@ durable = true
 [axes]
 loss = [0.0, 0.2]
 crash_at_secs = [-1.0, 2.5]
-ack_mode = ["cumulative", "per_event"]
 "#;
 
 #[test]
@@ -74,7 +73,7 @@ fn fleet_counters_summarize_the_run() {
     let manifest = FleetManifest::from_text(MANIFEST).unwrap();
     let out = run_fleet(&manifest, 3);
     assert_eq!(out.merged.counter("fleet.homes"), 16);
-    assert_eq!(out.merged.counter("fleet.configs"), 8);
+    assert_eq!(out.merged.counter("fleet.configs"), 4);
     assert_eq!(
         out.merged.counter("fleet.events_total"),
         out.events_delivered()

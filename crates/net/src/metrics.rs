@@ -58,8 +58,7 @@ pub struct FanoutSnapshot {
     /// Encode work skipped by encode-once fan-out: bytes that were
     /// cheap-cloned to additional destinations instead of re-encoded.
     pub encode_bytes_saved: u64,
-    /// Per-event `BroadcastAck` messages replaced by cumulative
-    /// keep-alive watermarks.
+    /// Pending entries retired by a peer's keep-alive watermark.
     pub acks_avoided: u64,
 }
 

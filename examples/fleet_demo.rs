@@ -1,8 +1,8 @@
 //! Fleet orchestration walk-through: 32 homes, one failure axis.
 //!
 //! A scenario manifest declares one base home plus two sweep axes —
-//! link loss and a mid-run coordinator crash — which expand into 8
-//! configurations x 4 replicas = 32 homes. Every home runs as an
+//! link loss and a mid-run coordinator crash — which expand into 4
+//! configurations x 8 replicas = 32 homes. Every home runs as an
 //! isolated seeded simulation on the worker pool; per-home
 //! `ObsSnapshot`s merge (in home-index order, so the result is
 //! byte-identical at any thread count) into one fleet-wide report.
@@ -23,7 +23,7 @@ const MANIFEST: &str = r#"
 [fleet]
 name = "demo"
 seed = 42
-homes_per_config = 4
+homes_per_config = 8
 
 [base]
 processes = 4
@@ -36,7 +36,6 @@ durable = true
 [axes]
 loss = [0.0, 0.05]
 crash_at_secs = [-1.0, 2.5]
-ack_mode = ["cumulative", "per_event"]
 "#;
 
 fn main() {

@@ -1,10 +1,7 @@
-//! Integration tests for encode-once fan-out, frame coalescing, and
-//! cumulative acks: the acknowledgement mode must change *how many*
-//! network messages carry the protocol, never *what* gets delivered —
-//! and a seeded run must stay fully deterministic.
+//! Integration test for encode-once fan-out, frame coalescing, and
+//! cumulative acks: a seeded run must stay fully deterministic.
 
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
-use rivulet::core::config::AckMode;
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
 use rivulet::core::probe::AppProbe;
@@ -60,52 +57,6 @@ fn scripted_home(script: Vec<Time>, config: RivuletConfig, seed: u64) -> Setup {
     }
 }
 
-fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
-    let mut seqs: Vec<u64> = probe
-        .deliveries()
-        .iter()
-        .map(|d| d.event.seq)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    seqs.sort_unstable();
-    seqs
-}
-
-/// A faulty run: one receiver link drops an event, and the tv process
-/// crashes and recovers mid-stream, exercising ring forwarding,
-/// anti-entropy sync, and retransmission alongside steady-state
-/// keep-alive traffic.
-fn faulty_run(config: RivuletConfig, seed: u64) -> (Vec<u64>, usize) {
-    // Returns (delivered seqs, unique delivered).
-    let script: Vec<Time> = (1..=25).map(|i| Time::from_millis(400 * i)).collect();
-    let mut s = scripted_home(script, config, seed);
-    let dev = s.home.sensor_actor(s.sensor);
-    let tv = s.home.actor_of(s.pids[1]);
-    s.net
-        .set_blocked_at(Time::from_millis(1_900), dev, tv, true);
-    s.net
-        .set_blocked_at(Time::from_millis(2_100), dev, tv, false);
-    s.net.crash_at(tv, Time::from_secs(4));
-    s.net.recover_at(tv, Time::from_secs(8));
-    s.net.run_until(Time::from_secs(16));
-    (delivered_seqs(&s.probe), s.probe.unique_delivered())
-}
-
-#[test]
-fn cumulative_and_per_event_acks_deliver_identical_semantics() {
-    let cumulative = faulty_run(
-        RivuletConfig::default().with_ack_mode(AckMode::Cumulative),
-        13,
-    );
-    let per_event = faulty_run(
-        RivuletConfig::default().with_ack_mode(AckMode::PerEvent),
-        13,
-    );
-    assert_eq!(cumulative.0, per_event.0, "delivered event sets must match");
-    assert_eq!(cumulative.1, per_event.1);
-}
-
 #[test]
 fn seeded_coalesced_run_is_byte_identical() {
     // Full determinism: two same-seed runs must agree on every delivery
@@ -134,9 +85,4 @@ fn seeded_coalesced_run_is_byte_identical() {
         )
     };
     assert_eq!(trace(99), trace(99));
-}
-
-#[test]
-fn defaults_enable_the_optimizations() {
-    assert_eq!(RivuletConfig::default().ack_mode, AckMode::Cumulative);
 }

@@ -5,8 +5,8 @@
 //! `Recorder::{inc, add, observe, set_gauge, event, span_open,
 //! span_close}` call in non-test code under `crates/*/src`, plus
 //! [`INDIRECT`]. *Documented* is the first column of every table in
-//! OBSERVABILITY.md's metric catalog, plus [`PROSE_ONLY`]. Removing a
-//! catalog row or an emitting call on one side only fails the test.
+//! OBSERVABILITY.md's metric catalog. Removing a catalog row or an
+//! emitting call on one side only fails the test.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -47,10 +47,6 @@ const INDIRECT: &[&str] = &[
     "fleet.events_emitted",
     "fleet.events_total",
 ];
-
-/// Emitted keys documented in a sentence instead of a table row (the
-/// micro benchmark's standalone counters).
-const PROSE_ONLY: &[&str] = &["fanout.sends", "fanout.bytes", "fanout.frame_bytes"];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -144,17 +140,7 @@ fn catalog_matches_emitted_keys() {
         );
     }
 
-    let mut documented = catalog_keys(&doc);
-    for key in PROSE_ONLY {
-        assert!(
-            doc.contains(&format!("`{key}`")),
-            "PROSE_ONLY lists `{key}` but OBSERVABILITY.md never mentions it"
-        );
-        assert!(
-            documented.insert((*key).to_owned()),
-            "`{key}` has a catalog row: drop it from PROSE_ONLY"
-        );
-    }
+    let documented = catalog_keys(&doc);
 
     let undocumented: Vec<&String> = emitted.difference(&documented).collect();
     let stale: Vec<&String> = documented.difference(&emitted).collect();
