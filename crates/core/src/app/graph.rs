@@ -17,7 +17,7 @@ use rivulet_types::{ActuatorId, AppId, Duration, OperatorId, SensorId};
 use crate::delivery::polling::PollStrategy;
 use crate::delivery::Delivery;
 
-use super::operator::{LogicHandle, OperatorLogic};
+use super::operator::{LogicHandle, OperatorLogic, StreamKey};
 use super::window::WindowSpec;
 
 /// Polling policy for a poll-based sensor input (Table 2's optional
@@ -129,6 +129,13 @@ pub enum AppError {
     Cyclic,
     /// An operator has no inputs at all.
     NoInputs(OperatorId),
+    /// An operator wires one sensor, or one upstream operator, twice.
+    DuplicateStream {
+        /// The operator with the repeated input.
+        at: OperatorId,
+        /// The stream wired twice.
+        stream: StreamKey,
+    },
 }
 
 impl fmt::Display for AppError {
@@ -141,6 +148,9 @@ impl fmt::Display for AppError {
             }
             AppError::Cyclic => write!(f, "operator graph has a cycle"),
             AppError::NoInputs(id) => write!(f, "operator {id} has no inputs"),
+            AppError::DuplicateStream { at, stream } => {
+                write!(f, "operator {at} wires stream {stream} twice")
+            }
         }
     }
 }
@@ -176,6 +186,14 @@ impl AppSpec {
             }
             if op.inputs.is_empty() && op.upstreams.is_empty() {
                 return Err(AppError::NoInputs(op.id));
+            }
+            let sensors = op.inputs.iter().map(|i| StreamKey::Sensor(i.sensor));
+            let upstreams = op.upstreams.iter().map(|(u, _)| StreamKey::Operator(*u));
+            let mut streams = BTreeSet::new();
+            for stream in sensors.chain(upstreams) {
+                if !streams.insert(stream) {
+                    return Err(AppError::DuplicateStream { at: op.id, stream });
+                }
             }
         }
         for op in &self.operators {
@@ -533,6 +551,50 @@ mod tests {
             app.validate().unwrap_err(),
             AppError::DuplicateOperator(OperatorId(0))
         );
+    }
+
+    #[test]
+    fn sensor_wired_twice_rejected() {
+        let err = sensor_input(sensor_input(AppBuilder::new(AppId(0), "twice").operator(
+            "op",
+            CombinerSpec::All,
+            noop(),
+        )))
+        .done()
+        .build()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            AppError::DuplicateStream {
+                at: OperatorId(0),
+                stream: StreamKey::Sensor(SensorId(1)),
+            }
+        );
+        assert_eq!(err.to_string(), "operator op0 wires stream s1 twice");
+    }
+
+    #[test]
+    fn upstream_wired_twice_rejected() {
+        let app = sensor_input(AppBuilder::new(AppId(0), "twice").operator(
+            "avg",
+            CombinerSpec::Any,
+            noop(),
+        ))
+        .done();
+        let err = sensor_input(app.operator("hvac", CombinerSpec::Any, noop()))
+            .upstream(OperatorId(0), WindowSpec::count(1))
+            .upstream(OperatorId(0), WindowSpec::count(1).sliding())
+            .done()
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AppError::DuplicateStream {
+                at: OperatorId(1),
+                stream: StreamKey::Operator(OperatorId(0)),
+            }
+        );
+        assert_eq!(err.to_string(), "operator op1 wires stream op0 twice");
     }
 
     #[test]

@@ -96,8 +96,32 @@ impl WindowSpec {
     }
 
     /// Makes the window sliding: triggers do not clear the buffer.
-    /// The §6.1 example — median over the last N camera frames — is
-    /// `WindowSpec::count(1).sliding().with_evictor(KeepLast(N))`.
+    ///
+    /// The §6.1 example — a median over the last N camera frames —
+    /// buffers N, triggers on every frame and keeps the last N. The
+    /// structural bound must be N as well: `count(1)` holds one frame
+    /// whatever the evictor says.
+    ///
+    /// ```
+    /// use rivulet_core::app::{EvictorPolicy, TriggerPolicy, Window, WindowSpec};
+    /// use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
+    ///
+    /// const N: usize = 4;
+    /// let spec = WindowSpec::count(N)
+    ///     .sliding()
+    ///     .with_trigger(TriggerPolicy::OnCount(1))
+    ///     .with_evictor(EvictorPolicy::KeepLast(N));
+    /// let mut window = Window::new(spec);
+    /// let mut frames = Vec::new();
+    /// for seq in 0..N as u64 + 2 {
+    ///     let frame = Event::new(EventId::new(SensorId(1), seq), EventKind::Image, Time::ZERO);
+    ///     assert!(window.push(frame, Time::ZERO), "every frame triggers");
+    ///     window.snapshot(Time::ZERO, &mut frames);
+    /// }
+    /// assert_eq!(window.len(), N, "the buffer keeps N frames");
+    /// assert_eq!(frames.len(), N, "the median sees the last N frames");
+    /// assert_eq!(frames[0].id.seq, 2);
+    /// ```
     #[must_use]
     pub fn sliding(mut self) -> Self {
         self.clear_on_trigger = false;
@@ -174,21 +198,21 @@ impl Window {
     /// A non-consuming view of the buffer: applies the evictor but
     /// never clears, regardless of the spec. Used when *another*
     /// stream's trigger combines this stream's current contents.
-    pub fn peek(&mut self, now: Time) -> Vec<Event> {
+    /// Replaces `out`'s contents, keeping its capacity.
+    pub fn peek(&mut self, now: Time, out: &mut Vec<Event>) {
         self.apply_evictor(now);
-        self.buf.iter().cloned().collect()
+        out.clear();
+        out.extend(self.buf.iter().cloned());
     }
 
-    /// Takes the triggered view of the buffer: applies the evictor,
-    /// snapshots, and clears if the spec says so.
-    pub fn snapshot(&mut self, now: Time) -> Vec<Event> {
-        self.apply_evictor(now);
-        let view: Vec<Event> = self.buf.iter().cloned().collect();
+    /// Takes the triggered view of the buffer into `out` (as
+    /// [`Window::peek`]) and clears the buffer if the spec says so.
+    pub fn snapshot(&mut self, now: Time, out: &mut Vec<Event>) {
+        self.peek(now, out);
         if self.spec.clear_on_trigger {
             self.buf.clear();
             self.since_trigger = 0;
         }
-        view
     }
 
     fn enforce_bound(&mut self, now: Time) {
@@ -237,6 +261,12 @@ mod tests {
     use super::*;
     use rivulet_types::{EventId, EventKind, SensorId};
 
+    fn snapshot(w: &mut Window, now: Time) -> Vec<Event> {
+        let mut out = Vec::new();
+        w.snapshot(now, &mut out);
+        out
+    }
+
     fn ev(seq: u64, at_ms: u64) -> Event {
         Event::new(
             EventId::new(SensorId(1), seq),
@@ -252,7 +282,7 @@ mod tests {
         assert!(!w.push(ev(0, 0), now));
         assert!(!w.push(ev(1, 0), now));
         assert!(w.push(ev(2, 0), now), "third event triggers");
-        let snap = w.snapshot(now);
+        let snap = snapshot(&mut w, now);
         assert_eq!(snap.len(), 3);
         assert!(w.is_empty(), "disjoint batches clear");
         assert!(!w.push(ev(3, 0), now), "counter restarted");
@@ -264,7 +294,7 @@ mod tests {
         let mut w = Window::new(WindowSpec::count(1));
         for seq in 0..5 {
             assert!(w.push(ev(seq, 0), Time::ZERO));
-            assert_eq!(w.snapshot(Time::ZERO).len(), 1);
+            assert_eq!(snapshot(&mut w, Time::ZERO).len(), 1);
         }
     }
 
@@ -279,7 +309,7 @@ mod tests {
             "time windows never count-trigger"
         );
         assert!(!w.push(ev(1, 20_000), now));
-        let snap = w.snapshot(Time::from_secs(60));
+        let snap = snapshot(&mut w, Time::from_secs(60));
         assert_eq!(snap.len(), 2);
         assert!(w.is_empty());
     }
@@ -301,7 +331,7 @@ mod tests {
             let _ = w.push(ev(seq, 0), Time::ZERO);
         }
         assert_eq!(w.len(), 5);
-        let snap = w.snapshot(Time::ZERO);
+        let snap = snapshot(&mut w, Time::ZERO);
         assert_eq!(snap.first().unwrap().id.seq, 3, "oldest three dropped");
     }
 
@@ -317,7 +347,7 @@ mod tests {
         let mut sizes = Vec::new();
         for seq in 0..6 {
             assert!(w.push(ev(seq, 0), Time::ZERO));
-            sizes.push(w.snapshot(Time::ZERO).len());
+            sizes.push(snapshot(&mut w, Time::ZERO).len());
         }
         assert_eq!(sizes, vec![1, 2, 3, 4, 4, 4]);
         assert_eq!(w.len(), 4, "buffer retained");
@@ -331,7 +361,7 @@ mod tests {
         let mut w = Window::new(spec);
         let _ = w.push(ev(0, 0), Time::from_millis(1));
         let _ = w.push(ev(1, 7_000), Time::from_millis(7_001));
-        let snap = w.snapshot(Time::from_secs(8));
+        let snap = snapshot(&mut w, Time::from_secs(8));
         assert_eq!(snap.len(), 1, "event 0 older than 5s evicted");
         assert_eq!(snap[0].id.seq, 1);
     }

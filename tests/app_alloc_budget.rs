@@ -1,0 +1,212 @@
+//! The app runtime's allocation budget: heap allocations per
+//! `AppRuntime::on_event` on the two app shapes the benchmark runs.
+//! `process.allocs_per_event` counts these among everything else; a
+//! change that makes the operator DAG allocate per event again fails
+//! here, in tier-1, and says which shape grew.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use rivulet::core::app::{
+    AppBuilder, AppRuntime, AppSpec, CombinedWindows, CombinerSpec, EvictorPolicy, MarzulloAverage,
+    OpCtx, PollSpec, WindowSpec,
+};
+use rivulet::core::delivery::Delivery;
+use rivulet::types::{ActuatorId, AppId, Duration, Event, EventId, EventKind, SensorId, Time};
+
+/// `System`, counting the allocations of the thread that switched
+/// counting on — other tests in this binary run on other threads.
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only two
+// const-initialised thread-local cells, never the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as-is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as-is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed through as-is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Events the runtime sees before counting starts: windows fill and
+/// every reusable buffer reaches its steady size.
+const WARM_UP: u64 = 3_000;
+/// Events counted.
+const COUNTED: u64 = 21_000;
+
+/// Heap allocations per `on_event` call on events `WARM_UP..`; `event`
+/// builds events without heap data.
+fn allocs_per_call(app: AppSpec, event: impl Fn(u64) -> Event) -> f64 {
+    let mut runtime = AppRuntime::new(Arc::new(app)).expect("valid app");
+    for i in 0..WARM_UP {
+        let event = event(i);
+        drop(runtime.on_event(event.emitted_at, &event));
+    }
+    let before = ALLOCS.with(Cell::get);
+    COUNTING.with(|on| on.set(true));
+    for i in WARM_UP..WARM_UP + COUNTED {
+        let event = event(i);
+        drop(runtime.on_event(event.emitted_at, &event));
+    }
+    COUNTING.with(|on| on.set(false));
+    (ALLOCS.with(Cell::get) - before) as f64 / COUNTED as f64
+}
+
+fn dimmer_zones() -> Vec<ActuatorId> {
+    (0..16).map(ActuatorId).collect()
+}
+
+/// `dag_poll`'s app: three redundant sensors in sliding `KeepWithin`
+/// windows → `MarzulloAverage` → a threshold closure over 16 zones
+/// that also reads two polled sensors.
+fn dag_app() -> AppSpec {
+    let sliding = || {
+        WindowSpec::count(1)
+            .sliding()
+            .with_evictor(EvictorPolicy::KeepWithin(Duration::from_millis(4)))
+    };
+    let mut averaging = AppBuilder::new(AppId(1), "dag-poll").operator(
+        "averaging",
+        CombinerSpec::tolerate_arbitrary(3),
+        MarzulloAverage {
+            precision: 0.5,
+            tolerate: 0,
+        },
+    );
+    for s in 0..3 {
+        averaging = averaging.sensor(SensorId(s), Delivery::Gap, sliding());
+    }
+    let averaging_id = averaging.id();
+    let zones = dimmer_zones();
+    let mut threshold = averaging
+        .done()
+        .operator(
+            "threshold",
+            CombinerSpec::Any,
+            move |ctx: &mut OpCtx, w: &CombinedWindows| {
+                let zone = zones[(ctx.now().as_millis() % zones.len() as u64) as usize];
+                for value in w.scalars() {
+                    if !(19.0..=23.0).contains(&value) {
+                        ctx.set_level(zone, value);
+                    }
+                }
+            },
+        )
+        .upstream(averaging_id, WindowSpec::count(1));
+    for s in 10..12 {
+        threshold = threshold.polled_sensor(
+            SensorId(s),
+            Delivery::Gapless,
+            WindowSpec::count(1),
+            PollSpec::every(Duration::from_secs(1)),
+        );
+    }
+    for zone in dimmer_zones() {
+        threshold = threshold.actuator(zone, Delivery::Gap);
+    }
+    threshold.done().build().expect("valid app")
+}
+
+/// Event `i` of the three 1 kHz sensors: one slow sine, so the average
+/// spends part of the time outside the comfort band.
+fn reading(i: u64) -> Event {
+    let at = Time::from_micros(i / 3 * 1_000 + i % 3);
+    let phase = at.as_millis() as f64 / 700.0 * std::f64::consts::TAU;
+    Event::with_payload(
+        EventId::new(SensorId((i % 3) as u32), i / 3),
+        EventKind::Reading,
+        (21.0 + 4.0 * phase.sin()).into(),
+        at,
+    )
+}
+
+/// The other five workloads' app: every event of every sensor sets one
+/// of 16 dimmer zones.
+fn per_event_app() -> AppSpec {
+    let zones = dimmer_zones();
+    let mut op = AppBuilder::new(AppId(1), "per-event-actuation").operator(
+        "actuate",
+        CombinerSpec::Any,
+        move |ctx: &mut OpCtx, w: &CombinedWindows| {
+            for event in w.all_events() {
+                let zone = zones[(event.id.seq % zones.len() as u64) as usize];
+                ctx.set_level(zone, event.id.seq as f64);
+            }
+        },
+    );
+    for s in 0..3 {
+        op = op.sensor(SensorId(s), Delivery::Gapless, WindowSpec::count(1));
+    }
+    for zone in dimmer_zones() {
+        op = op.actuator(zone, Delivery::Gapless);
+    }
+    op.done().build().expect("valid app")
+}
+
+fn motion(i: u64) -> Event {
+    Event::new(
+        EventId::new(SensorId((i % 3) as u32), i / 3),
+        EventKind::Motion,
+        Time::from_micros(i * 1_000),
+    )
+}
+
+#[test]
+fn dag_app_allocates_at_most_seven_times_per_event() {
+    // What is left: the returned Vec, the averaging context's outputs,
+    // `MarzulloAverage`'s three Vecs, the threshold's `scalars()` and,
+    // out of band, its context's outputs. The parent read 23.67.
+    let per_call = allocs_per_call(dag_app(), reading);
+    assert!(
+        per_call <= 7.0,
+        "dag_poll-shaped app: {per_call:.2} allocations per on_event, budget 7"
+    );
+}
+
+#[test]
+fn per_event_app_allocates_at_most_twice_per_event() {
+    // The returned Vec and the operator context's outputs. The parent
+    // read 9.00.
+    let per_call = allocs_per_call(per_event_app(), motion);
+    assert!(
+        per_call <= 2.0,
+        "per-event actuation app: {per_call:.2} allocations per on_event, budget 2"
+    );
+}
