@@ -3,6 +3,19 @@
 //! pruning — plus the age-guarded garbage collector every process runs
 //! from `tick`.
 //!
+//! Each sensor's events are a `seq`-sorted deque, so the steady state
+//! is an append at the back and a pop at the front
+//! (`store_steady_window`). The one operation a deque does worse than
+//! the ordered tree it replaced is an insert into the middle: O(min(i,
+//! n − i)) moves against O(log n). `store_fill_below_back` prices it at
+//! distance d ∈ {1, 64, 4 096, 50 000} below the back, the last one a
+//! fill in the middle of a log at the per-sensor cap. No `perf`
+//! workload makes such fills far from the back: counted at seed 42,
+//! only `crash_failover` inserts below the back at all (0.3 % of its
+//! inserts, ring messages and one broadcast copy, d ≤ 99), so these
+//! groups are the only measure of a stream that arrives far out of
+//! order (EXPERIMENTS.md, "Index, don't search").
+//!
 //! CI runs this in smoke mode (`cargo bench --bench micro_store --
 //! --test`) so the loops stay wired without paying full sample counts.
 
@@ -142,12 +155,78 @@ fn bench_prune_processed(c: &mut Criterion) {
     g.finish();
 }
 
+/// The replica's steady state: a 20 k-event window per sensor, one
+/// event appended at the back and one aged out of the front per
+/// iteration, the way every process runs a stream between its `tick`s.
+fn bench_steady_window(c: &mut Criterion) {
+    const RETAINED: u64 = 20_000;
+    let sensor = SensorId(0);
+    let mut store = EventStore::new(RETAINED as usize * 2);
+    for seq in 0..RETAINED {
+        store.insert(ev(0, seq));
+    }
+    let mut next = RETAINED;
+    let mut g = c.benchmark_group("store_steady_window");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("append_and_pop", |b| {
+        b.iter(|| {
+            store.insert(black_box(ev(0, next)));
+            next += 1;
+            // `ev` stamps `emitted_at = seq` ms: everything older than
+            // the window's first event ages out.
+            let cutoff = Time::from_millis(next - RETAINED);
+            black_box(store.prune_processed(sensor, u64::MAX, cutoff))
+        });
+    });
+    assert_eq!(store.len(), RETAINED as usize);
+    g.finish();
+}
+
+/// A late event inserted `d` events below the back of a window of at
+/// least 8 k events. The ordinary stream appends the even `seq`s;
+/// iteration `k` appends `2(k + d)` and then fills the odd `2k + 1`,
+/// which sits below exactly the `d` even `seq`s `2k + 2 ..= 2(k + d)`
+/// and above the `2w` events of the window's older part. Collection
+/// keeps the window's length fixed, so the fill shifts the same `d`
+/// events every time. The append and the two pops are what the steady
+/// window costs; the rest is the fill. `d50000` is the ceiling: a
+/// window of 100 000 events, the per-sensor cap the platform runs with,
+/// filled in its middle.
+fn bench_fill_below_back(c: &mut Criterion) {
+    let sensor = SensorId(0);
+    let mut g = c.benchmark_group("store_fill_below_back");
+    g.throughput(Throughput::Elements(1));
+    for d in [1u64, 64, 4_096, 50_000] {
+        // The older part is at least as long as `d`, so the shorter
+        // side a fill shifts is the `d` events above it.
+        let w = (d / 2).max(4_096);
+        // The window as `w` iterations leave it, built in `seq` order:
+        // every `seq` below `2w`, then the even ones up to `2(w - 1 + d)`.
+        let mut store = EventStore::new(usize::MAX);
+        for seq in (0..2 * w).chain((w..w + d).map(|k| 2 * k)) {
+            store.insert(ev(0, seq));
+        }
+        let mut k = w;
+        let mut step = |store: &mut EventStore| {
+            store.insert(ev(0, 2 * (k + d)));
+            assert!(store.insert(ev(0, 2 * k + 1)));
+            store.prune_through(sensor, 2 * (k - w) + 1);
+            k += 1;
+        };
+        g.bench_function(format!("d{d}"), |b| b.iter(|| step(black_box(&mut store))));
+        assert_eq!(store.len() as u64, 2 * w + d);
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_insert,
     bench_watermarks,
     bench_diff,
     bench_retirement,
-    bench_prune_processed
+    bench_prune_processed,
+    bench_steady_window,
+    bench_fill_below_back
 );
 criterion_main!(benches);

@@ -20,16 +20,18 @@
 //! closes the window where a ring message dies on a crashed hop and no
 //! surviving process ever meets the paper's stall condition.
 //!
-//! The pending map is sharded by sensor: cumulative acks retire one
-//! `seq <= watermark` range per sensor instead of scanning every
-//! pending broadcast, so retirement cost tracks the events actually
-//! covered rather than the total backlog.
+//! The pending entries are sharded by sensor, each shard a deque sorted
+//! by `seq`: events are tracked almost in `seq` order and cumulative
+//! acks retire a `seq <= watermark` prefix, so tracking is a push at
+//! the back and retirement costs the entries actually covered rather
+//! than the total backlog.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
 use crate::messages::ProcMsg;
+use crate::store::{locate, release_slack};
 
 use super::Action;
 
@@ -45,15 +47,17 @@ pub struct RbcastState {
     me: ProcessId,
     /// Broadcasts this process originated (or relayed) and ring-origin
     /// replication entries that still await acknowledgements, sharded
-    /// by sensor. Ordered so retransmission order is a pure function of
-    /// protocol state (determinism).
-    pending: BTreeMap<SensorId, BTreeMap<u64, PendingBroadcast>>,
+    /// by sensor, each shard sorted by `seq`. Ordered so retransmission
+    /// order is a pure function of protocol state (determinism). A
+    /// shard that empties stays for the next entry; retirement hands
+    /// back a buffer it leaves under a quarter full.
+    pending: BTreeMap<SensorId, VecDeque<PendingBroadcast>>,
     /// Total entries across all sensors (kept so `pending_count` stays
     /// O(1) despite the sharding).
     n_pending: usize,
     /// Events this process has already relayed, to bound re-flooding.
-    /// Sharded like `pending` so watermark GC prunes it by range.
-    relayed: BTreeMap<SensorId, BTreeSet<u64>>,
+    /// Sharded and sorted like `pending` so watermark GC pops a prefix.
+    relayed: BTreeMap<SensorId, VecDeque<u64>>,
     /// Pause before re-flooding an explicit broadcast.
     retransmit_after: Duration,
     /// Pause before a tracked (ring-origin) entry escalates to a flood;
@@ -68,6 +72,12 @@ struct PendingBroadcast {
     /// Do not retransmit before this instant (age guard: cumulative
     /// retirement via keep-alives must get a chance first).
     retransmit_at: Time,
+}
+
+impl PendingBroadcast {
+    fn seq(&self) -> u64 {
+        self.event.id.seq
+    }
 }
 
 impl RbcastState {
@@ -102,18 +112,20 @@ impl RbcastState {
         self.n_pending
     }
 
+    /// Adds the entry for `event`, replacing one already pending for it.
     fn insert_pending(&mut self, event: Event, unacked: ProcSet, retransmit_at: Time) {
-        let id = event.id;
-        let prior = self.pending.entry(id.sensor).or_default().insert(
-            id.seq,
-            PendingBroadcast {
-                event,
-                unacked,
-                retransmit_at,
-            },
-        );
-        if prior.is_none() {
-            self.n_pending += 1;
+        let shard = self.pending.entry(event.id.sensor).or_default();
+        let entry = PendingBroadcast {
+            event,
+            unacked,
+            retransmit_at,
+        };
+        match locate(shard, entry.seq(), PendingBroadcast::seq) {
+            Ok(i) => shard[i] = entry,
+            Err(i) => {
+                shard.insert(i, entry);
+                self.n_pending += 1;
+            }
         }
     }
 
@@ -124,10 +136,10 @@ impl RbcastState {
         if peers.is_empty() {
             return Vec::new();
         }
-        self.relayed
-            .entry(event.id.sensor)
-            .or_default()
-            .insert(event.id.seq);
+        let markers = self.relayed.entry(event.id.sensor).or_default();
+        if let Err(i) = locate(markers, event.id.seq, |&q| q) {
+            markers.insert(i, event.id.seq);
+        }
         let actions = vec![Action::Fanout {
             to: peers,
             msg: ProcMsg::Broadcast {
@@ -148,7 +160,7 @@ impl RbcastState {
         if self
             .pending
             .get(&event.id.sensor)
-            .is_some_and(|m| m.contains_key(&event.id.seq))
+            .is_some_and(|shard| locate(shard, event.id.seq, PendingBroadcast::seq).is_ok())
         {
             return; // already pending (e.g. an explicit flood)
         }
@@ -175,7 +187,7 @@ impl RbcastState {
         let already_relayed = self
             .relayed
             .get(&event.id.sensor)
-            .is_some_and(|s| s.contains(&event.id.seq));
+            .is_some_and(|markers| locate(markers, event.id.seq, |&q| q).is_ok());
         if was_new && !already_relayed {
             self.start(event.clone(), view, now)
         } else {
@@ -189,9 +201,10 @@ impl RbcastState {
     /// beacon retires arbitrarily many entries. Returns how many
     /// pending entries this ack retired for `from`.
     ///
-    /// The pending shard for each sensor is scanned only up to the
-    /// peer's watermark (`range(..=wm)`), so the cost is proportional
-    /// to the entries actually covered, not the whole backlog.
+    /// Each sensor's shard is walked only over its covered prefix
+    /// (`seq <= wm`), compacting the entries that are still waiting
+    /// towards its front, so the cost is proportional to the entries
+    /// actually covered, not the whole backlog.
     ///
     /// Retirement is by *highest received* seq, consistent with the
     /// Bayou-style sync the store already implements: anti-entropy
@@ -203,24 +216,24 @@ impl RbcastState {
         }
         let mut retired = 0;
         for (sensor, wm) in received {
-            let Some(per) = self.pending.get_mut(sensor) else {
+            let Some(shard) = self.pending.get_mut(sensor) else {
                 continue;
             };
-            let mut done: Vec<u64> = Vec::new();
-            for (seq, p) in per.range_mut(..=*wm) {
-                if p.unacked.remove(from) {
+            let covered = shard.partition_point(|p| p.seq() <= *wm);
+            let mut kept = 0;
+            for i in 0..covered {
+                if shard[i].unacked.remove(from) {
                     retired += 1;
                 }
-                if p.unacked.is_empty() {
-                    done.push(*seq);
+                if !shard[i].unacked.is_empty() {
+                    shard.swap(kept, i);
+                    kept += 1;
                 }
             }
-            for seq in done {
-                per.remove(&seq);
-                self.n_pending -= 1;
-            }
-            if per.is_empty() {
-                self.pending.remove(sensor);
+            if kept < covered {
+                shard.drain(kept..covered);
+                release_slack(shard);
+                self.n_pending -= covered - kept;
             }
         }
         retired
@@ -230,16 +243,16 @@ impl RbcastState {
     /// have passed their age guard to still-unacked peers that remain
     /// in the view; peers that left the view are written off (they will
     /// recover via anti-entropy). Each due event becomes one fan-out
-    /// action to its unacked peers; entries still inside their guard
-    /// are left untouched so cumulative keep-alive retirement can beat
-    /// the retransmission.
+    /// action to its unacked peers, in `(sensor, seq)` order; entries
+    /// still inside their guard are left untouched so cumulative
+    /// keep-alive retirement can beat the retransmission.
     pub fn on_tick(&mut self, view: ProcSet, now: Time) -> Vec<Action> {
         let mut actions = Vec::new();
         let me = self.me;
         let retransmit_after = self.retransmit_after;
         let mut dropped = 0usize;
-        for per in self.pending.values_mut() {
-            per.retain(|_, p| {
+        for shard in self.pending.values_mut() {
+            shard.retain_mut(|p| {
                 p.unacked = p.unacked.intersection(view);
                 if p.unacked.is_empty() {
                     dropped += 1;
@@ -257,8 +270,8 @@ impl RbcastState {
                 }
                 true
             });
+            release_slack(shard);
         }
-        self.pending.retain(|_, per| !per.is_empty());
         self.n_pending -= dropped;
         actions
     }
@@ -267,18 +280,283 @@ impl RbcastState {
     /// alongside store watermark GC: events processed home-wide are
     /// never re-flooded, so their relay markers are dead weight.
     pub fn prune_relayed(&mut self, sensor: SensorId, upto: u64) {
-        if let Some(set) = self.relayed.get_mut(&sensor) {
-            *set = set.split_off(&(upto.saturating_add(1)));
-            if set.is_empty() {
-                self.relayed.remove(&sensor);
+        if let Some(markers) = self.relayed.get_mut(&sensor) {
+            while markers.front().is_some_and(|&seq| seq <= upto) {
+                markers.pop_front();
             }
+            release_slack(markers);
         }
     }
 
     /// Number of relay markers currently retained (GC observability).
     #[must_use]
     pub fn relayed_count(&self) -> usize {
-        self.relayed.values().map(BTreeSet::len).sum()
+        self.relayed.values().map(VecDeque::len).sum()
+    }
+}
+
+/// Broadcast state as it was before the shards became deques: one
+/// `seq`-keyed `BTreeMap` of pending entries and one `BTreeSet` of relay
+/// markers per sensor. Verbatim but for `prune_relayed`'s bound, which
+/// now also forgets a marker at `u64::MAX`; `proptests` checks the deque
+/// state against it step by step.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
+
+    use crate::delivery::Action;
+    use crate::messages::ProcMsg;
+
+    /// One process's reliable-broadcast state.
+    #[derive(Debug)]
+    pub struct RbcastState {
+        me: ProcessId,
+        /// Broadcasts this process originated (or relayed) and ring-origin
+        /// replication entries that still await acknowledgements, sharded
+        /// by sensor. Ordered so retransmission order is a pure function of
+        /// protocol state (determinism).
+        pending: BTreeMap<SensorId, BTreeMap<u64, PendingBroadcast>>,
+        /// Total entries across all sensors (kept so `pending_count` stays
+        /// O(1) despite the sharding).
+        n_pending: usize,
+        /// Events this process has already relayed, to bound re-flooding.
+        /// Sharded like `pending` so watermark GC prunes it by range.
+        relayed: BTreeMap<SensorId, BTreeSet<u64>>,
+        /// Pause before re-flooding an explicit broadcast.
+        retransmit_after: Duration,
+        /// Pause before a tracked (ring-origin) entry escalates to a flood;
+        /// sized so that healthy keep-alive retirement always wins.
+        track_grace: Duration,
+    }
+
+    #[derive(Debug)]
+    struct PendingBroadcast {
+        event: Event,
+        unacked: ProcSet,
+        /// Do not retransmit before this instant (age guard: cumulative
+        /// retirement via keep-alives must get a chance first).
+        retransmit_at: Time,
+    }
+
+    impl RbcastState {
+        /// Creates broadcast state for process `me` with zero retransmit
+        /// delays (every tick retransmits — the eager behaviour unit tests
+        /// rely on). Production callers use [`RbcastState::with_timing`].
+        #[must_use]
+        pub fn new(me: ProcessId) -> Self {
+            Self {
+                me,
+                pending: BTreeMap::new(),
+                n_pending: 0,
+                relayed: BTreeMap::new(),
+                retransmit_after: Duration::ZERO,
+                track_grace: Duration::ZERO,
+            }
+        }
+
+        /// Sets the retransmission pacing: `retransmit_after` between flood
+        /// retries, `track_grace` before a tracked ring-origin entry first
+        /// escalates to a flood.
+        #[must_use]
+        pub fn with_timing(mut self, retransmit_after: Duration, track_grace: Duration) -> Self {
+            self.retransmit_after = retransmit_after;
+            self.track_grace = track_grace;
+            self
+        }
+
+        /// Number of broadcasts still awaiting acknowledgements.
+        #[must_use]
+        pub fn pending_count(&self) -> usize {
+            self.n_pending
+        }
+
+        fn insert_pending(&mut self, event: Event, unacked: ProcSet, retransmit_at: Time) {
+            let id = event.id;
+            let prior = self.pending.entry(id.sensor).or_default().insert(
+                id.seq,
+                PendingBroadcast {
+                    event,
+                    unacked,
+                    retransmit_at,
+                },
+            );
+            if prior.is_none() {
+                self.n_pending += 1;
+            }
+        }
+
+        /// Initiates (or re-initiates) a broadcast of `event` to every peer
+        /// in `view` except `me`, as a single encode-once fan-out action.
+        pub fn start(&mut self, event: Event, view: ProcSet, now: Time) -> Vec<Action> {
+            let peers = view.without(self.me);
+            if peers.is_empty() {
+                return Vec::new();
+            }
+            self.relayed
+                .entry(event.id.sensor)
+                .or_default()
+                .insert(event.id.seq);
+            let actions = vec![Action::Fanout {
+                to: peers,
+                msg: ProcMsg::Broadcast {
+                    event: event.clone(),
+                    origin: self.me,
+                },
+            }];
+            self.insert_pending(event, peers, now + self.retransmit_after);
+            actions
+        }
+
+        /// Registers `event` for replication tracking *without* sending
+        /// anything: the ring already carries it. Peers acknowledge through
+        /// the received watermarks on their keep-alives; an entry still
+        /// unacked after the track grace period is re-flooded by
+        /// [`RbcastState::on_tick`] (the silent-stall fallback).
+        pub fn track(&mut self, event: Event, view: ProcSet, now: Time) {
+            if self
+                .pending
+                .get(&event.id.sensor)
+                .is_some_and(|m| m.contains_key(&event.id.seq))
+            {
+                return; // already pending (e.g. an explicit flood)
+            }
+            let peers = view.without(self.me);
+            if peers.is_empty() {
+                return;
+            }
+            self.insert_pending(event, peers, now + self.track_grace);
+        }
+
+        /// A broadcast copy arrived. The receipt itself is acknowledged by
+        /// the *received* watermark on our next keep-alive beacon, so the
+        /// only thing to send is a relay: if `was_new` and not already
+        /// relayed, a flood of our own makes delivery survive origin
+        /// crashes (pass an empty `view` to suppress relaying — the eager
+        /// baseline floods only from the origin).
+        pub fn on_broadcast(
+            &mut self,
+            event: &Event,
+            was_new: bool,
+            view: ProcSet,
+            now: Time,
+        ) -> Vec<Action> {
+            let already_relayed = self
+                .relayed
+                .get(&event.id.sensor)
+                .is_some_and(|s| s.contains(&event.id.seq));
+            if was_new && !already_relayed {
+                self.start(event.clone(), view, now)
+            } else {
+                Vec::new()
+            }
+        }
+
+        /// A peer's cumulative *received* watermarks arrived (piggybacked
+        /// on its keep-alive). Every pending broadcast whose event is
+        /// covered by the peer's watermark is acknowledged at once — one
+        /// beacon retires arbitrarily many entries. Returns how many
+        /// pending entries this ack retired for `from`.
+        ///
+        /// The pending shard for each sensor is scanned only up to the
+        /// peer's watermark (`range(..=wm)`), so the cost is proportional
+        /// to the entries actually covered, not the whole backlog.
+        ///
+        /// Retirement is by *highest received* seq, consistent with the
+        /// Bayou-style sync the store already implements: anti-entropy
+        /// never back-fills below a peer's watermark, so retransmitting
+        /// below it could never terminate and acking it loses nothing.
+        pub fn on_cumulative_ack(
+            &mut self,
+            from: ProcessId,
+            received: &[(SensorId, u64)],
+        ) -> usize {
+            if self.n_pending == 0 || received.is_empty() {
+                return 0;
+            }
+            let mut retired = 0;
+            for (sensor, wm) in received {
+                let Some(per) = self.pending.get_mut(sensor) else {
+                    continue;
+                };
+                let mut done: Vec<u64> = Vec::new();
+                for (seq, p) in per.range_mut(..=*wm) {
+                    if p.unacked.remove(from) {
+                        retired += 1;
+                    }
+                    if p.unacked.is_empty() {
+                        done.push(*seq);
+                    }
+                }
+                for seq in done {
+                    per.remove(&seq);
+                    self.n_pending -= 1;
+                }
+                if per.is_empty() {
+                    self.pending.remove(sensor);
+                }
+            }
+            retired
+        }
+
+        /// Periodic retransmission tick: re-send pending broadcasts that
+        /// have passed their age guard to still-unacked peers that remain
+        /// in the view; peers that left the view are written off (they will
+        /// recover via anti-entropy). Each due event becomes one fan-out
+        /// action to its unacked peers; entries still inside their guard
+        /// are left untouched so cumulative keep-alive retirement can beat
+        /// the retransmission.
+        pub fn on_tick(&mut self, view: ProcSet, now: Time) -> Vec<Action> {
+            let mut actions = Vec::new();
+            let me = self.me;
+            let retransmit_after = self.retransmit_after;
+            let mut dropped = 0usize;
+            for per in self.pending.values_mut() {
+                per.retain(|_, p| {
+                    p.unacked = p.unacked.intersection(view);
+                    if p.unacked.is_empty() {
+                        dropped += 1;
+                        return false;
+                    }
+                    if now >= p.retransmit_at {
+                        p.retransmit_at = now + retransmit_after;
+                        actions.push(Action::Fanout {
+                            to: p.unacked,
+                            msg: ProcMsg::Broadcast {
+                                event: p.event.clone(),
+                                origin: me,
+                            },
+                        });
+                    }
+                    true
+                });
+            }
+            self.pending.retain(|_, per| !per.is_empty());
+            self.n_pending -= dropped;
+            actions
+        }
+
+        /// Forgets relay records for `sensor` at or below `upto`. Called
+        /// alongside store watermark GC: events processed home-wide are
+        /// never re-flooded, so their relay markers are dead weight.
+        pub fn prune_relayed(&mut self, sensor: SensorId, upto: u64) {
+            if let Some(set) = self.relayed.get_mut(&sensor) {
+                *set = match upto.checked_add(1) {
+                    Some(above) => set.split_off(&above),
+                    None => BTreeSet::new(),
+                };
+                if set.is_empty() {
+                    self.relayed.remove(&sensor);
+                }
+            }
+        }
+
+        /// Number of relay markers currently retained (GC observability).
+        #[must_use]
+        pub fn relayed_count(&self) -> usize {
+            self.relayed.values().map(BTreeSet::len).sum()
+        }
     }
 }
 
@@ -541,9 +819,173 @@ mod tests {
     }
 
     #[test]
+    fn prune_relayed_at_u64_max_forgets_every_marker() {
+        let mut b = RbcastState::new(ProcessId(0));
+        let view = pids(&[0, 1]);
+        let top = Event::new(
+            EventId::new(SensorId(1), u64::MAX),
+            EventKind::DoorOpen,
+            Time::ZERO,
+        );
+        let _ = b.start(top, view, Time::ZERO);
+        let _ = b.start(ev(0), view, Time::ZERO);
+        assert_eq!(b.relayed_count(), 2);
+        b.prune_relayed(SensorId(1), u64::MAX);
+        assert_eq!(b.relayed_count(), 0);
+    }
+
+    #[test]
+    fn retirement_hands_back_a_drained_burst() {
+        let mut b = RbcastState::new(ProcessId(0));
+        let view = pids(&[0, 1]);
+        let capacities = |b: &RbcastState| {
+            (
+                b.pending[&SensorId(1)].capacity(),
+                b.relayed[&SensorId(1)].capacity(),
+            )
+        };
+        for seq in 0..20_000 {
+            let _ = b.start(ev(seq), view, Time::ZERO);
+        }
+        let (pending, relayed) = capacities(&b);
+        assert_eq!(
+            b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 19_899)]),
+            19_900
+        );
+        b.prune_relayed(SensorId(1), 19_899);
+        assert_eq!((b.pending_count(), b.relayed_count()), (100, 100));
+        let (drained_pending, drained_relayed) = capacities(&b);
+        assert!(drained_pending < pending / 4 && drained_relayed < relayed / 4);
+        // A second burst, written off when its peer leaves the view.
+        for seq in 20_000..40_000 {
+            b.track(ev(seq), view, Time::ZERO);
+        }
+        let grown = capacities(&b).0;
+        assert!(b.on_tick(pids(&[0]), Time::ZERO).is_empty());
+        assert_eq!(b.pending_count(), 0);
+        assert!(capacities(&b).0 < grown / 4);
+    }
+
+    #[test]
     fn singleton_start_is_noop() {
         let mut b = RbcastState::new(ProcessId(0));
         assert!(b.start(ev(0), pids(&[0]), Time::ZERO).is_empty());
         assert_eq!(b.pending_count(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rivulet_types::{EventId, EventKind};
+
+    /// Processes in the test home; `me` is process 0.
+    const PROCESSES: u32 = 6;
+    const SENSORS: u32 = 3;
+
+    #[derive(Debug, Clone)]
+    enum RbOp {
+        Start(u32, u64, u64, u64),
+        Track(u32, u64, u64, u64),
+        OnBroadcast(u32, u64, bool, u64, u64),
+        Ack(u32, Vec<(u32, u64)>),
+        Tick(u64, u64),
+        PruneRelayed(u32, u64),
+    }
+
+    fn event(sensor: u32, seq: u64) -> Event {
+        Event::new(
+            EventId::new(SensorId(sensor), seq),
+            EventKind::DoorOpen,
+            Time::ZERO,
+        )
+    }
+
+    /// The processes whose bit is set in `mask`.
+    fn view(mask: u64) -> ProcSet {
+        (0..PROCESSES)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(ProcessId)
+            .collect()
+    }
+
+    /// Sequence numbers near both ends of the range.
+    fn seq() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..24, (u64::MAX - 6)..=u64::MAX]
+    }
+
+    /// Tracking (what every ring-origin event does) is the most common
+    /// call, then acks, then the rest.
+    fn rb_op() -> impl Strategy<Value = RbOp> {
+        let ack = (
+            1..PROCESSES,
+            proptest::collection::vec((0..=SENSORS, seq()), 0..4),
+        );
+        let other = (0u64..1 << PROCESSES, 0u64..60, any::<bool>());
+        (0u8..14, 0..SENSORS, seq(), other, ack).prop_map(
+            |(kind, s, q, (v, t, was_new), (from, received))| match kind {
+                0..=1 => RbOp::Start(s, q, v, t),
+                2..=5 => RbOp::Track(s, q, v, t),
+                6..=7 => RbOp::OnBroadcast(s, q, was_new, v, t),
+                8..=10 => RbOp::Ack(from, received),
+                11..=12 => RbOp::Tick(v, t),
+                _ => RbOp::PruneRelayed(s, q),
+            },
+        )
+    }
+
+    proptest! {
+        /// The deque state returns the same actions, in the same order,
+        /// and the same counts as the B-tree state after every call.
+        #[test]
+        fn deque_state_matches_the_btree_reference(
+            timed in any::<bool>(),
+            ops in proptest::collection::vec(rb_op(), 1..150),
+        ) {
+            let (mut new, mut reference) = (
+                RbcastState::new(ProcessId(0)),
+                reference::RbcastState::new(ProcessId(0)),
+            );
+            if timed {
+                let (retransmit, grace) = (Duration::from_millis(5), Duration::from_millis(20));
+                new = new.with_timing(retransmit, grace);
+                reference = reference.with_timing(retransmit, grace);
+            }
+            for op in ops {
+                match op {
+                    RbOp::Start(s, q, v, t) => prop_assert_eq!(
+                        new.start(event(s, q), view(v), Time::from_millis(t)),
+                        reference.start(event(s, q), view(v), Time::from_millis(t))
+                    ),
+                    RbOp::Track(s, q, v, t) => {
+                        new.track(event(s, q), view(v), Time::from_millis(t));
+                        reference.track(event(s, q), view(v), Time::from_millis(t));
+                    }
+                    RbOp::OnBroadcast(s, q, was_new, v, t) => prop_assert_eq!(
+                        new.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t)),
+                        reference.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t))
+                    ),
+                    RbOp::Ack(from, received) => {
+                        let received: Vec<(SensorId, u64)> =
+                            received.into_iter().map(|(s, q)| (SensorId(s), q)).collect();
+                        prop_assert_eq!(
+                            new.on_cumulative_ack(ProcessId(from), &received),
+                            reference.on_cumulative_ack(ProcessId(from), &received)
+                        );
+                    }
+                    RbOp::Tick(v, t) => prop_assert_eq!(
+                        new.on_tick(view(v), Time::from_millis(t)),
+                        reference.on_tick(view(v), Time::from_millis(t))
+                    ),
+                    RbOp::PruneRelayed(s, upto) => {
+                        new.prune_relayed(SensorId(s), upto);
+                        reference.prune_relayed(SensorId(s), upto);
+                    }
+                }
+                prop_assert_eq!(new.pending_count(), reference.pending_count());
+                prop_assert_eq!(new.relayed_count(), reference.relayed_count());
+            }
+        }
     }
 }

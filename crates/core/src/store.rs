@@ -6,8 +6,7 @@
 //! watermark queries used by successor synchronization, and computes
 //! the difference set to ship to a lagging successor.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
 
@@ -15,9 +14,18 @@ use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
 /// live in a `BTreeMap`, so cross-sensor queries (watermarks, diffs)
 /// iterate in ascending sensor order and the wire encoding is
 /// deterministic without a separate sort.
+///
+/// Each sensor's events are a `VecDeque` kept sorted by `seq`. Events
+/// arrive almost in `seq` order and leave (cap eviction, watermark GC)
+/// from the low end, so the common insert is a push at the back and
+/// the common removal a pop at the front; an out-of-order arrival is a
+/// binary search and a shift of the shorter side. Every query answers
+/// exactly as a `seq`-keyed ordered map would, whatever the input order.
+/// Garbage collection hands back a buffer it leaves under a quarter
+/// full, so memory follows what is retained, not the largest burst.
 #[derive(Debug)]
 pub struct EventStore {
-    sensors: BTreeMap<SensorId, BTreeMap<u64, Event>>,
+    sensors: BTreeMap<SensorId, VecDeque<Event>>,
     cap_per_sensor: usize,
     inserted: u64,
     evicted: u64,
@@ -26,6 +34,41 @@ pub struct EventStore {
     /// insert, so a retained 40-byte payload stops holding a kilobyte
     /// frame alive.
     arena: PayloadArena,
+}
+
+/// Where `seq` sits in a deque sorted by `key`: `Ok` at an equal
+/// entry, `Err` at the insertion point. An entry above the back is the
+/// common case and costs one comparison.
+pub(crate) fn locate<T>(
+    sorted: &VecDeque<T>,
+    seq: u64,
+    key: impl Fn(&T) -> u64,
+) -> Result<usize, usize> {
+    match sorted.back() {
+        Some(last) if key(last) >= seq => sorted.binary_search_by_key(&seq, key),
+        _ => Err(sorted.len()),
+    }
+}
+
+/// Capacity a deque keeps however far it drains, so a log or shard that
+/// swings below it (the pending entries between two keep-alives, a
+/// polled sensor's short log) never reallocates.
+const SLACK_FLOOR: usize = 1024;
+
+/// Hands back most of a deque's buffer once garbage collection has left
+/// it under a quarter full. A deque never shrinks by itself, so without
+/// this a burst (a partition, a processing lag, up to the per-sensor
+/// cap) would hold its peak size for the life of the process. A window
+/// that stays above a quarter of the capacity it grew to is left alone.
+pub(crate) fn release_slack<T>(sorted: &mut VecDeque<T>) {
+    if sorted.capacity() > SLACK_FLOOR && sorted.len() < sorted.capacity() / 4 {
+        sorted.shrink_to((sorted.len() * 2).max(SLACK_FLOOR));
+    }
+}
+
+/// The position of the first event of `per` with a `seq` above `seq`.
+fn first_above(per: &VecDeque<Event>, seq: u64) -> usize {
+    per.partition_point(|e| e.id.seq <= seq)
 }
 
 impl EventStore {
@@ -58,25 +101,26 @@ impl EventStore {
     pub fn seen(&self, id: EventId) -> bool {
         self.sensors
             .get(&id.sensor)
-            .is_some_and(|m| m.contains_key(&id.seq))
+            .is_some_and(|per| locate(per, id.seq, |e| e.id.seq).is_ok())
     }
 
     /// Inserts `event`; returns `true` if it was new, `false` if it was
-    /// a duplicate (in which case the store is unchanged). One tree
-    /// descent decides both (the `Entry` is reused for the insert).
+    /// a duplicate (in which case the store is unchanged). An event
+    /// above the sensor's watermark is pushed at the back; anything
+    /// else is one binary search, which is also the duplicate check.
     pub fn insert(&mut self, mut event: Event) -> bool {
         let cap = self.cap_per_sensor;
         let per = self.sensors.entry(event.id.sensor).or_default();
-        let Entry::Vacant(slot) = per.entry(event.id.seq) else {
+        let Err(at) = locate(per, event.id.seq, |e| e.id.seq) else {
             return false;
         };
         // Re-home only *retained* payloads (duplicates bailed out
         // above): the copy happens once per stored event, off the
         // dedup fast path.
         event.payload = self.arena.rehome(event.payload);
-        slot.insert(event);
+        per.insert(at, event);
         while per.len() > cap {
-            per.pop_first();
+            per.pop_front();
             self.evicted += 1;
         }
         self.inserted += 1;
@@ -89,7 +133,7 @@ impl EventStore {
     pub fn watermark(&self, sensor: SensorId) -> Option<u64> {
         self.sensors
             .get(&sensor)
-            .and_then(|m| m.keys().next_back().copied())
+            .and_then(|per| per.back().map(|e| e.id.seq))
     }
 
     /// All `(sensor, watermark)` pairs, ascending by sensor.
@@ -103,7 +147,7 @@ impl EventStore {
     pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
         self.sensors
             .iter()
-            .filter_map(|(s, m)| m.keys().next_back().map(|q| (*s, *q)))
+            .filter_map(|(s, per)| per.back().map(|e| (*s, e.id.seq)))
     }
 
     /// Events of `sensor` with sequence numbers strictly greater than
@@ -113,13 +157,8 @@ impl EventStore {
         let Some(per) = self.sensors.get(&sensor) else {
             return Vec::new();
         };
-        match after {
-            None => per.values().cloned().collect(),
-            Some(seq) => per
-                .range(seq.saturating_add(1)..)
-                .map(|(_, e)| e.clone())
-                .collect(),
-        }
+        let from = after.map_or(0, |seq| first_above(per, seq));
+        per.range(from..).cloned().collect()
     }
 
     /// Computes the events a peer with `peer_watermarks` is missing:
@@ -136,10 +175,8 @@ impl EventStore {
         // Per-sensor ranges stream straight into the output with no
         // intermediate Vec.
         for (sensor, per) in &self.sensors {
-            match peer.get(sensor) {
-                None => out.extend(per.values().cloned()),
-                Some(&wm) => out.extend(per.range(wm.saturating_add(1)..).map(|(_, e)| e.clone())),
-            }
+            let from = peer.get(sensor).map_or(0, |&wm| first_above(per, wm));
+            out.extend(per.range(from..).cloned());
         }
         out
     }
@@ -158,16 +195,9 @@ impl EventStore {
         let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
-        let removed = if upto == u64::MAX {
-            let n = per.len();
-            per.clear();
-            n
-        } else {
-            let keep = per.split_off(&(upto + 1));
-            let n = per.len();
-            *per = keep;
-            n
-        };
+        let removed = first_above(per, upto);
+        per.drain(..removed);
+        release_slack(per);
         self.evicted += removed as u64;
         removed
     }
@@ -181,10 +211,10 @@ impl EventStore {
     /// retransmission, or anti-entropy refill) still hits the store's
     /// duplicate check instead of being re-delivered to applications.
     ///
-    /// Costs O(removed · log n), independent of how many events are
-    /// retained: events are popped from the low-`seq` end and the walk
-    /// stops at the first one that is unprocessed or too young. Sensors
-    /// stamp `emitted_at` with the clock while incrementing `seq`, so
+    /// Costs O(removed), independent of how many events are retained:
+    /// events are popped from the low-`seq` end and the walk stops at
+    /// the first one that is unprocessed or too young. Sensors stamp
+    /// `emitted_at` with the clock while incrementing `seq`, so
     /// `emitted_at` is non-decreasing in `seq` and everything behind
     /// that first survivor survives the age guard too — the removed set
     /// is exactly "processed and old". On a stream whose timestamps run
@@ -196,13 +226,14 @@ impl EventStore {
             return 0;
         };
         let mut removed = 0usize;
-        while let Some(first) = per.first_entry() {
-            if *first.key() > upto || first.get().emitted_at >= emitted_before {
+        while let Some(first) = per.front() {
+            if first.id.seq > upto || first.emitted_at >= emitted_before {
                 break;
             }
-            first.remove();
+            per.pop_front();
             removed += 1;
         }
+        release_slack(per);
         self.evicted += removed as u64;
         removed
     }
@@ -222,7 +253,7 @@ impl EventStore {
     /// Current number of retained events across all sensors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sensors.values().map(BTreeMap::len).sum()
+        self.sensors.values().map(VecDeque::len).sum()
     }
 
     /// Whether the store holds no events.
@@ -238,37 +269,192 @@ impl Default for EventStore {
     }
 }
 
-/// The pre-front-stop garbage collector, kept as the oracle the tests
-/// compare [`EventStore::prune_processed`] against: a full scan of the
-/// processed range that removes every event older than the cutoff.
 #[cfg(test)]
 impl EventStore {
-    fn prune_processed_full_scan(
-        &mut self,
-        sensor: SensorId,
-        upto: u64,
-        emitted_before: Time,
-    ) -> usize {
-        let Some(per) = self.sensors.get_mut(&sensor) else {
-            return 0;
-        };
-        let doomed: Vec<u64> = per
-            .range(..=upto)
-            .filter(|(_, e)| e.emitted_at < emitted_before)
-            .map(|(seq, _)| *seq)
-            .collect();
-        for seq in &doomed {
-            per.remove(seq);
-        }
-        self.evicted += doomed.len() as u64;
-        doomed.len()
-    }
-
     fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
         self.sensors
             .get(&sensor)
-            .map(|per| per.keys().copied().collect())
+            .map(|per| per.iter().map(|e| e.id.seq).collect())
             .unwrap_or_default()
+    }
+
+    fn capacity(&self, sensor: SensorId) -> usize {
+        self.sensors.get(&sensor).map_or(0, VecDeque::capacity)
+    }
+}
+
+/// The store as it was before the per-sensor logs became deques: one
+/// `seq`-keyed `BTreeMap` per sensor. Verbatim but for the exclusive
+/// lower bounds of `events_after` and `diff_for`, which now exclude an
+/// event at `u64::MAX`; `watermarks` inlines `iter_watermarks`, and the
+/// accessors no test reads and the doc comments are left out. It also
+/// keeps the pre-front-stop garbage collector, the oracle
+/// [`EventStore::prune_processed`] is compared against: a full scan of
+/// the processed range that removes every event older than the cutoff.
+/// `proptests` checks the deque store against it step by step.
+#[cfg(test)]
+mod reference {
+    use std::collections::btree_map::Entry;
+    use std::collections::{BTreeMap, HashMap};
+    use std::ops::Bound::{Excluded, Unbounded};
+
+    use rivulet_types::{Event, EventId, PayloadArena, SensorId, Time};
+
+    #[derive(Debug)]
+    pub struct EventStore {
+        sensors: BTreeMap<SensorId, BTreeMap<u64, Event>>,
+        cap_per_sensor: usize,
+        inserted: u64,
+        evicted: u64,
+        arena: PayloadArena,
+    }
+
+    impl EventStore {
+        pub fn new(cap_per_sensor: usize) -> Self {
+            assert!(cap_per_sensor > 0, "store capacity must be positive");
+            Self {
+                sensors: BTreeMap::new(),
+                cap_per_sensor,
+                inserted: 0,
+                evicted: 0,
+                arena: PayloadArena::new(),
+            }
+        }
+
+        pub fn seen(&self, id: EventId) -> bool {
+            self.sensors
+                .get(&id.sensor)
+                .is_some_and(|m| m.contains_key(&id.seq))
+        }
+
+        pub fn insert(&mut self, mut event: Event) -> bool {
+            let cap = self.cap_per_sensor;
+            let per = self.sensors.entry(event.id.sensor).or_default();
+            let Entry::Vacant(slot) = per.entry(event.id.seq) else {
+                return false;
+            };
+            event.payload = self.arena.rehome(event.payload);
+            slot.insert(event);
+            while per.len() > cap {
+                per.pop_first();
+                self.evicted += 1;
+            }
+            self.inserted += 1;
+            true
+        }
+
+        pub fn watermarks(&self) -> Vec<(SensorId, u64)> {
+            self.sensors
+                .iter()
+                .filter_map(|(s, m)| m.keys().next_back().map(|q| (*s, *q)))
+                .collect()
+        }
+
+        pub fn events_after(&self, sensor: SensorId, after: Option<u64>) -> Vec<Event> {
+            let Some(per) = self.sensors.get(&sensor) else {
+                return Vec::new();
+            };
+            match after {
+                None => per.values().cloned().collect(),
+                Some(seq) => per
+                    .range((Excluded(seq), Unbounded))
+                    .map(|(_, e)| e.clone())
+                    .collect(),
+            }
+        }
+
+        pub fn diff_for(&self, peer_watermarks: &[(SensorId, u64)]) -> Vec<Event> {
+            let peer: HashMap<SensorId, u64> = peer_watermarks.iter().copied().collect();
+            let mut out = Vec::new();
+            for (sensor, per) in &self.sensors {
+                match peer.get(sensor) {
+                    None => out.extend(per.values().cloned()),
+                    Some(&wm) => {
+                        out.extend(per.range((Excluded(wm), Unbounded)).map(|(_, e)| e.clone()))
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn prune_through(&mut self, sensor: SensorId, upto: u64) -> usize {
+            let Some(per) = self.sensors.get_mut(&sensor) else {
+                return 0;
+            };
+            let removed = if upto == u64::MAX {
+                let n = per.len();
+                per.clear();
+                n
+            } else {
+                let keep = per.split_off(&(upto + 1));
+                let n = per.len();
+                *per = keep;
+                n
+            };
+            self.evicted += removed as u64;
+            removed
+        }
+
+        pub fn prune_processed(
+            &mut self,
+            sensor: SensorId,
+            upto: u64,
+            emitted_before: Time,
+        ) -> usize {
+            let Some(per) = self.sensors.get_mut(&sensor) else {
+                return 0;
+            };
+            let mut removed = 0usize;
+            while let Some(first) = per.first_entry() {
+                if *first.key() > upto || first.get().emitted_at >= emitted_before {
+                    break;
+                }
+                first.remove();
+                removed += 1;
+            }
+            self.evicted += removed as u64;
+            removed
+        }
+
+        pub fn prune_processed_full_scan(
+            &mut self,
+            sensor: SensorId,
+            upto: u64,
+            emitted_before: Time,
+        ) -> usize {
+            let Some(per) = self.sensors.get_mut(&sensor) else {
+                return 0;
+            };
+            let doomed: Vec<u64> = per
+                .range(..=upto)
+                .filter(|(_, e)| e.emitted_at < emitted_before)
+                .map(|(seq, _)| *seq)
+                .collect();
+            for seq in &doomed {
+                per.remove(seq);
+            }
+            self.evicted += doomed.len() as u64;
+            doomed.len()
+        }
+
+        pub fn inserted(&self) -> u64 {
+            self.inserted
+        }
+
+        pub fn evicted(&self) -> u64 {
+            self.evicted
+        }
+
+        pub fn len(&self) -> usize {
+            self.sensors.values().map(BTreeMap::len).sum()
+        }
+
+        pub fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
+            self.sensors
+                .get(&sensor)
+                .map(|per| per.keys().copied().collect())
+                .unwrap_or_default()
+        }
     }
 }
 
@@ -426,7 +612,7 @@ mod tests {
         // Three sensors, bursts sharing a timestamp, holes in `seq`,
         // and a GC cursor that advances like `tick` does.
         let mut new = EventStore::new(10_000);
-        let mut reference = EventStore::new(10_000);
+        let mut reference = reference::EventStore::new(10_000);
         for sensor in 1..=3u32 {
             for seq in (0..600u64).filter(|q| q % 7 != 3) {
                 let e = Event::new(
@@ -491,6 +677,58 @@ mod tests {
         s.insert(ev(1, 0));
         assert_eq!(s.prune_through(SensorId(1), u64::MAX), 2);
         assert_eq!(s.watermark(SensorId(1)), None);
+    }
+
+    #[test]
+    fn collection_hands_back_a_drained_burst() {
+        let sensor = SensorId(1);
+        let mut s = EventStore::new(100_000);
+        for seq in 0..20_000 {
+            s.insert(ev(1, seq));
+        }
+        let burst = s.capacity(sensor);
+        // Collection that leaves the log over a quarter full keeps it.
+        assert_eq!(s.prune_through(sensor, 9_999), 10_000);
+        assert_eq!(s.capacity(sensor), burst);
+        // Under a quarter full, most of the buffer goes back.
+        assert_eq!(s.prune_processed(sensor, 19_899, Time::MAX), 9_900);
+        assert_eq!(s.len(), 100);
+        assert!(s.capacity(sensor) < burst / 4);
+        assert_eq!(s.capacity(sensor), SLACK_FLOOR);
+        // A swing below the floor neither shrinks nor regrows it.
+        for seq in 20_000..20_900 {
+            s.insert(ev(1, seq));
+        }
+        assert_eq!(s.prune_through(sensor, u64::MAX), 1_000);
+        assert_eq!(s.capacity(sensor), SLACK_FLOOR);
+    }
+
+    fn top(sensor: u32) -> Event {
+        Event::new(
+            EventId::new(SensorId(sensor), u64::MAX),
+            EventKind::Motion,
+            Time::ZERO,
+        )
+    }
+
+    #[test]
+    fn events_after_u64_max_is_empty() {
+        let mut s = EventStore::new(100);
+        s.insert(top(1));
+        s.insert(ev(1, 0));
+        assert!(s.events_after(SensorId(1), Some(u64::MAX)).is_empty());
+        assert_eq!(s.events_after(SensorId(1), Some(0)), vec![top(1)]);
+    }
+
+    #[test]
+    fn diff_against_a_u64_max_watermark_ships_nothing() {
+        let mut s = EventStore::new(100);
+        s.insert(top(1));
+        s.insert(ev(2, 7));
+        assert!(s
+            .diff_for(&[(SensorId(1), u64::MAX), (SensorId(2), 7)])
+            .is_empty());
+        assert_eq!(s.diff_for(&[(SensorId(2), 7)]), vec![top(1)]);
     }
 
     #[test]
@@ -611,7 +849,7 @@ mod proptests {
             calls in proptest::collection::vec((0u64..200, 0u64..400), 1..12),
         ) {
             let mut new = EventStore::new(1000);
-            let mut reference = EventStore::new(1000);
+            let mut reference = reference::EventStore::new(1000);
             let (mut seq, mut at) = (0u64, 0u64);
             for (dseq, dt) in steps {
                 seq += dseq + 1; // holes allowed
@@ -649,7 +887,7 @@ mod proptests {
             cutoff in 0u64..110,
         ) {
             let mut new = EventStore::new(1000);
-            let mut reference = EventStore::new(1000);
+            let mut reference = reference::EventStore::new(1000);
             for (seq, at) in events {
                 let e = Event::new(
                     EventId::new(SensorId(1), seq),
@@ -672,5 +910,109 @@ mod proptests {
             }
             prop_assert_eq!(new.evicted(), removed as u64);
         }
+
+        /// The deque store answers every call exactly as the B-tree
+        /// store does, after every step: inserts in any order with
+        /// duplicates, holes and `seq`s at both ends of the range,
+        /// count caps small enough to evict, both garbage collectors
+        /// and diffs against arbitrary peer watermarks.
+        #[test]
+        fn deque_store_matches_the_btree_reference(
+            cap in 1usize..=8,
+            ops in proptest::collection::vec(store_op(), 1..120),
+        ) {
+            let mut new = EventStore::new(cap);
+            let mut reference = reference::EventStore::new(cap);
+            for op in ops {
+                match op {
+                    StoreOp::Insert(sensor, seq, at) => {
+                        let e = Event::new(
+                            EventId::new(SensorId(sensor), seq),
+                            EventKind::Motion,
+                            Time::from_millis(at),
+                        );
+                        prop_assert_eq!(new.insert(e.clone()), reference.insert(e));
+                    }
+                    StoreOp::PruneProcessed(sensor, upto, cutoff) => {
+                        let cutoff = Time::from_millis(cutoff);
+                        prop_assert_eq!(
+                            new.prune_processed(SensorId(sensor), upto, cutoff),
+                            reference.prune_processed(SensorId(sensor), upto, cutoff)
+                        );
+                    }
+                    StoreOp::PruneThrough(sensor, upto) => prop_assert_eq!(
+                        new.prune_through(SensorId(sensor), upto),
+                        reference.prune_through(SensorId(sensor), upto)
+                    ),
+                    StoreOp::Diff(peer) => {
+                        let peer: Vec<(SensorId, u64)> =
+                            peer.into_iter().map(|(s, q)| (SensorId(s), q)).collect();
+                        prop_assert_eq!(new.diff_for(&peer), reference.diff_for(&peer));
+                    }
+                }
+                prop_assert_eq!(new.watermarks(), reference.watermarks());
+                prop_assert_eq!(new.len(), reference.len());
+                prop_assert_eq!(new.inserted(), reference.inserted());
+                prop_assert_eq!(new.evicted(), reference.evicted());
+                for sensor in (0..=SENSORS).map(SensorId) {
+                    prop_assert_eq!(
+                        new.events_after(sensor, None),
+                        reference.events_after(sensor, None)
+                    );
+                    for seq in PROBES {
+                        prop_assert_eq!(
+                            new.events_after(sensor, Some(seq)),
+                            reference.events_after(sensor, Some(seq))
+                        );
+                        prop_assert_eq!(
+                            new.seen(EventId::new(sensor, seq)),
+                            reference.seen(EventId::new(sensor, seq))
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sensors the differential test writes to (one more is probed).
+    const SENSORS: u32 = 3;
+    /// `seq`s the differential test queries after every step.
+    const PROBES: [u64; 8] = [
+        0,
+        1,
+        7,
+        23,
+        u64::MAX - 8,
+        u64::MAX - 4,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    #[derive(Debug, Clone)]
+    enum StoreOp {
+        /// `(sensor, seq, emitted_at ms)`.
+        Insert(u32, u64, u64),
+        /// `(sensor, upto, cutoff ms)`.
+        PruneProcessed(u32, u64, u64),
+        /// `(sensor, upto)`.
+        PruneThrough(u32, u64),
+        /// A peer's watermarks.
+        Diff(Vec<(u32, u64)>),
+    }
+
+    /// Sequence numbers near both ends of the range.
+    fn seq() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..24, (u64::MAX - 8)..=u64::MAX]
+    }
+
+    /// Six inserts to each call of the other three kinds.
+    fn store_op() -> impl Strategy<Value = StoreOp> {
+        let peer = proptest::collection::vec((0..=SENSORS, seq()), 0..4);
+        (0u8..9, 0..SENSORS, seq(), 0u64..60, peer).prop_map(|(kind, s, q, at, peer)| match kind {
+            0..=5 => StoreOp::Insert(s, q, at),
+            6 => StoreOp::PruneProcessed(s, q, at),
+            7 => StoreOp::PruneThrough(s, q),
+            _ => StoreOp::Diff(peer),
+        })
     }
 }

@@ -8,8 +8,6 @@
 //! every ordered pair of actors and answers, per message, "does it
 //! arrive, and when?".
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use rivulet_types::{Duration, Time};
@@ -118,15 +116,32 @@ pub enum DropReason {
 }
 
 /// The state of every link in the emulated home.
+///
+/// Per-pair state lives in dense per-sender rows indexed `[from][to]`
+/// by [`ActorId`], which [`Topology::register`] hands out densely from
+/// 0. A row starts empty and grows when a pair in it is first
+/// overridden or carries its first FIFO message.
 #[derive(Debug)]
 pub struct Topology {
     classes: Vec<ActorClass>,
-    /// Sparse overrides; pairs not present use the class-derived default.
-    overrides: HashMap<(ActorId, ActorId), LinkConfig>,
+    /// Link overrides, `[from][to]`; `None`, or a cell past the row's
+    /// end, means the class-derived default.
+    overrides: Vec<Vec<Option<LinkConfig>>>,
     /// Partition group of each actor; `None` = no partition active.
     partition: Option<Vec<u32>>,
-    /// Last scheduled delivery per ordered pair, for FIFO links.
-    last_delivery: HashMap<(ActorId, ActorId), Time>,
+    /// Last scheduled delivery per ordered pair, `[from][to]`, for FIFO
+    /// links.
+    last_delivery: Vec<Vec<Time>>,
+}
+
+/// The `to` cell of a per-sender row, growing the row with `fill` to
+/// reach it.
+fn cell<T: Clone>(row: &mut Vec<T>, to: ActorId, fill: T) -> &mut T {
+    let i = to.0 as usize;
+    if row.len() <= i {
+        row.resize(i + 1, fill);
+    }
+    &mut row[i]
 }
 
 impl Topology {
@@ -135,9 +150,9 @@ impl Topology {
     pub fn new() -> Self {
         Self {
             classes: Vec::new(),
-            overrides: HashMap::new(),
+            overrides: Vec::new(),
             partition: None,
-            last_delivery: HashMap::new(),
+            last_delivery: Vec::new(),
         }
     }
 
@@ -145,6 +160,8 @@ impl Topology {
     pub fn register(&mut self, class: ActorClass) -> ActorId {
         let id = ActorId(self.classes.len() as u32);
         self.classes.push(class);
+        self.overrides.push(Vec::new());
+        self.last_delivery.push(Vec::new());
         id
     }
 
@@ -182,15 +199,20 @@ impl Topology {
     /// Current effective configuration of the directed link `from → to`.
     #[must_use]
     pub fn link(&self, from: ActorId, to: ActorId) -> LinkConfig {
-        self.overrides
-            .get(&(from, to))
+        self.overrides[from.0 as usize]
+            .get(to.0 as usize)
             .copied()
+            .flatten()
             .unwrap_or_else(|| self.default_link(from, to))
     }
 
     /// Replaces the configuration of the directed link `from → to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` was not registered.
     pub fn set_link(&mut self, from: ActorId, to: ActorId, config: LinkConfig) {
-        self.overrides.insert((from, to), config);
+        *cell(&mut self.overrides[from.0 as usize], to, None) = Some(config);
     }
 
     /// Replaces the configuration of the link in both directions.
@@ -278,7 +300,7 @@ impl Topology {
         let fifo =
             self.class_of(from) == ActorClass::Process && self.class_of(to) == ActorClass::Process;
         if fifo {
-            let last = self.last_delivery.entry((from, to)).or_insert(Time::ZERO);
+            let last = cell(&mut self.last_delivery[from.0 as usize], to, Time::ZERO);
             if at <= *last {
                 at = *last + Duration::from_micros(1);
             }

@@ -110,7 +110,7 @@ impl Router {
         if !known {
             return;
         }
-        self.metrics.lock().record_send(from, payload.len(), wifi);
+        self.metrics.lock().record_send(payload.len(), wifi);
         let verdict = self.topology.read().passable(from, to, rng);
         match verdict {
             Ok(()) => {

@@ -3,10 +3,10 @@
 //! The Fig. 5 experiment of the paper compares the *network overhead* —
 //! "the amount of data transferred over the home network for delivering
 //! an event" — of Gap, Gapless, and naive broadcast. [`NetMetrics`]
-//! charges every routed message (payload + frame header) to the sending
-//! actor and to the link class it crossed, and mirrors every count into
-//! a shared [`rivulet_obs::Recorder`] under the `net.*` and `fanout.*`
-//! names cataloged in `OBSERVABILITY.md`. Experiments read the
+//! charges every routed message (payload + frame header) to the link
+//! class it crossed, and mirrors every count into a shared
+//! [`rivulet_obs::Recorder`] under the `net.*` and `fanout.*` names
+//! cataloged in `OBSERVABILITY.md`. Experiments read the
 //! [`rivulet_obs::ObsSnapshot`] produced by [`NetMetrics::obs_snapshot`]
 //! (via the drivers' `obs_snapshot()`); the public counter fields
 //! remain for driver-internal assertions and cheap in-test peeking.
@@ -18,7 +18,6 @@ use std::sync::Arc;
 use rivulet_obs::{ObsSnapshot, Recorder};
 use rivulet_types::wire::FRAME_HEADER_BYTES;
 
-use crate::actor::ActorId;
 use crate::link::DropReason;
 
 /// Observability counter name for a drop reason.
@@ -123,8 +122,6 @@ pub struct NetMetrics {
     pub wifi_bytes: u64,
     /// Bytes (payload + frame header) sent on device radio links.
     pub radio_bytes: u64,
-    /// Bytes sent per actor (payload + frame header, either class).
-    pub bytes_by_sender: HashMap<ActorId, u64>,
     /// Timers fired.
     pub timers_fired: u64,
     /// Encode-once / coalescing savings recorded by process actors
@@ -144,9 +141,9 @@ impl NetMetrics {
         Self::default()
     }
 
-    /// Records a message of `payload_len` bytes sent by `from` over a
-    /// link of the given class (`wifi == true` for inter-process).
-    pub fn record_send(&mut self, from: ActorId, payload_len: usize, wifi: bool) {
+    /// Records a message of `payload_len` bytes sent over a link of the
+    /// given class (`wifi == true` for inter-process).
+    pub fn record_send(&mut self, payload_len: usize, wifi: bool) {
         self.messages_sent += 1;
         let total = (payload_len + FRAME_HEADER_BYTES) as u64;
         if wifi {
@@ -154,7 +151,6 @@ impl NetMetrics {
         } else {
             self.radio_bytes += total;
         }
-        *self.bytes_by_sender.entry(from).or_insert(0) += total;
         self.obs.inc("net.messages_sent");
         self.obs.add(
             if wifi {
@@ -221,16 +217,12 @@ mod tests {
     #[test]
     fn send_charges_header_and_class() {
         let mut m = NetMetrics::new();
-        m.record_send(ActorId(1), 100, true);
-        m.record_send(ActorId(1), 4, false);
+        m.record_send(100, true);
+        m.record_send(4, false);
         assert_eq!(m.messages_sent, 2);
         assert_eq!(m.wifi_bytes, (100 + FRAME_HEADER_BYTES) as u64);
         assert_eq!(m.radio_bytes, (4 + FRAME_HEADER_BYTES) as u64);
         assert_eq!(m.total_bytes(), m.wifi_bytes + m.radio_bytes);
-        assert_eq!(
-            m.bytes_by_sender[&ActorId(1)],
-            (104 + 2 * FRAME_HEADER_BYTES) as u64
-        );
     }
 
     #[test]
@@ -269,8 +261,8 @@ mod tests {
     fn obs_mirrors_counts_and_folds_fanout() {
         let mut m = NetMetrics::new();
         m.obs.set_enabled(true);
-        m.record_send(ActorId(1), 100, true);
-        m.record_send(ActorId(1), 4, false);
+        m.record_send(100, true);
+        m.record_send(4, false);
         m.record_delivery();
         m.record_drop(DropReason::Blocked);
         m.record_timer();
@@ -290,7 +282,7 @@ mod tests {
     #[test]
     fn disabled_obs_snapshot_is_empty() {
         let mut m = NetMetrics::new();
-        m.record_send(ActorId(1), 100, true);
+        m.record_send(100, true);
         m.fanout.record_frame(2);
         let snap = m.obs_snapshot();
         assert_eq!(snap.counter("net.messages_sent"), 0);

@@ -598,7 +598,7 @@ impl SimNet {
                 );
                 let wifi = self.topology.class_of(actor) == ActorClass::Process
                     && self.topology.class_of(to) == ActorClass::Process;
-                self.metrics.record_send(actor, payload.len(), wifi);
+                self.metrics.record_send(payload.len(), wifi);
                 self.trace.record(
                     self.now,
                     TraceEvent::Sent {

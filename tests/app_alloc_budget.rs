@@ -1,8 +1,12 @@
-//! The app runtime's allocation budget: heap allocations per
-//! `AppRuntime::on_event` on the two app shapes the benchmark runs.
-//! `process.allocs_per_event` counts these among everything else; a
-//! change that makes the operator DAG allocate per event again fails
-//! here, in tier-1, and says which shape grew.
+//! Allocation budgets of two per-event paths: heap allocations per
+//! `AppRuntime::on_event` on the two app shapes the benchmark runs, and
+//! per event on the replica path every Gapless origin runs (the
+//! `EventStore` insert, `RbcastState::track`, and the keep-alive's
+//! cumulative acks and watermark GC). `process.allocs_per_event` counts
+//! these among everything else; a change that makes the operator DAG
+//! allocate per event again, or puts the store or the broadcast
+//! tracking back on a structure that allocates as it churns, fails
+//! here, in tier-1, and says which path grew.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,8 +16,12 @@ use rivulet::core::app::{
     AppBuilder, AppRuntime, AppSpec, CombinedWindows, CombinerSpec, EvictorPolicy, MarzulloAverage,
     OpCtx, PollSpec, WindowSpec,
 };
+use rivulet::core::delivery::rbcast::RbcastState;
 use rivulet::core::delivery::Delivery;
-use rivulet::types::{ActuatorId, AppId, Duration, Event, EventId, EventKind, SensorId, Time};
+use rivulet::core::store::EventStore;
+use rivulet::types::{
+    ActuatorId, AppId, Duration, Event, EventId, EventKind, ProcSet, ProcessId, SensorId, Time,
+};
 
 /// `System`, counting the allocations of the thread that switched
 /// counting on — other tests in this binary run on other threads.
@@ -71,22 +79,25 @@ const WARM_UP: u64 = 3_000;
 /// Events counted.
 const COUNTED: u64 = 21_000;
 
+/// Heap allocations per `step(i)` over `warm_up..warm_up + counted`,
+/// after `step` has run uncounted over `0..warm_up`.
+fn allocs_per_step(warm_up: u64, counted: u64, mut step: impl FnMut(u64)) -> f64 {
+    (0..warm_up).for_each(&mut step);
+    let before = ALLOCS.with(Cell::get);
+    COUNTING.with(|on| on.set(true));
+    (warm_up..warm_up + counted).for_each(&mut step);
+    COUNTING.with(|on| on.set(false));
+    (ALLOCS.with(Cell::get) - before) as f64 / counted as f64
+}
+
 /// Heap allocations per `on_event` call on events `WARM_UP..`; `event`
 /// builds events without heap data.
 fn allocs_per_call(app: AppSpec, event: impl Fn(u64) -> Event) -> f64 {
     let mut runtime = AppRuntime::new(Arc::new(app)).expect("valid app");
-    for i in 0..WARM_UP {
+    allocs_per_step(WARM_UP, COUNTED, |i| {
         let event = event(i);
         drop(runtime.on_event(event.emitted_at, &event));
-    }
-    let before = ALLOCS.with(Cell::get);
-    COUNTING.with(|on| on.set(true));
-    for i in WARM_UP..WARM_UP + COUNTED {
-        let event = event(i);
-        drop(runtime.on_event(event.emitted_at, &event));
-    }
-    COUNTING.with(|on| on.set(false));
-    (ALLOCS.with(Cell::get) - before) as f64 / COUNTED as f64
+    })
 }
 
 fn dimmer_zones() -> Vec<ActuatorId> {
@@ -209,4 +220,55 @@ fn per_event_app_allocates_at_most_twice_per_event() {
         per_call <= 2.0,
         "per-event actuation app: {per_call:.2} allocations per on_event, budget 2"
     );
+}
+
+/// Sensors feeding the replica path, each at 1 kHz, in order.
+const REPLICA_SENSORS: u64 = 4;
+/// Events per sensor the replica keeps behind the newest one: garbage
+/// collection removes what is processed and older than this.
+const GC_WINDOW: u64 = 5_000;
+/// Events between two keep-alive beacons.
+const BEACON_EVERY: u64 = 50;
+
+#[test]
+fn replica_path_does_not_allocate_per_event() {
+    // The origin of a five-process home: every event is stored and
+    // tracked; every `BEACON_EVERY` events each of the four peers'
+    // received watermarks arrive and the processed watermark collects
+    // the store and the relay markers. The warm-up fills the GC window
+    // twice, so every buffer has reached its steady size. The parent
+    // (one B-tree per sensor in both structures) read 0.61.
+    let view: ProcSet = (0..5).map(ProcessId).collect();
+    let mut store = EventStore::new(100_000);
+    let mut rbcast = RbcastState::new(ProcessId(0))
+        .with_timing(Duration::from_millis(500), Duration::from_secs(2));
+    let step = |i: u64| {
+        let seq = i / REPLICA_SENSORS;
+        let now = Time::from_millis(seq);
+        let sensor = SensorId((i % REPLICA_SENSORS) as u32);
+        let event = Event::new(EventId::new(sensor, seq), EventKind::Motion, now);
+        assert!(store.insert(event.clone()));
+        rbcast.track(event, view, now);
+        if i.is_multiple_of(BEACON_EVERY) {
+            // The ring has reached every peer but for the newest round.
+            let received: [(SensorId, u64); REPLICA_SENSORS as usize] =
+                std::array::from_fn(|s| (SensorId(s as u32), seq.saturating_sub(1)));
+            for peer in 1..5 {
+                rbcast.on_cumulative_ack(ProcessId(peer), &received);
+            }
+            let cutoff = Time::from_millis(seq.saturating_sub(GC_WINDOW));
+            for (sensor, upto) in received {
+                store.prune_processed(sensor, upto, cutoff);
+                rbcast.prune_relayed(sensor, upto);
+            }
+        }
+    };
+    let warm_up = 2 * GC_WINDOW * REPLICA_SENSORS;
+    let per_event = allocs_per_step(warm_up, warm_up, step);
+    assert!(
+        per_event <= 0.01,
+        "replica path: {per_event:.2} allocations per event, budget 0.01"
+    );
+    assert!(store.len() as u64 <= (GC_WINDOW + 1) * REPLICA_SENSORS + BEACON_EVERY);
+    assert!(rbcast.pending_count() <= 2 * BEACON_EVERY as usize);
 }
