@@ -1,7 +1,7 @@
 //! Micro-benchmark of the event-payload arena ([`PayloadArena`]).
 //!
 //! The arena replaces per-event `Bytes::from(Vec<u8>)` payload copies
-//! with bump allocation into recycled chunks, so it is pinned against
+//! with bump allocation into shared chunks, so it is pinned against
 //! exactly that baseline at typical sensor-payload sizes.
 //!
 //! CI runs this in smoke mode (`cargo bench --bench micro_arena --

@@ -108,15 +108,6 @@ impl FaultOutcome {
         }
         self.correct as f64 / self.delivered as f64
     }
-
-    /// Recall: correct deliveries over genuine emissions.
-    #[must_use]
-    pub fn recall(&self) -> f64 {
-        if self.emitted == 0 {
-            return 1.0;
-        }
-        (self.correct as f64 / self.emitted as f64).min(1.0)
-    }
 }
 
 /// Runs one correctness-vs-fault-rate scenario.

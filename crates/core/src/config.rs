@@ -26,10 +26,6 @@ pub struct RivuletConfig {
     /// Silence threshold after which a peer is suspected crashed. The
     /// evaluation uses 2 s, producing the ~20-event gap of Fig. 7.
     pub failure_timeout: Duration,
-    /// Whether a process that gains a new ring successor synchronizes
-    /// its event store with it (§4.1, Bayou-style). Disabling this is
-    /// an ablation that demonstrates permanent gaps after partitions.
-    pub anti_entropy: bool,
     /// Gapless replication protocol (ring, or the broadcast baseline
     /// used for the Fig. 5 comparison).
     pub forwarding: ForwardingMode,
@@ -60,7 +56,6 @@ impl Default for RivuletConfig {
         Self {
             keepalive_interval: Duration::from_millis(500),
             failure_timeout: Duration::from_secs(2),
-            anti_entropy: true,
             forwarding: ForwardingMode::Ring,
             repair: false,
             routines: false,
@@ -75,13 +70,6 @@ impl RivuletConfig {
     #[must_use]
     pub fn with_failure_timeout(mut self, timeout: Duration) -> Self {
         self.failure_timeout = timeout;
-        self
-    }
-
-    /// Returns a config with anti-entropy enabled or disabled.
-    #[must_use]
-    pub fn with_anti_entropy(mut self, enabled: bool) -> Self {
-        self.anti_entropy = enabled;
         self
     }
 
@@ -144,7 +132,6 @@ mod tests {
         let c = RivuletConfig::default();
         assert_eq!(c.failure_timeout, Duration::from_secs(2));
         assert_eq!(c.keepalive_interval, Duration::from_millis(500));
-        assert!(c.anti_entropy);
         assert!(!c.repair, "repair layer is opt-in");
         assert!(!c.routines, "routine engine is opt-in");
         assert!(c.routine_stage_timeout > Duration::ZERO);
@@ -172,10 +159,8 @@ mod tests {
     fn builder_overrides() {
         let c = RivuletConfig::default()
             .with_failure_timeout(Duration::from_secs(5))
-            .with_anti_entropy(false)
             .with_keepalive_interval(Duration::from_millis(250));
         assert_eq!(c.failure_timeout, Duration::from_secs(5));
-        assert!(!c.anti_entropy);
         assert_eq!(c.keepalive_interval, Duration::from_millis(250));
     }
 }

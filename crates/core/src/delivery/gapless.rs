@@ -62,18 +62,16 @@ pub struct GaplessState {
     /// The successor we last synchronized with; a change triggers
     /// Bayou-style anti-entropy (§4.1).
     synced_successor: Option<ProcessId>,
-    anti_entropy: bool,
 }
 
 impl GaplessState {
     /// Creates Gapless state for process `me`.
     #[must_use]
-    pub fn new(me: ProcessId, store_cap_per_sensor: usize, anti_entropy: bool) -> Self {
+    pub fn new(me: ProcessId, store_cap_per_sensor: usize) -> Self {
         Self {
             me,
             store: EventStore::new(store_cap_per_sensor),
             synced_successor: None,
-            anti_entropy,
         }
     }
 
@@ -213,17 +211,13 @@ impl GaplessState {
     }
 
     /// The ring successor changed (membership view update). Returns the
-    /// sync request to send, if anti-entropy is enabled and the
-    /// successor is new.
+    /// sync request to send, if the successor is new.
     pub fn on_successor_change(&mut self, successor: Option<ProcessId>) -> Option<Action> {
         if self.synced_successor == successor {
             return None;
         }
         self.synced_successor = successor;
         let succ = successor?;
-        if !self.anti_entropy {
-            return None;
-        }
         Some(Action::Send {
             to: succ,
             msg: ProcMsg::SyncRequest { from: self.me },
@@ -321,7 +315,7 @@ mod tests {
 
     #[test]
     fn local_ingest_delivers_and_forwards_to_successor() {
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
         let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         assert!(out.start_broadcast.is_none());
@@ -340,7 +334,7 @@ mod tests {
 
     #[test]
     fn duplicate_local_ingest_is_silent() {
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1]);
         let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
@@ -350,7 +344,7 @@ mod tests {
 
     #[test]
     fn singleton_home_just_delivers() {
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         let out = g.on_local_ingest(ev(0), set(&[0]), None, None);
         assert_eq!(deliver_count(&out.actions), 1);
         assert_eq!(out.actions.len(), 1, "no sends when alone");
@@ -358,7 +352,7 @@ mod tests {
 
     #[test]
     fn first_sighting_gates_the_delivery_and_relays_past_the_gate() {
-        let mut g = GaplessState::new(ProcessId(1), 100, true);
+        let mut g = GaplessState::new(ProcessId(1), 100);
         // p1's view knows p3, which the sender's view did not.
         let view = set(&[0, 1, 3]);
         let out = g.on_ring(ev(0), pids(&[0]), pids(&[0, 1]), view, Some(ProcessId(3)));
@@ -373,7 +367,7 @@ mod tests {
     #[test]
     fn completed_ring_is_ignored() {
         // p0 ingests, then receives its own event back with S == V.
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
         let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let everyone = pids(&[0, 1, 2]);
@@ -385,7 +379,7 @@ mod tests {
     #[test]
     fn stalled_ring_triggers_broadcast() {
         // Paper's condition: seen event again, S != V, me ∈ S.
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
         let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let out = g.on_ring(
@@ -404,7 +398,7 @@ mod tests {
         // A duplicate receipt where we are NOT in S (we ingested from
         // the sensor but never forwarded this ring copy): another
         // process's ring is still progressing — do not broadcast.
-        let mut g = GaplessState::new(ProcessId(2), 100, true);
+        let mut g = GaplessState::new(ProcessId(2), 100);
         let view = set(&[0, 1, 2]);
         let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(0)), None);
         let out = g.on_ring(
@@ -423,9 +417,9 @@ mod tests {
         // End-to-end hand simulation: sensor → p0 only; verify everyone
         // delivers exactly once with exactly n − 1 ring messages.
         let view = set(&[0, 1, 2]);
-        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
-        let mut p1 = GaplessState::new(ProcessId(1), 100, true);
-        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let mut p0 = GaplessState::new(ProcessId(0), 100);
+        let mut p1 = GaplessState::new(ProcessId(1), 100);
+        let mut p2 = GaplessState::new(ProcessId(2), 100);
 
         let mut out0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let (_, event, seen, need) = ring_send(out0.actions.remove(1));
@@ -448,7 +442,7 @@ mod tests {
         // must not close: its own flood would skip p3, the very process
         // the ring missed. It relays, and p0 — whose view has p3 — runs
         // the paper's stall test and floods.
-        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let mut p2 = GaplessState::new(ProcessId(2), 100);
         let out = p2.on_ring(
             ev(0),
             pids(&[0, 1]),
@@ -464,7 +458,7 @@ mod tests {
             (ProcessId(0), &pids(&[0, 1, 2]), &pids(&[0, 1, 2, 3]))
         );
         let view0 = set(&[0, 1, 2, 3]);
-        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
+        let mut p0 = GaplessState::new(ProcessId(0), 100);
         let _ = p0.on_local_ingest(ev(0), view0, Some(ProcessId(1)), None);
         let out = p0.on_ring(event, seen, need, view0, Some(ProcessId(1)));
         assert_eq!(
@@ -498,7 +492,7 @@ mod tests {
         for (me, s, v, view, closes) in cases {
             let (me, view) = (ProcessId(me), set(view));
             let succ = view.successor_of(me);
-            let mut g = GaplessState::new(me, 100, true);
+            let mut g = GaplessState::new(me, 100);
             let out = g.on_ring(ev(0), pids(s), pids(v), view, succ);
             assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
             assert!(out.start_broadcast.is_none());
@@ -524,7 +518,7 @@ mod tests {
         ];
         for (s, v, floods) in cases {
             let view = set(&[0, 1, 2]);
-            let mut g = GaplessState::new(ProcessId(0), 100, true);
+            let mut g = GaplessState::new(ProcessId(0), 100);
             let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
             let out = g.on_ring(ev(0), pids(s), pids(v), view, Some(ProcessId(1)));
             assert_eq!(out.start_broadcast.is_some(), floods, "S={s:?} V={v:?}");
@@ -539,7 +533,7 @@ mod tests {
         let view = set(&[0, 1, 2, 3, 4]);
         let (sender, arc) = express_sender(view, set(&[1]), ProcessId(4)).expect("far host");
         assert_eq!((sender, arc), (ProcessId(1), set(&[1, 2, 3])));
-        let mut g = GaplessState::new(ProcessId(1), 100, true);
+        let mut g = GaplessState::new(ProcessId(1), 100);
         let express = Some((ProcessId(4), arc));
         let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(2)), express);
         assert!(out.relay.is_none(), "both first forwards wait for the disk");
@@ -561,7 +555,7 @@ mod tests {
         let view = set(&[0, 1, 2, 3, 4]);
         let succ = |p: u32| Some(ProcessId((p + 1) % 5));
         let mut procs: Vec<GaplessState> = (0..5)
-            .map(|p| GaplessState::new(ProcessId(p), 100, true))
+            .map(|p| GaplessState::new(ProcessId(p), 100))
             .collect();
         let mut delivered = vec![0; 5];
         let (_, arc) = express_sender(view, set(&[1]), ProcessId(0)).expect("far host");
@@ -618,7 +612,7 @@ mod tests {
         // the half-ring stops at p2, whose successor is the origin.
         let view = set(&[0, 1, 2, 3, 4]);
         let everyone = pids(&[0, 1, 2, 3, 4]);
-        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
+        let mut p0 = GaplessState::new(ProcessId(0), 100);
         let out = p0.on_ring(
             ev(0),
             pids(&[3, 4]),
@@ -629,7 +623,7 @@ mod tests {
         assert_eq!(deliver_count(&out.actions), 1);
         let (to, _, seen, _) = ring_send(out.relay.expect("the host keeps the ring moving"));
         assert_eq!((to, seen), (ProcessId(1), pids(&[0, 3, 4])));
-        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let mut p2 = GaplessState::new(ProcessId(2), 100);
         let out = p2.on_ring(
             ev(0),
             pids(&[0, 1, 3, 4]),
@@ -645,9 +639,9 @@ mod tests {
         // Both p0 and p1 receive the event from the sensor (multicast)
         // and start rings; no false broadcast should fire.
         let view = set(&[0, 1, 2]);
-        let mut p0 = GaplessState::new(ProcessId(0), 100, true);
-        let mut p1 = GaplessState::new(ProcessId(1), 100, true);
-        let mut p2 = GaplessState::new(ProcessId(2), 100, true);
+        let mut p0 = GaplessState::new(ProcessId(0), 100);
+        let mut p1 = GaplessState::new(ProcessId(1), 100);
+        let mut p2 = GaplessState::new(ProcessId(2), 100);
 
         let mut o0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
         let mut o1 = p1.on_local_ingest(ev(0), view, Some(ProcessId(2)), None);
@@ -668,12 +662,12 @@ mod tests {
 
     #[test]
     fn sync_handshake_ships_missing_events() {
-        let mut ahead = GaplessState::new(ProcessId(0), 100, true);
+        let mut ahead = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1]);
         for seq in 0..5 {
             let _ = ahead.on_local_ingest(ev(seq), view, None, None);
         }
-        let mut behind = GaplessState::new(ProcessId(1), 100, true);
+        let mut behind = GaplessState::new(ProcessId(1), 100);
         let _ = behind.on_local_ingest(ev(0), view, None, None);
 
         // New successor appears → ahead asks for watermarks.
@@ -710,8 +704,8 @@ mod tests {
     }
 
     #[test]
-    fn successor_change_dedup_and_anti_entropy_toggle() {
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+    fn successor_change_dedup() {
+        let mut g = GaplessState::new(ProcessId(0), 100);
         assert!(g.on_successor_change(Some(ProcessId(1))).is_some());
         assert!(
             g.on_successor_change(Some(ProcessId(1))).is_none(),
@@ -722,23 +716,17 @@ mod tests {
             g.on_successor_change(Some(ProcessId(1))).is_some(),
             "re-sync after churn"
         );
-
-        let mut off = GaplessState::new(ProcessId(0), 100, false);
-        assert!(
-            off.on_successor_change(Some(ProcessId(1))).is_none(),
-            "ablation: no sync"
-        );
     }
 
     #[test]
     fn sync_reply_with_nothing_missing_sends_nothing() {
-        let g = GaplessState::new(ProcessId(0), 100, true);
+        let g = GaplessState::new(ProcessId(0), 100);
         assert!(g.on_sync_reply(ProcessId(1), &[]).is_none());
     }
 
     #[test]
     fn broadcast_copy_dedups() {
-        let mut g = GaplessState::new(ProcessId(0), 100, true);
+        let mut g = GaplessState::new(ProcessId(0), 100);
         assert!(g.on_broadcast_copy(ev(0)).is_some());
         assert!(g.on_broadcast_copy(ev(0)).is_none());
     }

@@ -26,7 +26,7 @@ use rivulet_types::{ActuationState, ActuatorId, Duration, ProcSet, ProcessId, Se
 
 use crate::app::AppSpec;
 use crate::config::RivuletConfig;
-use crate::probe::{AppProbe, ProbeRegistry, StoreProbe};
+use crate::probe::{AppProbe, StoreProbe};
 use crate::process::{DurabilitySpec, ProcessSpec, RivuletProcess};
 use crate::routine::{RoutineProbe, RoutineSpec};
 use rivulet_storage::{StorageBackend, WalOptions};
@@ -266,7 +266,6 @@ pub struct HomeBuilder<'a, D: Driver> {
     sensors: Vec<SensorDecl>,
     actuators: Vec<ActuatorDecl>,
     apps: Vec<(Arc<AppSpec>, Arc<AppProbe>)>,
-    probes: Arc<ProbeRegistry>,
     storage: Option<StoragePlan>,
     store_probe: Option<Arc<StoreProbe>>,
     faults: Option<FaultPlan>,
@@ -295,7 +294,6 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
             sensors: Vec::new(),
             actuators: Vec::new(),
             apps: Vec::new(),
-            probes: ProbeRegistry::new(),
             storage: None,
             store_probe: None,
             faults: None,
@@ -453,10 +451,15 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
     ///
     /// # Panics
     ///
-    /// Panics if the app graph is invalid.
+    /// Panics if the app graph is invalid or the app id is a duplicate.
     pub fn add_app(&mut self, app: AppSpec) -> Arc<AppProbe> {
         app.validate().expect("invalid app graph");
-        let probe = self.probes.probe(app.id);
+        assert!(
+            self.apps.iter().all(|(a, _)| a.id != app.id),
+            "duplicate app id {:?}",
+            app.id
+        );
+        let probe = AppProbe::new();
         self.apps.push((Arc::new(app), Arc::clone(&probe)));
         probe
     }
@@ -696,6 +699,44 @@ mod tests {
             assert_eq!(b.add_host(format!("host-{i}")), ProcessId(i));
         }
         b.add_host("one too many");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate app id AppId(3)")]
+    fn a_repeated_app_id_is_refused() {
+        use crate::app::{AppBuilder, CombinerSpec, SwitchOnEvents, WindowSpec};
+        use crate::delivery::Delivery;
+        use rivulet_types::{AppId, EventKind};
+
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        let mut b = HomeBuilder::new(&mut net);
+        let hub = b.add_host("hub");
+        let (door, _) = b.add_push_sensor(
+            "door",
+            PayloadSpec::KindOnly(EventKind::DoorOpen),
+            EmissionSchedule::Periodic(Duration::from_secs(1)),
+            &[hub],
+        );
+        let (light, _) = b.add_actuator("light", ActuationState::Switch(false), &[hub]);
+        let app = |name| {
+            AppBuilder::new(AppId(3), name)
+                .operator(
+                    "switch",
+                    CombinerSpec::Any,
+                    SwitchOnEvents {
+                        on_kinds: vec![EventKind::DoorOpen],
+                        off_kinds: vec![],
+                        actuator: light,
+                    },
+                )
+                .sensor(door, Delivery::Gapless, WindowSpec::count(1))
+                .actuator(light, Delivery::Gapless)
+                .done()
+                .build()
+                .expect("valid app")
+        };
+        let _first = b.add_app(app("first"));
+        let _second = b.add_app(app("second"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use rivulet_types::{AppId, Command, Duration, EventId, ProcessId, Time};
+use rivulet_types::{Command, Duration, EventId, ProcessId, Time};
 
 /// Locks `mutex`, recovering the guarded data if a panicking thread
 /// poisoned it.
@@ -203,44 +203,6 @@ impl StoreProbe {
             .max()
             .unwrap_or(0)
     }
-
-    /// The largest store size `process` reported at or after `since`.
-    #[must_use]
-    pub fn max_len_since(&self, process: ProcessId, since: Time) -> usize {
-        lock_recovering(&self.samples)
-            .iter()
-            .filter(|(at, p, _)| *p == process && *at >= since)
-            .map(|(_, _, len)| *len)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Registry mapping apps to their probes, shared between deployment
-/// and harness.
-#[derive(Debug, Default)]
-pub struct ProbeRegistry {
-    probes: Mutex<Vec<(AppId, std::sync::Arc<AppProbe>)>>,
-}
-
-impl ProbeRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self::default())
-    }
-
-    /// Returns the probe for `app`, creating it on first use.
-    #[must_use]
-    pub fn probe(&self, app: AppId) -> std::sync::Arc<AppProbe> {
-        let mut probes = lock_recovering(&self.probes);
-        if let Some((_, p)) = probes.iter().find(|(a, _)| *a == app) {
-            return std::sync::Arc::clone(p);
-        }
-        let p = AppProbe::new();
-        probes.push((app, std::sync::Arc::clone(&p)));
-        p
-    }
 }
 
 #[cfg(test)]
@@ -314,16 +276,5 @@ mod tests {
         probe.record_delivery(record(1, 20, 12));
         assert_eq!(probe.deliveries().len(), 2);
         assert_eq!(probe.unique_delivered(), 2);
-    }
-
-    #[test]
-    fn registry_returns_same_probe_per_app() {
-        let reg = ProbeRegistry::new();
-        let a = reg.probe(AppId(1));
-        let b = reg.probe(AppId(1));
-        let c = reg.probe(AppId(2));
-        a.record_epoch_miss();
-        assert_eq!(b.epoch_misses(), 1, "same underlying probe");
-        assert_eq!(c.epoch_misses(), 0);
     }
 }

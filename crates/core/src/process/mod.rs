@@ -421,7 +421,7 @@ impl Running {
             storage.map(|d| (Arc::clone(&d.backend), d.options)),
             &spec.obs,
         );
-        let mut gapless = GaplessState::new(me, STORE_CAP_PER_SENSOR, spec.config.anti_entropy);
+        let mut gapless = GaplessState::new(me, STORE_CAP_PER_SENSOR);
         let mut processed = BTreeMap::new();
         for (sensor, seq) in recovered.checkpoint.into_iter().flat_map(|c| c.processed) {
             advance(&mut processed, sensor, seq);
@@ -595,8 +595,6 @@ impl Running {
             self.obs.add("arena.allocs", arena.allocs - prev.allocs);
             self.obs.add("arena.bytes", arena.bytes - prev.bytes);
             self.obs.add("arena.chunks", arena.chunks - prev.chunks);
-            self.obs
-                .add("arena.recycled", arena.recycled - prev.recycled);
             self.obs
                 .add("arena.oversize", arena.oversize - prev.oversize);
         }

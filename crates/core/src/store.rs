@@ -30,7 +30,7 @@ pub struct EventStore {
     inserted: u64,
     evicted: u64,
     /// Blob payloads that pin a larger backing buffer (views into
-    /// arrival frames) are re-homed into recycled arena chunks on
+    /// arrival frames) are re-homed into dense arena chunks on
     /// insert, so a retained 40-byte payload stops holding a kilobyte
     /// frame alive.
     arena: PayloadArena,

@@ -153,12 +153,6 @@ impl ActuatorDevice {
         }
     }
 
-    /// The actuator's platform identity.
-    #[must_use]
-    pub fn actuator_id(&self) -> ActuatorId {
-        self.actuator
-    }
-
     /// Attaches a seeded fault schedule (see [`crate::fault`]).
     #[must_use]
     pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {

@@ -77,16 +77,6 @@ impl FaultKind {
         FaultKind::ALL.iter().copied().find(|k| k.name() == s)
     }
 
-    /// Is this kind a *value* corruption (windowed), as opposed to an
-    /// event-presence fault (per-attempt)?
-    #[must_use]
-    pub fn is_value_fault(self) -> bool {
-        matches!(
-            self,
-            FaultKind::StuckAt | FaultKind::Flapping | FaultKind::Drift
-        )
-    }
-
     /// The `fault.*` obs counter bumped when this kind fires.
     #[must_use]
     pub fn counter_name(self) -> &'static str {

@@ -74,4 +74,3 @@ pub mod link;
 pub mod live;
 pub mod metrics;
 pub mod sim;
-pub mod trace;

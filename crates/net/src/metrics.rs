@@ -75,12 +75,6 @@ impl FanoutStats {
         self.encode_bytes_saved.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records one broadcast receipt acknowledged cumulatively instead
-    /// of with a dedicated ack message.
-    pub fn record_ack_avoided(&self) {
-        self.acks_avoided.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` per-event acknowledgements retired at once by a
     /// single cumulative keep-alive watermark.
     pub fn record_acks_avoided(&self, n: u64) {
@@ -243,7 +237,7 @@ mod tests {
         stats.record_frame(3);
         stats.record_frame(2);
         stats.record_encode_reuse(120);
-        stats.record_ack_avoided();
+        stats.record_acks_avoided(1);
         let snap = m.fanout.snapshot();
         assert_eq!(snap.frames_coalesced, 2);
         assert_eq!(snap.messages_avoided, 3, "(3-1) + (2-1)");
@@ -251,7 +245,7 @@ mod tests {
         assert_eq!(snap.acks_avoided, 1);
         // Cloned metrics share the same counters.
         let clone = m.clone();
-        stats.record_ack_avoided();
+        stats.record_acks_avoided(1);
         assert_eq!(clone.fanout.snapshot().acks_avoided, 2);
         stats.reset();
         assert_eq!(m.fanout.snapshot(), FanoutSnapshot::default());

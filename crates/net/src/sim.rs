@@ -24,7 +24,6 @@ use rivulet_types::{Duration, Time};
 use crate::actor::{Actor, ActorEvent, ActorId, Context, Effect};
 use crate::link::{ActorClass, DropReason, Topology, Verdict};
 use crate::metrics::NetMetrics;
-use crate::trace::{Trace, TraceEvent};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +209,6 @@ pub struct SimNet {
     seq: u64,
     rng: StdRng,
     metrics: NetMetrics,
-    trace: Trace,
     max_events: u64,
     /// Link-degradation bursts currently in force (lazily pruned).
     bursts: Vec<ActiveBurst>,
@@ -232,7 +230,6 @@ impl SimNet {
             seq: 0,
             rng: StdRng::seed_from_u64(config.seed),
             metrics: NetMetrics::new(),
-            trace: Trace::new(),
             max_events: config.max_events_per_run,
             bursts: Vec::new(),
             effects: Vec::new(),
@@ -312,17 +309,6 @@ impl SimNet {
     #[must_use]
     pub fn obs_snapshot(&self) -> rivulet_obs::ObsSnapshot {
         self.metrics.obs_snapshot()
-    }
-
-    /// The driver trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the driver trace (to enable/clear it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The link topology, for configuring ranges/loss before a run.
@@ -443,19 +429,9 @@ impl SimNet {
                 let slot = &self.slots[to.0 as usize];
                 if slot.instance.is_none() || slot.incarnation != to_inc {
                     self.metrics.record_drop(DropReason::DestinationDown);
-                    self.trace.record(
-                        self.now,
-                        TraceEvent::Dropped {
-                            from,
-                            to,
-                            reason: DropReason::DestinationDown,
-                        },
-                    );
                     return;
                 }
                 self.metrics.record_delivery();
-                self.trace
-                    .record(self.now, TraceEvent::Delivered { from, to });
                 self.fire(to, ActorEvent::Message { from, payload });
             }
             Pending::Timer {
@@ -483,7 +459,6 @@ impl SimNet {
             Control::Crash(actor) => {
                 let slot = &mut self.slots[actor.0 as usize];
                 if slot.instance.take().is_some() {
-                    self.trace.record(self.now, TraceEvent::Crashed { actor });
                     let key = u64::from(actor.0);
                     self.metrics.obs.event("net.crash", self.now, key, 0);
                     // Failover span: opened at the crash, closed by the
@@ -499,7 +474,6 @@ impl SimNet {
                     slot.timer_gens.clear();
                     slot.instance = Some((slot.factory)());
                     let inc = slot.incarnation;
-                    self.trace.record(self.now, TraceEvent::Recovered { actor });
                     self.metrics.obs.event(
                         "net.recover",
                         self.now,
@@ -599,14 +573,6 @@ impl SimNet {
                 let wifi = self.topology.class_of(actor) == ActorClass::Process
                     && self.topology.class_of(to) == ActorClass::Process;
                 self.metrics.record_send(payload.len(), wifi);
-                self.trace.record(
-                    self.now,
-                    TraceEvent::Sent {
-                        from: actor,
-                        to,
-                        bytes: payload.len(),
-                    },
-                );
                 let verdict = self.topology.route(
                     &mut self.rng,
                     self.now,
@@ -640,17 +606,7 @@ impl SimNet {
                             },
                         );
                     }
-                    Verdict::Drop(reason) => {
-                        self.metrics.record_drop(reason);
-                        self.trace.record(
-                            self.now,
-                            TraceEvent::Dropped {
-                                from: actor,
-                                to,
-                                reason,
-                            },
-                        );
-                    }
+                    Verdict::Drop(reason) => self.metrics.record_drop(reason),
                 }
             }
             Effect::SetTimer { token, after } => {
@@ -1017,5 +973,163 @@ mod tests {
         assert!(net.metrics().messages_sent > 0);
         net.reset_metrics();
         assert_eq!(net.metrics().messages_sent, 0);
+    }
+
+    /// Sends `b"x"` to each of `to` every 10 ms and logs every arrival
+    /// as `(time, from, to)`.
+    struct Node {
+        to: Vec<ActorId>,
+        log: Arc<std::sync::Mutex<Vec<(Time, ActorId, ActorId)>>>,
+    }
+
+    impl Actor for Node {
+        fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+            match event {
+                ActorEvent::Start => ctx.set_timer(Duration::from_millis(10), 1),
+                ActorEvent::Timer { .. } => {
+                    for &to in &self.to {
+                        ctx.send(to, Bytes::from_static(b"x"));
+                    }
+                    ctx.set_timer(Duration::from_millis(10), 1);
+                }
+                ActorEvent::Message { from, .. } => {
+                    self.log.lock().unwrap().push((ctx.now(), from, ctx.id()));
+                }
+            }
+        }
+    }
+
+    const A: ActorId = ActorId(0);
+    const B: ActorId = ActorId(1);
+    const RX: ActorId = ActorId(2);
+
+    /// `A` and `B` send to `RX` and `RX` sends to `A`, every 10 ms for
+    /// 200 ms, after `script` has scheduled its faults. Returns the
+    /// sorted arrival log and the driver.
+    fn three_node_run(script: impl FnOnce(&mut SimNet)) -> (Vec<(Time, ActorId, ActorId)>, SimNet) {
+        let mut net = SimNet::new(SimConfig::with_seed(9));
+        net.recorder().set_enabled(true);
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        for to in [vec![RX], vec![RX], vec![A]] {
+            let log = Arc::clone(&log);
+            net.add_actor("node", ActorClass::Process, move || {
+                Box::new(Node {
+                    to: to.clone(),
+                    log: Arc::clone(&log),
+                })
+            });
+        }
+        script(&mut net);
+        net.run_until(Time::from_millis(200));
+        let mut log = log.lock().unwrap().clone();
+        log.sort_unstable();
+        (log, net)
+    }
+
+    fn fault_count(net: &SimNet, name: &str) -> u64 {
+        net.obs_snapshot().counter(name)
+    }
+
+    #[test]
+    fn delay_burst_shifts_every_arrival_by_its_extra_delay() {
+        let extra = Duration::from_millis(5);
+        let (base, _) = three_node_run(|_| {});
+        let (log, net) = three_node_run(|net| {
+            net.burst_at(
+                Time::ZERO,
+                None,
+                None,
+                BurstSpec::delay(Duration::from_secs(1), extra),
+            );
+        });
+        let shifted: Vec<_> = base.iter().map(|&(t, f, to)| (t + extra, f, to)).collect();
+        assert!(!log.is_empty());
+        assert_eq!(log, shifted);
+        assert_eq!(
+            fault_count(&net, "fault.link.delayed"),
+            net.metrics().messages_sent
+        );
+        assert_eq!(fault_count(&net, "fault.link.duplicated"), 0);
+    }
+
+    #[test]
+    fn certain_duplication_delivers_every_send_twice() {
+        let (base, _) = three_node_run(|_| {});
+        let (log, net) = three_node_run(|net| {
+            let spec = BurstSpec {
+                dup_prob: 1.0,
+                ..BurstSpec::delay(Duration::from_secs(1), Duration::ZERO)
+            };
+            net.burst_at(Time::ZERO, None, None, spec);
+        });
+        let twice: Vec<_> = base.iter().flat_map(|&e| [e, e]).collect();
+        assert_eq!(log, twice);
+        assert_eq!(
+            fault_count(&net, "fault.link.duplicated"),
+            net.metrics().messages_sent
+        );
+        assert_eq!(fault_count(&net, "fault.link.delayed"), 0);
+    }
+
+    #[test]
+    fn a_burst_matches_only_the_directed_link_it_names() {
+        let extra = Duration::from_millis(5);
+        let (base, _) = three_node_run(|_| {});
+        let (log, net) = three_node_run(|net| {
+            let spec = BurstSpec::delay(Duration::from_secs(1), extra);
+            net.burst_at(Time::ZERO, Some(A), Some(RX), spec);
+        });
+        let mut expected: Vec<_> = base
+            .iter()
+            .map(|&(t, from, to)| {
+                let hit = (from, to) == (A, RX);
+                (if hit { t + extra } else { t }, from, to)
+            })
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(log, expected);
+        // B → RX and the reverse direction RX → A are untouched.
+        assert!(log.iter().any(|&(_, from, to)| (from, to) == (B, RX)));
+        assert!(log.iter().any(|&(_, from, to)| (from, to) == (RX, A)));
+        assert_eq!(
+            fault_count(&net, "fault.link.delayed"),
+            net.metrics().messages_sent / 3
+        );
+    }
+
+    #[test]
+    fn an_expired_burst_leaves_the_run_bit_identical() {
+        // Lossy links draw from the driver RNG on every send, so a burst
+        // that consulted it after expiring would change which messages
+        // are lost.
+        let lossy = |net: &mut SimNet| {
+            net.topology_mut().set_loss(A, RX, 0.5);
+            net.topology_mut().set_loss(RX, A, 0.5);
+        };
+        let (base, base_net) = three_node_run(lossy);
+        let (log, net) = three_node_run(|net| {
+            lossy(net);
+            let spec = BurstSpec {
+                dup_prob: 1.0,
+                reorder_prob: 1.0,
+                ..BurstSpec::delay(Duration::from_millis(5), Duration::from_millis(5))
+            };
+            // Over before the first send at 10 ms.
+            net.burst_at(Time::ZERO, None, None, spec);
+        });
+        assert_eq!(log, base);
+        let (m, b) = (net.metrics(), base_net.metrics());
+        assert_eq!(
+            (m.messages_sent, m.messages_delivered, m.total_drops()),
+            (b.messages_sent, b.messages_delivered, b.total_drops())
+        );
+        assert!(b.total_drops() > 0, "the loss draws happened");
+        for name in [
+            "fault.link.delayed",
+            "fault.link.duplicated",
+            "fault.link.reordered",
+        ] {
+            assert_eq!(fault_count(&net, name), 0, "{name}");
+        }
     }
 }

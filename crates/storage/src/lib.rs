@@ -62,5 +62,5 @@ pub use ledger::{
 };
 pub use record::{Checkpoint, WalRecord};
 pub use sha256::Sha256;
-pub use sim::{DiskProfile, FaultConfig, SimBackend};
+pub use sim::{FaultConfig, SimBackend};
 pub use wal::{FlushPolicy, Recovered, Wal, WalMetrics, WalOptions};

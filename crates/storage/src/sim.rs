@@ -7,10 +7,10 @@
 //!    [`crash`](SimBackend::crash) discards (or tears) the unsynced
 //!    tail, exactly the state a process finds on restart after a power
 //!    loss.
-//! 2. **Latency.** Every operation is charged against a
-//!    [`DiskProfile`] in *virtual time*, so benchmarks can compare
-//!    flush policies (per-event fsync vs group commit) without a real
-//!    disk and with perfect reproducibility.
+//! 2. **Latency.** Every operation is charged a fixed cost in *virtual
+//!    time*, so benchmarks can compare flush policies (per-event fsync
+//!    vs group commit) without a real disk and with perfect
+//!    reproducibility.
 //!
 //! The fault model is seeded, so a given seed produces the identical
 //! sequence of torn writes and corruptions on every run — the property
@@ -25,29 +25,16 @@ use rivulet_types::Duration;
 
 use crate::backend::{Result, SegmentId, StorageBackend, StorageError};
 
-/// Virtual-time cost of disk operations.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskProfile {
-    /// Fixed cost per `append` call (syscall + copy into the cache).
-    pub append_base: Duration,
-    /// Additional cost per KiB appended.
-    pub append_per_kib: Duration,
-    /// Cost of one `sync` (fdatasync): the dominant term on real
-    /// hardware, and the reason group commit wins.
-    pub fsync: Duration,
-}
+// Virtual-time cost of disk operations, loosely modeled on a consumer
+// SSD: cheap buffered writes, ~half-millisecond flushes.
 
-impl Default for DiskProfile {
-    fn default() -> Self {
-        // Loosely modeled on a consumer SSD: cheap buffered writes,
-        // ~half-millisecond flushes.
-        Self {
-            append_base: Duration::from_micros(5),
-            append_per_kib: Duration::from_micros(10),
-            fsync: Duration::from_micros(500),
-        }
-    }
-}
+/// Fixed cost per `append` call (syscall + copy into the cache).
+const APPEND_BASE: Duration = Duration::from_micros(5);
+/// Additional cost per KiB appended.
+const APPEND_PER_KIB: Duration = Duration::from_micros(10);
+/// Cost of one `sync` (fdatasync): the dominant term on real hardware,
+/// and the reason group commit wins.
+const FSYNC: Duration = Duration::from_micros(500);
 
 /// Knobs of the crash/corruption fault model.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +82,6 @@ struct Inner {
 /// incarnations via `Arc` so durable state outlives crashes.
 #[derive(Debug)]
 pub struct SimBackend {
-    profile: DiskProfile,
     faults: FaultConfig,
     inner: Mutex<Inner>,
 }
@@ -105,7 +91,6 @@ impl SimBackend {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self {
-            profile: DiskProfile::default(),
             faults: FaultConfig::default(),
             inner: Mutex::new(Inner {
                 segments: BTreeMap::new(),
@@ -116,13 +101,6 @@ impl SimBackend {
                 bytes_appended: 0,
             }),
         }
-    }
-
-    /// Replaces the latency profile.
-    #[must_use]
-    pub fn with_profile(mut self, profile: DiskProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Replaces the fault configuration.
@@ -208,11 +186,7 @@ impl StorageBackend for SimBackend {
         segment.data.extend_from_slice(data);
         inner.appends += 1;
         inner.bytes_appended += data.len() as u64;
-        inner.busy += self.profile.append_base
-            + self
-                .profile
-                .append_per_kib
-                .saturating_mul(data.len().div_ceil(1024) as u64);
+        inner.busy += APPEND_BASE + APPEND_PER_KIB.saturating_mul(data.len().div_ceil(1024) as u64);
         Ok(())
     }
 
@@ -232,7 +206,7 @@ impl StorageBackend for SimBackend {
         };
         segment.durable_len += persisted;
         inner.syncs += 1;
-        inner.busy += self.profile.fsync;
+        inner.busy += FSYNC;
         Ok(())
     }
 

@@ -390,12 +390,6 @@ impl Wal {
         self.pending_events
     }
 
-    /// The current tail segment id.
-    #[must_use]
-    pub fn tail_segment(&self) -> SegmentId {
-        self.tail
-    }
-
     /// Ids of live (non-compacted) segments, ascending.
     #[must_use]
     pub fn segments(&self) -> Vec<SegmentId> {

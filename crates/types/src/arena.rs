@@ -12,12 +12,8 @@
 //! [`PayloadArena`] fixes this by re-homing such payloads into dense
 //! refcounted chunks: `alloc` copies the payload bytes into the
 //! arena's current chunk and returns a [`Bytes`] view of just those
-//! bytes. Chunks are recycled, not leaked: when the store prunes
-//! events below the processed watermark their payload views drop, and
-//! once a chunk's views are all gone the arena's next refill reclaims
-//! the allocation in place ([`BytesMut::try_reclaim`]) instead of
-//! allocating a fresh chunk. In steady state — watermark advancing,
-//! store bounded — payload storage is allocation-free.
+//! bytes. A full chunk is simply let go of: its allocation frees itself
+//! when the store prunes the last event viewing it.
 //!
 //! The [`PayloadArena::rehome`] policy deliberately skips payloads
 //! that already own their whole backing allocation (e.g. a sensor's
@@ -38,33 +34,19 @@ pub struct ArenaStats {
     pub allocs: u64,
     /// Total payload bytes copied into chunks.
     pub bytes: u64,
-    /// Fresh chunk allocations (first chunk included).
+    /// Chunk allocations (first chunk included).
     pub chunks: u64,
-    /// Chunk refills satisfied by reclaiming the existing allocation
-    /// in place because every view into it had been dropped.
-    pub recycled: u64,
     /// Payloads larger than the chunk size, served as standalone
     /// allocations.
     pub oversize: u64,
 }
 
-/// How many retired chunks the arena keeps around waiting for their
-/// views to drop, and how many of them one refill probes. Retirement
-/// is FIFO and watermark pruning retires oldest events first, so the
-/// front of the list is the chunk most likely to have drained.
-const MAX_RETIRED: usize = 32;
-const RETIRE_SCAN: usize = 4;
-
 /// A chunked slab allocator handing out refcounted [`Bytes`] payload
-/// views (see the module docs for lifecycle and recycling).
+/// views (see the module docs for their lifecycle).
 #[derive(Debug)]
 pub struct PayloadArena {
     /// The chunk currently being filled.
     chunk: BytesMut,
-    /// Exhausted chunks whose views may still be alive, oldest first.
-    /// A refill reclaims the first fully drained one instead of
-    /// allocating.
-    retired: std::collections::VecDeque<BytesMut>,
     chunk_size: usize,
     stats: ArenaStats,
 }
@@ -88,7 +70,6 @@ impl PayloadArena {
     pub fn with_chunk_size(chunk_size: usize) -> Self {
         Self {
             chunk: BytesMut::new(),
-            retired: std::collections::VecDeque::new(),
             chunk_size: chunk_size.max(64),
             stats: ArenaStats::default(),
         }
@@ -105,43 +86,12 @@ impl PayloadArena {
             return Bytes::copy_from_slice(data);
         }
         if self.chunk.capacity() - self.chunk.len() < data.len() {
-            self.refill();
+            // Start a fresh chunk; the full one lives on in its views.
+            self.chunk = BytesMut::with_capacity(self.chunk_size);
+            self.stats.chunks += 1;
         }
         self.chunk.extend_from_slice(data);
         self.chunk.split().freeze()
-    }
-
-    /// Swaps in a chunk with free space: the oldest retired chunk
-    /// whose views have all dropped if one exists (recycling its
-    /// allocation in place), a fresh chunk otherwise.
-    fn refill(&mut self) {
-        // Retire by backing allocation, not spare room: a chunk whose
-        // payloads exactly filled it ends with `capacity() == 0` but
-        // still owns its allocation, and is precisely the chunk worth
-        // waiting on. Only the pristine lazy writer (never allocated)
-        // has nothing to retire.
-        if self.chunk.backing_capacity() > 0 {
-            self.retired.push_back(std::mem::take(&mut self.chunk));
-        }
-        let mut hit = None;
-        for i in 0..self.retired.len().min(RETIRE_SCAN) {
-            if self.retired[i].try_reclaim(self.chunk_size) {
-                hit = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = hit {
-            self.chunk = self.retired.remove(i).expect("index probed above");
-            self.stats.recycled += 1;
-            return;
-        }
-        self.chunk = BytesMut::with_capacity(self.chunk_size);
-        self.stats.chunks += 1;
-        // Bound the waiting list; a dropped handle just lets the chunk
-        // free itself once its last view goes.
-        while self.retired.len() > MAX_RETIRED {
-            self.retired.pop_front();
-        }
     }
 
     /// Re-homes a payload into the arena **if doing so releases
@@ -187,32 +137,17 @@ mod tests {
             a.as_ref().as_ptr() as usize + a.len()
         );
         let s = arena.stats();
-        assert_eq!((s.allocs, s.chunks, s.recycled), (2, 1, 0));
+        assert_eq!((s.allocs, s.chunks), (2, 1));
     }
 
     #[test]
-    fn chunk_recycles_once_views_drop() {
-        let mut arena = PayloadArena::with_chunk_size(128);
-        let first = arena.alloc(&[1u8; 100]);
-        let base = first.as_ref().as_ptr();
-        drop(first);
-        // Next alloc does not fit the remaining space, but the chunk's
-        // only view is gone: it must be reclaimed, not reallocated.
-        let second = arena.alloc(&[2u8; 100]);
-        assert_eq!(second.as_ref().as_ptr(), base, "chunk was recycled");
-        let s = arena.stats();
-        assert_eq!((s.chunks, s.recycled), (1, 1));
-    }
-
-    #[test]
-    fn pinned_chunk_forces_fresh_allocation() {
+    fn full_chunk_is_replaced_and_its_views_survive() {
         let mut arena = PayloadArena::with_chunk_size(128);
         let pinned = arena.alloc(&[1u8; 100]);
         let second = arena.alloc(&[2u8; 100]);
         assert_ne!(second.as_ref().as_ptr(), pinned.as_ref().as_ptr());
         assert_eq!(pinned, &[1u8; 100][..], "live view unharmed");
-        let s = arena.stats();
-        assert_eq!((s.chunks, s.recycled), (2, 0));
+        assert_eq!(arena.stats().chunks, 2);
     }
 
     #[test]
@@ -246,51 +181,5 @@ mod tests {
         // Non-blob payloads pass through untouched.
         assert_eq!(arena.rehome(Payload::Scalar(2.5)), Payload::Scalar(2.5));
         assert_eq!(arena.rehome(Payload::Empty), Payload::Empty);
-    }
-
-    #[test]
-    fn exactly_filled_chunks_still_recycle() {
-        // Payload size divides the chunk size, so every spent chunk
-        // ends fully split away (`capacity() == 0`). Those chunks must
-        // still be retired and reclaimed once their views drop —
-        // dropping them instead silently disables recycling for
-        // power-of-two payloads (1 KiB camera frames in a 64 KiB
-        // chunk), the common case.
-        let mut arena = PayloadArena::with_chunk_size(256);
-        let mut held = std::collections::VecDeque::new();
-        for _ in 0..64 {
-            held.push_back(arena.alloc(&[3u8; 64])); // 4 per chunk, exact
-            if held.len() > 8 {
-                held.pop_front(); // FIFO retention, two chunks deep
-            }
-        }
-        let s = arena.stats();
-        assert!(
-            s.recycled >= 10,
-            "exact-fit chunks must recycle once drained: {s:?}"
-        );
-        assert!(
-            s.chunks <= 4,
-            "fresh allocations must stay bounded by the hold window: {s:?}"
-        );
-    }
-
-    #[test]
-    fn steady_state_reuses_one_chunk() {
-        // Alloc/drop in a loop — the watermark-retirement pattern —
-        // must settle on a single recycled chunk.
-        let mut arena = PayloadArena::with_chunk_size(256);
-        for round in 0..50 {
-            let views: Vec<Bytes> = (0..4).map(|i| arena.alloc(&[i as u8; 40])).collect();
-            assert!(views.iter().all(|v| v.len() == 40));
-            drop(views);
-            let s = arena.stats();
-            assert!(
-                s.chunks <= 2,
-                "round {round}: fresh chunks {} should stay bounded",
-                s.chunks
-            );
-        }
-        assert!(arena.stats().recycled >= 20, "recycling dominates");
     }
 }

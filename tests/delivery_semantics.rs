@@ -11,7 +11,7 @@ use rivulet::core::config::ForwardingMode;
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
 use rivulet::core::messages::ProcMsg;
-use rivulet::core::probe::AppProbe;
+use rivulet::core::probe::{AppProbe, StoreProbe};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
@@ -22,6 +22,7 @@ struct Setup {
     net: SimNet,
     home: Home,
     probe: Arc<AppProbe>,
+    store_probe: Arc<StoreProbe>,
     sensor: SensorId,
     pids: Vec<ProcessId>,
 }
@@ -54,11 +55,13 @@ fn scripted_home(delivery: Delivery, script: Vec<Time>, config: RivuletConfig, s
         .build()
         .expect("valid app");
     let probe = home.add_app(app);
+    let store_probe = home.with_store_probe();
     let home = home.build();
     Setup {
         net,
         home,
         probe,
+        store_probe,
         sensor,
         pids,
     }
@@ -117,35 +120,31 @@ fn gapless_delivers_exactly_once_per_event_failure_free() {
 #[test]
 fn anti_entropy_heals_a_rejoining_process() {
     // Crash a *non-app* process, let events flow, recover it, and
-    // verify its store catches up via successor sync: afterwards, crash
-    // the app process and the recovered one — now primary candidate —
-    // still has the full backlog to replay.
+    // verify its store catches up via successor sync, so that were the
+    // app process to crash next, the recovered one — a primary
+    // candidate — would still have the full backlog to replay.
     let script: Vec<Time> = (1..=30).map(|i| Time::from_millis(400 * i)).collect();
     let mut s = scripted_home(Delivery::Gapless, script, RivuletConfig::default(), 3);
     let tv = s.home.actor_of(s.pids[1]);
-    // tv is a receiver; crash it during the first half of the stream.
+    // tv is a receiver; it is down from t = 2 s until after the
+    // stream's last event (t = 12 s). Sync compares per-sensor high
+    // watermarks, so a recovery mid-stream would hear a newer event
+    // itself first and leave the hole below it unfilled.
     s.net.crash_at(tv, Time::from_secs(2));
-    s.net.recover_at(tv, Time::from_secs(9));
+    s.net.recover_at(tv, Time::from_secs(13));
     s.net.run_until(Time::from_secs(20));
     // Every event still reaches the app (fridge kept receiving).
     assert_eq!(s.probe.unique_delivered(), 30);
-}
-
-#[test]
-fn ablation_disabling_anti_entropy_still_delivers_but_skips_sync() {
-    // With anti-entropy off, a process that missed events while crashed
-    // never back-fills its store; delivery to the (never-crashed) app
-    // process is unaffected in this scenario, demonstrating that the
-    // sync path is what protects *future* failovers, not steady-state
-    // delivery.
-    let script: Vec<Time> = (1..=30).map(|i| Time::from_millis(400 * i)).collect();
-    let config = RivuletConfig::default().with_anti_entropy(false);
-    let mut s = scripted_home(Delivery::Gapless, script, config, 3);
-    let tv = s.home.actor_of(s.pids[1]);
-    s.net.crash_at(tv, Time::from_secs(2));
-    s.net.recover_at(tv, Time::from_secs(9));
-    s.net.run_until(Time::from_secs(20));
-    assert_eq!(s.probe.unique_delivered(), 30);
+    // tv recovered with an empty store and heard nothing afterwards:
+    // every event it ends up holding came from its predecessor's sync.
+    let tv_store = s
+        .store_probe
+        .samples()
+        .into_iter()
+        .rev()
+        .find(|(_, p, _)| *p == s.pids[1])
+        .map(|(_, _, len)| len);
+    assert_eq!(tv_store, Some(30), "tv's store did not catch up");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Documentation link checker: every intra-repo markdown link in the
-//! top-level docs must resolve, and every `DESIGN.md §X.Y` prose
-//! reference must name a section that actually exists.
+//! top-level docs must resolve, every `DESIGN.md §X.Y` prose
+//! reference must name a section that actually exists, and every test
+//! a doc cites must exist.
 //!
 //! Three checks over each tracked top-level `*.md` file:
 //!
@@ -11,6 +12,10 @@
 //!    target file under GitHub's slugging rules;
 //! 3. `§X.Y` references to DESIGN.md sections (in any doc) match a
 //!    `## X.Y ...` / `### X.Y ...` heading in DESIGN.md.
+//!
+//! And one over the docs that cite tests as evidence: a cited
+//! `` `tests/<file>.rs::<fn>` ``, `` `<module>::tests::<fn>` `` or
+//! "test `` `<fn>` ``" names a `fn` in the tree.
 //!
 //! CI runs this as the `docs-links` step, so a renamed heading or a
 //! deleted section breaks the build instead of silently going stale.
@@ -243,6 +248,165 @@ fn design_section_references_exist() {
     assert!(
         errors.is_empty(),
         "stale DESIGN.md section references:\n{}",
+        errors.join("\n")
+    );
+}
+
+/// Docs whose test citations must resolve. `CHANGELOG.md` is a
+/// history: each entry names tests as they were when it was written.
+const TEST_CITING_DOCS: &[&str] = &[
+    "README.md",
+    "DESIGN.md",
+    "OBSERVABILITY.md",
+    "EXPERIMENTS.md",
+];
+
+fn is_ident(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Every name declared with `fn` in `text`.
+fn fn_names(text: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("fn ") {
+        let glued = rest[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        rest = &rest[at + 3..];
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        if !glued && !name.is_empty() {
+            names.insert(name);
+        }
+    }
+    names
+}
+
+/// `(path from the root, fn names)` of every Rust file in the tree,
+/// build output and vendored crates aside.
+fn rust_files(root: &Path) -> Vec<(PathBuf, BTreeSet<String>)> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, BTreeSet<String>)>) {
+        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() {
+                if !(name.starts_with('.') || name == "target" || name == "vendor") {
+                    walk(root, &path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("read source");
+                let rel = path.strip_prefix(root).expect("under root").to_path_buf();
+                out.push((rel, fn_names(&text)));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, root, &mut out);
+    out
+}
+
+/// Inline code spans of `text` outside fenced blocks, with the prose
+/// just before each and its line number. Spans are paired within a
+/// paragraph, so one may wrap a line.
+fn code_spans(text: &str) -> Vec<(String, String, usize)> {
+    let mut spans = Vec::new();
+    let mut paragraph = String::new();
+    let mut first_line = 0;
+    let mut in_code = false;
+    let mut flush = |paragraph: &mut String, first_line: usize| {
+        let mut parts = paragraph.split('`');
+        let mut before = parts.next().unwrap_or_default();
+        let mut consumed = before.len();
+        while let (Some(span), Some(after)) = (parts.next(), parts.next()) {
+            let line = first_line + paragraph[..consumed].matches('\n').count();
+            spans.push((span.to_owned(), before.to_owned(), line));
+            consumed += span.len() + after.len() + 2;
+            before = after;
+        }
+        paragraph.clear();
+    };
+    for (lineno, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_code = !in_code;
+            flush(&mut paragraph, first_line);
+            continue;
+        }
+        if in_code || line.trim().is_empty() {
+            flush(&mut paragraph, first_line);
+            continue;
+        }
+        if paragraph.is_empty() {
+            first_line = lineno + 1;
+        } else {
+            paragraph.push('\n');
+        }
+        paragraph.push_str(line);
+    }
+    flush(&mut paragraph, first_line);
+    spans
+}
+
+#[test]
+fn cited_tests_exist() {
+    let root = repo_root();
+    let files = rust_files(&root);
+    let anywhere = |name: &str| files.iter().any(|(_, fns)| fns.contains(name));
+    let mut errors = Vec::new();
+    for doc in TEST_CITING_DOCS {
+        let text =
+            std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("read {doc}: {e}"));
+        for (span, before, line) in code_spans(&text) {
+            let found = if let Some((file, name)) = span
+                .split_once("::")
+                .filter(|(f, n)| f.starts_with("tests/") && f.ends_with(".rs") && is_ident(n))
+            {
+                // `tests/<file>.rs::<fn>`: the fn is in that file.
+                files
+                    .iter()
+                    .any(|(path, fns)| path == Path::new(file) && fns.contains(name))
+            } else if let Some((module, name)) = span
+                .rsplit_once("::tests::")
+                .or_else(|| span.rsplit_once("::proptests::"))
+                .filter(|(m, n)| m.split("::").all(is_ident) && is_ident(n))
+            {
+                // `<module>::tests::<fn>`: the fn is in `<module>.rs` or
+                // `<module>/mod.rs`, or anywhere for an inline module.
+                let module = module.rsplit("::").next().unwrap_or_default();
+                let homes: Vec<_> = files
+                    .iter()
+                    .filter(|(path, _)| {
+                        path.file_stem().is_some_and(|s| s == module)
+                            || path.ends_with(Path::new(module).join("mod.rs"))
+                    })
+                    .collect();
+                if homes.is_empty() {
+                    anywhere(name)
+                } else {
+                    homes.iter().any(|(_, fns)| fns.contains(name))
+                }
+            } else if is_ident(&span)
+                && before
+                    .strip_suffix("test ")
+                    .is_some_and(|b| !b.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+            {
+                // "test `<fn>`".
+                anywhere(&span)
+            } else {
+                continue;
+            };
+            if !found {
+                errors.push(format!("{doc}:{line}: `{span}` names no fn in the tree"));
+            }
+        }
+    }
+    assert!(
+        errors.is_empty(),
+        "docs cite tests that do not exist:\n{}",
         errors.join("\n")
     );
 }

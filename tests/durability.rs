@@ -63,15 +63,15 @@ fn gapless_survives_power_loss_of_the_active_process() {
     }
 }
 
-/// A crashed *shadow* recovers its store from the WAL alone: with
-/// anti-entropy disabled, nobody will re-send pre-crash events, so
-/// whatever the store holds right after recovery came off the log.
-/// Meanwhile the active process never wavers, so the delivered stream
-/// has no gaps and no duplicates at all.
+/// A crashed *shadow* recovers its store from the WAL alone: its first
+/// post-recovery store sample is taken in the start activation, before
+/// any anti-entropy reply can arrive, so whatever the store holds then
+/// came off the log. Meanwhile the active process never wavers, so the
+/// delivered stream has no gaps and no duplicates at all.
 #[test]
 fn shadow_recovers_store_from_wal_without_anti_entropy() {
     for seed in [1u64, 2, 3] {
-        let config = RivuletConfig::default().with_anti_entropy(false);
+        let config = RivuletConfig::default();
         let mut s = durable_home(seed, FlushPolicy::EveryN(4), config);
         let h4 = s.home.actor_of(s.pids[4]);
         s.net.crash_at(h4, Time::from_secs(20));
