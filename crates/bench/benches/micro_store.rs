@@ -1,7 +1,6 @@
 //! Micro-benchmark of the per-process [`EventStore`] hot paths —
-//! insert, watermark collection, anti-entropy diffing, and retirement
-//! pruning — plus the age-guarded garbage collector every process runs
-//! from `tick`.
+//! insert, watermark collection and anti-entropy diffing — plus the
+//! age-guarded garbage collector every process runs from `tick`.
 //!
 //! Each sensor's events are a `seq`-sorted deque, so the steady state
 //! is an append at the back and a pop at the front
@@ -71,7 +70,7 @@ fn bench_watermarks(c: &mut Criterion) {
     g.throughput(Throughput::Elements(u64::from(SENSORS)));
     let store = filled();
     g.bench_function("flat", |b| {
-        b.iter(|| black_box(store.watermarks()));
+        b.iter(|| black_box(store.iter_watermarks().collect::<Vec<_>>()));
     });
     g.finish();
 }
@@ -87,24 +86,6 @@ fn bench_diff(c: &mut Criterion) {
         .collect();
     g.bench_function("flat", |b| {
         b.iter(|| black_box(store.diff_for(&peer)));
-    });
-    g.finish();
-}
-
-fn bench_retirement(c: &mut Criterion) {
-    let mut g = c.benchmark_group("store_prune_through");
-    g.throughput(Throughput::Elements(u64::from(SENSORS)));
-    g.bench_function("flat", |b| {
-        // The vendored criterion has no `iter_batched`, so the fill is
-        // measured alongside the prune.
-        b.iter(|| {
-            let mut store = filled();
-            let mut pruned = 0;
-            for sensor in 0..SENSORS {
-                pruned += store.prune_through(SensorId(sensor), EVENTS_PER_SENSOR / 2);
-            }
-            black_box(pruned)
-        });
     });
     g.finish();
 }
@@ -210,7 +191,7 @@ fn bench_fill_below_back(c: &mut Criterion) {
         let mut step = |store: &mut EventStore| {
             store.insert(ev(0, 2 * (k + d)));
             assert!(store.insert(ev(0, 2 * k + 1)));
-            store.prune_through(sensor, 2 * (k - w) + 1);
+            store.prune_processed(sensor, 2 * (k - w) + 1, Time::MAX);
             k += 1;
         };
         g.bench_function(format!("d{d}"), |b| b.iter(|| step(black_box(&mut store))));
@@ -224,7 +205,6 @@ criterion_group!(
     bench_insert,
     bench_watermarks,
     bench_diff,
-    bench_retirement,
     bench_prune_processed,
     bench_steady_window,
     bench_fill_below_back

@@ -35,7 +35,7 @@ fn wal_with(policy: FlushPolicy) -> (Wal, Arc<SimBackend>) {
 }
 
 const POLICIES: [(&str, FlushPolicy); 3] = [
-    ("per_event", FlushPolicy::PerEvent),
+    ("per_event", FlushPolicy::EveryN(1)),
     ("every_8", FlushPolicy::EveryN(8)),
     ("every_64", FlushPolicy::EveryN(64)),
 ];

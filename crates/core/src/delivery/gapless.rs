@@ -86,19 +86,6 @@ impl GaplessState {
         &mut self.store
     }
 
-    /// Whether this process has seen `event` (used by polling
-    /// cancellation and tests).
-    #[must_use]
-    pub fn seen(&self, event: &Event) -> bool {
-        self.store.seen(event.id)
-    }
-
-    /// Highest sequence stored for `sensor`.
-    #[must_use]
-    pub fn watermark(&self, sensor: SensorId) -> Option<u64> {
-        self.store.watermark(sensor)
-    }
-
     /// An event arrived directly from the physical sensor at this
     /// process (via an adapter). `view` is the local view `vᵢ` and
     /// `successor` the ring successor (None when alone). The first ring
@@ -231,7 +218,7 @@ impl GaplessState {
             to: from,
             msg: ProcMsg::SyncReply {
                 from: self.me,
-                watermarks: self.store.watermarks(),
+                watermarks: self.store.iter_watermarks().collect(),
             },
         }
     }
@@ -432,7 +419,9 @@ mod tests {
         // the ring silently instead of sending it back.
         assert!(out2.closed && out2.relay.is_none());
         assert!(out2.start_broadcast.is_none());
-        assert!(p0.seen(&ev(0)) && p1.seen(&ev(0)) && p2.seen(&ev(0)));
+        for p in [&p0, &p1, &p2] {
+            assert_eq!(p.store().retained_seqs(SensorId(7)), vec![0]);
+        }
     }
 
     #[test]
@@ -657,7 +646,7 @@ mod tests {
         let (_, event, seen, need) = ring_send(r2.relay.expect("p2 relays"));
         let r3 = p0.on_ring(event, seen, need, view, Some(ProcessId(1)));
         assert!(r3.start_broadcast.is_none());
-        assert!(p2.seen(&ev(0)));
+        assert_eq!(p2.store().retained_seqs(SensorId(7)), vec![0]);
     }
 
     #[test]
@@ -700,7 +689,10 @@ mod tests {
         // behind ingests and delivers each new event.
         let delivered = behind.on_sync_events(events);
         assert_eq!(delivered.len(), 4);
-        assert_eq!(behind.watermark(SensorId(7)), Some(4));
+        assert_eq!(
+            behind.store().retained_seqs(SensorId(7)),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub struct PollState {
     n_nodes: usize,
     current_epoch: u64,
     satisfied: bool,
-    polls_issued: u64,
-    epochs_missed: u64,
-    epochs_seen: u64,
 }
 
 impl PollState {
@@ -75,9 +72,6 @@ impl PollState {
             n_nodes,
             current_epoch: 0,
             satisfied: false,
-            polls_issued: 0,
-            epochs_missed: 0,
-            epochs_seen: 0,
         }
     }
 
@@ -91,25 +85,6 @@ impl PollState {
     #[must_use]
     pub fn current_epoch(&self) -> u64 {
         self.current_epoch
-    }
-
-    /// Total poll requests this process has issued.
-    #[must_use]
-    pub fn polls_issued(&self) -> u64 {
-        self.polls_issued
-    }
-
-    /// Epochs that ended with no event (the condition for the Gapless
-    /// "missed epoch" exception of §4.1).
-    #[must_use]
-    pub fn epochs_missed(&self) -> u64 {
-        self.epochs_missed
-    }
-
-    /// Epochs that have fully elapsed.
-    #[must_use]
-    pub fn epochs_seen(&self) -> u64 {
-        self.epochs_seen
     }
 
     /// A new epoch begins. Returns the delay from epoch start at which
@@ -152,12 +127,8 @@ impl PollState {
     /// cancellation rule); the uncoordinated baseline polls
     /// unconditionally, exactly as §8.5 describes ("each process issues
     /// one poll request uniformly randomly within each epoch").
-    pub fn on_slot(&mut self) -> bool {
-        if self.satisfied && self.plan.strategy != PollStrategy::Uncoordinated {
-            return false;
-        }
-        self.polls_issued += 1;
-        true
+    pub fn on_slot(&self) -> bool {
+        !self.satisfied || self.plan.strategy == PollStrategy::Uncoordinated
     }
 
     /// An event for `epoch` reached this process (own poll response or
@@ -176,23 +147,14 @@ impl PollState {
     /// poll). Returns `true` if the poll should be retried — only the
     /// coordinated strategy retries (§4.1's "failed poll requests
     /// requiring re-polling").
-    pub fn on_repoll(&mut self) -> bool {
-        if self.satisfied || self.plan.strategy != PollStrategy::Coordinated {
-            return false;
-        }
-        self.polls_issued += 1;
-        true
+    pub fn on_repoll(&self) -> bool {
+        !self.satisfied && self.plan.strategy == PollStrategy::Coordinated
     }
 
     /// The epoch ended. Returns `true` if no event arrived (a gap that
-    /// Gapless surfaces to the app as an exception).
-    pub fn on_epoch_end(&mut self) -> bool {
-        self.epochs_seen += 1;
-        let missed = !self.satisfied;
-        if missed {
-            self.epochs_missed += 1;
-        }
-        missed
+    /// Gapless surfaces to the app as an exception of §4.1).
+    pub fn on_epoch_end(&self) -> bool {
+        !self.satisfied
     }
 }
 
@@ -251,7 +213,6 @@ mod tests {
         let _ = s.on_epoch_start(5, true, &mut rng);
         assert!(s.on_event(5), "first event satisfies the epoch");
         assert!(!s.on_slot(), "slot cancelled by forwarding");
-        assert_eq!(s.polls_issued(), 0);
         assert!(!s.on_event(5), "duplicate event ignored");
     }
 
@@ -273,7 +234,6 @@ mod tests {
         assert!(c.on_repoll(), "no answer yet: retry");
         assert!(c.on_event(0));
         assert!(!c.on_repoll(), "satisfied: stop");
-        assert_eq!(c.polls_issued(), 2);
 
         let mut u = PollState::new(plan(PollStrategy::Uncoordinated), 0, 3);
         let _ = u.on_epoch_start(0, true, &mut rng);
@@ -295,8 +255,6 @@ mod tests {
         let _ = s.on_epoch_start(1, true, &mut rng);
         assert!(s.on_event(1));
         assert!(!s.on_epoch_end());
-        assert_eq!(s.epochs_missed(), 1);
-        assert_eq!(s.epochs_seen(), 2);
     }
 
     #[test]

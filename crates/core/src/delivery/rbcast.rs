@@ -55,9 +55,6 @@ pub struct RbcastState {
     /// Total entries across all sensors (kept so `pending_count` stays
     /// O(1) despite the sharding).
     n_pending: usize,
-    /// Events this process has already relayed, to bound re-flooding.
-    /// Sharded and sorted like `pending` so watermark GC pops a prefix.
-    relayed: BTreeMap<SensorId, VecDeque<u64>>,
     /// Pause before re-flooding an explicit broadcast.
     retransmit_after: Duration,
     /// Pause before a tracked (ring-origin) entry escalates to a flood;
@@ -90,7 +87,6 @@ impl RbcastState {
             me,
             pending: BTreeMap::new(),
             n_pending: 0,
-            relayed: BTreeMap::new(),
             retransmit_after: Duration::ZERO,
             track_grace: Duration::ZERO,
         }
@@ -136,10 +132,6 @@ impl RbcastState {
         if peers.is_empty() {
             return Vec::new();
         }
-        let markers = self.relayed.entry(event.id.sensor).or_default();
-        if let Err(i) = locate(markers, event.id.seq, |&q| q) {
-            markers.insert(i, event.id.seq);
-        }
         let actions = vec![Action::Fanout {
             to: peers,
             msg: ProcMsg::Broadcast {
@@ -173,10 +165,11 @@ impl RbcastState {
 
     /// A broadcast copy arrived. The receipt itself is acknowledged by
     /// the *received* watermark on our next keep-alive beacon, so the
-    /// only thing to send is a relay: if `was_new` and not already
-    /// relayed, a flood of our own makes delivery survive origin
-    /// crashes (pass an empty `view` to suppress relaying — the eager
-    /// baseline floods only from the origin).
+    /// only thing to send is a relay: if `was_new` — the replica store's
+    /// insert verdict, true for the first copy only — a flood of our own
+    /// makes delivery survive origin crashes (pass an empty `view` to
+    /// suppress relaying — the eager baseline floods only from the
+    /// origin).
     pub fn on_broadcast(
         &mut self,
         event: &Event,
@@ -184,11 +177,7 @@ impl RbcastState {
         view: ProcSet,
         now: Time,
     ) -> Vec<Action> {
-        let already_relayed = self
-            .relayed
-            .get(&event.id.sensor)
-            .is_some_and(|markers| locate(markers, event.id.seq, |&q| q).is_ok());
-        if was_new && !already_relayed {
+        if was_new {
             self.start(event.clone(), view, now)
         } else {
             Vec::new()
@@ -275,34 +264,16 @@ impl RbcastState {
         self.n_pending -= dropped;
         actions
     }
-
-    /// Forgets relay records for `sensor` at or below `upto`. Called
-    /// alongside store watermark GC: events processed home-wide are
-    /// never re-flooded, so their relay markers are dead weight.
-    pub fn prune_relayed(&mut self, sensor: SensorId, upto: u64) {
-        if let Some(markers) = self.relayed.get_mut(&sensor) {
-            while markers.front().is_some_and(|&seq| seq <= upto) {
-                markers.pop_front();
-            }
-            release_slack(markers);
-        }
-    }
-
-    /// Number of relay markers currently retained (GC observability).
-    #[must_use]
-    pub fn relayed_count(&self) -> usize {
-        self.relayed.values().map(VecDeque::len).sum()
-    }
 }
 
 /// Broadcast state as it was before the shards became deques: one
-/// `seq`-keyed `BTreeMap` of pending entries and one `BTreeSet` of relay
-/// markers per sensor. Verbatim but for `prune_relayed`'s bound, which
-/// now also forgets a marker at `u64::MAX`; `proptests` checks the deque
-/// state against it step by step.
+/// `seq`-keyed `BTreeMap` of pending entries per sensor. Verbatim but
+/// for the relay markers, which both states dropped together when the
+/// store's insert verdict became the only relay test; `proptests`
+/// checks the deque state against it step by step.
 #[cfg(test)]
 mod reference {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
@@ -321,9 +292,6 @@ mod reference {
         /// Total entries across all sensors (kept so `pending_count` stays
         /// O(1) despite the sharding).
         n_pending: usize,
-        /// Events this process has already relayed, to bound re-flooding.
-        /// Sharded like `pending` so watermark GC prunes it by range.
-        relayed: BTreeMap<SensorId, BTreeSet<u64>>,
         /// Pause before re-flooding an explicit broadcast.
         retransmit_after: Duration,
         /// Pause before a tracked (ring-origin) entry escalates to a flood;
@@ -350,7 +318,6 @@ mod reference {
                 me,
                 pending: BTreeMap::new(),
                 n_pending: 0,
-                relayed: BTreeMap::new(),
                 retransmit_after: Duration::ZERO,
                 track_grace: Duration::ZERO,
             }
@@ -394,10 +361,6 @@ mod reference {
             if peers.is_empty() {
                 return Vec::new();
             }
-            self.relayed
-                .entry(event.id.sensor)
-                .or_default()
-                .insert(event.id.seq);
             let actions = vec![Action::Fanout {
                 to: peers,
                 msg: ProcMsg::Broadcast {
@@ -431,10 +394,10 @@ mod reference {
 
         /// A broadcast copy arrived. The receipt itself is acknowledged by
         /// the *received* watermark on our next keep-alive beacon, so the
-        /// only thing to send is a relay: if `was_new` and not already
-        /// relayed, a flood of our own makes delivery survive origin
-        /// crashes (pass an empty `view` to suppress relaying — the eager
-        /// baseline floods only from the origin).
+        /// only thing to send is a relay: if `was_new`, a flood of our own
+        /// makes delivery survive origin crashes (pass an empty `view` to
+        /// suppress relaying — the eager baseline floods only from the
+        /// origin).
         pub fn on_broadcast(
             &mut self,
             event: &Event,
@@ -442,11 +405,7 @@ mod reference {
             view: ProcSet,
             now: Time,
         ) -> Vec<Action> {
-            let already_relayed = self
-                .relayed
-                .get(&event.id.sensor)
-                .is_some_and(|s| s.contains(&event.id.seq));
-            if was_new && !already_relayed {
+            if was_new {
                 self.start(event.clone(), view, now)
             } else {
                 Vec::new()
@@ -536,33 +495,13 @@ mod reference {
             self.n_pending -= dropped;
             actions
         }
-
-        /// Forgets relay records for `sensor` at or below `upto`. Called
-        /// alongside store watermark GC: events processed home-wide are
-        /// never re-flooded, so their relay markers are dead weight.
-        pub fn prune_relayed(&mut self, sensor: SensorId, upto: u64) {
-            if let Some(set) = self.relayed.get_mut(&sensor) {
-                *set = match upto.checked_add(1) {
-                    Some(above) => set.split_off(&above),
-                    None => BTreeSet::new(),
-                };
-                if set.is_empty() {
-                    self.relayed.remove(&sensor);
-                }
-            }
-        }
-
-        /// Number of relay markers currently retained (GC observability).
-        #[must_use]
-        pub fn relayed_count(&self) -> usize {
-            self.relayed.values().map(BTreeSet::len).sum()
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::gapless::GaplessState;
     use rivulet_types::{EventId, EventKind};
 
     fn ev(seq: u64) -> Event {
@@ -668,15 +607,19 @@ mod tests {
 
     #[test]
     fn receiver_relays_new_events_once() {
+        // Both copies go through the replica store the way the process
+        // feeds them: the store's insert verdict decides the relay.
+        let mut replica = GaplessState::new(ProcessId(1), 100);
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        let actions = b.on_broadcast(&ev(0), true, view, Time::ZERO);
-        // Nothing but the relay flood: the keep-alive beacon acks.
-        assert_eq!(actions.len(), 1);
-        assert_eq!(send_targets(&actions), pids(&[0, 2]));
-        // A second copy is not relayed again, whatever the store says
-        // of it.
-        assert!(b.on_broadcast(&ev(0), true, view, Time::ZERO).is_empty());
+        let mut relays = Vec::new();
+        for _ in 0..2 {
+            let fresh = replica.on_broadcast_copy(ev(0)).is_some();
+            relays.extend(b.on_broadcast(&ev(0), fresh, view, Time::ZERO));
+        }
+        // One relay flood and nothing else: the keep-alive beacon acks.
+        assert_eq!(relays.len(), 1);
+        assert_eq!(send_targets(&relays), pids(&[0, 2]));
     }
 
     #[test]
@@ -803,67 +746,28 @@ mod tests {
     }
 
     #[test]
-    fn prune_relayed_forgets_old_markers() {
-        let mut b = RbcastState::new(ProcessId(0));
-        let view = pids(&[0, 1]);
-        for seq in 0..4 {
-            let _ = b.start(ev(seq), view, Time::ZERO);
-        }
-        assert_eq!(b.relayed_count(), 4);
-        b.prune_relayed(SensorId(1), 2);
-        assert_eq!(b.relayed_count(), 1);
-        b.prune_relayed(SensorId(1), u64::MAX);
-        assert_eq!(b.relayed_count(), 0);
-        // Unknown sensors are a no-op.
-        b.prune_relayed(SensorId(9), 10);
-    }
-
-    #[test]
-    fn prune_relayed_at_u64_max_forgets_every_marker() {
-        let mut b = RbcastState::new(ProcessId(0));
-        let view = pids(&[0, 1]);
-        let top = Event::new(
-            EventId::new(SensorId(1), u64::MAX),
-            EventKind::DoorOpen,
-            Time::ZERO,
-        );
-        let _ = b.start(top, view, Time::ZERO);
-        let _ = b.start(ev(0), view, Time::ZERO);
-        assert_eq!(b.relayed_count(), 2);
-        b.prune_relayed(SensorId(1), u64::MAX);
-        assert_eq!(b.relayed_count(), 0);
-    }
-
-    #[test]
     fn retirement_hands_back_a_drained_burst() {
         let mut b = RbcastState::new(ProcessId(0));
         let view = pids(&[0, 1]);
-        let capacities = |b: &RbcastState| {
-            (
-                b.pending[&SensorId(1)].capacity(),
-                b.relayed[&SensorId(1)].capacity(),
-            )
-        };
+        let capacity = |b: &RbcastState| b.pending[&SensorId(1)].capacity();
         for seq in 0..20_000 {
             let _ = b.start(ev(seq), view, Time::ZERO);
         }
-        let (pending, relayed) = capacities(&b);
+        let burst = capacity(&b);
         assert_eq!(
             b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 19_899)]),
             19_900
         );
-        b.prune_relayed(SensorId(1), 19_899);
-        assert_eq!((b.pending_count(), b.relayed_count()), (100, 100));
-        let (drained_pending, drained_relayed) = capacities(&b);
-        assert!(drained_pending < pending / 4 && drained_relayed < relayed / 4);
+        assert_eq!(b.pending_count(), 100);
+        assert!(capacity(&b) < burst / 4);
         // A second burst, written off when its peer leaves the view.
         for seq in 20_000..40_000 {
             b.track(ev(seq), view, Time::ZERO);
         }
-        let grown = capacities(&b).0;
+        let grown = capacity(&b);
         assert!(b.on_tick(pids(&[0]), Time::ZERO).is_empty());
         assert_eq!(b.pending_count(), 0);
-        assert!(capacities(&b).0 < grown / 4);
+        assert!(capacity(&b) < grown / 4);
     }
 
     #[test]
@@ -891,7 +795,6 @@ mod proptests {
         OnBroadcast(u32, u64, bool, u64, u64),
         Ack(u32, Vec<(u32, u64)>),
         Tick(u64, u64),
-        PruneRelayed(u32, u64),
     }
 
     fn event(sensor: u32, seq: u64) -> Event {
@@ -923,14 +826,13 @@ mod proptests {
             proptest::collection::vec((0..=SENSORS, seq()), 0..4),
         );
         let other = (0u64..1 << PROCESSES, 0u64..60, any::<bool>());
-        (0u8..14, 0..SENSORS, seq(), other, ack).prop_map(
+        (0u8..13, 0..SENSORS, seq(), other, ack).prop_map(
             |(kind, s, q, (v, t, was_new), (from, received))| match kind {
                 0..=1 => RbOp::Start(s, q, v, t),
                 2..=5 => RbOp::Track(s, q, v, t),
                 6..=7 => RbOp::OnBroadcast(s, q, was_new, v, t),
                 8..=10 => RbOp::Ack(from, received),
-                11..=12 => RbOp::Tick(v, t),
-                _ => RbOp::PruneRelayed(s, q),
+                _ => RbOp::Tick(v, t),
             },
         )
     }
@@ -978,13 +880,8 @@ mod proptests {
                         new.on_tick(view(v), Time::from_millis(t)),
                         reference.on_tick(view(v), Time::from_millis(t))
                     ),
-                    RbOp::PruneRelayed(s, upto) => {
-                        new.prune_relayed(SensorId(s), upto);
-                        reference.prune_relayed(SensorId(s), upto);
-                    }
                 }
                 prop_assert_eq!(new.pending_count(), reference.pending_count());
-                prop_assert_eq!(new.relayed_count(), reference.relayed_count());
             }
         }
     }

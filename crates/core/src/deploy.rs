@@ -2,16 +2,16 @@
 //!
 //! [`HomeBuilder`] assembles a deployment on either driver: it creates
 //! one [`crate::process::RivuletProcess`] actor per
-//! host, one device actor per sensor/actuator, and publishes the
-//! [`Directory`] — the static facts every process needs (peer actor
-//! ids, device reachability, poll latencies). Processes read the
-//! directory lazily at start-up, so construction order is free of
-//! circular dependencies.
+//! host and one device actor per sensor/actuator, all sharing one
+//! [`DirectoryData`] — the static facts every process needs (peer
+//! actor ids, device reachability, poll latencies). Both drivers hand
+//! out actor ids densely in registration order, so the directory is
+//! complete before the first actor exists.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rivulet_devices::actuator::{ActuatorDevice, ActuatorProbe};
-use rivulet_devices::fault::{FaultPlan, FaultProbe};
+use rivulet_devices::fault::{DeviceFaults, FaultPlan, FaultProbe};
 use rivulet_devices::sensor::{
     EmissionProbe, EmissionSchedule, PayloadSpec, PollProbe, PollSensor, PushSensor,
 };
@@ -67,47 +67,6 @@ pub struct DirectoryData {
     pub actuators: Vec<ActuatorEntry>,
 }
 
-/// A write-once holder for [`DirectoryData`], shared between the
-/// deployment and every process factory.
-#[derive(Debug, Default)]
-pub struct Directory {
-    data: OnceLock<DirectoryData>,
-}
-
-impl Directory {
-    /// Creates an unfilled directory.
-    #[must_use]
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Publishes the directory data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn set(&self, data: DirectoryData) {
-        self.data.set(data).expect("directory published twice");
-    }
-
-    /// The published data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directory has not been published yet; processes
-    /// use [`Directory::try_get`] to wait politely.
-    #[must_use]
-    pub fn get(&self) -> &DirectoryData {
-        self.data.get().expect("directory not published")
-    }
-
-    /// The published data, or `None` before publication.
-    #[must_use]
-    pub fn try_get(&self) -> Option<&DirectoryData> {
-        self.data.get()
-    }
-}
-
 /// Abstraction over the two drivers, so one deployment path serves
 /// both.
 pub trait Driver {
@@ -118,6 +77,10 @@ pub trait Driver {
         class: ActorClass,
         factory: Box<dyn FnMut() -> Box<dyn Actor> + Send>,
     ) -> ActorId;
+
+    /// The id the next registered actor will get: ids are dense, in
+    /// registration order.
+    fn next_actor_id(&self) -> ActorId;
 
     /// The driver's shared fan-out statistics handle. Every process
     /// actor records its encode-once / coalescing savings into this
@@ -141,6 +104,10 @@ impl Driver for SimNet {
         self.add_actor(name, class, move || factory())
     }
 
+    fn next_actor_id(&self) -> ActorId {
+        SimNet::next_actor_id(self)
+    }
+
     fn fanout_stats(&self) -> Arc<FanoutStats> {
         Arc::clone(&self.metrics().fanout)
     }
@@ -158,6 +125,10 @@ impl Driver for LiveNet {
         mut factory: Box<dyn FnMut() -> Box<dyn Actor> + Send>,
     ) -> ActorId {
         self.add_actor(name, class, move || factory())
+    }
+
+    fn next_actor_id(&self) -> ActorId {
+        LiveNet::next_actor_id(self)
     }
 
     fn fanout_stats(&self) -> Arc<FanoutStats> {
@@ -202,8 +173,8 @@ pub struct Home {
     pub sensors: Vec<(SensorId, ActorId)>,
     /// Actuators and their device actors.
     pub actuators: Vec<(ActuatorId, ActorId)>,
-    /// The published directory.
-    pub directory: Arc<Directory>,
+    /// The directory every process reads at start-up.
+    pub directory: Arc<DirectoryData>,
 }
 
 impl Home {
@@ -483,24 +454,65 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
         probe
     }
 
-    /// Creates all actors and publishes the directory.
+    /// Creates all actors: processes, then sensors, then actuators, each
+    /// in declaration order. Their ids are predicted first, so the
+    /// directory is built before any process can start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reacher was never declared, or if the driver hands
+    /// out an id other than the next one.
     #[must_use]
     pub fn build(self) -> Home {
-        let directory = Directory::new();
+        let first = self.driver.next_actor_id().0;
+        let n_hosts = self.hosts.len() as u32;
+        let n_sensors = self.sensors.len() as u32;
+        let processes: Vec<(ProcessId, ActorId)> = (0..n_hosts)
+            .map(|i| (ProcessId(i), ActorId(first + i)))
+            .collect();
+        let sensor_entries: Vec<SensorEntry> = (0u32..)
+            .zip(&self.sensors)
+            .map(|(i, decl)| {
+                let (reachers, poll_latency) = match decl {
+                    SensorDecl::Push { reachers, .. } => (reachers, None),
+                    SensorDecl::Poll {
+                        reachers,
+                        poll_latency,
+                        ..
+                    } => (reachers, Some(*poll_latency)),
+                };
+                SensorEntry {
+                    id: SensorId(i),
+                    actor: ActorId(first + n_hosts + i),
+                    reachers: reachers.clone(),
+                    poll_latency,
+                }
+            })
+            .collect();
+        let actuator_entries: Vec<ActuatorEntry> = (0u32..)
+            .zip(&self.actuators)
+            .map(|(i, decl)| ActuatorEntry {
+                id: ActuatorId(i),
+                actor: ActorId(first + n_hosts + n_sensors + i),
+                reachers: decl.reachers.clone(),
+            })
+            .collect();
+        let directory = Arc::new(DirectoryData {
+            processes: processes.clone(),
+            sensors: sensor_entries,
+            actuators: actuator_entries,
+        });
 
-        // Processes first (they defer directory reads to start-up).
         let fanout = self.driver.fanout_stats();
         let obs = self.driver.recorder();
-        let mut processes = Vec::new();
-        for (i, name) in self.hosts.iter().enumerate() {
-            let pid = ProcessId(i as u32);
+        for ((pid, actor), name) in processes.iter().zip(&self.hosts) {
             let spec = ProcessSpec {
-                pid,
+                pid: *pid,
                 config: self.config.clone(),
                 apps: self.apps.clone(),
                 directory: Arc::clone(&directory),
                 storage: self.storage.as_ref().map(|plan| DurabilitySpec {
-                    backend: (plan.factory)(pid),
+                    backend: (plan.factory)(*pid),
                     options: plan.options,
                     checkpoint_interval: plan.checkpoint_interval,
                 }),
@@ -509,30 +521,24 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
                 obs: obs.clone(),
                 routines: self.routines.clone(),
             };
-            let actor = self.driver.add_boxed_actor(
+            let got = self.driver.add_boxed_actor(
                 name,
                 ActorClass::Process,
                 Box::new(move || Box::new(RivuletProcess::new(spec.clone()))),
             );
-            processes.push((pid, actor));
+            assert_eq!(got, *actor, "actor ids are handed out densely");
         }
 
-        // Devices next: they multicast to the (now known) process
-        // actors.
-        let actor_of = |pid: ProcessId| {
-            processes
-                .iter()
-                .find(|(p, _)| *p == pid)
-                .map(|(_, a)| *a)
-                .expect("reacher declared before build")
+        // A device's fault state is built once, reporting to the home's
+        // probe and recorder; every incarnation starts from a copy.
+        let report = |faults: Option<DeviceFaults>| {
+            faults.map(|f| f.reporting_to(Arc::clone(&self.fault_probe), obs.clone()))
         };
-        let mut sensor_entries = Vec::new();
-        let mut sensor_actors = Vec::new();
-        let faults = self.faults;
-        let fault_probe = self.fault_probe;
-        for (i, decl) in self.sensors.into_iter().enumerate() {
-            let id = SensorId(i as u32);
-            match decl {
+        let plan = self.faults.as_ref();
+        for (decl, entry) in self.sensors.into_iter().zip(&directory.sensors) {
+            let id = entry.id;
+            let faults = report(plan.and_then(|p| p.for_sensor(id)));
+            let actor = match decl {
                 SensorDecl::Push {
                     name,
                     payload,
@@ -540,129 +546,79 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
                     reachers,
                     probe,
                 } => {
-                    let targets: Vec<ActorId> = reachers.iter().map(|p| actor_of(*p)).collect();
-                    let plan = faults.clone();
-                    let fprobe = Arc::clone(&fault_probe);
-                    let fobs = obs.clone();
-                    let actor = self.driver.add_boxed_actor(
+                    let targets: Vec<ActorId> = reachers
+                        .iter()
+                        .map(|p| {
+                            let process = processes.get(p.0 as usize);
+                            process.expect("reacher declared before build").1
+                        })
+                        .collect();
+                    self.driver.add_boxed_actor(
                         &name,
                         ActorClass::Device,
                         Box::new(move || {
                             // A recovered sensor resumes numbering
                             // after everything it already emitted.
                             let start_seq = probe.emitted();
-                            let mut sensor = PushSensor::new(
+                            let sensor = PushSensor::new(
                                 id,
                                 payload.clone(),
                                 schedule.clone(),
                                 targets.clone(),
                                 Arc::clone(&probe),
-                            )
-                            .with_start_seq(start_seq);
-                            if let Some(plan) = &plan {
-                                sensor = sensor
-                                    .with_faults(plan.for_sensor(id))
-                                    .with_fault_probe(Arc::clone(&fprobe))
-                                    .with_obs(fobs.clone());
-                            }
-                            Box::new(sensor)
+                            );
+                            Box::new(sensor.with_start_seq(start_seq).with_faults(faults.clone()))
                         }),
-                    );
-                    sensor_entries.push(SensorEntry {
-                        id,
-                        actor,
-                        reachers,
-                        poll_latency: None,
-                    });
-                    sensor_actors.push((id, actor));
+                    )
                 }
                 SensorDecl::Poll {
                     name,
                     value,
                     poll_latency,
-                    reachers,
                     probe,
-                } => {
-                    let plan = faults.clone();
-                    let fprobe = Arc::clone(&fault_probe);
-                    let fobs = obs.clone();
-                    let actor = self.driver.add_boxed_actor(
-                        &name,
-                        ActorClass::Device,
-                        Box::new(move || {
-                            let start_seq = probe.answered();
-                            let mut sensor = PollSensor::new(
-                                id,
-                                value.clone(),
-                                poll_latency,
-                                Arc::clone(&probe),
-                            )
-                            .with_start_seq(start_seq);
-                            if let Some(plan) = &plan {
-                                sensor = sensor
-                                    .with_faults(plan.for_sensor(id))
-                                    .with_fault_probe(Arc::clone(&fprobe))
-                                    .with_obs(fobs.clone());
-                            }
-                            Box::new(sensor)
-                        }),
-                    );
-                    sensor_entries.push(SensorEntry {
-                        id,
-                        actor,
-                        reachers,
-                        poll_latency: Some(poll_latency),
-                    });
-                    sensor_actors.push((id, actor));
-                }
-            }
+                    ..
+                } => self.driver.add_boxed_actor(
+                    &name,
+                    ActorClass::Device,
+                    Box::new(move || {
+                        let start_seq = probe.answered();
+                        let sensor =
+                            PollSensor::new(id, value.clone(), poll_latency, Arc::clone(&probe));
+                        Box::new(sensor.with_start_seq(start_seq).with_faults(faults.clone()))
+                    }),
+                ),
+            };
+            assert_eq!(actor, entry.actor, "actor ids are handed out densely");
         }
 
-        let mut actuator_entries = Vec::new();
-        let mut actuator_actors = Vec::new();
-        for (i, decl) in self.actuators.into_iter().enumerate() {
-            let id = ActuatorId(i as u32);
+        for (decl, entry) in self.actuators.into_iter().zip(&directory.actuators) {
             let ActuatorDecl {
                 name,
                 initial,
-                reachers,
                 probe,
+                ..
             } = decl;
-            let plan = faults.clone();
-            let fprobe = Arc::clone(&fault_probe);
-            let fobs = obs.clone();
+            let id = entry.id;
+            let faults = report(plan.and_then(|p| p.for_actuator(id)));
             let actor = self.driver.add_boxed_actor(
                 &name,
                 ActorClass::Device,
                 Box::new(move || {
-                    let mut dev = ActuatorDevice::new(id, initial, Arc::clone(&probe));
-                    if let Some(plan) = &plan {
-                        dev = dev
-                            .with_faults(plan.for_actuator(id))
-                            .with_fault_probe(Arc::clone(&fprobe))
-                            .with_obs(fobs.clone());
-                    }
-                    Box::new(dev)
+                    let dev = ActuatorDevice::new(id, initial, Arc::clone(&probe));
+                    Box::new(dev.with_faults(faults.clone()))
                 }),
             );
-            actuator_entries.push(ActuatorEntry {
-                id,
-                actor,
-                reachers,
-            });
-            actuator_actors.push((id, actor));
+            assert_eq!(actor, entry.actor, "actor ids are handed out densely");
         }
-
-        directory.set(DirectoryData {
-            processes: processes.clone(),
-            sensors: sensor_entries,
-            actuators: actuator_entries,
-        });
 
         Home {
             processes,
-            sensors: sensor_actors,
-            actuators: actuator_actors,
+            sensors: directory.sensors.iter().map(|s| (s.id, s.actor)).collect(),
+            actuators: directory
+                .actuators
+                .iter()
+                .map(|a| (a.id, a.actor))
+                .collect(),
             directory,
         }
     }
@@ -672,23 +628,6 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
 mod tests {
     use super::*;
     use rivulet_net::sim::SimConfig;
-
-    #[test]
-    fn directory_is_write_once() {
-        let dir = Directory::new();
-        assert!(dir.try_get().is_none());
-        dir.set(DirectoryData::default());
-        assert!(dir.try_get().is_some());
-        assert_eq!(dir.get().processes.len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "directory published twice")]
-    fn directory_double_set_panics() {
-        let dir = Directory::new();
-        dir.set(DirectoryData::default());
-        dir.set(DirectoryData::default());
-    }
 
     #[test]
     #[should_panic(expected = "a home holds at most 64 processes")]
@@ -741,7 +680,14 @@ mod tests {
 
     #[test]
     fn builder_assigns_sequential_ids_and_publishes() {
+        use rivulet_net::actor::{ActorEvent, Context};
+        struct Idle;
+        impl Actor for Idle {
+            fn on_event(&mut self, _: &mut Context<'_>, _: ActorEvent) {}
+        }
+        // An actor registered before the home: predicted ids start at 1.
         let mut net = SimNet::new(SimConfig::with_seed(1));
+        net.add_actor("bystander", ActorClass::Process, || Box::new(Idle));
         let mut b = HomeBuilder::new(&mut net);
         let hub = b.add_host("hub");
         let tv = b.add_host("tv");
@@ -757,8 +703,11 @@ mod tests {
         let (light, _) = b.add_actuator("light", ActuationState::Switch(false), &[hub]);
         assert_eq!(light, ActuatorId(0));
         let home = b.build();
-        assert_eq!(home.processes.len(), 2);
-        let data = home.directory.get();
+        assert_eq!(home.processes, vec![(hub, ActorId(1)), (tv, ActorId(2))]);
+        assert_eq!(home.sensors, vec![(door, ActorId(3))]);
+        assert_eq!(home.actuators, vec![(light, ActorId(4))]);
+        let data = &home.directory;
+        assert_eq!(data.processes, home.processes);
         assert_eq!(data.sensors[0].reachers, vec![hub, tv], "sorted, deduped");
         assert_eq!(data.actuators[0].reachers, vec![hub]);
         assert_eq!(home.actor_of(hub), home.processes[0].1);

@@ -183,7 +183,7 @@ impl DurableGate {
     pub fn flush_interval(&self) -> Option<Duration> {
         match self.wal.as_ref()?.options().flush_policy {
             FlushPolicy::EveryInterval(period) => Some(period),
-            FlushPolicy::PerEvent | FlushPolicy::EveryN(_) => None,
+            FlushPolicy::EveryN(_) => None,
         }
     }
 

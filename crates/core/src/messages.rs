@@ -514,7 +514,7 @@ mod tests {
     #[test]
     fn a_process_drops_the_retired_tag_without_panicking() {
         use crate::config::RivuletConfig;
-        use crate::deploy::{Directory, DirectoryData};
+        use crate::deploy::DirectoryData;
         use crate::process::{ProcessSpec, RivuletProcess};
         use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
         use rivulet_net::link::ActorClass;
@@ -539,30 +539,31 @@ mod tests {
         let old_ack = old_ack_bytes();
         let framed = Frame::encode_parts(&mut WireWriter::new(), std::slice::from_ref(&old_ack));
         let mut net = SimNet::new(SimConfig::with_seed(1));
-        let directory = Directory::new();
+        let process = net.next_actor_id();
+        let peer = ActorId(process.0 + 1);
+        let directory = Arc::new(DirectoryData {
+            processes: vec![(ProcessId(0), process), (ProcessId(1), peer)],
+            ..DirectoryData::default()
+        });
         let spec = ProcessSpec {
             pid: ProcessId(0),
             config: RivuletConfig::default(),
             apps: Vec::new(),
-            directory: Arc::clone(&directory),
+            directory,
             storage: None,
             store_probe: None,
             fanout: Arc::default(),
             obs: net.recorder(),
             routines: Vec::new(),
         };
-        let process = net.add_actor("p0", ActorClass::Process, move || {
+        net.add_actor("p0", ActorClass::Process, move || {
             Box::new(RivuletProcess::new(spec.clone()))
         });
-        let peer = net.add_actor("p1", ActorClass::Process, move || {
+        net.add_actor("p1", ActorClass::Process, move || {
             Box::new(StalePeer {
                 to: process,
                 payloads: vec![old_ack.clone(), framed.clone()],
             })
-        });
-        directory.set(DirectoryData {
-            processes: vec![(ProcessId(0), process), (ProcessId(1), peer)],
-            ..DirectoryData::default()
         });
         net.run_for(rivulet_types::Duration::from_secs(1));
         assert!(net.metrics().messages_delivered >= 2, "both copies arrived");

@@ -56,7 +56,7 @@ use crate::delivery::gapless::GaplessState;
 use crate::delivery::polling::{PollPlan, PollState};
 use crate::delivery::rbcast::{self, RbcastState};
 use crate::delivery::Delivery;
-use crate::deploy::{Directory, SensorEntry};
+use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::{placement, ExecutionState};
 use crate::gating::DurableGate;
 use crate::membership::Membership;
@@ -67,7 +67,6 @@ use crate::routine::{RoutineEngine, RoutineProbe, RoutineSpec};
 
 use outbox::Outbox;
 
-const TOKEN_INIT_RETRY: u64 = 0;
 const TOKEN_TICK: u64 = 1;
 const TOKEN_FLUSH: u64 = 2;
 const TOKEN_CHECKPOINT: u64 = 3;
@@ -130,8 +129,9 @@ pub struct ProcessSpec {
     /// Applications deployed home-wide (every process knows all apps;
     /// active/shadow roles are decided by the execution service).
     pub apps: Vec<(Arc<AppSpec>, Arc<AppProbe>)>,
-    /// The shared deployment directory, filled before the drivers run.
-    pub directory: Arc<Directory>,
+    /// The shared deployment directory, complete before any actor
+    /// exists.
+    pub directory: Arc<DirectoryData>,
     /// Optional durable storage; `None` keeps the paper's all-volatile
     /// model.
     pub storage: Option<DurabilitySpec>,
@@ -310,7 +310,6 @@ struct Running {
     received_marks: BTreeMap<SensorId, u64>,
     window_timers: Vec<(usize, OperatorId, StreamKey, Duration)>,
     command_ids: CommandIds,
-    last_successor: Option<ProcessId>,
     /// The write-ahead log (when durable storage is attached) and the
     /// delivery-service actions waiting on it.
     gate: DurableGate,
@@ -350,8 +349,7 @@ impl std::fmt::Debug for RivuletProcess {
 
 impl RivuletProcess {
     /// Creates an uninitialized process; full initialization happens on
-    /// [`ActorEvent::Start`], when the deployment directory is
-    /// guaranteed to be filled.
+    /// [`ActorEvent::Start`], in whichever incarnation receives it.
     #[must_use]
     pub fn new(spec: ProcessSpec) -> Self {
         Self {
@@ -363,16 +361,9 @@ impl RivuletProcess {
 
 impl Running {
     /// Builds the running state from the deployment directory and
-    /// whatever the log holds, then starts the periodic work. `None`
-    /// (with a retry timer armed) while the directory is unpublished.
-    fn start(spec: &ProcessSpec, ctx: &mut Context<'_>) -> Option<Self> {
-        // Under the live driver, Start can race directory publication;
-        // retry shortly (the simulator publishes before running, so the
-        // retry path never triggers there).
-        let Some(dir) = spec.directory.try_get() else {
-            ctx.set_timer(Duration::from_millis(10), TOKEN_INIT_RETRY);
-            return None;
-        };
+    /// whatever the log holds, then starts the periodic work.
+    fn start(spec: &ProcessSpec, ctx: &mut Context<'_>) -> Self {
+        let dir = &spec.directory;
         let me = spec.pid;
         let peers: Vec<ProcessId> = dir.processes.iter().map(|(p, _)| *p).collect();
 
@@ -501,7 +492,6 @@ impl Running {
             received_marks,
             window_timers,
             command_ids: CommandIds { me, next },
-            last_successor: None,
             gate,
             arena_reported: ArenaStats::default(),
             outbox: Outbox::new(Arc::clone(&spec.fanout)),
@@ -534,7 +524,7 @@ impl Running {
         for sensor in polled.map(|(id, _)| *id).collect::<Vec<_>>() {
             run.epoch_boundary(ctx, sensor);
         }
-        Some(run)
+        run
     }
 
     /// The periodic tick: keep-alives, view maintenance, election,
@@ -543,16 +533,14 @@ impl Running {
         let now = ctx.now();
         // Watermark garbage collection: events processed home-wide
         // and older than the straggler horizon will never be
-        // replayed or synced again. Relay markers below the same
-        // watermark can never be re-flooded, so they go with them.
-        // (`Duration` subtraction saturates at zero.)
+        // replayed or synced again. (`Duration` subtraction saturates
+        // at zero.)
         let cutoff = Time::ZERO + (now.duration_since(Time::ZERO) - GC_STRAGGLER_HORIZON);
         for (&sensor, &upto) in &self.processed {
             let _ = self
                 .gapless
                 .store_mut()
                 .prune_processed(sensor, upto, cutoff);
-            self.rbcast.prune_relayed(sensor, upto);
         }
         // Keep-alives go to every configured peer, not just the
         // view: a healed partition must be able to un-suspect. One
@@ -565,14 +553,12 @@ impl Running {
             received: self.received_marks.iter().map(|(s, q)| (*s, *q)).collect(),
         };
         self.send_fanout(self.membership.peers(), &beacon);
-        // Ring successor maintenance + anti-entropy.
+        // Ring successor maintenance + anti-entropy (a sync request
+        // only when the successor changed).
         let view = self.membership.view(now);
         let successor = self.membership.successor_in(view);
-        if successor != self.last_successor {
-            self.last_successor = successor;
-            if let Some(action) = self.gapless.on_successor_change(successor) {
-                self.send_action(action);
-            }
+        if let Some(action) = self.gapless.on_successor_change(successor) {
+            self.send_action(action);
         }
         // Reliable-broadcast retransmission (age-guarded: entries
         // whose cumulative-ack window is still open are skipped).
@@ -677,13 +663,8 @@ impl Running {
 
 impl Actor for RivuletProcess {
     fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
-        let starting = match event {
-            ActorEvent::Start => true,
-            ActorEvent::Timer { token } => self.running.is_none() && token == TOKEN_INIT_RETRY,
-            ActorEvent::Message { .. } => false,
-        };
-        if starting {
-            self.running = Running::start(&self.spec, ctx);
+        if matches!(event, ActorEvent::Start) {
+            self.running = Some(Running::start(&self.spec, ctx));
         }
         // A message or timer that races ahead of Start finds nothing to
         // run on and is dropped.

@@ -299,17 +299,16 @@ pub enum RecoveryAction {
 /// The per-process routine coordinator. Owned by the process actor;
 /// allocated only when [`crate::config::RivuletConfig::routines`] is
 /// on.
+///
+/// The engine keeps no copy of the ledger: every transition returns its
+/// entry, and the caller makes it durable (the WAL is the record).
 #[derive(Debug)]
 pub struct RoutineEngine {
-    specs: HashMap<RoutineId, Arc<RoutineSpec>>,
-    probes: HashMap<RoutineId, Arc<RoutineProbe>>,
+    /// Each deployed routine with its probe.
+    routines: HashMap<RoutineId, (Arc<RoutineSpec>, Arc<RoutineProbe>)>,
     chain: LedgerChain,
     next_instance: u64,
     inflight: HashMap<u64, Inflight>,
-    /// Every ledger entry appended by this engine incarnation plus the
-    /// recovered prefix, in chain order. The durable twin lives in the
-    /// WAL; this mirror serves non-durable homes and the harness.
-    log: Vec<LedgerEntry>,
 }
 
 impl RoutineEngine {
@@ -317,43 +316,31 @@ impl RoutineEngine {
     #[must_use]
     pub fn new(seed: u64, routines: &[(Arc<RoutineSpec>, Arc<RoutineProbe>)]) -> Self {
         Self {
-            specs: routines
+            routines: routines
                 .iter()
-                .map(|(s, _)| (s.id, Arc::clone(s)))
-                .collect(),
-            probes: routines
-                .iter()
-                .map(|(s, p)| (s.id, Arc::clone(p)))
+                .map(|(s, p)| (s.id, (Arc::clone(s), Arc::clone(p))))
                 .collect(),
             chain: LedgerChain::seeded(seed),
             next_instance: 0,
             inflight: HashMap::new(),
-            log: Vec::new(),
         }
     }
 
     /// The deployed spec of `routine`, if any.
     #[must_use]
     pub fn spec(&self, routine: RoutineId) -> Option<&Arc<RoutineSpec>> {
-        self.specs.get(&routine)
+        self.routines.get(&routine).map(|(spec, _)| spec)
     }
 
-    /// Every ledger entry known to this engine, in chain order.
-    #[must_use]
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.log
-    }
-
-    /// Instances staged but not yet resolved.
-    #[must_use]
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
+    /// The probe of `routine`, if it is deployed.
+    fn probe(&self, routine: RoutineId) -> Option<&RoutineProbe> {
+        self.routines.get(&routine).map(|(_, probe)| probe.as_ref())
     }
 
     /// Records a trigger refused because a target actuator is
     /// unreachable from this coordinator.
     pub fn note_unreachable(&mut self, routine: RoutineId) {
-        if let Some(probe) = self.probes.get(&routine) {
+        if let Some(probe) = self.probe(routine) {
             probe.record_unreachable();
         }
     }
@@ -367,7 +354,7 @@ impl RoutineEngine {
         at: Time,
         mut make_command: impl FnMut(ActuatorId, CommandKind) -> Command,
     ) -> Option<StagePlan> {
-        let spec = self.specs.get(&routine)?;
+        let (spec, probe) = self.routines.get(&routine)?;
         if spec.steps.is_empty() {
             return None;
         }
@@ -394,10 +381,7 @@ impl RoutineEngine {
             at,
             ledger_cmds.clone(),
         );
-        self.log.push(entry.clone());
-        if let Some(probe) = self.probes.get(&routine) {
-            probe.record_staged(instance, ledger_cmds);
-        }
+        probe.record_staged(instance, ledger_cmds);
         let stages = commands
             .iter()
             .map(|(step, actuator, cmd)| (*actuator, *step, cmd.clone()))
@@ -476,8 +460,7 @@ impl RoutineEngine {
             at,
             commands,
         );
-        self.log.push(entry.clone());
-        if let Some(probe) = self.probes.get(&routine) {
+        if let Some(probe) = self.probe(routine) {
             probe.record_transition(instance, RoutineTransition::Compensated);
         }
         entry
@@ -493,7 +476,6 @@ impl RoutineEngine {
             self.chain = LedgerChain::from_head(last.hash);
             self.next_instance = entries.iter().map(|e| e.instance + 1).max().unwrap_or(0);
         }
-        self.log = entries.to_vec();
         // Last transition per (routine, instance), in first-seen order.
         type LastState = (RoutineTransition, Vec<(ActuatorId, CommandId)>);
         let mut order: Vec<(RoutineId, u64)> = Vec::new();
@@ -533,8 +515,7 @@ impl RoutineEngine {
                         at,
                         Vec::new(),
                     );
-                    self.log.push(entry.clone());
-                    if let Some(probe) = self.probes.get(&routine) {
+                    if let Some(probe) = self.probe(routine) {
                         probe.record_transition(instance, RoutineTransition::Aborted);
                     }
                     actions.push(RecoveryAction::AbortStaged(AbortPlan {
@@ -552,8 +533,7 @@ impl RoutineEngine {
     }
 
     fn compensations_of(&self, routine: RoutineId) -> Vec<(ActuatorId, CommandKind)> {
-        self.specs
-            .get(&routine)
+        self.spec(routine)
             .map(|spec| {
                 spec.steps
                     .iter()
@@ -582,8 +562,7 @@ impl RoutineEngine {
         let entry = self
             .chain
             .append(fl.routine, instance, transition, at, Vec::new());
-        self.log.push(entry.clone());
-        if let Some(probe) = self.probes.get(&fl.routine) {
+        if let Some(probe) = self.probe(fl.routine) {
             probe.record_transition(instance, transition);
         }
         entry
@@ -648,20 +627,22 @@ mod tests {
             .trigger(RoutineId(1), Time::from_secs(1), minter())
             .expect("staged");
         assert_eq!(plan.stages.len(), 2);
-        assert_eq!(eng.inflight_count(), 1);
         assert!(matches!(
             eng.on_stage_ack(RoutineId(1), plan.instance, 0, true, Time::from_secs(1)),
             AckOutcome::Ignored
         ));
-        let AckOutcome::Commit { targets, .. } =
+        let AckOutcome::Commit { entry, targets } =
             eng.on_stage_ack(RoutineId(1), plan.instance, 1, true, Time::from_secs(1))
         else {
             panic!("expected commit after last ack");
         };
         assert_eq!(targets, vec![ActuatorId(0), ActuatorId(1)]);
-        assert_eq!(eng.inflight_count(), 0);
+        assert!(
+            eng.on_timeout(plan.instance, Time::from_secs(2)).is_none(),
+            "the committed instance is no longer in flight"
+        );
         assert_eq!(probe.committed(), 1);
-        let trail = LedgerVerifier::verify(7, eng.entries()).expect("chain intact");
+        let trail = LedgerVerifier::verify(7, &[plan.entry, entry]).expect("chain intact");
         assert_eq!(trail.len(), 2);
     }
 
@@ -687,7 +668,7 @@ mod tests {
         let entry = eng.record_compensated(RoutineId(1), plan.instance, Time::ZERO, vec![]);
         assert_eq!(entry.transition, RoutineTransition::Compensated);
         assert_eq!(probe.compensated(), 1);
-        LedgerVerifier::verify(7, eng.entries()).expect("chain intact");
+        LedgerVerifier::verify(7, &[plan.entry, abort.entry, entry]).expect("chain intact");
     }
 
     #[test]
@@ -717,11 +698,16 @@ mod tests {
             .trigger(RoutineId(1), Time::ZERO, minter())
             .expect("staged");
         let _ = eng.on_stage_ack(RoutineId(1), p0.instance, 0, true, Time::ZERO);
-        let _ = eng.on_stage_ack(RoutineId(1), p0.instance, 1, true, Time::ZERO);
-        let _p1 = eng
+        let AckOutcome::Commit {
+            entry: committed, ..
+        } = eng.on_stage_ack(RoutineId(1), p0.instance, 1, true, Time::ZERO)
+        else {
+            panic!("expected commit after last ack");
+        };
+        let p1 = eng
             .trigger(RoutineId(1), Time::ZERO, minter())
             .expect("staged");
-        let entries = eng.entries().to_vec();
+        let entries = vec![p0.entry, committed, p1.entry];
 
         let probe = RoutineProbe::new();
         let mut recovered = RoutineEngine::new(7, &[(Arc::new(spec()), probe)]);
@@ -738,7 +724,8 @@ mod tests {
         assert_eq!(abort.compensations.len(), 1);
         // The freshly appended Aborted entry extends the recovered
         // chain and still verifies end to end.
-        let trail = LedgerVerifier::verify(7, recovered.entries()).expect("chain intact");
+        let chain = [entries.as_slice(), std::slice::from_ref(&abort.entry)].concat();
+        let trail = LedgerVerifier::verify(7, &chain).expect("chain intact");
         assert_eq!(trail.len(), entries.len() + 1);
         // Instance numbering resumes beyond everything recovered.
         let next = recovered
@@ -751,7 +738,13 @@ mod tests {
     fn unknown_routine_does_not_stage() {
         let (mut eng, _) = engine();
         assert!(eng.trigger(RoutineId(99), Time::ZERO, minter()).is_none());
-        assert!(eng.entries().is_empty());
+        // Nothing was chained: the next firing is instance 0 and links
+        // to the genesis hash.
+        let plan = eng
+            .trigger(RoutineId(1), Time::ZERO, minter())
+            .expect("staged");
+        assert_eq!(plan.instance, 0);
+        LedgerVerifier::verify(7, &[plan.entry]).expect("chain starts at genesis");
     }
 
     #[test]

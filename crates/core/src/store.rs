@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
+use rivulet_types::{ArenaStats, Event, PayloadArena, SensorId, Time};
 
 /// A bounded, per-sensor-ordered store of replicated events. Sensors
 /// live in a `BTreeMap`, so cross-sensor queries (watermarks, diffs)
@@ -27,8 +27,6 @@ use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
 pub struct EventStore {
     sensors: BTreeMap<SensorId, VecDeque<Event>>,
     cap_per_sensor: usize,
-    inserted: u64,
-    evicted: u64,
     /// Blob payloads that pin a larger backing buffer (views into
     /// arrival frames) are re-homed into dense arena chunks on
     /// insert, so a retained 40-byte payload stops holding a kilobyte
@@ -84,8 +82,6 @@ impl EventStore {
         Self {
             sensors: BTreeMap::new(),
             cap_per_sensor,
-            inserted: 0,
-            evicted: 0,
             arena: PayloadArena::new(),
         }
     }
@@ -94,14 +90,6 @@ impl EventStore {
     #[must_use]
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    /// Whether the event identified by `id` has been stored before.
-    #[must_use]
-    pub fn seen(&self, id: EventId) -> bool {
-        self.sensors
-            .get(&id.sensor)
-            .is_some_and(|per| locate(per, id.seq, |e| e.id.seq).is_ok())
     }
 
     /// Inserts `event`; returns `true` if it was new, `false` if it was
@@ -121,29 +109,13 @@ impl EventStore {
         per.insert(at, event);
         while per.len() > cap {
             per.pop_front();
-            self.evicted += 1;
         }
-        self.inserted += 1;
         true
     }
 
-    /// The highest sequence number stored for `sensor`, if any — the
-    /// Bayou-style watermark exchanged during successor sync.
-    #[must_use]
-    pub fn watermark(&self, sensor: SensorId) -> Option<u64> {
-        self.sensors
-            .get(&sensor)
-            .and_then(|per| per.back().map(|e| e.id.seq))
-    }
-
-    /// All `(sensor, watermark)` pairs, ascending by sensor.
-    #[must_use]
-    pub fn watermarks(&self) -> Vec<(SensorId, u64)> {
-        self.iter_watermarks().collect()
-    }
-
-    /// Iterates `(sensor, watermark)` pairs ascending by sensor without
-    /// materializing a `Vec`.
+    /// Iterates `(sensor, watermark)` pairs ascending by sensor: each
+    /// sensor's highest stored sequence number, the Bayou-style
+    /// watermark exchanged during successor sync.
     pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
         self.sensors
             .iter()
@@ -181,35 +153,19 @@ impl EventStore {
         out
     }
 
-    /// Removes all events of `sensor` with sequence numbers `<= upto`,
-    /// returning how many were removed.
-    ///
-    /// Used for watermark-based garbage collection: once every process
-    /// has learned (via keep-alives) that the active logic node
-    /// processed a sensor's stream through `upto`, those events can
-    /// never be needed by a failover replay again, and anti-entropy
-    /// only ships events above a peer's watermark — so they are dead
-    /// weight. Production GC uses [`EventStore::prune_processed`],
-    /// which additionally age-guards against straggler duplicates.
-    pub fn prune_through(&mut self, sensor: SensorId, upto: u64) -> usize {
-        let Some(per) = self.sensors.get_mut(&sensor) else {
-            return 0;
-        };
-        let removed = first_above(per, upto);
-        per.drain(..removed);
-        release_slack(per);
-        self.evicted += removed as u64;
-        removed
-    }
-
     /// Removes events of `sensor` that are both processed
     /// (`seq <= upto`) **and** old (`emitted_at < emitted_before`),
     /// returning how many were removed.
     ///
-    /// The age guard keeps recently processed events around so that a
-    /// straggling duplicate copy (a late ring message, broadcast
-    /// retransmission, or anti-entropy refill) still hits the store's
-    /// duplicate check instead of being re-delivered to applications.
+    /// This is watermark-based garbage collection: once every process
+    /// has learned (via keep-alives) that the active logic node
+    /// processed a sensor's stream through `upto`, those events can
+    /// never be needed by a failover replay again, and anti-entropy
+    /// only ships events above a peer's watermark. The age guard keeps
+    /// recently processed events around so that a straggling duplicate
+    /// copy (a late ring message, broadcast retransmission, or
+    /// anti-entropy refill) still hits the store's duplicate check
+    /// instead of being re-delivered to applications.
     ///
     /// Costs O(removed), independent of how many events are retained:
     /// events are popped from the low-`seq` end and the walk stops at
@@ -234,20 +190,7 @@ impl EventStore {
             removed += 1;
         }
         release_slack(per);
-        self.evicted += removed as u64;
         removed
-    }
-
-    /// Events ever inserted (excluding rejected duplicates).
-    #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Events evicted by the per-sensor cap.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Current number of retained events across all sensors.
@@ -263,15 +206,9 @@ impl EventStore {
     }
 }
 
-impl Default for EventStore {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
 #[cfg(test)]
 impl EventStore {
-    fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
+    pub(crate) fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
         self.sensors
             .get(&sensor)
             .map(|per| per.iter().map(|e| e.id.seq).collect())
@@ -286,26 +223,25 @@ impl EventStore {
 /// The store as it was before the per-sensor logs became deques: one
 /// `seq`-keyed `BTreeMap` per sensor. Verbatim but for the exclusive
 /// lower bounds of `events_after` and `diff_for`, which now exclude an
-/// event at `u64::MAX`; `watermarks` inlines `iter_watermarks`, and the
-/// accessors no test reads and the doc comments are left out. It also
-/// keeps the pre-front-stop garbage collector, the oracle
-/// [`EventStore::prune_processed`] is compared against: a full scan of
-/// the processed range that removes every event older than the cutoff.
-/// `proptests` checks the deque store against it step by step.
+/// event at `u64::MAX`; the counters and lookups only tests read and the
+/// doc comments are left out. It keeps two garbage collectors the
+/// deque store no longer has: `prune_prefix`, the plain prefix removal
+/// [`EventStore::prune_processed`] performs at `Time::MAX`, and the
+/// pre-front-stop collector, a full scan of the processed range that
+/// removes every event older than the cutoff. `proptests` checks the
+/// deque store against it step by step.
 #[cfg(test)]
 mod reference {
     use std::collections::btree_map::Entry;
     use std::collections::{BTreeMap, HashMap};
     use std::ops::Bound::{Excluded, Unbounded};
 
-    use rivulet_types::{Event, EventId, PayloadArena, SensorId, Time};
+    use rivulet_types::{Event, PayloadArena, SensorId, Time};
 
     #[derive(Debug)]
     pub struct EventStore {
         sensors: BTreeMap<SensorId, BTreeMap<u64, Event>>,
         cap_per_sensor: usize,
-        inserted: u64,
-        evicted: u64,
         arena: PayloadArena,
     }
 
@@ -315,16 +251,8 @@ mod reference {
             Self {
                 sensors: BTreeMap::new(),
                 cap_per_sensor,
-                inserted: 0,
-                evicted: 0,
                 arena: PayloadArena::new(),
             }
-        }
-
-        pub fn seen(&self, id: EventId) -> bool {
-            self.sensors
-                .get(&id.sensor)
-                .is_some_and(|m| m.contains_key(&id.seq))
         }
 
         pub fn insert(&mut self, mut event: Event) -> bool {
@@ -337,9 +265,7 @@ mod reference {
             slot.insert(event);
             while per.len() > cap {
                 per.pop_first();
-                self.evicted += 1;
             }
-            self.inserted += 1;
             true
         }
 
@@ -377,11 +303,11 @@ mod reference {
             out
         }
 
-        pub fn prune_through(&mut self, sensor: SensorId, upto: u64) -> usize {
+        pub fn prune_prefix(&mut self, sensor: SensorId, upto: u64) -> usize {
             let Some(per) = self.sensors.get_mut(&sensor) else {
                 return 0;
             };
-            let removed = if upto == u64::MAX {
+            if upto == u64::MAX {
                 let n = per.len();
                 per.clear();
                 n
@@ -390,9 +316,7 @@ mod reference {
                 let n = per.len();
                 *per = keep;
                 n
-            };
-            self.evicted += removed as u64;
-            removed
+            }
         }
 
         pub fn prune_processed(
@@ -412,7 +336,6 @@ mod reference {
                 first.remove();
                 removed += 1;
             }
-            self.evicted += removed as u64;
             removed
         }
 
@@ -433,16 +356,7 @@ mod reference {
             for seq in &doomed {
                 per.remove(seq);
             }
-            self.evicted += doomed.len() as u64;
             doomed.len()
-        }
-
-        pub fn inserted(&self) -> u64 {
-            self.inserted
-        }
-
-        pub fn evicted(&self) -> u64 {
-            self.evicted
         }
 
         pub fn len(&self) -> usize {
@@ -461,7 +375,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rivulet_types::{EventKind, Time};
+    use rivulet_types::{EventId, EventKind, Time};
 
     fn ev(sensor: u32, seq: u64) -> Event {
         Event::new(
@@ -471,26 +385,28 @@ mod tests {
         )
     }
 
+    fn wms(s: &EventStore) -> Vec<(SensorId, u64)> {
+        s.iter_watermarks().collect()
+    }
+
     #[test]
-    fn insert_dedup_and_seen() {
+    fn insert_dedups() {
         let mut s = EventStore::new(10);
-        assert!(!s.seen(EventId::new(SensorId(1), 0)));
         assert!(s.insert(ev(1, 0)));
-        assert!(s.seen(EventId::new(SensorId(1), 0)));
         assert!(!s.insert(ev(1, 0)), "duplicate rejected");
-        assert_eq!(s.inserted(), 1);
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![0]);
         assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn watermark_tracks_highest_seq() {
         let mut s = EventStore::new(10);
-        assert_eq!(s.watermark(SensorId(1)), None);
+        assert!(wms(&s).is_empty());
         s.insert(ev(1, 5));
         s.insert(ev(1, 2));
-        assert_eq!(s.watermark(SensorId(1)), Some(5));
+        assert_eq!(wms(&s), vec![(SensorId(1), 5)]);
         s.insert(ev(2, 0));
-        assert_eq!(s.watermarks(), vec![(SensorId(1), 5), (SensorId(2), 0)]);
+        assert_eq!(wms(&s), vec![(SensorId(1), 5), (SensorId(2), 0)]);
     }
 
     #[test]
@@ -548,8 +464,6 @@ mod tests {
             ids,
             vec![(1, 0), (1, 1), (2, 0), (2, 1), (5, 1), (7, 0), (7, 1)]
         );
-        let wms: Vec<(SensorId, u64)> = s.iter_watermarks().collect();
-        assert_eq!(wms, s.watermarks());
     }
 
     #[test]
@@ -559,31 +473,25 @@ mod tests {
             s.insert(ev(1, seq));
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted(), 2);
-        assert!(!s.seen(EventId::new(SensorId(1), 0)));
-        assert!(!s.seen(EventId::new(SensorId(1), 1)));
-        assert!(s.seen(EventId::new(SensorId(1), 4)));
-        assert_eq!(s.watermark(SensorId(1)), Some(4));
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![2, 3, 4]);
     }
 
     #[test]
-    fn prune_through_removes_only_old_events() {
+    fn prune_processed_removes_only_the_processed_prefix() {
         let mut s = EventStore::new(100);
         for seq in 0..10 {
             s.insert(ev(1, seq));
         }
         s.insert(ev(2, 3));
-        assert_eq!(s.prune_through(SensorId(1), 4), 5, "seqs 0..=4 removed");
-        assert!(!s.seen(EventId::new(SensorId(1), 4)));
-        assert!(s.seen(EventId::new(SensorId(1), 5)));
-        assert_eq!(s.watermark(SensorId(1)), Some(9));
+        let removed = s.prune_processed(SensorId(1), 4, Time::MAX);
+        assert_eq!(removed, 5, "seqs 0..=4 removed");
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![5, 6, 7, 8, 9]);
         // Other sensors untouched.
-        assert!(s.seen(EventId::new(SensorId(2), 3)));
+        assert_eq!(s.retained_seqs(SensorId(2)), vec![3]);
         // Pruning an unknown sensor is a no-op.
-        assert_eq!(s.prune_through(SensorId(9), 100), 0);
+        assert_eq!(s.prune_processed(SensorId(9), 100, Time::MAX), 0);
         // Re-pruning is idempotent.
-        assert_eq!(s.prune_through(SensorId(1), 4), 0);
-        assert_eq!(s.evicted(), 5);
+        assert_eq!(s.prune_processed(SensorId(1), 4, Time::MAX), 0);
     }
 
     #[test]
@@ -596,15 +504,15 @@ mod tests {
         // old enough to collect.
         let removed = s.prune_processed(SensorId(1), 9, Time::from_millis(5));
         assert_eq!(removed, 5);
-        assert!(!s.seen(EventId::new(SensorId(1), 4)));
-        assert!(
-            s.seen(EventId::new(SensorId(1), 5)),
+        assert_eq!(
+            s.retained_seqs(SensorId(1)),
+            vec![5, 6, 7, 8, 9],
             "recent events retained"
         );
         // Unprocessed events are never collected regardless of age.
         let removed = s.prune_processed(SensorId(1), 6, Time::MAX);
         assert_eq!(removed, 2, "only seqs 5 and 6");
-        assert!(s.seen(EventId::new(SensorId(1), 7)));
+        assert_eq!(s.retained_seqs(SensorId(1)), vec![7, 8, 9]);
     }
 
     #[test]
@@ -624,6 +532,7 @@ mod tests {
                 assert!(reference.insert(e));
             }
         }
+        let total = new.len();
         for step in 0..40u64 {
             for sensor in 1..=3u32 {
                 let upto = step * 17;
@@ -638,10 +547,9 @@ mod tests {
                     reference.retained_seqs(SensorId(sensor))
                 );
             }
-            assert_eq!(new.evicted(), reference.evicted());
             assert_eq!(new.len(), reference.len());
         }
-        assert!(new.evicted() > 0 && !new.is_empty(), "partial collection");
+        assert!(new.len() < total && !new.is_empty(), "partial collection");
         assert_eq!(new.prune_processed(SensorId(9), 10, Time::MAX), 0);
     }
 
@@ -663,7 +571,6 @@ mod tests {
         // Delayed, not lost: once seq 1 ages out the rest follow.
         assert_eq!(s.prune_processed(SensorId(1), 4, Time::from_millis(55)), 3);
         assert_eq!(s.retained_seqs(SensorId(1)), vec![4]);
-        assert_eq!(s.evicted(), 4);
     }
 
     #[test]
@@ -675,8 +582,8 @@ mod tests {
             Time::ZERO,
         ));
         s.insert(ev(1, 0));
-        assert_eq!(s.prune_through(SensorId(1), u64::MAX), 2);
-        assert_eq!(s.watermark(SensorId(1)), None);
+        assert_eq!(s.prune_processed(SensorId(1), u64::MAX, Time::MAX), 2);
+        assert!(s.is_empty());
     }
 
     #[test]
@@ -688,7 +595,7 @@ mod tests {
         }
         let burst = s.capacity(sensor);
         // Collection that leaves the log over a quarter full keeps it.
-        assert_eq!(s.prune_through(sensor, 9_999), 10_000);
+        assert_eq!(s.prune_processed(sensor, 9_999, Time::MAX), 10_000);
         assert_eq!(s.capacity(sensor), burst);
         // Under a quarter full, most of the buffer goes back.
         assert_eq!(s.prune_processed(sensor, 19_899, Time::MAX), 9_900);
@@ -699,7 +606,7 @@ mod tests {
         for seq in 20_000..20_900 {
             s.insert(ev(1, seq));
         }
-        assert_eq!(s.prune_through(sensor, u64::MAX), 1_000);
+        assert_eq!(s.prune_processed(sensor, u64::MAX, Time::MAX), 1_000);
         assert_eq!(s.capacity(sensor), SLACK_FLOOR);
     }
 
@@ -772,7 +679,7 @@ mod tests {
     fn empty_store_reports_empty() {
         let s = EventStore::new(1);
         assert!(s.is_empty());
-        assert!(s.watermarks().is_empty());
+        assert!(wms(&s).is_empty());
         assert!(s.diff_for(&[]).is_empty());
     }
 }
@@ -781,7 +688,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use rivulet_types::{EventKind, Time};
+    use rivulet_types::{EventId, EventKind, Time};
 
     fn ev(sensor: u32, seq: u64) -> Event {
         Event::new(
@@ -789,6 +696,10 @@ mod proptests {
             EventKind::Motion,
             Time::from_millis(seq),
         )
+    }
+
+    fn wms(s: &EventStore) -> Vec<(SensorId, u64)> {
+        s.iter_watermarks().collect()
     }
 
     proptest! {
@@ -809,13 +720,14 @@ mod proptests {
                 // The peer holds a subset of globally emitted events.
                 b.insert(ev(*s, *q));
             }
-            let diff = a.diff_for(&b.watermarks());
+            let diff = a.diff_for(&wms(&b));
             for e in diff {
                 b.insert(e);
             }
-            for (sensor, wm) in a.watermarks() {
-                let peer_wm = b.watermark(sensor).expect("sensor now known");
-                prop_assert!(peer_wm >= wm, "peer {peer_wm} < ours {wm}");
+            let peer = wms(&b);
+            for (sensor, wm) in a.iter_watermarks() {
+                let (_, peer_wm) = peer.iter().find(|(s, _)| *s == sensor).expect("sensor now known");
+                prop_assert!(*peer_wm >= wm, "peer {peer_wm} < ours {wm}");
             }
         }
 
@@ -832,7 +744,7 @@ mod proptests {
             for &q in &seqs {
                 b.insert(ev(1, q));
             }
-            prop_assert_eq!(a.watermark(SensorId(1)), b.watermark(SensorId(1)));
+            prop_assert_eq!(wms(&a), wms(&b));
             prop_assert_eq!(a.len(), b.len());
             let ia: Vec<u64> = a.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
             let ib: Vec<u64> = b.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
@@ -841,8 +753,8 @@ mod proptests {
 
         /// On a stream whose `emitted_at` never decreases with `seq`
         /// (what every shipped sensor produces) the front-stop GC is
-        /// indistinguishable from the full scan: same counts, same
-        /// survivors, same `evicted()`, call after call.
+        /// indistinguishable from the full scan: same counts and same
+        /// survivors, call after call.
         #[test]
         fn prune_processed_equals_full_scan_when_timestamps_are_monotone(
             steps in proptest::collection::vec((0u64..3, 0u64..4), 1..120),
@@ -872,7 +784,6 @@ mod proptests {
                     new.retained_seqs(SensorId(1)),
                     reference.retained_seqs(SensorId(1))
                 );
-                prop_assert_eq!(new.evicted(), reference.evicted());
             }
         }
 
@@ -908,13 +819,14 @@ mod proptests {
             for survivor in &reference_after {
                 prop_assert!(after.contains(survivor), "over-collected seq {survivor}");
             }
-            prop_assert_eq!(new.evicted(), removed as u64);
+            prop_assert_eq!(new.len(), before.len() - removed);
         }
 
         /// The deque store answers every call exactly as the B-tree
         /// store does, after every step: inserts in any order with
         /// duplicates, holes and `seq`s at both ends of the range,
-        /// count caps small enough to evict, both garbage collectors
+        /// count caps small enough to evict, garbage collection (at
+        /// `Time::MAX` against the reference's plain prefix removal)
         /// and diffs against arbitrary peer watermarks.
         #[test]
         fn deque_store_matches_the_btree_reference(
@@ -940,9 +852,9 @@ mod proptests {
                             reference.prune_processed(SensorId(sensor), upto, cutoff)
                         );
                     }
-                    StoreOp::PruneThrough(sensor, upto) => prop_assert_eq!(
-                        new.prune_through(SensorId(sensor), upto),
-                        reference.prune_through(SensorId(sensor), upto)
+                    StoreOp::PrunePrefix(sensor, upto) => prop_assert_eq!(
+                        new.prune_processed(SensorId(sensor), upto, Time::MAX),
+                        reference.prune_prefix(SensorId(sensor), upto)
                     ),
                     StoreOp::Diff(peer) => {
                         let peer: Vec<(SensorId, u64)> =
@@ -950,10 +862,8 @@ mod proptests {
                         prop_assert_eq!(new.diff_for(&peer), reference.diff_for(&peer));
                     }
                 }
-                prop_assert_eq!(new.watermarks(), reference.watermarks());
+                prop_assert_eq!(wms(&new), reference.watermarks());
                 prop_assert_eq!(new.len(), reference.len());
-                prop_assert_eq!(new.inserted(), reference.inserted());
-                prop_assert_eq!(new.evicted(), reference.evicted());
                 for sensor in (0..=SENSORS).map(SensorId) {
                     prop_assert_eq!(
                         new.events_after(sensor, None),
@@ -963,10 +873,6 @@ mod proptests {
                         prop_assert_eq!(
                             new.events_after(sensor, Some(seq)),
                             reference.events_after(sensor, Some(seq))
-                        );
-                        prop_assert_eq!(
-                            new.seen(EventId::new(sensor, seq)),
-                            reference.seen(EventId::new(sensor, seq))
                         );
                     }
                 }
@@ -994,8 +900,8 @@ mod proptests {
         Insert(u32, u64, u64),
         /// `(sensor, upto, cutoff ms)`.
         PruneProcessed(u32, u64, u64),
-        /// `(sensor, upto)`.
-        PruneThrough(u32, u64),
+        /// `(sensor, upto)`: collection of the whole processed prefix.
+        PrunePrefix(u32, u64),
         /// A peer's watermarks.
         Diff(Vec<(u32, u64)>),
     }
@@ -1011,7 +917,7 @@ mod proptests {
         (0u8..9, 0..SENSORS, seq(), 0u64..60, peer).prop_map(|(kind, s, q, at, peer)| match kind {
             0..=5 => StoreOp::Insert(s, q, at),
             6 => StoreOp::PruneProcessed(s, q, at),
-            7 => StoreOp::PruneThrough(s, q),
+            7 => StoreOp::PrunePrefix(s, q),
             _ => StoreOp::Diff(peer),
         })
     }

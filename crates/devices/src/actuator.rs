@@ -13,11 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rivulet_net::actor::{Actor, ActorEvent, Context};
-use rivulet_obs::Recorder;
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{ActuationState, ActuatorId, Command, CommandId, CommandKind, RoutineId, Time};
 
-use crate::fault::{DeviceFaults, FaultKind, FaultProbe};
+use crate::fault::{DeviceFaults, FaultKind};
 use crate::frame::RadioFrame;
 
 /// Ground truth about an actuator's behaviour, shared with the harness.
@@ -127,10 +126,6 @@ pub struct ActuatorDevice {
     /// this actuator. `Missed` drops commands before they are seen;
     /// `StuckAt` acks them without applying.
     faults: Option<DeviceFaults>,
-    /// Ground-truth record of injected faults.
-    fault_probe: Option<Arc<FaultProbe>>,
-    /// `fault.*` counters (disabled recorder by default).
-    obs: Recorder,
     /// Acknowledgements are encoded into recycled buffers.
     pool: WriterPool,
 }
@@ -147,8 +142,6 @@ impl ActuatorDevice {
             staged: Vec::new(),
             committed: HashSet::new(),
             faults: None,
-            fault_probe: None,
-            obs: Recorder::new(),
             pool: WriterPool::new(),
         }
     }
@@ -157,20 +150,6 @@ impl ActuatorDevice {
     #[must_use]
     pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches a ground-truth fault probe.
-    #[must_use]
-    pub fn with_fault_probe(mut self, probe: Arc<FaultProbe>) -> Self {
-        self.fault_probe = Some(probe);
-        self
-    }
-
-    /// Attaches an obs recorder for `fault.*` counters.
-    #[must_use]
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -240,9 +219,8 @@ impl ActuatorDevice {
         if decision.suppress.is_some() {
             // The command is lost at the radio: no ack, no state
             // change, the issuer sees a timeout.
-            self.obs.inc("fault.actuation_dropped");
-            if let Some(p) = &self.fault_probe {
-                p.record_command_dropped();
+            if let Some(f) = &self.faults {
+                f.record_dropped(false);
             }
             return;
         }
@@ -253,9 +231,8 @@ impl ActuatorDevice {
             // Mechanically stuck: the actuator hears the command but
             // cannot move. It honestly acks `applied = false` with its
             // real (unchanged) state.
-            self.obs.inc("fault.actuation_refused");
-            if let Some(p) = &self.fault_probe {
-                p.record_command_refused();
+            if let Some(f) = &self.faults {
+                f.record_refused(false);
             }
             false
         } else {
@@ -294,18 +271,16 @@ impl ActuatorDevice {
             None => crate::fault::FaultDecision::default(),
         };
         if decision.suppress.is_some() {
-            self.obs.inc("fault.stage_dropped");
-            if let Some(p) = &self.fault_probe {
-                p.record_command_dropped();
+            if let Some(f) = &self.faults {
+                f.record_dropped(true);
             }
             return;
         }
         let stuck = decision.corrupt == Some(FaultKind::StuckAt);
         let accepted = !stuck;
         if stuck {
-            self.obs.inc("fault.stage_refused");
-            if let Some(p) = &self.fault_probe {
-                p.record_command_refused();
+            if let Some(f) = &self.faults {
+                f.record_refused(true);
             }
         } else if self.committed.contains(&(routine, instance)) {
             // A retransmitted stage for an instance that already

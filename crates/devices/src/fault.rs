@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use rivulet_obs::Recorder;
 use rivulet_types::{ActuatorId, EventId, SensorId};
 
 /// The device-fault taxonomy (IoTRepair, PAPERS.md).
@@ -396,6 +397,10 @@ impl FaultPlan {
 /// All randomness comes from counter-keyed hash streams over the
 /// device seed; the driver RNG is never touched, so an attached plan
 /// whose rates are all zero perturbs nothing.
+///
+/// The device reports every fault that fires through the `record_*`
+/// methods, which log it to the home's [`FaultProbe`] and count it
+/// under its `fault.*` key once [`Self::reporting_to`] attached both.
 #[derive(Debug, Clone)]
 pub struct DeviceFaults {
     seed: u64,
@@ -407,6 +412,8 @@ pub struct DeviceFaults {
     window_base: Option<(u64, f64)>,
     /// Decision for the current attempt (set by [`Self::decide_next`]).
     current: FaultDecision,
+    /// Where fired faults are reported: ground truth and counters.
+    report: Option<(Arc<FaultProbe>, Recorder)>,
 }
 
 impl DeviceFaults {
@@ -418,6 +425,66 @@ impl DeviceFaults {
             stuck_value: None,
             window_base: None,
             current: FaultDecision::default(),
+            report: None,
+        }
+    }
+
+    /// Reports every fault that fires to `probe` and to `obs`'s
+    /// `fault.*` counters.
+    #[must_use]
+    pub fn reporting_to(mut self, probe: Arc<FaultProbe>, obs: Recorder) -> Self {
+        self.report = Some((probe, obs));
+        self
+    }
+
+    /// An emission or poll answer suppressed by `cause` (`Missed` or
+    /// battery decay).
+    pub fn record_suppressed(&self, cause: FaultKind) {
+        if let Some((probe, obs)) = &self.report {
+            obs.inc(cause.counter_name());
+            probe.record_suppressed(cause);
+        }
+    }
+
+    /// Event `id` emitted with a value a `kind` fault altered.
+    pub fn record_corrupted(&self, kind: FaultKind, id: EventId) {
+        if let Some((probe, obs)) = &self.report {
+            obs.inc(kind.counter_name());
+            probe.record_corrupted(id);
+        }
+    }
+
+    /// Ghost event `id` emitted.
+    pub fn record_ghost(&self, id: EventId) {
+        if let Some((probe, obs)) = &self.report {
+            obs.inc("fault.ghost");
+            probe.record_ghost(id);
+        }
+    }
+
+    /// A command lost at the radio: a routine stage when `stage`, else a
+    /// plain actuation.
+    pub fn record_dropped(&self, stage: bool) {
+        if let Some((probe, obs)) = &self.report {
+            if stage {
+                obs.inc("fault.stage_dropped");
+            } else {
+                obs.inc("fault.actuation_dropped");
+            }
+            probe.record_command_dropped();
+        }
+    }
+
+    /// A command heard but refused by a stuck actuator: a routine stage
+    /// when `stage`, else a plain actuation.
+    pub fn record_refused(&self, stage: bool) {
+        if let Some((probe, obs)) = &self.report {
+            if stage {
+                obs.inc("fault.stage_refused");
+            } else {
+                obs.inc("fault.actuation_refused");
+            }
+            probe.record_command_refused();
         }
     }
 

@@ -17,11 +17,10 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use rand::Rng;
 use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
-use rivulet_obs::Recorder;
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{Duration, Event, EventId, EventKind, Payload, SensorId, Time};
 
-use crate::fault::{DeviceFaults, FaultProbe};
+use crate::fault::DeviceFaults;
 use crate::frame::RadioFrame;
 use crate::value::ValueModel;
 
@@ -151,10 +150,6 @@ pub struct PushSensor {
     /// this sensor. Consults pure hash streams only — never the driver
     /// RNG — so attaching a rate-0 plan perturbs nothing.
     faults: Option<DeviceFaults>,
-    /// Ground-truth record of injected faults, for harnesses.
-    fault_probe: Option<Arc<FaultProbe>>,
-    /// `fault.*` counters (disabled recorder by default).
-    obs: Recorder,
 }
 
 impl PushSensor {
@@ -184,8 +179,6 @@ impl PushSensor {
             pool: WriterPool::new(),
             blob_cache: None,
             faults: None,
-            fault_probe: None,
-            obs: Recorder::new(),
         }
     }
 
@@ -208,20 +201,6 @@ impl PushSensor {
     #[must_use]
     pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches a ground-truth fault probe.
-    #[must_use]
-    pub fn with_fault_probe(mut self, probe: Arc<FaultProbe>) -> Self {
-        self.fault_probe = Some(probe);
-        self
-    }
-
-    /// Attaches an obs recorder for `fault.*` counters.
-    #[must_use]
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -253,9 +232,8 @@ impl PushSensor {
             // no sequence number is consumed, the emission probe does
             // not see it (the phenomenon occurred but the radio never
             // carried it).
-            self.obs.inc(cause.counter_name());
-            if let Some(p) = &self.fault_probe {
-                p.record_suppressed(cause);
+            if let Some(f) = &self.faults {
+                f.record_suppressed(cause);
             }
             return;
         }
@@ -270,10 +248,7 @@ impl PushSensor {
                 let f = self.faults.as_mut().expect("corrupt implies faults");
                 let (cv, altered) = f.corrupt_value(v);
                 if altered {
-                    self.obs.inc(ckind.counter_name());
-                    if let Some(p) = &self.fault_probe {
-                        p.record_corrupted(id);
-                    }
+                    f.record_corrupted(ckind, id);
                 }
                 Payload::Scalar(cv)
             }
@@ -298,13 +273,11 @@ impl PushSensor {
     /// in the fault probe so harnesses can score it as incorrect. Its
     /// value comes purely from the fault stream, never the driver RNG.
     fn emit_ghost(&mut self, ctx: &mut Context<'_>, now: Time) {
+        let f = self.faults.as_ref().expect("ghost implies faults");
         let id = EventId::new(self.sensor, self.next_seq);
         self.next_seq += 1;
         let (kind, payload) = match &self.payload {
-            PayloadSpec::Scalar(_) => {
-                let f = self.faults.as_ref().expect("ghost implies faults");
-                (EventKind::Reading, Payload::Scalar(f.ghost_value()))
-            }
+            PayloadSpec::Scalar(_) => (EventKind::Reading, Payload::Scalar(f.ghost_value())),
             // KindOnly and Blob materialization never touches the RNG.
             _ => self
                 .payload
@@ -312,10 +285,7 @@ impl PushSensor {
         };
         let event = Event::with_payload(id, kind, payload, now);
         self.probe.record(now, id);
-        self.obs.inc("fault.ghost");
-        if let Some(p) = &self.fault_probe {
-            p.record_ghost(id);
-        }
+        f.record_ghost(id);
         let frame = self.pool.encode(&RadioFrame::Event(event));
         for target in &self.targets {
             ctx.send(*target, frame.clone());
@@ -397,10 +367,6 @@ pub struct PollSensor {
     pool: WriterPool,
     /// Seeded fault schedule, if a plan names this sensor.
     faults: Option<DeviceFaults>,
-    /// Ground-truth record of injected faults.
-    fault_probe: Option<Arc<FaultProbe>>,
-    /// `fault.*` counters (disabled recorder by default).
-    obs: Recorder,
 }
 
 impl PollSensor {
@@ -421,8 +387,6 @@ impl PollSensor {
             next_seq: 0,
             pool: WriterPool::new(),
             faults: None,
-            fault_probe: None,
-            obs: Recorder::new(),
         }
     }
 
@@ -444,20 +408,6 @@ impl PollSensor {
     #[must_use]
     pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches a ground-truth fault probe.
-    #[must_use]
-    pub fn with_fault_probe(mut self, probe: Arc<FaultProbe>) -> Self {
-        self.fault_probe = Some(probe);
-        self
-    }
-
-    /// Attaches an obs recorder for `fault.*` counters.
-    #[must_use]
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
         self
     }
 }
@@ -500,9 +450,8 @@ impl Actor for PollSensor {
                     // The answer is silently lost: the epoch goes
                     // unserved and the platform's re-poll machinery
                     // (or the repair layer) must recover it.
-                    self.obs.inc(cause.counter_name());
-                    if let Some(p) = &self.fault_probe {
-                        p.record_suppressed(cause);
+                    if let Some(f) = &self.faults {
+                        f.record_suppressed(cause);
                     }
                     return;
                 }
@@ -514,10 +463,7 @@ impl Actor for PollSensor {
                     let f = self.faults.as_mut().expect("corrupt implies faults");
                     let (cv, altered) = f.corrupt_value(value);
                     if altered {
-                        self.obs.inc(ckind.counter_name());
-                        if let Some(p) = &self.fault_probe {
-                            p.record_corrupted(id);
-                        }
+                        f.record_corrupted(ckind, id);
                     }
                     value = cv;
                 }

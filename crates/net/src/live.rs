@@ -107,6 +107,8 @@ impl Router {
                 _ => (false, false),
             }
         };
+        // An id not registered yet (a start-up send racing later
+        // registrations) is lost without being counted.
         if !known {
             return;
         }
@@ -171,14 +173,17 @@ impl LiveNet {
     where
         F: FnMut() -> Box<dyn Actor> + Send + 'static,
     {
+        let (tx, rx) = channel::unbounded();
+        // Class and inbox go in together: actors already running route
+        // to any id that has a class, so it must have an inbox too.
         let id = {
             let mut classes = self.router.classes.write();
+            let mut inboxes = self.router.inboxes.write();
             let id = ActorId(classes.len() as u32);
             classes.push(class);
+            inboxes.push(tx);
             id
         };
-        let (tx, rx) = channel::unbounded();
-        self.router.inboxes.write().push(tx);
         let router = Arc::clone(&self.router);
         let seed = self.seed.wrapping_add(u64::from(id.0));
         let thread_name = format!("rivulet-{name}");
@@ -188,6 +193,13 @@ impl LiveNet {
             .expect("spawn actor thread");
         self.handles.push(handle);
         id
+    }
+
+    /// The id [`LiveNet::add_actor`] will hand out next: ids are dense,
+    /// in registration order.
+    #[must_use]
+    pub fn next_actor_id(&self) -> ActorId {
+        ActorId(self.router.classes.read().len() as u32)
     }
 
     /// Wall-clock time since the network started.

@@ -9,9 +9,9 @@
 //! cataloged in `OBSERVABILITY.md`. Experiments read the
 //! [`rivulet_obs::ObsSnapshot`] produced by [`NetMetrics::obs_snapshot`]
 //! (via the drivers' `obs_snapshot()`); the public counter fields
-//! remain for driver-internal assertions and cheap in-test peeking.
+//! remain for harnesses that read them without enabling the recorder.
+//! Drops are counted only there, under `net.drops.*`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -110,8 +110,6 @@ pub struct NetMetrics {
     pub messages_sent: u64,
     /// Messages actually delivered to their destination actor.
     pub messages_delivered: u64,
-    /// Messages dropped, by reason.
-    pub drops: HashMap<DropReason, u64>,
     /// Bytes (payload + frame header) sent on inter-process links.
     pub wifi_bytes: u64,
     /// Bytes (payload + frame header) sent on device radio links.
@@ -163,9 +161,8 @@ impl NetMetrics {
         self.obs.inc("net.messages_delivered");
     }
 
-    /// Records a dropped message.
-    pub fn record_drop(&mut self, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
+    /// Records a dropped message (`net.drops.*`, recorder only).
+    pub fn record_drop(&self, reason: DropReason) {
         self.obs.inc(drop_counter_name(reason));
     }
 
@@ -173,18 +170,6 @@ impl NetMetrics {
     pub fn record_timer(&mut self) {
         self.timers_fired += 1;
         self.obs.inc("net.timers_fired");
-    }
-
-    /// Total bytes sent across both link classes.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.wifi_bytes + self.radio_bytes
-    }
-
-    /// Total messages dropped across all reasons.
-    #[must_use]
-    pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
     }
 
     /// Exports the unified observability snapshot, folding the
@@ -216,18 +201,19 @@ mod tests {
         assert_eq!(m.messages_sent, 2);
         assert_eq!(m.wifi_bytes, (100 + FRAME_HEADER_BYTES) as u64);
         assert_eq!(m.radio_bytes, (4 + FRAME_HEADER_BYTES) as u64);
-        assert_eq!(m.total_bytes(), m.wifi_bytes + m.radio_bytes);
     }
 
     #[test]
     fn drops_tallied_by_reason() {
-        let mut m = NetMetrics::new();
+        let m = NetMetrics::new();
+        m.obs.set_enabled(true);
         m.record_drop(DropReason::RandomLoss);
         m.record_drop(DropReason::RandomLoss);
         m.record_drop(DropReason::Blocked);
-        assert_eq!(m.drops[&DropReason::RandomLoss], 2);
-        assert_eq!(m.drops[&DropReason::Blocked], 1);
-        assert_eq!(m.total_drops(), 3);
+        let snap = m.obs_snapshot();
+        assert_eq!(snap.counter("net.drops.random_loss"), 2);
+        assert_eq!(snap.counter("net.drops.blocked"), 1);
+        assert_eq!(snap.counter("net.drops.destination_down"), 0);
     }
 
     #[test]

@@ -30,20 +30,13 @@ use crate::metrics::NetMetrics;
 pub struct SimConfig {
     /// Seed for all randomness in the run.
     pub seed: u64,
-    /// Safety cap on events processed by a single `run_*` call; a
-    /// protocol bug causing a zero-latency message storm panics
-    /// instead of hanging.
-    pub max_events_per_run: u64,
 }
 
 impl SimConfig {
-    /// Configuration with the given seed and default limits.
+    /// Configuration with the given seed.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            max_events_per_run: 50_000_000,
-        }
+        Self { seed }
     }
 }
 
@@ -209,7 +202,6 @@ pub struct SimNet {
     seq: u64,
     rng: StdRng,
     metrics: NetMetrics,
-    max_events: u64,
     /// Link-degradation bursts currently in force (lazily pruned).
     bursts: Vec<ActiveBurst>,
     /// The effect list lent to each activation's [`Context`]: always
@@ -230,7 +222,6 @@ impl SimNet {
             seq: 0,
             rng: StdRng::seed_from_u64(config.seed),
             metrics: NetMetrics::new(),
-            max_events: config.max_events_per_run,
             bursts: Vec::new(),
             effects: Vec::new(),
         }
@@ -256,6 +247,13 @@ impl SimNet {
         });
         self.push(self.now, Pending::Start { actor: id, inc: 0 });
         id
+    }
+
+    /// The id [`SimNet::add_actor`] will hand out next: ids are dense,
+    /// in registration order.
+    #[must_use]
+    pub fn next_actor_id(&self) -> ActorId {
+        ActorId(self.slots.len() as u32)
     }
 
     /// The current virtual time.
@@ -379,9 +377,12 @@ impl SimNet {
     ///
     /// # Panics
     ///
-    /// Panics if more than `max_events_per_run` events are processed,
-    /// which indicates a zero-latency message storm.
+    /// Panics if more than 50 million events are processed, which
+    /// indicates a zero-latency message storm.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
+        /// A protocol bug causing a zero-latency message storm panics
+        /// at this many events instead of hanging.
+        const MAX_EVENTS_PER_RUN: u64 = 50_000_000;
         let mut processed = 0u64;
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.at > deadline {
@@ -389,7 +390,7 @@ impl SimNet {
             }
             processed += 1;
             assert!(
-                processed <= self.max_events,
+                processed <= MAX_EVENTS_PER_RUN,
                 "simulation livelock suspected at {} (> max events per run)",
                 self.now
             );
@@ -769,6 +770,7 @@ mod tests {
     #[test]
     fn crash_drops_inflight_and_recovery_restarts_fresh() {
         let mut net = SimNet::new(SimConfig::with_seed(3));
+        net.recorder().set_enabled(true);
         let (probe, starts, msgs, _) = Probe::new();
         let mut p = Some(probe);
         let starts2 = Arc::clone(&starts);
@@ -817,7 +819,7 @@ mod tests {
         // 902, 1002(>1s? timer at 1000 sends, delivery 1002 > deadline).
         let delivered = msgs.load(Ordering::SeqCst);
         assert_eq!(delivered, 5, "4 before crash + 1 after recovery");
-        assert!(net.metrics().drops[&DropReason::DestinationDown] >= 3);
+        assert!(net.obs_snapshot().counter("net.drops.destination_down") >= 3);
         assert!(net.is_up(rx));
     }
 
@@ -906,6 +908,7 @@ mod tests {
     fn determinism_same_seed_same_outcome() {
         fn run(seed: u64) -> (u64, u64) {
             let mut net = SimNet::new(SimConfig::with_seed(seed));
+            net.recorder().set_enabled(true);
             let (rx_probe, _, msgs, _) = Probe::new();
             let mut p = Some(rx_probe);
             let rx = net.add_actor("rx", ActorClass::Process, move || {
@@ -931,7 +934,8 @@ mod tests {
             });
             net.topology_mut().set_loss(tx, rx, 0.3);
             net.run_until(Time::from_secs(2));
-            (msgs.load(Ordering::SeqCst), net.metrics().total_drops())
+            let drops = net.obs_snapshot().counter("net.drops.random_loss");
+            (msgs.load(Ordering::SeqCst), drops)
         }
         assert_eq!(run(42), run(42));
         assert_ne!(
@@ -1119,11 +1123,12 @@ mod tests {
         });
         assert_eq!(log, base);
         let (m, b) = (net.metrics(), base_net.metrics());
+        let lost = |net: &SimNet| fault_count(net, "net.drops.random_loss");
         assert_eq!(
-            (m.messages_sent, m.messages_delivered, m.total_drops()),
-            (b.messages_sent, b.messages_delivered, b.total_drops())
+            (m.messages_sent, m.messages_delivered, lost(&net)),
+            (b.messages_sent, b.messages_delivered, lost(&base_net))
         );
-        assert!(b.total_drops() > 0, "the loss draws happened");
+        assert!(lost(&base_net) > 0, "the loss draws happened");
         for name in [
             "fault.link.delayed",
             "fault.link.duplicated",

@@ -63,4 +63,4 @@ pub use ledger::{
 pub use record::{Checkpoint, WalRecord};
 pub use sha256::Sha256;
 pub use sim::{FaultConfig, SimBackend};
-pub use wal::{FlushPolicy, Recovered, Wal, WalMetrics, WalOptions};
+pub use wal::{FlushPolicy, Recovered, Wal, WalOptions};

@@ -10,9 +10,9 @@
 //!
 //! Frames accumulate in an in-memory buffer and reach the backend in
 //! one `append` + `sync` pair per flush. [`FlushPolicy`] picks the
-//! trade-off: `PerEvent` pays one fsync per event (lowest loss window,
-//! lowest throughput), `EveryN` amortizes the fsync over a batch, and
-//! `EveryInterval` leaves flushing to a caller-armed timer.
+//! trade-off: `EveryN(1)` pays one fsync per event (lowest loss window,
+//! lowest throughput), a larger `EveryN` amortizes the fsync over a
+//! batch, and `EveryInterval` leaves flushing to a caller-armed timer.
 //!
 //! # Recovery
 //!
@@ -44,11 +44,9 @@ use crate::record::{decode_frame, encode_frame, Checkpoint, WalRecord};
 /// When buffered frames are pushed to the backend and fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush (and fsync) after every appended event.
-    PerEvent,
-    /// Flush once `n` events are buffered. The owner should still
-    /// flush on a timer or tick so a quiet period cannot strand a
-    /// partial batch.
+    /// Flush once `n` events are buffered (`EveryN(1)`: after every
+    /// event). The owner should still flush on a timer or tick so a
+    /// quiet period cannot strand a partial batch.
     EveryN(usize),
     /// Never flush from [`Wal::append_event`]; the owner arms a timer
     /// with this period and calls [`Wal::flush`] when it fires.
@@ -67,30 +65,10 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            flush_policy: FlushPolicy::PerEvent,
+            flush_policy: FlushPolicy::EveryN(1),
             segment_max_bytes: 256 * 1024,
         }
     }
-}
-
-/// Counters exposed for tests, benchmarks, and debugging.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalMetrics {
-    /// Events appended (buffered) since open.
-    pub appends: u64,
-    /// Flushes (backend append + sync pairs) issued.
-    pub flushes: u64,
-    /// Bytes handed to the backend.
-    pub bytes_flushed: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Segments created by rotation (not counting the initial one).
-    pub segments_created: u64,
-    /// Segments deleted by compaction.
-    pub segments_deleted: u64,
-    /// Execution-integrity ledger entries appended (each one flushed
-    /// immediately).
-    pub ledger_appends: u64,
 }
 
 /// What [`Wal::open`] reconstructed from the durable prefix.
@@ -132,7 +110,8 @@ pub struct Wal {
     pending_index: SegmentIndex,
     index: BTreeMap<SegmentId, SegmentIndex>,
     latest_checkpoint_segment: Option<SegmentId>,
-    metrics: WalMetrics,
+    /// Where `wal.*` and `ledger.appends` are counted (disabled until
+    /// [`Wal::attach_recorder`]).
     obs: Recorder,
 }
 
@@ -220,7 +199,6 @@ impl Wal {
                 pending_index: SegmentIndex::default(),
                 index,
                 latest_checkpoint_segment,
-                metrics: WalMetrics::default(),
                 obs: Recorder::default(),
             },
             recovered,
@@ -253,10 +231,8 @@ impl Wal {
             .entry(event.id.sensor)
             .or_insert(0);
         *slot = (*slot).max(event.id.seq);
-        self.metrics.appends += 1;
         self.obs.inc("wal.appends");
         let should_flush = match self.options.flush_policy {
-            FlushPolicy::PerEvent => true,
             FlushPolicy::EveryN(n) => self.pending_events >= n.max(1),
             FlushPolicy::EveryInterval(_) => false,
         };
@@ -277,7 +253,6 @@ impl Wal {
         self.pending.extend_from_slice(&frame);
         self.flush()?;
         self.latest_checkpoint_segment = Some(self.tail);
-        self.metrics.checkpoints += 1;
         self.obs.inc("wal.checkpoints");
         Ok(())
     }
@@ -296,7 +271,6 @@ impl Wal {
         self.pending.extend_from_slice(&frame);
         self.pending_index.has_ledger = true;
         self.flush()?;
-        self.metrics.ledger_appends += 1;
         self.obs.inc("ledger.appends");
         Ok(())
     }
@@ -319,14 +293,11 @@ impl Wal {
             self.backend.create_segment(self.tail)?;
             self.tail_bytes = 0;
             self.index.insert(self.tail, SegmentIndex::default());
-            self.metrics.segments_created += 1;
             self.obs.inc("wal.segments_created");
         }
         self.backend.append(self.tail, &self.pending)?;
         self.backend.sync(self.tail)?;
         self.tail_bytes += self.pending.len();
-        self.metrics.flushes += 1;
-        self.metrics.bytes_flushed += self.pending.len() as u64;
         self.obs.inc("wal.flushes");
         self.obs.add("wal.bytes_flushed", self.pending.len() as u64);
         self.obs
@@ -378,7 +349,6 @@ impl Wal {
             self.backend.delete_segment(seg)?;
             self.index.remove(&seg);
             deleted += 1;
-            self.metrics.segments_deleted += 1;
             self.obs.inc("wal.segments_deleted");
         }
         Ok(deleted)
@@ -400,12 +370,6 @@ impl Wal {
     #[must_use]
     pub fn options(&self) -> &WalOptions {
         &self.options
-    }
-
-    /// Counter snapshot.
-    #[must_use]
-    pub fn metrics(&self) -> WalMetrics {
-        self.metrics
     }
 }
 
@@ -449,7 +413,7 @@ mod tests {
             wal.flush().unwrap();
             backend.busy()
         };
-        let per_event = disk_time(FlushPolicy::PerEvent);
+        let per_event = disk_time(FlushPolicy::EveryN(1));
         let grouped = disk_time(FlushPolicy::EveryN(16));
         assert!(
             grouped.as_micros() * 4 < per_event.as_micros(),
@@ -503,18 +467,24 @@ mod tests {
             ..WalOptions::default()
         };
         let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
+        let obs = Recorder::enabled();
+        wal.attach_recorder(obs.clone());
         assert!(!wal.append_event(&event(1, 1)).unwrap());
         assert!(!wal.append_event(&event(1, 2)).unwrap());
         assert!(wal.append_event(&event(1, 3)).unwrap());
         assert_eq!(wal.pending_events(), 0);
-        assert_eq!(wal.metrics().flushes, 1);
+        let snap = obs.snapshot();
+        assert_eq!(
+            (snap.counter("wal.appends"), snap.counter("wal.flushes")),
+            (3, 1)
+        );
     }
 
     #[test]
     fn rotation_seals_segments_at_size_limit() {
         let backend = sim();
         let options = WalOptions {
-            flush_policy: FlushPolicy::PerEvent,
+            flush_policy: FlushPolicy::EveryN(1),
             segment_max_bytes: 64,
         };
         let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
@@ -568,7 +538,7 @@ mod tests {
     fn checkpoint_recovers_and_compaction_drops_covered_prefix() {
         let backend = sim();
         let options = WalOptions {
-            flush_policy: FlushPolicy::PerEvent,
+            flush_policy: FlushPolicy::EveryN(1),
             segment_max_bytes: 64,
         };
         let (mut wal, _) = Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();
@@ -597,7 +567,7 @@ mod tests {
     fn compaction_spares_uncovered_segments() {
         let backend = sim();
         let options = WalOptions {
-            flush_policy: FlushPolicy::PerEvent,
+            flush_policy: FlushPolicy::EveryN(1),
             segment_max_bytes: 64,
         };
         let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
@@ -624,6 +594,8 @@ mod tests {
             WalOptions::default(),
         )
         .unwrap();
+        let obs = Recorder::enabled();
+        wal.attach_recorder(obs.clone());
         let mut chain = LedgerChain::seeded(42);
         for instance in 0..4u64 {
             let staged = chain.append(
@@ -644,7 +616,7 @@ mod tests {
             );
             wal.append_ledger(&committed).unwrap();
         }
-        assert_eq!(wal.metrics().ledger_appends, 8);
+        assert_eq!(obs.snapshot().counter("ledger.appends"), 8);
         drop(wal);
         let (_, rec) =
             Wal::open(backend as Arc<dyn StorageBackend>, WalOptions::default()).unwrap();
@@ -660,7 +632,7 @@ mod tests {
         use rivulet_types::RoutineId;
         let backend = sim();
         let options = WalOptions {
-            flush_policy: FlushPolicy::PerEvent,
+            flush_policy: FlushPolicy::EveryN(1),
             segment_max_bytes: 64,
         };
         let (mut wal, _) = Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();

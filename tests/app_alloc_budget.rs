@@ -235,7 +235,7 @@ fn replica_path_does_not_allocate_per_event() {
     // The origin of a five-process home: every event is stored and
     // tracked; every `BEACON_EVERY` events each of the four peers'
     // received watermarks arrive and the processed watermark collects
-    // the store and the relay markers. The warm-up fills the GC window
+    // the store. The warm-up fills the GC window
     // twice, so every buffer has reached its steady size. The parent
     // (one B-tree per sensor in both structures) read 0.61.
     let view: ProcSet = (0..5).map(ProcessId).collect();
@@ -259,7 +259,6 @@ fn replica_path_does_not_allocate_per_event() {
             let cutoff = Time::from_millis(seq.saturating_sub(GC_WINDOW));
             for (sensor, upto) in received {
                 store.prune_processed(sensor, upto, cutoff);
-                rbcast.prune_relayed(sensor, upto);
             }
         }
     };

@@ -74,6 +74,10 @@ impl Driver for TapDriver<'_> {
         })
     }
 
+    fn next_actor_id(&self) -> ActorId {
+        self.net.next_actor_id()
+    }
+
     fn fanout_stats(&self) -> Arc<FanoutStats> {
         Arc::clone(&self.net.metrics().fanout)
     }

@@ -213,7 +213,7 @@ fn far_sensor_home(policy: Option<FlushPolicy>, schedule: EmissionSchedule, tapp
 /// disk right now, in log order.
 fn seqs_on_disk(backend: &Arc<SimBackend>) -> Vec<u64> {
     let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
-    let (_, recovered) = Wal::open(storage, wal_options(FlushPolicy::PerEvent)).expect("reopen");
+    let (_, recovered) = Wal::open(storage, wal_options(FlushPolicy::EveryN(1))).expect("reopen");
     recovered.events.iter().map(|e| e.id.seq).collect()
 }
 

@@ -68,6 +68,57 @@ fn door_light_pipeline_runs_on_threads() {
     net.shutdown();
 }
 
+/// A process thread runs `Start`, and with it its first keep-alive
+/// round to every peer, while `HomeBuilder::build` is still registering
+/// the actors after it. No such send may kill its sender. A dead actor
+/// thread drops its inbox, so every later send to it counts as
+/// `net.drops.destination_down`; with no crash injected, that count
+/// stays 0 only while every actor is up.
+#[test]
+fn every_actor_survives_start_up_sends() {
+    for _ in 0..5 {
+        let mut net = LiveNet::new(LiveConfig::default());
+        net.recorder().set_enabled(true);
+        let config = RivuletConfig::default().with_keepalive_interval(Duration::from_millis(50));
+        let mut home = HomeBuilder::new(&mut net).with_config(config);
+        let hosts: Vec<_> = (0..6).map(|i| home.add_host(format!("h{i}"))).collect();
+        let (motion, _) = home.add_push_sensor(
+            "motion",
+            PayloadSpec::KindOnly(EventKind::Motion),
+            EmissionSchedule::Periodic(Duration::from_millis(20)),
+            &hosts,
+        );
+        let (anchor, _) = home.add_actuator("a", ActuationState::Switch(false), &hosts[..1]);
+        let app = AppBuilder::new(AppId(1), "watch")
+            .operator(
+                "sink",
+                CombinerSpec::Any,
+                |_: &mut rivulet::core::app::OpCtx, _: &rivulet::core::app::CombinedWindows| {},
+            )
+            .sensor(motion, Delivery::Gapless, WindowSpec::count(1))
+            .actuator(anchor, Delivery::Gapless)
+            .done()
+            .build()
+            .expect("valid app");
+        let probe = home.add_app(app);
+        let _home = home.build();
+
+        assert!(wait_until(StdDuration::from_secs(10), || {
+            probe.unique_delivered() >= 5
+        }));
+        // Several keep-alive rounds reach every process.
+        std::thread::sleep(StdDuration::from_millis(200));
+        let snap = net.obs_snapshot();
+        assert!(snap.counter("net.messages_delivered") > 0);
+        assert_eq!(
+            snap.counter("net.drops.destination_down"),
+            0,
+            "an actor thread died"
+        );
+        net.shutdown();
+    }
+}
+
 #[test]
 fn live_crash_recovery_failover() {
     let mut net = LiveNet::new(LiveConfig::default());
