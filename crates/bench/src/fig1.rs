@@ -89,10 +89,11 @@ pub fn run(days: f64, seed: u64) -> Vec<SkewRow> {
     let mut plan = FloorPlan::new();
     plan.set_ambient_loss(0.01);
     let proc_pos = [
-        plan.place(Position::new(2.0, 2.0)),
-        plan.place(Position::new(12.0, 3.0)),
-        plan.place(Position::new(7.0, 12.0)),
+        Position::new(2.0, 2.0),
+        Position::new(12.0, 3.0),
+        Position::new(7.0, 12.0),
     ];
+    let proc_place = proc_pos.map(|_| plan.place());
 
     // Sensors: four motion (Poisson, human-triggered) and two door.
     let sensor_defs: [(&str, EventKind, Duration, Position); 6] = [
@@ -137,11 +138,11 @@ pub fn run(days: f64, seed: u64) -> Vec<SkewRow> {
     let mut rows: Vec<(String, Arc<EmissionProbe>, SensorId)> = Vec::new();
     for (i, (name, kind, mean, pos)) in sensor_defs.iter().enumerate() {
         let sensor_id = SensorId(i as u32);
-        let place = plan.place(*pos);
+        let place = plan.place();
         // Heavy obstruction between Door 1 and process 0: the paper's
         // 2357-event skew case.
         if *name == "Door 1" {
-            plan.add_obstruction(place, proc_pos[0], 0.45);
+            plan.add_obstruction(place, proc_place[0], 0.45);
         }
         // Mild obstructions elsewhere, by distance.
         let probe = EmissionProbe::new();
@@ -160,15 +161,9 @@ pub fn run(days: f64, seed: u64) -> Vec<SkewRow> {
         });
         // Apply floor-plan loss to each sensor→process link (distance
         // adds attenuation on top of obstructions).
-        for (pi, pp) in proc_pos.iter().enumerate() {
+        for (pi, (pp, ppos)) in proc_place.iter().zip(proc_pos).enumerate() {
             let base = plan.link_loss(place, *pp);
-            let dist = sensor_defs[i].3.distance_to(
-                [
-                    Position::new(2.0, 2.0),
-                    Position::new(12.0, 3.0),
-                    Position::new(7.0, 12.0),
-                ][pi],
-            );
+            let dist = pos.distance_to(ppos);
             let distance_loss = (dist / 40.0).min(0.6) * 0.3;
             let loss = 1.0 - (1.0 - base) * (1.0 - distance_loss);
             net.topology_mut()

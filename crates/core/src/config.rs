@@ -16,13 +16,11 @@ pub enum ForwardingMode {
 
 /// Tunable parameters of a Rivulet process.
 ///
-/// Defaults follow the paper's evaluation setup: keep-alives every
-/// 500 ms and a 2-second failure-detection threshold (§8.4).
+/// Defaults follow the paper's evaluation setup: a 2-second
+/// failure-detection threshold (§8.4), against keep-alives every
+/// [`KEEPALIVE_INTERVAL`](crate::membership::KEEPALIVE_INTERVAL).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RivuletConfig {
-    /// Interval between keep-alive messages to every peer (§4.1's
-    /// "every *t* seconds").
-    pub keepalive_interval: Duration,
     /// Silence threshold after which a peer is suspected crashed. The
     /// evaluation uses 2 s, producing the ~20-event gap of Fig. 7.
     pub failure_timeout: Duration,
@@ -54,7 +52,6 @@ pub struct RivuletConfig {
 impl Default for RivuletConfig {
     fn default() -> Self {
         Self {
-            keepalive_interval: Duration::from_millis(500),
             failure_timeout: Duration::from_secs(2),
             forwarding: ForwardingMode::Ring,
             repair: false,
@@ -70,13 +67,6 @@ impl RivuletConfig {
     #[must_use]
     pub fn with_failure_timeout(mut self, timeout: Duration) -> Self {
         self.failure_timeout = timeout;
-        self
-    }
-
-    /// Returns a config with the keep-alive interval replaced.
-    #[must_use]
-    pub fn with_keepalive_interval(mut self, interval: Duration) -> Self {
-        self.keepalive_interval = interval;
         self
     }
 
@@ -131,7 +121,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = RivuletConfig::default();
         assert_eq!(c.failure_timeout, Duration::from_secs(2));
-        assert_eq!(c.keepalive_interval, Duration::from_millis(500));
         assert!(!c.repair, "repair layer is opt-in");
         assert!(!c.routines, "routine engine is opt-in");
         assert!(c.routine_stage_timeout > Duration::ZERO);
@@ -157,10 +146,7 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = RivuletConfig::default()
-            .with_failure_timeout(Duration::from_secs(5))
-            .with_keepalive_interval(Duration::from_millis(250));
+        let c = RivuletConfig::default().with_failure_timeout(Duration::from_secs(5));
         assert_eq!(c.failure_timeout, Duration::from_secs(5));
-        assert_eq!(c.keepalive_interval, Duration::from_millis(250));
     }
 }

@@ -30,16 +30,16 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
+use crate::membership::KEEPALIVE_INTERVAL;
 use crate::messages::ProcMsg;
 use crate::store::{locate, release_slack};
 
 use super::Action;
 
 /// Pause between reliable-broadcast retransmissions of an
-/// unacknowledged event. Equal to the default keep-alive interval, so
-/// cumulative acknowledgement costs at most one redundant
-/// retransmission.
-pub const RETRANSMIT_INTERVAL: Duration = Duration::from_millis(500);
+/// unacknowledged event: one keep-alive interval, so cumulative
+/// acknowledgement costs at most one redundant retransmission.
+pub const RETRANSMIT_INTERVAL: Duration = KEEPALIVE_INTERVAL;
 
 /// One process's reliable-broadcast state.
 #[derive(Debug)]

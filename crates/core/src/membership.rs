@@ -10,6 +10,12 @@ use std::collections::BTreeMap;
 
 use rivulet_types::{Duration, ProcSet, ProcessId, Time};
 
+/// Interval between keep-alive beacons to every peer (§4.1's "every
+/// *t* seconds"; 500 ms in the evaluation, §8.4). The same periodic
+/// tick also drives view maintenance, election and broadcast
+/// retransmission.
+pub const KEEPALIVE_INTERVAL: Duration = Duration::from_millis(500);
+
 /// One process's failure detector and local view.
 #[derive(Debug)]
 pub struct Membership {

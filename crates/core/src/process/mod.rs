@@ -59,7 +59,7 @@ use crate::delivery::Delivery;
 use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::{placement, ExecutionState};
 use crate::gating::DurableGate;
-use crate::membership::Membership;
+use crate::membership::{Membership, KEEPALIVE_INTERVAL};
 use crate::messages::{Frame, ProcMsg};
 use crate::probe::{AppProbe, StoreProbe};
 use crate::repair::HealthModel;
@@ -594,7 +594,7 @@ impl Running {
         }
         self.election(ctx);
         self.repair_tick(ctx);
-        ctx.set_timer(self.config.keepalive_interval, TOKEN_TICK);
+        ctx.set_timer(KEEPALIVE_INTERVAL, TOKEN_TICK);
     }
 
     /// A message arrived: a protocol message (or frame of them) from a

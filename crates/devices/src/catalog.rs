@@ -9,7 +9,6 @@
 
 use rivulet_types::{Duration, EventKind, SizeClass};
 
-use crate::radio::RadioTech;
 use crate::value::ValueModel;
 
 /// How a sensor produces events.
@@ -32,8 +31,6 @@ pub struct CatalogEntry {
     pub size_class: SizeClass,
     /// Representative event payload bytes.
     pub event_bytes: usize,
-    /// Radio technology of typical hardware.
-    pub tech: RadioTech,
     /// Event kind stamped on emissions.
     pub kind: EventKind,
     /// For poll sensors: hardware time to answer one poll (§8.5).
@@ -52,7 +49,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Poll,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::ZWave,
             kind: EventKind::Reading,
             poll_latency: Some(Duration::from_millis(600)),
             fig8_epoch: Some(Duration::from_millis(1_800)),
@@ -62,7 +58,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Poll,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::ZWave,
             kind: EventKind::Reading,
             poll_latency: Some(Duration::from_millis(600)),
             fig8_epoch: Some(Duration::from_millis(1_800)),
@@ -72,7 +67,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Poll,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::ZWave,
             kind: EventKind::Reading,
             poll_latency: Some(Duration::from_secs(4)),
             fig8_epoch: Some(Duration::from_secs(12)),
@@ -82,7 +76,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Poll,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::ZWave,
             kind: EventKind::Reading,
             poll_latency: Some(Duration::from_secs(5)),
             fig8_epoch: Some(Duration::from_secs(15)),
@@ -92,7 +85,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 4,
-            tech: RadioTech::ZWave,
             kind: EventKind::Motion,
             poll_latency: None,
             fig8_epoch: None,
@@ -102,7 +94,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 4,
-            tech: RadioTech::ZWave,
             kind: EventKind::DoorOpen,
             poll_latency: None,
             fig8_epoch: None,
@@ -112,7 +103,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 4,
-            tech: RadioTech::ZWave,
             kind: EventKind::WaterDetected,
             poll_latency: None,
             fig8_epoch: None,
@@ -122,7 +112,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 4,
-            tech: RadioTech::Zigbee,
             kind: EventKind::SmokeDetected,
             poll_latency: None,
             fig8_epoch: None,
@@ -132,7 +121,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::ZWave,
             kind: EventKind::Reading,
             poll_latency: None,
             fig8_epoch: None,
@@ -142,7 +130,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 4,
-            tech: RadioTech::Zigbee,
             kind: EventKind::Motion,
             poll_latency: None,
             fig8_epoch: None,
@@ -152,7 +139,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Small,
             event_bytes: 8,
-            tech: RadioTech::Ble,
             kind: EventKind::FallDetected,
             poll_latency: None,
             fig8_epoch: None,
@@ -162,7 +148,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Large,
             event_bytes: 15 * 1024,
-            tech: RadioTech::Ip,
             kind: EventKind::Image,
             poll_latency: None,
             fig8_epoch: None,
@@ -172,7 +157,6 @@ pub fn survey() -> Vec<CatalogEntry> {
             mode: SensingMode::Push,
             size_class: SizeClass::Large,
             event_bytes: 1024,
-            tech: RadioTech::Ip,
             kind: EventKind::AudioFrame,
             poll_latency: None,
             fig8_epoch: None,

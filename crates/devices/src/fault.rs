@@ -191,14 +191,6 @@ pub struct FaultDecision {
     pub corrupt: Option<FaultKind>,
 }
 
-impl FaultDecision {
-    /// True when nothing fires on this attempt.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.suppress.is_none() && !self.ghost && self.corrupt.is_none()
-    }
-}
-
 /// Ground truth about injected faults, shared with the harness.
 ///
 /// Experiments need to know *which* events were ghosts or corrupted to
@@ -691,7 +683,7 @@ mod proptests {
             prop_assert!(clean
                 .sensor_timeline(SensorId(id), 256)
                 .iter()
-                .all(FaultDecision::is_clean));
+                .all(|d| *d == FaultDecision::default()));
             let always = FaultPlan::new(seed)
                 .sensor(SensorId(id), FaultSpec::new(FaultKind::Missed, 1.0));
             prop_assert!(always
@@ -753,7 +745,7 @@ mod tests {
         assert!(p
             .sensor_timeline(SensorId(1), 500)
             .iter()
-            .all(FaultDecision::is_clean));
+            .all(|d| *d == FaultDecision::default()));
     }
 
     #[test]

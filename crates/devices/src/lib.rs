@@ -17,9 +17,11 @@
 //! * [`fault`] — seeded per-device fault schedules (stuck-at,
 //!   flapping, drift, ghost, missed, battery decay) whose every
 //!   decision is a pure function of `(seed, device id, attempt)`.
-//! * [`radio`] — low-power radio technology models (range, multicast)
-//!   and a 2-D home floor plan for computing which processes are in
-//!   range of which devices (§2.1).
+//! * [`radio`] — a home floor plan that composes ambient interference
+//!   and obstructions into per-link loss rates (§2.1, Fig. 1). Which
+//!   processes a device reaches is the `reachers` list it is deployed
+//!   with; loss is applied by the simulator's `Topology`; multicast is
+//!   a [`PushSensor`] sending each emission to every target.
 //! * [`catalog`] — the off-the-shelf sensor survey of Table 3 and the
 //!   Z-Wave polling characteristics used in Fig. 8.
 //! * [`value`] — synthetic physical-phenomenon models (random walks,
@@ -44,6 +46,6 @@ pub mod value;
 pub use actuator::{ActuatorDevice, ActuatorProbe};
 pub use fault::{DeviceFaults, FaultDecision, FaultKind, FaultPlan, FaultProbe, FaultSpec};
 pub use frame::RadioFrame;
-pub use radio::{FloorPlan, Position, RadioTech};
+pub use radio::{FloorPlan, Position};
 pub use sensor::{EmissionProbe, EmissionSchedule, PayloadSpec, PollProbe, PollSensor, PushSensor};
 pub use value::ValueModel;

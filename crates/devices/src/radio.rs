@@ -1,51 +1,14 @@
-//! Low-power radio technology models and home floor plans.
+//! Device-radio loss for home floor plans.
 //!
-//! Not every process can hear every sensor: radio range, walls, and
-//! technology mismatches partition the home into "cliques of
-//! interconnected sensors and hubs" (paper §2.1). [`FloorPlan`]
-//! captures device/host positions and obstructions and computes, per
-//! device, the set of in-range hosts and the per-link loss rates —
-//! exactly the inputs the delivery service experiments vary.
+//! Radio interference and obstructions make different processes hear
+//! different subsets of a sensor's emissions (paper §2.1, Fig. 1).
+//! [`FloorPlan`] turns ambient interference and per-pair obstructions
+//! into a loss rate per device → host link; the harness writes those
+//! rates into the simulator's `Topology`, the one place link loss is
+//! applied. Which hosts a device reaches at all is not modelled here:
+//! it is the `reachers` list the deployment hands each device.
 
 use std::collections::HashMap;
-
-/// A low-power wireless technology used by off-the-shelf devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RadioTech {
-    /// Z-Wave: ~40 m range, mesh multicast to all in-range peers.
-    ZWave,
-    /// Zigbee: ~10–20 m range, multicast-capable.
-    Zigbee,
-    /// Bluetooth Low Energy: ~100 m free-space range but typically
-    /// paired with a single host.
-    Ble,
-    /// IP (WiFi) software sensors: in range of every process, as in the
-    /// paper's §8 controlled experiments.
-    Ip,
-}
-
-impl RadioTech {
-    /// Nominal indoor range in meters (paper §2.1).
-    #[must_use]
-    pub fn range_meters(self) -> f64 {
-        match self {
-            RadioTech::ZWave => 40.0,
-            RadioTech::Zigbee => 15.0,
-            RadioTech::Ble => 100.0,
-            RadioTech::Ip => f64::INFINITY,
-        }
-    }
-
-    /// Whether the technology can deliver one emission to multiple
-    /// hosts at once.
-    #[must_use]
-    pub fn supports_multicast(self) -> bool {
-        match self {
-            RadioTech::ZWave | RadioTech::Zigbee | RadioTech::Ip => true,
-            RadioTech::Ble => false,
-        }
-    }
-}
 
 /// A point on the home's 2-D floor plan, in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,17 +37,14 @@ impl Position {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlacementId(pub u32);
 
-/// A 2-D model of the home: device and host positions, per-pair
-/// obstructions (walls, appliances), and ambient interference.
-///
-/// The plan answers two questions per (device, host) pair, mirroring
-/// what the paper's deployment study measured (§2.1, Fig. 1):
-///
-/// * **reachability** — is the host within the device's radio range?
-/// * **loss rate** — base technology loss, degraded by obstruction.
+/// The radio environment of a home: per-pair obstructions (walls,
+/// appliances) and ambient interference, composed into one loss rate
+/// per (device, host) pair — what the paper's deployment study
+/// measured (§2.1, Fig. 1).
 #[derive(Debug, Default)]
 pub struct FloorPlan {
-    positions: Vec<Position>,
+    /// Entities placed so far; the next [`PlacementId`].
+    placed: u32,
     /// Extra signal attenuation between pairs, expressed as an added
     /// loss probability in `[0, 1]` (e.g. 0.3 for a concrete wall).
     obstructions: HashMap<(PlacementId, PlacementId), f64>,
@@ -110,10 +70,10 @@ impl FloorPlan {
         self.ambient_loss = loss;
     }
 
-    /// Places an entity at `pos`, returning its handle.
-    pub fn place(&mut self, pos: Position) -> PlacementId {
-        let id = PlacementId(self.positions.len() as u32);
-        self.positions.push(pos);
+    /// Places an entity, returning its handle.
+    pub fn place(&mut self) -> PlacementId {
+        let id = PlacementId(self.placed);
+        self.placed += 1;
         id
     }
 
@@ -129,13 +89,6 @@ impl FloorPlan {
         self.obstructions.insert(key, loss);
     }
 
-    /// Whether `host` is within radio range of a `tech` device at `device`.
-    #[must_use]
-    pub fn in_range(&self, device: PlacementId, host: PlacementId, tech: RadioTech) -> bool {
-        let d = self.positions[device.0 as usize].distance_to(self.positions[host.0 as usize]);
-        d <= tech.range_meters()
-    }
-
     /// Effective loss probability on the `device → host` link:
     /// `1 - (1-ambient) * (1-obstruction)`.
     #[must_use]
@@ -148,22 +101,6 @@ impl FloorPlan {
         let obstruction = self.obstructions.get(&key).copied().unwrap_or(0.0);
         1.0 - (1.0 - self.ambient_loss) * (1.0 - obstruction)
     }
-
-    /// The hosts (from `hosts`) reachable by a `tech` device at
-    /// `device`, in the order given.
-    #[must_use]
-    pub fn reachable_hosts(
-        &self,
-        device: PlacementId,
-        hosts: &[PlacementId],
-        tech: RadioTech,
-    ) -> Vec<PlacementId> {
-        hosts
-            .iter()
-            .copied()
-            .filter(|h| self.in_range(device, *h, tech))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -171,42 +108,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ranges_match_paper() {
-        assert_eq!(RadioTech::ZWave.range_meters(), 40.0);
-        assert_eq!(RadioTech::Zigbee.range_meters(), 15.0);
-        assert_eq!(RadioTech::Ble.range_meters(), 100.0);
-        assert!(RadioTech::Ip.range_meters().is_infinite());
-    }
-
-    #[test]
-    fn multicast_support() {
-        assert!(RadioTech::ZWave.supports_multicast());
-        assert!(RadioTech::Zigbee.supports_multicast());
-        assert!(!RadioTech::Ble.supports_multicast());
-    }
-
-    #[test]
-    fn distance_and_range() {
-        let mut plan = FloorPlan::new();
-        let sensor = plan.place(Position::new(0.0, 0.0));
-        let near = plan.place(Position::new(3.0, 4.0)); // 5 m
-        let far = plan.place(Position::new(30.0, 40.0)); // 50 m
-        assert_eq!(
-            plan.positions[sensor.0 as usize].distance_to(Position::new(3.0, 4.0)),
-            5.0
-        );
-        assert!(plan.in_range(sensor, near, RadioTech::Zigbee));
-        assert!(!plan.in_range(sensor, far, RadioTech::ZWave));
-        assert!(plan.in_range(sensor, far, RadioTech::Ble));
-        let reachable = plan.reachable_hosts(sensor, &[near, far], RadioTech::ZWave);
-        assert_eq!(reachable, vec![near]);
+    fn distance_is_euclidean() {
+        let origin = Position::new(0.0, 0.0);
+        assert_eq!(origin.distance_to(Position::new(3.0, 4.0)), 5.0);
+        assert_eq!(Position::new(30.0, 40.0).distance_to(origin), 50.0);
     }
 
     #[test]
     fn loss_composes_ambient_and_obstruction() {
         let mut plan = FloorPlan::new();
-        let s = plan.place(Position::new(0.0, 0.0));
-        let h = plan.place(Position::new(1.0, 0.0));
+        let s = plan.place();
+        let h = plan.place();
+        assert_ne!(s, h);
         assert_eq!(plan.link_loss(s, h), 0.0);
         plan.set_ambient_loss(0.1);
         assert!((plan.link_loss(s, h) - 0.1).abs() < 1e-12);

@@ -75,7 +75,6 @@ pub(crate) enum Effect {
     Send { to: ActorId, payload: Bytes },
     SetTimer { token: u64, after: Duration },
     CancelTimer { token: u64 },
-    Halt,
 }
 
 /// The capability surface through which actors interact with the world.
@@ -129,8 +128,9 @@ impl<'a> Context<'a> {
         self.rng
     }
 
-    /// Sends `payload` to `to` over the connecting link. Delivery is
-    /// subject to the link's latency, loss, and partition state.
+    /// Sends `payload` to `to` over the connecting link. Under the
+    /// simulator, delivery is subject to the link's latency, loss, and
+    /// partition state.
     pub fn send(&mut self, to: ActorId, payload: Bytes) {
         self.effects.push(Effect::Send { to, payload });
     }
@@ -146,13 +146,6 @@ impl<'a> Context<'a> {
     pub fn cancel_timer(&mut self, token: u64) {
         self.effects.push(Effect::CancelTimer { token });
     }
-
-    /// Requests that the driver stop executing this actor (used by
-    /// scripted workloads that finish early). The actor can be revived
-    /// by a driver-level recovery.
-    pub fn halt(&mut self) {
-        self.effects.push(Effect::Halt);
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +160,13 @@ mod tests {
         ctx.send(ActorId(1), Bytes::from_static(b"a"));
         ctx.set_timer(Duration::from_millis(10), 7);
         ctx.cancel_timer(7);
-        ctx.halt();
-        assert_eq!(ctx.effects.len(), 4);
+        assert_eq!(ctx.effects.len(), 3);
         assert!(matches!(
             ctx.effects[0],
             Effect::Send { to: ActorId(1), .. }
         ));
         assert!(matches!(ctx.effects[1], Effect::SetTimer { token: 7, .. }));
         assert!(matches!(ctx.effects[2], Effect::CancelTimer { token: 7 }));
-        assert!(matches!(ctx.effects[3], Effect::Halt));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   6, 7) exactly reproducible from a seed.
 //! * [`live`] — a **threaded wall-clock driver** with the same actor
 //!   interface, used by the runnable examples to demonstrate real
-//!   concurrent operation.
+//!   concurrent operation. Crash and recovery are its only faults; link
+//!   loss, blocking and partitions are modelled once, in the
+//!   simulator's [`link::Topology`].
 //!
 //! Protocol code is written once against the [`actor::Actor`] trait and
 //! the [`actor::Context`] capability surface, and runs unchanged on

@@ -37,8 +37,9 @@ pub struct LinkConfig {
     /// (0.4 µs/byte for 20 Mbit/s WiFi) are sub-microsecond.
     pub per_byte_nanos: u64,
     /// Independent probability that a given message is silently lost.
-    /// Ignored for [`ActorClass::Process`]↔`Process` links, which are
-    /// TCP-reliable while up.
+    /// Applied on every link, [`ActorClass::Process`]↔`Process` ones
+    /// included; the defaults are 0, and experiments set it on device
+    /// links only.
     pub loss: f64,
     /// Whether the link is administratively down (out of radio range,
     /// or severed by the current network partition).
@@ -165,18 +166,6 @@ impl Topology {
         id
     }
 
-    /// Number of registered actors.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether no actor has been registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
     /// The class of `actor`.
     ///
     /// # Panics
@@ -213,12 +202,6 @@ impl Topology {
     /// Panics if `from` was not registered.
     pub fn set_link(&mut self, from: ActorId, to: ActorId, config: LinkConfig) {
         *cell(&mut self.overrides[from.0 as usize], to, None) = Some(config);
-    }
-
-    /// Replaces the configuration of the link in both directions.
-    pub fn set_link_bidir(&mut self, a: ActorId, b: ActorId, config: LinkConfig) {
-        self.set_link(a, b, config);
-        self.set_link(b, a, config);
     }
 
     /// Sets the loss probability of the directed link `from → to`,
@@ -258,8 +241,7 @@ impl Topology {
     }
 
     /// Whether a partition currently separates `a` and `b`.
-    #[must_use]
-    pub fn partitioned(&self, a: ActorId, b: ActorId) -> bool {
+    fn partitioned(&self, a: ActorId, b: ActorId) -> bool {
         match &self.partition {
             None => false,
             Some(assign) => {
@@ -335,8 +317,6 @@ mod tests {
         assert_eq!(t.link(p0, p1), LinkConfig::wifi());
         assert_eq!(t.link(d, p0), LinkConfig::radio());
         assert_eq!(t.link(p0, d), LinkConfig::radio());
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -378,6 +358,24 @@ mod tests {
             (4_700..=5_300).contains(&delivered),
             "delivered {delivered}"
         );
+    }
+
+    #[test]
+    fn loss_applies_to_process_links_too() {
+        let (mut t, p0, p1, _) = topo3();
+        t.set_loss(p0, p1, 1.0);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..100 {
+            assert_eq!(
+                t.route(&mut rng, Time::ZERO, p0, p1, 4, true),
+                Verdict::Drop(DropReason::RandomLoss)
+            );
+        }
+        // The reverse direction keeps the lossless WiFi default.
+        assert!(matches!(
+            t.route(&mut rng, Time::ZERO, p1, p0, 4, true),
+            Verdict::Deliver(_)
+        ));
     }
 
     #[test]
@@ -462,8 +460,8 @@ mod tests {
             loss: 0.0,
             blocked: false,
         };
-        t.set_link_bidir(d, p0, custom);
+        t.set_link(d, p0, custom);
         assert_eq!(t.link(d, p0), custom);
-        assert_eq!(t.link(p0, d), custom);
+        assert_eq!(t.link(p0, d), LinkConfig::radio(), "overrides are directed");
     }
 }

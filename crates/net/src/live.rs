@@ -6,9 +6,12 @@
 //! its own Raspberry Pi. The runnable examples use this driver to
 //! demonstrate the platform operating concurrently in real time.
 //!
-//! Fault injection (crash, recovery, link loss, partitions) uses the
-//! same vocabulary as the simulator, but is invoked imperatively from
-//! the controlling thread rather than scheduled in virtual time.
+//! The only fault it injects is a process crash and its recovery,
+//! invoked imperatively from the controlling thread rather than
+//! scheduled in virtual time. Links never lose, block or partition
+//! traffic here: link faults are the simulator's
+//! [`Topology`](crate::link::Topology), where every experiment that
+//! varies them runs.
 //!
 //! Unlike [`crate::sim`], runs under this driver are **not**
 //! deterministic: thread scheduling and wall-clock timer jitter are
@@ -25,7 +28,7 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rivulet_types::Time;
 
 use crate::actor::{Actor, ActorEvent, ActorId, Context, Effect};
@@ -35,9 +38,9 @@ use crate::metrics::NetMetrics;
 /// Configuration of a live run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LiveConfig {
-    /// Base seed for per-actor RNGs (live runs are still not
-    /// deterministic; the seed only fixes the loss coin-flips given an
-    /// ordering).
+    /// Base seed of the per-actor RNGs behind `ctx.rng()` (live runs
+    /// are still not deterministic: thread scheduling decides the order
+    /// in which an actor draws).
     pub seed: u64,
 }
 
@@ -48,47 +51,10 @@ enum ThreadInput {
     Stop,
 }
 
-/// Directed-link state shared across actor threads.
-#[derive(Debug, Default, Clone, Copy)]
-struct LiveLink {
-    loss: f64,
-    blocked: bool,
-}
-
-#[derive(Debug, Default)]
-struct SharedTopology {
-    links: HashMap<(ActorId, ActorId), LiveLink>,
-    /// Partition group per actor; empty = no partition.
-    partition: HashMap<ActorId, u32>,
-}
-
-impl SharedTopology {
-    fn passable(&self, from: ActorId, to: ActorId, rng: &mut StdRng) -> Result<(), DropReason> {
-        if !self.partition.is_empty() {
-            // Actors absent from every group are unaffected (the
-            // partition severs the WiFi mesh, not device radios).
-            if let (Some(ga), Some(gb)) = (self.partition.get(&from), self.partition.get(&to)) {
-                if ga != gb {
-                    return Err(DropReason::Blocked);
-                }
-            }
-        }
-        let link = self.links.get(&(from, to)).copied().unwrap_or_default();
-        if link.blocked {
-            return Err(DropReason::Blocked);
-        }
-        if link.loss > 0.0 && rng.gen_bool(link.loss.min(1.0)) {
-            return Err(DropReason::RandomLoss);
-        }
-        Ok(())
-    }
-}
-
 struct Router {
     start: Instant,
     inboxes: RwLock<Vec<Sender<ThreadInput>>>,
     classes: RwLock<Vec<ActorClass>>,
-    topology: RwLock<SharedTopology>,
     metrics: Mutex<NetMetrics>,
 }
 
@@ -97,7 +63,7 @@ impl Router {
         Time::from_micros(u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX))
     }
 
-    fn route(&self, rng: &mut StdRng, from: ActorId, to: ActorId, payload: Bytes) {
+    fn route(&self, from: ActorId, to: ActorId, payload: Bytes) {
         let (wifi, known) = {
             let classes = self.classes.read();
             match (classes.get(from.0 as usize), classes.get(to.0 as usize)) {
@@ -113,22 +79,16 @@ impl Router {
             return;
         }
         self.metrics.lock().record_send(payload.len(), wifi);
-        let verdict = self.topology.read().passable(from, to, rng);
-        match verdict {
-            Ok(()) => {
-                let sender = self.inboxes.read()[to.0 as usize].clone();
-                // A full or disconnected inbox behaves like a crashed
-                // destination; the paper's fault model permits this.
-                if sender
-                    .send(ThreadInput::Event(ActorEvent::Message { from, payload }))
-                    .is_ok()
-                {
-                    self.metrics.lock().record_delivery();
-                } else {
-                    self.metrics.lock().record_drop(DropReason::DestinationDown);
-                }
-            }
-            Err(reason) => self.metrics.lock().record_drop(reason),
+        let sender = self.inboxes.read()[to.0 as usize].clone();
+        // A full or disconnected inbox behaves like a crashed
+        // destination; the paper's fault model permits this.
+        if sender
+            .send(ThreadInput::Event(ActorEvent::Message { from, payload }))
+            .is_ok()
+        {
+            self.metrics.lock().record_delivery();
+        } else {
+            self.metrics.lock().record_drop(DropReason::DestinationDown);
         }
     }
 }
@@ -159,7 +119,6 @@ impl LiveNet {
                 start: Instant::now(),
                 inboxes: RwLock::new(Vec::new()),
                 classes: RwLock::new(Vec::new()),
-                topology: RwLock::new(SharedTopology::default()),
                 metrics: Mutex::new(NetMetrics::new()),
             }),
             handles: Vec::new(),
@@ -230,36 +189,6 @@ impl LiveNet {
         self.router.metrics.lock().obs_snapshot()
     }
 
-    /// Sets the loss probability on the directed link `from → to`.
-    pub fn set_loss(&self, from: ActorId, to: ActorId, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        let mut topo = self.router.topology.write();
-        topo.links.entry((from, to)).or_default().loss = loss;
-    }
-
-    /// Blocks or unblocks the directed link `from → to`.
-    pub fn set_blocked(&self, from: ActorId, to: ActorId, blocked: bool) {
-        let mut topo = self.router.topology.write();
-        topo.links.entry((from, to)).or_default().blocked = blocked;
-    }
-
-    /// Imposes a partition; actors absent from all groups form an
-    /// implicit extra group.
-    pub fn set_partition(&self, groups: &[Vec<ActorId>]) {
-        let mut topo = self.router.topology.write();
-        topo.partition.clear();
-        for (g, members) in groups.iter().enumerate() {
-            for m in members {
-                topo.partition.insert(*m, g as u32);
-            }
-        }
-    }
-
-    /// Heals any active partition.
-    pub fn heal_partition(&self) {
-        self.router.topology.write().partition.clear();
-    }
-
     /// Crashes `actor`: its state is dropped and messages to it are
     /// discarded until [`LiveNet::recover`].
     pub fn crash(&self, actor: ActorId) {
@@ -282,31 +211,18 @@ impl LiveNet {
             .event("net.recover", now, u64::from(actor.0), 0);
     }
 
-    /// Injects a message into `to` as if sent by `from`; lets external
-    /// harness code participate in the protocol.
-    pub fn inject(&self, from: ActorId, to: ActorId, payload: Bytes) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.router.route(&mut rng, from, to, payload);
-    }
-
-    /// Stops all actor threads and waits for them to exit.
-    pub fn shutdown(mut self) {
-        self.stop_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn stop_all(&self) {
-        for tx in self.router.inboxes.read().iter() {
-            let _ = tx.send(ThreadInput::Stop);
-        }
+    /// Stops all actor threads and waits for them to exit (what
+    /// dropping the handle does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for LiveNet {
     fn drop(&mut self) {
-        self.stop_all();
+        for tx in self.router.inboxes.read().iter() {
+            let _ = tx.send(ThreadInput::Stop);
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -339,7 +255,7 @@ fn actor_thread<F>(
         if pending_start {
             pending_start = false;
             if let Some(actor) = instance.as_mut() {
-                let halted = run_handler(
+                run_handler(
                     &router,
                     id,
                     actor.as_mut(),
@@ -348,9 +264,6 @@ fn actor_thread<F>(
                     &mut timers,
                     &mut timer_gens,
                 );
-                if halted {
-                    instance = None;
-                }
             }
         }
 
@@ -368,7 +281,7 @@ fn actor_thread<F>(
         for token in fired {
             router.metrics.lock().record_timer();
             if let Some(actor) = instance.as_mut() {
-                let halted = run_handler(
+                run_handler(
                     &router,
                     id,
                     actor.as_mut(),
@@ -377,9 +290,6 @@ fn actor_thread<F>(
                     &mut timers,
                     &mut timer_gens,
                 );
-                if halted {
-                    instance = None;
-                }
             }
         }
 
@@ -396,7 +306,7 @@ fn actor_thread<F>(
         match rx.recv_timeout(wait) {
             Ok(ThreadInput::Event(event)) => {
                 if let Some(actor) = instance.as_mut() {
-                    let halted = run_handler(
+                    run_handler(
                         &router,
                         id,
                         actor.as_mut(),
@@ -405,9 +315,6 @@ fn actor_thread<F>(
                         &mut timers,
                         &mut timer_gens,
                     );
-                    if halted {
-                        instance = None;
-                    }
                 } else {
                     router
                         .metrics
@@ -432,8 +339,7 @@ fn actor_thread<F>(
     }
 }
 
-/// Runs one handler and applies its effects; returns `true` if the
-/// actor halted itself.
+/// Runs one handler and applies its effects.
 fn run_handler(
     router: &Arc<Router>,
     id: ActorId,
@@ -442,14 +348,12 @@ fn run_handler(
     rng: &mut StdRng,
     timers: &mut Vec<PendingTimer>,
     timer_gens: &mut HashMap<u64, u64>,
-) -> bool {
+) {
     let mut ctx = Context::new(id, router.now(), rng);
     actor.on_event(&mut ctx, event);
-    let effects = std::mem::take(&mut ctx.effects);
-    let mut halted = false;
-    for effect in effects {
+    for effect in std::mem::take(&mut ctx.effects) {
         match effect {
-            Effect::Send { to, payload } => router.route(rng, id, to, payload),
+            Effect::Send { to, payload } => router.route(id, to, payload),
             Effect::SetTimer { token, after } => {
                 let gen = timer_gens.get(&token).copied().unwrap_or(0);
                 timers.push(PendingTimer {
@@ -461,10 +365,8 @@ fn run_handler(
             Effect::CancelTimer { token } => {
                 *timer_gens.entry(token).or_insert(0) += 1;
             }
-            Effect::Halt => halted = true,
         }
     }
-    halted
 }
 
 #[cfg(test)]
@@ -536,35 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_link_stops_traffic_and_unblock_restores() {
-        let mut net = LiveNet::new(LiveConfig::default());
-        let echo = net.add_actor("echo", ActorClass::Process, || Box::new(Echo));
-        let replies = Arc::new(AtomicU64::new(0));
-        let r = Arc::clone(&replies);
-        let ping = net.add_actor("ping", ActorClass::Process, move || {
-            Box::new(Pinger {
-                peer: echo,
-                replies: Arc::clone(&r),
-            })
-        });
-        net.set_blocked(ping, echo, true);
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        let before = replies.load(Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert_eq!(
-            replies.load(Ordering::SeqCst),
-            before,
-            "blocked link leaked"
-        );
-        net.set_blocked(ping, echo, false);
-        assert!(
-            wait_until(2_000, || replies.load(Ordering::SeqCst) > before),
-            "unblocking should restore traffic"
-        );
-        net.shutdown();
-    }
-
-    #[test]
     fn crash_and_recover_round_trip() {
         let mut net = LiveNet::new(LiveConfig::default());
         let echo = net.add_actor("echo", ActorClass::Process, || Box::new(Echo));
@@ -617,31 +490,6 @@ mod tests {
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE net_messages_sent counter"));
         assert!(text.contains("# TYPE net_payload_bytes histogram"));
-        net.shutdown();
-    }
-
-    #[test]
-    fn partition_blocks_cross_group() {
-        let mut net = LiveNet::new(LiveConfig::default());
-        let echo = net.add_actor("echo", ActorClass::Process, || Box::new(Echo));
-        let replies = Arc::new(AtomicU64::new(0));
-        let r = Arc::clone(&replies);
-        let ping = net.add_actor("ping", ActorClass::Process, move || {
-            Box::new(Pinger {
-                peer: echo,
-                replies: Arc::clone(&r),
-            })
-        });
-        net.set_partition(&[vec![ping], vec![echo]]);
-        std::thread::sleep(std::time::Duration::from_millis(150));
-        let before = replies.load(Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(150));
-        assert!(replies.load(Ordering::SeqCst) <= before + 1);
-        net.heal_partition();
-        assert!(
-            wait_until(2_000, || replies.load(Ordering::SeqCst) > before + 1),
-            "healing should restore traffic"
-        );
         net.shutdown();
     }
 }

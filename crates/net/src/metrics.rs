@@ -91,16 +91,6 @@ impl FanoutStats {
             acks_avoided: self.acks_avoided.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes the counters in place, preserving every handle to the
-    /// `Arc` (processes keep recording into the same instance after a
-    /// metrics reset).
-    pub fn reset(&self) {
-        self.frames_coalesced.store(0, Ordering::Relaxed);
-        self.messages_avoided.store(0, Ordering::Relaxed);
-        self.encode_bytes_saved.store(0, Ordering::Relaxed);
-        self.acks_avoided.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Counters accumulated over one driver run.
@@ -217,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn fanout_stats_accumulate_and_reset() {
+    fn fanout_stats_accumulate() {
         let m = NetMetrics::new();
         let stats = Arc::clone(&m.fanout);
         stats.record_frame(3);
@@ -233,8 +223,6 @@ mod tests {
         let clone = m.clone();
         stats.record_acks_avoided(1);
         assert_eq!(clone.fanout.snapshot().acks_avoided, 2);
-        stats.reset();
-        assert_eq!(m.fanout.snapshot(), FanoutSnapshot::default());
     }
 
     #[test]

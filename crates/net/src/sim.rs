@@ -268,30 +268,10 @@ impl SimNet {
         self.slots[actor.0 as usize].instance.is_some()
     }
 
-    /// The display name given to `actor` at registration.
-    #[must_use]
-    pub fn name_of(&self, actor: ActorId) -> &str {
-        &self.slots[actor.0 as usize].name
-    }
-
     /// Accumulated network counters.
     #[must_use]
     pub fn metrics(&self) -> &NetMetrics {
         &self.metrics
-    }
-
-    /// Resets the network counters (e.g. after a warm-up phase). The
-    /// shared fan-out stats handle and observability recorder are
-    /// preserved — process actors hold clones of both — and their
-    /// contents are zeroed in place.
-    pub fn reset_metrics(&mut self) {
-        let fanout = std::sync::Arc::clone(&self.metrics.fanout);
-        fanout.reset();
-        let obs = self.metrics.obs.clone();
-        obs.reset();
-        self.metrics = NetMetrics::new();
-        self.metrics.fanout = fanout;
-        self.metrics.obs = obs;
     }
 
     /// The unified observability handle shared by this driver and every
@@ -372,8 +352,8 @@ impl SimNet {
     }
 
     /// Runs the simulation until the queue is exhausted or virtual time
-    /// would pass `deadline`; on return, `now() == deadline` (unless an
-    /// event cap fired). Returns the number of events processed.
+    /// would pass `deadline`; on return, `now() == deadline`. Returns
+    /// the number of events processed.
     ///
     /// # Panics
     ///
@@ -513,17 +493,7 @@ impl SimNet {
         ctx.effects = std::mem::take(&mut self.effects);
         instance.on_event(&mut ctx, event);
         let mut effects = std::mem::take(&mut ctx.effects);
-        // Put the instance back before applying effects, unless the
-        // actor halted itself.
-        let mut halted = false;
-        for effect in &effects {
-            if matches!(effect, Effect::Halt) {
-                halted = true;
-            }
-        }
-        if !halted {
-            self.slots[actor.0 as usize].instance = Some(instance);
-        }
+        self.slots[actor.0 as usize].instance = Some(instance);
         for effect in effects.drain(..) {
             self.apply_effect(actor, effect);
         }
@@ -627,9 +597,6 @@ impl SimNet {
             Effect::CancelTimer { token } => {
                 let slot = &mut self.slots[actor.0 as usize];
                 *slot.timer_gens.entry(token).or_insert(0) += 1;
-            }
-            Effect::Halt => {
-                // Instance already dropped in fire().
             }
         }
     }
@@ -946,37 +913,16 @@ mod tests {
     }
 
     #[test]
-    fn name_and_topology_accessors() {
+    fn topology_accessors() {
         let mut net = SimNet::new(SimConfig::default());
         let (probe, ..) = Probe::new();
         let mut p = Some(probe);
         let a = net.add_actor("hub", ActorClass::Process, move || {
             Box::new(p.take().expect("once"))
         });
-        assert_eq!(net.name_of(a), "hub");
         assert_eq!(net.topology().class_of(a), ActorClass::Process);
         net.topology_mut().set_link(a, a, LinkConfig::severed());
         assert!(net.topology().link(a, a).blocked);
-    }
-
-    #[test]
-    fn reset_metrics_zeroes_counters() {
-        let mut net = SimNet::new(SimConfig::with_seed(1));
-        let (probe, ..) = Probe::new();
-        let mut p = Some(probe);
-        let rx = net.add_actor("rx", ActorClass::Process, move || {
-            Box::new(p.take().expect("once"))
-        });
-        let (mut tx_probe, ..) = Probe::new();
-        tx_probe.peer = Some(rx);
-        let mut q = Some(tx_probe);
-        net.add_actor("tx", ActorClass::Process, move || {
-            Box::new(q.take().expect("once"))
-        });
-        net.run_until(Time::from_secs(1));
-        assert!(net.metrics().messages_sent > 0);
-        net.reset_metrics();
-        assert_eq!(net.metrics().messages_sent, 0);
     }
 
     /// Sends `b"x"` to each of `to` every 10 ms and logs every arrival

@@ -100,12 +100,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean of all samples, or `None` if empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -163,7 +157,6 @@ mod tests {
     #[test]
     fn observe_tracks_exact_stats() {
         let mut h = Histogram::new();
-        assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
         for v in [10, 20, 900] {
             h.observe(v);
@@ -172,7 +165,6 @@ mod tests {
         assert_eq!(h.sum(), 930);
         assert_eq!(h.min(), Some(10));
         assert_eq!(h.max(), Some(900));
-        assert_eq!(h.mean(), Some(310));
         // 10 and 20 land in different buckets (bounds 15 and 31); 900
         // lands under bound 1023.
         assert_eq!(h.nonzero_buckets(), vec![(15, 1), (31, 1), (1023, 1)]);

@@ -138,12 +138,6 @@ impl Recorder {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether two handles share the same underlying state.
-    #[must_use]
-    pub fn same_as(&self, other: &Recorder) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Adds `n` to counter `name`.
     pub fn add(&self, name: &'static str, n: u64) {
         if !self.is_enabled() {
@@ -223,11 +217,6 @@ impl Recorder {
         }
     }
 
-    /// Clears all recorded state, keeping the enabled flag.
-    pub fn reset(&self) {
-        *self.inner.lock() = State::default();
-    }
-
     /// Exports everything recorded so far. Still-open spans appear
     /// with `end: None`; spans are ordered by `(start, name, key)`.
     #[must_use]
@@ -277,7 +266,6 @@ mod tests {
     fn clones_share_state_and_enable_flag() {
         let a = Recorder::new();
         let b = a.clone();
-        assert!(a.same_as(&b));
         b.set_enabled(true);
         assert!(a.is_enabled());
         a.inc("c");
@@ -318,15 +306,6 @@ mod tests {
         );
         let open = &snap.spans[1];
         assert_eq!((open.key, open.end), (4, None));
-    }
-
-    #[test]
-    fn reset_clears_data_but_not_enable() {
-        let rec = Recorder::enabled();
-        rec.inc("c");
-        rec.reset();
-        assert!(rec.is_enabled());
-        assert_eq!(rec.snapshot(), ObsSnapshot::default());
     }
 
     #[test]

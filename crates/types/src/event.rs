@@ -23,18 +23,6 @@ pub enum SizeClass {
     Large,
 }
 
-impl SizeClass {
-    /// A representative payload size in bytes, used by workload
-    /// generators: 4 B for small, 10 KB for large.
-    #[must_use]
-    pub fn representative_bytes(self) -> usize {
-        match self {
-            SizeClass::Small => 4,
-            SizeClass::Large => 10 * 1024,
-        }
-    }
-}
-
 impl fmt::Display for SizeClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -135,9 +123,7 @@ impl fmt::Display for EventKind {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Payload {
     /// No payload beyond the event kind (e.g. a door-open event whose
-    /// whole meaning is its kind). On real Z-Wave hardware such events
-    /// still occupy a few bytes; [`Event::wire_payload_bytes`] accounts
-    /// for that.
+    /// whole meaning is its kind).
     #[default]
     Empty,
     /// A scalar reading.
@@ -280,18 +266,6 @@ impl Event {
         self
     }
 
-    /// The bytes this event's *payload* occupies on a sensor radio
-    /// frame: the physical-sensor event size of Table 3. Kind-only
-    /// events (door, motion) count 4 B, matching the small-sensor
-    /// class; scalar and blob payloads count their data bytes.
-    #[must_use]
-    pub fn wire_payload_bytes(&self) -> usize {
-        match &self.payload {
-            Payload::Empty => 4,
-            other => other.len(),
-        }
-    }
-
     /// Age of the event at `now` (zero if `now` precedes emission).
     #[must_use]
     pub fn staleness(&self, now: Time) -> crate::time::Duration {
@@ -402,27 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_payload_bytes_matches_table3() {
-        // Kind-only events model the 4-byte small class.
-        let door = Event::new(
-            EventId::new(SensorId(0), 0),
-            EventKind::DoorOpen,
-            Time::ZERO,
-        );
-        assert_eq!(door.wire_payload_bytes(), 4);
-        // Scalar readings are 8 bytes.
-        assert_eq!(sample_event().wire_payload_bytes(), 8);
-        // Blobs count their exact size.
-        let cam = Event::with_payload(
-            EventId::new(SensorId(2), 0),
-            EventKind::Image,
-            Payload::zeros(12_000),
-            Time::ZERO,
-        );
-        assert_eq!(cam.wire_payload_bytes(), 12_000);
-    }
-
-    #[test]
     fn staleness_saturates() {
         let ev = sample_event();
         assert_eq!(
@@ -433,9 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn size_class_representatives() {
-        assert_eq!(SizeClass::Small.representative_bytes(), 4);
-        assert_eq!(SizeClass::Large.representative_bytes(), 10 * 1024);
+    fn size_class_display() {
         assert_eq!(SizeClass::Small.to_string(), "small (4-8 B)");
     }
 

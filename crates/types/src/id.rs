@@ -117,16 +117,6 @@ impl EventId {
     pub fn new(sensor: SensorId, seq: u64) -> Self {
         Self { sensor, seq }
     }
-
-    /// Returns the identity of the event emitted immediately after this
-    /// one by the same sensor.
-    #[must_use]
-    pub fn successor(self) -> Self {
-        Self {
-            sensor: self.sensor,
-            seq: self.seq + 1,
-        }
-    }
 }
 
 impl fmt::Display for EventId {
@@ -173,14 +163,6 @@ mod tests {
         assert!(ProcessId(1) < ProcessId(2));
         assert!(EventId::new(SensorId(0), 5) < EventId::new(SensorId(0), 6));
         assert!(EventId::new(SensorId(0), 5) < EventId::new(SensorId(1), 0));
-    }
-
-    #[test]
-    fn successor_increments_seq_only() {
-        let id = EventId::new(SensorId(4), 10);
-        let next = id.successor();
-        assert_eq!(next.sensor, SensorId(4));
-        assert_eq!(next.seq, 11);
     }
 
     #[test]

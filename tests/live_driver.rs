@@ -79,8 +79,7 @@ fn every_actor_survives_start_up_sends() {
     for _ in 0..5 {
         let mut net = LiveNet::new(LiveConfig::default());
         net.recorder().set_enabled(true);
-        let config = RivuletConfig::default().with_keepalive_interval(Duration::from_millis(50));
-        let mut home = HomeBuilder::new(&mut net).with_config(config);
+        let mut home = HomeBuilder::new(&mut net);
         let hosts: Vec<_> = (0..6).map(|i| home.add_host(format!("h{i}"))).collect();
         let (motion, _) = home.add_push_sensor(
             "motion",
@@ -106,8 +105,8 @@ fn every_actor_survives_start_up_sends() {
         assert!(wait_until(StdDuration::from_secs(10), || {
             probe.unique_delivered() >= 5
         }));
-        // Several keep-alive rounds reach every process.
-        std::thread::sleep(StdDuration::from_millis(200));
+        // Two more keep-alive rounds (500 ms apart) reach every process.
+        std::thread::sleep(StdDuration::from_millis(1_100));
         let snap = net.obs_snapshot();
         assert!(snap.counter("net.messages_delivered") > 0);
         assert_eq!(
@@ -122,10 +121,9 @@ fn every_actor_survives_start_up_sends() {
 #[test]
 fn live_crash_recovery_failover() {
     let mut net = LiveNet::new(LiveConfig::default());
-    // Short timeouts so the test completes quickly.
-    let config = RivuletConfig::default()
-        .with_keepalive_interval(Duration::from_millis(100))
-        .with_failure_timeout(Duration::from_millis(400));
+    // Three keep-alive periods of silence: short, so the test completes
+    // quickly.
+    let config = RivuletConfig::default().with_failure_timeout(Duration::from_millis(1_500));
     let mut home = HomeBuilder::new(&mut net).with_config(config);
     let h0 = home.add_host("h0");
     let h1 = home.add_host("h1");
