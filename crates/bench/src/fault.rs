@@ -178,6 +178,7 @@ pub fn run_fault(cfg: &FaultScenario) -> FaultOutcome {
         }
     }
     let delivered = seen.len();
+    let obs = net.obs_snapshot();
     let ghosts_delivered = seen.iter().filter(|id| ghost_ids.contains(id)).count();
     FaultOutcome {
         emitted: probes[0].emitted().saturating_sub(ghost_ids.len() as u64),
@@ -185,8 +186,8 @@ pub fn run_fault(cfg: &FaultScenario) -> FaultOutcome {
         correct,
         ghosts_injected: ghost_ids.len(),
         ghosts_delivered,
-        suppressed: fault_probe.missed() + fault_probe.battery_skips(),
-        obs: net.obs_snapshot(),
+        suppressed: obs.counter("fault.missed") + obs.counter("fault.battery"),
+        obs,
     }
 }
 
@@ -232,7 +233,6 @@ pub fn run_repoll(rate: f64, repair: bool, seed: u64) -> FaultOutcome {
 
     let plan = FaultPlan::new(seed).sensor(sensor, FaultSpec::new(FaultKind::Missed, rate));
     let home = home.with_faults(plan);
-    let fault_probe = home.fault_probe();
     let _home: Home = home.build();
 
     net.run_until(Time::from_secs(120));
@@ -247,14 +247,15 @@ pub fn run_repoll(rate: f64, repair: bool, seed: u64) -> FaultOutcome {
             correct += 1;
         }
     }
+    let obs = net.obs_snapshot();
     FaultOutcome {
         emitted: poll_probe.answered(),
         delivered: seen.len(),
         correct,
         ghosts_injected: 0,
         ghosts_delivered: 0,
-        suppressed: fault_probe.missed(),
-        obs: net.obs_snapshot(),
+        suppressed: obs.counter("fault.missed"),
+        obs,
     }
 }
 

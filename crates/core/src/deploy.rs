@@ -239,7 +239,7 @@ pub struct HomeBuilder<'a, D: Driver> {
     apps: Vec<(Arc<AppSpec>, Arc<AppProbe>)>,
     storage: Option<StoragePlan>,
     store_probe: Option<Arc<StoreProbe>>,
-    faults: Option<FaultPlan>,
+    faults: FaultPlan,
     fault_probe: Arc<FaultProbe>,
     routines: Vec<(Arc<RoutineSpec>, Arc<RoutineProbe>)>,
 }
@@ -267,7 +267,7 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
             apps: Vec::new(),
             storage: None,
             store_probe: None,
-            faults: None,
+            faults: FaultPlan::default(),
             fault_probe: FaultProbe::new(),
             routines: Vec::new(),
         }
@@ -275,20 +275,20 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
 
     /// Attaches a device-fault plan: every declared device picks up its
     /// schedule from the plan (devices the plan doesn't name stay
-    /// fault-free), and all injected faults are logged to the home's
-    /// shared [`FaultProbe`] (see [`HomeBuilder::fault_probe`]).
-    /// Injection is reproducible bit-exactly from `(plan seed,
-    /// device id)` and never perturbs the drivers' RNG streams.
+    /// fault-free). Each injected fault is counted under its `fault.*`
+    /// obs key, and ghost event ids are logged to the home's shared
+    /// [`FaultProbe`] (see [`HomeBuilder::fault_probe`]). Injection is
+    /// reproducible bit-exactly from `(plan seed, device id)` and never
+    /// perturbs the drivers' RNG streams.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
-    /// The home-wide fault probe: ground truth for every injected
-    /// fault ([`FaultProbe::ghosts`] / suppressed / corrupted ids).
-    /// Event ids recorded in it carry the sensor, so per-device
-    /// attribution survives the sharing.
+    /// The home-wide fault probe: the ids of injected ghost events
+    /// ([`FaultProbe::ghosts`]). Event ids carry the sensor, so
+    /// per-device attribution survives the sharing.
     #[must_use]
     pub fn fault_probe(&self) -> Arc<FaultProbe> {
         Arc::clone(&self.fault_probe)
@@ -529,15 +529,14 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
             assert_eq!(got, *actor, "actor ids are handed out densely");
         }
 
-        // A device's fault state is built once, reporting to the home's
-        // probe and recorder; every incarnation starts from a copy.
-        let report = |faults: Option<DeviceFaults>| {
-            faults.map(|f| f.reporting_to(Arc::clone(&self.fault_probe), obs.clone()))
-        };
-        let plan = self.faults.as_ref();
+        // A device's fault state (empty unless the plan names it) is
+        // built once, reporting to the home's probe and recorder; every
+        // incarnation starts from a copy.
+        let report =
+            |faults: DeviceFaults| faults.reporting_to(Arc::clone(&self.fault_probe), obs.clone());
         for (decl, entry) in self.sensors.into_iter().zip(&directory.sensors) {
             let id = entry.id;
-            let faults = report(plan.and_then(|p| p.for_sensor(id)));
+            let faults = report(self.faults.for_sensor(id));
             let actor = match decl {
                 SensorDecl::Push {
                     name,
@@ -599,7 +598,7 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
                 ..
             } = decl;
             let id = entry.id;
-            let faults = report(plan.and_then(|p| p.for_actuator(id)));
+            let faults = report(self.faults.for_actuator(id));
             let actor = self.driver.add_boxed_actor(
                 &name,
                 ActorClass::Device,

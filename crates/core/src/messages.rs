@@ -328,8 +328,8 @@ impl Wire for Frame {
             let mut sub = r.sub_reader(len)?;
             let msg = ProcMsg::decode(&mut sub)?;
             if !sub.is_empty() {
-                return Err(WireError::LengthTooLarge {
-                    declared: len as u64,
+                return Err(WireError::TrailingBytes {
+                    remaining: sub.remaining(),
                 });
             }
             msgs.push(msg);
@@ -649,7 +649,7 @@ mod tests {
         w.put_u8(0);
         assert!(matches!(
             Frame::from_bytes(&w.into_bytes()),
-            Err(WireError::LengthTooLarge { .. })
+            Err(WireError::TrailingBytes { remaining: 1 })
         ));
     }
 }

@@ -3,6 +3,7 @@
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
+use rivulet_types::wire::Wire;
 use rivulet_types::{Duration, Event, SensorId, Time};
 
 use super::{token, PollRt, Running, KIND_EPOCH, KIND_REPOLL, KIND_SLOT};
@@ -99,7 +100,7 @@ impl Running {
         let Some(poll) = rt.poll.as_ref() else { return };
         let epoch = poll.state.current_epoch();
         let request = RadioFrame::PollRequest { sensor, epoch };
-        ctx.send(rt.device, request.to_payload());
+        ctx.send(rt.device, request.to_bytes());
     }
 
     pub(super) fn slot_fired(&mut self, ctx: &mut Context<'_>, sensor: SensorId) {

@@ -23,11 +23,7 @@ use crate::frame::RadioFrame;
 #[derive(Debug)]
 pub struct ActuatorProbe {
     effects: Mutex<Vec<(Time, CommandId, ActuationState)>>,
-    commands_received: AtomicU64,
     duplicates_suppressed: AtomicU64,
-    staged_held: AtomicU64,
-    routine_commits: AtomicU64,
-    routine_aborts: AtomicU64,
     state: Mutex<ActuationState>,
 }
 
@@ -37,11 +33,7 @@ impl ActuatorProbe {
     pub fn new(initial: ActuationState) -> Arc<Self> {
         Arc::new(Self {
             effects: Mutex::new(Vec::new()),
-            commands_received: AtomicU64::new(0),
             duplicates_suppressed: AtomicU64::new(0),
-            staged_held: AtomicU64::new(0),
-            routine_commits: AtomicU64::new(0),
-            routine_aborts: AtomicU64::new(0),
             state: Mutex::new(initial),
         })
     }
@@ -58,34 +50,10 @@ impl ActuatorProbe {
         self.effects.lock().expect("probe lock").len()
     }
 
-    /// Total commands that reached the actuator.
-    #[must_use]
-    pub fn commands_received(&self) -> u64 {
-        self.commands_received.load(Ordering::SeqCst)
-    }
-
     /// Commands refused by Test&Set mismatch or duplicate id.
     #[must_use]
     pub fn duplicates_suppressed(&self) -> u64 {
         self.duplicates_suppressed.load(Ordering::SeqCst)
-    }
-
-    /// Routine steps accepted for staging (held, not yet fired).
-    #[must_use]
-    pub fn staged_held(&self) -> u64 {
-        self.staged_held.load(Ordering::SeqCst)
-    }
-
-    /// Routine instances this actuator committed (fired held steps).
-    #[must_use]
-    pub fn routine_commits(&self) -> u64 {
-        self.routine_commits.load(Ordering::SeqCst)
-    }
-
-    /// Routine instances whose held steps were discarded by an abort.
-    #[must_use]
-    pub fn routine_aborts(&self) -> u64 {
-        self.routine_aborts.load(Ordering::SeqCst)
     }
 
     /// The actuator's current state.
@@ -122,10 +90,11 @@ pub struct ActuatorDevice {
     /// Instances already committed here — repeated commit frames (e.g.
     /// re-sent after coordinator recovery) apply nothing.
     committed: HashSet<(RoutineId, u64)>,
-    /// Seeded fault schedule, if a [`crate::fault::FaultPlan`] names
-    /// this actuator. `Missed` drops commands before they are seen;
-    /// `StuckAt` acks them without applying.
-    faults: Option<DeviceFaults>,
+    /// Seeded fault schedule (empty unless a
+    /// [`crate::fault::FaultPlan`] names this actuator). `Missed` drops
+    /// commands before they are seen; `StuckAt` acks them without
+    /// applying.
+    faults: DeviceFaults,
     /// Acknowledgements are encoded into recycled buffers.
     pool: WriterPool,
 }
@@ -141,14 +110,14 @@ impl ActuatorDevice {
             applied_ids: HashSet::new(),
             staged: Vec::new(),
             committed: HashSet::new(),
-            faults: None,
+            faults: DeviceFaults::default(),
             pool: WriterPool::new(),
         }
     }
 
     /// Attaches a seeded fault schedule (see [`crate::fault`]).
     #[must_use]
-    pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
+    pub fn with_faults(mut self, faults: DeviceFaults) -> Self {
         self.faults = faults;
         self
     }
@@ -212,28 +181,20 @@ impl ActuatorDevice {
         from: rivulet_net::actor::ActorId,
         cmd: &Command,
     ) {
-        let decision = match self.faults.as_mut() {
-            Some(f) => f.decide_next(),
-            None => crate::fault::FaultDecision::default(),
-        };
+        let decision = self.faults.decide_next();
         if decision.suppress.is_some() {
             // The command is lost at the radio: no ack, no state
             // change, the issuer sees a timeout.
-            if let Some(f) = &self.faults {
-                f.record_dropped(false);
-            }
+            self.faults.record_dropped(false);
             return;
         }
-        self.probe.commands_received.fetch_add(1, Ordering::SeqCst);
         let stuck = decision.corrupt == Some(FaultKind::StuckAt);
 
         let applied = if stuck && !self.applied_ids.contains(&cmd.id) {
             // Mechanically stuck: the actuator hears the command but
             // cannot move. It honestly acks `applied = false` with its
             // real (unchanged) state.
-            if let Some(f) = &self.faults {
-                f.record_refused(false);
-            }
+            self.faults.record_refused(false);
             false
         } else {
             self.apply_locally(ctx.now(), cmd)
@@ -266,22 +227,15 @@ impl ActuatorDevice {
         if command.actuator != self.actuator {
             return;
         }
-        let decision = match self.faults.as_mut() {
-            Some(f) => f.decide_next(),
-            None => crate::fault::FaultDecision::default(),
-        };
+        let decision = self.faults.decide_next();
         if decision.suppress.is_some() {
-            if let Some(f) = &self.faults {
-                f.record_dropped(true);
-            }
+            self.faults.record_dropped(true);
             return;
         }
         let stuck = decision.corrupt == Some(FaultKind::StuckAt);
         let accepted = !stuck;
         if stuck {
-            if let Some(f) = &self.faults {
-                f.record_refused(true);
-            }
+            self.faults.record_refused(true);
         } else if self.committed.contains(&(routine, instance)) {
             // A retransmitted stage for an instance that already
             // committed here: the effect happened, just re-ack.
@@ -290,7 +244,6 @@ impl ActuatorDevice {
             self.staged
                 .retain(|(r, i, s, _)| !(*r == routine && *i == instance && *s == step));
             self.staged.push((routine, instance, step, command));
-            self.probe.staged_held.fetch_add(1, Ordering::SeqCst);
         }
         let ack = RadioFrame::StageAck {
             routine,
@@ -320,19 +273,12 @@ impl ActuatorDevice {
             let _ = self.apply_locally(now, cmd);
         }
         self.committed.insert((routine, instance));
-        if !held.is_empty() {
-            self.probe.routine_commits.fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     /// Discards every held step of `(routine, instance)` unfired.
     fn on_abort(&mut self, routine: RoutineId, instance: u64) {
-        let before = self.staged.len();
         self.staged
             .retain(|(r, i, _, _)| !(*r == routine && *i == instance));
-        if self.staged.len() != before {
-            self.probe.routine_aborts.fetch_add(1, Ordering::SeqCst);
-        }
     }
 }
 
@@ -369,7 +315,10 @@ mod tests {
     use rivulet_net::actor::{ActorId, Context};
     use rivulet_net::link::ActorClass;
     use rivulet_net::sim::{SimConfig, SimNet};
+    use rivulet_obs::ObsSnapshot;
     use rivulet_types::{Command, OperatorId, ProcessId};
+
+    use crate::fault::{FaultPlan, FaultProbe, FaultSpec};
 
     type AckLog = Arc<Mutex<Vec<(CommandId, bool, ActuationState)>>>;
 
@@ -393,7 +342,7 @@ mod tests {
                 ActorEvent::Timer { .. } => {
                     if let Some(cmd) = self.script.get(self.idx) {
                         self.idx += 1;
-                        ctx.send(self.target, RadioFrame::Actuate(cmd.clone()).to_payload());
+                        ctx.send(self.target, RadioFrame::Actuate(cmd.clone()).to_bytes());
                         ctx.set_timer(rivulet_types::Duration::from_millis(self.period_ms), 1);
                     }
                 }
@@ -639,7 +588,6 @@ mod tests {
             .collect();
         assert_eq!(got_effects, want_effects);
         assert_eq!(probe.duplicates_suppressed(), want_suppressed);
-        assert_eq!(probe.commands_received(), 240);
         for (issuer, log) in logs.iter().enumerate() {
             assert_eq!(*log.lock().unwrap(), want_acks[issuer], "issuer {issuer}");
         }
@@ -650,7 +598,6 @@ mod tests {
         let mut wrong = cmd(0, CommandKind::Set(ActuationState::Switch(true)));
         wrong.actuator = ActuatorId(99);
         let (probe, acks) = run_script(vec![wrong]);
-        assert_eq!(probe.commands_received(), 0);
         assert_eq!(probe.effect_count(), 0);
         assert!(acks.is_empty());
     }
@@ -658,11 +605,12 @@ mod tests {
     /// A captured `StageAck`: `(routine, instance, step, accepted)`.
     type StageAckRec = (RoutineId, u64, u32, bool);
 
-    /// Sends a scripted series of raw frames, 10 ms apart.
+    /// Sends a scripted series of raw frames, 10 ms apart, and logs
+    /// every frame sent back.
     struct FrameIssuer {
         target: ActorId,
         script: Vec<RadioFrame>,
-        stage_acks: Arc<Mutex<Vec<StageAckRec>>>,
+        replies: Arc<Mutex<Vec<RadioFrame>>>,
         idx: usize,
     }
 
@@ -673,53 +621,103 @@ mod tests {
                 ActorEvent::Timer { .. } => {
                     if let Some(frame) = self.script.get(self.idx) {
                         self.idx += 1;
-                        ctx.send(self.target, frame.to_payload());
+                        ctx.send(self.target, frame.to_bytes());
                         ctx.set_timer(rivulet_types::Duration::from_millis(10), 1);
                     }
                 }
                 ActorEvent::Message { payload, .. } => {
-                    if let Ok(RadioFrame::StageAck {
-                        routine,
-                        instance,
-                        step,
-                        accepted,
-                    }) = RadioFrame::from_bytes(&payload)
-                    {
-                        self.stage_acks
-                            .lock()
-                            .expect("lock")
-                            .push((routine, instance, step, accepted));
+                    if let Ok(frame) = RadioFrame::from_bytes(&payload) {
+                        self.replies.lock().expect("lock").push(frame);
                     }
                 }
             }
         }
     }
 
-    fn run_frames(script: Vec<RadioFrame>) -> (Arc<ActuatorProbe>, Vec<StageAckRec>) {
+    /// Sends `script` to a light carrying `faults`, with the recorder
+    /// on; returns its probe, the frames it sent back and the run's obs
+    /// snapshot.
+    fn run_faulted(
+        script: Vec<RadioFrame>,
+        faults: DeviceFaults,
+    ) -> (Arc<ActuatorProbe>, Vec<RadioFrame>, ObsSnapshot) {
         let mut net = SimNet::new(SimConfig::with_seed(1));
+        net.recorder().set_enabled(true);
+        let faults = faults.reporting_to(FaultProbe::new(), net.recorder());
         let probe = ActuatorProbe::new(ActuationState::Switch(false));
         let p = Arc::clone(&probe);
         let dev = net.add_actor("light", ActorClass::Device, move || {
-            Box::new(ActuatorDevice::new(
-                ActuatorId(1),
-                ActuationState::Switch(false),
-                Arc::clone(&p),
-            ))
+            let dev =
+                ActuatorDevice::new(ActuatorId(1), ActuationState::Switch(false), Arc::clone(&p));
+            Box::new(dev.with_faults(faults.clone()))
         });
-        let acks = Arc::new(Mutex::new(Vec::new()));
-        let a = Arc::clone(&acks);
-        let s = script.clone();
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let r = Arc::clone(&replies);
         net.add_actor("coordinator", ActorClass::Process, move || {
             Box::new(FrameIssuer {
                 target: dev,
-                script: s.clone(),
-                stage_acks: Arc::clone(&a),
+                script: script.clone(),
+                replies: Arc::clone(&r),
                 idx: 0,
             })
         });
         net.run_until(Time::from_secs(5));
-        let collected = acks.lock().unwrap().clone();
-        (probe, collected)
+        let collected = replies.lock().unwrap().clone();
+        (probe, collected, net.obs_snapshot())
+    }
+
+    fn run_frames(script: Vec<RadioFrame>) -> (Arc<ActuatorProbe>, Vec<StageAckRec>) {
+        let (probe, replies, _) = run_faulted(script, DeviceFaults::default());
+        let acks = replies
+            .into_iter()
+            .filter_map(|frame| match frame {
+                RadioFrame::StageAck {
+                    routine,
+                    instance,
+                    step,
+                    accepted,
+                } => Some((routine, instance, step, accepted)),
+                _ => None,
+            })
+            .collect();
+        (probe, acks)
+    }
+
+    /// Dropped and refused commands and stages are counted once each,
+    /// under their `fault.*` keys.
+    #[test]
+    fn dropped_and_refused_commands_are_counted_under_their_fault_keys() {
+        let commands = (0..4).map(|seq| {
+            RadioFrame::Actuate(cmd(seq, CommandKind::Set(ActuationState::Switch(true))))
+        });
+        let stages =
+            (0..3).map(|step| stage(0, step, 10 + u64::from(step), ActuationState::Switch(true)));
+        let script: Vec<RadioFrame> = commands.chain(stages).collect();
+        let faulted = |kind| {
+            FaultPlan::new(1)
+                .actuator(ActuatorId(1), FaultSpec::new(kind, 1.0))
+                .for_actuator(ActuatorId(1))
+        };
+
+        let (probe, replies, obs) = run_faulted(script.clone(), faulted(FaultKind::Missed));
+        assert!(replies.is_empty(), "a dropped frame is never acked");
+        assert_eq!(probe.effect_count(), 0);
+        assert_eq!(obs.counter("fault.actuation_dropped"), 4);
+        assert_eq!(obs.counter("fault.stage_dropped"), 3);
+
+        let (probe, replies, obs) = run_faulted(script, faulted(FaultKind::StuckAt));
+        assert_eq!(replies.len(), 7, "a stuck actuator acks every frame");
+        assert!(replies.iter().all(|frame| matches!(
+            frame,
+            RadioFrame::ActuateAck { applied: false, .. }
+                | RadioFrame::StageAck {
+                    accepted: false,
+                    ..
+                }
+        )));
+        assert_eq!(probe.effect_count(), 0);
+        assert_eq!(obs.counter("fault.actuation_refused"), 4);
+        assert_eq!(obs.counter("fault.stage_refused"), 3);
     }
 
     fn stage(instance: u64, step: u32, seq: u64, state: ActuationState) -> RadioFrame {
@@ -742,7 +740,6 @@ mod tests {
             vec![(RoutineId(1), 0, 0, true), (RoutineId(1), 0, 1, true)]
         );
         assert_eq!(probe.effect_count(), 0, "nothing fires before commit");
-        assert_eq!(probe.staged_held(), 2);
     }
 
     #[test]
@@ -762,7 +759,6 @@ mod tests {
             ActuationState::Level(21.0),
             "step 1 fires last"
         );
-        assert_eq!(probe.routine_commits(), 1);
     }
 
     #[test]
@@ -779,7 +775,6 @@ mod tests {
             },
         ]);
         assert_eq!(probe.effect_count(), 1, "re-sent commit applies nothing");
-        assert_eq!(probe.routine_commits(), 1);
     }
 
     #[test]
@@ -798,8 +793,6 @@ mod tests {
             },
         ]);
         assert_eq!(probe.effect_count(), 0);
-        assert_eq!(probe.routine_aborts(), 1);
-        assert_eq!(probe.routine_commits(), 0);
     }
 
     #[test]

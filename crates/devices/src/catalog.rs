@@ -183,12 +183,6 @@ pub fn fig8_sensors() -> Vec<(CatalogEntry, ValueModel)> {
         .collect()
 }
 
-/// Looks up a survey row by name.
-#[must_use]
-pub fn entry(name: &str) -> Option<CatalogEntry> {
-    survey().into_iter().find(|e| e.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,12 +251,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert!(entry("temperature").is_some());
-        assert!(entry("ip-camera").is_some());
-        assert!(entry("flux-capacitor").is_none());
     }
 }

@@ -22,7 +22,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rivulet_obs::Recorder;
@@ -103,54 +102,34 @@ impl FaultKind {
     }
 }
 
-/// One fault a device suffers.
+/// Length, in attempts, of the windows value faults (stuck, flapping,
+/// drift) are drawn over.
+const VALUE_WINDOW: u64 = 16;
+/// How far a flapping reading swings either side of its window-entry
+/// value.
+const FLAP_SWING: f64 = 8.0;
+/// The bias a drifting reading gains per attempt inside its window.
+const DRIFT_STEP: f64 = 1.0;
+
+/// One fault a device suffers: a kind and a rate.
 ///
 /// `rate` means: for value faults (stuck/flapping/drift), the
-/// probability that each *window* of [`FaultSpec::window`] consecutive
-/// attempts is faulty; for ghost/missed, the per-attempt probability;
-/// for battery decay, the per-attempt drain (success probability is
-/// `(1 - rate)^attempt`).
+/// probability that each window of 16 consecutive attempts is faulty;
+/// for ghost/missed, the per-attempt probability; for battery decay,
+/// the per-attempt drain (success probability is `(1 - rate)^attempt`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Which fault.
     pub kind: FaultKind,
     /// How often (see type-level docs).
     pub rate: f64,
-    /// Corruption magnitude: flapping swing / per-event drift step.
-    pub magnitude: f64,
-    /// Window length (attempts) for value faults.
-    pub window: u64,
 }
 
 impl FaultSpec {
-    /// A spec with per-kind default magnitude and a 16-attempt window.
+    /// A `kind` fault at `rate`.
     #[must_use]
     pub fn new(kind: FaultKind, rate: f64) -> Self {
-        let magnitude = match kind {
-            FaultKind::Flapping => 8.0,
-            FaultKind::Drift => 1.0,
-            _ => 0.0,
-        };
-        Self {
-            kind,
-            rate,
-            magnitude,
-            window: 16,
-        }
-    }
-
-    /// Overrides the corruption magnitude.
-    #[must_use]
-    pub fn with_magnitude(mut self, magnitude: f64) -> Self {
-        self.magnitude = magnitude;
-        self
-    }
-
-    /// Overrides the value-fault window length (attempts).
-    #[must_use]
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window.max(1);
-        self
+        Self { kind, rate }
     }
 }
 
@@ -191,19 +170,14 @@ pub struct FaultDecision {
     pub corrupt: Option<FaultKind>,
 }
 
-/// Ground truth about injected faults, shared with the harness.
+/// The ids of injected ghost events, shared with the harness.
 ///
-/// Experiments need to know *which* events were ghosts or corrupted to
-/// score delivery correctness; obs counters alone cannot identify
-/// individual events.
+/// Experiments score ghosts as incorrect deliveries, so they need to
+/// know *which* events were ghosts; obs counters cannot name events.
+/// Every other fault is counted only under its `fault.*` key.
 #[derive(Debug, Default)]
 pub struct FaultProbe {
     ghosts: Mutex<Vec<EventId>>,
-    corrupted: Mutex<Vec<EventId>>,
-    missed: AtomicU64,
-    battery_skips: AtomicU64,
-    commands_dropped: AtomicU64,
-    commands_refused: AtomicU64,
 }
 
 impl FaultProbe {
@@ -217,64 +191,6 @@ impl FaultProbe {
     #[must_use]
     pub fn ghosts(&self) -> Vec<EventId> {
         self.ghosts.lock().expect("probe lock").clone()
-    }
-
-    /// Ids of events emitted with a corrupted value.
-    #[must_use]
-    pub fn corrupted(&self) -> Vec<EventId> {
-        self.corrupted.lock().expect("probe lock").clone()
-    }
-
-    /// Emissions suppressed by `Missed` faults.
-    #[must_use]
-    pub fn missed(&self) -> u64 {
-        self.missed.load(Ordering::SeqCst)
-    }
-
-    /// Emissions suppressed by battery decay.
-    #[must_use]
-    pub fn battery_skips(&self) -> u64 {
-        self.battery_skips.load(Ordering::SeqCst)
-    }
-
-    /// Actuation commands silently dropped (`Missed` on an actuator).
-    #[must_use]
-    pub fn commands_dropped(&self) -> u64 {
-        self.commands_dropped.load(Ordering::SeqCst)
-    }
-
-    /// Actuation commands acked but not applied (`StuckAt` actuator).
-    #[must_use]
-    pub fn commands_refused(&self) -> u64 {
-        self.commands_refused.load(Ordering::SeqCst)
-    }
-
-    /// Records a ghost emission.
-    pub fn record_ghost(&self, id: EventId) {
-        self.ghosts.lock().expect("probe lock").push(id);
-    }
-
-    /// Records a corrupted-value emission.
-    pub fn record_corrupted(&self, id: EventId) {
-        self.corrupted.lock().expect("probe lock").push(id);
-    }
-
-    /// Records a suppressed emission, attributed to its fault kind.
-    pub fn record_suppressed(&self, kind: FaultKind) {
-        match kind {
-            FaultKind::BatteryDecay => self.battery_skips.fetch_add(1, Ordering::SeqCst),
-            _ => self.missed.fetch_add(1, Ordering::SeqCst),
-        };
-    }
-
-    /// Records an actuation command silently dropped.
-    pub fn record_command_dropped(&self) {
-        self.commands_dropped.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Records an actuation command acked but not applied.
-    pub fn record_command_refused(&self) {
-        self.commands_refused.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -301,18 +217,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's root seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// True when no device has any fault declared.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sensors.is_empty() && self.actuators.is_empty()
-    }
-
     /// Adds a fault to a sensor (builder-style; faults accumulate).
     #[must_use]
     pub fn sensor(mut self, id: SensorId, spec: FaultSpec) -> Self {
@@ -327,42 +231,45 @@ impl FaultPlan {
         self
     }
 
-    /// Per-device stream seed: SplitMix64 over `(plan seed, class,
-    /// device id)`, mirroring `rivulet-fleet`'s per-home derivation.
-    fn device_seed(&self, class: u64, id: u32) -> u64 {
-        splitmix(
+    /// The runtime fault state of device `id` of `class`: its specs
+    /// (none when the plan does not name it) over a SplitMix64 stream
+    /// seed of `(plan seed, class, device id)`, mirroring
+    /// `rivulet-fleet`'s per-home derivation.
+    fn device_faults(&self, class: u64, id: u32, specs: Option<&Vec<FaultSpec>>) -> DeviceFaults {
+        let seed = splitmix(
             self.seed
                 ^ splitmix(class)
                 ^ u64::from(id)
                     .wrapping_add(1)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )
+        );
+        DeviceFaults {
+            seed,
+            specs: specs.cloned().unwrap_or_default(),
+            ..DeviceFaults::default()
+        }
     }
 
-    /// The runtime fault state for a sensor, if the plan names it.
+    /// The runtime fault state for a sensor; empty (never fires) when
+    /// the plan does not name it.
     #[must_use]
-    pub fn for_sensor(&self, id: SensorId) -> Option<DeviceFaults> {
-        self.sensors
-            .get(&id.0)
-            .map(|specs| DeviceFaults::new(self.device_seed(CLASS_SENSOR, id.0), specs.clone()))
+    pub fn for_sensor(&self, id: SensorId) -> DeviceFaults {
+        self.device_faults(CLASS_SENSOR, id.0, self.sensors.get(&id.0))
     }
 
-    /// The runtime fault state for an actuator, if the plan names it.
+    /// The runtime fault state for an actuator; empty when the plan
+    /// does not name it.
     #[must_use]
-    pub fn for_actuator(&self, id: ActuatorId) -> Option<DeviceFaults> {
-        self.actuators
-            .get(&id.0)
-            .map(|specs| DeviceFaults::new(self.device_seed(CLASS_ACTUATOR, id.0), specs.clone()))
+    pub fn for_actuator(&self, id: ActuatorId) -> DeviceFaults {
+        self.device_faults(CLASS_ACTUATOR, id.0, self.actuators.get(&id.0))
     }
 
     /// Expands a sensor's fault schedule for its first `attempts`
     /// emission attempts — a pure function, independent of any run.
     #[must_use]
     pub fn sensor_timeline(&self, id: SensorId, attempts: u64) -> Vec<FaultDecision> {
-        match self.for_sensor(id) {
-            Some(mut f) => (0..attempts).map(|_| f.decide_next()).collect(),
-            None => vec![FaultDecision::default(); attempts as usize],
-        }
+        let mut f = self.for_sensor(id);
+        (0..attempts).map(|_| f.decide_next()).collect()
     }
 
     /// Renders a timeline to a canonical string for byte-identical
@@ -388,12 +295,15 @@ impl FaultPlan {
 ///
 /// All randomness comes from counter-keyed hash streams over the
 /// device seed; the driver RNG is never touched, so an attached plan
-/// whose rates are all zero perturbs nothing.
+/// whose rates are all zero perturbs nothing. A device the plan does
+/// not name carries the empty state, whose every decision is the
+/// default one.
 ///
 /// The device reports every fault that fires through the `record_*`
-/// methods, which log it to the home's [`FaultProbe`] and count it
-/// under its `fault.*` key once [`Self::reporting_to`] attached both.
-#[derive(Debug, Clone)]
+/// methods, which count it under its `fault.*` key (and log ghost ids
+/// to the home's [`FaultProbe`]) once [`Self::reporting_to`] attached
+/// both.
+#[derive(Debug, Clone, Default)]
 pub struct DeviceFaults {
     seed: u64,
     specs: Vec<FaultSpec>,
@@ -402,27 +312,13 @@ pub struct DeviceFaults {
     stuck_value: Option<f64>,
     /// `(window index, base value)` for flapping/drift windows.
     window_base: Option<(u64, f64)>,
-    /// Decision for the current attempt (set by [`Self::decide_next`]).
-    current: FaultDecision,
-    /// Where fired faults are reported: ground truth and counters.
+    /// Where fired faults are reported: ghost ids and counters.
     report: Option<(Arc<FaultProbe>, Recorder)>,
 }
 
 impl DeviceFaults {
-    fn new(seed: u64, specs: Vec<FaultSpec>) -> Self {
-        Self {
-            seed,
-            specs,
-            attempt: 0,
-            stuck_value: None,
-            window_base: None,
-            current: FaultDecision::default(),
-            report: None,
-        }
-    }
-
-    /// Reports every fault that fires to `probe` and to `obs`'s
-    /// `fault.*` counters.
+    /// Reports every fault that fires to `obs`'s `fault.*` counters,
+    /// and ghost ids to `probe`.
     #[must_use]
     pub fn reporting_to(mut self, probe: Arc<FaultProbe>, obs: Recorder) -> Self {
         self.report = Some((probe, obs));
@@ -432,17 +328,15 @@ impl DeviceFaults {
     /// An emission or poll answer suppressed by `cause` (`Missed` or
     /// battery decay).
     pub fn record_suppressed(&self, cause: FaultKind) {
-        if let Some((probe, obs)) = &self.report {
+        if let Some((_, obs)) = &self.report {
             obs.inc(cause.counter_name());
-            probe.record_suppressed(cause);
         }
     }
 
-    /// Event `id` emitted with a value a `kind` fault altered.
-    pub fn record_corrupted(&self, kind: FaultKind, id: EventId) {
-        if let Some((probe, obs)) = &self.report {
+    /// A reading emitted with a value a `kind` fault altered.
+    pub fn record_corrupted(&self, kind: FaultKind) {
+        if let Some((_, obs)) = &self.report {
             obs.inc(kind.counter_name());
-            probe.record_corrupted(id);
         }
     }
 
@@ -450,40 +344,32 @@ impl DeviceFaults {
     pub fn record_ghost(&self, id: EventId) {
         if let Some((probe, obs)) = &self.report {
             obs.inc("fault.ghost");
-            probe.record_ghost(id);
+            probe.ghosts.lock().expect("probe lock").push(id);
         }
     }
 
     /// A command lost at the radio: a routine stage when `stage`, else a
     /// plain actuation.
     pub fn record_dropped(&self, stage: bool) {
-        if let Some((probe, obs)) = &self.report {
+        if let Some((_, obs)) = &self.report {
             if stage {
                 obs.inc("fault.stage_dropped");
             } else {
                 obs.inc("fault.actuation_dropped");
             }
-            probe.record_command_dropped();
         }
     }
 
     /// A command heard but refused by a stuck actuator: a routine stage
     /// when `stage`, else a plain actuation.
     pub fn record_refused(&self, stage: bool) {
-        if let Some((probe, obs)) = &self.report {
+        if let Some((_, obs)) = &self.report {
             if stage {
                 obs.inc("fault.stage_refused");
             } else {
                 obs.inc("fault.actuation_refused");
             }
-            probe.record_command_refused();
         }
-    }
-
-    /// The attempt index the *next* [`Self::decide_next`] will use.
-    #[must_use]
-    pub fn attempts(&self) -> u64 {
-        self.attempt
     }
 
     /// Computes the fault decision for the next attempt and advances
@@ -513,7 +399,7 @@ impl DeviceFaults {
                     }
                 }
                 FaultKind::StuckAt | FaultKind::Flapping | FaultKind::Drift => {
-                    let window = a / spec.window;
+                    let window = a / VALUE_WINDOW;
                     if unit(mix(self.seed, tag, window)) < spec.rate {
                         // First declared value fault wins the window.
                         if d.corrupt.is_none() {
@@ -531,48 +417,32 @@ impl DeviceFaults {
         if d.corrupt.is_none() {
             self.window_base = None;
         }
-        self.current = d;
         d
     }
 
-    /// The decision [`Self::decide_next`] produced for the current
-    /// attempt.
-    #[must_use]
-    pub fn current(&self) -> FaultDecision {
-        self.current
-    }
-
-    /// Applies the current attempt's value corruption to a sampled
-    /// scalar reading. Returns the (possibly corrupted) value and
-    /// whether it was altered.
-    pub fn corrupt_value(&mut self, value: f64) -> (f64, bool) {
+    /// Applies the current attempt's `kind` value corruption (the
+    /// `corrupt` of the decision [`Self::decide_next`] returned) to a
+    /// sampled scalar reading. Returns the (possibly corrupted) value
+    /// and whether it was altered.
+    pub fn corrupt_value(&mut self, kind: FaultKind, value: f64) -> (f64, bool) {
         let a = self.attempt.saturating_sub(1);
-        let Some(kind) = self.current.corrupt else {
-            return (value, false);
-        };
-        let spec = match self.specs.iter().find(|s| s.kind == kind) {
-            Some(s) => s.clone(),
-            None => return (value, false),
-        };
-        let window = a / spec.window;
         match kind {
             FaultKind::StuckAt => {
                 let frozen = *self.stuck_value.get_or_insert(value);
                 (frozen, (frozen - value).abs() > f64::EPSILON)
             }
             FaultKind::Flapping => {
-                let base = self.window_base(window, value);
+                let base = self.window_base(a / VALUE_WINDOW, value);
                 let v = if a.is_multiple_of(2) {
-                    base + spec.magnitude
+                    base + FLAP_SWING
                 } else {
-                    base - spec.magnitude
+                    base - FLAP_SWING
                 };
                 (v, true)
             }
             FaultKind::Drift => {
-                let base_attempt = window * spec.window;
-                let k = a - base_attempt + 1;
-                (value + spec.magnitude * k as f64, true)
+                let k = a % VALUE_WINDOW + 1;
+                (value + DRIFT_STEP * k as f64, true)
             }
             _ => (value, false),
         }
@@ -604,11 +474,7 @@ mod proptests {
     use proptest::prelude::*;
 
     fn arb_spec() -> impl Strategy<Value = FaultSpec> {
-        (0usize..6, 0.0f64..=1.0, 0.1f64..20.0, 1u64..64).prop_map(|(k, rate, mag, win)| {
-            FaultSpec::new(FaultKind::ALL[k], rate)
-                .with_magnitude(mag)
-                .with_window(win)
-        })
+        (0usize..6, 0.0f64..=1.0).prop_map(|(k, rate)| FaultSpec::new(FaultKind::ALL[k], rate))
     }
 
     proptest! {
@@ -669,7 +535,7 @@ mod proptests {
         ) {
             let p = FaultPlan::new(seed).sensor(SensorId(id), spec);
             let expected = p.sensor_timeline(SensorId(id), attempts);
-            let mut f = p.for_sensor(SensorId(id)).unwrap();
+            let mut f = p.for_sensor(SensorId(id));
             let got: Vec<FaultDecision> = (0..attempts).map(|_| f.decide_next()).collect();
             prop_assert_eq!(got, expected);
         }
@@ -753,8 +619,8 @@ mod tests {
         let p = FaultPlan::new(11)
             .sensor(SensorId(5), FaultSpec::new(FaultKind::Missed, 0.5))
             .actuator(ActuatorId(5), FaultSpec::new(FaultKind::Missed, 0.5));
-        let mut s = p.for_sensor(SensorId(5)).unwrap();
-        let mut a = p.for_actuator(ActuatorId(5)).unwrap();
+        let mut s = p.for_sensor(SensorId(5));
+        let mut a = p.for_actuator(ActuatorId(5));
         let sd: Vec<_> = (0..64)
             .map(|_| s.decide_next().suppress.is_some())
             .collect();
@@ -767,25 +633,33 @@ mod tests {
     #[test]
     fn stuck_freezes_at_window_entry() {
         let p = FaultPlan::new(1).sensor(SensorId(1), FaultSpec::new(FaultKind::StuckAt, 1.0));
-        let mut f = p.for_sensor(SensorId(1)).unwrap();
+        let mut f = p.for_sensor(SensorId(1));
         let d = f.decide_next();
         assert_eq!(d.corrupt, Some(FaultKind::StuckAt));
-        assert_eq!(f.corrupt_value(21.0), (21.0, false));
+        assert_eq!(f.corrupt_value(FaultKind::StuckAt, 21.0), (21.0, false));
         f.decide_next();
-        assert_eq!(f.corrupt_value(25.0), (21.0, true), "frozen at entry value");
+        assert_eq!(
+            f.corrupt_value(FaultKind::StuckAt, 25.0),
+            (21.0, true),
+            "frozen at entry value"
+        );
     }
 
     #[test]
     fn drift_grows_within_window() {
-        let p = FaultPlan::new(1).sensor(
-            SensorId(1),
-            FaultSpec::new(FaultKind::Drift, 1.0).with_magnitude(2.0),
-        );
-        let mut f = p.for_sensor(SensorId(1)).unwrap();
+        let p = FaultPlan::new(1).sensor(SensorId(1), FaultSpec::new(FaultKind::Drift, 1.0));
+        let mut f = p.for_sensor(SensorId(1));
         f.decide_next();
-        assert_eq!(f.corrupt_value(10.0), (12.0, true));
+        assert_eq!(f.corrupt_value(FaultKind::Drift, 10.0), (11.0, true));
         f.decide_next();
-        assert_eq!(f.corrupt_value(10.0), (14.0, true));
+        assert_eq!(f.corrupt_value(FaultKind::Drift, 10.0), (12.0, true));
+    }
+
+    #[test]
+    fn an_unnamed_device_never_faults() {
+        let p = plan();
+        let mut f = p.for_sensor(SensorId(9));
+        assert!((0..256).all(|_| f.decide_next() == FaultDecision::default()));
     }
 
     #[test]

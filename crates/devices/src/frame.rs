@@ -5,7 +5,6 @@
 //! crosses a radio link, so it is wire-encoded and its exact size is
 //! part of the experiment byte accounting.
 
-use bytes::Bytes;
 use rivulet_types::wire::{Wire, WireError, WireReader, WireWriter};
 use rivulet_types::{ActuationState, Command, CommandId, Event, RoutineId, SensorId};
 
@@ -79,14 +78,6 @@ pub enum RadioFrame {
         /// The instance to abort.
         instance: u64,
     },
-}
-
-impl RadioFrame {
-    /// Encodes the frame for transmission.
-    #[must_use]
-    pub fn to_payload(&self) -> Bytes {
-        self.to_bytes()
-    }
 }
 
 impl Wire for RadioFrame {
@@ -309,7 +300,7 @@ mod tests {
             small.encoded_len()
         );
         assert!(large.encoded_len() > 10_240);
-        assert_eq!(small.to_payload().len(), small.encoded_len());
+        assert_eq!(small.to_bytes().len(), small.encoded_len());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   duplicate-actuation detection for experiments.
 //! * [`fault`] — seeded per-device fault schedules (stuck-at,
 //!   flapping, drift, ghost, missed, battery decay) whose every
-//!   decision is a pure function of `(seed, device id, attempt)`.
+//!   decision is a pure function of `(seed, device id, attempt)`. Each
+//!   fault that fires is counted once, under its `fault.*` obs key;
+//!   only ghost event ids are also logged, to a [`FaultProbe`].
 //! * [`radio`] — a home floor plan that composes ambient interference
 //!   and obstructions into per-link loss rates (§2.1, Fig. 1). Which
 //!   processes a device reaches is the `reachers` list it is deployed

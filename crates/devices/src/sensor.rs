@@ -146,10 +146,11 @@ pub struct PushSensor {
     pool: WriterPool,
     /// Shared zero-blob payload for `PayloadSpec::Blob` emissions.
     blob_cache: Option<Bytes>,
-    /// Seeded fault schedule, if a [`crate::fault::FaultPlan`] names
-    /// this sensor. Consults pure hash streams only — never the driver
-    /// RNG — so attaching a rate-0 plan perturbs nothing.
-    faults: Option<DeviceFaults>,
+    /// Seeded fault schedule (empty unless a
+    /// [`crate::fault::FaultPlan`] names this sensor). Consults pure
+    /// hash streams only — never the driver RNG — so attaching a rate-0
+    /// plan perturbs nothing.
+    faults: DeviceFaults,
 }
 
 impl PushSensor {
@@ -178,14 +179,8 @@ impl PushSensor {
             script_idx: 0,
             pool: WriterPool::new(),
             blob_cache: None,
-            faults: None,
+            faults: DeviceFaults::default(),
         }
-    }
-
-    /// The sensor's platform identity.
-    #[must_use]
-    pub fn sensor_id(&self) -> SensorId {
-        self.sensor
     }
 
     /// Starts sequence numbering at `seq` instead of zero. Deployment
@@ -199,7 +194,7 @@ impl PushSensor {
 
     /// Attaches a seeded fault schedule (see [`crate::fault`]).
     #[must_use]
-    pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
+    pub fn with_faults(mut self, faults: DeviceFaults) -> Self {
         self.faults = faults;
         self
     }
@@ -223,73 +218,72 @@ impl PushSensor {
     }
 
     fn emit(&mut self, ctx: &mut Context<'_>) {
-        let decision = match self.faults.as_mut() {
-            Some(f) => f.decide_next(),
-            None => crate::fault::FaultDecision::default(),
-        };
+        let decision = self.faults.decide_next();
         if let Some(cause) = decision.suppress {
             // Missed event / battery skip: the emission never happens,
             // no sequence number is consumed, the emission probe does
             // not see it (the phenomenon occurred but the radio never
             // carried it).
-            if let Some(f) = &self.faults {
-                f.record_suppressed(cause);
-            }
+            self.faults.record_suppressed(cause);
             return;
         }
-        let id = EventId::new(self.sensor, self.next_seq);
-        self.next_seq += 1;
         let now = ctx.now();
         let (kind, payload) = self
             .payload
             .materialize(now, ctx.rng(), &mut self.blob_cache);
         let payload = match (decision.corrupt, payload) {
             (Some(ckind), Payload::Scalar(v)) => {
-                let f = self.faults.as_mut().expect("corrupt implies faults");
-                let (cv, altered) = f.corrupt_value(v);
+                let (cv, altered) = self.faults.corrupt_value(ckind, v);
                 if altered {
-                    f.record_corrupted(ckind, id);
+                    self.faults.record_corrupted(ckind);
                 }
                 Payload::Scalar(cv)
             }
             (_, payload) => payload,
         };
-        let event = Event::with_payload(id, kind, payload, now);
-        self.probe.record(now, id);
-        // Encode once into a pooled buffer; every target gets a cheap
-        // clone of the same frozen frame.
-        let frame = self.pool.encode(&RadioFrame::Event(event));
-        for target in &self.targets {
-            ctx.send(*target, frame.clone());
-        }
+        self.send_event(ctx, now, kind, payload);
         if decision.ghost {
-            self.emit_ghost(ctx, now);
+            // A spurious extra event right after the real one. Its value
+            // comes purely from the fault stream, never the driver RNG;
+            // its id is logged in the fault probe so harnesses can score
+            // it as incorrect.
+            let (kind, payload) = match &self.payload {
+                PayloadSpec::Scalar(_) => (
+                    EventKind::Reading,
+                    Payload::Scalar(self.faults.ghost_value()),
+                ),
+                // KindOnly and Blob materialization never touches the RNG.
+                _ => self
+                    .payload
+                    .materialize(now, ctx.rng(), &mut self.blob_cache),
+            };
+            let id = self.send_event(ctx, now, kind, payload);
+            self.faults.record_ghost(id);
         }
     }
 
-    /// Emits a spurious extra event right after a real one. The ghost
-    /// consumes a sequence number and is recorded in the emission probe
-    /// (it really went over the radio); its id is additionally logged
-    /// in the fault probe so harnesses can score it as incorrect. Its
-    /// value comes purely from the fault stream, never the driver RNG.
-    fn emit_ghost(&mut self, ctx: &mut Context<'_>, now: Time) {
-        let f = self.faults.as_ref().expect("ghost implies faults");
+    /// Numbers an event, records it in the emission probe (it really
+    /// went over the radio) and multicasts it to every target; returns
+    /// its id.
+    fn send_event(
+        &mut self,
+        ctx: &mut Context<'_>,
+        now: Time,
+        kind: EventKind,
+        payload: Payload,
+    ) -> EventId {
         let id = EventId::new(self.sensor, self.next_seq);
         self.next_seq += 1;
-        let (kind, payload) = match &self.payload {
-            PayloadSpec::Scalar(_) => (EventKind::Reading, Payload::Scalar(f.ghost_value())),
-            // KindOnly and Blob materialization never touches the RNG.
-            _ => self
-                .payload
-                .materialize(now, ctx.rng(), &mut self.blob_cache),
-        };
-        let event = Event::with_payload(id, kind, payload, now);
         self.probe.record(now, id);
-        f.record_ghost(id);
-        let frame = self.pool.encode(&RadioFrame::Event(event));
+        // Encode once into a pooled buffer; every target gets a cheap
+        // clone of the same frozen frame.
+        let frame = self.pool.encode(&RadioFrame::Event(Event::with_payload(
+            id, kind, payload, now,
+        )));
         for target in &self.targets {
             ctx.send(*target, frame.clone());
         }
+        id
     }
 }
 
@@ -365,8 +359,8 @@ pub struct PollSensor {
     next_seq: u64,
     /// Pooled encode buffers for poll answers.
     pool: WriterPool,
-    /// Seeded fault schedule, if a plan names this sensor.
-    faults: Option<DeviceFaults>,
+    /// Seeded fault schedule (empty unless a plan names this sensor).
+    faults: DeviceFaults,
 }
 
 impl PollSensor {
@@ -386,14 +380,8 @@ impl PollSensor {
             busy_with: None,
             next_seq: 0,
             pool: WriterPool::new(),
-            faults: None,
+            faults: DeviceFaults::default(),
         }
-    }
-
-    /// The sensor's platform identity.
-    #[must_use]
-    pub fn sensor_id(&self) -> SensorId {
-        self.sensor
     }
 
     /// Starts sequence numbering at `seq` instead of zero (see
@@ -406,7 +394,7 @@ impl PollSensor {
 
     /// Attaches a seeded fault schedule (see [`crate::fault`]).
     #[must_use]
-    pub fn with_faults(mut self, faults: Option<DeviceFaults>) -> Self {
+    pub fn with_faults(mut self, faults: DeviceFaults) -> Self {
         self.faults = faults;
         self
     }
@@ -442,17 +430,12 @@ impl Actor for PollSensor {
                 let Some((requester, epoch)) = self.busy_with.take() else {
                     return;
                 };
-                let decision = match self.faults.as_mut() {
-                    Some(f) => f.decide_next(),
-                    None => crate::fault::FaultDecision::default(),
-                };
+                let decision = self.faults.decide_next();
                 if let Some(cause) = decision.suppress {
                     // The answer is silently lost: the epoch goes
                     // unserved and the platform's re-poll machinery
                     // (or the repair layer) must recover it.
-                    if let Some(f) = &self.faults {
-                        f.record_suppressed(cause);
-                    }
+                    self.faults.record_suppressed(cause);
                     return;
                 }
                 let now = ctx.now();
@@ -460,10 +443,9 @@ impl Actor for PollSensor {
                 let id = EventId::new(self.sensor, self.next_seq);
                 self.next_seq += 1;
                 if let Some(ckind) = decision.corrupt {
-                    let f = self.faults.as_mut().expect("corrupt implies faults");
-                    let (cv, altered) = f.corrupt_value(value);
+                    let (cv, altered) = self.faults.corrupt_value(ckind, value);
                     if altered {
-                        f.record_corrupted(ckind, id);
+                        self.faults.record_corrupted(ckind);
                     }
                     value = cv;
                 }
@@ -484,6 +466,8 @@ mod tests {
     use super::*;
     use rivulet_net::link::ActorClass;
     use rivulet_net::sim::{SimConfig, SimNet};
+
+    use crate::fault::{FaultKind, FaultPlan, FaultProbe, FaultSpec};
 
     /// Collects decoded event frames.
     struct Collector {
@@ -591,6 +575,37 @@ mod tests {
         assert_eq!(recv.lock().unwrap().len(), 3);
     }
 
+    /// A missed emission is counted once, under `fault.missed`, and
+    /// never reaches the emission probe.
+    #[test]
+    fn missed_emissions_are_counted_under_their_fault_key() {
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        net.recorder().set_enabled(true);
+        let faults = FaultPlan::new(1)
+            .sensor(SensorId(1), FaultSpec::new(FaultKind::Missed, 1.0))
+            .for_sensor(SensorId(1))
+            .reporting_to(FaultProbe::new(), net.recorder());
+        let probe = EmissionProbe::new();
+        let p = Arc::clone(&probe);
+        net.add_actor("door", ActorClass::Device, move || {
+            let sensor = PushSensor::new(
+                SensorId(1),
+                PayloadSpec::KindOnly(EventKind::DoorOpen),
+                EmissionSchedule::Periodic(Duration::from_millis(100)),
+                vec![],
+                Arc::clone(&p),
+            );
+            Box::new(sensor.with_faults(faults.clone()))
+        });
+        net.run_until(Time::from_secs(1));
+        assert_eq!(probe.emitted(), 0);
+        assert_eq!(
+            net.obs_snapshot().counter("fault.missed"),
+            10,
+            "one per scheduled emission"
+        );
+    }
+
     #[test]
     fn blob_sensor_carries_bytes() {
         let mut net = SimNet::new(SimConfig::with_seed(4));
@@ -637,7 +652,7 @@ mod tests {
                         epoch: self.epoch,
                     };
                     self.epoch += 1;
-                    ctx.send(self.target, frame.to_payload());
+                    ctx.send(self.target, frame.to_bytes());
                     ctx.set_timer(self.period, 1);
                 }
                 ActorEvent::Message { payload, .. } => {
@@ -752,7 +767,7 @@ mod tests {
                         sensor: SensorId(999),
                         epoch: 0,
                     };
-                    ctx.send(self.target, frame.to_payload());
+                    ctx.send(self.target, frame.to_bytes());
                     // Corrupt bytes.
                     ctx.send(self.target, bytes::Bytes::from_static(&[0xff, 0xff]));
                 }
@@ -845,7 +860,7 @@ mod proptests {
                             ctx.send(
                                 self.target,
                                 RadioFrame::PollRequest { sensor: SensorId(1), epoch: 0 }
-                                    .to_payload(),
+                                    .to_bytes(),
                             );
                             ctx.set_timer(self.period, 1);
                         }

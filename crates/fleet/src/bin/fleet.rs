@@ -1,16 +1,16 @@
 //! The fleet orchestrator CLI.
 //!
 //! ```text
-//! fleet run     <manifest> [--threads N] [--out PATH] [--obs-out PATH]
+//! fleet run     <manifest> [--threads N] [--obs-out PATH]
 //! fleet expand  <manifest>
 //! fleet home    <manifest> <home-index>
 //! ```
 //!
 //! * `run` expands the manifest, executes every home across the worker
-//!   pool, prints the summary + per-axis breakdown, and writes the
-//!   `BENCH_fleet.json` aggregate (`--out`, default `BENCH_fleet.json`).
-//!   `--obs-out` additionally writes the merged `ObsSnapshot` JSON —
-//!   the document CI compares byte-for-byte across `--threads` values.
+//!   pool and prints the summary + per-axis breakdown. `--obs-out`
+//!   writes the merged `ObsSnapshot` JSON — the document CI compares
+//!   byte-for-byte across `--threads` values; without it nothing is
+//!   written.
 //! * `expand` prints the resolved home list without running anything.
 //! * `home` re-runs a single home standalone — the debugging path for
 //!   a failure found in a fleet run; seeds derive from
@@ -19,12 +19,12 @@
 use std::process::ExitCode;
 
 use rivulet_fleet::executor::{run_fleet, run_home};
-use rivulet_fleet::report::{render_bench_json, render_summary};
+use rivulet_fleet::report::render_summary;
 use rivulet_fleet::FleetManifest;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: fleet run <manifest> [--threads N] [--out PATH] [--obs-out PATH]\n\
+        "usage: fleet run <manifest> [--threads N] [--obs-out PATH]\n\
          \x20      fleet expand <manifest>\n\
          \x20      fleet home <manifest> <home-index>"
     );
@@ -66,8 +66,6 @@ fn main() -> ExitCode {
             let threads: usize = flag_value(&args, "--threads")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0);
-            let out_path =
-                flag_value(&args, "--out").unwrap_or_else(|| "BENCH_fleet.json".to_owned());
             let obs_out = flag_value(&args, "--obs-out");
 
             println!(
@@ -79,9 +77,6 @@ fn main() -> ExitCode {
             );
             let outcome = run_fleet(&manifest, threads);
             print!("{}", render_summary(&outcome));
-
-            std::fs::write(&out_path, render_bench_json(&outcome)).expect("write fleet bench json");
-            println!("wrote {out_path}");
             if let Some(obs_path) = obs_out {
                 std::fs::write(&obs_path, outcome.merged.to_json())
                     .expect("write merged obs snapshot");

@@ -19,8 +19,8 @@
 //!    judges a per-home delivery-correctness verdict.
 //! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge (in
 //!    home-index order, so the result is byte-identical across thread
-//!    counts) into one fleet-wide snapshot with `fleet.*` counters, a
-//!    per-axis breakdown table, and the `BENCH_fleet.json` aggregate.
+//!    counts) into one fleet-wide snapshot with `fleet.*` counters, and
+//!    a per-axis breakdown table.
 //!
 //! ```text
 //! cargo run -p rivulet-fleet --release -- run manifests/fleet_smoke.toml
@@ -39,5 +39,5 @@ pub mod value;
 
 pub use executor::{run_fleet, run_home, FleetOutcome, HomeResult};
 pub use manifest::{derive_home_seed, FleetManifest, HomeParams, HomeSpec};
-pub use report::{axis_breakdown, render_bench_json, render_summary};
+pub use report::{axis_breakdown, render_summary};
 pub use value::{ParseError, Value};

@@ -284,7 +284,7 @@ pub struct Axis {
 /// A parsed, validated fleet manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetManifest {
-    /// Fleet name (labels reports and `BENCH_fleet.json`).
+    /// Fleet name (labels reports).
     pub name: String,
     /// Fleet-level RNG seed; per-home seeds derive from it via
     /// [`derive_home_seed`].

@@ -1,5 +1,4 @@
-//! Fleet reports: per-axis breakdowns, the human-readable summary, and
-//! the `BENCH_fleet.json` document CI uploads.
+//! Fleet reports: per-axis breakdowns and the human-readable summary.
 
 use rivulet_bench::tables::{render_axis_table, AxisRow};
 
@@ -85,75 +84,6 @@ pub fn render_summary(outcome: &FleetOutcome) -> String {
     out
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
-/// Renders `BENCH_fleet.json`: the fleet aggregate block and the
-/// per-axis breakdown. Wall-clock figures live *only* here — the
-/// merged `ObsSnapshot` stays wall-clock-free so it can be compared
-/// byte-for-byte across thread counts.
-#[must_use]
-pub fn render_bench_json(outcome: &FleetOutcome) -> String {
-    let mut out = String::from("{\n  \"fleet\": {\n");
-    out.push_str(&format!("    \"name\": \"{}\",\n", outcome.name));
-    out.push_str(&format!("    \"seed\": {},\n", outcome.seed));
-    out.push_str(&format!("    \"homes\": {},\n", outcome.homes.len()));
-    out.push_str(&format!("    \"threads\": {},\n", outcome.threads));
-    out.push_str(&format!(
-        "    \"events_emitted\": {},\n",
-        outcome.events_emitted()
-    ));
-    out.push_str(&format!(
-        "    \"events_delivered\": {},\n",
-        outcome.events_delivered()
-    ));
-    out.push_str(&format!(
-        "    \"homes_failed\": {},\n",
-        outcome.homes_failed()
-    ));
-    out.push_str(&format!(
-        "    \"wall_secs\": {},\n",
-        json_f(outcome.wall_secs)
-    ));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {},\n",
-        json_f(outcome.events_per_sec())
-    ));
-    out.push_str(&format!(
-        "    \"homes_per_sec\": {}\n  }},\n",
-        json_f(outcome.homes_per_sec())
-    ));
-    out.push_str("  \"axes\": [\n");
-    let rows = axis_breakdown(outcome);
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"axis\": \"{}\", \"value\": \"{}\", \"homes\": {}, ",
-                    "\"emitted\": {}, \"delivered\": {}, \"failed\": {}, ",
-                    "\"delivered_fraction\": {}}}"
-                ),
-                r.axis,
-                r.value,
-                r.homes,
-                r.emitted,
-                r.delivered,
-                r.failed,
-                json_f(r.delivered_fraction()),
-            )
-        })
-        .collect();
-    out.push_str(&rendered.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +127,6 @@ durable = [false, true]
                 .sum();
             assert_eq!(total, out.homes.len() as u64, "axis {axis}");
         }
-    }
-
-    #[test]
-    fn bench_json_contains_gate_fields() {
-        let out = outcome();
-        let json = render_bench_json(&out);
-        assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"homes_failed\": 0"));
-        assert!(json.contains("\"axis\": \"loss\""));
     }
 
     #[test]

@@ -70,6 +70,11 @@ pub enum WireError {
     /// to coalesce, so an empty batch is always an encoder bug or
     /// corruption.
     EmptyBatch,
+    /// A complete value was followed by bytes it does not account for.
+    TrailingBytes {
+        /// How many bytes were left over.
+        remaining: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -88,6 +93,9 @@ impl fmt::Display for WireError {
             }
             WireError::InvalidUtf8 => write!(f, "byte-string is not valid utf-8"),
             WireError::EmptyBatch => write!(f, "frame declared zero messages"),
+            WireError::TrailingBytes { remaining } => {
+                write!(f, "{remaining} trailing bytes after a complete value")
+            }
         }
     }
 }
@@ -407,8 +415,8 @@ pub trait Wire: Sized {
         let mut r = WireReader::new(buf);
         let value = Self::decode(&mut r)?;
         if !r.is_empty() {
-            return Err(WireError::LengthTooLarge {
-                declared: r.remaining() as u64,
+            return Err(WireError::TrailingBytes {
+                remaining: r.remaining(),
             });
         }
         Ok(value)
@@ -426,8 +434,8 @@ pub trait Wire: Sized {
         let mut r = WireReader::from_shared(buf);
         let value = Self::decode(&mut r)?;
         if !r.is_empty() {
-            return Err(WireError::LengthTooLarge {
-                declared: r.remaining() as u64,
+            return Err(WireError::TrailingBytes {
+                remaining: r.remaining(),
             });
         }
         Ok(value)
@@ -714,7 +722,9 @@ mod tests {
         5u32.encode(&mut w);
         w.put_u8(0xaa);
         let buf = w.into_bytes();
-        assert!(u32::from_bytes(&buf).is_err());
+        let want = Err(WireError::TrailingBytes { remaining: 1 });
+        assert_eq!(u32::from_bytes(&buf), want);
+        assert_eq!(u32::from_shared_bytes(&buf), want);
     }
 
     #[test]
