@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper's evaluation as
 //! text. Run with a figure id (`fig1`, `fig3`, `fig4a`, `fig4b`,
 //! `fig5`, `fig6`, `fig7`, `fig8`, `table1`, `table3`) or `all`.
-//! `obs-json` / `obs-prom` dump the full observability snapshot of the
-//! Fig. 7 failover run as deterministic JSON or Prometheus text.
+//! `obs-json` dumps the full observability snapshot of the Fig. 7
+//! failover run as deterministic JSON.
 //!
 //! ```text
 //! cargo run -p rivulet-bench --bin figures -- fig6
@@ -52,8 +52,7 @@ fn main() {
             } else {
                 Duration::from_secs(120)
             }),
-            "obs-json" => print_obs(false),
-            "obs-prom" => print_obs(true),
+            "obs-json" => print_obs(),
             "all" => {
                 print!("{}", tables::render_table1());
                 println!();
@@ -200,18 +199,14 @@ fn print_fig7(run_len: Duration) {
 /// Dumps the observability snapshot of the Fig. 7 Gapless failover run
 /// (crash at t = 24 s, seed 11): every number the figures print comes
 /// from this export.
-fn print_obs(prometheus: bool) {
+fn print_obs() {
     let out = fig7::run(
         Delivery::Gapless,
         Time::from_secs(24),
         Duration::from_secs(50),
         11,
     );
-    if prometheus {
-        print!("{}", out.obs.to_prometheus());
-    } else {
-        print!("{}", out.obs.to_json());
-    }
+    print!("{}", out.obs.to_json());
 }
 
 fn print_fig8(run_len: Duration) {

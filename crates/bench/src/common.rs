@@ -13,11 +13,9 @@ use rivulet_core::app::{AppBuilder, CombinerSpec, WindowSpec};
 use rivulet_core::config::ForwardingMode;
 use rivulet_core::delivery::Delivery;
 use rivulet_core::deploy::{Home, HomeBuilder};
-use rivulet_core::probe::{AppProbe, DeliveryRecord};
 use rivulet_core::RivuletConfig;
 use rivulet_devices::fault::{FaultKind, FaultPlan, FaultSpec};
-use rivulet_devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
-use rivulet_net::metrics::FanoutSnapshot;
+use rivulet_devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_obs::ObsSnapshot;
 use rivulet_types::{AppId, Duration, EventKind, ProcessId, Time};
@@ -126,17 +124,6 @@ pub struct DeliveryOutcome {
     pub unique_delivered: usize,
     /// Mean sensor→logic delay.
     pub mean_delay: Option<Duration>,
-    /// Maximum observed delay.
-    pub max_delay: Option<Duration>,
-    /// Bytes sent on the inter-process WiFi mesh (payloads + frame
-    /// headers), including platform background traffic.
-    pub wifi_bytes: u64,
-    /// Raw delivery records (for timelines).
-    pub deliveries: Vec<DeliveryRecord>,
-    /// Promotion/demotion history.
-    pub transitions: Vec<(Time, ProcessId, bool)>,
-    /// Encode-once / coalescing savings recorded during the run.
-    pub fanout: FanoutSnapshot,
     /// Full observability snapshot (empty unless
     /// [`DeliveryScenario::obs`] was set).
     pub obs: ObsSnapshot,
@@ -161,16 +148,6 @@ impl DeliveryOutcome {
 /// of range).
 #[must_use]
 pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
-    let (outcome, _, _) = run_delivery_with_probes(cfg);
-    outcome
-}
-
-/// Like [`run_delivery`], also returning the emission and app probes
-/// for custom analysis.
-#[must_use]
-pub fn run_delivery_with_probes(
-    cfg: &DeliveryScenario,
-) -> (DeliveryOutcome, Arc<EmissionProbe>, Arc<AppProbe>) {
     assert!(cfg.n_processes > 0, "need at least one process");
     assert!(
         cfg.receivers.iter().all(|r| *r < cfg.n_processes),
@@ -278,19 +255,12 @@ pub fn run_delivery_with_probes(
 
     net.run_until(Time::ZERO + cfg.duration);
 
-    let delays = app_probe.delays();
-    let outcome = DeliveryOutcome {
+    DeliveryOutcome {
         emitted: emission_probe.emitted(),
         unique_delivered: app_probe.unique_delivered(),
         mean_delay: app_probe.mean_delay(),
-        max_delay: delays.iter().copied().max(),
-        wifi_bytes: net.metrics().wifi_bytes,
-        deliveries: app_probe.deliveries(),
-        transitions: app_probe.transitions(),
-        fanout: net.metrics().fanout.snapshot(),
         obs: net.obs_snapshot(),
-    };
-    (outcome, emission_probe, app_probe)
+    }
 }
 
 /// WiFi bytes of a run identical to `cfg` except that delivering an

@@ -14,9 +14,9 @@
 //! ground-truth model at their emission instant — exactly what an app
 //! computing on the readings would experience. Every number is
 //! reproducible bit-exactly from `(seed, fault kind, rate, repair)`;
-//! the module tests assert (not just print) that switching repair on
-//! strictly improves correctness for the stuck, flapping, drift, and
-//! ghost fault kinds.
+//! `tests/fault_suite.rs` asserts (not just prints) that switching
+//! repair on strictly improves correctness for the stuck, flapping,
+//! drift, and ghost fault kinds.
 
 use std::collections::BTreeSet;
 
@@ -372,92 +372,17 @@ pub fn render_json(rows: &[FaultRow]) -> String {
 mod tests {
     use super::*;
 
-    fn row(kind: FaultKind, rate: f64) -> (FaultOutcome, FaultOutcome) {
-        let mut base = FaultScenario::new(kind, rate, false);
+    #[test]
+    fn clean_run_is_fully_correct_with_and_without_repair() {
+        let mut base = FaultScenario::new(FaultKind::StuckAt, 0.0, false);
         base.duration = Duration::from_secs(120);
         let mut healed = base.clone();
         healed.repair = true;
-        (run_fault(&base), run_fault(&healed))
-    }
-
-    #[test]
-    fn clean_run_is_fully_correct_with_and_without_repair() {
-        let (off, on) = row(FaultKind::StuckAt, 0.0);
+        let (off, on) = (run_fault(&base), run_fault(&healed));
         assert!(off.delivered > 100, "delivered {}", off.delivered);
         assert_eq!(off.correct, off.delivered, "no fault, no error");
         assert_eq!(on.correct, on.delivered, "repair harmless when clean");
         assert_eq!(on.delivered, off.delivered, "repair toggles nothing");
         assert_eq!(on.obs.counter("repair.substitutions"), 0);
-    }
-
-    #[test]
-    fn repair_strictly_improves_stuck_correctness() {
-        let (off, on) = row(FaultKind::StuckAt, 0.5);
-        assert!(off.correctness() < 1.0, "fault must bite: {:?}", off);
-        assert!(
-            on.correctness() > off.correctness(),
-            "repair on {:.4} vs off {:.4}",
-            on.correctness(),
-            off.correctness()
-        );
-        assert!(on.obs.counter("repair.substitutions") > 0);
-    }
-
-    #[test]
-    fn repair_strictly_improves_flapping_correctness() {
-        let (off, on) = row(FaultKind::Flapping, 0.5);
-        assert!(off.correctness() < 1.0, "fault must bite: {:?}", off);
-        assert!(
-            on.correctness() > off.correctness(),
-            "repair on {:.4} vs off {:.4}",
-            on.correctness(),
-            off.correctness()
-        );
-        assert!(on.obs.counter("repair.substitutions") > 0);
-    }
-
-    #[test]
-    fn repair_strictly_improves_drift_correctness() {
-        let (off, on) = row(FaultKind::Drift, 0.5);
-        assert!(off.correctness() < 1.0, "fault must bite: {:?}", off);
-        assert!(
-            on.correctness() > off.correctness(),
-            "repair on {:.4} vs off {:.4}",
-            on.correctness(),
-            off.correctness()
-        );
-        assert!(on.obs.counter("repair.substitutions") > 0);
-    }
-
-    #[test]
-    fn repair_strictly_improves_ghost_correctness_and_quarantines() {
-        let (off, on) = row(FaultKind::Ghost, 0.5);
-        assert!(off.ghosts_injected > 20, "ghosts {}", off.ghosts_injected);
-        assert!(off.ghosts_delivered > 0, "ghosts reach the app unrepaired");
-        assert!(off.correctness() < 1.0, "ghost readings are wrong");
-        assert!(
-            on.correctness() > off.correctness(),
-            "repair on {:.4} vs off {:.4}",
-            on.correctness(),
-            off.correctness()
-        );
-        assert!(
-            on.obs.counter("repair.quarantines") > 0,
-            "a 50% ghost storm exhausts the outlier budget"
-        );
-    }
-
-    #[test]
-    fn repoll_recovers_missed_poll_answers() {
-        let off = run_repoll(0.6, false, 42);
-        let on = run_repoll(0.6, true, 42);
-        assert!(off.suppressed > 0, "missed fault must bite");
-        assert!(on.obs.counter("repair.repolls") > 0, "stall detector fired");
-        assert!(
-            on.correct >= off.correct,
-            "re-polls never lose readings: on {} vs off {}",
-            on.correct,
-            off.correct
-        );
     }
 }

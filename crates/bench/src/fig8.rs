@@ -59,23 +59,15 @@ impl std::fmt::Display for Mode {
     }
 }
 
-/// Runs the polling experiment for one mode with the default 2 %
-/// radio loss the paper's real Z-Wave testbed exhibits.
+/// Per-link radio loss of the paper's real Z-Wave testbed: poll
+/// requests and responses can both be lost, forcing the coordinated
+/// scheduler's re-poll path.
+const RADIO_LOSS: f64 = 0.02;
+
+/// Runs the polling experiment for one mode under the testbed's 2 %
+/// radio loss.
 #[must_use]
 pub fn run(mode: Mode, duration: Duration, seed: u64) -> Vec<PollingPoint> {
-    run_with_loss(mode, duration, seed, 0.02)
-}
-
-/// Runs the polling experiment for one mode with explicit per-link
-/// radio loss (poll requests and responses can both be lost, forcing
-/// the coordinated scheduler's re-poll path).
-#[must_use]
-pub fn run_with_loss(
-    mode: Mode,
-    duration: Duration,
-    seed: u64,
-    radio_loss: f64,
-) -> Vec<PollingPoint> {
     let (delivery, strategy) = mode.to_wiring();
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let mut home = HomeBuilder::new(&mut net);
@@ -109,14 +101,12 @@ pub fn run_with_loss(
     let probe = home.add_app(app);
     let home = home.build();
 
-    if radio_loss > 0.0 {
-        for (_, id, _) in &declared {
-            let device = home.sensor_actor(*id);
-            for p in &procs {
-                let host = home.actor_of(*p);
-                net.topology_mut().set_loss(device, host, radio_loss);
-                net.topology_mut().set_loss(host, device, radio_loss);
-            }
+    for (_, id, _) in &declared {
+        let device = home.sensor_actor(*id);
+        for p in &procs {
+            let host = home.actor_of(*p);
+            net.topology_mut().set_loss(device, host, RADIO_LOSS);
+            net.topology_mut().set_loss(host, device, RADIO_LOSS);
         }
     }
 

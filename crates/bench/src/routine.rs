@@ -9,7 +9,8 @@
 //! around a trigger so the crash lands before staging, mid-staging,
 //! between stage acks, and after the durable commit decision.
 //!
-//! For every run the harness asserts the two paper-level invariants:
+//! For every run the harness measures the two paper-level invariants
+//! (`tests/routine_suite.rs` asserts them):
 //!
 //! 1. **All-or-nothing**: cross-checking each ledger instance's staged
 //!    [`rivulet_types::CommandId`]s against the actuator probes' effect
@@ -282,8 +283,8 @@ pub fn routines_table(offsets_ms: &[u64], duration: Duration, seed: u64) -> Vec<
 
 /// Tampers with every entry of `ledger` in turn and counts how many
 /// corruptions [`LedgerVerifier::verify`] pinpoints at the exact
-/// tampered index. Returns `(entries, exact_detections)` — the gate
-/// requires them equal.
+/// tampered index. Returns `(entries, exact_detections)` —
+/// `tests/routine_suite.rs` requires them equal.
 #[must_use]
 pub fn corruption_exactness(seed: u64, ledger: &[LedgerEntry]) -> (usize, usize) {
     let mut exact = 0usize;
@@ -372,65 +373,4 @@ pub fn render_json(rows: &[RoutineRow], corruption: (usize, usize)) -> String {
         corruption.0,
         corruption.1,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_commits_every_firing_and_ledger_verifies() {
-        let o = run_routine_scenario(&RoutineScenario {
-            crash_offset: None,
-            duration: Duration::from_secs(30),
-            seed: 42,
-        });
-        assert!(o.instances >= 4, "staged {} instances", o.instances);
-        assert_eq!(o.committed as usize, o.instances, "all firings commit");
-        assert_eq!(o.partial_firings, 0);
-        assert_eq!(o.phantom_firings, 0);
-        assert_eq!(o.ledger_broken, None, "chain verifies");
-        // Staged + Committed per instance.
-        assert_eq!(o.ledger_entries, o.instances * 2);
-    }
-
-    #[test]
-    fn mid_staging_crash_never_fires_partially() {
-        // +2 ms lands inside the staging round trip (radio ≈1 ms/hop).
-        let o = run_routine_scenario(&RoutineScenario {
-            crash_offset: Some(Duration::from_millis(2)),
-            duration: Duration::from_secs(30),
-            seed: 42,
-        });
-        assert_eq!(o.partial_firings, 0, "all-or-nothing under crash");
-        assert_eq!(o.phantom_firings, 0);
-        assert_eq!(o.ledger_broken, None, "recovered chain verifies");
-        assert!(o.instances >= 4, "staged {} instances", o.instances);
-    }
-
-    #[test]
-    fn corruption_is_pinpointed_exactly() {
-        let o = run_routine_scenario(&RoutineScenario {
-            crash_offset: None,
-            duration: Duration::from_secs(30),
-            seed: 42,
-        });
-        let (entries, exact) = corruption_exactness(42, &o.ledger);
-        assert!(entries >= 8, "ledger has {entries} entries");
-        assert_eq!(exact, entries, "every corruption detected at its index");
-    }
-
-    #[test]
-    fn runs_are_reproducible() {
-        let cfg = RoutineScenario {
-            crash_offset: Some(Duration::from_millis(4)),
-            duration: Duration::from_secs(20),
-            seed: 7,
-        };
-        let a = run_routine_scenario(&cfg);
-        let b = run_routine_scenario(&cfg);
-        assert_eq!(a.ledger, b.ledger, "ledger is a pure function of seed");
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.aborted, b.aborted);
-    }
 }

@@ -1,6 +1,6 @@
-//! Tables 1 and 3 — the application and sensor surveys — the Fig. 2
-//! deployment diagram, and the fleet per-axis breakdown, rendered as
-//! text for the `figures` and `fleet` binaries.
+//! Tables 1 and 3 — the application and sensor surveys — and the
+//! Fig. 2 deployment diagram, rendered as text for the `figures`
+//! binary.
 
 use rivulet_core::app::catalog as app_catalog;
 use rivulet_core::execution::placement::{chain_for, Reachability};
@@ -110,116 +110,9 @@ pub fn render_fig2() -> String {
     out
 }
 
-/// A dead (zero) counter renders as `-` so it cannot be mistaken for a
-/// small-but-live one: a column of dashes says "this path never fired".
-fn fmt_counter(v: u64) -> String {
-    if v == 0 {
-        "-".to_owned()
-    } else {
-        v.to_string()
-    }
-}
-
-/// One row of a fleet per-axis breakdown: all homes sharing one value
-/// of one manifest axis, aggregated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AxisRow {
-    /// Manifest axis key (e.g. `loss`).
-    pub axis: String,
-    /// The axis value these homes share, as the manifest wrote it.
-    pub value: String,
-    /// Homes in this group.
-    pub homes: u64,
-    /// Events emitted across the group.
-    pub emitted: u64,
-    /// Events delivered across the group.
-    pub delivered: u64,
-    /// Homes that missed their delivery-correctness floor.
-    pub failed: u64,
-}
-
-impl AxisRow {
-    /// Group-wide delivered fraction.
-    #[must_use]
-    pub fn delivered_fraction(&self) -> f64 {
-        if self.emitted == 0 {
-            return 0.0;
-        }
-        self.delivered as f64 / self.emitted as f64
-    }
-}
-
-/// Renders a fleet's per-axis breakdown (delivery rate vs. each
-/// manifest axis) as one table. Rows arrive grouped by axis; a blank
-/// line separates axes so e.g. the link-quality sweep reads as a unit.
-#[must_use]
-pub fn render_axis_table(rows: &[AxisRow]) -> String {
-    let mut out = String::from("Fleet breakdown: delivery rate by manifest axis\n");
-    out.push_str(&format!(
-        "{:<22} {:<14} {:>7} {:>10} {:>10} {:>10} {:>7}\n",
-        "axis", "value", "homes", "emitted", "delivered", "rate", "failed"
-    ));
-    let mut last_axis: Option<&str> = None;
-    for row in rows {
-        if last_axis.is_some_and(|a| a != row.axis) {
-            out.push('\n');
-        }
-        last_axis = Some(&row.axis);
-        out.push_str(&format!(
-            "{:<22} {:<14} {:>7} {:>10} {:>10} {:>9.1}% {:>7}\n",
-            row.axis,
-            row.value,
-            row.homes,
-            row.emitted,
-            row.delivered,
-            row.delivered_fraction() * 100.0,
-            fmt_counter(row.failed),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn axis_table_groups_by_axis() {
-        let rows = vec![
-            AxisRow {
-                axis: "loss".into(),
-                value: "0".into(),
-                homes: 8,
-                emitted: 800,
-                delivered: 800,
-                failed: 0,
-            },
-            AxisRow {
-                axis: "loss".into(),
-                value: "0.1".into(),
-                homes: 8,
-                emitted: 800,
-                delivered: 792,
-                failed: 0,
-            },
-            AxisRow {
-                axis: "forwarding".into(),
-                value: "ring".into(),
-                homes: 8,
-                emitted: 800,
-                delivered: 796,
-                failed: 1,
-            },
-        ];
-        let t = render_axis_table(&rows);
-        assert!(t.contains("loss"));
-        assert!(t.contains("forwarding"));
-        assert!(t.contains("99.0%"), "{t}");
-        // Zero failures render as a dash, like every dead counter.
-        assert!(t.lines().any(|l| l.trim_end().ends_with('-')), "{t}");
-        // One blank separator between the two axes.
-        assert_eq!(t.matches("\n\n").count(), 1, "{t}");
-    }
 
     #[test]
     fn tables_render_all_rows() {

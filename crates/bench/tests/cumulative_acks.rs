@@ -6,7 +6,7 @@
 //! No test noticed, because nothing asserted the counter was *live*.
 //! These tests pin the fix at the whole-platform level: a run must
 //! retire pending broadcasts via keep-alive watermarks (counted in
-//! `acks_avoided` at the origin).
+//! `fanout.acks_avoided` at the origin).
 
 use rivulet_bench::common::{run_delivery, DeliveryOutcome, DeliveryScenario};
 use rivulet_core::config::ForwardingMode;
@@ -14,13 +14,14 @@ use rivulet_core::delivery::Delivery;
 use rivulet_types::Duration;
 
 /// The §8 scenario at 1 KiB events, 50/s for 60 virtual seconds on a
-/// five-process home.
+/// five-process home, recorder on.
 fn run(forwarding: ForwardingMode) -> DeliveryOutcome {
     let mut cfg = DeliveryScenario::paper_default(Delivery::Gapless);
     cfg.event_bytes = 1024;
     cfg.rate_per_sec = 50;
     cfg.duration = Duration::from_secs(60);
     cfg.forwarding = forwarding;
+    cfg.obs = true;
     run_delivery(&cfg)
 }
 
@@ -32,7 +33,7 @@ fn optimized_broadcast_run_retires_events_via_cumulative_acks() {
         "sanity: the run must deliver events"
     );
     assert!(
-        out.fanout.acks_avoided > 0,
+        out.obs.counter("fanout.acks_avoided") > 0,
         "cumulative acks retired nothing in a broadcast run \
          (delivered {}): the watermark-retirement path is dead again",
         out.unique_delivered
@@ -45,7 +46,7 @@ fn optimized_ring_run_retires_tracked_events() {
     // flood) and must also retire through received watermarks.
     let out = run(ForwardingMode::Ring);
     assert!(
-        out.fanout.acks_avoided > 0,
+        out.obs.counter("fanout.acks_avoided") > 0,
         "ring-tracked events never retired via cumulative acks"
     );
 }

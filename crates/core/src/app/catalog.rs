@@ -1,8 +1,8 @@
 //! The application survey of Table 1.
 //!
-//! Thirteen representative smart-home applications with their primary
-//! function, sensor types, category, and the delivery guarantee the
-//! paper's study found they require. The `figures` harness renders
+//! Thirteen representative smart-home applications with their sensor
+//! types, category, and the delivery guarantee the paper's study found
+//! they require. The `figures` harness renders
 //! this as Table 1; the entries also serve as ready-made workloads.
 
 use crate::delivery::Delivery;
@@ -40,8 +40,6 @@ impl std::fmt::Display for AppCategory {
 pub struct AppCatalogEntry {
     /// Application name.
     pub name: &'static str,
-    /// Primary function.
-    pub function: &'static str,
     /// Sensor types consumed.
     pub sensors: &'static str,
     /// Category.
@@ -58,91 +56,78 @@ pub fn table1() -> Vec<AppCatalogEntry> {
     vec![
         AppCatalogEntry {
             name: "Occupancy-based HVAC",
-            function: "Set the thermostat set-point based on occupancy",
             sensors: "occupancy",
             category: Efficiency,
             delivery: Gap,
         },
         AppCatalogEntry {
             name: "User-based HVAC",
-            function: "Set the thermostat set-point based on the user's clothing level",
             sensors: "camera",
             category: Efficiency,
             delivery: Gap,
         },
         AppCatalogEntry {
             name: "Automated lighting",
-            function: "Turn on lights if user is present",
             sensors: "occupancy, camera, microphone",
             category: Convenience,
             delivery: Gap,
         },
         AppCatalogEntry {
             name: "Appliance alert",
-            function: "Alert user if appliance is left on while home is unoccupied",
             sensors: "appliance, whole-house energy",
             category: Efficiency,
             delivery: Gap,
         },
         AppCatalogEntry {
             name: "Activity tracking",
-            function: "Periodically infer physical activity using microphone frames",
             sensors: "microphone",
             category: Convenience,
             delivery: Gap,
         },
         AppCatalogEntry {
             name: "Fall alert",
-            function: "Issue alert on a fall-detected event",
             sensors: "wearables",
             category: ElderCare,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Inactive alert",
-            function: "Issue alert if motion/activity not detected",
             sensors: "motion, door-open",
             category: ElderCare,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Flood/fire alert",
-            function: "Issue alert on a water (or fire) detected event",
             sensors: "water, smoke",
             category: Safety,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Intrusion-detection",
-            function: "Record image/issue alert on a door/window-open event",
             sensors: "door-window",
             category: Safety,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Energy billing",
-            function: "Update energy cost on a power-consumption event",
             sensors: "whole-house energy",
             category: Billing,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Temperature-based HVAC",
-            function: "Actuate heating/cooling if temperature crosses a threshold",
             sensors: "temperature",
             category: Efficiency,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Air (or light) monitoring",
-            function: "Issue alert if CO2/CO level surpasses a threshold",
             sensors: "CO, CO2",
             category: Safety,
             delivery: Gapless,
         },
         AppCatalogEntry {
             name: "Surveillance",
-            function: "Record image if it has an unknown object",
             sensors: "camera",
             category: Safety,
             delivery: Gapless,

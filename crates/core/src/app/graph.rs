@@ -262,12 +262,6 @@ impl AppSpec {
             .collect();
         set.into_iter().collect()
     }
-
-    /// The operator with the given id, if any.
-    #[must_use]
-    pub fn operator(&self, id: OperatorId) -> Option<&OperatorSpec> {
-        self.operators.iter().find(|o| o.id == id)
-    }
 }
 
 /// Fluent builder mirroring the Table 2 API.
@@ -447,8 +441,6 @@ mod tests {
         assert_eq!(app.sensors().len(), 3);
         assert_eq!(app.actuators(), vec![ActuatorId(1)]);
         assert_eq!(app.validate().unwrap(), vec![OperatorId(0)]);
-        assert!(app.operator(OperatorId(0)).is_some());
-        assert!(app.operator(OperatorId(9)).is_none());
     }
 
     #[test]

@@ -51,15 +51,6 @@ pub struct CombinedWindows {
 }
 
 impl CombinedWindows {
-    /// The events of stream `key`, empty if absent.
-    #[must_use]
-    pub fn events_of(&self, key: StreamKey) -> &[Event] {
-        self.inputs
-            .iter()
-            .find(|w| w.source == key)
-            .map_or(&[], |w| w.events.as_slice())
-    }
-
     /// Iterates over every event across all streams.
     pub fn all_events(&self) -> impl Iterator<Item = &Event> {
         self.inputs.iter().flat_map(|w| w.events.iter())
@@ -371,9 +362,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(cw.events_of(StreamKey::Sensor(SensorId(1))).len(), 1);
-        assert!(cw.events_of(StreamKey::Operator(OperatorId(9))).is_empty());
-        assert!(cw.events_of(StreamKey::Sensor(SensorId(42))).is_empty());
         assert_eq!(cw.scalars(), vec![1.5]);
         assert_eq!(cw.available_streams(), 1);
         assert_eq!(cw.all_events().count(), 1);

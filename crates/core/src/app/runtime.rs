@@ -77,7 +77,6 @@ pub struct AppRuntime {
     /// `spec.operators` order.
     sensors: Vec<(SensorId, Vec<Subscriber>)>,
     dag: Dag,
-    events_processed: u64,
     stale_drops: u64,
 }
 
@@ -86,7 +85,6 @@ impl std::fmt::Debug for AppRuntime {
         f.debug_struct("AppRuntime")
             .field("app", &self.spec.name)
             .field("windows", &self.dag.windows.len())
-            .field("events_processed", &self.events_processed)
             .finish()
     }
 }
@@ -157,21 +155,8 @@ impl AppRuntime {
             spec,
             sensors,
             dag: Dag { windows, ops },
-            events_processed: 0,
             stale_drops: 0,
         })
-    }
-
-    /// The app being executed.
-    #[must_use]
-    pub fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-
-    /// Total events pushed into the runtime.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Events rejected by a per-input staleness bound (§6).
@@ -205,7 +190,6 @@ impl AppRuntime {
     /// Delivers a sensor event to every subscribing operator window,
     /// firing any count triggers (and cascading).
     pub fn on_event(&mut self, now: Time, event: &Event) -> Vec<RuntimeOutput> {
-        self.events_processed += 1;
         let mut outputs = Vec::new();
         for sub in subscribers(&self.sensors, event.id.sensor) {
             if sub
@@ -392,7 +376,6 @@ mod tests {
             OpOutput::Actuate { kind: CommandKind::Set(s), .. }
                 if *s == rivulet_types::ActuationState::Switch(false)
         ));
-        assert_eq!(rt.events_processed(), 2);
     }
 
     /// Listing 2's averaging chain: sensors → Marzullo avg → HVAC.
@@ -611,7 +594,6 @@ mod reference {
         spec: Arc<AppSpec>,
         windows: HashMap<(OperatorId, StreamKey), Window>,
         emit_seq: HashMap<OperatorId, u64>,
-        events_processed: u64,
         stale_drops: u64,
     }
 
@@ -620,7 +602,6 @@ mod reference {
             f.debug_struct("AppRuntime")
                 .field("app", &self.spec.name)
                 .field("windows", &self.windows.len())
-                .field("events_processed", &self.events_processed)
                 .finish()
         }
     }
@@ -652,15 +633,8 @@ mod reference {
                 spec,
                 windows,
                 emit_seq: HashMap::new(),
-                events_processed: 0,
                 stale_drops: 0,
             })
-        }
-
-        /// Total events pushed into the runtime.
-        #[must_use]
-        pub fn events_processed(&self) -> u64 {
-            self.events_processed
         }
 
         /// Events rejected by a per-input staleness bound (§6).
@@ -696,7 +670,6 @@ mod reference {
         /// Delivers a sensor event to every subscribing operator window,
         /// firing any count triggers (and cascading).
         pub fn on_event(&mut self, now: Time, event: &Event) -> Vec<RuntimeOutput> {
-            self.events_processed += 1;
             let key = StreamKey::Sensor(event.id.sensor);
             let subscribers: Vec<(OperatorId, Option<Duration>)> = self
                 .spec
@@ -771,7 +744,9 @@ mod reference {
         ) {
             let op = self
                 .spec
-                .operator(operator)
+                .operators
+                .iter()
+                .find(|o| o.id == operator)
                 .expect("fire() on unknown operator")
                 .clone();
             // Gather per-stream contributions.
@@ -1042,7 +1017,7 @@ mod proptests {
 
     proptest! {
         /// The compiled runtime is the `HashMap` runtime it replaced:
-        /// same outputs in the same order at every step, same counters,
+        /// same outputs in the same order at every step, same counter,
         /// same timers, same subscriptions.
         #[test]
         fn compiled_runtime_matches_the_reference(
@@ -1100,7 +1075,6 @@ mod proptests {
                 prop_assert_eq!(a, b, "step {}: {:?}", i, step);
                 prop_assert_eq!(compiled.stale_drops(), reference.stale_drops());
             }
-            prop_assert_eq!(compiled.events_processed(), reference.events_processed());
         }
     }
 }

@@ -148,12 +148,6 @@ impl Window {
         }
     }
 
-    /// The specification this window follows.
-    #[must_use]
-    pub fn spec(&self) -> &WindowSpec {
-        &self.spec
-    }
-
     /// Number of buffered events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -343,7 +337,7 @@ mod tests {
             .sliding()
             .with_trigger(TriggerPolicy::OnCount(1))
             .with_evictor(EvictorPolicy::KeepLast(4));
-        let mut w = Window::new(Window::new(spec.clone()).spec().clone());
+        let mut w = Window::new(spec);
         let mut sizes = Vec::new();
         for seq in 0..6 {
             assert!(w.push(ev(seq, 0), Time::ZERO));

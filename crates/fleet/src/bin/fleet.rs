@@ -133,7 +133,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             println!("{spec}");
-            let result = run_home(spec);
+            let (result, obs) = run_home(spec);
             println!(
                 "delivered {}/{} (floor {}): {}",
                 result.delivered,
@@ -141,7 +141,7 @@ fn main() -> ExitCode {
                 result.expected_floor,
                 if result.passed { "PASS" } else { "FAIL" }
             );
-            print!("{}", result.obs.to_json());
+            print!("{}", obs.to_json());
             if result.passed {
                 ExitCode::SUCCESS
             } else {

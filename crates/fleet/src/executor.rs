@@ -29,9 +29,12 @@ use rivulet_obs::ObsSnapshot;
 
 use crate::manifest::{FleetManifest, HomeSpec};
 
-/// Outcome of one home's run, kept per-home for axis breakdowns.
-#[derive(Debug, Clone)]
-pub struct HomeResult {
+/// What a fleet run keeps per home: the verdict and the counts the
+/// axis breakdown needs. The home's `ObsSnapshot` is folded into the
+/// merged snapshot as soon as the home completes, so fleet memory does
+/// not grow with one snapshot per home.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HomeSummary {
     /// The spec that produced this result.
     pub spec: HomeSpec,
     /// Events the home's sensor emitted.
@@ -43,61 +46,6 @@ pub struct HomeResult {
     pub expected_floor: u64,
     /// Whether the home met its delivery-correctness floor.
     pub passed: bool,
-    /// The home's full observability snapshot.
-    pub obs: ObsSnapshot,
-}
-
-impl HomeResult {
-    /// Fraction of emitted events delivered.
-    #[must_use]
-    pub fn delivered_fraction(&self) -> f64 {
-        if self.emitted == 0 {
-            return 0.0;
-        }
-        self.delivered as f64 / self.emitted as f64
-    }
-
-    /// The slim per-home record kept after the snapshot is folded.
-    #[must_use]
-    pub fn summarize(&self) -> HomeSummary {
-        HomeSummary {
-            spec: self.spec.clone(),
-            emitted: self.emitted,
-            delivered: self.delivered,
-            expected_floor: self.expected_floor,
-            passed: self.passed,
-        }
-    }
-}
-
-/// What a fleet run retains per home once the home's `ObsSnapshot`
-/// has been folded into the merged snapshot: the verdict and the
-/// counts the axis breakdown needs. Keeping the full snapshot per
-/// home made fleet memory grow linearly with fleet size; the summary
-/// is a few words.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HomeSummary {
-    /// The spec that produced this result.
-    pub spec: HomeSpec,
-    /// Events the home's sensor emitted.
-    pub emitted: u64,
-    /// Distinct events the application processed.
-    pub delivered: u64,
-    /// Events the delivery-correctness verdict expected.
-    pub expected_floor: u64,
-    /// Whether the home met its delivery-correctness floor.
-    pub passed: bool,
-}
-
-impl HomeSummary {
-    /// Fraction of emitted events delivered.
-    #[must_use]
-    pub fn delivered_fraction(&self) -> f64 {
-        if self.emitted == 0 {
-            return 0.0;
-        }
-        self.delivered as f64 / self.emitted as f64
-    }
 }
 
 /// Aggregated outcome of a whole fleet run.
@@ -153,21 +101,20 @@ impl FleetOutcome {
 }
 
 /// Runs one home to completion and judges its delivery verdict.
+/// Returns the home's summary and its full observability snapshot.
 #[must_use]
-pub fn run_home(spec: &HomeSpec) -> HomeResult {
-    let cfg = spec.params.to_scenario(spec.seed);
-    let out = run_delivery(&cfg);
-    let emitted = out.emitted;
+pub fn run_home(spec: &HomeSpec) -> (HomeSummary, ObsSnapshot) {
+    let out = run_delivery(&spec.params.to_scenario(spec.seed));
     let delivered = out.unique_delivered as u64;
-    let expected_floor = delivery_floor(spec, emitted);
-    HomeResult {
+    let expected_floor = delivery_floor(spec, out.emitted);
+    let summary = HomeSummary {
         spec: spec.clone(),
-        emitted,
+        emitted: out.emitted,
         delivered,
         expected_floor,
         passed: delivered >= expected_floor,
-        obs: out.obs,
-    }
+    };
+    (summary, out.obs)
 }
 
 /// The delivery-correctness floor for a home: how many of `emitted`
@@ -207,17 +154,14 @@ pub fn delivery_floor(spec: &HomeSpec, emitted: u64) -> u64 {
 #[must_use]
 pub fn run_fleet(manifest: &FleetManifest, threads: usize) -> FleetOutcome {
     let specs = manifest.expand().expect("manifest validated at parse time");
-    // CLI request wins; 0 falls back to the manifest's setting; both
-    // zero means one worker per available core.
-    let requested = if threads > 0 {
-        threads
-    } else {
-        manifest.threads
-    };
     // Record the thread count the pool actually runs with (clamped to
     // the home count) — `FleetOutcome::threads` feeds the scaling
     // report, which must not claim parallelism that never happened.
-    let threads = effective_threads(requested).max(1).min(specs.len().max(1));
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .min(specs.len().max(1));
     let started = Instant::now();
     let (results, mut merged) = run_pool(&specs, threads);
     let wall_secs = started.elapsed().as_secs_f64();
@@ -239,18 +183,6 @@ pub fn run_fleet(manifest: &FleetManifest, threads: usize) -> FleetOutcome {
         merged,
         wall_secs,
     }
-}
-
-/// Resolves a thread-count request: 0 means one worker per available
-/// core.
-#[must_use]
-pub fn effective_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// The in-order snapshot fold shared by the pool workers: `merged` has
@@ -282,7 +214,6 @@ impl SnapshotFold {
 /// folded into the shared merged snapshot as soon as the in-order
 /// frontier reaches it; only the slim [`HomeSummary`] is kept per home.
 fn run_pool(specs: &[HomeSpec], threads: usize) -> (Vec<HomeSummary>, ObsSnapshot) {
-    let threads = threads.max(1).min(specs.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<HomeSummary>>> = specs.iter().map(|_| Mutex::new(None)).collect();
     let fold = Mutex::new(SnapshotFold {
@@ -296,13 +227,13 @@ fn run_pool(specs: &[HomeSpec], threads: usize) -> (Vec<HomeSummary>, ObsSnapsho
                 // Claim (steal) the next unclaimed home off the queue.
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = specs.get(i) else { break };
-                let result = run_home(spec);
+                let (summary, obs) = run_home(spec);
                 *slots[i]
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result.summarize());
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(summary);
                 fold.lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .absorb(i, result.obs);
+                    .absorb(i, obs);
             });
         }
     });
@@ -366,7 +297,7 @@ forwarding = ["ring", "broadcast"]
             out.merged.counter("app.deliveries"),
             specs
                 .iter()
-                .map(|s| run_home(s).obs.counter("app.deliveries"))
+                .map(|s| run_home(s).1.counter("app.deliveries"))
                 .sum::<u64>()
         );
     }
@@ -405,19 +336,14 @@ forwarding = ["ring", "broadcast"]
     fn single_home_rerun_matches_fleet_member() {
         // The debugging contract: re-running one home standalone
         // reproduces exactly what it did inside the fleet. The fleet
-        // keeps only the slim summary per home, so the check compares
-        // the summary fields — and verifies the standalone run's full
-        // snapshot is consistent with its own verdict.
+        // keeps only the summary per home, so the check compares
+        // summaries — and verifies the standalone run's full snapshot
+        // is consistent with its own verdict.
         let m = FleetManifest::from_text(SMALL).unwrap();
         let fleet = run_fleet(&m, 3);
         let spec = m.expand().unwrap()[2].clone();
-        let solo = run_home(&spec);
-        let member = &fleet.homes[2];
-        assert_eq!(solo.emitted, member.emitted);
-        assert_eq!(solo.delivered, member.delivered);
-        assert_eq!(solo.expected_floor, member.expected_floor);
-        assert_eq!(solo.passed, member.passed);
-        assert_eq!(solo.obs.counter("app.deliveries") > 0, solo.delivered > 0);
-        assert_eq!(solo.summarize().delivered, member.delivered);
+        let (solo, obs) = run_home(&spec);
+        assert_eq!(solo, fleet.homes[2]);
+        assert_eq!(obs.counter("app.deliveries") > 0, solo.delivered > 0);
     }
 }

@@ -37,7 +37,7 @@ pub mod manifest;
 pub mod report;
 pub mod value;
 
-pub use executor::{run_fleet, run_home, FleetOutcome, HomeResult};
+pub use executor::{run_fleet, run_home, FleetOutcome, HomeSummary};
 pub use manifest::{derive_home_seed, FleetManifest, HomeParams, HomeSpec};
-pub use report::{axis_breakdown, render_summary};
+pub use report::render_summary;
 pub use value::{ParseError, Value};

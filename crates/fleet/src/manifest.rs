@@ -18,7 +18,7 @@ use rivulet_core::delivery::Delivery;
 use rivulet_devices::fault::FaultKind;
 use rivulet_types::{Duration, ProcSet, Time};
 
-use crate::value::{parse, Document, ParseError, Value};
+use crate::value::{parse, ParseError, Value};
 
 /// Derives the RNG seed of home `home_index` in a fleet seeded with
 /// `fleet_seed`.
@@ -292,9 +292,6 @@ pub struct FleetManifest {
     /// Replicated homes per axis permutation, each with a distinct
     /// derived seed.
     pub homes_per_config: usize,
-    /// Default worker threads (0 = one per available core); the CLI
-    /// `--threads` flag overrides.
-    pub threads: usize,
     /// The `[base]` home configuration.
     pub base: HomeParams,
     /// Sweep axes in sorted key order.
@@ -328,11 +325,7 @@ impl fmt::Display for HomeSpec {
 impl FleetManifest {
     /// Parses a manifest from TOML-subset text.
     pub fn from_text(text: &str) -> Result<Self, ParseError> {
-        Self::from_document(parse(text)?)
-    }
-
-    /// Builds a manifest from a parsed [`Document`].
-    pub fn from_document(doc: Document) -> Result<Self, ParseError> {
+        let doc = parse(text)?;
         let known = |name: &str| doc.get(name).cloned().unwrap_or_default();
         for section in doc.keys() {
             if !matches!(section.as_str(), "fleet" | "base" | "axes") {
@@ -345,7 +338,6 @@ impl FleetManifest {
         let mut name = "fleet".to_owned();
         let mut seed = 0u64;
         let mut homes_per_config = 1usize;
-        let mut threads = 0usize;
         for (key, value) in &fleet {
             match key.as_str() {
                 "name" => match value.as_str() {
@@ -369,14 +361,6 @@ impl FleetManifest {
                     _ => {
                         return Err(ParseError {
                             message: "`fleet.homes_per_config` expects a positive integer".into(),
-                        })
-                    }
-                },
-                "threads" => match value.as_u64() {
-                    Some(v) => threads = v as usize,
-                    None => {
-                        return Err(ParseError {
-                            message: "`fleet.threads` expects a non-negative integer".into(),
                         })
                     }
                 },
@@ -436,7 +420,6 @@ impl FleetManifest {
             name,
             seed,
             homes_per_config,
-            threads,
             base,
             axes,
         };
@@ -582,6 +565,11 @@ durable = [false, true]
         let bad = MANIFEST.replace("processes = 5", "coalescing = true");
         let e = FleetManifest::from_text(&bad).unwrap_err();
         assert!(e.message.contains("`base.coalescing`"), "{e}");
+        // So is a removed `[fleet]` setting: `--threads` is the one way
+        // to choose the worker count.
+        let bad = MANIFEST.replace("homes_per_config = 3", "homes_per_config = 3\nthreads = 2");
+        let e = FleetManifest::from_text(&bad).unwrap_err();
+        assert!(e.message.contains("unknown fleet setting `threads`"), "{e}");
     }
 
     #[test]

@@ -1,14 +1,29 @@
 //! Fleet reports: per-axis breakdowns and the human-readable summary.
 
-use rivulet_bench::tables::{render_axis_table, AxisRow};
-
 use crate::executor::FleetOutcome;
+
+/// One row of a fleet per-axis breakdown: all homes sharing one value
+/// of one manifest axis, aggregated.
+#[derive(Debug)]
+struct AxisRow {
+    /// Manifest axis key (e.g. `loss`).
+    axis: String,
+    /// The axis value these homes share, as the manifest wrote it.
+    value: String,
+    /// Homes in this group.
+    homes: u64,
+    /// Events emitted across the group.
+    emitted: u64,
+    /// Events delivered across the group.
+    delivered: u64,
+    /// Homes that missed their delivery-correctness floor.
+    failed: u64,
+}
 
 /// Groups homes by each manifest axis value, in manifest order (axes
 /// sorted by key; values in declaration order, which is how the
 /// expansion enumerates them).
-#[must_use]
-pub fn axis_breakdown(outcome: &FleetOutcome) -> Vec<AxisRow> {
+fn axis_breakdown(outcome: &FleetOutcome) -> Vec<AxisRow> {
     // First-seen order over homes in index order reproduces the
     // manifest's axis/value order, because the expansion cycles every
     // axis in declaration order.
@@ -84,6 +99,41 @@ pub fn render_summary(outcome: &FleetOutcome) -> String {
     out
 }
 
+/// Renders a fleet's per-axis breakdown (delivery rate vs. each
+/// manifest axis) as one table. Rows arrive grouped by axis; a blank
+/// line separates axes so e.g. the link-quality sweep reads as a unit.
+fn render_axis_table(rows: &[AxisRow]) -> String {
+    let mut out = String::from("Fleet breakdown: delivery rate by manifest axis\n");
+    out.push_str(&format!(
+        "{:<22} {:<14} {:>7} {:>10} {:>10} {:>10} {:>7}\n",
+        "axis", "value", "homes", "emitted", "delivered", "rate", "failed"
+    ));
+    let mut last_axis: Option<&str> = None;
+    for row in rows {
+        if last_axis.is_some_and(|a| a != row.axis) {
+            out.push('\n');
+        }
+        last_axis = Some(&row.axis);
+        out.push_str(&format!(
+            "{:<22} {:<14} {:>7} {:>10} {:>10} {:>9.1}% {:>7}\n",
+            row.axis,
+            row.value,
+            row.homes,
+            row.emitted,
+            row.delivered,
+            row.delivered as f64 / row.emitted.max(1) as f64 * 100.0,
+            // A zero renders as `-` so it cannot be mistaken for a
+            // small-but-live count: a column of dashes says "never".
+            if row.failed == 0 {
+                "-".to_owned()
+            } else {
+                row.failed.to_string()
+            },
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +177,31 @@ durable = [false, true]
                 .sum();
             assert_eq!(total, out.homes.len() as u64, "axis {axis}");
         }
+    }
+
+    #[test]
+    fn axis_table_groups_by_axis() {
+        let row = |axis: &str, value: &str, delivered, failed| AxisRow {
+            axis: axis.into(),
+            value: value.into(),
+            homes: 8,
+            emitted: 800,
+            delivered,
+            failed,
+        };
+        let rows = vec![
+            row("loss", "0", 800, 0),
+            row("loss", "0.1", 792, 0),
+            row("forwarding", "ring", 796, 1),
+        ];
+        let t = render_axis_table(&rows);
+        assert!(t.contains("loss"));
+        assert!(t.contains("forwarding"));
+        assert!(t.contains("99.0%"), "{t}");
+        // Zero failures render as a dash, like every dead counter.
+        assert!(t.lines().any(|l| l.trim_end().ends_with('-')), "{t}");
+        // One blank separator between the two axes.
+        assert_eq!(t.matches("\n\n").count(), 1, "{t}");
     }
 
     #[test]

@@ -175,8 +175,7 @@ impl LiveNet {
 
     /// The unified observability handle shared by this driver and every
     /// process deployed on it. Disabled by default; enable it to
-    /// collect an [`rivulet_obs::ObsSnapshot`] (or a Prometheus text
-    /// dump) from a live run.
+    /// collect an [`rivulet_obs::ObsSnapshot`] from a live run.
     #[must_use]
     pub fn recorder(&self) -> rivulet_obs::Recorder {
         self.router.metrics.lock().obs.clone()
@@ -469,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn live_driver_exports_prometheus_snapshot() {
+    fn live_driver_exports_obs_snapshot() {
         let mut net = LiveNet::new(LiveConfig::default());
         net.recorder().set_enabled(true);
         let echo = net.add_actor("echo", ActorClass::Process, || Box::new(Echo));
@@ -487,9 +486,7 @@ mod tests {
         assert!(snap.counter("net.messages_sent") >= 6);
         assert_eq!(snap.events_named("net.crash").len(), 1);
         assert_eq!(snap.spans_named("failover").len(), 1);
-        let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE net_messages_sent counter"));
-        assert!(text.contains("# TYPE net_payload_bytes histogram"));
+        assert!(snap.histogram("net.payload_bytes").is_some());
         net.shutdown();
     }
 }

@@ -283,7 +283,7 @@ mod tests {
         rec.observe("delay", 100);
         let snap = rec.snapshot();
         assert_eq!(snap.counter("bytes"), 42);
-        assert_eq!(snap.gauge("level"), Some(7));
+        assert_eq!(snap.gauges.get("level"), Some(&7));
         assert_eq!(snap.histogram("delay").unwrap().count(), 1);
         assert_eq!(snap.counter("missing"), 0);
     }

@@ -76,12 +76,6 @@ impl ObsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Value of gauge `name`, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Histogram `name`, if any sample was recorded.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
@@ -216,41 +210,6 @@ impl ObsSnapshot {
         out.push_str("]\n}\n");
         out
     }
-
-    /// Renders counters, gauges, and histograms in Prometheus text
-    /// exposition format (metric names have `.` replaced by `_`).
-    /// Timeline events and spans have no Prometheus equivalent and are
-    /// omitted — use [`ObsSnapshot::to_json`] for those.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        for (name, value) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bound, count) in h.nonzero_buckets() {
-                cumulative += count;
-                out.push_str(&format!("{n}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{n}_sum {}\n", h.sum()));
-            out.push_str(&format!("{n}_count {}\n", h.count()));
-        }
-        out
-    }
-}
-
-/// Replaces `.` with `_` for Prometheus metric-name compatibility.
-fn sanitize(name: &str) -> String {
-    name.replace('.', "_")
 }
 
 /// Appends `"key": value` pairs (values pre-rendered) to a JSON object
@@ -408,28 +367,9 @@ mod tests {
     fn merge_gauges_take_the_later_write() {
         let mut a = sample(1);
         a.merge(&sample(2));
-        assert_eq!(a.gauge("level"), Some(2));
+        assert_eq!(a.gauges.get("level"), Some(&2));
         let mut b = sample(2);
         b.merge(&sample(1));
-        assert_eq!(b.gauge("level"), Some(1));
-    }
-
-    #[test]
-    fn prometheus_export_shape() {
-        let mut s = ObsSnapshot::default();
-        s.set_counter("net.wifi_bytes", 7);
-        s.gauges.insert("store.len", 3);
-        let mut h = Histogram::new();
-        h.observe(5);
-        h.observe(900);
-        s.histograms.insert("app.delay_us", h);
-        let text = s.to_prometheus();
-        assert!(text.contains("# TYPE net_wifi_bytes counter\nnet_wifi_bytes 7\n"));
-        assert!(text.contains("# TYPE store_len gauge\nstore_len 3\n"));
-        assert!(text.contains("app_delay_us_bucket{le=\"7\"} 1\n"));
-        assert!(text.contains("app_delay_us_bucket{le=\"1023\"} 2\n"));
-        assert!(text.contains("app_delay_us_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("app_delay_us_sum 905\n"));
-        assert!(text.contains("app_delay_us_count 2\n"));
+        assert_eq!(b.gauges.get("level"), Some(&1));
     }
 }

@@ -23,9 +23,9 @@
 use crate::event::Payload;
 use bytes::{Bytes, BytesMut};
 
-/// Default chunk size: large enough to pack hundreds of Table-3-sized
+/// Chunk size: large enough to pack hundreds of Table-3-sized
 /// payloads, small enough that one straggler view pins little.
-pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
+const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Allocation counters, cheap to copy into observability gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,36 +43,19 @@ pub struct ArenaStats {
 
 /// A chunked slab allocator handing out refcounted [`Bytes`] payload
 /// views (see the module docs for their lifecycle).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PayloadArena {
-    /// The chunk currently being filled.
+    /// The chunk currently being filled (empty until first use).
     chunk: BytesMut,
-    chunk_size: usize,
     stats: ArenaStats,
 }
 
-impl Default for PayloadArena {
-    fn default() -> Self {
-        Self::with_chunk_size(DEFAULT_CHUNK_BYTES)
-    }
-}
-
 impl PayloadArena {
-    /// Creates an arena with the default chunk size.
+    /// Creates an arena; the first chunk is allocated lazily on first
+    /// use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an arena whose chunks hold `chunk_size` bytes (min 64).
-    /// The first chunk is allocated lazily on first use.
-    #[must_use]
-    pub fn with_chunk_size(chunk_size: usize) -> Self {
-        Self {
-            chunk: BytesMut::new(),
-            chunk_size: chunk_size.max(64),
-            stats: ArenaStats::default(),
-        }
     }
 
     /// Copies `data` into the arena, returning a view of exactly those
@@ -81,13 +64,13 @@ impl PayloadArena {
     pub fn alloc(&mut self, data: &[u8]) -> Bytes {
         self.stats.allocs += 1;
         self.stats.bytes += data.len() as u64;
-        if data.len() >= self.chunk_size {
+        if data.len() >= CHUNK_BYTES {
             self.stats.oversize += 1;
             return Bytes::copy_from_slice(data);
         }
         if self.chunk.capacity() - self.chunk.len() < data.len() {
             // Start a fresh chunk; the full one lives on in its views.
-            self.chunk = BytesMut::with_capacity(self.chunk_size);
+            self.chunk = BytesMut::with_capacity(CHUNK_BYTES);
             self.stats.chunks += 1;
         }
         self.chunk.extend_from_slice(data);
@@ -111,12 +94,6 @@ impl PayloadArena {
     pub fn stats(&self) -> ArenaStats {
         self.stats
     }
-
-    /// The configured chunk size in bytes.
-    #[must_use]
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +102,7 @@ mod tests {
 
     #[test]
     fn allocs_pack_into_one_chunk() {
-        let mut arena = PayloadArena::with_chunk_size(1024);
+        let mut arena = PayloadArena::new();
         let a = arena.alloc(b"first");
         let b = arena.alloc(b"second");
         assert_eq!(a, &b"first"[..]);
@@ -142,19 +119,21 @@ mod tests {
 
     #[test]
     fn full_chunk_is_replaced_and_its_views_survive() {
-        let mut arena = PayloadArena::with_chunk_size(128);
-        let pinned = arena.alloc(&[1u8; 100]);
-        let second = arena.alloc(&[2u8; 100]);
+        let mut arena = PayloadArena::new();
+        // Two allocations of just over half a chunk cannot share one.
+        let half = CHUNK_BYTES / 2 + 1;
+        let pinned = arena.alloc(&vec![1u8; half]);
+        let second = arena.alloc(&vec![2u8; half]);
         assert_ne!(second.as_ref().as_ptr(), pinned.as_ref().as_ptr());
-        assert_eq!(pinned, &[1u8; 100][..], "live view unharmed");
+        assert_eq!(pinned, &vec![1u8; half][..], "live view unharmed");
         assert_eq!(arena.stats().chunks, 2);
     }
 
     #[test]
     fn oversize_payloads_bypass_chunks() {
-        let mut arena = PayloadArena::with_chunk_size(64);
-        let big = arena.alloc(&[9u8; 500]);
-        assert_eq!(big.len(), 500);
+        let mut arena = PayloadArena::new();
+        let big = arena.alloc(&vec![9u8; CHUNK_BYTES]);
+        assert_eq!(big.len(), CHUNK_BYTES);
         let s = arena.stats();
         assert_eq!(s.oversize, 1);
         assert_eq!(s.chunks, 0, "no chunk opened for an oversize alloc");
@@ -162,16 +141,17 @@ mod tests {
 
     #[test]
     fn rehome_copies_only_pinning_views() {
-        let mut arena = PayloadArena::with_chunk_size(1024);
-        // A small view pinning a big frame must be re-homed.
-        let frame = Bytes::from(vec![7u8; 4096]);
+        let mut arena = PayloadArena::new();
+        // A small view pinning a frame bigger than a chunk must be
+        // re-homed.
+        let frame = Bytes::from(vec![7u8; 2 * CHUNK_BYTES]);
         let view = frame.slice_ref(&frame[100..116]);
         let rehomed = arena.rehome(Payload::Blob(view.clone()));
         let Payload::Blob(out) = &rehomed else {
             panic!("blob stays blob")
         };
         assert_eq!(*out, view, "contents preserved");
-        assert!(out.backing_len() <= 1024, "no longer pins the frame");
+        assert!(out.backing_len() <= CHUNK_BYTES, "no longer pins the frame");
         assert_eq!(arena.stats().allocs, 1);
         // A whole-backing blob (shared sensor emission) passes through.
         let owned = Bytes::from(vec![1u8; 64]);

@@ -68,8 +68,8 @@ fn main() {
     // so the replay is checked against the retained summary.
     let specs = manifest.expand().expect("validated at parse time");
     let member = &outcome.homes[17];
-    let solo = run_home(&specs[17]);
-    assert_eq!(solo.summarize(), *member);
+    let (solo, _) = run_home(&specs[17]);
+    assert_eq!(solo, *member);
     println!(
         "home 17 re-ran standalone: {}/{} delivered, summary bit-exact vs fleet member",
         solo.delivered, solo.emitted

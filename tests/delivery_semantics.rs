@@ -147,6 +147,30 @@ fn anti_entropy_heals_a_rejoining_process() {
     assert_eq!(tv_store, Some(30), "tv's store did not catch up");
 }
 
+/// Pins ROADMAP 2(a), sync half: the rejoin above recovers only after
+/// the stream, because sync compares per-sensor high watermarks. Here
+/// tv rejoins at 6 s, mid-stream, hears newer events itself first, and
+/// the hole below them must still be filled.
+#[test]
+#[ignore = "ROADMAP 2(a): anti-entropy misses a hole below the high watermark"]
+fn anti_entropy_heals_a_process_rejoining_mid_stream() {
+    let script: Vec<Time> = (1..=30).map(|i| Time::from_millis(400 * i)).collect();
+    let mut s = scripted_home(Delivery::Gapless, script, RivuletConfig::default(), 3);
+    let tv = s.home.actor_of(s.pids[1]);
+    s.net.crash_at(tv, Time::from_secs(2));
+    s.net.recover_at(tv, Time::from_secs(6));
+    s.net.run_until(Time::from_secs(20));
+    assert_eq!(s.probe.unique_delivered(), 30);
+    let tv_store = s
+        .store_probe
+        .samples()
+        .into_iter()
+        .rev()
+        .find(|(_, p, _)| *p == s.pids[1])
+        .map(|(_, _, len)| len);
+    assert_eq!(tv_store, Some(30), "tv's store did not catch up");
+}
+
 #[test]
 fn eager_broadcast_mode_delivers_equivalently() {
     let script: Vec<Time> = (1..=20).map(|i| Time::from_millis(500 * i)).collect();

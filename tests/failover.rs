@@ -222,3 +222,68 @@ fn host_crash_with_express_copies_in_flight_loses_nothing() {
     );
     assert!(after.clone().all(|d| d.by == s.pids[1]), "by the shadow");
 }
+
+/// Pins ROADMAP 2(b): a recovered process mints command ids from 0
+/// again, so the actuator drops its commands as duplicates of the ones
+/// it applied before the crash. Three hosts hear a 10 ev/s sensor; a
+/// lamp reachable only from host 0 is set to each event's sequence
+/// number. Host 0 crashes at 10 s, recovers at 25 s and takes the app
+/// back; every event it processes from then on must reach the lamp.
+#[test]
+#[ignore = "ROADMAP 2(b): recovered processes re-mint command ids from 0"]
+fn a_recovered_host_actuates_every_event_it_processes() {
+    let mut net = SimNet::new(SimConfig::with_seed(3));
+    let config = RivuletConfig::default().with_failure_timeout(Duration::from_secs(2));
+    let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let pids: Vec<ProcessId> = (0..3).map(|i| home.add_host(format!("host{i}"))).collect();
+    let (sensor, _) = home.add_push_sensor(
+        "motion",
+        PayloadSpec::KindOnly(EventKind::Motion),
+        EmissionSchedule::Periodic(Duration::from_millis(100)),
+        &pids,
+    );
+    let (lamp, lamp_probe) = home.add_actuator("lamp", ActuationState::Level(0.0), &[pids[0]]);
+    let app = AppBuilder::new(AppId(1), "follow")
+        .operator(
+            "follow",
+            CombinerSpec::Any,
+            move |ctx: &mut OpCtx, w: &CombinedWindows| {
+                for e in w.all_events() {
+                    ctx.set_level(lamp, e.id.seq as f64);
+                }
+            },
+        )
+        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
+        .actuator(lamp, Delivery::Gapless)
+        .done()
+        .build()
+        .expect("valid app");
+    let probe = home.add_app(app);
+    let home = home.build();
+    let h0 = home.actor_of(pids[0]);
+    net.crash_at(h0, Time::from_secs(10));
+    net.recover_at(h0, Time::from_secs(25));
+    net.run_until(Time::from_secs(40));
+
+    let window = |t: Time| t > Time::from_secs(26) && t <= Time::from_secs(39);
+    let processed = probe
+        .deliveries()
+        .iter()
+        .filter(|d| d.by == pids[0] && window(d.at))
+        .count();
+    let applied = lamp_probe
+        .effects()
+        .iter()
+        .filter(|(t, _, _)| *t > Time::from_secs(26))
+        .count();
+    assert!(
+        processed > 100,
+        "host 0 processed {processed} after recovery"
+    );
+    assert!(
+        applied + 5 >= processed,
+        "host 0 processed {processed} events after recovery but the lamp applied \
+         {applied} commands ({} suppressed as duplicates)",
+        lamp_probe.duplicates_suppressed()
+    );
+}

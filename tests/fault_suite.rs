@@ -202,7 +202,11 @@ fn repair_strictly_improves_value_fault_correctness() {
 #[test]
 fn quarantined_ghost_sensor_stops_contributing() {
     let (off, on) = off_on(FaultKind::Ghost, 0.5);
-    assert!(off.ghosts_injected > 0, "the plan injected ghosts");
+    assert!(
+        off.ghosts_injected > 20,
+        "the plan injected ghosts: {}",
+        off.ghosts_injected
+    );
     assert!(
         off.ghosts_delivered > 0,
         "without repair, ghosts reach the app"
