@@ -13,12 +13,13 @@ use rivulet_core::app::{AppBuilder, CombinerSpec, WindowSpec};
 use rivulet_core::config::ForwardingMode;
 use rivulet_core::delivery::Delivery;
 use rivulet_core::deploy::{Home, HomeBuilder};
+use rivulet_core::probe::{check, ProbeData, Stream, Verdict};
 use rivulet_core::RivuletConfig;
 use rivulet_devices::fault::{FaultKind, FaultPlan, FaultSpec};
 use rivulet_devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_obs::ObsSnapshot;
-use rivulet_types::{AppId, Duration, EventKind, ProcessId, Time};
+use rivulet_types::{AppId, Duration, EventKind, ProcSet, ProcessId, Time};
 
 /// Event payload sizes studied in Figs. 4–6 (Table 3 classes).
 pub const EVENT_SIZES: [(&str, usize); 4] =
@@ -124,6 +125,8 @@ pub struct DeliveryOutcome {
     pub unique_delivered: usize,
     /// Mean sensor→logic delay.
     pub mean_delay: Option<Duration>,
+    /// The checker's judgement of the run ([`check`]).
+    pub verdict: Verdict,
     /// Full observability snapshot (empty unless
     /// [`DeliveryScenario::obs`] was set).
     pub obs: ObsSnapshot,
@@ -189,6 +192,7 @@ pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
         .map(|i| home.add_host(format!("host{i}")))
         .collect();
     let receivers: Vec<ProcessId> = cfg.receivers.iter().map(|r| pids[*r]).collect();
+    let ingest = home.with_ingest_probe();
 
     let period = Duration::from_micros(1_000_000 / cfg.rate_per_sec.max(1));
     let (sensor, emission_probe) = home.add_push_sensor(
@@ -200,7 +204,7 @@ pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
     // An actuator reachable only from host 0 pins the active logic
     // node there (placement prefers the best device score, ties by
     // id), reproducing the paper's fixed application-bearing process.
-    let (anchor, _) = home.add_actuator(
+    let (anchor, anchor_probe) = home.add_actuator(
         "app-anchor",
         rivulet_types::ActuationState::Switch(false),
         &[pids[0]],
@@ -209,16 +213,16 @@ pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
     // the anchor, driving staging + ledger (and recovery on crashing
     // homes). With routines off the trigger request is dropped before
     // it has any effect, so the closure below is byte-neutral.
-    if cfg.routines {
-        let _ = home.add_routine(
+    let routine_probe = cfg.routines.then(|| {
+        home.add_routine(
             rivulet_core::RoutineSpec::new(rivulet_types::RoutineId(1), "fleet-scene")
                 .step_compensated(
                     anchor,
                     rivulet_types::CommandKind::Set(rivulet_types::ActuationState::Switch(true)),
                     rivulet_types::CommandKind::Set(rivulet_types::ActuationState::Switch(false)),
                 ),
-        );
-    }
+        )
+    });
 
     // A no-op measurement app (unless routines are on); the probe
     // records every delivery.
@@ -255,10 +259,36 @@ pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
 
     net.run_until(Time::ZERO + cfg.duration);
 
+    // Events of the last second may still be in flight; after a crash
+    // of the app host, so may those of the failure timeout before it.
+    let second = Duration::from_secs(1);
+    let (crashed, in_flight) = match cfg.crash_app_at {
+        Some(_) => (ProcSet::singleton(pids[0]), second + cfg.failure_timeout),
+        None => (ProcSet::EMPTY, second),
+    };
+    let verdict = check(&ProbeData {
+        streams: vec![Stream {
+            sensor,
+            delivery: cfg.delivery,
+            emitted: emission_probe.log(),
+        }],
+        heard: ingest.heard(),
+        deliveries: app_probe.deliveries(),
+        crashed,
+        owed_before: Time::ZERO + (cfg.duration - in_flight),
+        instances: routine_probe.map_or_else(Vec::new, |p| p.instances()),
+        applied: anchor_probe
+            .effects()
+            .into_iter()
+            .map(|(_, c, _)| c)
+            .collect(),
+        ..ProbeData::default()
+    });
     DeliveryOutcome {
         emitted: emission_probe.emitted(),
         unique_delivered: app_probe.unique_delivered(),
         mean_delay: app_probe.mean_delay(),
+        verdict,
         obs: net.obs_snapshot(),
     }
 }

@@ -9,8 +9,9 @@
 //! around a trigger so the crash lands before staging, mid-staging,
 //! between stage acks, and after the durable commit decision.
 //!
-//! For every run the harness measures the two paper-level invariants
-//! (`tests/routine_suite.rs` asserts them):
+//! For every run the harness judges the two paper-level invariants with
+//! [`rivulet_core::probe::check`] (`tests/routine_suite.rs` asserts
+//! them):
 //!
 //! 1. **All-or-nothing**: cross-checking each ledger instance's staged
 //!    [`rivulet_types::CommandId`]s against the actuator probes' effect
@@ -24,24 +25,22 @@
 //! Every number is reproducible bit-exactly from `(seed, crash
 //! offset)` — the CI job runs the sweep twice and `cmp`s the JSON.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rivulet_core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet_core::delivery::Delivery;
 use rivulet_core::deploy::{Home, HomeBuilder};
+use rivulet_core::probe::{check, ProbeData, Violation};
 use rivulet_core::routine::RoutineSpec;
 use rivulet_core::RivuletConfig;
 use rivulet_devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_obs::ObsSnapshot;
 use rivulet_storage::{
-    FlushPolicy, LedgerEntry, LedgerVerifier, RoutineTransition, SimBackend, StorageBackend, Wal,
-    WalOptions,
+    FlushPolicy, LedgerEntry, LedgerVerifier, SimBackend, StorageBackend, Wal, WalOptions,
 };
 use rivulet_types::{
-    ActuationState, ActuatorId, AppId, CommandId, CommandKind, Duration, EventKind, ProcessId,
-    RoutineId, Time,
+    ActuationState, AppId, CommandKind, Duration, EventKind, ProcessId, RoutineId, Time,
 };
 
 /// The routine under test.
@@ -187,43 +186,28 @@ pub fn run_routine_scenario(cfg: &RoutineScenario) -> RoutineOutcome {
     }
     net.run_until(Time::ZERO + cfg.duration);
 
-    // Ground truth: union of every actuator's applied command ids.
-    let mut fired: BTreeMap<ActuatorId, BTreeSet<CommandId>> = BTreeMap::new();
-    for (id, p) in [
-        (lights, &lights_probe),
-        (thermostat, &thermostat_probe),
-        (lock, &lock_probe),
-    ] {
-        fired.insert(id, p.effects().into_iter().map(|(_, c, _)| c).collect());
-    }
-    let mut partial_firings = 0usize;
-    let mut phantom_firings = 0usize;
-    let instances = probe.instances();
-    for rec in &instances {
-        let applied = rec
-            .commands
-            .iter()
-            .filter(|(a, c)| fired.get(a).is_some_and(|s| s.contains(c)))
-            .count();
-        if applied != 0 && applied != rec.commands.len() {
-            partial_firings += 1;
-        }
-        if applied > 0 && rec.state != RoutineTransition::Committed {
-            phantom_firings += 1;
-        }
-    }
-
-    // Reopen the coordinator's WAL (recovered runs included) and verify
-    // the hash chain end to end.
+    // Reopen the coordinator's WAL (recovered runs included); the
+    // checker verifies its hash chain end to end and cross-checks each
+    // instance's staged command ids against the actuators' effects.
     let (_wal, recovered) = Wal::open(
         Arc::clone(&backends[0]) as Arc<dyn StorageBackend>,
         wal_options,
     )
     .expect("reopen coordinator wal");
     let ledger = recovered.ledger;
-    let ledger_broken = LedgerVerifier::verify(cfg.seed, &ledger)
-        .err()
-        .map(|broken| broken.index);
+    let instances = probe.instances();
+    let staged = instances.len();
+    let verdict = check(&ProbeData {
+        applied: [&lights_probe, &thermostat_probe, &lock_probe]
+            .iter()
+            .flat_map(|p| p.effects().into_iter().map(|(_, c, _)| c))
+            .collect(),
+        instances,
+        ledger: Some((cfg.seed, ledger.clone())),
+        ..ProbeData::default()
+    });
+    let count =
+        |rule: fn(&Violation) -> bool| verdict.violations.iter().filter(|v| rule(v)).count();
 
     RoutineOutcome {
         triggered: probe.triggered(),
@@ -231,11 +215,14 @@ pub fn run_routine_scenario(cfg: &RoutineScenario) -> RoutineOutcome {
         aborted: probe.aborted(),
         compensated: probe.compensated(),
         unreachable: probe.unreachable(),
-        instances: instances.len(),
-        partial_firings,
-        phantom_firings,
+        instances: staged,
+        partial_firings: count(|v| matches!(v, Violation::PartialFiring(_))),
+        phantom_firings: count(|v| matches!(v, Violation::UncommittedFiring(_))),
         ledger_entries: ledger.len(),
-        ledger_broken,
+        ledger_broken: verdict.violations.iter().find_map(|v| match v {
+            Violation::BrokenLedger(index) => Some(*index),
+            _ => None,
+        }),
         ledger,
         obs: net.obs_snapshot(),
     }

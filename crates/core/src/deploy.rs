@@ -26,7 +26,7 @@ use rivulet_types::{ActuationState, ActuatorId, Duration, ProcSet, ProcessId, Se
 
 use crate::app::AppSpec;
 use crate::config::RivuletConfig;
-use crate::probe::{AppProbe, StoreProbe};
+use crate::probe::{AppProbe, IngestProbe, StoreProbe};
 use crate::process::{DurabilitySpec, ProcessSpec, RivuletProcess};
 use crate::routine::{RoutineProbe, RoutineSpec};
 use rivulet_storage::{StorageBackend, WalOptions};
@@ -239,6 +239,7 @@ pub struct HomeBuilder<'a, D: Driver> {
     apps: Vec<(Arc<AppSpec>, Arc<AppProbe>)>,
     storage: Option<StoragePlan>,
     store_probe: Option<Arc<StoreProbe>>,
+    ingest_probe: Option<Arc<IngestProbe>>,
     faults: FaultPlan,
     fault_probe: Arc<FaultProbe>,
     routines: Vec<(Arc<RoutineSpec>, Arc<RoutineProbe>)>,
@@ -267,6 +268,7 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
             apps: Vec::new(),
             storage: None,
             store_probe: None,
+            ingest_probe: None,
             faults: FaultPlan::default(),
             fault_probe: FaultProbe::new(),
             routines: Vec::new(),
@@ -327,6 +329,13 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
     /// its periodic tick; returns the shared probe.
     pub fn with_store_probe(&mut self) -> Arc<StoreProbe> {
         let probe = self.store_probe.get_or_insert_with(StoreProbe::new);
+        Arc::clone(probe)
+    }
+
+    /// Attaches a radio-ingest probe recorded by every process as it
+    /// hears a sensor event; returns the shared probe.
+    pub fn with_ingest_probe(&mut self) -> Arc<IngestProbe> {
+        let probe = self.ingest_probe.get_or_insert_with(IngestProbe::new);
         Arc::clone(probe)
     }
 
@@ -517,6 +526,7 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
                     checkpoint_interval: plan.checkpoint_interval,
                 }),
                 store_probe: self.store_probe.clone(),
+                ingest_probe: self.ingest_probe.clone(),
                 fanout: Arc::clone(&fanout),
                 obs: obs.clone(),
                 routines: self.routines.clone(),

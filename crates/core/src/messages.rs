@@ -552,6 +552,7 @@ mod tests {
             directory,
             storage: None,
             store_probe: None,
+            ingest_probe: None,
             fanout: Arc::default(),
             obs: net.recorder(),
             routines: Vec::new(),

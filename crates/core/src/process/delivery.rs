@@ -27,6 +27,9 @@ impl Running {
     /// An event arrived from a physical sensor via the local adapter.
     pub(super) fn on_sensor_event(&mut self, ctx: &mut Context<'_>, event: Event) {
         let now = ctx.now();
+        if let Some(probe) = &self.ingest_probe {
+            probe.record(self.me, event.id);
+        }
         self.note_epoch_event(ctx, &event);
         let Some(rt) = self.sensors.get(&event.id.sensor) else {
             return; // unknown device: ignore

@@ -61,7 +61,7 @@ use crate::execution::{placement, ExecutionState};
 use crate::gating::DurableGate;
 use crate::membership::{Membership, KEEPALIVE_INTERVAL};
 use crate::messages::{Frame, ProcMsg};
-use crate::probe::{AppProbe, StoreProbe};
+use crate::probe::{AppProbe, IngestProbe, StoreProbe};
 use crate::repair::HealthModel;
 use crate::routine::{RoutineEngine, RoutineProbe, RoutineSpec};
 
@@ -137,6 +137,8 @@ pub struct ProcessSpec {
     pub storage: Option<DurabilitySpec>,
     /// Optional store-residency probe sampled on every tick.
     pub store_probe: Option<Arc<StoreProbe>>,
+    /// Optional radio-ingest probe recorded on every sensor event.
+    pub ingest_probe: Option<Arc<IngestProbe>>,
     /// Shared counters for encode-once / coalescing savings, reported
     /// through the driver's net metrics.
     pub fanout: Arc<FanoutStats>,
@@ -289,6 +291,7 @@ struct Running {
     obs: Recorder,
     fanout: Arc<FanoutStats>,
     store_probe: Option<Arc<StoreProbe>>,
+    ingest_probe: Option<Arc<IngestProbe>>,
     checkpoint_interval: Option<Duration>,
     membership: Membership,
     gapless: GaplessState,
@@ -459,6 +462,7 @@ impl Running {
             obs: spec.obs.clone(),
             fanout: Arc::clone(&spec.fanout),
             store_probe: spec.store_probe.clone(),
+            ingest_probe: spec.ingest_probe.clone(),
             checkpoint_interval: storage.map(|d| d.checkpoint_interval),
             membership: Membership::new(me, &peers, spec.config.failure_timeout, ctx.now()),
             gapless,

@@ -84,7 +84,7 @@ fn main() -> ExitCode {
             }
             if outcome.homes_failed() > 0 {
                 eprintln!(
-                    "fleet: {} home(s) failed delivery correctness",
+                    "fleet: {} home(s) broke a guarantee",
                     outcome.homes_failed()
                 );
                 return ExitCode::FAILURE;
@@ -135,14 +135,21 @@ fn main() -> ExitCode {
             println!("{spec}");
             let (result, obs) = run_home(spec);
             println!(
-                "delivered {}/{} (floor {}): {}",
+                "delivered {}/{}, owed {}: {}",
                 result.delivered,
                 result.emitted,
-                result.expected_floor,
-                if result.passed { "PASS" } else { "FAIL" }
+                result.verdict.owed,
+                if result.verdict.passed() {
+                    "PASS"
+                } else {
+                    "FAIL"
+                }
             );
+            for violation in &result.verdict.violations {
+                println!("  {violation}");
+            }
             print!("{}", obs.to_json());
-            if result.passed {
+            if result.verdict.passed() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

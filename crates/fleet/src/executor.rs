@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rivulet_bench::common::run_delivery;
-use rivulet_core::delivery::Delivery;
+use rivulet_core::probe::Verdict;
 use rivulet_obs::ObsSnapshot;
 
 use crate::manifest::{FleetManifest, HomeSpec};
@@ -41,11 +41,8 @@ pub struct HomeSummary {
     pub emitted: u64,
     /// Distinct events the application processed.
     pub delivered: u64,
-    /// Events the delivery-correctness verdict expected (loss- and
-    /// crash-adjusted floor).
-    pub expected_floor: u64,
-    /// Whether the home met its delivery-correctness floor.
-    pub passed: bool,
+    /// The checker's judgement of the home ([`rivulet_core::probe::check`]).
+    pub verdict: Verdict,
 }
 
 /// Aggregated outcome of a whole fleet run.
@@ -80,10 +77,16 @@ impl FleetOutcome {
         self.homes.iter().map(|h| h.delivered).sum()
     }
 
-    /// Homes that missed their delivery-correctness floor.
+    /// Total events owed across the fleet.
+    #[must_use]
+    pub fn events_owed(&self) -> u64 {
+        self.homes.iter().map(|h| h.verdict.owed).sum()
+    }
+
+    /// Homes that broke a guarantee.
     #[must_use]
     pub fn homes_failed(&self) -> u64 {
-        self.homes.iter().filter(|h| !h.passed).count() as u64
+        self.homes.iter().filter(|h| !h.verdict.passed()).count() as u64
     }
 
     /// The fleet-scale throughput figure: delivered events per
@@ -100,53 +103,18 @@ impl FleetOutcome {
     }
 }
 
-/// Runs one home to completion and judges its delivery verdict.
+/// Runs one home to completion; its verdict is the checker's.
 /// Returns the home's summary and its full observability snapshot.
 #[must_use]
 pub fn run_home(spec: &HomeSpec) -> (HomeSummary, ObsSnapshot) {
     let out = run_delivery(&spec.params.to_scenario(spec.seed));
-    let delivered = out.unique_delivered as u64;
-    let expected_floor = delivery_floor(spec, out.emitted);
     let summary = HomeSummary {
         spec: spec.clone(),
         emitted: out.emitted,
-        delivered,
-        expected_floor,
-        passed: delivered >= expected_floor,
+        delivered: out.unique_delivered as u64,
+        verdict: out.verdict,
     };
     (summary, out.obs)
-}
-
-/// The delivery-correctness floor for a home: how many of `emitted`
-/// events it must deliver to pass.
-///
-/// The floor starts from the guarantee's loss model (§8.3 / Fig. 6):
-/// Gap forwards from a single receiver and is expected to deliver
-/// `1 − loss`; Gapless retrieves events across all `m` receivers and
-/// approaches `1 − lossᵐ`. A crash costs Gap the failure-detection
-/// gap (Gapless replays it from the replicated store), and a few
-/// tail events may still be in flight when virtual time expires. The
-/// manifest's `min_delivered_fraction` then scales the modeled
-/// expectation — it is a *safety margin on the model*, not a raw
-/// delivered fraction.
-#[must_use]
-pub fn delivery_floor(spec: &HomeSpec, emitted: u64) -> u64 {
-    let p = &spec.params;
-    let mut expected = match p.delivery {
-        Delivery::Gap => 1.0 - p.loss,
-        Delivery::Gapless => 1.0 - p.loss.powi(p.receivers.min(p.processes) as i32),
-    } * emitted as f64;
-    if p.crash_at().is_some() && p.delivery == Delivery::Gap {
-        // The gap: events emitted between the crash and promotion of a
-        // shadow (failure timeout plus a keep-alive round, generously).
-        expected -= (p.failure_timeout_secs + 1.0) * p.rate_per_sec as f64;
-    }
-    // In-flight tail: events emitted in the last moments may not have
-    // traversed the ring when the run ends (one full traversal plus
-    // the ack window, ~2 s of emissions, floor of 3 events).
-    let tail = (2.0 * p.rate_per_sec as f64).max(3.0);
-    let floor = (expected * p.min_delivered_fraction - tail).max(0.0);
-    floor.floor() as u64
 }
 
 /// Runs the whole fleet on `threads` workers (0 = one per available
@@ -168,7 +136,7 @@ pub fn run_fleet(manifest: &FleetManifest, threads: usize) -> FleetOutcome {
 
     let emitted: u64 = results.iter().map(|h| h.emitted).sum();
     let delivered: u64 = results.iter().map(|h| h.delivered).sum();
-    let failed = results.iter().filter(|h| !h.passed).count() as u64;
+    let failed = results.iter().filter(|h| !h.verdict.passed()).count() as u64;
     merged.set_counter("fleet.homes", results.len() as u64);
     merged.set_counter("fleet.configs", manifest.config_count() as u64);
     merged.set_counter("fleet.homes_failed", failed);
@@ -313,23 +281,6 @@ forwarding = ["ring", "broadcast"]
         let pooled = run_fleet(&m, 3);
         assert_eq!(serial.merged, pooled.merged);
         assert_eq!(serial.merged.to_json(), pooled.merged.to_json());
-    }
-
-    #[test]
-    fn verdict_floor_respects_loss_model() {
-        let m = FleetManifest::from_text(SMALL).unwrap();
-        let mut spec = m.expand().unwrap()[0].clone();
-        spec.params.rate_per_sec = 100;
-        let lossless = delivery_floor(&spec, 1000);
-        spec.params.loss = 0.5;
-        spec.params.delivery = Delivery::Gap;
-        let lossy = delivery_floor(&spec, 1000);
-        assert!(lossy < lossless, "{lossy} !< {lossless}");
-        // Gapless with several receivers recovers most of the loss.
-        spec.params.delivery = Delivery::Gapless;
-        spec.params.receivers = 3;
-        let recovered = delivery_floor(&spec, 1000);
-        assert!(recovered > lossy, "{recovered} !> {lossy}");
     }
 
     #[test]

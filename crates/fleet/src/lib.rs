@@ -16,7 +16,7 @@
 //!    homes off a shared queue runs every home to completion — each
 //!    an isolated seeded simulation exercising Gapless delivery,
 //!    rbcast, the WAL, and the event store at once — and
-//!    judges a per-home delivery-correctness verdict.
+//!    judges each home with `rivulet_core::probe::check`.
 //! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge (in
 //!    home-index order, so the result is byte-identical across thread
 //!    counts) into one fleet-wide snapshot with `fleet.*` counters, and

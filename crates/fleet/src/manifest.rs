@@ -66,10 +66,6 @@ pub struct HomeParams {
     pub crash_at_secs: f64,
     /// Failure-detection threshold in seconds.
     pub failure_timeout_secs: f64,
-    /// Delivery-correctness verdict floor: the fraction of *expected*
-    /// deliveries (loss- and crash-adjusted) a home must reach to
-    /// pass.
-    pub min_delivered_fraction: f64,
     /// Device fault injected into the home's sensor (`"none"`,
     /// `"stuck"`, `"flapping"`, `"drift"`, `"ghost"`, `"missed"`,
     /// `"battery"`).
@@ -98,7 +94,6 @@ impl Default for HomeParams {
             durable: false,
             crash_at_secs: -1.0,
             failure_timeout_secs: 2.0,
-            min_delivered_fraction: 0.9,
             fault_kind: None,
             fault_rate: 0.0,
             repair: false,
@@ -163,10 +158,6 @@ impl HomeParams {
             "failure_timeout_secs" => match value.as_f64() {
                 Some(v) if v > 0.0 => self.failure_timeout_secs = v,
                 _ => return bad(key, "a positive number", value),
-            },
-            "min_delivered_fraction" => match value.as_f64() {
-                Some(v) if (0.0..=1.0).contains(&v) => self.min_delivered_fraction = v,
-                _ => return bad(key, "a fraction in [0, 1]", value),
             },
             "fault_kind" => match value.as_str() {
                 Some("none") => self.fault_kind = None,
@@ -565,6 +556,15 @@ durable = [false, true]
         let bad = MANIFEST.replace("processes = 5", "coalescing = true");
         let e = FleetManifest::from_text(&bad).unwrap_err();
         assert!(e.message.contains("`base.coalescing`"), "{e}");
+        // The verdict is the checker's; the loss-model floor's margin
+        // is refused by name.
+        let bad = MANIFEST.replace("processes = 5", "min_delivered_fraction = 0.8");
+        let e = FleetManifest::from_text(&bad).unwrap_err();
+        assert!(
+            e.message
+                .contains("`base.min_delivered_fraction`: unknown home parameter"),
+            "{e}"
+        );
         // So is a removed `[fleet]` setting: `--threads` is the one way
         // to choose the worker count.
         let bad = MANIFEST.replace("homes_per_config = 3", "homes_per_config = 3\nthreads = 2");

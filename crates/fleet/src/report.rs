@@ -16,7 +16,7 @@ struct AxisRow {
     emitted: u64,
     /// Events delivered across the group.
     delivered: u64,
-    /// Homes that missed their delivery-correctness floor.
+    /// Homes that broke a guarantee.
     failed: u64,
 }
 
@@ -50,7 +50,7 @@ fn axis_breakdown(outcome: &FleetOutcome) -> Vec<AxisRow> {
             row.homes += 1;
             row.emitted += home.emitted;
             row.delivered += home.delivered;
-            row.failed += u64::from(!home.passed);
+            row.failed += u64::from(!home.verdict.passed());
         }
     }
     // Present grouped by axis (stable sort keeps value order).
@@ -71,25 +71,34 @@ pub fn render_summary(outcome: &FleetOutcome) -> String {
         outcome.wall_secs
     ));
     out.push_str(&format!(
-        "  events: {} emitted, {} delivered ({:.2}%)  aggregate {:.0} events/s, {:.1} homes/s\n",
+        "  events: {} emitted, {} delivered ({:.2}%), {} owed  aggregate {:.0} events/s, {:.1} homes/s\n",
         outcome.events_emitted(),
         outcome.events_delivered(),
         100.0 * outcome.events_delivered() as f64 / outcome.events_emitted().max(1) as f64,
+        outcome.events_owed(),
         outcome.events_per_sec(),
         outcome.homes_per_sec(),
     ));
     let failed = outcome.homes_failed();
     if failed == 0 {
-        out.push_str("  verdicts: all homes met their delivery-correctness floor\n");
+        out.push_str("  verdicts: every home kept every guarantee\n");
     } else {
         out.push_str(&format!(
-            "  verdicts: {failed} home(s) FAILED their delivery-correctness floor:\n"
+            "  verdicts: {failed} home(s) FAILED the checker:\n"
         ));
-        for home in outcome.homes.iter().filter(|h| !h.passed).take(10) {
+        for home in outcome
+            .homes
+            .iter()
+            .filter(|h| !h.verdict.passed())
+            .take(10)
+        {
             out.push_str(&format!(
-                "    {}  delivered {}/{} (floor {})\n",
-                home.spec, home.delivered, home.emitted, home.expected_floor
+                "    {}  delivered {}/{}, owed {}\n",
+                home.spec, home.delivered, home.emitted, home.verdict.owed
             ));
+            for violation in &home.verdict.violations {
+                out.push_str(&format!("      {violation}\n"));
+            }
         }
         if failed > 10 {
             out.push_str(&format!("    ... and {} more\n", failed - 10));
@@ -209,7 +218,7 @@ durable = [false, true]
         let out = outcome();
         let text = render_summary(&out);
         assert!(text.contains("report-test"));
-        assert!(text.contains("delivery-correctness floor"));
+        assert!(text.contains("every home kept every guarantee"), "{text}");
         assert!(text.contains("Fleet breakdown"));
     }
 }

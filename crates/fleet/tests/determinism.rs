@@ -48,8 +48,8 @@ fn merged_snapshot_is_byte_identical_across_thread_counts() {
     // Verdicts and totals are part of the contract too.
     assert_eq!(single.events_delivered(), quad.events_delivered());
     assert_eq!(single.homes_failed(), quad.homes_failed());
-    let verdicts: Vec<bool> = single.homes.iter().map(|h| h.passed).collect();
-    let verdicts_quad: Vec<bool> = quad.homes.iter().map(|h| h.passed).collect();
+    let verdicts: Vec<bool> = single.homes.iter().map(|h| h.verdict.passed()).collect();
+    let verdicts_quad: Vec<bool> = quad.homes.iter().map(|h| h.verdict.passed()).collect();
     assert_eq!(verdicts, verdicts_quad);
 }
 

@@ -6,7 +6,7 @@ use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, Windo
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Driver, Home, HomeBuilder};
 use rivulet::core::messages::{Frame, ProcMsg};
-use rivulet::core::probe::{AppProbe, StoreProbe};
+use rivulet::core::probe::{AppProbe, IngestProbe, ProbeData, StoreProbe, Stream, Verdict};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
 use rivulet::net::actor::{Actor, ActorEvent, ActorId, Context};
@@ -16,7 +16,7 @@ use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::obs::Recorder;
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, WalOptions};
 use rivulet::types::wire::Wire;
-use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, Time};
+use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, SensorId, Time};
 use std::sync::{Arc, Mutex};
 
 pub struct Setup {
@@ -192,4 +192,48 @@ pub fn paced(n: u64) -> EmissionSchedule {
 /// Sequence numbers in the order the app processed them.
 pub fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
     probe.deliveries().iter().map(|d| d.event.seq).collect()
+}
+
+/// Distinct delivered sequence numbers, ascending.
+pub fn distinct_seqs(probe: &AppProbe) -> Vec<u64> {
+    let seqs: std::collections::BTreeSet<u64> = delivered_seqs(probe).into_iter().collect();
+    seqs.into_iter().collect()
+}
+
+/// The checker's view of a one-sensor home: the sensor's stream, who
+/// heard what, and what the app processed. The caller adds what it did
+/// to the home (crashes, a partition) and the owed-before cut.
+pub fn probe_data(
+    sensor: SensorId,
+    delivery: Delivery,
+    emissions: &EmissionProbe,
+    ingest: &IngestProbe,
+    app: &AppProbe,
+) -> ProbeData {
+    ProbeData {
+        streams: vec![Stream {
+            sensor,
+            delivery,
+            emitted: emissions.log(),
+        }],
+        heard: ingest.heard(),
+        deliveries: app.deliveries(),
+        ..ProbeData::default()
+    }
+}
+
+/// Asserts that the checker owed every emitted event but the last
+/// `tail`, so a passing verdict loses at most `tail` events.
+pub fn assert_all_but_tail_owed(verdict: &Verdict, emitted: u64, tail: u64) {
+    assert!(
+        verdict.owed + tail >= emitted,
+        "owed only {} of {emitted}",
+        verdict.owed
+    );
+}
+
+/// Every violation of `verdict`, one per line.
+pub fn describe(verdict: &Verdict) -> String {
+    let lines: Vec<String> = verdict.violations.iter().map(|v| v.to_string()).collect();
+    lines.join("\n")
 }

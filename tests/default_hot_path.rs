@@ -3,10 +3,12 @@
 //! gating. A seeded run must be fully deterministic, and a durable
 //! home under group commit must still deliver every event.
 
+mod common;
+
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
-use rivulet::core::probe::AppProbe;
+use rivulet::core::probe::{check, AppProbe, ProbeData};
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, WalOptions};
@@ -64,17 +66,6 @@ fn scripted_home(script: Vec<Time>, seed: u64) -> Setup {
     }
 }
 
-/// Distinct delivered sequence numbers, ascending.
-fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
-    probe
-        .deliveries()
-        .iter()
-        .map(|d| d.event.seq)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect()
-}
-
 #[test]
 fn seeded_blob_run_under_crash_and_loss_is_byte_identical() {
     // Full determinism: two same-seed runs must agree on every delivery
@@ -108,6 +99,7 @@ fn durable_home_under_group_commit_delivers_every_event() {
     let seed = 31;
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let mut home = HomeBuilder::new(&mut net);
+    let ingest = home.with_ingest_probe();
     let pids: Vec<ProcessId> = (0..3).map(|i| home.add_host(format!("host{i}"))).collect();
     let backends: Vec<Arc<SimBackend>> = (0..3)
         .map(|i| Arc::new(SimBackend::new(seed.wrapping_mul(31).wrapping_add(i))))
@@ -139,16 +131,15 @@ fn durable_home_under_group_commit_delivers_every_event() {
     let probe = home.add_app(app);
     let _home = home.build();
     net.run_until(Time::from_secs(20));
-    let seqs = delivered_seqs(&probe);
-    assert_eq!(seqs.len(), probe.unique_delivered());
+    let seqs = common::distinct_seqs(&probe);
     let prefix: Vec<u64> = (0..seqs.len() as u64).collect();
     assert_eq!(seqs, prefix, "delivery has no gap");
-    // Only events of the last keep-alive period (500 ms = 5 events) may
+    // Only the five events of the last keep-alive period (19.6–20 s) may
     // still sit in an unflushed batch when the run stops.
-    assert!(
-        seqs.len() as u64 + 5 >= emission.emitted(),
-        "delivered {} of {}",
-        seqs.len(),
-        emission.emitted()
-    );
+    let verdict = check(&ProbeData {
+        owed_before: Time::from_millis(19_600),
+        ..common::probe_data(sensor, Delivery::Gapless, &emission, &ingest, &probe)
+    });
+    common::assert_all_but_tail_owed(&verdict, emission.emitted(), 5);
+    assert!(verdict.passed(), "{}", common::describe(&verdict));
 }

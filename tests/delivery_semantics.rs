@@ -67,18 +67,6 @@ fn scripted_home(delivery: Delivery, script: Vec<Time>, config: RivuletConfig, s
     }
 }
 
-fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
-    let mut seqs: Vec<u64> = probe
-        .deliveries()
-        .iter()
-        .map(|d| d.event.seq)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    seqs.sort_unstable();
-    seqs
-}
-
 #[test]
 fn fig3_gapless_recovers_partial_loss_gap_does_not() {
     let script: Vec<Time> = (1..=4).map(|i| Time::from_secs(2 * i)).collect(); // t=2,4,6,8
@@ -103,7 +91,7 @@ fn fig3_gapless_recovers_partial_loss_gap_does_not() {
                 .set_blocked_at(Time::from_millis(6_100), dev, target, false);
         }
         s.net.run_until(Time::from_secs(12));
-        assert_eq!(delivered_seqs(&s.probe), expected, "{delivery}");
+        assert_eq!(common::distinct_seqs(&s.probe), expected, "{delivery}");
     }
 }
 
@@ -215,7 +203,10 @@ fn delivery_is_deterministic_for_a_seed() {
         let tv = s.home.actor_of(s.pids[1]);
         s.net.topology_mut().set_loss(dev, tv, 0.4);
         s.net.run_until(Time::from_secs(10));
-        (delivered_seqs(&s.probe), s.net.metrics().messages_sent)
+        (
+            common::distinct_seqs(&s.probe),
+            s.net.metrics().messages_sent,
+        )
     };
     assert_eq!(run(77), run(77));
 }

@@ -1,18 +1,21 @@
 //! System-level property tests: whole simulated deployments driven by
 //! randomized fault schedules, checking the paper's core guarantees.
 
+mod common;
+
 use proptest::prelude::*;
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::HomeBuilder;
+use rivulet::core::probe::{check, ProbeData};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::types::{ActuationState, AppId, Duration, EventKind, Time};
+use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcSet, Time};
 
 /// One randomized run: n processes, random receiver subset, random
 /// loss, random crash/recover of a non-app process. Returns
-/// (emitted, unique delivered, duplicate deliveries under no-failure).
+/// (emitted, unique delivered, the checker's inputs).
 fn run_home(
     seed: u64,
     n_processes: usize,
@@ -20,10 +23,11 @@ fn run_home(
     loss_pct: u8,
     crash_receiver: bool,
     delivery: Delivery,
-) -> (u64, usize, usize) {
+) -> (u64, usize, ProbeData) {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let config = RivuletConfig::default();
     let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let ingest = home.with_ingest_probe();
     let pids: Vec<_> = (0..n_processes)
         .map(|i| home.add_host(format!("h{i}")))
         .collect();
@@ -69,17 +73,24 @@ fn run_home(
             );
         }
     }
+    let mut crashed = ProcSet::EMPTY;
     if crash_receiver && n_processes > 2 {
         // Crash one receiver (never the app host) mid-run, recover later.
         let victim = receivers[0];
         net.crash_at(home.actor_of(victim), Time::from_secs(5));
         net.recover_at(home.actor_of(victim), Time::from_secs(12));
+        crashed = ProcSet::singleton(victim);
     }
     net.run_until(Time::from_secs(20));
 
-    let deliveries = probe.deliveries();
-    let dupes = deliveries.len() - probe.unique_delivered();
-    (emissions.emitted(), probe.unique_delivered(), dupes)
+    let data = ProbeData {
+        crashed,
+        // Emissions fall on multiples of the period, so only the one
+        // at the run's last instant may still be in flight.
+        owed_before: Time::from_secs(20),
+        ..common::probe_data(sensor, delivery, &emissions, &ingest, &probe)
+    };
+    (emissions.emitted(), probe.unique_delivered(), data)
 }
 
 proptest! {
@@ -125,13 +136,15 @@ proptest! {
         delivery_gapless in any::<bool>(),
     ) {
         let delivery = if delivery_gapless { Delivery::Gapless } else { Delivery::Gap };
-        let (emitted, delivered, dupes) = run_home(seed, n, mask, 0, false, delivery);
-        prop_assert_eq!(dupes, 0, "no duplicate processing without failures");
-        prop_assert!(
-            emitted - (delivered as u64) <= 1,
-            "lost {} of {emitted}",
-            emitted - delivered as u64
-        );
+        let (emitted, _, mut data) = run_home(seed, n, mask, 0, false, delivery);
+        let verdict = check(&data);
+        prop_assert!(verdict.passed(), "{}", common::describe(&verdict));
+        // Gap owes nothing in general, but a failure-free, lossless home
+        // owes it everything Gapless would: all but the in-flight tail.
+        data.streams[0].delivery = Delivery::Gapless;
+        let verdict = check(&data);
+        prop_assert!(verdict.owed + 1 >= emitted, "owed only {} of {emitted}", verdict.owed);
+        prop_assert!(verdict.passed(), "{}", common::describe(&verdict));
     }
 
     /// A receiver crash-recovery never loses Gapless events as long as
@@ -142,12 +155,10 @@ proptest! {
         mask in 3u8..15,
     ) {
         prop_assume!(mask.count_ones() >= 2);
-        let (emitted, delivered, _) =
-            run_home(seed, 5, mask, 0, true, Delivery::Gapless);
-        prop_assert!(
-            emitted - (delivered as u64) <= 1,
-            "lost {} of {emitted}",
-            emitted - delivered as u64
-        );
+        let (emitted, _, data) = run_home(seed, 5, mask, 0, true, Delivery::Gapless);
+        let verdict = check(&data);
+        // Another receiver stays up, so all but the in-flight tail is owed.
+        prop_assert!(verdict.owed + 1 >= emitted, "owed only {} of {emitted}", verdict.owed);
+        prop_assert!(verdict.passed(), "{}", common::describe(&verdict));
     }
 }
