@@ -14,6 +14,9 @@
 //! inserts, ring messages and one broadcast copy, d ≤ 99), so these
 //! groups are the only measure of a stream that arrives far out of
 //! order (EXPERIMENTS.md, "Index, don't search").
+//! `store_duplicate_below_back` prices the lookup alone, for a
+//! duplicate copy at the same distances: the path every relay takes
+//! for a broadcast copy of an event the ring already stored.
 //!
 //! CI runs this in smoke mode (`cargo bench --bench micro_store --
 //! --test`) so the loops stay wired without paying full sample counts.
@@ -200,6 +203,31 @@ fn bench_fill_below_back(c: &mut Criterion) {
     g.finish();
 }
 
+/// A duplicate copy of the event `d` slots below the back of a window
+/// of at least 8 k events — what a relay does with every broadcast copy
+/// of an event the ring already brought it. `insert` answers `false`
+/// and the window never changes. The lookup gallops back from the
+/// newest entry and binary-searches the bracket it lands in, so its
+/// cost follows `log d`, not the window's length; `d50000` sits in the
+/// middle of a window at the per-sensor cap.
+fn bench_duplicate_below_back(c: &mut Criterion) {
+    let mut g = c.benchmark_group("store_duplicate_below_back");
+    g.throughput(Throughput::Elements(1));
+    for d in [1u64, 64, 4_096, 50_000] {
+        let len = (2 * d).max(8_192);
+        let mut store = EventStore::new(usize::MAX);
+        for seq in 0..len {
+            store.insert(ev(0, seq));
+        }
+        let copy = ev(0, len - 1 - d);
+        g.bench_function(format!("d{d}"), |b| {
+            b.iter(|| assert!(!store.insert(black_box(copy.clone()))));
+        });
+        assert_eq!(store.len() as u64, len);
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_insert,
@@ -207,6 +235,7 @@ criterion_group!(
     bench_diff,
     bench_prune_processed,
     bench_steady_window,
-    bench_fill_below_back
+    bench_fill_below_back,
+    bench_duplicate_below_back
 );
 criterion_main!(benches);

@@ -285,6 +285,67 @@ impl Frame {
         }
         w.take_bytes()
     }
+
+    /// Decodes the frame that is the whole of `buf` into `msgs`,
+    /// replacing its contents and reusing its capacity: the receive
+    /// path keeps one buffer across activations instead of building a
+    /// `Frame` per arrival. Decoding is all-or-nothing: on any error,
+    /// trailing bytes included, `msgs` is left empty. Event blob
+    /// payloads stay zero-copy views into `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] for a malformed frame or trailing bytes.
+    pub fn decode_shared_into(
+        buf: &bytes::Bytes,
+        msgs: &mut Vec<ProcMsg>,
+    ) -> Result<(), WireError> {
+        msgs.clear();
+        let mut r = WireReader::from_shared(buf);
+        let decoded = Self::decode_msgs(&mut r, msgs).and_then(|()| {
+            if r.is_empty() {
+                Ok(())
+            } else {
+                Err(WireError::TrailingBytes {
+                    remaining: r.remaining(),
+                })
+            }
+        });
+        if decoded.is_err() {
+            msgs.clear();
+        }
+        decoded
+    }
+
+    /// The decode loop both entry points share: appends the frame's
+    /// messages to `msgs`, stopping at the first error.
+    fn decode_msgs(r: &mut WireReader<'_>, msgs: &mut Vec<ProcMsg>) -> Result<(), WireError> {
+        let tag = r.get_u8()?;
+        if tag != FRAME_TAG {
+            return Err(WireError::InvalidTag { ty: "Frame", tag });
+        }
+        let count = r.get_len()?;
+        if count == 0 {
+            return Err(WireError::EmptyBatch);
+        }
+        msgs.reserve(count.min(1_024));
+        for _ in 0..count {
+            let len = r.get_len()?;
+            // Each message must consume exactly its declared length: a
+            // shorter decode means an overlong length prefix smuggling
+            // trailing bytes, a longer one is caught by the sub-reader
+            // bounds.
+            let mut sub = r.sub_reader(len)?;
+            let msg = ProcMsg::decode(&mut sub)?;
+            if !sub.is_empty() {
+                return Err(WireError::TrailingBytes {
+                    remaining: sub.remaining(),
+                });
+            }
+            msgs.push(msg);
+        }
+        Ok(())
+    }
 }
 
 impl Wire for Frame {
@@ -310,30 +371,8 @@ impl Wire for Frame {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        if tag != FRAME_TAG {
-            return Err(WireError::InvalidTag { ty: "Frame", tag });
-        }
-        let count = r.get_len()?;
-        if count == 0 {
-            return Err(WireError::EmptyBatch);
-        }
-        let mut msgs = Vec::with_capacity(count.min(1_024));
-        for _ in 0..count {
-            let len = r.get_len()?;
-            // Each message must consume exactly its declared length: a
-            // shorter decode means an overlong length prefix smuggling
-            // trailing bytes, a longer one is caught by the sub-reader
-            // bounds.
-            let mut sub = r.sub_reader(len)?;
-            let msg = ProcMsg::decode(&mut sub)?;
-            if !sub.is_empty() {
-                return Err(WireError::TrailingBytes {
-                    remaining: sub.remaining(),
-                });
-            }
-            msgs.push(msg);
-        }
+        let mut msgs = Vec::new();
+        Self::decode_msgs(r, &mut msgs)?;
         Ok(Frame { msgs })
     }
 }
@@ -615,6 +654,40 @@ mod tests {
         let assembled = Frame::encode_parts(&mut w, &parts);
         let reference = Frame { msgs }.to_bytes();
         assert_eq!(assembled, reference, "concatenation must be canonical");
+    }
+
+    #[test]
+    fn reused_frame_buffer_is_all_or_nothing() {
+        let good = Frame {
+            msgs: vec![
+                ProcMsg::GapForward { event: ev(4) },
+                ProcMsg::SyncRequest { from: ProcessId(1) },
+            ],
+        };
+        let encoded = good.to_bytes();
+        let mut msgs = vec![ProcMsg::SyncRequest { from: ProcessId(9) }];
+        // The last part is corrupt: its `ProcMsg` tag is unknown.
+        let mut corrupt = encoded.to_vec();
+        let last_tag = encoded.len() - ProcMsg::SyncRequest { from: ProcessId(1) }.encoded_len();
+        corrupt[last_tag] = 0x7f;
+        assert!(Frame::decode_shared_into(&bytes::Bytes::from(corrupt), &mut msgs).is_err());
+        assert!(
+            msgs.is_empty(),
+            "a frame failing in its last part yields nothing"
+        );
+        // A whole frame followed by a trailing byte.
+        msgs.push(ProcMsg::SyncRequest { from: ProcessId(9) });
+        let mut trailing = encoded.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            Frame::decode_shared_into(&bytes::Bytes::from(trailing), &mut msgs),
+            Err(WireError::TrailingBytes { remaining: 1 })
+        );
+        assert!(msgs.is_empty(), "trailing bytes yield nothing");
+        // The same buffer then decodes a good frame to exactly its own
+        // messages.
+        Frame::decode_shared_into(&encoded, &mut msgs).unwrap();
+        assert_eq!(msgs, good.msgs);
     }
 
     #[test]

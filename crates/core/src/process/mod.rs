@@ -321,6 +321,9 @@ struct Running {
     /// Per-activation send queue, flushed (and coalesced) at the end of
     /// every actor activation.
     outbox: Outbox,
+    /// The messages of the frame being dispatched, kept across
+    /// activations so decoding a frame allocates nothing once warm.
+    inbox: Vec<ProcMsg>,
     /// Device-fault health model; `None` unless
     /// [`RivuletConfig::repair`] is on, in which case delivered
     /// readings are health-checked (stuck/outlier detection,
@@ -499,6 +502,7 @@ impl Running {
             gate,
             arena_reported: ArenaStats::default(),
             outbox: Outbox::new(Arc::clone(&spec.fanout)),
+            inbox: Vec::new(),
             repair: spec
                 .config
                 .repair
@@ -609,11 +613,13 @@ impl Running {
             // every `ProcMsg` tag. Decoding from the shared buffer
             // keeps event payload blobs zero-copy.
             if Frame::sniff(payload) {
-                if let Ok(frame) = Frame::from_shared_bytes(payload) {
-                    for msg in frame.msgs {
+                let mut msgs = std::mem::take(&mut self.inbox);
+                if Frame::decode_shared_into(payload, &mut msgs).is_ok() {
+                    for msg in msgs.drain(..) {
                         self.on_proc_msg(ctx, msg);
                     }
                 }
+                self.inbox = msgs;
             } else if let Ok(msg) = ProcMsg::from_shared_bytes(payload) {
                 self.on_proc_msg(ctx, msg);
             }

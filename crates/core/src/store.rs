@@ -6,6 +6,7 @@
 //! watermark queries used by successor synchronization, and computes
 //! the difference set to ship to a lagging successor.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use rivulet_types::{ArenaStats, Event, PayloadArena, SensorId, Time};
@@ -19,8 +20,9 @@ use rivulet_types::{ArenaStats, Event, PayloadArena, SensorId, Time};
 /// arrive almost in `seq` order and leave (cap eviction, watermark GC)
 /// from the low end, so the common insert is a push at the back and
 /// the common removal a pop at the front; an out-of-order arrival is a
-/// binary search and a shift of the shorter side. Every query answers
-/// exactly as a `seq`-keyed ordered map would, whatever the input order.
+/// search back from the newest entry (`locate`) and a shift of the
+/// shorter side. Every query answers exactly as a `seq`-keyed ordered
+/// map would, whatever the input order.
 /// Garbage collection hands back a buffer it leaves under a quarter
 /// full, so memory follows what is retained, not the largest burst.
 #[derive(Debug)]
@@ -34,18 +36,44 @@ pub struct EventStore {
     arena: PayloadArena,
 }
 
-/// Where `seq` sits in a deque sorted by `key`: `Ok` at an equal
-/// entry, `Err` at the insertion point. An entry above the back is the
-/// common case and costs one comparison.
+/// Where `seq` sits in a deque strictly increasing by `key`: `Ok` at
+/// the equal entry, `Err` at the insertion point — the answer of
+/// `binary_search_by_key`. The search gallops back from the newest
+/// entry (gaps of 1, 2, 4, …) and binary-searches the bracket it lands
+/// in, so an entry `d` slots below the back costs O(log d) comparisons:
+/// one for the common arrival above the back, a handful for a
+/// duplicate copy of a recent event, wherever the deque's length.
 pub(crate) fn locate<T>(
     sorted: &VecDeque<T>,
     seq: u64,
     key: impl Fn(&T) -> u64,
 ) -> Result<usize, usize> {
-    match sorted.back() {
-        Some(last) if key(last) >= seq => sorted.binary_search_by_key(&seq, key),
-        _ => Err(sorted.len()),
+    // Every entry at `hi` or above has a key above `seq`.
+    let mut hi = sorted.len();
+    let mut gap = 1;
+    let mut lo = loop {
+        if hi == 0 {
+            break 0;
+        }
+        let probe = hi.saturating_sub(gap);
+        match key(&sorted[probe]).cmp(&seq) {
+            Ordering::Less => break probe + 1,
+            Ordering::Equal => return Ok(probe),
+            Ordering::Greater => {
+                hi = probe;
+                gap *= 2;
+            }
+        }
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match key(&sorted[mid]).cmp(&seq) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Equal => return Ok(mid),
+            Ordering::Greater => hi = mid,
+        }
     }
+    Err(lo)
 }
 
 /// Capacity a deque keeps however far it drains, so a log or shard that
@@ -95,7 +123,7 @@ impl EventStore {
     /// Inserts `event`; returns `true` if it was new, `false` if it was
     /// a duplicate (in which case the store is unchanged). An event
     /// above the sensor's watermark is pushed at the back; anything
-    /// else is one binary search, which is also the duplicate check.
+    /// else is one `locate`, which is also the duplicate check.
     pub fn insert(&mut self, mut event: Event) -> bool {
         let cap = self.cap_per_sensor;
         let per = self.sensors.entry(event.id.sensor).or_default();
@@ -728,6 +756,45 @@ mod proptests {
             for (sensor, wm) in a.iter_watermarks() {
                 let (_, peer_wm) = peer.iter().find(|(s, _)| *s == sensor).expect("sensor now known");
                 prop_assert!(*peer_wm >= wm, "peer {peer_wm} < ours {wm}");
+            }
+        }
+
+        /// `locate` answers exactly as `binary_search_by_key` on every
+        /// strictly increasing deque, empty ones and ones whose ring
+        /// buffer wraps (`rotated` pops at the front, each followed by
+        /// a push at the back) included, for every probe from below
+        /// the front, through every entry and gap, to above the back.
+        #[test]
+        fn locate_matches_binary_search(
+            first in 0u64..3,
+            gaps in proptest::collection::vec(1u64..4, 0..200),
+            rotated in 0usize..200,
+        ) {
+            let keys: Vec<u64> = gaps
+                .iter()
+                .scan(first, |key, gap| {
+                    *key += gap;
+                    Some(*key)
+                })
+                .collect();
+            let len = keys.len().saturating_sub(rotated);
+            let mut sorted: VecDeque<u64> = VecDeque::with_capacity(len);
+            sorted.extend(&keys[..len]);
+            for &key in &keys[len..] {
+                if len > 0 {
+                    sorted.pop_front();
+                    sorted.push_back(key);
+                }
+            }
+            let above_back = sorted.back().map_or(1, |&back| back + 2);
+            for seq in 0..=above_back {
+                prop_assert_eq!(
+                    locate(&sorted, seq, |&k| k),
+                    sorted.binary_search_by_key(&seq, |&k| k),
+                    "seq {} in {:?}",
+                    seq,
+                    sorted
+                );
             }
         }
 

@@ -123,18 +123,37 @@ pub enum FrameError {
     Corrupt,
 }
 
-/// Encodes `record` as one frame.
-#[must_use]
-pub fn encode_frame(record: &WalRecord) -> bytes::Bytes {
-    let payload_len = record.encoded_len();
-    let mut w =
-        WireWriter::with_capacity(varint_len(payload_len as u64) + FRAME_CRC_BYTES + payload_len);
-    let payload = record.to_bytes();
-    debug_assert_eq!(payload.len(), payload_len);
+/// Appends the frame of the record `tag` + `body` to `w`, the payload
+/// encoded once, in place: the length, a zeroed checksum field, the
+/// payload, then the checksum of the payload bytes just written
+/// patched into the field. Borrowing the record's body means the WAL
+/// appends without cloning it, and `w` allocates only when it grows.
+fn write_frame(w: &mut WireWriter, tag: u8, body: &impl Wire) {
+    let payload_len = 1 + body.encoded_len();
+    w.reserve(varint_len(payload_len as u64) + FRAME_CRC_BYTES + payload_len);
     w.put_varint(payload_len as u64);
-    w.put_slice(&crc32(&payload).to_le_bytes());
-    w.put_slice(&payload);
-    w.into_bytes()
+    let crc_at = w.len();
+    w.put_slice(&[0; FRAME_CRC_BYTES]);
+    w.put_u8(tag);
+    body.encode(w);
+    let (crc_field, payload) = w.as_mut_slice()[crc_at..].split_at_mut(FRAME_CRC_BYTES);
+    debug_assert_eq!(payload.len(), payload_len);
+    crc_field.copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Appends `event`'s frame to `w` (see [`write_frame`]).
+pub(crate) fn write_event_frame(w: &mut WireWriter, event: &Event) {
+    write_frame(w, TAG_EVENT, event);
+}
+
+/// Appends `checkpoint`'s frame to `w` (see [`write_frame`]).
+pub(crate) fn write_checkpoint_frame(w: &mut WireWriter, checkpoint: &Checkpoint) {
+    write_frame(w, TAG_CHECKPOINT, checkpoint);
+}
+
+/// Appends `entry`'s frame to `w` (see [`write_frame`]).
+pub(crate) fn write_ledger_frame(w: &mut WireWriter, entry: &LedgerEntry) {
+    write_frame(w, TAG_LEDGER, entry);
 }
 
 /// Decodes the frame at the start of `buf`, returning the record and
@@ -169,6 +188,17 @@ pub fn decode_frame(buf: &[u8]) -> Result<(WalRecord, usize), FrameError> {
 mod tests {
     use super::*;
     use rivulet_types::{EventId, EventKind, Payload};
+
+    /// `record`'s frame in a fresh buffer, written as the WAL writes it.
+    fn encode_frame(record: &WalRecord) -> bytes::Bytes {
+        let mut w = WireWriter::new();
+        match record {
+            WalRecord::Event(ev) => write_event_frame(&mut w, ev),
+            WalRecord::Checkpoint(cp) => write_checkpoint_frame(&mut w, cp),
+            WalRecord::Ledger(entry) => write_ledger_frame(&mut w, entry),
+        }
+        w.into_bytes()
+    }
 
     fn event(seq: u64) -> Event {
         Event {

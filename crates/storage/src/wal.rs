@@ -35,11 +35,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rivulet_obs::Recorder;
+use rivulet_types::wire::WireWriter;
 use rivulet_types::{Duration, Event, SensorId};
 
 use crate::backend::{Result, SegmentId, StorageBackend};
 use crate::ledger::LedgerEntry;
-use crate::record::{decode_frame, encode_frame, Checkpoint, WalRecord};
+use crate::record::{
+    decode_frame, write_checkpoint_frame, write_event_frame, write_ledger_frame, Checkpoint,
+    WalRecord,
+};
 
 /// When buffered frames are pushed to the backend and fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +109,10 @@ pub struct Wal {
     options: WalOptions,
     tail: SegmentId,
     tail_bytes: usize,
-    pending: Vec<u8>,
+    /// The batch awaiting the next flush: whole frames, each encoded
+    /// in place by an append. Cleared, never dropped, by a flush, so
+    /// it stops allocating once it has reached the largest batch.
+    pending: WireWriter,
     pending_events: usize,
     pending_index: SegmentIndex,
     index: BTreeMap<SegmentId, SegmentIndex>,
@@ -194,7 +201,7 @@ impl Wal {
                 options,
                 tail,
                 tail_bytes,
-                pending: Vec::new(),
+                pending: WireWriter::new(),
                 pending_events: 0,
                 pending_index: SegmentIndex::default(),
                 index,
@@ -222,8 +229,7 @@ impl Wal {
     ///
     /// Propagates backend failures from an implied flush.
     pub fn append_event(&mut self, event: &Event) -> Result<bool> {
-        let frame = encode_frame(&WalRecord::Event(event.clone()));
-        self.pending.extend_from_slice(&frame);
+        write_event_frame(&mut self.pending, event);
         self.pending_events += 1;
         let slot = self
             .pending_index
@@ -249,8 +255,7 @@ impl Wal {
     ///
     /// Propagates backend failures.
     pub fn append_checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<()> {
-        let frame = encode_frame(&WalRecord::Checkpoint(checkpoint.clone()));
-        self.pending.extend_from_slice(&frame);
+        write_checkpoint_frame(&mut self.pending, checkpoint);
         self.flush()?;
         self.latest_checkpoint_segment = Some(self.tail);
         self.obs.inc("wal.checkpoints");
@@ -267,8 +272,7 @@ impl Wal {
     ///
     /// Propagates backend failures.
     pub fn append_ledger(&mut self, entry: &LedgerEntry) -> Result<()> {
-        let frame = encode_frame(&WalRecord::Ledger(entry.clone()));
-        self.pending.extend_from_slice(&frame);
+        write_ledger_frame(&mut self.pending, entry);
         self.pending_index.has_ledger = true;
         self.flush()?;
         self.obs.inc("ledger.appends");
@@ -295,7 +299,7 @@ impl Wal {
             self.index.insert(self.tail, SegmentIndex::default());
             self.obs.inc("wal.segments_created");
         }
-        self.backend.append(self.tail, &self.pending)?;
+        self.backend.append(self.tail, self.pending.as_slice())?;
         self.backend.sync(self.tail)?;
         self.tail_bytes += self.pending.len();
         self.obs.inc("wal.flushes");
@@ -673,8 +677,7 @@ mod tests {
         // in full, and a fresh append must produce the same bytes.
         use crate::crc::crc32_bytewise;
         use crate::ledger::{LedgerChain, LedgerVerifier, RoutineTransition};
-        use crate::record::WalRecord;
-        use rivulet_types::wire::{Wire, WireWriter};
+        use rivulet_types::wire::Wire;
         use rivulet_types::RoutineId;
 
         let mut chain = LedgerChain::seeded(9);
@@ -704,10 +707,29 @@ mod tests {
             w.put_varint(payload.len() as u64);
             w.put_slice(&crc32_bytewise(&payload).to_le_bytes());
             w.put_slice(&payload);
-            let frame = w.into_bytes();
-            assert_eq!(frame, crate::record::encode_frame(record), "same bytes");
-            old_log.extend_from_slice(&frame);
+            old_log.extend_from_slice(&w.into_bytes());
         }
+
+        // A fresh log appending the same records writes the same bytes.
+        let fresh = sim();
+        let (mut wal, _) = Wal::open(
+            fresh.clone() as Arc<dyn StorageBackend>,
+            WalOptions::default(),
+        )
+        .unwrap();
+        for record in &records {
+            match record {
+                WalRecord::Event(e) => {
+                    wal.append_event(e).unwrap();
+                }
+                WalRecord::Ledger(entry) => wal.append_ledger(entry).unwrap(),
+                WalRecord::Checkpoint(cp) => wal.append_checkpoint(cp).unwrap(),
+            }
+        }
+        wal.flush().unwrap();
+        assert_eq!(wal.segments(), vec![0]);
+        assert!(fresh.read_segment(0).unwrap() == old_log, "same bytes");
+
         let backend = sim();
         backend.create_segment(0).unwrap();
         backend.append(0, &old_log).unwrap();

@@ -184,6 +184,24 @@ impl WireWriter {
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
+
+    /// The bytes written so far.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The bytes written so far, writable in place: a framing layer
+    /// patches a header (a checksum) it can only compute once the
+    /// payload behind it is written.
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
+    /// Discards everything written, keeping the capacity for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
 }
 
 /// A small pool of reusable [`WireWriter`]s for hot-path encoding.

@@ -1,12 +1,14 @@
-//! Allocation budgets of two per-event paths: heap allocations per
-//! `AppRuntime::on_event` on the two app shapes the benchmark runs, and
-//! per event on the replica path every Gapless origin runs (the
+//! Allocation budgets of three per-event paths: heap allocations per
+//! `AppRuntime::on_event` on the two app shapes the benchmark runs, per
+//! event on the replica path every Gapless origin runs (the
 //! `EventStore` insert, `RbcastState::track`, and the keep-alive's
-//! cumulative acks and watermark GC). `process.allocs_per_event` counts
-//! these among everything else; a change that makes the operator DAG
-//! allocate per event again, or puts the store or the broadcast
-//! tracking back on a structure that allocates as it churns, fails
-//! here, in tier-1, and says which path grew.
+//! cumulative acks and watermark GC), and per `Wal::append_event` on
+//! the durable path every stored event of a durable home takes.
+//! `process.allocs_per_event` counts these among everything else; a
+//! change that makes the operator DAG allocate per event again, puts
+//! the store or the broadcast tracking back on a structure that
+//! allocates as it churns, or makes the WAL build a frame per record
+//! again, fails here, in tier-1, and says which path grew.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +21,7 @@ use rivulet::core::app::{
 use rivulet::core::delivery::rbcast::RbcastState;
 use rivulet::core::delivery::Delivery;
 use rivulet::core::store::EventStore;
+use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
 use rivulet::types::{
     ActuatorId, AppId, Duration, Event, EventId, EventKind, ProcSet, ProcessId, SensorId, Time,
 };
@@ -270,4 +273,33 @@ fn replica_path_does_not_allocate_per_event() {
     );
     assert!(store.len() as u64 <= (GC_WINDOW + 1) * REPLICA_SENSORS + BEACON_EVERY);
     assert!(rbcast.pending_count() <= 2 * BEACON_EVERY as usize);
+}
+
+/// `Wal::append_event` calls counted.
+const WAL_APPENDS: u64 = 20_000;
+
+#[test]
+fn durable_append_path_does_not_allocate_per_event() {
+    // A durable home's WAL: every stored event is appended, and the
+    // group-commit timer flushes about every second append. Each frame
+    // is encoded in place into the pending batch, which a flush clears
+    // and keeps; what is left is the simulated disk's segments growing.
+    // The parent (a cloned record encoded into a fresh frame, then
+    // copied into the batch) read 4.00.
+    let options = WalOptions {
+        flush_policy: FlushPolicy::EveryInterval(Duration::from_millis(3)),
+        ..WalOptions::default()
+    };
+    let backend: Arc<dyn StorageBackend> = Arc::new(SimBackend::new(42));
+    let (mut wal, _) = Wal::open(backend, options).expect("open");
+    let per_append = allocs_per_step(WARM_UP, WAL_APPENDS, |i| {
+        wal.append_event(&reading(i)).expect("append");
+        if i % 2 == 1 {
+            wal.flush().expect("flush");
+        }
+    });
+    assert!(
+        per_append <= 0.05,
+        "durable append path: {per_append:.2} allocations per append, budget 0.05"
+    );
 }
