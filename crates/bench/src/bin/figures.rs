@@ -171,8 +171,9 @@ fn print_fig6(run_len: Duration) {
 
 fn print_fig7(run_len: Duration) {
     println!("Figure 7: failover timeline (crash of app process at t=24s)");
+    let crash = Time::from_secs(24);
     for delivery in [Delivery::Gap, Delivery::Gapless] {
-        let out = fig7::run(delivery, Time::from_secs(24), run_len, 11);
+        let out = fig7::run(delivery, crash, run_len, 11);
         println!(
             "{delivery:>8}: emitted {} delivered {} promoted_at {:?}",
             out.emitted, out.unique_delivered, out.promoted_at
@@ -184,15 +185,11 @@ fn print_fig7(run_len: Duration) {
             }
         }
         println!();
-        for span in out.obs.spans_named("failover") {
-            println!(
-                "          failover span: actor {} [{} .. {:?}] = {:?}",
-                span.key,
-                span.start,
-                span.end,
-                span.duration()
-            );
-        }
+        let interruption = out.resumed_at.map(|t| t - crash);
+        println!(
+            "          failover: crash {crash} .. resumed {:?} = {interruption:?}",
+            out.resumed_at
+        );
     }
 }
 

@@ -544,6 +544,7 @@ mod tests {
     fn routine(state: RoutineTransition, applied: &[u64]) -> ProbeData {
         ProbeData {
             instances: vec![InstanceRecord {
+                coordinator: ProcessId(0),
                 instance: 0,
                 state,
                 commands: vec![(ActuatorId(0), command(0)), (ActuatorId(1), command(1))],

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
 use rivulet_obs::Recorder;
-use rivulet_types::{Command, Event, Time};
+use rivulet_types::{Command, Event};
 
 use super::{advance, token, Running, KIND_WINDOW};
 use crate::app::{AppRuntime, OpOutput, RuntimeOutput};
@@ -56,18 +56,6 @@ impl Running {
                     app.probe.record_transition(now, me, true);
                     self.obs
                         .event("exec.promoted", now, u64::from(me.0), idx as u64);
-                    // Failover spans opened at crash detection are
-                    // closed at this node's first post-promotion app
-                    // activity; remember which dead predecessors'
-                    // spans we are taking over.
-                    let chain = app.exec.chain();
-                    let my_pos = chain.iter().position(|p| *p == me).unwrap_or(chain.len());
-                    app.pending_failover = chain[..my_pos]
-                        .iter()
-                        .filter(|p| !membership.is_alive(**p, now))
-                        .filter_map(|p| self.peer_actors.get(p))
-                        .map(|a| u64::from(a.0))
-                        .collect();
                     app.runtime =
                         Some(AppRuntime::new(Arc::clone(&app.spec)).expect("validated app"));
                     app.stale_reported = 0;
@@ -80,7 +68,6 @@ impl Running {
                     self.obs
                         .event("exec.demoted", now, u64::from(me.0), idx as u64);
                     app.runtime = None;
-                    app.pending_failover.clear();
                     app.probe.record_transition(now, me, false);
                     for (i, _) in mine {
                         ctx.cancel_timer(token(KIND_WINDOW, i as u32));
@@ -171,17 +158,7 @@ impl Running {
             app.stale_reported = stale;
         }
         advance(&mut self.processed, event.id.sensor, event.id.seq);
-        self.close_failover_spans(app_idx, now);
         self.handle_outputs(ctx, app_idx, outputs);
-    }
-
-    /// Closes any pending `failover` spans for `app_idx`: the first
-    /// app-visible activity after a promotion marks the end of the
-    /// service interruption measured by the span (Fig. 7 timeline).
-    fn close_failover_spans(&mut self, app_idx: usize, now: Time) {
-        for key in std::mem::take(&mut self.apps[app_idx].pending_failover) {
-            self.obs.span_close("failover", key, now);
-        }
     }
 
     /// Handles operator outputs: actuation routing and alerts.
@@ -200,7 +177,6 @@ impl Running {
                     let probe = &self.apps[app_idx].probe;
                     probe.record_command(now, command.clone());
                     self.obs.inc("app.commands");
-                    self.close_failover_spans(app_idx, now);
                     self.route_command(ctx, command);
                 }
                 OpOutput::Alert { message } => {

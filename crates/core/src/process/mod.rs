@@ -222,10 +222,6 @@ struct AppRt {
     runtime: Option<AppRuntime>,
     /// Stale-drop count already copied into the probe.
     stale_reported: u64,
-    /// Actor ids of suspected-dead chain predecessors whose `failover`
-    /// spans this freshly-promoted node must close at its first
-    /// application activity (delivery or actuation).
-    pending_failover: Vec<u64>,
 }
 
 /// The home's actuators as this process sees them. A command or routine
@@ -403,7 +399,6 @@ impl Running {
                 exec: ExecutionState::new(me, chain),
                 runtime: None,
                 stale_reported: 0,
-                pending_failover: Vec::new(),
             });
         }
 
@@ -434,7 +429,7 @@ impl Running {
         let mut routines = spec
             .config
             .routines
-            .then(|| RoutineEngine::new(spec.config.routine_ledger_seed, &spec.routines));
+            .then(|| RoutineEngine::new(me, spec.config.routine_ledger_seed, &spec.routines));
         let mut routine_recovery = Vec::new();
         if let Some(engine) = routines.as_mut() {
             if !recovered.ledger.is_empty() {
@@ -581,7 +576,7 @@ impl Running {
         self.obs
             .observe("rbcast.pending", self.rbcast.pending_count() as u64);
         if let Some(bound) = self.gate.bound() {
-            self.obs.set_gauge("wal.gated_bound", bound as i64);
+            self.obs.observe("wal.gated_bound", bound as u64);
         }
         let arena = self.gapless.store().arena_stats();
         let prev = std::mem::replace(&mut self.arena_reported, arena);

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rivulet_storage::{LedgerChain, LedgerEntry, RoutineTransition};
-use rivulet_types::{ActuatorId, Command, CommandId, CommandKind, RoutineId, Time};
+use rivulet_types::{ActuatorId, Command, CommandId, CommandKind, ProcessId, RoutineId, Time};
 
 /// One step of a routine: a command for one actuator, with an optional
 /// compensation command issued if the routine aborts.
@@ -117,6 +117,10 @@ impl RoutineSpec {
 /// Final (or latest) state of one routine firing, as the probe saw it.
 #[derive(Debug, Clone)]
 pub struct InstanceRecord {
+    /// The process that coordinated the firing. Every coordinator
+    /// numbers its instances from 0, so a firing is `(coordinator,
+    /// instance)`.
+    pub coordinator: ProcessId,
     /// The firing instance.
     pub instance: u64,
     /// The latest transition recorded for it.
@@ -183,19 +187,25 @@ impl RoutineProbe {
         self.instances.lock().expect("probe lock").clone()
     }
 
-    fn record_staged(&self, instance: u64, commands: Vec<(ActuatorId, CommandId)>) {
+    fn record_staged(
+        &self,
+        coordinator: ProcessId,
+        instance: u64,
+        commands: Vec<(ActuatorId, CommandId)>,
+    ) {
         self.triggered.fetch_add(1, Ordering::SeqCst);
         self.instances
             .lock()
             .expect("probe lock")
             .push(InstanceRecord {
+                coordinator,
                 instance,
                 state: RoutineTransition::Staged,
                 commands,
             });
     }
 
-    fn record_transition(&self, instance: u64, state: RoutineTransition) {
+    fn record_transition(&self, coordinator: ProcessId, instance: u64, state: RoutineTransition) {
         match state {
             RoutineTransition::Committed => {
                 self.committed.fetch_add(1, Ordering::SeqCst);
@@ -209,7 +219,8 @@ impl RoutineProbe {
             RoutineTransition::Staged => {}
         }
         let mut instances = self.instances.lock().expect("probe lock");
-        if let Some(rec) = instances.iter_mut().find(|r| r.instance == instance) {
+        let ours = |r: &&mut InstanceRecord| r.coordinator == coordinator && r.instance == instance;
+        if let Some(rec) = instances.iter_mut().find(ours) {
             rec.state = state;
         }
     }
@@ -304,6 +315,8 @@ pub enum RecoveryAction {
 /// entry, and the caller makes it durable (the WAL is the record).
 #[derive(Debug)]
 pub struct RoutineEngine {
+    /// The process this engine coordinates for.
+    coordinator: ProcessId,
     /// Each deployed routine with its probe.
     routines: HashMap<RoutineId, (Arc<RoutineSpec>, Arc<RoutineProbe>)>,
     chain: LedgerChain,
@@ -312,10 +325,16 @@ pub struct RoutineEngine {
 }
 
 impl RoutineEngine {
-    /// Creates an engine with the ledger chain seeded from `seed`.
+    /// Creates the engine of process `coordinator`, with the ledger
+    /// chain seeded from `seed`.
     #[must_use]
-    pub fn new(seed: u64, routines: &[(Arc<RoutineSpec>, Arc<RoutineProbe>)]) -> Self {
+    pub fn new(
+        coordinator: ProcessId,
+        seed: u64,
+        routines: &[(Arc<RoutineSpec>, Arc<RoutineProbe>)],
+    ) -> Self {
         Self {
+            coordinator,
             routines: routines
                 .iter()
                 .map(|(s, p)| (s.id, (Arc::clone(s), Arc::clone(p))))
@@ -381,7 +400,7 @@ impl RoutineEngine {
             at,
             ledger_cmds.clone(),
         );
-        probe.record_staged(instance, ledger_cmds);
+        probe.record_staged(self.coordinator, instance, ledger_cmds);
         let stages = commands
             .iter()
             .map(|(step, actuator, cmd)| (*actuator, *step, cmd.clone()))
@@ -461,7 +480,7 @@ impl RoutineEngine {
             commands,
         );
         if let Some(probe) = self.probe(routine) {
-            probe.record_transition(instance, RoutineTransition::Compensated);
+            probe.record_transition(self.coordinator, instance, RoutineTransition::Compensated);
         }
         entry
     }
@@ -516,7 +535,11 @@ impl RoutineEngine {
                         Vec::new(),
                     );
                     if let Some(probe) = self.probe(routine) {
-                        probe.record_transition(instance, RoutineTransition::Aborted);
+                        probe.record_transition(
+                            self.coordinator,
+                            instance,
+                            RoutineTransition::Aborted,
+                        );
                     }
                     actions.push(RecoveryAction::AbortStaged(AbortPlan {
                         routine,
@@ -563,7 +586,7 @@ impl RoutineEngine {
             .chain
             .append(fl.routine, instance, transition, at, Vec::new());
         if let Some(probe) = self.probe(fl.routine) {
-            probe.record_transition(instance, transition);
+            probe.record_transition(self.coordinator, instance, transition);
         }
         entry
     }
@@ -602,15 +625,19 @@ mod tests {
 
     fn engine() -> (RoutineEngine, Arc<RoutineProbe>) {
         let probe = RoutineProbe::new();
-        let eng = RoutineEngine::new(7, &[(Arc::new(spec()), Arc::clone(&probe))]);
+        let eng = RoutineEngine::new(ProcessId(0), 7, &[(Arc::new(spec()), Arc::clone(&probe))]);
         (eng, probe)
     }
 
     fn minter() -> impl FnMut(ActuatorId, CommandKind) -> Command {
+        minter_for(ProcessId(0))
+    }
+
+    fn minter_for(issuer: ProcessId) -> impl FnMut(ActuatorId, CommandKind) -> Command {
         let mut seq = 0u64;
         move |actuator, kind| {
             let cmd = Command::new(
-                CommandId::new(ProcessId(0), OperatorId(0), seq),
+                CommandId::new(issuer, OperatorId(0), seq),
                 actuator,
                 kind,
                 Time::ZERO,
@@ -710,7 +737,7 @@ mod tests {
         let entries = vec![p0.entry, committed, p1.entry];
 
         let probe = RoutineProbe::new();
-        let mut recovered = RoutineEngine::new(7, &[(Arc::new(spec()), probe)]);
+        let mut recovered = RoutineEngine::new(ProcessId(0), 7, &[(Arc::new(spec()), probe)]);
         let actions = recovered.recover(&entries, Time::from_secs(5));
         assert_eq!(actions.len(), 2);
         assert!(matches!(
@@ -745,6 +772,39 @@ mod tests {
             .expect("staged");
         assert_eq!(plan.instance, 0);
         LedgerVerifier::verify(7, &[plan.entry]).expect("chain starts at genesis");
+    }
+
+    #[test]
+    fn a_transition_updates_only_its_own_coordinators_record() {
+        // Every engine numbers its firings from 0 and all share the
+        // routine's probe: after a failover, the new coordinator's
+        // commit of its instance 0 must leave the old one's alone.
+        let probe = RoutineProbe::new();
+        let routines = [(Arc::new(spec()), Arc::clone(&probe))];
+        let mut old = RoutineEngine::new(ProcessId(0), 7, &routines);
+        let mut new = RoutineEngine::new(ProcessId(1), 7, &routines);
+        let staged = old
+            .trigger(RoutineId(1), Time::ZERO, minter_for(ProcessId(0)))
+            .expect("staged");
+        let plan = new
+            .trigger(RoutineId(1), Time::from_secs(3), minter_for(ProcessId(1)))
+            .expect("staged");
+        assert_eq!((staged.instance, plan.instance), (0, 0));
+        for step in 0..2 {
+            let _ = new.on_stage_ack(RoutineId(1), plan.instance, step, true, Time::from_secs(3));
+        }
+        let states: Vec<_> = probe
+            .instances()
+            .iter()
+            .map(|r| (r.coordinator, r.state))
+            .collect();
+        assert_eq!(
+            states,
+            vec![
+                (ProcessId(0), RoutineTransition::Staged),
+                (ProcessId(1), RoutineTransition::Committed),
+            ]
+        );
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! Determinism contract: everything derived from simulation state —
 //! per-home outcomes, verdicts, and the merged fleet
 //! [`ObsSnapshot`] — is a pure function of the manifest and fleet
-//! seed. Per-home snapshots are folded into the merged snapshot
-//! *incrementally*, strictly in `home_index` order (an in-order
-//! frontier over completed slots), so the merged snapshot is
-//! byte-identical across `--threads 1` and `--threads N` while the
-//! run holds at most the out-of-order completion window of snapshots
-//! in memory — not one per home. Only the wall-clock throughput
-//! figures vary run to run.
+//! seed. Each home's snapshot is merged into the fleet's as soon as
+//! the home finishes, in whatever order the workers finish them:
+//! every snapshot family (counters, histograms, timeline events)
+//! merges regardless of order ([`ObsSnapshot::merge`]), so the merged
+//! snapshot is byte-identical across `--threads 1` and `--threads N`
+//! and the run never holds more than one snapshot per worker. Only
+//! the wall-clock throughput figures vary run to run.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -57,8 +56,7 @@ pub struct FleetOutcome {
     /// Slim per-home results in `home_index` order (snapshots are
     /// folded into `merged` as homes complete, not retained here).
     pub homes: Vec<HomeSummary>,
-    /// All per-home snapshots merged in index order, plus the
-    /// `fleet.*` counters.
+    /// All per-home snapshots merged, plus the `fleet.*` counters.
     pub merged: ObsSnapshot,
     /// Wall-clock seconds the pool took to drain the fleet.
     pub wall_secs: f64,
@@ -153,42 +151,14 @@ pub fn run_fleet(manifest: &FleetManifest, threads: usize) -> FleetOutcome {
     }
 }
 
-/// The in-order snapshot fold shared by the pool workers: `merged` has
-/// absorbed every home below `frontier`; snapshots of homes that
-/// completed out of order park in `parked` until the frontier reaches
-/// them. Memory held is one snapshot per *out-of-order* completion —
-/// the pool's skew window — instead of one per home.
-struct SnapshotFold {
-    frontier: usize,
-    merged: ObsSnapshot,
-    parked: BTreeMap<usize, ObsSnapshot>,
-}
-
-impl SnapshotFold {
-    fn absorb(&mut self, index: usize, obs: ObsSnapshot) {
-        self.parked.insert(index, obs);
-        // Drain the in-order frontier: merge order is exactly
-        // home-index order, so the merged snapshot is byte-identical
-        // to a sequential single-thread fold.
-        while let Some(obs) = self.parked.remove(&self.frontier) {
-            self.merged.merge(&obs);
-            self.frontier += 1;
-        }
-    }
-}
-
 /// The worker pool: `threads` workers self-schedule over the spec list
 /// through one shared atomic cursor. Each completed home's snapshot is
-/// folded into the shared merged snapshot as soon as the in-order
-/// frontier reaches it; only the slim [`HomeSummary`] is kept per home.
+/// merged into the shared snapshot at once; only the slim
+/// [`HomeSummary`] is kept per home.
 fn run_pool(specs: &[HomeSpec], threads: usize) -> (Vec<HomeSummary>, ObsSnapshot) {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<HomeSummary>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let fold = Mutex::new(SnapshotFold {
-        frontier: 0,
-        merged: ObsSnapshot::default(),
-        parked: BTreeMap::new(),
-    });
+    let merged = Mutex::new(ObsSnapshot::default());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -199,20 +169,13 @@ fn run_pool(specs: &[HomeSpec], threads: usize) -> (Vec<HomeSummary>, ObsSnapsho
                 *slots[i]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(summary);
-                fold.lock()
+                merged
+                    .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .absorb(i, obs);
+                    .merge(&obs);
             });
         }
     });
-    let fold = fold
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert_eq!(
-        fold.frontier,
-        specs.len(),
-        "every home's snapshot folded in order"
-    );
     let summaries = slots
         .into_iter()
         .map(|slot| {
@@ -221,7 +184,10 @@ fn run_pool(specs: &[HomeSpec], threads: usize) -> (Vec<HomeSummary>, ObsSnapsho
                 .expect("every home ran to completion")
         })
         .collect();
-    (summaries, fold.merged)
+    let merged = merged
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    (summaries, merged)
 }
 
 #[cfg(test)]
@@ -272,10 +238,8 @@ forwarding = ["ring", "broadcast"]
 
     #[test]
     fn incremental_fold_is_thread_count_independent() {
-        // The fold releases snapshots as the in-order frontier passes
-        // them; the merged result must still be byte-identical across
-        // thread counts (out-of-order completions park until their
-        // turn).
+        // Homes are merged in the order they finish, which differs
+        // between thread counts; the merged result must not.
         let m = FleetManifest::from_text(SMALL).unwrap();
         let serial = run_fleet(&m, 1);
         let pooled = run_fleet(&m, 3);

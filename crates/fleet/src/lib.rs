@@ -17,10 +17,11 @@
 //!    an isolated seeded simulation exercising Gapless delivery,
 //!    rbcast, the WAL, and the event store at once — and
 //!    judges each home with `rivulet_core::probe::check`.
-//! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge (in
-//!    home-index order, so the result is byte-identical across thread
-//!    counts) into one fleet-wide snapshot with `fleet.*` counters, and
-//!    a per-axis breakdown table.
+//! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge as
+//!    homes finish (every family merges regardless of order, so the
+//!    result is byte-identical across thread counts) into one
+//!    fleet-wide snapshot with `fleet.*` counters, and a per-axis
+//!    breakdown table.
 //!
 //! ```text
 //! cargo run -p rivulet-fleet --release -- run manifests/fleet_smoke.toml

@@ -7,7 +7,7 @@ use rivulet_fleet::executor::run_fleet;
 use rivulet_fleet::FleetManifest;
 
 /// A 16-home fleet crossing link quality with a failure schedule —
-/// enough to exercise crash spans, loss randomness, and the WAL in the
+/// enough to exercise crash events, loss randomness, and the WAL in the
 /// merged snapshot.
 const MANIFEST: &str = r#"
 [fleet]
@@ -84,7 +84,13 @@ fn fleet_counters_summarize_the_run() {
     );
     // Every home ran with durable storage: WAL counters folded in.
     assert!(out.merged.counter("wal.appends") > 0);
-    // Half the configs crash: failover spans from multiple homes
-    // survive the merge.
-    assert!(!out.merged.spans_named("failover").is_empty());
+    // Half the configs crash: every crashing home's `net.crash` event
+    // survives the merge.
+    let crashing = out
+        .homes
+        .iter()
+        .filter(|h| h.spec.params.crash_at().is_some())
+        .count();
+    assert_eq!(crashing, 8);
+    assert_eq!(out.merged.events_named("net.crash").len(), crashing);
 }

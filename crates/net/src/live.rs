@@ -194,9 +194,7 @@ impl LiveNet {
         let _ = self.router.inboxes.read()[actor.0 as usize].send(ThreadInput::Crash);
         let now = self.router.now();
         let metrics = self.router.metrics.lock();
-        let key = u64::from(actor.0);
-        metrics.obs.event("net.crash", now, key, 0);
-        metrics.obs.span_open("failover", key, now);
+        metrics.obs.event("net.crash", now, u64::from(actor.0), 0);
     }
 
     /// Recovers a crashed `actor`, rebuilding it from its factory.
@@ -485,7 +483,6 @@ mod tests {
         let snap = net.obs_snapshot();
         assert!(snap.counter("net.messages_sent") >= 6);
         assert_eq!(snap.events_named("net.crash").len(), 1);
-        assert_eq!(snap.spans_named("failover").len(), 1);
         assert!(snap.histogram("net.payload_bytes").is_some());
         net.shutdown();
     }

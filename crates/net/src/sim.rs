@@ -442,10 +442,6 @@ impl SimNet {
                 if slot.instance.take().is_some() {
                     let key = u64::from(actor.0);
                     self.metrics.obs.event("net.crash", self.now, key, 0);
-                    // Failover span: opened at the crash, closed by the
-                    // process runtime at the first post-promotion
-                    // application activity.
-                    self.metrics.obs.span_open("failover", key, self.now);
                 }
             }
             Control::Recover(actor) => {

@@ -14,14 +14,17 @@
 //! process runtime, the WAL — holds a clone and records into it:
 //!
 //! * **counters** — monotonic totals (`net.wifi_bytes`),
-//! * **gauges** — last-write-wins levels (`store.len`),
 //! * **histograms** — base-2 log-scale distributions
-//!   ([`Histogram`], e.g. `app.delay_us`),
+//!   ([`Histogram`], e.g. `app.delay_us`, or `store.len` sampled per
+//!   tick),
 //! * **timeline events** — instantaneous virtual-time occurrences
-//!   ([`TimelineEvent`], e.g. `net.crash`),
-//! * **spans** — virtual-time intervals ([`SpanRecord`], e.g. a
-//!   `failover` span from crash detection to the first
-//!   post-promotion application activity).
+//!   ([`TimelineEvent`], e.g. `net.crash`). An interval is two
+//!   events: the failover of Fig. 7 runs from a `net.crash` to the
+//!   next `app.delivery`.
+//!
+//! All three merge regardless of order ([`ObsSnapshot::merge`]), so
+//! snapshots from many homes fold into one result that does not
+//! depend on which home finished first.
 //!
 //! Recording is a **no-op while the recorder is disabled** (the
 //! default): every record method begins with one relaxed atomic load
@@ -34,7 +37,7 @@
 //! produce identical [`ObsSnapshot`]s, and
 //! [`ObsSnapshot::to_json`] renders them byte-identically.
 //!
-//! The full metric/event/span catalog lives in `OBSERVABILITY.md` at
+//! The full metric/event catalog lives in `OBSERVABILITY.md` at
 //! the repository root.
 //!
 //! # Example
@@ -48,11 +51,10 @@
 //! rec.set_enabled(true);
 //! rec.add("net.wifi_bytes", 100);
 //! rec.observe("app.delay_us", 80_000);
-//! rec.span_open("failover", 3, Time::from_secs(24));
-//! rec.span_close("failover", 3, Time::from_millis(26_500));
+//! rec.event("net.crash", Time::from_secs(24), 3, 0);
 //! let snap = rec.snapshot();
 //! assert_eq!(snap.counter("net.wifi_bytes"), 100);
-//! assert_eq!(snap.spans[0].duration().unwrap().as_millis(), 2_500);
+//! assert_eq!(snap.events_named("net.crash")[0].at, Time::from_secs(24));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +65,7 @@ mod histogram;
 mod snapshot;
 
 pub use histogram::Histogram;
-pub use snapshot::{ObsSnapshot, SpanRecord, TimelineEvent};
+pub use snapshot::{ObsSnapshot, TimelineEvent};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,13 +77,8 @@ use rivulet_types::Time;
 #[derive(Debug, Default)]
 struct State {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
     events: Vec<TimelineEvent>,
-    /// Spans opened but not yet closed, keyed by `(name, key)`.
-    open_spans: BTreeMap<(&'static str, u64), Time>,
-    /// Closed spans in closing order.
-    closed_spans: Vec<SpanRecord>,
 }
 
 #[derive(Debug, Default)]
@@ -151,14 +148,6 @@ impl Recorder {
         self.add(name, 1);
     }
 
-    /// Sets gauge `name` to `value` (last write wins).
-    pub fn set_gauge(&self, name: &'static str, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.inner.lock().gauges.insert(name, value);
-    }
-
     /// Records `value` into histogram `name`.
     pub fn observe(&self, name: &'static str, value: u64) {
         if !self.is_enabled() {
@@ -185,62 +174,14 @@ impl Recorder {
         });
     }
 
-    /// Opens span `(name, key)` at virtual time `at`. Re-opening an
-    /// already-open span keeps the earlier start (the first detection
-    /// wins).
-    pub fn span_open(&self, name: &'static str, key: u64, at: Time) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.inner
-            .lock()
-            .open_spans
-            .entry((name, key))
-            .or_insert(at);
-    }
-
-    /// Closes span `(name, key)` at virtual time `at`. A close without
-    /// a matching open is a no-op, so call sites need not track
-    /// whether a span exists.
-    pub fn span_close(&self, name: &'static str, key: u64, at: Time) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut state = self.inner.lock();
-        if let Some(start) = state.open_spans.remove(&(name, key)) {
-            state.closed_spans.push(SpanRecord {
-                name,
-                key,
-                start,
-                end: Some(at),
-            });
-        }
-    }
-
-    /// Exports everything recorded so far. Still-open spans appear
-    /// with `end: None`; spans are ordered by `(start, name, key)`.
+    /// Exports everything recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> ObsSnapshot {
         let state = self.inner.lock();
-        let mut spans: Vec<SpanRecord> = state.closed_spans.clone();
-        spans.extend(
-            state
-                .open_spans
-                .iter()
-                .map(|((name, key), start)| SpanRecord {
-                    name,
-                    key: *key,
-                    start: *start,
-                    end: None,
-                }),
-        );
-        spans.sort_by_key(|s| (s.start, s.name, s.key));
         ObsSnapshot {
             counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
             histograms: state.histograms.clone(),
             events: state.events.clone(),
-            spans,
         }
     }
 }
@@ -254,11 +195,8 @@ mod tests {
         let rec = Recorder::new();
         assert!(!rec.is_enabled());
         rec.add("c", 5);
-        rec.set_gauge("g", 1);
         rec.observe("h", 10);
         rec.event("e", Time::ZERO, 0, 0);
-        rec.span_open("s", 0, Time::ZERO);
-        rec.span_close("s", 0, Time::from_secs(1));
         assert_eq!(rec.snapshot(), ObsSnapshot::default());
     }
 
@@ -274,38 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms() {
+    fn counters_and_histograms() {
         let rec = Recorder::enabled();
         rec.add("bytes", 10);
         rec.add("bytes", 32);
-        rec.set_gauge("level", -3);
-        rec.set_gauge("level", 7);
         rec.observe("delay", 100);
         let snap = rec.snapshot();
         assert_eq!(snap.counter("bytes"), 42);
-        assert_eq!(snap.gauges.get("level"), Some(&7));
         assert_eq!(snap.histogram("delay").unwrap().count(), 1);
         assert_eq!(snap.counter("missing"), 0);
-    }
-
-    #[test]
-    fn span_lifecycle() {
-        let rec = Recorder::enabled();
-        rec.span_close("failover", 9, Time::from_secs(1)); // unmatched: no-op
-        rec.span_open("failover", 9, Time::from_secs(2));
-        rec.span_open("failover", 9, Time::from_secs(3)); // first open wins
-        rec.span_open("failover", 4, Time::from_secs(5)); // stays open
-        rec.span_close("failover", 9, Time::from_secs(4));
-        let snap = rec.snapshot();
-        assert_eq!(snap.spans.len(), 2);
-        let closed = &snap.spans[0];
-        assert_eq!((closed.key, closed.start), (9, Time::from_secs(2)));
-        assert_eq!(
-            closed.duration(),
-            Some(rivulet_types::Duration::from_secs(2))
-        );
-        let open = &snap.spans[1];
-        assert_eq!((open.key, open.end), (4, None));
     }
 
     #[test]
@@ -316,7 +231,6 @@ mod tests {
             rec.add("a.first", 2);
             rec.observe("h", 7);
             rec.event("ev", Time::from_millis(5), 1, 2);
-            rec.span_open("s", 1, Time::ZERO);
             rec.snapshot()
         };
         let (a, b) = (build(), build());

@@ -4,8 +4,9 @@
 //! link loss and a mid-run coordinator crash — which expand into 4
 //! configurations x 8 replicas = 32 homes. Every home runs as an
 //! isolated seeded simulation on the worker pool; per-home
-//! `ObsSnapshot`s merge (in home-index order, so the result is
-//! byte-identical at any thread count) into one fleet-wide report.
+//! `ObsSnapshot`s merge as homes finish (every family merges
+//! regardless of order, so the result is byte-identical at any thread
+//! count) into one fleet-wide report.
 //!
 //! Because each home's seed derives purely from
 //! `(fleet_seed, home_index)`, any home here can be re-run standalone,
@@ -52,13 +53,13 @@ fn main() {
     print!("{}", render_summary(&outcome));
 
     // The merged snapshot folds every home's counters together:
-    // fleet.* totals plus the per-home wal/failover/delivery series.
+    // fleet.* totals plus the per-home wal/crash/delivery series.
     println!(
-        "\nmerged snapshot: {} homes, {} events delivered, {} WAL appends, {} failover spans",
+        "\nmerged snapshot: {} homes, {} events delivered, {} WAL appends, {} crashes",
         outcome.merged.counter("fleet.homes"),
         outcome.merged.counter("fleet.events_total"),
         outcome.merged.counter("wal.appends"),
-        outcome.merged.spans_named("failover").len(),
+        outcome.merged.events_named("net.crash").len(),
     );
 
     // Standalone re-run: seed derivation is a pure function of

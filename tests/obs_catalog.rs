@@ -1,27 +1,29 @@
 //! Observability catalog drift check: the keys the code can emit and
-//! the keys OBSERVABILITY.md documents must be the same set.
+//! the keys OBSERVABILITY.md documents must be the same set, each of
+//! the same kind.
 //!
 //! *Emitted* is every string literal passed as the first argument of a
-//! `Recorder::{inc, add, observe, set_gauge, event, span_open,
-//! span_close}` call in non-test code under `crates/*/src`, plus
-//! [`INDIRECT`]. *Documented* is the first column of every table in
-//! OBSERVABILITY.md's metric catalog. Removing a catalog row or an
-//! emitting call on one side only fails the test.
+//! `Recorder::{inc, add, observe, event}` call in non-test code under
+//! `crates/*/src`, with the kind its call records (`inc`/`add` a
+//! counter, `observe` a histogram, `event` an event), plus the
+//! counters in [`INDIRECT`]. *Documented* is the first two columns
+//! (name and kind) of every table in OBSERVABILITY.md's metric
+//! catalog. Removing a catalog row or an emitting call on one side
+//! only, or recording a key as a kind its row does not name, fails the
+//! test.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const RECORD_CALLS: &[&str] = &[
-    ".inc(",
-    ".add(",
-    ".observe(",
-    ".set_gauge(",
-    ".event(",
-    ".span_open(",
-    ".span_close(",
+/// The recorder's write calls and the kind each records.
+const RECORD_CALLS: &[(&str, &str)] = &[
+    (".inc(", "counter"),
+    (".add(", "counter"),
+    (".observe(", "histogram"),
+    (".event(", "event"),
 ];
 
-/// Catalogued keys that reach the recorder through a variable, not a
+/// Catalogued counters that reach the recorder through a variable, not a
 /// literal at the call: chosen by a `match` (`net.drops.*`, the radio
 /// class in `NetMetrics::on_send`, `FaultKind`'s counter name), folded
 /// from `FanoutStats` at snapshot time, or stamped onto the merged
@@ -92,16 +94,17 @@ fn production_sources() -> String {
     out
 }
 
-/// Literal first arguments of the recorder's write calls (rustfmt may
-/// put the literal on the line after the opening parenthesis).
-fn literal_keys(code: &str) -> BTreeSet<String> {
+/// `(key, kind)` of every literal first argument of the recorder's
+/// write calls (rustfmt may put the literal on the line after the
+/// opening parenthesis).
+fn literal_keys(code: &str) -> BTreeSet<(String, String)> {
     let mut keys = BTreeSet::new();
-    for call in RECORD_CALLS {
+    for (call, kind) in RECORD_CALLS {
         for (at, _) in code.match_indices(call) {
             let rest = code[at + call.len()..].trim_start();
             if let Some(rest) = rest.strip_prefix('"') {
                 if let Some(end) = rest.find('"') {
-                    keys.insert(rest[..end].to_owned());
+                    keys.insert((rest[..end].to_owned(), (*kind).to_owned()));
                 }
             }
         }
@@ -109,17 +112,20 @@ fn literal_keys(code: &str) -> BTreeSet<String> {
     keys
 }
 
-/// First-column keys of the catalog tables: rows shaped
-/// ``| `key` … |`` between the "Metric catalog" heading and the worked
-/// example.
-fn catalog_keys(doc: &str) -> BTreeSet<String> {
+/// `(key, kind)` from the first two columns of the catalog tables:
+/// rows shaped ``| `key` | kind | … |`` between the "Metric catalog"
+/// heading and the worked example.
+fn catalog_keys(doc: &str) -> BTreeSet<(String, String)> {
     let start = doc.find("## Metric catalog").expect("catalog heading");
     let end = doc.find("## Worked example").expect("worked example");
     doc[start..end]
         .lines()
         .filter_map(|line| line.strip_prefix("| `"))
-        .filter_map(|rest| rest.split('`').next())
-        .map(str::to_owned)
+        .filter_map(|rest| {
+            let (key, rest) = rest.split_once('`')?;
+            let kind = rest.trim_start().strip_prefix('|')?.split('|').next()?;
+            Some((key.to_owned(), kind.trim().to_owned()))
+        })
         .collect()
 }
 
@@ -135,15 +141,16 @@ fn catalog_matches_emitted_keys() {
             "INDIRECT lists `{key}` but no source file names it"
         );
         assert!(
-            emitted.insert((*key).to_owned()),
+            !emitted.iter().any(|(k, _)| k == key),
             "`{key}` is passed to a recorder call as a literal: drop it from INDIRECT"
         );
+        emitted.insert(((*key).to_owned(), "counter".to_owned()));
     }
 
     let documented = catalog_keys(&doc);
 
-    let undocumented: Vec<&String> = emitted.difference(&documented).collect();
-    let stale: Vec<&String> = documented.difference(&emitted).collect();
+    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&emitted).collect();
     assert!(
         undocumented.is_empty() && stale.is_empty(),
         "OBSERVABILITY.md is out of sync with the code\n  \
