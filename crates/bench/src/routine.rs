@@ -37,7 +37,8 @@ use rivulet_devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_obs::ObsSnapshot;
 use rivulet_storage::{
-    FlushPolicy, LedgerEntry, LedgerVerifier, SimBackend, StorageBackend, Wal, WalOptions,
+    FlushPolicy, LedgerEntry, LedgerVerifier, RoutineTransition, SimBackend, StorageBackend, Wal,
+    WalOptions,
 };
 use rivulet_types::{
     ActuationState, AppId, CommandKind, Duration, EventKind, ProcessId, RoutineId, Time,
@@ -197,6 +198,13 @@ pub fn run_routine_scenario(cfg: &RoutineScenario) -> RoutineOutcome {
     let ledger = recovered.ledger;
     let instances = probe.instances();
     let staged = instances.len();
+    let reached = |finals: &[RoutineTransition]| {
+        let reached = instances.iter().filter(|r| finals.contains(&r.state));
+        reached.count() as u64
+    };
+    let committed = reached(&[RoutineTransition::Committed]);
+    let aborted = reached(&[RoutineTransition::Aborted, RoutineTransition::Compensated]);
+    let compensated = reached(&[RoutineTransition::Compensated]);
     let verdict = check(&ProbeData {
         applied: [&lights_probe, &thermostat_probe, &lock_probe]
             .iter()
@@ -211,9 +219,9 @@ pub fn run_routine_scenario(cfg: &RoutineScenario) -> RoutineOutcome {
 
     RoutineOutcome {
         triggered: probe.triggered(),
-        committed: probe.committed(),
-        aborted: probe.aborted(),
-        compensated: probe.compensated(),
+        committed,
+        aborted,
+        compensated,
         unreachable: probe.unreachable(),
         instances: staged,
         partial_firings: count(|v| matches!(v, Violation::PartialFiring(_))),

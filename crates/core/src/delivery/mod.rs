@@ -17,8 +17,9 @@ use rivulet_types::{Event, ProcSet, ProcessId};
 
 use crate::messages::ProcMsg;
 
-/// The delivery guarantee chosen per sensor input (§2.2, Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The delivery guarantee chosen per sensor input (§2.2, Table 1),
+/// ordered by strength: `Gap < Gapless`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Delivery {
     /// Best-effort: low overhead, may lose events on failures (§4.2).
     Gap,

@@ -24,97 +24,6 @@ pub fn active_logic(chain: &[ProcessId], alive: impl Fn(ProcessId) -> bool) -> O
     chain.iter().copied().find(|p| alive(*p))
 }
 
-/// A logic node's execution status at one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogicStatus {
-    /// This process runs the app: events are processed, commands
-    /// emitted.
-    Active,
-    /// This process holds a placeholder; events are stored (Gapless)
-    /// but not processed.
-    Shadow,
-}
-
-/// Tracks one process's role for one app, detecting
-/// promotion/demotion edges so the runtime can log failovers and
-/// replay outstanding events on promotion.
-#[derive(Debug)]
-pub struct ExecutionState {
-    me: ProcessId,
-    chain: Vec<ProcessId>,
-    status: LogicStatus,
-}
-
-/// A change of role produced by re-evaluating the election.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
-    /// Shadow → active: the process must start processing, including
-    /// any replicated-but-unprocessed events (§4.1's promotion rule).
-    Promoted,
-    /// Active → shadow: an earlier chain member recovered.
-    Demoted,
-}
-
-impl ExecutionState {
-    /// Creates the execution state of `me` for an app with the given
-    /// placement chain. Starts as shadow; the first election
-    /// re-evaluation settles the real role.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is not a chain member.
-    #[must_use]
-    pub fn new(me: ProcessId, chain: Vec<ProcessId>) -> Self {
-        assert!(chain.contains(&me), "process must be in the app chain");
-        Self {
-            me,
-            chain,
-            status: LogicStatus::Shadow,
-        }
-    }
-
-    /// The placement chain (position 0 = preferred host).
-    #[must_use]
-    pub fn chain(&self) -> &[ProcessId] {
-        &self.chain
-    }
-
-    /// Current status at this process.
-    #[must_use]
-    pub fn status(&self) -> LogicStatus {
-        self.status
-    }
-
-    /// Whether this process currently runs the active logic node.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.status == LogicStatus::Active
-    }
-
-    /// The process this one believes is active, per `alive`.
-    #[must_use]
-    pub fn believed_active(&self, alive: impl Fn(ProcessId) -> bool) -> Option<ProcessId> {
-        active_logic(&self.chain, alive)
-    }
-
-    /// Re-evaluates the election against the current view; returns the
-    /// transition if the role changed.
-    pub fn reevaluate(&mut self, alive: impl Fn(ProcessId) -> bool) -> Option<Transition> {
-        let should_be_active = active_logic(&self.chain, &alive) == Some(self.me);
-        match (self.status, should_be_active) {
-            (LogicStatus::Shadow, true) => {
-                self.status = LogicStatus::Active;
-                Some(Transition::Promoted)
-            }
-            (LogicStatus::Active, false) => {
-                self.status = LogicStatus::Shadow;
-                Some(Transition::Demoted)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,61 +42,5 @@ mod tests {
         );
         assert_eq!(active_logic(&chain, |_| false), None);
         assert_eq!(active_logic(&[], |_| true), None);
-    }
-
-    #[test]
-    fn primary_promotes_immediately() {
-        let mut e = ExecutionState::new(ProcessId(0), pids(&[0, 1, 2]));
-        assert_eq!(e.status(), LogicStatus::Shadow);
-        assert_eq!(e.reevaluate(|_| true), Some(Transition::Promoted));
-        assert!(e.is_active());
-        assert_eq!(e.reevaluate(|_| true), None, "stable role: no transition");
-    }
-
-    #[test]
-    fn shadow_promotes_when_predecessors_die_and_demotes_on_recovery() {
-        let mut e = ExecutionState::new(ProcessId(1), pids(&[0, 1, 2]));
-        assert_eq!(e.reevaluate(|_| true), None, "p0 alive: stay shadow");
-        // p0 suspected: p1 promotes (bully rule).
-        assert_eq!(
-            e.reevaluate(|p| p != ProcessId(0)),
-            Some(Transition::Promoted)
-        );
-        // p0 recovers: p1 demotes.
-        assert_eq!(e.reevaluate(|_| true), Some(Transition::Demoted));
-        assert_eq!(e.status(), LogicStatus::Shadow);
-    }
-
-    #[test]
-    fn partition_promotes_both_sides() {
-        // Chain [0,1]; a partition separates them. Each side's view has
-        // only itself alive among chain members.
-        let mut a = ExecutionState::new(ProcessId(0), pids(&[0, 1]));
-        let mut b = ExecutionState::new(ProcessId(1), pids(&[0, 1]));
-        assert_eq!(
-            a.reevaluate(|p| p == ProcessId(0)),
-            Some(Transition::Promoted)
-        );
-        assert_eq!(
-            b.reevaluate(|p| p == ProcessId(1)),
-            Some(Transition::Promoted)
-        );
-        assert!(a.is_active() && b.is_active(), "both sides actuate (§5)");
-        // Partition heals: the later chain member yields.
-        assert_eq!(a.reevaluate(|_| true), None);
-        assert_eq!(b.reevaluate(|_| true), Some(Transition::Demoted));
-    }
-
-    #[test]
-    fn believed_active_tracks_view() {
-        let e = ExecutionState::new(ProcessId(2), pids(&[0, 1, 2]));
-        assert_eq!(e.believed_active(|_| true), Some(ProcessId(0)));
-        assert_eq!(e.believed_active(|p| p == ProcessId(2)), Some(ProcessId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "process must be in the app chain")]
-    fn non_member_panics() {
-        let _ = ExecutionState::new(ProcessId(9), pids(&[0, 1]));
     }
 }

@@ -10,6 +10,7 @@ use super::{advance, Running};
 use crate::config::ForwardingMode;
 use crate::delivery::gap::{self, GapRole};
 use crate::delivery::{Action, Delivery};
+use crate::execution::active_logic;
 use crate::gating::Released;
 use crate::messages::ProcMsg;
 
@@ -58,7 +59,7 @@ impl Running {
                 // The express copy goes where a Gap event would: the
                 // believed-active host of the first subscribing app.
                 let alive = |p| self.membership.is_alive(p, now);
-                let host = self.apps[first_app].exec.believed_active(alive);
+                let host = active_logic(&self.apps[first_app].chain, alive);
                 let express = host.and_then(|h| {
                     let (sender, seen) = gap::express_sender(view, rt.reachers, h)?;
                     (sender == self.me).then_some((h, seen))
@@ -92,10 +93,10 @@ impl Running {
                 // first subscribing app.
                 let app = &self.apps[first_app];
                 let alive = |p| self.membership.is_alive(p, now);
-                let Some(active) = app.exec.believed_active(alive) else {
+                let Some(active) = active_logic(&app.chain, alive) else {
                     return;
                 };
-                match gap::role_of(self.me, app.exec.chain(), rt.reachers, alive, active) {
+                match gap::role_of(self.me, &app.chain, rt.reachers, alive, active) {
                     GapRole::DeliverLocally => self.deliver_to_apps(ctx, &event),
                     GapRole::ForwardTo(target) => {
                         self.send_proc(target, &ProcMsg::GapForward { event });

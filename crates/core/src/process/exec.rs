@@ -5,40 +5,14 @@ use std::sync::Arc;
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
-use rivulet_obs::Recorder;
 use rivulet_types::{Command, Event};
 
 use super::{advance, token, Running, KIND_WINDOW};
 use crate::app::{AppRuntime, OpOutput, RuntimeOutput};
-use crate::execution::Transition;
+use crate::execution::active_logic;
 use crate::messages::ProcMsg;
 use crate::probe::DeliveryRecord;
-use crate::repair::{HealthModel, RepairCounts, RepairVerdict};
-
-/// Folds a repair-counter delta into the recorder. A clean delta (the
-/// overwhelmingly common case) writes nothing, so healthy homes pay
-/// one comparison per delivery and the obs snapshot carries no
-/// `repair.*` keys at all when the layer never acted.
-fn record_repair_counts(obs: &Recorder, counts: RepairCounts) {
-    if counts == RepairCounts::default() {
-        return;
-    }
-    if counts.substitutions > 0 {
-        obs.add("repair.substitutions", counts.substitutions);
-    }
-    if counts.outlier_drops > 0 {
-        obs.add("repair.outlier_drops", counts.outlier_drops);
-    }
-    if counts.quarantines > 0 {
-        obs.add("repair.quarantines", counts.quarantines);
-    }
-    if counts.quarantined_drops > 0 {
-        obs.add("repair.quarantined_drops", counts.quarantined_drops);
-    }
-    if counts.stuck_flagged > 0 {
-        obs.add("repair.stuck_flagged", counts.stuck_flagged);
-    }
-}
+use crate::repair::{HealthModel, RepairVerdict};
 
 impl Running {
     /// Re-evaluates the election for every app, handling promotion
@@ -51,29 +25,26 @@ impl Running {
             let app = &mut self.apps[idx];
             let window_timers = self.window_timers.iter().enumerate();
             let mine = window_timers.filter(|(_, (a, ..))| *a == idx);
-            match app.exec.reevaluate(|p| membership.is_alive(p, now)) {
-                Some(Transition::Promoted) => {
-                    app.probe.record_transition(now, me, true);
-                    self.obs
-                        .event("exec.promoted", now, u64::from(me.0), idx as u64);
-                    app.runtime =
-                        Some(AppRuntime::new(Arc::clone(&app.spec)).expect("validated app"));
-                    app.stale_reported = 0;
-                    for (i, (.., period)) in mine {
-                        ctx.set_timer(*period, token(KIND_WINDOW, i as u32));
-                    }
-                    self.replay_outstanding(ctx, idx);
+            let should_be_active =
+                active_logic(&app.chain, |p| membership.is_alive(p, now)) == Some(me);
+            if should_be_active && app.runtime.is_none() {
+                app.probe.record_transition(now, me, true);
+                self.obs
+                    .event("exec.promoted", now, u64::from(me.0), idx as u64);
+                app.runtime = Some(AppRuntime::new(Arc::clone(&app.spec)).expect("validated app"));
+                app.stale_reported = 0;
+                for (i, (.., period)) in mine {
+                    ctx.set_timer(*period, token(KIND_WINDOW, i as u32));
                 }
-                Some(Transition::Demoted) => {
-                    self.obs
-                        .event("exec.demoted", now, u64::from(me.0), idx as u64);
-                    app.runtime = None;
-                    app.probe.record_transition(now, me, false);
-                    for (i, _) in mine {
-                        ctx.cancel_timer(token(KIND_WINDOW, i as u32));
-                    }
+                self.replay_outstanding(ctx, idx);
+            } else if !should_be_active && app.runtime.is_some() {
+                self.obs
+                    .event("exec.demoted", now, u64::from(me.0), idx as u64);
+                app.runtime = None;
+                app.probe.record_transition(now, me, false);
+                for (i, _) in mine {
+                    ctx.cancel_timer(token(KIND_WINDOW, i as u32));
                 }
-                None => {}
             }
         }
     }
@@ -99,7 +70,7 @@ impl Running {
     pub(super) fn deliver_to_apps(&mut self, ctx: &mut Context<'_>, event: &Event) {
         self.note_epoch_event(ctx, event);
         for idx in 0..self.apps.len() {
-            if self.apps[idx].exec.is_active() {
+            if self.apps[idx].runtime.is_some() {
                 self.process_at_app(ctx, idx, event);
             }
         }
@@ -114,9 +85,7 @@ impl Running {
         // consults the detectors exactly once.
         let mut substituted: Option<Event> = None;
         if let Some(health) = self.repair.as_mut() {
-            let verdict = health.observe(now, event);
-            record_repair_counts(&self.obs, health.take_counts());
-            match verdict {
+            match health.observe(now, event) {
                 RepairVerdict::Accept => {}
                 RepairVerdict::Substitute(value) => {
                     substituted = Some(HealthModel::substituted(event, value));

@@ -47,7 +47,7 @@ use rivulet_obs::Recorder;
 use rivulet_storage::{StorageBackend, WalOptions};
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{
-    ActuatorId, ArenaStats, CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time,
+    ActuatorId, CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time,
 };
 
 use crate::app::{AppRuntime, AppSpec, StreamKey};
@@ -57,7 +57,7 @@ use crate::delivery::polling::{PollPlan, PollState};
 use crate::delivery::rbcast::{self, RbcastState};
 use crate::delivery::Delivery;
 use crate::deploy::{DirectoryData, SensorEntry};
-use crate::execution::{placement, ExecutionState};
+use crate::execution::placement;
 use crate::gating::DurableGate;
 use crate::membership::{Membership, KEEPALIVE_INTERVAL};
 use crate::messages::{Frame, ProcMsg};
@@ -174,37 +174,39 @@ struct PollRt {
 }
 
 impl SensorRt {
-    /// Delivery guarantee and polling plan of a sensor are taken from
-    /// the app inputs wiring it (the last one wins).
+    /// A sensor is delivered with the strongest guarantee any app input
+    /// wiring it asks for (Gapless over Gap), whatever order the apps
+    /// were added in; its polling plan comes from an input asking for
+    /// that guarantee (the last one wins).
     fn wire(entry: &SensorEntry, me: ProcessId, apps: &[(Arc<AppSpec>, Arc<AppProbe>)]) -> Self {
-        let mut delivery = Delivery::Gapless;
-        let mut poll = None;
-        let mut subscribed_apps = Vec::new();
-        let inputs = apps.iter().enumerate().flat_map(|(idx, (app, _))| {
-            let inputs = app.operators.iter().flat_map(|op| &op.inputs);
-            inputs.map(move |input| (idx, input))
-        });
-        for (idx, input) in inputs.filter(|(_, input)| input.sensor == entry.id) {
-            if !subscribed_apps.contains(&idx) {
-                subscribed_apps.push(idx);
-            }
-            delivery = input.delivery;
-            let slot = entry.reachers.iter().position(|p| *p == me);
-            if let (Some(spec), Some(slot), Some(latency)) =
-                (input.poll.as_ref(), slot, entry.poll_latency)
-            {
+        let inputs = || {
+            let inputs = apps.iter().enumerate().flat_map(|(idx, (app, _))| {
+                let inputs = app.operators.iter().flat_map(|op| &op.inputs);
+                inputs.map(move |input| (idx, input))
+            });
+            inputs.filter(|(_, input)| input.sensor == entry.id)
+        };
+        let strongest = inputs().map(|(_, input)| input.delivery).max();
+        let delivery = strongest.unwrap_or(Delivery::Gapless);
+        let mut subscribed_apps: Vec<usize> = inputs().map(|(idx, _)| idx).collect();
+        subscribed_apps.dedup();
+        let slot = entry.reachers.iter().position(|p| *p == me);
+        let wanted = inputs().filter(|(_, input)| input.delivery == delivery);
+        let poll = wanted
+            .filter_map(|(_, input)| {
+                let spec = input.poll.as_ref()?;
                 let plan = PollPlan {
                     sensor: entry.id,
                     epoch: spec.epoch,
-                    poll_latency: latency,
-                    strategy: spec.effective_strategy(input.delivery),
+                    poll_latency: entry.poll_latency?,
+                    strategy: spec.effective_strategy(delivery),
                 };
-                poll = Some(PollRt {
-                    state: PollState::new(plan, slot, entry.reachers.len()),
+                Some(PollRt {
+                    state: PollState::new(plan, slot?, entry.reachers.len()),
                     participates: false,
-                });
-            }
-        }
+                })
+            })
+            .next_back();
         Self {
             device: entry.actor,
             reachers: entry.reachers.iter().copied().collect(),
@@ -218,7 +220,10 @@ impl SensorRt {
 struct AppRt {
     spec: Arc<AppSpec>,
     probe: Arc<AppProbe>,
-    exec: ExecutionState,
+    /// The placement chain (position 0 = preferred host).
+    chain: Vec<ProcessId>,
+    /// The active logic node, present exactly while this process runs
+    /// the app; a shadow holds `None`.
     runtime: Option<AppRuntime>,
     /// Stale-drop count already copied into the probe.
     stale_reported: u64,
@@ -312,8 +317,6 @@ struct Running {
     /// The write-ahead log (when durable storage is attached) and the
     /// delivery-service actions waiting on it.
     gate: DurableGate,
-    /// Arena counters already exported to the recorder (delta basis).
-    arena_reported: ArenaStats,
     /// Per-activation send queue, flushed (and coalesced) at the end of
     /// every actor activation.
     outbox: Outbox,
@@ -396,7 +399,7 @@ impl Running {
             apps.push(AppRt {
                 spec: Arc::clone(app),
                 probe: Arc::clone(probe),
-                exec: ExecutionState::new(me, chain),
+                chain,
                 runtime: None,
                 stale_reported: 0,
             });
@@ -495,13 +498,12 @@ impl Running {
             window_timers,
             command_ids: CommandIds { me, next },
             gate,
-            arena_reported: ArenaStats::default(),
             outbox: Outbox::new(Arc::clone(&spec.fanout)),
             inbox: Vec::new(),
             repair: spec
                 .config
                 .repair
-                .then(|| HealthModel::from_apps(&app_specs)),
+                .then(|| HealthModel::from_apps(&app_specs, spec.obs.clone())),
             routines,
         };
 
@@ -577,15 +579,6 @@ impl Running {
             .observe("rbcast.pending", self.rbcast.pending_count() as u64);
         if let Some(bound) = self.gate.bound() {
             self.obs.observe("wal.gated_bound", bound as u64);
-        }
-        let arena = self.gapless.store().arena_stats();
-        let prev = std::mem::replace(&mut self.arena_reported, arena);
-        if arena != prev {
-            self.obs.add("arena.allocs", arena.allocs - prev.allocs);
-            self.obs.add("arena.bytes", arena.bytes - prev.bytes);
-            self.obs.add("arena.chunks", arena.chunks - prev.chunks);
-            self.obs
-                .add("arena.oversize", arena.oversize - prev.oversize);
         }
         // Group-commit backstop: a partial EveryN batch must not
         // withhold its actions longer than one keep-alive period. An

@@ -10,6 +10,7 @@ use super::{token, PollRt, Running, KIND_EPOCH, KIND_REPOLL, KIND_SLOT};
 use crate::delivery::gap;
 use crate::delivery::polling::PollStrategy;
 use crate::delivery::Delivery;
+use crate::execution::active_logic;
 
 /// Extra wait beyond a sensor's poll latency before a poll is
 /// considered failed and retried (Gapless polling only).
@@ -61,8 +62,8 @@ impl Running {
             PollStrategy::GapSingle => rt.subscribed_apps.first().is_some_and(|&idx| {
                 let app = &self.apps[idx];
                 let alive = |p| self.membership.is_alive(p, now);
-                app.exec.believed_active(alive).is_some_and(|active| {
-                    gap::forwarder(app.exec.chain(), rt.reachers, alive, active) == Some(self.me)
+                active_logic(&app.chain, alive).is_some_and(|active| {
+                    gap::forwarder(&app.chain, rt.reachers, alive, active) == Some(self.me)
                 })
             }),
         };

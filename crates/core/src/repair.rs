@@ -36,6 +36,7 @@
 
 use std::collections::HashMap;
 
+use rivulet_obs::Recorder;
 use rivulet_types::{Duration, Event, Payload, SensorId, Time};
 
 use crate::app::{marzullo_midpoint, AppSpec, CombinerSpec};
@@ -96,23 +97,6 @@ struct SensorHealth {
     checked: Option<(u64, RepairVerdict)>,
 }
 
-/// Counter deltas the caller must fold into its recorder after an
-/// [`HealthModel::observe`] call (the model itself stays obs-free so
-/// it can be unit-tested without a recorder).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RepairCounts {
-    /// Readings replaced by the peer midpoint.
-    pub substitutions: u64,
-    /// Readings dropped as unrepairable outliers.
-    pub outlier_drops: u64,
-    /// Sensors newly quarantined.
-    pub quarantines: u64,
-    /// Events dropped because their sensor is quarantined.
-    pub quarantined_drops: u64,
-    /// Stuck-run detections.
-    pub stuck_flagged: u64,
-}
-
 /// Per-process sensor health model (see module docs).
 #[derive(Debug)]
 pub struct HealthModel {
@@ -120,16 +104,17 @@ pub struct HealthModel {
     /// naming it wins).
     groups: HashMap<SensorId, PeerGroup>,
     sensors: HashMap<SensorId, SensorHealth>,
-    /// Counters accumulated since the last [`Self::take_counts`].
-    counts: RepairCounts,
+    /// Where each decision is counted (`repair.*`), as it is made.
+    obs: Recorder,
 }
 
 impl HealthModel {
     /// Builds the model from the process's deployed apps: every
     /// operator with a [`CombinerSpec::FaultTolerant`] combiner and at
-    /// least two sensor inputs contributes a redundancy group.
+    /// least two sensor inputs contributes a redundancy group. Every
+    /// decision the model takes is counted into `obs`.
     #[must_use]
-    pub fn from_apps(apps: &[std::sync::Arc<AppSpec>]) -> Self {
+    pub fn from_apps(apps: &[std::sync::Arc<AppSpec>], obs: Recorder) -> Self {
         let mut groups: HashMap<SensorId, PeerGroup> = HashMap::new();
         for app in apps {
             for op in &app.operators {
@@ -151,13 +136,8 @@ impl HealthModel {
         Self {
             groups,
             sensors: HashMap::new(),
-            counts: RepairCounts::default(),
+            obs,
         }
-    }
-
-    /// Counters accumulated since the previous call (delta basis).
-    pub fn take_counts(&mut self) -> RepairCounts {
-        std::mem::take(&mut self.counts)
     }
 
     /// Whether `sensor` is currently quarantined.
@@ -190,7 +170,7 @@ impl HealthModel {
         let h = self.sensors.entry(sensor).or_default();
         h.last_arrival = Some(now);
         if h.quarantined {
-            self.counts.quarantined_drops += 1;
+            self.obs.inc("repair.quarantined_drops");
             return RepairVerdict::DropQuarantined;
         }
         let Some(value) = event.payload.as_scalar() else {
@@ -206,7 +186,7 @@ impl HealthModel {
         h.last_raw = Some(value);
         let stuck = h.repeat_run >= STUCK_RUN;
         if h.repeat_run == STUCK_RUN {
-            self.counts.stuck_flagged += 1;
+            self.obs.inc("repair.stuck_flagged");
         }
         // Outlier detection: disagreement with the healthy-peer
         // midpoint.
@@ -219,17 +199,17 @@ impl HealthModel {
             h.outliers += 1;
             if h.outliers >= OUTLIER_QUARANTINE {
                 h.quarantined = true;
-                self.counts.quarantines += 1;
+                self.obs.inc("repair.quarantines");
             }
         }
         match midpoint {
             Some(m) => {
-                self.counts.substitutions += 1;
+                self.obs.inc("repair.substitutions");
                 RepairVerdict::Substitute(m)
             }
             None => {
                 if outlier {
-                    self.counts.outlier_drops += 1;
+                    self.obs.inc("repair.outlier_drops");
                     RepairVerdict::DropOutlier
                 } else {
                     // Stuck but unwitnessed: nothing better to offer.
@@ -316,6 +296,13 @@ mod tests {
         Arc::new(op.done().build().expect("valid test app"))
     }
 
+    /// A model over `app` counting into an enabled recorder, returned
+    /// beside it so a test reads the counts the process would export.
+    fn model(app: Arc<AppSpec>) -> (HealthModel, Recorder) {
+        let obs = Recorder::enabled();
+        (HealthModel::from_apps(&[app], obs.clone()), obs)
+    }
+
     fn ev(sensor: u32, seq: u64, value: f64, at: Time) -> Event {
         Event::with_payload(
             EventId::new(SensorId(sensor), seq),
@@ -335,19 +322,19 @@ mod tests {
 
     #[test]
     fn healthy_readings_are_accepted() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        let (mut h, obs) = model(ft_app(&[1, 2, 3], 1));
         for seq in 0..20 {
             let at = Time::from_secs(seq);
             feed_peers(&mut h, at, seq, 20.0 + seq as f64 * 0.01);
             let v = h.observe(at, &ev(1, seq, 20.0 + seq as f64 * 0.01, at));
             assert_eq!(v, RepairVerdict::Accept, "seq {seq}");
         }
-        assert_eq!(h.take_counts(), RepairCounts::default());
+        assert!(obs.snapshot().counters.is_empty(), "no repair key written");
     }
 
     #[test]
     fn outliers_are_substituted_from_peer_midpoint() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        let (mut h, obs) = model(ft_app(&[1, 2, 3], 1));
         let at = Time::from_secs(1);
         feed_peers(&mut h, at, 0, 20.0);
         let v = h.observe(at, &ev(1, 0, 400.0, at));
@@ -355,12 +342,12 @@ mod tests {
             panic!("expected substitution, got {v:?}");
         };
         assert!((sub - 20.0).abs() < 1.0, "midpoint near peers, got {sub}");
-        assert_eq!(h.take_counts().substitutions, 1);
+        assert_eq!(obs.snapshot().counter("repair.substitutions"), 1);
     }
 
     #[test]
     fn repeated_outliers_quarantine_the_sensor() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        let (mut h, obs) = model(ft_app(&[1, 2, 3], 1));
         for seq in 0..u64::from(OUTLIER_QUARANTINE) + 2 {
             let at = Time::from_secs(seq + 1);
             feed_peers(&mut h, at, seq, 20.0);
@@ -370,14 +357,14 @@ mod tests {
         let at = Time::from_secs(100);
         let v = h.observe(at, &ev(1, 99, 20.0, at));
         assert_eq!(v, RepairVerdict::DropQuarantined, "even healthy values");
-        let counts = h.take_counts();
-        assert_eq!(counts.quarantines, 1);
-        assert!(counts.quarantined_drops >= 1);
+        let counts = obs.snapshot();
+        assert_eq!(counts.counter("repair.quarantines"), 1);
+        assert!(counts.counter("repair.quarantined_drops") >= 1);
     }
 
     #[test]
     fn stuck_run_is_flagged_and_substituted() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        let (mut h, obs) = model(ft_app(&[1, 2, 3], 1));
         let mut verdicts = Vec::new();
         for seq in 0..10 {
             let at = Time::from_secs(seq + 1);
@@ -392,27 +379,27 @@ mod tests {
             "6th repeat crosses the default stuck run, got {:?}",
             verdicts[5]
         );
-        assert_eq!(h.take_counts().stuck_flagged, 1);
+        assert_eq!(obs.snapshot().counter("repair.stuck_flagged"), 1);
     }
 
     #[test]
     fn observe_is_idempotent_per_event() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2, 3], 1)]);
+        let (mut h, obs) = model(ft_app(&[1, 2, 3], 1));
         let at = Time::from_secs(1);
         feed_peers(&mut h, at, 0, 20.0);
         let e = ev(1, 0, 400.0, at);
         let first = h.observe(at, &e);
-        let counts = h.take_counts();
+        let counts = obs.snapshot();
         for _ in 0..5 {
             assert_eq!(h.observe(at, &e), first, "cached verdict");
         }
-        assert_eq!(h.take_counts(), RepairCounts::default(), "no double count");
-        assert_eq!(counts.substitutions, 1);
+        assert_eq!(obs.snapshot(), counts, "no double count");
+        assert_eq!(counts.counter("repair.substitutions"), 1);
     }
 
     #[test]
     fn stall_detection_rate_limits() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1, 2], 1)]);
+        let (mut h, _) = model(ft_app(&[1, 2], 1));
         assert!(
             !h.check_stall(SensorId(1), Time::from_secs(1)),
             "arms clock"
@@ -430,7 +417,7 @@ mod tests {
 
     #[test]
     fn lone_sensor_without_peers_is_accepted() {
-        let mut h = HealthModel::from_apps(&[ft_app(&[1], 1)]);
+        let (mut h, _) = model(ft_app(&[1], 1));
         for seq in 0..20 {
             let at = Time::from_secs(seq);
             let v = h.observe(at, &ev(1, seq, 42.0, at));

@@ -135,10 +135,6 @@ pub struct InstanceRecord {
 /// Like the actuator probes, it survives coordinator crashes.
 #[derive(Debug, Default)]
 pub struct RoutineProbe {
-    triggered: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    compensated: AtomicU64,
     unreachable: AtomicU64,
     instances: Mutex<Vec<InstanceRecord>>,
 }
@@ -150,28 +146,12 @@ impl RoutineProbe {
         Arc::new(Self::default())
     }
 
-    /// Firings triggered (staged or refused as unreachable).
+    /// Firings triggered: every staged instance plus every trigger
+    /// refused as unreachable.
     #[must_use]
     pub fn triggered(&self) -> u64 {
-        self.triggered.load(Ordering::SeqCst)
-    }
-
-    /// Firings that reached `Committed`.
-    #[must_use]
-    pub fn committed(&self) -> u64 {
-        self.committed.load(Ordering::SeqCst)
-    }
-
-    /// Firings that reached `Aborted`.
-    #[must_use]
-    pub fn aborted(&self) -> u64 {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
-    /// Aborted firings whose compensation was issued.
-    #[must_use]
-    pub fn compensated(&self) -> u64 {
-        self.compensated.load(Ordering::SeqCst)
+        let staged = self.instances.lock().expect("probe lock").len() as u64;
+        staged + self.unreachable()
     }
 
     /// Triggers refused because a target actuator was not reachable
@@ -193,7 +173,6 @@ impl RoutineProbe {
         instance: u64,
         commands: Vec<(ActuatorId, CommandId)>,
     ) {
-        self.triggered.fetch_add(1, Ordering::SeqCst);
         self.instances
             .lock()
             .expect("probe lock")
@@ -206,18 +185,6 @@ impl RoutineProbe {
     }
 
     fn record_transition(&self, coordinator: ProcessId, instance: u64, state: RoutineTransition) {
-        match state {
-            RoutineTransition::Committed => {
-                self.committed.fetch_add(1, Ordering::SeqCst);
-            }
-            RoutineTransition::Aborted => {
-                self.aborted.fetch_add(1, Ordering::SeqCst);
-            }
-            RoutineTransition::Compensated => {
-                self.compensated.fetch_add(1, Ordering::SeqCst);
-            }
-            RoutineTransition::Staged => {}
-        }
         let mut instances = self.instances.lock().expect("probe lock");
         let ours = |r: &&mut InstanceRecord| r.coordinator == coordinator && r.instance == instance;
         if let Some(rec) = instances.iter_mut().find(ours) {
@@ -226,7 +193,6 @@ impl RoutineProbe {
     }
 
     fn record_unreachable(&self) {
-        self.triggered.fetch_add(1, Ordering::SeqCst);
         self.unreachable.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -629,6 +595,11 @@ mod tests {
         (eng, probe)
     }
 
+    /// Each firing's latest state, in staging order.
+    fn states(probe: &RoutineProbe) -> Vec<RoutineTransition> {
+        probe.instances().iter().map(|r| r.state).collect()
+    }
+
     fn minter() -> impl FnMut(ActuatorId, CommandKind) -> Command {
         minter_for(ProcessId(0))
     }
@@ -668,7 +639,7 @@ mod tests {
             eng.on_timeout(plan.instance, Time::from_secs(2)).is_none(),
             "the committed instance is no longer in flight"
         );
-        assert_eq!(probe.committed(), 1);
+        assert_eq!(states(&probe), [RoutineTransition::Committed]);
         let trail = LedgerVerifier::verify(7, &[plan.entry, entry]).expect("chain intact");
         assert_eq!(trail.len(), 2);
     }
@@ -691,10 +662,10 @@ mod tests {
                 CommandKind::Set(ActuationState::Switch(false))
             )]
         );
-        assert_eq!(probe.aborted(), 1);
+        assert_eq!(states(&probe), [RoutineTransition::Aborted]);
         let entry = eng.record_compensated(RoutineId(1), plan.instance, Time::ZERO, vec![]);
         assert_eq!(entry.transition, RoutineTransition::Compensated);
-        assert_eq!(probe.compensated(), 1);
+        assert_eq!(states(&probe), [RoutineTransition::Compensated]);
         LedgerVerifier::verify(7, &[plan.entry, abort.entry, entry]).expect("chain intact");
     }
 

@@ -55,7 +55,7 @@ mod time;
 pub mod arena;
 pub mod wire;
 
-pub use arena::{ArenaStats, PayloadArena};
+pub use arena::PayloadArena;
 pub use command::{ActuationState, Command, CommandId, CommandKind};
 pub use event::{Event, EventKind, Payload, SizeClass};
 pub use id::{ActuatorId, AppId, EventId, OperatorId, ProcessId, RoutineId, SensorId};

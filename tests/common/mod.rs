@@ -237,3 +237,52 @@ pub fn describe(verdict: &Verdict) -> String {
     let lines: Vec<String> = verdict.violations.iter().map(|v| v.to_string()).collect();
     lines.join("\n")
 }
+
+/// Asserts that only active logic nodes processed events, from the app
+/// probe alone. Per process, role transitions alternate and start with
+/// a promotion; a crash in `crashes` ends the process's role with its
+/// incarnation, so the recovered one starts over. Every delivery `by`
+/// a process at `at` falls after that process's latest promotion at or
+/// before `at`, with no demotion or crash of it in between.
+pub fn assert_deliveries_only_from_active(probe: &AppProbe, crashes: &[(ProcessId, Time)]) {
+    // `Some(promoted)` for a transition, `None` for a crash; a crash
+    // sorts after a transition recorded at the same instant.
+    let mut roles: Vec<(Time, ProcessId, Option<bool>)> = probe
+        .transitions()
+        .into_iter()
+        .map(|(at, p, promoted)| (at, p, Some(promoted)))
+        .collect();
+    roles.extend(crashes.iter().map(|(p, at)| (*at, *p, None)));
+    roles.sort_by_key(|(at, _, role)| (*at, role.is_none()));
+    let mut active: std::collections::BTreeSet<ProcessId> = Default::default();
+    for (at, p, role) in &roles {
+        match role {
+            Some(true) => assert!(active.insert(*p), "{p:?} promoted twice, at {at:?}"),
+            Some(false) => assert!(active.remove(p), "{p:?} demoted as a shadow, at {at:?}"),
+            None => {
+                active.remove(p);
+            }
+        }
+    }
+    for d in probe.deliveries() {
+        let mine = roles.iter().filter(|(at, p, _)| *p == d.by && *at <= d.at);
+        let promoted = mine.clone().rev().find(|(.., role)| *role == Some(true));
+        let Some((since, ..)) = promoted else {
+            panic!(
+                "{:?} delivered {:?} at {:?} as a shadow",
+                d.by, d.event, d.at
+            );
+        };
+        let ended: Vec<Time> = mine
+            .map(|(at, ..)| *at)
+            .filter(|at| at > since && *at < d.at)
+            .collect();
+        assert!(
+            ended.is_empty(),
+            "{:?} delivered {:?} at {:?} after its role ended at {ended:?}",
+            d.by,
+            d.event,
+            d.at
+        );
+    }
+}

@@ -211,6 +211,70 @@ fn delivery_is_deterministic_for_a_seed() {
     assert_eq!(run(77), run(77));
 }
 
+/// Two apps on one sensor, one Gapless and one Gap, added in the given
+/// order to a home of four hosts where only the hub hears the sensor
+/// and drives the actuator. Returns the largest store residency the
+/// fridge (which neither hears the sensor nor hosts an app) reported,
+/// and each app's distinct deliveries.
+fn mixed_guarantee_home(gapless_first: bool) -> (usize, usize, usize) {
+    let mut net = SimNet::new(SimConfig::with_seed(8));
+    let mut home = HomeBuilder::new(&mut net);
+    let pids: Vec<ProcessId> = ["hub", "tv", "lamp", "fridge"]
+        .iter()
+        .map(|n| home.add_host(*n))
+        .collect();
+    let store_probe = home.with_store_probe();
+    let (sensor, _) = home.add_push_sensor(
+        "door",
+        PayloadSpec::KindOnly(EventKind::DoorOpen),
+        EmissionSchedule::Periodic(Duration::from_millis(500)),
+        &pids[..1],
+    );
+    let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &pids[..1]);
+    let app = |id: u32, delivery: Delivery| {
+        AppBuilder::new(AppId(id), "watch")
+            .operator("sink", CombinerSpec::Any, noop())
+            .sensor(sensor, delivery, WindowSpec::count(1))
+            .actuator(anchor, delivery)
+            .done()
+            .build()
+            .expect("valid app")
+    };
+    let order = if gapless_first {
+        [(1, Delivery::Gapless), (2, Delivery::Gap)]
+    } else {
+        [(2, Delivery::Gap), (1, Delivery::Gapless)]
+    };
+    let probes: Vec<(u32, Arc<AppProbe>)> = order
+        .iter()
+        .map(|&(id, delivery)| (id, home.add_app(app(id, delivery))))
+        .collect();
+    let _home = home.build();
+    net.run_until(Time::from_secs(10));
+    let fridge = store_probe
+        .samples()
+        .into_iter()
+        .filter(|(_, p, _)| *p == pids[3]);
+    let fridge_max = fridge.map(|(.., len)| len).max().unwrap_or(0);
+    let delivered = |id: u32| {
+        let (_, probe) = probes.iter().find(|(i, _)| *i == id).expect("added");
+        probe.unique_delivered()
+    };
+    (fridge_max, delivered(1), delivered(2))
+}
+
+#[test]
+fn a_sensor_gets_the_strongest_guarantee_its_apps_ask_for_in_any_add_order() {
+    for gapless_first in [true, false] {
+        let (fridge_max, gapless, gap) = mixed_guarantee_home(gapless_first);
+        assert!(
+            fridge_max > 0,
+            "gapless first: {gapless_first}; the Gapless app's events were never replicated"
+        );
+        assert!(gapless >= 18 && gap >= 18, "delivered {gapless} / {gap}");
+    }
+}
+
 /// One WiFi hop between two processes and the sensor's radio, as the
 /// simulator's default links price a kind-only event (≈ 2 ms, ≈ 1 ms).
 const HOP: Duration = Duration::from_millis(2);

@@ -86,6 +86,7 @@ fn chain_order_failover_and_demotion_on_recovery() {
     assert!(transitions
         .iter()
         .any(|(t, p, a)| *a && *p == s.pids[0] && *t >= Time::from_secs(25)));
+    common::assert_deliveries_only_from_active(&s.probe, &[(s.pids[0], Time::from_secs(10))]);
 }
 
 #[test]
@@ -143,9 +144,11 @@ fn gap_failover_gap_scales_with_detection_threshold() {
 #[test]
 fn repeated_crashes_walk_down_the_chain() {
     let mut s = standard_home(Delivery::Gapless, 4, Duration::from_secs(2));
+    let mut crashes = Vec::new();
     for (i, &offset) in [10u64, 20, 30].iter().enumerate() {
         let actor = s.home.actor_of(s.pids[i]);
         s.net.crash_at(actor, Time::from_secs(offset));
+        crashes.push((s.pids[i], Time::from_secs(offset)));
     }
     s.net.run_until(Time::from_secs(45));
     let actives: Vec<ProcessId> = s
@@ -160,6 +163,7 @@ fn repeated_crashes_walk_down_the_chain() {
         vec![s.pids[0], s.pids[1], s.pids[2], s.pids[3]],
         "leadership walks down the placement chain"
     );
+    common::assert_deliveries_only_from_active(&s.probe, &crashes);
     // p3 (the final primary) still processes events.
     let last_delivery = s.probe.deliveries().last().copied().expect("deliveries");
     assert_eq!(last_delivery.by, s.pids[3]);

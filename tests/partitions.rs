@@ -96,6 +96,7 @@ fn full_partition_promotes_both_sides_and_heals() {
     // events: deliveries attributed to both processes.
     let by_b = probe.deliveries().iter().filter(|d| d.by == b).count();
     assert!(by_b > 10, "side-b processed during the partition: {by_b}");
+    common::assert_deliveries_only_from_active(&probe, &[]);
 }
 
 #[test]
