@@ -1,8 +1,10 @@
 //! Regenerates every table and figure of the paper's evaluation as
-//! text. Run with a figure id (`fig1`, `fig3`, `fig4a`, `fig4b`,
-//! `fig5`, `fig6`, `fig7`, `fig8`, `table1`, `table3`) or `all`.
-//! `obs-json` dumps the full observability snapshot of the Fig. 7
-//! failover run as deterministic JSON.
+//! text. Run with a target (`table1`, `table3`, `fig2`, `fig1`, `fig3`,
+//! `fig4a`, `fig4b`, `fig5`, `fig6`, `fig7`, `fig8`) or `all`, which
+//! prints every one of them in that order. `obs-json` dumps the full
+//! observability snapshot of the Fig. 7 failover run as deterministic
+//! JSON. An unknown target prints usage and exits 2 before anything
+//! runs.
 //!
 //! ```text
 //! cargo run -p rivulet-bench --bin figures -- fig6
@@ -12,11 +14,18 @@
 //! Durations are scaled down from the paper's 200 s runs by default;
 //! pass `--full` for full-length runs.
 
+use std::process::ExitCode;
+
 use rivulet_bench::{common, fig1, fig3, fig4, fig5, fig6, fig7, fig8, tables};
 use rivulet_core::delivery::Delivery;
 use rivulet_types::{Duration, Time};
 
-fn main() {
+/// Every target `all` prints, in order.
+const TARGETS: [&str; 11] = [
+    "table1", "table3", "fig2", "fig1", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8",
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let which: Vec<&str> = args
@@ -25,61 +34,45 @@ fn main() {
         .map(String::as_str)
         .collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
-    let run_len = if full {
-        Duration::from_secs(200)
-    } else {
-        Duration::from_secs(40)
-    };
+    let known = |t: &&str| matches!(*t, "all" | "obs-json") || TARGETS.contains(t);
+    if let Some(unknown) = which.iter().find(|t| !known(t)) {
+        eprintln!(
+            "figures: unknown target `{unknown}`\n\
+             usage: figures [--full] [all | obs-json | {}]...",
+            TARGETS.join(" | ")
+        );
+        return ExitCode::from(2);
+    }
 
     for target in which {
         match target {
-            "table1" => print!("{}", tables::render_table1()),
-            "fig2" => print!("{}", tables::render_fig2()),
-            "table3" => print!("{}", tables::render_table3()),
-            "fig1" => print_fig1(if full { 15.0 } else { 0.5 }),
-            "fig3" => print_fig3(),
-            "fig4a" => print_fig4(true, run_len),
-            "fig4b" => print_fig4(false, run_len),
-            "fig5" => print_fig5(run_len),
-            "fig6" => print_fig6(run_len),
-            "fig7" => print_fig7(if full {
-                Duration::from_secs(200)
-            } else {
-                Duration::from_secs(50)
-            }),
-            "fig8" => print_fig8(if full {
-                Duration::from_secs(200)
-            } else {
-                Duration::from_secs(120)
-            }),
+            "all" => TARGETS.iter().for_each(|t| print_target(t, full)),
             "obs-json" => print_obs(),
-            "all" => {
-                print!("{}", tables::render_table1());
-                println!();
-                print!("{}", tables::render_table3());
-                println!();
-                print!("{}", tables::render_fig2());
-                println!();
-                print_fig1(if full { 15.0 } else { 0.5 });
-                print_fig3();
-                print_fig4(true, run_len);
-                print_fig4(false, run_len);
-                print_fig5(run_len);
-                print_fig6(run_len);
-                print_fig7(if full {
-                    Duration::from_secs(200)
-                } else {
-                    Duration::from_secs(50)
-                });
-                print_fig8(if full {
-                    Duration::from_secs(200)
-                } else {
-                    Duration::from_secs(120)
-                });
-            }
-            other => eprintln!("unknown target: {other}"),
+            _ => print_target(target, full),
         }
         println!();
+    }
+    ExitCode::SUCCESS
+}
+
+/// Prints one of [`TARGETS`]. A table ends with a blank line; a figure
+/// ends with its last row. Durations are scaled down from the paper's
+/// 200 s runs unless `full`.
+fn print_target(target: &str, full: bool) {
+    let secs = |scaled: u64| Duration::from_secs(if full { 200 } else { scaled });
+    match target {
+        "table1" => println!("{}", tables::render_table1()),
+        "table3" => println!("{}", tables::render_table3()),
+        "fig2" => println!("{}", tables::render_fig2()),
+        "fig1" => print_fig1(if full { 15.0 } else { 0.5 }),
+        "fig3" => print_fig3(),
+        "fig4a" => print_fig4(true, secs(40)),
+        "fig4b" => print_fig4(false, secs(40)),
+        "fig5" => print_fig5(secs(40)),
+        "fig6" => print_fig6(secs(40)),
+        "fig7" => print_fig7(secs(50)),
+        "fig8" => print_fig8(secs(120)),
+        _ => unreachable!("`{target}` is not in TARGETS"),
     }
 }
 

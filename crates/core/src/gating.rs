@@ -55,8 +55,6 @@ const GATE_MAX_FACTOR: usize = 16;
 pub struct AdaptiveGate {
     bound: usize,
     initial: usize,
-    /// Forced flushes observed (bursts that hit the bound).
-    pub forced: u64,
 }
 
 impl Default for AdaptiveGate {
@@ -73,7 +71,6 @@ impl AdaptiveGate {
         Self {
             bound: initial,
             initial,
-            forced: 0,
         }
     }
 
@@ -86,7 +83,6 @@ impl AdaptiveGate {
     /// Records that the gated queue hit the bound and a flush was
     /// forced; grows the bound.
     pub fn on_forced_flush(&mut self) {
-        self.forced += 1;
         let max = self.initial.saturating_mul(GATE_MAX_FACTOR);
         self.bound = self.bound.saturating_mul(GATE_STEP).min(max);
     }
@@ -369,6 +365,23 @@ mod tests {
     }
 
     #[test]
+    fn a_forced_flush_is_counted_once() {
+        let backend = Arc::new(SimBackend::new(6));
+        let obs = Recorder::enabled();
+        let never = FlushPolicy::EveryInterval(Duration::from_secs(3600));
+        let (mut gate, _) = recorded_gate_on(&backend, never, &obs);
+        let bound = gate.bound().expect("durable");
+        let mut seq = 0;
+        while gate.admit(NOW, deliver_and_relay(seq)).0.is_empty() {
+            seq += 1;
+        }
+        assert_eq!(gate.bound(), Some(bound * 2), "the bound overflowed once");
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("wal.forced_flushes"), 1);
+        assert_eq!(snap.counter("wal.flushes"), 1);
+    }
+
+    #[test]
     fn timer_flush_and_checkpoint_release_and_shrink_an_idle_bound() {
         let backend = Arc::new(SimBackend::new(3));
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
@@ -451,7 +464,6 @@ mod tests {
             gate.on_forced_flush();
         }
         assert_eq!(gate.bound(), 8 * 16, "growth caps at initial × 16");
-        assert_eq!(gate.forced, 21);
     }
 
     #[test]

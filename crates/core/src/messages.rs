@@ -42,9 +42,9 @@ pub enum ProcMsg {
     ///
     /// # Panics
     ///
-    /// Encoding (and `encoded_len`) panics if either list names a
-    /// process id of [`ProcSet::CAPACITY`] or more: a home holds at most
-    /// 64 processes, and the deployment rejects a 65th.
+    /// Encoding panics if either list names a process id of
+    /// [`ProcSet::CAPACITY`] or more: a home holds at most 64 processes,
+    /// and the deployment rejects a 65th.
     Ring {
         /// The event being replicated.
         event: Event,
@@ -132,27 +132,6 @@ fn as_set(members: &[ProcessId]) -> ProcSet {
 }
 
 impl Wire for ProcMsg {
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProcMsg::KeepAlive {
-                from,
-                processed,
-                received,
-            } => from.encoded_len() + processed.encoded_len() + received.encoded_len(),
-            ProcMsg::Ring { event, seen, need } => {
-                event.encoded_len() + as_set(seen).encoded_len() + as_set(need).encoded_len()
-            }
-            ProcMsg::Broadcast { event, origin } => event.encoded_len() + origin.encoded_len(),
-            ProcMsg::GapForward { event } => event.encoded_len(),
-            ProcMsg::SyncRequest { from } => from.encoded_len(),
-            ProcMsg::SyncReply { from, watermarks } => {
-                from.encoded_len() + watermarks.encoded_len()
-            }
-            ProcMsg::SyncEvents { events } => events.encoded_len(),
-            ProcMsg::CmdForward { command } => command.encoded_len(),
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(self.tag());
         match self {
@@ -349,24 +328,13 @@ impl Frame {
 }
 
 impl Wire for Frame {
-    fn encoded_len(&self) -> usize {
-        1 + varint_len(self.msgs.len() as u64)
-            + self
-                .msgs
-                .iter()
-                .map(|m| {
-                    let len = m.encoded_len();
-                    varint_len(len as u64) + len
-                })
-                .sum::<usize>()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(FRAME_TAG);
         w.put_varint(self.msgs.len() as u64);
         for msg in &self.msgs {
-            w.put_varint(msg.encoded_len() as u64);
-            msg.encode(w);
+            let bytes = msg.to_bytes();
+            w.put_varint(bytes.len() as u64);
+            w.put_slice(&bytes);
         }
     }
 
@@ -442,7 +410,7 @@ mod tests {
             seen: vec![ProcessId(0)],
             need: (0..5).map(ProcessId).collect(),
         };
-        assert_eq!(ring.encoded_len(), gap.encoded_len() + 2);
+        assert_eq!(ring.to_bytes().len(), gap.to_bytes().len() + 2);
         let bytes = ring.to_bytes();
         assert_eq!(bytes[bytes.len() - 2..], [0b1, 0b1_1111]);
     }
@@ -500,7 +468,7 @@ mod tests {
             processed: vec![],
             received: vec![],
         };
-        assert!(ka.encoded_len() <= 4, "keep-alive must stay cheap");
+        assert!(ka.to_bytes().len() <= 4, "keep-alive must stay cheap");
     }
 
     #[test]
@@ -668,7 +636,7 @@ mod tests {
         let mut msgs = vec![ProcMsg::SyncRequest { from: ProcessId(9) }];
         // The last part is corrupt: its `ProcMsg` tag is unknown.
         let mut corrupt = encoded.to_vec();
-        let last_tag = encoded.len() - ProcMsg::SyncRequest { from: ProcessId(1) }.encoded_len();
+        let last_tag = encoded.len() - ProcMsg::SyncRequest { from: ProcessId(1) }.to_bytes().len();
         corrupt[last_tag] = 0x7f;
         assert!(Frame::decode_shared_into(&bytes::Bytes::from(corrupt), &mut msgs).is_err());
         assert!(
@@ -806,12 +774,10 @@ mod proptests {
     }
 
     proptest! {
-        /// Every protocol message survives the wire with exact length
-        /// accounting.
+        /// Every protocol message survives the wire.
         #[test]
         fn any_message_roundtrips(msg in arb_msg()) {
             let bytes = msg.to_bytes();
-            prop_assert_eq!(bytes.len(), msg.encoded_len());
             prop_assert_eq!(ProcMsg::from_bytes(&bytes).unwrap(), canonical(msg));
         }
 

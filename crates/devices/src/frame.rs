@@ -81,45 +81,6 @@ pub enum RadioFrame {
 }
 
 impl Wire for RadioFrame {
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            RadioFrame::Event(e) => e.encoded_len(),
-            RadioFrame::PollRequest { sensor, epoch } => sensor.encoded_len() + epoch.encoded_len(),
-            RadioFrame::Actuate(c) => c.encoded_len(),
-            RadioFrame::ActuateAck {
-                command,
-                applied,
-                state,
-            } => command.encoded_len() + applied.encoded_len() + state.encoded_len(),
-            RadioFrame::Stage {
-                routine,
-                instance,
-                step,
-                command,
-            } => {
-                routine.encoded_len()
-                    + instance.encoded_len()
-                    + step.encoded_len()
-                    + command.encoded_len()
-            }
-            RadioFrame::StageAck {
-                routine,
-                instance,
-                step,
-                accepted,
-            } => {
-                routine.encoded_len()
-                    + instance.encoded_len()
-                    + step.encoded_len()
-                    + accepted.encoded_len()
-            }
-            RadioFrame::CommitRoutine { routine, instance }
-            | RadioFrame::AbortRoutine { routine, instance } => {
-                routine.encoded_len() + instance.encoded_len()
-            }
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             RadioFrame::Event(e) => {
@@ -294,13 +255,9 @@ mod tests {
             Payload::zeros(10_240),
             Time::ZERO,
         ));
-        assert!(
-            small.encoded_len() < 32,
-            "small frame is {}",
-            small.encoded_len()
-        );
-        assert!(large.encoded_len() > 10_240);
-        assert_eq!(small.to_bytes().len(), small.encoded_len());
+        let small = small.to_bytes().len();
+        assert!(small < 32, "small frame is {small}");
+        assert!(large.to_bytes().len() > 10_240);
     }
 
     #[test]

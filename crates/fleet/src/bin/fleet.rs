@@ -59,13 +59,19 @@ fn main() -> ExitCode {
             let Some(path) = args.get(1) else {
                 return usage();
             };
+            // No flag: every core. A flag without a count is an error,
+            // not "auto", so `--threads 1` cannot silently become many.
+            let threads: usize = match args.iter().position(|a| a == "--threads") {
+                None => 0,
+                Some(i) => match args.get(i + 1).and_then(|v| v.parse().ok()) {
+                    Some(n) => n,
+                    None => return usage(),
+                },
+            };
             let manifest = match load(path) {
                 Ok(m) => m,
                 Err(code) => return code,
             };
-            let threads: usize = flag_value(&args, "--threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
             let obs_out = flag_value(&args, "--obs-out");
 
             println!(

@@ -85,10 +85,6 @@ impl fmt::Display for RoutineTransition {
 }
 
 impl Wire for RoutineTransition {
-    fn encoded_len(&self) -> usize {
-        1
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(*self as u8);
     }
@@ -136,18 +132,10 @@ impl LedgerEntry {
     pub fn computed_hash(&self) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(&self.prev);
-        let mut w = WireWriter::with_capacity(self.body_len());
+        let mut w = WireWriter::new();
         self.encode_body(&mut w);
         h.update(&w.into_bytes());
         h.finalize()
-    }
-
-    fn body_len(&self) -> usize {
-        self.routine.encoded_len()
-            + self.instance.encoded_len()
-            + self.transition.encoded_len()
-            + self.at.encoded_len()
-            + self.commands.encoded_len()
     }
 
     fn encode_body(&self, w: &mut WireWriter) {
@@ -160,10 +148,6 @@ impl LedgerEntry {
 }
 
 impl Wire for LedgerEntry {
-    fn encoded_len(&self) -> usize {
-        self.body_len() + 64
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.encode_body(w);
         w.put_slice(&self.prev);

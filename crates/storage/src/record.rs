@@ -17,7 +17,7 @@
 //! landed mid-stream). Recovery treats both as the end of the durable
 //! prefix.
 
-use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
+use rivulet_types::wire::{Wire, WireError, WireReader, WireWriter};
 use rivulet_types::{Event, SensorId, Time};
 
 use crate::crc::crc32;
@@ -43,10 +43,6 @@ pub struct Checkpoint {
 }
 
 impl Wire for Checkpoint {
-    fn encoded_len(&self) -> usize {
-        self.at.encoded_len() + self.processed.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.at.encode(w);
         self.processed.encode(w);
@@ -75,14 +71,6 @@ pub enum WalRecord {
 }
 
 impl Wire for WalRecord {
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            WalRecord::Event(ev) => ev.encoded_len(),
-            WalRecord::Checkpoint(cp) => cp.encoded_len(),
-            WalRecord::Ledger(entry) => entry.encoded_len(),
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             WalRecord::Event(ev) => {
@@ -124,21 +112,20 @@ pub enum FrameError {
 }
 
 /// Appends the frame of the record `tag` + `body` to `w`, the payload
-/// encoded once, in place: the length, a zeroed checksum field, the
-/// payload, then the checksum of the payload bytes just written
-/// patched into the field. Borrowing the record's body means the WAL
-/// appends without cloning it, and `w` allocates only when it grows.
+/// encoded once, in place: the payload, then its length and checksum,
+/// then the header rotated onto the front of the frame. Borrowing the
+/// record's body means the WAL appends without cloning it, and `w`
+/// allocates only when it grows.
 fn write_frame(w: &mut WireWriter, tag: u8, body: &impl Wire) {
-    let payload_len = 1 + body.encoded_len();
-    w.reserve(varint_len(payload_len as u64) + FRAME_CRC_BYTES + payload_len);
-    w.put_varint(payload_len as u64);
-    let crc_at = w.len();
-    w.put_slice(&[0; FRAME_CRC_BYTES]);
+    let start = w.len();
     w.put_u8(tag);
     body.encode(w);
-    let (crc_field, payload) = w.as_mut_slice()[crc_at..].split_at_mut(FRAME_CRC_BYTES);
-    debug_assert_eq!(payload.len(), payload_len);
-    crc_field.copy_from_slice(&crc32(payload).to_le_bytes());
+    let payload_len = w.len() - start;
+    let crc = crc32(&w.as_slice()[start..]);
+    w.put_varint(payload_len as u64);
+    w.put_slice(&crc.to_le_bytes());
+    let header_len = w.len() - start - payload_len;
+    w.as_mut_slice()[start..].rotate_right(header_len);
 }
 
 /// Appends `event`'s frame to `w` (see [`write_frame`]).

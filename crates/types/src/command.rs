@@ -41,10 +41,6 @@ impl fmt::Display for CommandId {
 }
 
 impl Wire for CommandId {
-    fn encoded_len(&self) -> usize {
-        self.issuer.encoded_len() + self.operator.encoded_len() + self.seq.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.issuer.encode(w);
         self.operator.encode(w);
@@ -87,14 +83,6 @@ impl fmt::Display for ActuationState {
 }
 
 impl Wire for ActuationState {
-    fn encoded_len(&self) -> usize {
-        match self {
-            ActuationState::Switch(_) => 2,
-            ActuationState::Level(_) => 1 + 8,
-            ActuationState::Pulse(n) => 1 + n.encoded_len(),
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             ActuationState::Switch(on) => {
@@ -144,15 +132,6 @@ pub enum CommandKind {
 }
 
 impl Wire for CommandKind {
-    fn encoded_len(&self) -> usize {
-        match self {
-            CommandKind::Set(s) => 1 + s.encoded_len(),
-            CommandKind::TestAndSet { expected, desired } => {
-                1 + expected.encoded_len() + desired.encoded_len()
-            }
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             CommandKind::Set(s) => {
@@ -221,13 +200,6 @@ impl fmt::Display for Command {
 }
 
 impl Wire for Command {
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.actuator.encoded_len()
-            + self.kind.encoded_len()
-            + self.issued_at.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.id.encode(w);
         self.actuator.encode(w);

@@ -6,7 +6,7 @@ use bytes::Bytes;
 
 use crate::id::EventId;
 use crate::time::Time;
-use crate::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// The broad payload-size classes of off-the-shelf smart-home sensors
 /// (paper Table 3).
@@ -180,14 +180,6 @@ impl From<Bytes> for Payload {
 }
 
 impl Wire for Payload {
-    fn encoded_len(&self) -> usize {
-        match self {
-            Payload::Empty => 1,
-            Payload::Scalar(_) => 1 + 8,
-            Payload::Blob(b) => 1 + varint_len(b.len() as u64) + b.len(),
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             Payload::Empty => w.put_u8(0),
@@ -280,14 +272,6 @@ impl fmt::Display for Event {
 }
 
 impl Wire for Event {
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + 1
-            + self.payload.encoded_len()
-            + self.emitted_at.encoded_len()
-            + self.epoch.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.id.encode(w);
         w.put_u8(self.kind.tag());

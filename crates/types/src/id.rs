@@ -37,10 +37,6 @@ macro_rules! impl_u32_id {
         }
 
         impl Wire for $name {
-            fn encoded_len(&self) -> usize {
-                self.0.encoded_len()
-            }
-
             fn encode(&self, w: &mut WireWriter) {
                 self.0.encode(w);
             }
@@ -126,10 +122,6 @@ impl fmt::Display for EventId {
 }
 
 impl Wire for EventId {
-    fn encoded_len(&self) -> usize {
-        self.sensor.encoded_len() + self.seq.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.sensor.encode(w);
         self.seq.encode(w);

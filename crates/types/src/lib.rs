@@ -35,7 +35,6 @@
 //!     Time::from_millis(1_500),
 //! );
 //! let bytes = event.to_bytes();
-//! assert_eq!(bytes.len(), event.encoded_len());
 //! let decoded = Event::from_bytes(&bytes)?;
 //! assert_eq!(decoded, event);
 //! # Ok(())

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::id::ProcessId;
-use crate::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// A set of [`ProcessId`]s with ids below [`ProcSet::CAPACITY`].
 ///
@@ -215,10 +215,6 @@ impl fmt::Debug for ProcSet {
 
 /// One LEB128 varint of the mask. Decoding accepts any 64-bit mask.
 impl Wire for ProcSet {
-    fn encoded_len(&self) -> usize {
-        varint_len(self.0)
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.0);
     }
@@ -282,11 +278,15 @@ mod tests {
     fn wire_is_one_varint_of_the_mask() {
         assert_eq!(ProcSet::EMPTY.to_bytes()[..], [0]);
         assert_eq!(set(&[0, 1, 2, 3, 4]).to_bytes()[..], [0b1_1111]);
-        assert_eq!(set(&[0, 6]).encoded_len(), 1, "seven processes: one byte");
-        assert_eq!(set(&[7]).encoded_len(), 2);
-        assert_eq!(set(&[13]).encoded_len(), 2, "fourteen: two bytes");
-        assert_eq!(set(&[14]).encoded_len(), 3);
-        assert_eq!(ProcSet(u64::MAX).encoded_len(), 10);
+        assert_eq!(
+            set(&[0, 6]).to_bytes().len(),
+            1,
+            "seven processes: one byte"
+        );
+        assert_eq!(set(&[7]).to_bytes().len(), 2);
+        assert_eq!(set(&[13]).to_bytes().len(), 2, "fourteen: two bytes");
+        assert_eq!(set(&[14]).to_bytes().len(), 3);
+        assert_eq!(ProcSet(u64::MAX).to_bytes().len(), 10);
     }
 
     #[test]
@@ -406,9 +406,9 @@ mod proptests {
             roundtrip(&set);
             roundtrip(&ProcSet(mask));
             let highest = model.last().map_or(0, |p| p.0 as usize);
-            prop_assert_eq!(set.encoded_len(), (highest + 1).div_ceil(7));
+            prop_assert_eq!(set.to_bytes().len(), (highest + 1).div_ceil(7));
             if highest < 7 {
-                prop_assert_eq!(set.encoded_len(), 1);
+                prop_assert_eq!(set.to_bytes().len(), 1);
             }
         }
 

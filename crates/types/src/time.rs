@@ -135,10 +135,6 @@ impl Sub for Duration {
 }
 
 impl Wire for Duration {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
     }
@@ -243,10 +239,6 @@ impl Sub<Time> for Time {
 }
 
 impl Wire for Time {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
     }

@@ -3,8 +3,10 @@
 //! The original Rivulet prototype used "custom serialization for events
 //! and other messages" over Netty-managed TCP connections (paper §7).
 //! This module is the Rust equivalent: a small, allocation-conscious
-//! codec with *exact* size accounting, which the evaluation harness
-//! relies on to reproduce the network-overhead experiment (Fig. 5).
+//! codec. Size accounting is the bytes actually sent — the length of
+//! what [`Wire::encode`] wrote, not a separate exact-size API — and the
+//! evaluation harness charges exactly those bytes to reproduce the
+//! network-overhead experiment (Fig. 5).
 //!
 //! Integers are encoded as LEB128 varints so that the 4–8 byte events
 //! that dominate smart homes (Table 3) stay small on the wire;
@@ -227,7 +229,9 @@ impl WriterPool {
     /// bytes. The buffer returns to the pool for reuse.
     pub fn encode<T: Wire>(&mut self, value: &T) -> Bytes {
         let mut w = self.free.pop().unwrap_or_default();
-        w.reserve(value.encoded_len());
+        // Rewinds a warm writer onto the front of its allocation once
+        // every message taken from it has been dropped.
+        w.reserve(0);
         value.encode(&mut w);
         let out = w.take_bytes();
         self.free.push(w);
@@ -399,13 +403,11 @@ pub fn varint_len(v: u64) -> usize {
 
 /// Types encodable on the Rivulet inter-process wire.
 ///
-/// Implementations must uphold `encoded_len() == encode(..).len()` and
-/// `decode(encode(x)) == x`; the [`roundtrip`] helper asserts both and
-/// is used throughout the test suites.
+/// Implementations must uphold `decode(encode(x)) == x`; the
+/// [`roundtrip`] helper asserts it and is used throughout the test
+/// suites. `encode` is the one description of a type's layout: a
+/// caller that needs a length measures the bytes written.
 pub trait Wire: Sized {
-    /// Exact number of bytes [`Wire::encode`] will append.
-    fn encoded_len(&self) -> usize;
-
     /// Appends the encoding of `self` to `w`.
     fn encode(&self, w: &mut WireWriter);
 
@@ -418,7 +420,7 @@ pub trait Wire: Sized {
 
     /// Convenience: encodes `self` into a fresh buffer.
     fn to_bytes(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(self.encoded_len());
+        let mut w = WireWriter::new();
         self.encode(&mut w);
         w.into_bytes()
     }
@@ -461,10 +463,6 @@ pub trait Wire: Sized {
 }
 
 impl Wire for u8 {
-    fn encoded_len(&self) -> usize {
-        1
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(*self);
     }
@@ -475,10 +473,6 @@ impl Wire for u8 {
 }
 
 impl Wire for bool {
-    fn encoded_len(&self) -> usize {
-        1
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(u8::from(*self));
     }
@@ -493,10 +487,6 @@ impl Wire for bool {
 }
 
 impl Wire for u32 {
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(*self))
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(u64::from(*self));
     }
@@ -508,10 +498,6 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encoded_len(&self) -> usize {
-        varint_len(*self)
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(*self);
     }
@@ -522,10 +508,6 @@ impl Wire for u64 {
 }
 
 impl Wire for f64 {
-    fn encoded_len(&self) -> usize {
-        8
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_slice(&self.to_le_bytes());
     }
@@ -539,10 +521,6 @@ impl Wire for f64 {
 }
 
 impl Wire for Bytes {
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.len() as u64);
         w.put_slice(self);
@@ -555,10 +533,6 @@ impl Wire for Bytes {
 }
 
 impl Wire for String {
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.len() as u64);
         w.put_slice(self.as_bytes());
@@ -572,10 +546,6 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.len() as u64);
         for item in self {
@@ -594,10 +564,6 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
         self.1.encode(w);
@@ -609,10 +575,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         match self {
             None => w.put_u8(0),
@@ -632,19 +594,14 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Asserts that `value` survives an encode/decode cycle and that its
-/// [`Wire::encoded_len`] is exact. Intended for use in tests.
+/// Asserts that `value` survives an encode/decode cycle. Intended for
+/// use in tests.
 ///
 /// # Panics
 ///
-/// Panics if the roundtrip fails or the length accounting is wrong.
+/// Panics if the roundtrip fails.
 pub fn roundtrip<T: Wire + PartialEq + fmt::Debug>(value: &T) {
     let bytes = value.to_bytes();
-    assert_eq!(
-        bytes.len(),
-        value.encoded_len(),
-        "encoded_len mismatch for {value:?}"
-    );
     let decoded = T::from_bytes(&bytes).expect("decode failed");
     assert_eq!(&decoded, value, "roundtrip mismatch");
 }

@@ -42,8 +42,8 @@ fn canonical_messages_cost_what_they_did() {
     let forward = ProcMsg::GapForward {
         event: scalar.clone(),
     };
-    assert_eq!(forward.encoded_len(), 18, "tag + scalar event");
-    assert_eq!(ring.encoded_len(), forward.encoded_len() + 2);
+    assert_eq!(forward.to_bytes().len(), 18, "tag + scalar event");
+    assert_eq!(ring.to_bytes().len(), forward.to_bytes().len() + 2);
     assert_eq!(ring.to_bytes()[18..], [0b111, 0b1_1111]);
 
     let bare = ProcMsg::Ring {
@@ -51,25 +51,29 @@ fn canonical_messages_cost_what_they_did() {
         seen: pids(&[1]),
         need: pids(&[0, 1, 2, 3, 4]),
     };
-    assert_eq!(bare.encoded_len(), 12, "kind-only ring message");
+    assert_eq!(bare.to_bytes().len(), 12, "kind-only ring message");
 
     let beacon = ProcMsg::KeepAlive {
         from: ProcessId(4),
         processed: (0..4).map(|s| (SensorId(s), 1_000)).collect(),
         received: (0..4).map(|s| (SensorId(s), 1_000)).collect(),
     };
-    assert_eq!(beacon.encoded_len(), 28, "keep-alive, four sensors");
+    assert_eq!(beacon.to_bytes().len(), 28, "keep-alive, four sensors");
 
     let flood = ProcMsg::Broadcast {
         event: scalar,
         origin: ProcessId(2),
     };
-    assert_eq!(flood.encoded_len(), 19, "broadcast copy");
+    assert_eq!(flood.to_bytes().len(), 19, "broadcast copy");
 
     let frame = Frame {
         msgs: vec![bare, forward],
     };
-    assert_eq!(frame.encoded_len(), 2 + (1 + 12) + (1 + 18), "two messages");
+    assert_eq!(
+        frame.to_bytes().len(),
+        2 + (1 + 12) + (1 + 18),
+        "two messages"
+    );
 }
 
 #[test]
