@@ -10,9 +10,12 @@
 //!
 //! The ring message is the paper's `(e : S : V)` triple — the event,
 //! the processes that have *seen* it, and the processes that *need* it.
-//! Both sets, like the local view, are [`ProcSet`] bitmasks here, so
-//! every rule below is a word operation: `S ∪ {me}`, `V ∪ view`, `S = V`,
-//! `me ∈ S`.
+//! Both sets, like the local view, are [`ProcSet`] bitmasks — in the
+//! message ([`RingMsg`]) as on the wire — so every rule below is a word
+//! operation: `S ∪ {me}`, `V ∪ view`, `S = V`, `me ∈ S`. A relay
+//! extends the sets of the message it received and sends that message
+//! on, and its delivery travels in the caller's action buffer: a hop
+//! allocates no set, list or action vector of its own.
 //! The fallback trigger is exactly the paper's condition: a process
 //! that receives an event it has already seen, with `S ≠ V` and itself
 //! in `S`, knows the ring stalled before covering `V`, and broadcasts.
@@ -31,21 +34,19 @@
 
 use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
-use crate::messages::ProcMsg;
+use crate::messages::{ProcMsg, RingMsg};
 use crate::store::EventStore;
 
 use super::Action;
 
-/// Outcome of processing one Gapless input.
+/// Outcome of a ring message at one process. Its effects that wait for
+/// the durability gate — the local delivery — go into the caller's
+/// action buffer instead.
 #[derive(Debug, Default)]
 pub struct GaplessOutcome {
-    /// Effects that wait for the durability gate: the local delivery
-    /// and, at the process that ingested the event, its first ring
-    /// forward (DESIGN §4.2, "Durability gating").
-    pub actions: Vec<Action>,
     /// A relay's onward ring forward. Some peer's disk already backs
-    /// the event, so it is sent in the same activation, after `actions`
-    /// went to the gate and without waiting for it.
+    /// the event, so it is sent in the same activation, after the
+    /// buffered actions went to the gate and without waiting for it.
     pub relay: Option<Action>,
     /// If set, the caller must initiate reliable broadcast of this
     /// event (the ring detected a stall).
@@ -88,14 +89,15 @@ impl GaplessState {
 
     /// An event arrived directly from the physical sensor at this
     /// process (via an adapter). `view` is the local view `vᵢ` and
-    /// `successor` the ring successor (None when alone). The first ring
-    /// forward stays in `actions`, behind the delivery: an event goes on
-    /// the wire only after one disk holds it.
+    /// `successor` the ring successor (None when alone). Returns whether
+    /// the event was new; if so, its delivery and first ring forward go
+    /// into `actions`, in that order, for the durability gate: an event
+    /// goes on the wire only after one disk holds it.
     ///
     /// `express` is `(host, S)` when this process is the event's express
     /// sender ([`super::gap::express_sender`] chose it and computed the
-    /// copy's `S`). The express copy is a first forward too and waits in
-    /// `actions` with the other one. The ordinary token (`S = {me}`) is
+    /// copy's `S`). The express copy is a first forward too and follows
+    /// the other one into `actions`. The ordinary token (`S = {me}`) is
     /// what it is without a copy and still runs all the way to the host,
     /// so a lost express copy costs latency and nothing else.
     pub fn on_local_ingest(
@@ -104,76 +106,71 @@ impl GaplessState {
         view: ProcSet,
         successor: Option<ProcessId>,
         express: Option<(ProcessId, ProcSet)>,
-    ) -> GaplessOutcome {
-        let mut out = GaplessOutcome::default();
+        actions: &mut Vec<Action>,
+    ) -> bool {
         if !self.store.insert(event.clone()) {
             // Already known (e.g. the ring beat the radio): nothing to do.
-            return out;
+            return false;
         }
-        out.actions.push(Action::Deliver {
+        actions.push(Action::Deliver {
             event: event.clone(),
         });
         let Some(succ) = successor else {
-            return out;
+            return true;
         };
-        let express = express.map(|(host, seen)| Action::Send {
+        let express = express.map(|(host, seen)| Action::Ring {
             to: host,
-            msg: ring_msg(event.clone(), seen, view),
+            ring: RingMsg {
+                event: event.clone(),
+                seen,
+                need: view,
+            },
         });
-        out.actions.push(Action::Send {
+        actions.push(Action::Ring {
             to: succ,
-            msg: ring_msg(event, ProcSet::singleton(self.me), view),
+            ring: RingMsg {
+                event,
+                seen: ProcSet::singleton(self.me),
+                need: view,
+            },
         });
-        out.actions.extend(express);
-        out
+        actions.extend(express);
+        true
     }
 
-    /// A ring message `(event : seen : need)` arrived from a peer. A
-    /// first sighting delivers through `actions` and forwards through
-    /// `relay`; `S ∪ {me}` says "`me` has forwarded the event", which is
-    /// all the stall test reads from it — not that `me`'s disk holds it.
-    /// An express copy is handled like any other ring message. When
+    /// A ring message `(event : S : V)` arrived from a peer. A first
+    /// sighting pushes its delivery onto `actions` and forwards the
+    /// message itself through the outcome's `relay`, with `S ∪ {me}` and
+    /// `V ∪ view`; `S ∪ {me}` says "`me` has forwarded the event", which
+    /// is all the stall test reads from it — not that `me`'s disk holds
+    /// it. An express copy is handled like any other ring message. When
     /// `S ∪ {me} = V ∪ view` the ring closes here: the successor, in our
     /// view and so in `S`, would ignore the message, and it is not sent.
     /// With `S ≠ V` it is sent even to a successor in `S`, whose stall
     /// test floods *its* view, which may reach a process ours skips.
-    ///
-    /// `seen` and `need` are the message's own lists; a relay refills
-    /// and sends them on.
     pub fn on_ring(
         &mut self,
-        event: Event,
-        mut seen: Vec<ProcessId>,
-        mut need: Vec<ProcessId>,
+        mut ring: RingMsg,
         view: ProcSet,
         successor: Option<ProcessId>,
+        actions: &mut Vec<Action>,
     ) -> GaplessOutcome {
         let mut out = GaplessOutcome::default();
-        let s: ProcSet = seen.iter().copied().collect();
-        let v: ProcSet = need.iter().copied().collect();
-        if self.store.insert(event.clone()) {
+        if self.store.insert(ring.event.clone()) {
             // First sighting: deliver locally and keep the ring moving,
             // extending S with ourselves and V with our own view.
-            out.actions.push(Action::Deliver {
-                event: event.clone(),
+            actions.push(Action::Deliver {
+                event: ring.event.clone(),
             });
             if let Some(succ) = successor {
-                let new_seen = s.with(self.me);
-                let new_need = v.union(view);
+                ring.seen.insert(self.me);
+                ring.need = ring.need.union(view);
                 // V has our view in it, successor included: S = V says the
                 // successor has the event and its stall test would pass.
-                if new_seen == new_need {
+                if ring.seen == ring.need {
                     out.closed = true;
                 } else {
-                    // Refill the lists in the blocks they arrived in.
-                    seen.clear();
-                    seen.extend(new_seen);
-                    need.clear();
-                    need.extend(new_need);
-                    out.relay = Some(Action::Send {
-                        to: succ,
-                        msg: ProcMsg::Ring { event, seen, need },
-                    });
+                    out.relay = Some(Action::Ring { to: succ, ring });
                 }
             }
             return out;
@@ -181,8 +178,8 @@ impl GaplessState {
         // Already seen. The paper's stall test: S ≠ V and me ∈ S means
         // we forwarded this event before, yet it has not reached every
         // process some view said it should — fall back to broadcast.
-        if s != v && s.contains(self.me) {
-            out.start_broadcast = Some(event);
+        if ring.seen != ring.need && ring.seen.contains(self.me) {
+            out.start_broadcast = Some(ring.event);
         }
         out
     }
@@ -238,25 +235,14 @@ impl GaplessState {
     }
 
     /// Missing events arrived from a predecessor's sync. New ones are
-    /// delivered locally (they do not re-enter the ring: the sender is
-    /// responsible for its own successor chain).
-    pub fn on_sync_events(&mut self, events: Vec<Event>) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// delivered locally through `actions` (they do not re-enter the
+    /// ring: the sender is responsible for its own successor chain).
+    pub fn on_sync_events(&mut self, events: Vec<Event>, actions: &mut Vec<Action>) {
         for event in events {
             if self.store.insert(event.clone()) {
                 actions.push(Action::Deliver { event });
             }
         }
-        actions
-    }
-}
-
-/// The ring message `(event : seen : need)`.
-fn ring_msg(event: Event, seen: ProcSet, need: ProcSet) -> ProcMsg {
-    ProcMsg::Ring {
-        event,
-        seen: seen.iter().collect(),
-        need: need.iter().collect(),
     }
 }
 
@@ -274,20 +260,61 @@ mod tests {
         )
     }
 
-    fn pids(ids: &[u32]) -> Vec<ProcessId> {
-        ids.iter().map(|i| ProcessId(*i)).collect()
-    }
-
     fn set(ids: &[u32]) -> ProcSet {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
+    /// What one call did: the actions it buffered and its outcome.
+    struct Hop {
+        actions: Vec<Action>,
+        relay: Option<Action>,
+        start_broadcast: Option<Event>,
+        closed: bool,
+    }
+
+    fn ingest(
+        g: &mut GaplessState,
+        event: Event,
+        view: ProcSet,
+        successor: Option<ProcessId>,
+        express: Option<(ProcessId, ProcSet)>,
+    ) -> Hop {
+        let mut actions = Vec::new();
+        let fresh = g.on_local_ingest(event, view, successor, express, &mut actions);
+        assert_eq!(fresh, !actions.is_empty(), "fresh exactly when it buffers");
+        Hop {
+            actions,
+            relay: None,
+            start_broadcast: None,
+            closed: false,
+        }
+    }
+
+    fn hop(
+        g: &mut GaplessState,
+        event: Event,
+        seen: ProcSet,
+        need: ProcSet,
+        view: ProcSet,
+        successor: Option<ProcessId>,
+    ) -> Hop {
+        let mut actions = Vec::new();
+        let ring = RingMsg { event, seen, need };
+        let out = g.on_ring(ring, view, successor, &mut actions);
+        Hop {
+            actions,
+            relay: out.relay,
+            start_broadcast: out.start_broadcast,
+            closed: out.closed,
+        }
+    }
+
     /// Takes a ring send apart: `(to, event, seen, need)`.
-    fn ring_send(action: Action) -> (ProcessId, Event, Vec<ProcessId>, Vec<ProcessId>) {
+    fn ring_send(action: Action) -> (ProcessId, Event, ProcSet, ProcSet) {
         match action {
-            Action::Send {
+            Action::Ring {
                 to,
-                msg: ProcMsg::Ring { event, seen, need },
+                ring: RingMsg { event, seen, need },
             } => (to, event, seen, need),
             other => panic!("expected ring send, got {other:?}"),
         }
@@ -304,7 +331,7 @@ mod tests {
     fn local_ingest_delivers_and_forwards_to_successor() {
         let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
-        let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let mut out = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
         assert!(out.start_broadcast.is_none());
         assert!(
             out.relay.is_none(),
@@ -313,18 +340,15 @@ mod tests {
         assert_eq!(out.actions.len(), 2);
         let (to, _, seen, need) = ring_send(out.actions.remove(1));
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
-        assert_eq!(
-            (to, seen, need),
-            (ProcessId(1), pids(&[0]), pids(&[0, 1, 2]))
-        );
+        assert_eq!((to, seen, need), (ProcessId(1), set(&[0]), set(&[0, 1, 2])));
     }
 
     #[test]
     fn duplicate_local_ingest_is_silent() {
         let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1]);
-        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
-        let out = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
+        let out = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
         assert!(out.actions.is_empty());
         assert!(out.start_broadcast.is_none());
     }
@@ -332,7 +356,7 @@ mod tests {
     #[test]
     fn singleton_home_just_delivers() {
         let mut g = GaplessState::new(ProcessId(0), 100);
-        let out = g.on_local_ingest(ev(0), set(&[0]), None, None);
+        let out = ingest(&mut g, ev(0), set(&[0]), None, None);
         assert_eq!(deliver_count(&out.actions), 1);
         assert_eq!(out.actions.len(), 1, "no sends when alone");
     }
@@ -342,13 +366,20 @@ mod tests {
         let mut g = GaplessState::new(ProcessId(1), 100);
         // p1's view knows p3, which the sender's view did not.
         let view = set(&[0, 1, 3]);
-        let out = g.on_ring(ev(0), pids(&[0]), pids(&[0, 1]), view, Some(ProcessId(3)));
+        let out = hop(
+            &mut g,
+            ev(0),
+            set(&[0]),
+            set(&[0, 1]),
+            view,
+            Some(ProcessId(3)),
+        );
         assert!(out.start_broadcast.is_none());
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
         let (to, event, seen, need) = ring_send(out.relay.expect("a relay forwards"));
         assert_eq!((to, event), (ProcessId(3), ev(0)));
-        assert_eq!(seen, pids(&[0, 1]));
-        assert_eq!(need, pids(&[0, 1, 3]), "need extended with our view");
+        assert_eq!(seen, set(&[0, 1]));
+        assert_eq!(need, set(&[0, 1, 3]), "need extended with our view");
     }
 
     #[test]
@@ -356,9 +387,9 @@ mod tests {
         // p0 ingests, then receives its own event back with S == V.
         let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
-        let everyone = pids(&[0, 1, 2]);
-        let out = g.on_ring(ev(0), everyone.clone(), everyone, view, Some(ProcessId(1)));
+        let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
+        let everyone = set(&[0, 1, 2]);
+        let out = hop(&mut g, ev(0), everyone, everyone, view, Some(ProcessId(1)));
         assert!(out.actions.is_empty() && out.relay.is_none());
         assert!(out.start_broadcast.is_none(), "S == V means all covered");
     }
@@ -368,11 +399,12 @@ mod tests {
         // Paper's condition: seen event again, S != V, me ∈ S.
         let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
-        let out = g.on_ring(
+        let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
+        let out = hop(
+            &mut g,
             ev(0),
-            pids(&[0, 1]),
-            pids(&[0, 1, 2]),
+            set(&[0, 1]),
+            set(&[0, 1, 2]),
             view,
             Some(ProcessId(1)),
         );
@@ -387,11 +419,12 @@ mod tests {
         // process's ring is still progressing — do not broadcast.
         let mut g = GaplessState::new(ProcessId(2), 100);
         let view = set(&[0, 1, 2]);
-        let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(0)), None);
-        let out = g.on_ring(
+        let _ = ingest(&mut g, ev(0), view, Some(ProcessId(0)), None);
+        let out = hop(
+            &mut g,
             ev(0),
-            pids(&[0, 1]),
-            pids(&[0, 1, 2]),
+            set(&[0, 1]),
+            set(&[0, 1, 2]),
             view,
             Some(ProcessId(0)),
         );
@@ -408,12 +441,12 @@ mod tests {
         let mut p1 = GaplessState::new(ProcessId(1), 100);
         let mut p2 = GaplessState::new(ProcessId(2), 100);
 
-        let mut out0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
+        let mut out0 = ingest(&mut p0, ev(0), view, Some(ProcessId(1)), None);
         let (_, event, seen, need) = ring_send(out0.actions.remove(1));
-        let out1 = p1.on_ring(event, seen, need, view, Some(ProcessId(2)));
+        let out1 = hop(&mut p1, event, seen, need, view, Some(ProcessId(2)));
         assert_eq!(deliver_count(&out1.actions), 1);
         let (_, event, seen, need) = ring_send(out1.relay.expect("p1 relays"));
-        let out2 = p2.on_ring(event, seen, need, view, Some(ProcessId(0)));
+        let out2 = hop(&mut p2, event, seen, need, view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&out2.actions), 1);
         // p2's successor p0 is in S: S ∪ {p2} == V == {0,1,2} → p2 closes
         // the ring silently instead of sending it back.
@@ -432,10 +465,11 @@ mod tests {
         // the ring missed. It relays, and p0 — whose view has p3 — runs
         // the paper's stall test and floods.
         let mut p2 = GaplessState::new(ProcessId(2), 100);
-        let out = p2.on_ring(
+        let out = hop(
+            &mut p2,
             ev(0),
-            pids(&[0, 1]),
-            pids(&[0, 1, 2, 3]),
+            set(&[0, 1]),
+            set(&[0, 1, 2, 3]),
             set(&[0, 1, 2]),
             Some(ProcessId(0)),
         );
@@ -443,13 +477,13 @@ mod tests {
         assert!(!out.closed && out.start_broadcast.is_none());
         let (to, event, seen, need) = ring_send(out.relay.expect("S ≠ V: the ring goes on"));
         assert_eq!(
-            (to, &seen, &need),
-            (ProcessId(0), &pids(&[0, 1, 2]), &pids(&[0, 1, 2, 3]))
+            (to, seen, need),
+            (ProcessId(0), set(&[0, 1, 2]), set(&[0, 1, 2, 3]))
         );
         let view0 = set(&[0, 1, 2, 3]);
         let mut p0 = GaplessState::new(ProcessId(0), 100);
-        let _ = p0.on_local_ingest(ev(0), view0, Some(ProcessId(1)), None);
-        let out = p0.on_ring(event, seen, need, view0, Some(ProcessId(1)));
+        let _ = ingest(&mut p0, ev(0), view0, Some(ProcessId(1)), None);
+        let out = hop(&mut p0, event, seen, need, view0, Some(ProcessId(1)));
         assert_eq!(
             out.start_broadcast,
             Some(ev(0)),
@@ -482,7 +516,7 @@ mod tests {
             let (me, view) = (ProcessId(me), set(view));
             let succ = view.successor_of(me);
             let mut g = GaplessState::new(me, 100);
-            let out = g.on_ring(ev(0), pids(s), pids(v), view, succ);
+            let out = hop(&mut g, ev(0), set(s), set(v), view, succ);
             assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
             assert!(out.start_broadcast.is_none());
             assert_eq!(out.closed, closes, "{me}: S={s:?} V={v:?} view={view:?}");
@@ -490,8 +524,8 @@ mod tests {
             if let Some(relay) = out.relay {
                 let (to, _, seen, need) = ring_send(relay);
                 assert_eq!(Some(to), succ);
-                assert_eq!(seen, set(s).with(me).iter().collect::<Vec<_>>());
-                assert_eq!(need, set(v).union(view).iter().collect::<Vec<_>>());
+                assert_eq!(seen, set(s).with(me));
+                assert_eq!(need, set(v).union(view));
             }
         }
     }
@@ -508,8 +542,8 @@ mod tests {
         for (s, v, floods) in cases {
             let view = set(&[0, 1, 2]);
             let mut g = GaplessState::new(ProcessId(0), 100);
-            let _ = g.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
-            let out = g.on_ring(ev(0), pids(s), pids(v), view, Some(ProcessId(1)));
+            let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
+            let out = hop(&mut g, ev(0), set(s), set(v), view, Some(ProcessId(1)));
             assert_eq!(out.start_broadcast.is_some(), floods, "S={s:?} V={v:?}");
             assert!(out.actions.is_empty() && out.relay.is_none() && !out.closed);
         }
@@ -524,16 +558,16 @@ mod tests {
         assert_eq!((sender, arc), (ProcessId(1), set(&[1, 2, 3])));
         let mut g = GaplessState::new(ProcessId(1), 100);
         let express = Some((ProcessId(4), arc));
-        let mut out = g.on_local_ingest(ev(0), view, Some(ProcessId(2)), express);
+        let mut out = ingest(&mut g, ev(0), view, Some(ProcessId(2)), express);
         assert!(out.relay.is_none(), "both first forwards wait for the disk");
         assert_eq!(out.actions.len(), 3);
         let (to, event, seen, need) = ring_send(out.actions.remove(2));
         assert_eq!((to, event), (ProcessId(4), ev(0)));
-        let everyone = pids(&[0, 1, 2, 3, 4]);
-        assert_eq!((seen, &need), (pids(&[1, 2, 3]), &everyone));
+        let everyone = set(&[0, 1, 2, 3, 4]);
+        assert_eq!((seen, need), (set(&[1, 2, 3]), everyone));
         // The ordinary forward is what it is without an express copy.
         let (to, _, seen, need) = ring_send(out.actions.remove(1));
-        assert_eq!((to, seen, need), (ProcessId(2), pids(&[1]), everyone));
+        assert_eq!((to, seen, need), (ProcessId(2), set(&[1]), everyone));
     }
 
     /// Runs one event, ingested at p1 with p0 as the app's host, through
@@ -548,7 +582,13 @@ mod tests {
             .collect();
         let mut delivered = vec![0; 5];
         let (_, arc) = express_sender(view, set(&[1]), ProcessId(0)).expect("far host");
-        let mut out = procs[1].on_local_ingest(ev(0), view, succ(1), Some((ProcessId(0), arc)));
+        let mut out = ingest(
+            &mut procs[1],
+            ev(0),
+            view,
+            succ(1),
+            Some((ProcessId(0), arc)),
+        );
         delivered[1] += deliver_count(&out.actions);
         let express = ring_send(out.actions.remove(2));
         let ordinary = ring_send(out.actions.remove(1));
@@ -558,14 +598,14 @@ mod tests {
         while token.0 != ProcessId(0) {
             let (to, event, seen, need) = token;
             let at = to.0 as usize;
-            let out = procs[at].on_ring(event, seen, need, view, succ(to.0));
+            let out = hop(&mut procs[at], event, seen, need, view, succ(to.0));
             assert!(out.start_broadcast.is_none() && !out.closed);
             delivered[at] += deliver_count(&out.actions);
             token = ring_send(out.relay.expect("the token runs all the way to the host"));
             messages += 1;
         }
         assert!(
-            !token.2.contains(&ProcessId(0)),
+            !token.2.contains(ProcessId(0)),
             "I2: the host is not pre-marked"
         );
         let arrivals = if express_first {
@@ -574,7 +614,7 @@ mod tests {
             [token, express]
         };
         for (i, (_, event, seen, need)) in arrivals.into_iter().enumerate() {
-            let out = procs[0].on_ring(event, seen, need, view, succ(0));
+            let out = hop(&mut procs[0], event, seen, need, view, succ(0));
             delivered[0] += deliver_count(&out.actions);
             // p0's successor p1 is in both copies' S: whichever comes
             // first closes the ring, the other is an ignored duplicate.
@@ -600,22 +640,24 @@ mod tests {
         // successor p1 is not in S, so p0 forwards like any relay, and
         // the half-ring stops at p2, whose successor is the origin.
         let view = set(&[0, 1, 2, 3, 4]);
-        let everyone = pids(&[0, 1, 2, 3, 4]);
+        let everyone = set(&[0, 1, 2, 3, 4]);
         let mut p0 = GaplessState::new(ProcessId(0), 100);
-        let out = p0.on_ring(
+        let out = hop(
+            &mut p0,
             ev(0),
-            pids(&[3, 4]),
-            everyone.clone(),
+            set(&[3, 4]),
+            everyone,
             view,
             Some(ProcessId(1)),
         );
         assert_eq!(deliver_count(&out.actions), 1);
         let (to, _, seen, _) = ring_send(out.relay.expect("the host keeps the ring moving"));
-        assert_eq!((to, seen), (ProcessId(1), pids(&[0, 3, 4])));
+        assert_eq!((to, seen), (ProcessId(1), set(&[0, 3, 4])));
         let mut p2 = GaplessState::new(ProcessId(2), 100);
-        let out = p2.on_ring(
+        let out = hop(
+            &mut p2,
             ev(0),
-            pids(&[0, 1, 3, 4]),
+            set(&[0, 1, 3, 4]),
             everyone,
             view,
             Some(ProcessId(3)),
@@ -632,19 +674,19 @@ mod tests {
         let mut p1 = GaplessState::new(ProcessId(1), 100);
         let mut p2 = GaplessState::new(ProcessId(2), 100);
 
-        let mut o0 = p0.on_local_ingest(ev(0), view, Some(ProcessId(1)), None);
-        let mut o1 = p1.on_local_ingest(ev(0), view, Some(ProcessId(2)), None);
+        let mut o0 = ingest(&mut p0, ev(0), view, Some(ProcessId(1)), None);
+        let mut o1 = ingest(&mut p1, ev(0), view, Some(ProcessId(2)), None);
         // p1 receives p0's ring copy: already seen, S={0}, p1 ∉ S → ignore.
         let (_, event, seen, need) = ring_send(o0.actions.remove(1));
-        let r = p1.on_ring(event, seen, need, view, Some(ProcessId(2)));
+        let r = hop(&mut p1, event, seen, need, view, Some(ProcessId(2)));
         assert!(r.start_broadcast.is_none() && r.relay.is_none());
         // p2 receives p1's ring copy: new → delivers, forwards to p0.
         let (_, event, seen, need) = ring_send(o1.actions.remove(1));
-        let r2 = p2.on_ring(event, seen, need, view, Some(ProcessId(0)));
+        let r2 = hop(&mut p2, event, seen, need, view, Some(ProcessId(0)));
         assert_eq!(deliver_count(&r2.actions), 1);
         // p0 gets it back: S={1,2}≠V, p0 ∉ S → ignore (no broadcast).
         let (_, event, seen, need) = ring_send(r2.relay.expect("p2 relays"));
-        let r3 = p0.on_ring(event, seen, need, view, Some(ProcessId(1)));
+        let r3 = hop(&mut p0, event, seen, need, view, Some(ProcessId(1)));
         assert!(r3.start_broadcast.is_none());
         assert_eq!(p2.store().retained_seqs(SensorId(7)), vec![0]);
     }
@@ -654,10 +696,10 @@ mod tests {
         let mut ahead = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1]);
         for seq in 0..5 {
-            let _ = ahead.on_local_ingest(ev(seq), view, None, None);
+            let _ = ingest(&mut ahead, ev(seq), view, None, None);
         }
         let mut behind = GaplessState::new(ProcessId(1), 100);
-        let _ = behind.on_local_ingest(ev(0), view, None, None);
+        let _ = ingest(&mut behind, ev(0), view, None, None);
 
         // New successor appears → ahead asks for watermarks.
         let req = ahead.on_successor_change(Some(ProcessId(1)));
@@ -687,7 +729,8 @@ mod tests {
         };
         assert_eq!(events.len(), 4);
         // behind ingests and delivers each new event.
-        let delivered = behind.on_sync_events(events);
+        let mut delivered = Vec::new();
+        behind.on_sync_events(events, &mut delivered);
         assert_eq!(delivered.len(), 4);
         assert_eq!(
             behind.store().retained_seqs(SensorId(7)),

@@ -15,7 +15,7 @@ pub mod rbcast;
 
 use rivulet_types::{Event, ProcSet, ProcessId};
 
-use crate::messages::ProcMsg;
+use crate::messages::{ProcMsg, RingMsg};
 
 /// The delivery guarantee chosen per sensor input (§2.2, Table 1),
 /// ordered by strength: `Gap < Gapless`.
@@ -46,6 +46,13 @@ pub enum Action {
         to: ProcessId,
         /// The message.
         msg: ProcMsg,
+    },
+    /// Send a Gapless ring message to a peer.
+    Ring {
+        /// Destination process.
+        to: ProcessId,
+        /// The message.
+        ring: RingMsg,
     },
     /// Send one protocol message to several peers. The process layer
     /// encodes the message once and cheap-clones the frozen bytes to

@@ -126,21 +126,22 @@ impl RbcastState {
     }
 
     /// Initiates (or re-initiates) a broadcast of `event` to every peer
-    /// in `view` except `me`, as a single encode-once fan-out action.
-    pub fn start(&mut self, event: Event, view: ProcSet, now: Time) -> Vec<Action> {
+    /// in `view` except `me`, as a single encode-once fan-out action
+    /// (none when `view` holds no peer).
+    pub fn start(&mut self, event: Event, view: ProcSet, now: Time) -> Option<Action> {
         let peers = view.without(self.me);
         if peers.is_empty() {
-            return Vec::new();
+            return None;
         }
-        let actions = vec![Action::Fanout {
+        let flood = Action::Fanout {
             to: peers,
             msg: ProcMsg::Broadcast {
                 event: event.clone(),
                 origin: self.me,
             },
-        }];
+        };
         self.insert_pending(event, peers, now + self.retransmit_after);
-        actions
+        Some(flood)
     }
 
     /// Registers `event` for replication tracking *without* sending
@@ -176,11 +177,11 @@ impl RbcastState {
         was_new: bool,
         view: ProcSet,
         now: Time,
-    ) -> Vec<Action> {
+    ) -> Option<Action> {
         if was_new {
             self.start(event.clone(), view, now)
         } else {
-            Vec::new()
+            None
         }
     }
 
@@ -542,8 +543,8 @@ mod tests {
     #[test]
     fn start_floods_view_except_self() {
         let mut b = RbcastState::new(ProcessId(0));
-        let actions = b.start(ev(0), pids(&[0, 1, 2]), Time::ZERO);
-        assert_eq!(send_targets(&actions), pids(&[1, 2]));
+        let flood = b.start(ev(0), pids(&[0, 1, 2]), Time::ZERO);
+        assert_eq!(send_targets(flood.as_slice()), pids(&[1, 2]));
         assert_eq!(b.pending_count(), 1);
     }
 
@@ -626,7 +627,7 @@ mod tests {
     fn known_event_not_relayed() {
         let mut b = RbcastState::new(ProcessId(1));
         let view = pids(&[0, 1, 2]);
-        assert!(b.on_broadcast(&ev(0), false, view, Time::ZERO).is_empty());
+        assert!(b.on_broadcast(&ev(0), false, view, Time::ZERO).is_none());
     }
 
     #[test]
@@ -634,8 +635,8 @@ mod tests {
         // The eager-broadcast baseline: receivers never re-flood (the
         // origin is the only flooder).
         let mut b = RbcastState::new(ProcessId(1));
-        let actions = b.on_broadcast(&ev(0), true, ProcSet::EMPTY, Time::ZERO);
-        assert!(actions.is_empty());
+        let relay = b.on_broadcast(&ev(0), true, ProcSet::EMPTY, Time::ZERO);
+        assert!(relay.is_none());
         assert_eq!(b.pending_count(), 0, "nothing pending without a view");
     }
 
@@ -773,7 +774,7 @@ mod tests {
     #[test]
     fn singleton_start_is_noop() {
         let mut b = RbcastState::new(ProcessId(0));
-        assert!(b.start(ev(0), pids(&[0]), Time::ZERO).is_empty());
+        assert!(b.start(ev(0), pids(&[0]), Time::ZERO).is_none());
         assert_eq!(b.pending_count(), 0);
     }
 }
@@ -857,7 +858,7 @@ mod proptests {
             for op in ops {
                 match op {
                     RbOp::Start(s, q, v, t) => prop_assert_eq!(
-                        new.start(event(s, q), view(v), Time::from_millis(t)),
+                        Vec::from_iter(new.start(event(s, q), view(v), Time::from_millis(t))),
                         reference.start(event(s, q), view(v), Time::from_millis(t))
                     ),
                     RbOp::Track(s, q, v, t) => {
@@ -865,7 +866,9 @@ mod proptests {
                         reference.track(event(s, q), view(v), Time::from_millis(t));
                     }
                     RbOp::OnBroadcast(s, q, was_new, v, t) => prop_assert_eq!(
-                        new.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t)),
+                        Vec::from_iter(
+                            new.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t))
+                        ),
                         reference.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t))
                     ),
                     RbOp::Ack(from, received) => {

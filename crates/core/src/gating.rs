@@ -101,15 +101,22 @@ impl AdaptiveGate {
 /// or advertise is on disk (or the process keeps nothing on disk).
 /// Only the gate can build one, and the process runtime delivers events
 /// from nothing else.
+///
+/// Its buffer is one the caller handed the gate, or one the gate
+/// withheld actions in; either way applying it returns the buffer,
+/// empty, for the caller's next actions, so a process and its gate pass
+/// the same two buffers back and forth instead of allocating per event.
 #[derive(Debug, Default, PartialEq)]
 pub struct Released(Vec<Action>);
 
-impl IntoIterator for Released {
-    type Item = Action;
-    type IntoIter = std::vec::IntoIter<Action>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+impl Released {
+    /// Hands every released action to `apply`, in order, and returns the
+    /// emptied buffer.
+    pub fn apply(mut self, mut apply: impl FnMut(Action)) -> Vec<Action> {
+        for action in self.0.drain(..) {
+            apply(action);
+        }
+        self.0
     }
 }
 
@@ -189,16 +196,18 @@ impl DurableGate {
     /// ring forward, broadcast relay or ack — comes back out until the
     /// append is durable. Under group commit the actions wait for the
     /// flush policy, [`DurableGate::flush`] or the bound, whichever
-    /// comes first.
-    pub fn admit(&mut self, now: Time, actions: Vec<Action>) -> Released {
+    /// comes first. Whatever is released comes back in a buffer the
+    /// caller keeps for its next actions: `actions` itself, emptied when
+    /// its actions wait.
+    pub fn admit(&mut self, now: Time, mut actions: Vec<Action>) -> Released {
         let Some(wal) = self.wal.as_mut() else {
             return Released(actions);
         };
         if actions.is_empty() {
-            return Released::default();
+            return Released(actions);
         }
         let timed = self.obs.is_enabled();
-        for action in actions {
+        for action in actions.drain(..) {
             if let Action::Deliver { event } = &action {
                 wal.append_event(event).expect("wal append");
                 if timed {
@@ -209,7 +218,7 @@ impl DurableGate {
         }
         if wal.pending_events() > 0 {
             if self.withheld.len() < self.bound.bound() {
-                return Released::default();
+                return Released(actions);
             }
             // Back-pressure: a broadcast storm outran the flush policy.
             // Force the group commit now so withheld actions (and their
@@ -219,42 +228,53 @@ impl DurableGate {
             self.bound.on_forced_flush();
             self.obs.inc("wal.forced_flushes");
         }
-        self.release(now)
+        self.release(now, actions)
     }
 
     /// Hands out everything withheld — the caller has just made it
-    /// durable — and records how long each delivery waited.
-    fn release(&mut self, now: Time) -> Released {
+    /// durable — and records how long each delivery waited. `spare`, an
+    /// emptied buffer of the caller's, takes the withheld buffer's place.
+    fn release(&mut self, now: Time, mut spare: Vec<Action>) -> Released {
+        debug_assert!(spare.is_empty(), "a spare buffer holds no actions");
         for at in self.admitted_at.drain(..) {
             let waited = now.duration_since(at).as_micros();
             self.obs.observe("wal.gate_wait_us", waited);
         }
-        Released(std::mem::take(&mut self.withheld))
+        std::mem::swap(&mut self.withheld, &mut spare);
+        Released(spare)
     }
 
     /// Flushes the log and releases everything withheld. Driven by the
     /// `EveryInterval` flush timer or — under a policy without one — by
     /// the periodic tick as a backstop, so an `EveryN` batch that never
     /// fills cannot strand its actions. A flush at low depth is the
-    /// signal that bursts have subsided: the bound walks back.
-    pub fn flush(&mut self, now: Time) -> Released {
+    /// signal that bursts have subsided: the bound walks back. `spare`
+    /// is an empty buffer of the caller's: it becomes the gate's, or
+    /// comes straight back when nothing is withheld.
+    pub fn flush(&mut self, now: Time, spare: Vec<Action>) -> Released {
         match self.wal.as_mut() {
             Some(wal) if wal.pending_events() > 0 || !self.withheld.is_empty() => {
                 wal.flush().expect("wal flush");
                 self.bound.on_idle_flush(self.withheld.len());
-                self.release(now)
+                self.release(now, spare)
             }
-            _ => Released::default(),
+            _ => Released(spare),
         }
     }
 
     /// Writes a checkpoint of the `processed` watermarks and compacts
     /// the segments they cover. The checkpoint forces a flush, so
-    /// everything withheld is released; at low depth it also counts as
-    /// an idle flush for the bound.
-    pub fn checkpoint(&mut self, now: Time, processed: &BTreeMap<SensorId, u64>) -> Released {
+    /// everything withheld is released, in exchange for `spare` as in
+    /// [`DurableGate::flush`]; at low depth it also counts as an idle
+    /// flush for the bound.
+    pub fn checkpoint(
+        &mut self,
+        now: Time,
+        processed: &BTreeMap<SensorId, u64>,
+        spare: Vec<Action>,
+    ) -> Released {
         let Some(wal) = self.wal.as_mut() else {
-            return Released::default();
+            return Released(spare);
         };
         wal.append_checkpoint(&Checkpoint {
             at: now,
@@ -263,7 +283,7 @@ impl DurableGate {
         .expect("wal checkpoint");
         let _ = wal.compact(processed).expect("wal compact");
         self.bound.on_idle_flush(self.withheld.len());
-        self.release(now)
+        self.release(now, spare)
     }
 
     /// Appends a routine ledger entry, durable before this returns:
@@ -386,16 +406,20 @@ mod tests {
         let backend = Arc::new(SimBackend::new(3));
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
         let bound = gate.bound().expect("durable");
-        assert_eq!(gate.flush(NOW), Released::default(), "nothing pending");
+        assert_eq!(
+            gate.flush(NOW, Vec::new()),
+            Released::default(),
+            "nothing pending"
+        );
         assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
 
         assert_eq!(gate.admit(NOW, deliver_and_relay(0)), Released::default());
-        assert_eq!(gate.flush(NOW).0, deliver_and_relay(0));
+        assert_eq!(gate.flush(NOW, Vec::new()).0, deliver_and_relay(0));
         assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
 
         assert_eq!(gate.admit(NOW, deliver_and_relay(1)), Released::default());
         let processed = BTreeMap::from([(SensorId(1), 0)]);
-        let released = gate.checkpoint(Time::from_secs(1), &processed);
+        let released = gate.checkpoint(Time::from_secs(1), &processed, Vec::new());
         assert_eq!(released.0, deliver_and_relay(1));
         assert_eq!(gate.bound(), Some(bound / 4));
         backend.crash();
@@ -413,7 +437,7 @@ mod tests {
         let _ = gate.admit(Time::from_millis(1), deliver_and_relay(0));
         let _ = gate.admit(Time::from_millis(4), deliver_and_relay(1));
         assert!(obs.snapshot().histogram("wal.gate_wait_us").is_none());
-        let released = gate.flush(Time::from_millis(10));
+        let released = gate.flush(Time::from_millis(10), Vec::new());
         assert_eq!(released.0.len(), 4);
         let snap = obs.snapshot();
         let waits = snap.histogram("wal.gate_wait_us").expect("recorded");
@@ -424,7 +448,28 @@ mod tests {
         obs.set_enabled(false);
         let _ = gate.admit(Time::from_millis(11), deliver_and_relay(2));
         assert!(gate.admitted_at.is_empty());
-        assert_eq!(gate.flush(Time::from_millis(20)).0, deliver_and_relay(2));
+        assert_eq!(
+            gate.flush(Time::from_millis(20), Vec::new()).0,
+            deliver_and_relay(2)
+        );
+    }
+
+    #[test]
+    fn the_caller_and_the_gate_trade_buffers_instead_of_allocating() {
+        let backend = Arc::new(SimBackend::new(7));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        // Withheld: the caller's buffer comes back empty, capacity kept.
+        let admitted = deliver_and_relay(0);
+        let (ptr, capacity) = (admitted.as_ptr(), admitted.capacity());
+        let spare = gate.admit(NOW, admitted).apply(|_| panic!("withheld"));
+        assert_eq!((spare.as_ptr(), spare.capacity()), (ptr, capacity));
+        // Released: the caller gets the withheld buffer, and the gate
+        // holds the next withheld actions in the spare it was handed.
+        let mut applied = Vec::new();
+        let emptied = gate.flush(NOW, spare).apply(|action| applied.push(action));
+        assert_eq!(applied, deliver_and_relay(0));
+        assert!(emptied.is_empty() && emptied.capacity() >= 2);
+        assert_eq!(gate.withheld.as_ptr(), ptr, "the spare is the gate's now");
     }
 
     #[test]
@@ -436,8 +481,8 @@ mod tests {
             gate.admit(NOW, deliver_and_relay(0)).0,
             deliver_and_relay(0)
         );
-        assert_eq!(gate.flush(NOW), Released::default());
-        let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new());
+        assert_eq!(gate.flush(NOW, Vec::new()), Released::default());
+        let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new(), Vec::new());
         assert_eq!(released, Released::default());
     }
 

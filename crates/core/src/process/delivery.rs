@@ -4,6 +4,7 @@
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
+use rivulet_types::wire::Wire;
 use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
 use super::{advance, Running};
@@ -12,7 +13,7 @@ use crate::delivery::gap::{self, GapRole};
 use crate::delivery::{Action, Delivery};
 use crate::execution::active_logic;
 use crate::gating::Released;
-use crate::messages::ProcMsg;
+use crate::messages::{PeerMsg, ProcMsg, RingMsg};
 
 impl Running {
     /// Whether any deployed app subscribes to `sensor`. Events of
@@ -48,9 +49,9 @@ impl Running {
                 // beacons.
                 if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
                     let view = self.membership.view(now);
-                    let mut actions = vec![deliver];
-                    actions.extend(self.rbcast.start(event, view, now));
-                    self.admit(ctx, actions);
+                    self.actions.push(deliver);
+                    self.actions.extend(self.rbcast.start(event, view, now));
+                    self.admit(ctx);
                 }
             }
             Delivery::Gapless => {
@@ -66,10 +67,14 @@ impl Running {
                 });
                 let sends_express = express.is_some();
                 let tracked = event.clone();
-                let outcome = self
-                    .gapless
-                    .on_local_ingest(event, view, successor, express);
-                if !outcome.actions.is_empty() {
+                let fresh = self.gapless.on_local_ingest(
+                    event,
+                    view,
+                    successor,
+                    express,
+                    &mut self.actions,
+                );
+                if fresh {
                     if sends_express {
                         self.obs.inc("ring.express");
                     }
@@ -83,10 +88,7 @@ impl Running {
                     // survivor ever observes the stall condition.
                     self.rbcast.track(tracked, view, now);
                 }
-                self.admit(ctx, outcome.actions);
-                if let Some(ev) = outcome.start_broadcast {
-                    self.start_broadcast(ctx, ev);
-                }
+                self.admit(ctx);
             }
             Delivery::Gap => {
                 // The Gap chain follows the placement chain of the
@@ -110,15 +112,48 @@ impl Running {
     fn start_broadcast(&mut self, ctx: &mut Context<'_>, event: Event) {
         let now = ctx.now();
         let view = self.membership.view(now);
-        let actions = self.rbcast.start(event, view, now);
+        self.actions.extend(self.rbcast.start(event, view, now));
         // Broadcasting advertises possession: gate it like any other
         // delivery action (the event itself was appended when it was
         // first stored, so this queues behind that flush).
-        self.admit(ctx, actions);
+        self.admit(ctx);
     }
 
-    /// A protocol message arrived from a peer process.
-    pub(super) fn on_proc_msg(&mut self, ctx: &mut Context<'_>, msg: ProcMsg) {
+    /// A message arrived from a peer process.
+    pub(super) fn on_peer_msg(&mut self, ctx: &mut Context<'_>, msg: PeerMsg) {
+        match msg {
+            PeerMsg::Ring(ring) => self.on_ring(ctx, ring),
+            PeerMsg::Other(msg) => self.on_proc_msg(ctx, msg),
+        }
+    }
+
+    /// A Gapless ring message arrived.
+    fn on_ring(&mut self, ctx: &mut Context<'_>, ring: RingMsg) {
+        if !self.sensor_subscribed(ring.event.id.sensor) {
+            return;
+        }
+        let view = self.membership.view(ctx.now());
+        let successor = self.membership.successor_in(view);
+        let outcome = self
+            .gapless
+            .on_ring(ring, view, successor, &mut self.actions);
+        // Gate first, relay second: a transparent gate applies the
+        // delivery at once, so a volatile home keeps the send order it
+        // has always had.
+        self.admit(ctx);
+        if let Some(relay) = outcome.relay {
+            self.send_action(relay);
+        }
+        if outcome.closed {
+            self.obs.inc("ring.closed");
+        }
+        if let Some(ev) = outcome.start_broadcast {
+            self.start_broadcast(ctx, ev);
+        }
+    }
+
+    /// Any other protocol message arrived.
+    fn on_proc_msg(&mut self, ctx: &mut Context<'_>, msg: ProcMsg) {
         let now = ctx.now();
         // Any traffic proves liveness.
         match &msg {
@@ -146,27 +181,7 @@ impl Running {
                     }
                 }
             }
-            ProcMsg::Ring { event, seen, need } => {
-                if !self.sensor_subscribed(event.id.sensor) {
-                    return;
-                }
-                let view = self.membership.view(now);
-                let successor = self.membership.successor_in(view);
-                let outcome = self.gapless.on_ring(event, seen, need, view, successor);
-                // Gate first, relay second: a transparent gate applies
-                // the delivery at once, so a volatile home keeps the
-                // send order it has always had.
-                self.admit(ctx, outcome.actions);
-                if let Some(relay) = outcome.relay {
-                    self.send_action(relay);
-                }
-                if outcome.closed {
-                    self.obs.inc("ring.closed");
-                }
-                if let Some(ev) = outcome.start_broadcast {
-                    self.start_broadcast(ctx, ev);
-                }
-            }
+            ProcMsg::Ring { .. } => unreachable!("ring messages decode as `PeerMsg::Ring`"),
             ProcMsg::Broadcast { event, .. } => {
                 if !self.sensor_subscribed(event.id.sensor) {
                     return;
@@ -187,7 +202,9 @@ impl Running {
                 // Deliver first, then relay — and neither before the
                 // event is durable: a relay tells its receivers this
                 // replica holds the event.
-                self.admit(ctx, deliver.into_iter().chain(relay).collect());
+                self.actions.extend(deliver);
+                self.actions.extend(relay);
+                self.admit(ctx);
             }
             ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
             ProcMsg::SyncRequest { from } => {
@@ -201,8 +218,8 @@ impl Running {
             }
             ProcMsg::SyncEvents { mut events } => {
                 events.retain(|e| self.sensor_subscribed(e.id.sensor));
-                let actions = self.gapless.on_sync_events(events);
-                self.admit(ctx, actions);
+                self.gapless.on_sync_events(events, &mut self.actions);
+                self.admit(ctx);
             }
             ProcMsg::CmdForward { command } => {
                 let actuator = command.actuator;
@@ -212,28 +229,28 @@ impl Running {
         }
     }
 
-    /// Passes delivery-service actions through the durability gate and
-    /// applies whatever it releases.
-    fn admit(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
+    /// Passes the buffered delivery-service actions through the
+    /// durability gate and applies whatever it releases.
+    fn admit(&mut self, ctx: &mut Context<'_>) {
+        let actions = std::mem::take(&mut self.actions);
         let released = self.gate.admit(ctx.now(), actions);
         self.apply_actions(ctx, released);
     }
 
     /// Applies released actions (sends + local deliveries) in list
-    /// order.
+    /// order, then keeps their emptied buffer for the next input.
     pub(super) fn apply_actions(&mut self, ctx: &mut Context<'_>, released: Released) {
-        for action in released {
-            match action {
-                Action::Deliver { event } => {
-                    // The received watermark advertises durable
-                    // possession; past the gate is the only place it
-                    // moves, so it never runs ahead of the WAL.
-                    advance(&mut self.received_marks, event.id.sensor, event.id.seq);
-                    self.deliver_to_apps(ctx, &event);
-                }
-                send => self.send_action(send),
+        let emptied = released.apply(|action| match action {
+            Action::Deliver { event } => {
+                // The received watermark advertises durable
+                // possession; past the gate is the only place it
+                // moves, so it never runs ahead of the WAL.
+                advance(&mut self.received_marks, event.id.sensor, event.id.seq);
+                self.deliver_to_apps(ctx, &event);
             }
-        }
+            send => self.send_action(send),
+        });
+        self.actions = emptied;
     }
 
     /// Queues a send: one the durability gate released, or one it has
@@ -243,6 +260,7 @@ impl Running {
     pub(super) fn send_action(&mut self, action: Action) {
         match action {
             Action::Send { to, msg } => self.send_proc(to, &msg),
+            Action::Ring { to, ring } => self.send_proc(to, &ring),
             Action::Fanout { to, msg } => self.send_fanout(to, &msg),
             Action::Deliver { .. } => unreachable!("deliveries leave the durability gate only"),
         }
@@ -250,7 +268,7 @@ impl Running {
 
     /// Queues one protocol message to one peer; it leaves with the rest
     /// of the activation's traffic in [`Running::flush_outbox`].
-    pub(super) fn send_proc(&mut self, to: ProcessId, msg: &ProcMsg) {
+    pub(super) fn send_proc(&mut self, to: ProcessId, msg: &impl Wire) {
         if self.peer_actors.contains_key(&to) {
             self.outbox.queue(to, msg);
         }

@@ -55,12 +55,12 @@ use crate::config::RivuletConfig;
 use crate::delivery::gapless::GaplessState;
 use crate::delivery::polling::{PollPlan, PollState};
 use crate::delivery::rbcast::{self, RbcastState};
-use crate::delivery::Delivery;
+use crate::delivery::{Action, Delivery};
 use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::placement;
 use crate::gating::DurableGate;
 use crate::membership::{Membership, KEEPALIVE_INTERVAL};
-use crate::messages::{Frame, ProcMsg};
+use crate::messages::{Frame, PeerMsg, ProcMsg};
 use crate::probe::{AppProbe, IngestProbe, StoreProbe};
 use crate::repair::HealthModel;
 use crate::routine::{RoutineEngine, RoutineProbe, RoutineSpec};
@@ -322,7 +322,12 @@ struct Running {
     outbox: Outbox,
     /// The messages of the frame being dispatched, kept across
     /// activations so decoding a frame allocates nothing once warm.
-    inbox: Vec<ProcMsg>,
+    inbox: Vec<PeerMsg>,
+    /// The delivery-service actions of the input being handled, on their
+    /// way through the durability gate; empty between inputs. It and the
+    /// gate's withheld buffer trade places at each release, so neither
+    /// is allocated per event.
+    actions: Vec<Action>,
     /// Device-fault health model; `None` unless
     /// [`RivuletConfig::repair`] is on, in which case delivered
     /// readings are health-checked (stuck/outlier detection,
@@ -500,6 +505,7 @@ impl Running {
             gate,
             outbox: Outbox::new(Arc::clone(&spec.fanout)),
             inbox: Vec::new(),
+            actions: Vec::new(),
             repair: spec
                 .config
                 .repair
@@ -585,7 +591,7 @@ impl Running {
         // interval policy has its own timer, which never idles; a flush
         // here would be a second, unaligned commit clock.
         if self.gate.flush_interval().is_none() {
-            let released = self.gate.flush(now);
+            let released = self.gate.flush(now, std::mem::take(&mut self.actions));
             self.apply_actions(ctx, released);
         }
         self.election(ctx);
@@ -604,12 +610,12 @@ impl Running {
                 let mut msgs = std::mem::take(&mut self.inbox);
                 if Frame::decode_shared_into(payload, &mut msgs).is_ok() {
                     for msg in msgs.drain(..) {
-                        self.on_proc_msg(ctx, msg);
+                        self.on_peer_msg(ctx, msg);
                     }
                 }
                 self.inbox = msgs;
-            } else if let Ok(msg) = ProcMsg::from_shared_bytes(payload) {
-                self.on_proc_msg(ctx, msg);
+            } else if let Ok(msg) = PeerMsg::from_shared_bytes(payload) {
+                self.on_peer_msg(ctx, msg);
             }
         } else if let Ok(frame) = RadioFrame::from_shared_bytes(payload) {
             match frame {
@@ -636,14 +642,17 @@ impl Running {
         match (t >> 32, t & 0xffff_ffff) {
             (0, TOKEN_TICK) => self.tick(ctx),
             (0, TOKEN_FLUSH) => {
-                let released = self.gate.flush(ctx.now());
+                let released = self
+                    .gate
+                    .flush(ctx.now(), std::mem::take(&mut self.actions));
                 self.apply_actions(ctx, released);
                 if let Some(period) = self.gate.flush_interval() {
                     ctx.set_timer(period, TOKEN_FLUSH);
                 }
             }
             (0, TOKEN_CHECKPOINT) => {
-                let released = self.gate.checkpoint(ctx.now(), &self.processed);
+                let spare = std::mem::take(&mut self.actions);
+                let released = self.gate.checkpoint(ctx.now(), &self.processed, spare);
                 self.apply_actions(ctx, released);
                 if let Some(interval) = self.checkpoint_interval {
                     ctx.set_timer(interval, TOKEN_CHECKPOINT);

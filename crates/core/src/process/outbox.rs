@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rivulet_net::metrics::FanoutStats;
-use rivulet_types::wire::WriterPool;
+use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::ProcessId;
 
-use crate::messages::{Frame, ProcMsg};
+use crate::messages::Frame;
 
 /// Whether two part lists are clones of the same encodings: pointer
 /// identity of live buffers implies identical bytes (both lists are
@@ -54,14 +54,14 @@ impl Outbox {
     /// Queues one message to one peer. The message is encoded here,
     /// once, into a pooled buffer; transmission (and same-destination
     /// coalescing) happens in [`Outbox::flush`].
-    pub(super) fn queue(&mut self, to: ProcessId, msg: &ProcMsg) {
+    pub(super) fn queue(&mut self, to: ProcessId, msg: &impl Wire) {
         self.queue.push((to, self.pool.encode(msg)));
     }
 
     /// Encode-once fan-out: encodes `msg` a single time and queues a
     /// cheap [`Bytes`] clone per destination, instead of re-encoding
     /// for every peer. No destination, no encoding.
-    pub(super) fn fanout(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: &ProcMsg) {
+    pub(super) fn fanout(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: &impl Wire) {
         let first = self.queue.len();
         let mut payload: Option<Bytes> = None;
         for peer in to {
@@ -148,20 +148,20 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rivulet_types::wire::Wire;
-    use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
+    use crate::messages::RingMsg;
+    use rivulet_types::{Event, EventId, EventKind, ProcSet, SensorId, Time};
 
     fn outbox() -> (Outbox, Arc<FanoutStats>) {
         let stats = Arc::new(FanoutStats::default());
         (Outbox::new(Arc::clone(&stats)), stats)
     }
 
-    fn ring(seq: u64) -> ProcMsg {
+    fn ring(seq: u64) -> RingMsg {
         let id = EventId::new(SensorId(3), seq);
-        ProcMsg::Ring {
+        RingMsg {
             event: Event::new(id, EventKind::Motion, Time::from_millis(seq)),
-            seen: vec![ProcessId(0)],
-            need: vec![ProcessId(1), ProcessId(2)],
+            seen: ProcSet::singleton(ProcessId(0)),
+            need: [ProcessId(1), ProcessId(2)].into_iter().collect(),
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, ProcessId(1));
         assert!(!Frame::sniff(&sent[0].1));
-        assert_eq!(ProcMsg::from_shared_bytes(&sent[0].1).unwrap(), ring(7));
+        assert_eq!(RingMsg::from_shared_bytes(&sent[0].1).unwrap(), ring(7));
         assert_eq!(stats.snapshot().frames_coalesced, 0);
         assert!(flushed(&mut outbox).is_empty(), "the queue was drained");
     }
@@ -192,8 +192,9 @@ mod tests {
         let sent = flushed(&mut outbox);
         assert_eq!(sent.len(), 1);
         assert!(Frame::sniff(&sent[0].1));
-        let frame = Frame::from_shared_bytes(&sent[0].1).unwrap();
-        assert_eq!(frame.msgs, vec![ring(1), ring(2)]);
+        let mut msgs: Vec<RingMsg> = Vec::new();
+        Frame::decode_shared_into(&sent[0].1, &mut msgs).unwrap();
+        assert_eq!(msgs, vec![ring(1), ring(2)]);
         let snap = stats.snapshot();
         assert_eq!((snap.frames_coalesced, snap.messages_avoided), (1, 1));
     }

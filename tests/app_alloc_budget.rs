@@ -1,14 +1,17 @@
-//! Allocation budgets of three per-event paths: heap allocations per
+//! Allocation budgets of four per-event paths: heap allocations per
 //! `AppRuntime::on_event` on the two app shapes the benchmark runs, per
 //! event on the replica path every Gapless origin runs (the
 //! `EventStore` insert, `RbcastState::track`, and the keep-alive's
-//! cumulative acks and watermark GC), and per `Wal::append_event` on
-//! the durable path every stored event of a durable home takes.
+//! cumulative acks and watermark GC), per `Wal::append_event` on the
+//! durable path every stored event of a durable home takes, and per
+//! Gapless relay hop (frame decode, `GaplessState::on_ring`, the
+//! durability gate, the relay's encode).
 //! `process.allocs_per_event` counts these among everything else; a
 //! change that makes the operator DAG allocate per event again, puts
 //! the store or the broadcast tracking back on a structure that
-//! allocates as it churns, or makes the WAL build a frame per record
-//! again, fails here, in tier-1, and says which path grew.
+//! allocates as it churns, makes the WAL build a frame per record
+//! again, or makes a ring hop build lists or action vectors again,
+//! fails here, in tier-1, and says which path grew.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,10 +21,15 @@ use rivulet::core::app::{
     AppBuilder, AppRuntime, AppSpec, CombinedWindows, CombinerSpec, EvictorPolicy, MarzulloAverage,
     OpCtx, PollSpec, WindowSpec,
 };
+use rivulet::core::delivery::gapless::GaplessState;
 use rivulet::core::delivery::rbcast::RbcastState;
-use rivulet::core::delivery::Delivery;
+use rivulet::core::delivery::{Action, Delivery};
+use rivulet::core::gating::{DurableGate, Released};
+use rivulet::core::messages::{Frame, PeerMsg, RingMsg};
 use rivulet::core::store::EventStore;
+use rivulet::obs::Recorder;
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
+use rivulet::types::wire::{Wire, WireWriter, WriterPool};
 use rivulet::types::{
     ActuatorId, AppId, Duration, Event, EventId, EventKind, ProcSet, ProcessId, SensorId, Time,
 };
@@ -302,4 +310,131 @@ fn durable_append_path_does_not_allocate_per_event() {
         per_append <= 0.05,
         "durable append path: {per_append:.2} allocations per append, budget 0.05"
     );
+}
+
+/// Ring messages per coalesced frame on the relay path.
+const RINGS_PER_FRAME: u64 = 2;
+
+/// One process relaying Gapless ring messages, as its runtime does:
+/// one reused inbox, one action buffer traded with the gate, one
+/// writer pool.
+struct Relay {
+    me: ProcessId,
+    gapless: GaplessState,
+    gate: DurableGate,
+    inbox: Vec<PeerMsg>,
+    actions: Vec<Action>,
+    pool: WriterPool,
+    delivered: u64,
+    relayed: u64,
+}
+
+impl Relay {
+    fn new(storage: Option<(Arc<dyn StorageBackend>, WalOptions)>) -> Self {
+        let me = ProcessId(1);
+        let (gate, _) = DurableGate::open(storage, &Recorder::new());
+        Self {
+            me,
+            gapless: GaplessState::new(me, 100_000),
+            gate,
+            inbox: Vec::new(),
+            actions: Vec::new(),
+            pool: WriterPool::new(),
+            delivered: 0,
+            relayed: 0,
+        }
+    }
+
+    /// Applies what the gate released and keeps the emptied buffer.
+    fn apply(&mut self, released: Released) {
+        let delivered = &mut self.delivered;
+        self.actions = released.apply(|action| match action {
+            Action::Deliver { .. } => *delivered += 1,
+            other => panic!("a relay's gate holds deliveries only, got {other:?}"),
+        });
+    }
+
+    /// Handles the ring messages of the frame decoded into the inbox.
+    fn hop(&mut self, now: Time) {
+        let view: ProcSet = (0..5).map(ProcessId).collect();
+        let successor = view.successor_of(self.me);
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for msg in inbox.drain(..) {
+            let PeerMsg::Ring(ring) = msg else {
+                panic!("a ring frame holds ring messages")
+            };
+            let out = self
+                .gapless
+                .on_ring(ring, view, successor, &mut self.actions);
+            let released = self.gate.admit(now, std::mem::take(&mut self.actions));
+            self.apply(released);
+            if let Some(Action::Ring { ring, .. }) = out.relay {
+                drop(self.pool.encode(&ring));
+                self.relayed += 1;
+            }
+        }
+        self.inbox = inbox;
+    }
+}
+
+#[test]
+fn a_gapless_relay_hop_does_not_allocate() {
+    // p1 of a five-process home relays what p0 ingested from two
+    // sensors, two rings to a frame: decode into the reused inbox,
+    // `on_ring`, the gate, the relay's pooled encode. The volatile home
+    // releases at once; the durable one appends every delivery and
+    // releases on a flush every other frame, as its timer would. The
+    // store is collected behind a window, as the keep-alive's processed
+    // watermarks collect it. With two decoded member `Vec`s per
+    // message, a fresh action vector per hop and a gate that gave its
+    // withheld buffer away at each release, the hop read 3.00 volatile
+    // and 3.25 durable.
+    let frames: Vec<_> = (0..2 * WARM_UP + COUNTED)
+        .map(|seq| {
+            let parts = [SensorId(0), SensorId(1)].map(|sensor| {
+                let at = Time::from_millis(seq);
+                RingMsg {
+                    event: Event::new(EventId::new(sensor, seq), EventKind::Motion, at),
+                    seen: ProcSet::singleton(ProcessId(0)),
+                    need: (0..5).map(ProcessId).collect(),
+                }
+                .to_bytes()
+            });
+            Frame::encode_parts(&mut WireWriter::new(), &parts)
+        })
+        .collect();
+    let durable = WalOptions {
+        flush_policy: FlushPolicy::EveryInterval(Duration::from_millis(3)),
+        ..WalOptions::default()
+    };
+    let backend: Arc<dyn StorageBackend> = Arc::new(SimBackend::new(42));
+    for (home, storage) in [("volatile", None), ("durable", Some((backend, durable)))] {
+        let mut relay = Relay::new(storage);
+        let per_frame = allocs_per_step(2 * WARM_UP, COUNTED, |seq| {
+            let now = Time::from_millis(seq);
+            Frame::decode_shared_into(&frames[seq as usize], &mut relay.inbox)
+                .expect("a well-formed frame");
+            relay.hop(now);
+            if seq % 2 == 1 {
+                let released = relay.gate.flush(now, std::mem::take(&mut relay.actions));
+                relay.apply(released);
+            }
+            if seq.is_multiple_of(BEACON_EVERY) {
+                let cutoff = Time::from_millis(seq.saturating_sub(WARM_UP));
+                for sensor in [SensorId(0), SensorId(1)] {
+                    relay
+                        .gapless
+                        .store_mut()
+                        .prune_processed(sensor, seq, cutoff);
+                }
+            }
+        });
+        let per_hop = per_frame / RINGS_PER_FRAME as f64;
+        let hops = RINGS_PER_FRAME * (2 * WARM_UP + COUNTED);
+        assert_eq!((relay.delivered, relay.relayed), (hops, hops), "{home}");
+        assert!(
+            per_hop <= 0.05,
+            "{home} relay hop: {per_hop:.2} allocations per hop, budget 0.05"
+        );
+    }
 }
