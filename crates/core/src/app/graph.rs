@@ -18,7 +18,7 @@ use crate::delivery::polling::PollStrategy;
 use crate::delivery::Delivery;
 
 use super::operator::{LogicHandle, OperatorLogic, StreamKey};
-use super::window::WindowSpec;
+use super::window::{TriggerPolicy, WindowSpec};
 
 /// Polling policy for a poll-based sensor input (Table 2's optional
 /// `PollingPolicy`).
@@ -250,6 +250,32 @@ impl AppSpec {
             .flat_map(|o| o.inputs.iter().map(|i| i.sensor))
             .collect();
         set.into_iter().collect()
+    }
+
+    /// The time-triggered windows an active host arms repeating timers
+    /// for: `(operator, stream, period)` of every sensor input and
+    /// upstream whose trigger is [`TriggerPolicy::Every`], sorted by
+    /// `(operator, stream)`.
+    #[must_use]
+    pub fn timer_streams(&self) -> Vec<(OperatorId, StreamKey, Duration)> {
+        let mut out = Vec::new();
+        for o in &self.operators {
+            let sensors = o
+                .inputs
+                .iter()
+                .map(|i| (StreamKey::Sensor(i.sensor), &i.window));
+            let upstreams = o
+                .upstreams
+                .iter()
+                .map(|(u, w)| (StreamKey::Operator(*u), w));
+            for (stream, window) in sensors.chain(upstreams) {
+                if let TriggerPolicy::Every(period) = window.trigger {
+                    out.push((o.id, stream, period));
+                }
+            }
+        }
+        out.sort_by_key(|(op, stream, _)| (*op, *stream));
+        out
     }
 
     /// All actuators the app drives (deduplicated, sorted).

@@ -165,22 +165,6 @@ impl AppRuntime {
         self.stale_drops
     }
 
-    /// The time-triggered windows the host must arm repeating timers
-    /// for: `(operator, stream, period)` triples.
-    #[must_use]
-    pub fn timer_streams(&self) -> Vec<(OperatorId, StreamKey, Duration)> {
-        let mut out = Vec::new();
-        for (o, state) in self.spec.operators.iter().zip(&self.dag.ops) {
-            for (slot, input) in state.slots.clone().zip(&state.view.inputs) {
-                if let Some(period) = self.dag.windows[slot].timer_period() {
-                    out.push((o.id, input.source, period));
-                }
-            }
-        }
-        out.sort_by_key(|(op, key, _)| (*op, *key));
-        out
-    }
-
     /// Whether any operator consumes `sensor`.
     #[must_use]
     pub fn subscribes_to(&self, sensor: SensorId) -> bool {
@@ -483,8 +467,8 @@ mod tests {
             .done()
             .build()
             .unwrap();
+        let timers = app.timer_streams();
         let mut rt = AppRuntime::new(Arc::new(app)).unwrap();
-        let timers = rt.timer_streams();
         assert_eq!(timers.len(), 1);
         let (op, stream, period) = timers[0];
         assert_eq!(period, Duration::from_secs(60));
@@ -878,7 +862,7 @@ mod proptests {
             age: u64,
             scalar: Option<f64>,
         },
-        /// The timer of `timer_streams()[pick % len]` elapsed.
+        /// The timer of `AppSpec::timer_streams()[pick % len]` elapsed.
         Timer { pick: usize },
         /// `sensor` missed an epoch.
         EpochMiss { sensor: u32 },
@@ -1018,17 +1002,17 @@ mod proptests {
     proptest! {
         /// The compiled runtime is the `HashMap` runtime it replaced:
         /// same outputs in the same order at every step, same counter,
-        /// same timers, same subscriptions.
+        /// same subscriptions; and the spec lists the reference's timers.
         #[test]
         fn compiled_runtime_matches_the_reference(
             plan in proptest::collection::vec(op_plan(), 1..=4),
             steps in proptest::collection::vec((0u64..15, step()), 1..80),
         ) {
             let spec = Arc::new(build(&plan));
+            let timers = spec.timer_streams();
             let mut compiled = AppRuntime::new(Arc::clone(&spec)).expect("valid");
             let mut reference = reference::AppRuntime::new(spec).expect("valid");
-            let timers = reference.timer_streams();
-            prop_assert_eq!(compiled.timer_streams(), timers.clone());
+            prop_assert_eq!(&timers, &reference.timer_streams());
             for sensor in 0..=5 {
                 prop_assert_eq!(
                     compiled.subscribes_to(SensorId(sensor)),

@@ -179,16 +179,6 @@ impl Window {
         }
     }
 
-    /// The period at which the runtime must arm this window's timer,
-    /// if it is time-triggered.
-    #[must_use]
-    pub fn timer_period(&self) -> Option<Duration> {
-        match self.spec.trigger {
-            TriggerPolicy::Every(d) => Some(d),
-            TriggerPolicy::OnCount(_) => None,
-        }
-    }
-
     /// A non-consuming view of the buffer: applies the evictor but
     /// never clears, regardless of the spec. Used when *another*
     /// stream's trigger combines this stream's current contents.
@@ -251,6 +241,20 @@ impl Window {
 }
 
 #[cfg(test)]
+impl Window {
+    /// The period at which this window's timer fires, if it is
+    /// time-triggered. Hosts list timers from the spec
+    /// ([`super::graph::AppSpec::timer_streams`]); the reference runtime
+    /// lists them from its windows to check that list.
+    pub(crate) fn timer_period(&self) -> Option<Duration> {
+        match self.spec.trigger {
+            TriggerPolicy::Every(d) => Some(d),
+            TriggerPolicy::OnCount(_) => None,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rivulet_types::{EventId, EventKind, SensorId};
@@ -295,8 +299,8 @@ mod tests {
     #[test]
     fn time_window_needs_timer_and_collects_span() {
         let spec = WindowSpec::time(Duration::from_secs(60));
+        assert_eq!(spec.trigger, TriggerPolicy::Every(Duration::from_secs(60)));
         let mut w = Window::new(spec);
-        assert_eq!(w.timer_period(), Some(Duration::from_secs(60)));
         let now = Time::from_secs(30);
         assert!(
             !w.push(ev(0, 1_000), now),

@@ -6,8 +6,8 @@
 //! receipt (which is the acknowledgement), relay a broadcast of it, or
 //! be the first to put it on the ring — before the append is on disk.
 //! [`DurableGate`] owns that rule: it holds the log, the actions
-//! waiting on it (in arrival order) and the [`AdaptiveGate`] bound on
-//! how many may wait, and it hands actions back only as [`Released`],
+//! waiting on it (in arrival order) and the bound on how many may
+//! wait, and it hands actions back only as [`Released`],
 //! the sole type the process runtime applies deliveries from. The one
 //! thing the gate is never asked about is a ring *relay* of an event a
 //! peer's disk already backs; DESIGN §4.2 ("Durability gating") states
@@ -32,70 +32,12 @@ use rivulet_types::{Duration, SensorId, Time};
 
 use crate::delivery::Action;
 
-/// The bound a process's gate starts from ([`AdaptiveGate::default`]).
+/// The bound a process's gate starts from.
 const GATE_INITIAL: usize = 512;
-/// Multiplicative step for [`AdaptiveGate`] growth and shrink.
+/// Multiplicative step of the bound's growth and shrink.
 const GATE_STEP: usize = 2;
-/// The bound grows to at most `initial × GATE_MAX_FACTOR`.
-const GATE_MAX_FACTOR: usize = 16;
-
-/// Adaptive bound on how many actions may gate behind un-flushed WAL
-/// appends before the process forces a group commit.
-///
-/// Policy (multiplicative-increase / multiplicative-decrease):
-///
-/// * A **forced flush** means the burst outran the bound — the bound
-///   doubles (capped at `initial × 16`) so the next burst batches
-///   more per fsync.
-/// * An **idle flush** (timer/backstop) at depth below a quarter of
-///   the bound means the workload no longer fills batches — the bound
-///   halves (floored at 1) so a later trickle isn't held hostage to a
-///   burst-sized batch.
-#[derive(Debug, Clone)]
-pub struct AdaptiveGate {
-    bound: usize,
-    initial: usize,
-}
-
-impl Default for AdaptiveGate {
-    fn default() -> Self {
-        Self::new(GATE_INITIAL)
-    }
-}
-
-impl AdaptiveGate {
-    /// Creates a gate starting at `initial` (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(initial: usize) -> Self {
-        let initial = initial.max(1);
-        Self {
-            bound: initial,
-            initial,
-        }
-    }
-
-    /// The current group-commit bound. Never below 1.
-    #[must_use]
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
-    /// Records that the gated queue hit the bound and a flush was
-    /// forced; grows the bound.
-    pub fn on_forced_flush(&mut self) {
-        let max = self.initial.saturating_mul(GATE_MAX_FACTOR);
-        self.bound = self.bound.saturating_mul(GATE_STEP).min(max);
-    }
-
-    /// Records a flush that fired without back-pressure (timer tick,
-    /// checkpoint, policy trigger) at the given gated depth; shrinks
-    /// the bound when the batch ran well under it.
-    pub fn on_idle_flush(&mut self, depth: usize) {
-        if depth < (self.bound / 4).max(1) {
-            self.bound = (self.bound / GATE_STEP).max(1);
-        }
-    }
-}
+/// The bound grows to at most this.
+const GATE_MAX: usize = GATE_INITIAL * 16;
 
 /// Actions a [`DurableGate`] has let through: every event they carry
 /// or advertise is on disk (or the process keeps nothing on disk).
@@ -129,7 +71,14 @@ impl Released {
 #[derive(Debug)]
 pub struct DurableGate {
     wal: Option<Wal>,
-    bound: AdaptiveGate,
+    /// How many actions may wait behind un-flushed appends before a
+    /// group commit is forced. Multiplicative increase, multiplicative
+    /// decrease: a forced flush means a burst outran it, so it doubles
+    /// (up to [`GATE_MAX`]) and the next burst batches more per fsync;
+    /// an idle flush (timer, backstop, checkpoint) below a quarter of
+    /// it means batches no longer fill, so it halves (never below 1)
+    /// and a later trickle is not held to a burst-sized batch.
+    bound: usize,
     /// Actions held back, in arrival order, until the appends they
     /// depend on are flushed (group commit).
     withheld: Vec<Action>,
@@ -166,7 +115,7 @@ impl DurableGate {
         };
         let gate = Self {
             wal,
-            bound: AdaptiveGate::default(),
+            bound: GATE_INITIAL,
             withheld: Vec::new(),
             admitted_at: Vec::new(),
             obs: obs.clone(),
@@ -177,7 +126,7 @@ impl DurableGate {
     /// The current group-commit bound; `None` without storage.
     #[must_use]
     pub fn bound(&self) -> Option<usize> {
-        self.wal.as_ref().map(|_| self.bound.bound())
+        self.wal.as_ref().map(|_| self.bound)
     }
 
     /// The period of the flush timer the owner must run, when the
@@ -217,7 +166,7 @@ impl DurableGate {
             self.withheld.push(action);
         }
         if wal.pending_events() > 0 {
-            if self.withheld.len() < self.bound.bound() {
+            if self.withheld.len() < self.bound {
                 return Released(actions);
             }
             // Back-pressure: a broadcast storm outran the flush policy.
@@ -225,7 +174,7 @@ impl DurableGate {
             // memory) stay bounded; the bound grows so the next burst
             // batches more per flush.
             wal.flush().expect("wal flush");
-            self.bound.on_forced_flush();
+            self.bound = (self.bound * GATE_STEP).min(GATE_MAX);
             self.obs.inc("wal.forced_flushes");
         }
         self.release(now, actions)
@@ -255,7 +204,7 @@ impl DurableGate {
         match self.wal.as_mut() {
             Some(wal) if wal.pending_events() > 0 || !self.withheld.is_empty() => {
                 wal.flush().expect("wal flush");
-                self.bound.on_idle_flush(self.withheld.len());
+                self.idle_flush();
                 self.release(now, spare)
             }
             _ => Released(spare),
@@ -282,8 +231,16 @@ impl DurableGate {
         })
         .expect("wal checkpoint");
         let _ = wal.compact(processed).expect("wal compact");
-        self.bound.on_idle_flush(self.withheld.len());
+        self.idle_flush();
         self.release(now, spare)
+    }
+
+    /// A flush without back-pressure at the current depth: the bound
+    /// halves when the batch ran well under it.
+    fn idle_flush(&mut self) {
+        if self.withheld.len() < (self.bound / 4).max(1) {
+            self.bound = (self.bound / GATE_STEP).max(1);
+        }
     }
 
     /// Appends a routine ledger entry, durable before this returns:
@@ -501,38 +458,47 @@ mod tests {
 
     #[test]
     fn gate_grows_under_burst() {
-        let mut gate = AdaptiveGate::new(8);
-        assert_eq!(gate.bound(), 8);
-        gate.on_forced_flush();
-        assert_eq!(gate.bound(), 16);
-        for _ in 0..20 {
-            gate.on_forced_flush();
+        let backend = Arc::new(SimBackend::new(8));
+        let never = FlushPolicy::EveryInterval(Duration::from_secs(3600));
+        let (mut gate, _) = gate_on(&backend, never);
+        assert_eq!(gate.bound(), Some(GATE_INITIAL));
+        let mut bounds = Vec::new();
+        let mut seq = 0;
+        for _ in 0..6 {
+            while gate.admit(NOW, deliver_and_relay(seq)).0.is_empty() {
+                seq += 1;
+            }
+            seq += 1;
+            bounds.push(gate.bound().expect("durable"));
         }
-        assert_eq!(gate.bound(), 8 * 16, "growth caps at initial × 16");
+        assert_eq!(
+            bounds,
+            [1024, 2048, 4096, 8192, 8192, 8192],
+            "each forced flush doubles the bound, up to 16 × its start"
+        );
     }
 
     #[test]
     fn gate_shrinks_when_idle_never_below_one() {
-        let mut gate = AdaptiveGate::new(8);
-        for _ in 0..3 {
-            gate.on_forced_flush();
+        let backend = Arc::new(SimBackend::new(9));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(1000));
+        // A flush at a quarter of the bound is deep enough to keep it;
+        // one action less halves it.
+        gate.bound = 64;
+        for seq in 0..8 {
+            let _ = gate.admit(NOW, deliver_and_relay(seq));
         }
-        assert_eq!(gate.bound(), 64);
-        // Idle flushes at low depth walk the bound back down.
+        assert_eq!(gate.flush(NOW, Vec::new()).0.len(), 16);
+        assert_eq!(gate.bound(), Some(64), "16 ≥ 64 / 4");
+        for seq in 8..15 {
+            let _ = gate.admit(NOW, deliver_and_relay(seq));
+        }
+        assert_eq!(gate.flush(NOW, Vec::new()).0.len(), 14);
+        assert_eq!(gate.bound(), Some(32));
+        // Checkpoints at depth 0 walk the bound down to 1 and no lower.
         for _ in 0..20 {
-            gate.on_idle_flush(0);
+            let _ = gate.checkpoint(NOW, &BTreeMap::new(), Vec::new());
         }
-        assert_eq!(gate.bound(), 1, "shrink floors at 1, never 0");
-        // A deep idle flush does not shrink.
-        let mut gate = AdaptiveGate::new(8);
-        gate.on_forced_flush();
-        gate.on_idle_flush(15); // 15 ≥ 16/4
-        assert_eq!(gate.bound(), 16);
-    }
-
-    #[test]
-    fn zero_initial_clamps_to_one() {
-        let gate = AdaptiveGate::new(0);
-        assert_eq!(gate.bound(), 1);
+        assert_eq!(gate.bound(), Some(1), "shrink floors at 1, never 0");
     }
 }

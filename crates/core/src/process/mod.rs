@@ -266,18 +266,42 @@ impl Actuators {
     }
 }
 
+/// The id budget of one start: per operator, it may mint this many ids
+/// per microsecond it runs before the next start's ids could meet its
+/// own.
+const IDS_PER_MICROSECOND: u64 = 1 << 12;
+
 /// The per-operator command sequences of this process — the only place
-/// a [`CommandId`] is minted. Actuators dedup by id, so two sources of
-/// ids that disagree on the next sequence number silently lose
-/// commands.
+/// a [`CommandId`] is minted. Actuators dedup by id, so an id must not
+/// come back, across restarts either. Every sequence starts at the start
+/// instant in µs × [`IDS_PER_MICROSECOND`]: 0 at a home's first start,
+/// and above every id an earlier start minted unless that start minted
+/// more than 2^12 per operator per µs it ran (DESIGN §4.7). The start
+/// instant is the driver's clock, so this holds within one driver run:
+/// a WAL reopened under a new driver, whose clock starts again at 0,
+/// may see ids its ledger already holds.
 struct CommandIds {
     me: ProcessId,
+    base: u64,
     next: BTreeMap<OperatorId, u64>,
 }
 
 impl CommandIds {
+    /// # Panics
+    ///
+    /// Panics on a start instant past 2^52 µs (≈ 142 years), where the
+    /// base would wrap below ids already minted.
+    fn new(me: ProcessId, start: Time) -> Self {
+        let base = start.as_micros().checked_mul(IDS_PER_MICROSECOND);
+        Self {
+            me,
+            base: base.expect("command-id base overflow"),
+            next: BTreeMap::new(),
+        }
+    }
+
     fn mint(&mut self, operator: OperatorId) -> CommandId {
-        let seq = self.next.entry(operator).or_insert(0);
+        let seq = self.next.entry(operator).or_insert(self.base);
         let id = CommandId::new(self.me, operator, *seq);
         *seq += 1;
         id
@@ -396,11 +420,8 @@ impl Running {
         let mut window_timers = Vec::new();
         for (idx, (app, probe)) in spec.apps.iter().enumerate() {
             let chain = placement::chain_for(&reach, &app.sensors(), &app.actuators());
-            // Window timer inventory comes from a throwaway runtime.
-            let rt = AppRuntime::new(Arc::clone(app)).expect("validated app");
-            for (op, stream, period) in rt.timer_streams() {
-                window_timers.push((idx, op, stream, period));
-            }
+            let timers = app.timer_streams().into_iter();
+            window_timers.extend(timers.map(|(op, stream, period)| (idx, op, stream, period)));
             apps.push(AppRt {
                 spec: Arc::clone(app),
                 probe: Arc::clone(probe),
@@ -447,17 +468,6 @@ impl Running {
             }
         }
 
-        // Command sequence counters must resume past every id the
-        // ledger proves was already issued: actuators dedup by
-        // `CommandId`, so a reused (operator, seq) pair after a crash
-        // would be silently suppressed as a pre-crash duplicate.
-        let mut next = BTreeMap::new();
-        for (_, cmd) in recovered.ledger.iter().flat_map(|e| &e.commands) {
-            if cmd.issuer == me {
-                advance(&mut next, cmd.operator, cmd.seq + 1);
-            }
-        }
-
         // Recovered events are already durable: re-advertise their
         // receipt watermarks so peers' pending broadcasts retire.
         let received_marks = gapless.store().iter_watermarks().collect();
@@ -501,7 +511,7 @@ impl Running {
             processed,
             received_marks,
             window_timers,
-            command_ids: CommandIds { me, next },
+            command_ids: CommandIds::new(me, ctx.now()),
             gate,
             outbox: Outbox::new(Arc::clone(&spec.fanout)),
             inbox: Vec::new(),

@@ -8,11 +8,11 @@
 //! suppress duplicates. [`ActuatorDevice`] implements both and records
 //! every physical effect so experiments can count duplicate actuations.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rivulet_net::actor::{Actor, ActorEvent, Context};
+use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{ActuationState, ActuatorId, Command, CommandId, CommandKind, RoutineId, Time};
 
@@ -73,9 +73,9 @@ impl ActuatorProbe {
 /// duplication hazard is the subject of the paper's idempotence
 /// discussion.
 ///
-/// The debounce memory (applied command ids, committed routine
-/// instances) is hashed, so a command costs O(1) expected however many
-/// the actuator has already applied.
+/// The debounce memory (applied command ids, routine instances) is
+/// hashed, so a command costs O(1) expected however many the actuator
+/// has already applied.
 #[derive(Debug)]
 pub struct ActuatorDevice {
     actuator: ActuatorId,
@@ -83,13 +83,14 @@ pub struct ActuatorDevice {
     probe: Arc<ActuatorProbe>,
     /// Ids of commands that took effect; a repeat is refused.
     applied_ids: HashSet<CommandId>,
-    /// Commands withheld for staged routine steps, fired in step order
-    /// on [`RadioFrame::CommitRoutine`] or discarded on
-    /// [`RadioFrame::AbortRoutine`].
-    staged: Vec<(RoutineId, u64, u32, Command)>,
-    /// Instances already committed here — repeated commit frames (e.g.
-    /// re-sent after coordinator recovery) apply nothing.
-    committed: HashSet<(RoutineId, u64)>,
+    /// Routine instances by the coordinator that staged them (the
+    /// frames' sender: every coordinator numbers its instances from 0).
+    /// `Some` holds the staged steps by step, fired in step order on
+    /// [`RadioFrame::CommitRoutine`] or discarded on
+    /// [`RadioFrame::AbortRoutine`]; `None` marks an instance committed
+    /// here, so repeated stage and commit frames (e.g. re-sent after
+    /// coordinator recovery) apply nothing.
+    routines: HashMap<(ActorId, RoutineId, u64), Option<BTreeMap<u32, Command>>>,
     /// Seeded fault schedule (empty unless a
     /// [`crate::fault::FaultPlan`] names this actuator). `Missed` drops
     /// commands before they are seen; `StuckAt` acks them without
@@ -108,8 +109,7 @@ impl ActuatorDevice {
             state: initial,
             probe,
             applied_ids: HashSet::new(),
-            staged: Vec::new(),
-            committed: HashSet::new(),
+            routines: HashMap::new(),
             faults: DeviceFaults::default(),
             pool: WriterPool::new(),
         }
@@ -175,12 +175,7 @@ impl ActuatorDevice {
         }
     }
 
-    fn on_actuate(
-        &mut self,
-        ctx: &mut Context<'_>,
-        from: rivulet_net::actor::ActorId,
-        cmd: &Command,
-    ) {
+    fn on_actuate(&mut self, ctx: &mut Context<'_>, from: ActorId, cmd: &Command) {
         let decision = self.faults.decide_next();
         if decision.suppress.is_some() {
             // The command is lost at the radio: no ack, no state
@@ -218,7 +213,7 @@ impl ActuatorDevice {
     fn on_stage(
         &mut self,
         ctx: &mut Context<'_>,
-        from: rivulet_net::actor::ActorId,
+        from: ActorId,
         routine: RoutineId,
         instance: u64,
         step: u32,
@@ -236,14 +231,13 @@ impl ActuatorDevice {
         let accepted = !stuck;
         if stuck {
             self.faults.record_refused(true);
-        } else if self.committed.contains(&(routine, instance)) {
-            // A retransmitted stage for an instance that already
-            // committed here: the effect happened, just re-ack.
         } else {
-            // Replace rather than duplicate on retransmission.
-            self.staged
-                .retain(|(r, i, s, _)| !(*r == routine && *i == instance && *s == step));
-            self.staged.push((routine, instance, step, command));
+            let firing = self.routines.entry((from, routine, instance));
+            // A retransmission replaces its step; a stage for an
+            // instance that already committed here is only re-acked.
+            if let Some(steps) = firing.or_insert_with(|| Some(BTreeMap::new())) {
+                steps.insert(step, command);
+            }
         }
         let ack = RadioFrame::StageAck {
             routine,
@@ -254,31 +248,19 @@ impl ActuatorDevice {
         ctx.send(from, self.pool.encode(&ack));
     }
 
-    /// Fires every held step of `(routine, instance)` in step order.
-    fn on_commit(&mut self, now: Time, routine: RoutineId, instance: u64) {
-        if self.committed.contains(&(routine, instance)) {
-            return;
+    /// Fires every held step of the firing in step order.
+    fn on_commit(&mut self, now: Time, firing: (ActorId, RoutineId, u64)) {
+        let held = self.routines.insert(firing, None).flatten();
+        for cmd in held.into_iter().flat_map(BTreeMap::into_values) {
+            let _ = self.apply_locally(now, &cmd);
         }
-        let mut held: Vec<(u32, Command)> = Vec::new();
-        self.staged.retain(|(r, i, s, c)| {
-            if *r == routine && *i == instance {
-                held.push((*s, c.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        held.sort_by_key(|(s, _)| *s);
-        for (_, cmd) in &held {
-            let _ = self.apply_locally(now, cmd);
-        }
-        self.committed.insert((routine, instance));
     }
 
-    /// Discards every held step of `(routine, instance)` unfired.
-    fn on_abort(&mut self, routine: RoutineId, instance: u64) {
-        self.staged
-            .retain(|(r, i, _, _)| !(*r == routine && *i == instance));
+    /// Discards every held step of the firing unfired.
+    fn on_abort(&mut self, firing: (ActorId, RoutineId, u64)) {
+        if self.routines.get(&firing).is_some_and(Option::is_some) {
+            self.routines.remove(&firing);
+        }
     }
 }
 
@@ -301,9 +283,11 @@ impl Actor for ActuatorDevice {
                 command,
             } => self.on_stage(ctx, from, routine, instance, step, command),
             RadioFrame::CommitRoutine { routine, instance } => {
-                self.on_commit(ctx.now(), routine, instance);
+                self.on_commit(ctx.now(), (from, routine, instance));
             }
-            RadioFrame::AbortRoutine { routine, instance } => self.on_abort(routine, instance),
+            RadioFrame::AbortRoutine { routine, instance } => {
+                self.on_abort((from, routine, instance));
+            }
             _ => {}
         }
     }

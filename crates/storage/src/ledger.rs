@@ -25,6 +25,7 @@
 //! genesis prev = SHA-256( "rivulet-ledger-genesis" || seed_le[8] )
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use rivulet_types::wire::{Wire, WireError, WireReader, WireWriter};
@@ -330,7 +331,56 @@ impl LedgerVerifier {
     ///
     /// Returns the first [`BrokenLink`] with its exact index.
     pub fn verify_from(head: [u8; 32], entries: &[LedgerEntry]) -> Result<AuditTrail, BrokenLink> {
+        use RoutineTransition::{Aborted, Committed, Compensated, Staged};
         let mut head = head;
+        // Every legal history is a prefix of Staged → Committed or
+        // Staged → Aborted → Compensated, so an instance's latest
+        // transition is all legality needs.
+        let mut latest: HashMap<(RoutineId, u64), RoutineTransition> = HashMap::new();
+        for (index, entry) in entries.iter().enumerate() {
+            if entry.prev != head {
+                return Err(BrokenLink {
+                    index,
+                    reason: "prev-hash mismatch",
+                });
+            }
+            if entry.hash != entry.computed_hash() {
+                return Err(BrokenLink {
+                    index,
+                    reason: "entry-hash mismatch",
+                });
+            }
+            let key = (entry.routine, entry.instance);
+            let legal = matches!(
+                (latest.get(&key), entry.transition),
+                (None, Staged) | (Some(Staged), Committed | Aborted) | (Some(Aborted), Compensated)
+            );
+            if !legal {
+                return Err(BrokenLink {
+                    index,
+                    reason: "illegal transition order",
+                });
+            }
+            latest.insert(key, entry.transition);
+            head = entry.hash;
+        }
+        Ok(AuditTrail {
+            entries: entries.to_vec(),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rivulet_types::wire::roundtrip;
+    use rivulet_types::{OperatorId, ProcessId};
+
+    /// The rule `verify_from` replaced: every `(instance, transition)`
+    /// seen so far kept in a list and rescanned per entry.
+    fn set_based_verify(seed: u64, entries: &[LedgerEntry]) -> Result<usize, BrokenLink> {
+        let mut head = LedgerChain::genesis(seed);
         let mut seen: Vec<((RoutineId, u64), RoutineTransition)> = Vec::new();
         for (index, entry) in entries.iter().enumerate() {
             if entry.prev != head {
@@ -372,17 +422,50 @@ impl LedgerVerifier {
             seen.push((key, entry.transition));
             head = entry.hash;
         }
-        Ok(AuditTrail {
-            entries: entries.to_vec(),
-        })
+        Ok(entries.len())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rivulet_types::wire::roundtrip;
-    use rivulet_types::{OperatorId, ProcessId};
+    const TRANSITIONS: [RoutineTransition; 4] = [
+        RoutineTransition::Staged,
+        RoutineTransition::Committed,
+        RoutineTransition::Aborted,
+        RoutineTransition::Compensated,
+    ];
+
+    proptest! {
+        /// Both rules accept and reject the same chains, at the same
+        /// index. Each step names one of four instances (two routines ×
+        /// two instance numbers) and a transition: with `pick` < 4 any
+        /// transition, otherwise a legal next one when there is one, so
+        /// long legal histories occur as well as every kind of misstep.
+        #[test]
+        fn the_latest_transition_rule_is_the_set_based_rule(
+            steps in proptest::collection::vec((0u8..4, 0usize..8), 0..24),
+        ) {
+            let mut chain = LedgerChain::seeded(3);
+            let mut latest: HashMap<u8, RoutineTransition> = HashMap::new();
+            let entries: Vec<LedgerEntry> = steps
+                .iter()
+                .map(|&(key, pick)| {
+                    let legal_next: &[RoutineTransition] = match latest.get(&key) {
+                        None => &TRANSITIONS[..1],
+                        Some(RoutineTransition::Staged) => &TRANSITIONS[1..3],
+                        Some(RoutineTransition::Aborted) => &TRANSITIONS[3..],
+                        Some(_) => &[],
+                    };
+                    let transition = match legal_next {
+                        next if pick >= 4 && !next.is_empty() => next[pick % next.len()],
+                        _ => TRANSITIONS[pick % 4],
+                    };
+                    latest.insert(key, transition);
+                    let (routine, instance) = (RoutineId(u32::from(key / 2)), u64::from(key % 2));
+                    chain.append(routine, instance, transition, Time::ZERO, Vec::new())
+                })
+                .collect();
+            let ours = LedgerVerifier::verify(3, &entries).map(|trail| trail.len());
+            prop_assert_eq!(ours, set_based_verify(3, &entries));
+        }
+    }
 
     fn cmd(seq: u64) -> (ActuatorId, CommandId) {
         (

@@ -15,7 +15,9 @@
 //!
 //! And one over the docs that cite tests as evidence: a cited
 //! `` `tests/<file>.rs::<fn>` ``, `` `<module>::tests::<fn>` `` or
-//! "test `` `<fn>` ``" names a `fn` in the tree.
+//! "test `` `<fn>` ``" names a `fn` in the tree. And one over the
+//! tree's ignored tests: each `#[ignore]` gives a reason that cites an
+//! open ROADMAP item, so a pinned hole is un-ignored once it closes.
 //!
 //! CI runs this as the `docs-links` step, so a renamed heading or a
 //! deleted section breaks the build instead of silently going stale.
@@ -286,10 +288,10 @@ fn fn_names(text: &str) -> BTreeSet<String> {
     names
 }
 
-/// `(path from the root, fn names)` of every Rust file in the tree,
+/// `(path from the root, source)` of every Rust file in the tree,
 /// build output and vendored crates aside.
-fn rust_files(root: &Path) -> Vec<(PathBuf, BTreeSet<String>)> {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, BTreeSet<String>)>) {
+fn rust_sources(root: &Path) -> Vec<(PathBuf, String)> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
         let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
         for entry in entries {
             let path = entry.expect("dir entry").path();
@@ -301,13 +303,21 @@ fn rust_files(root: &Path) -> Vec<(PathBuf, BTreeSet<String>)> {
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let text = std::fs::read_to_string(&path).expect("read source");
                 let rel = path.strip_prefix(root).expect("under root").to_path_buf();
-                out.push((rel, fn_names(&text)));
+                out.push((rel, text));
             }
         }
     }
     let mut out = Vec::new();
     walk(root, root, &mut out);
     out
+}
+
+/// `(path from the root, fn names)` of every Rust file in the tree.
+fn rust_files(root: &Path) -> Vec<(PathBuf, BTreeSet<String>)> {
+    let sources = rust_sources(root).into_iter();
+    sources
+        .map(|(path, text)| (path, fn_names(&text)))
+        .collect()
 }
 
 /// Inline code spans of `text` outside fenced blocks, with the prose
@@ -407,6 +417,84 @@ fn cited_tests_exist() {
     assert!(
         errors.is_empty(),
         "docs cite tests that do not exist:\n{}",
+        errors.join("\n")
+    );
+}
+
+/// The items ROADMAP.md's "Open items" section still holds open: `"2"`
+/// for a numbered item, `"2(a)"` for its lettered sub-items. A sub-item
+/// whose text opens with `*Done` is closed.
+fn open_roadmap_items(root: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(root.join("ROADMAP.md")).expect("read ROADMAP.md");
+    let mut open = BTreeSet::new();
+    let mut item = None;
+    let mut in_open_items = false;
+    for line in text.lines() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            in_open_items = heading.trim() == "Open items";
+            continue;
+        }
+        if !in_open_items {
+            continue;
+        }
+        if let Some((number, _)) = line
+            .split_once(". ")
+            .filter(|(n, _)| !n.is_empty() && n.chars().all(|c| c.is_ascii_digit()))
+        {
+            open.insert(number.to_owned());
+            item = Some(number.to_owned());
+        } else if let (Some(number), Some(rest)) = (&item, line.trim_start().strip_prefix("- (")) {
+            if let Some((letter, text)) = rest.split_once(") ") {
+                if is_ident(letter) && !text.starts_with("*Done") {
+                    open.insert(format!("{number}({letter})"));
+                }
+            }
+        }
+    }
+    open
+}
+
+#[test]
+fn ignored_tests_cite_open_roadmap_items() {
+    let root = repo_root();
+    let open = open_roadmap_items(&root);
+    assert!(open.contains("1"), "ROADMAP.md lists its open items");
+    let mut errors = Vec::new();
+    for (path, text) in rust_sources(&root) {
+        for (lineno, line) in text.lines().enumerate() {
+            let Some(attr) = line.trim_start().strip_prefix("#[ignore") else {
+                continue;
+            };
+            let at = format!("{}:{}", path.display(), lineno + 1);
+            let Some(reason) = attr
+                .trim_start()
+                .strip_prefix('=')
+                .and_then(|r| r.trim().strip_prefix('"'))
+                .and_then(|r| r.split_once('"'))
+                .map(|(reason, _)| reason)
+            else {
+                errors.push(format!("{at}: `#[ignore]` without a reason"));
+                continue;
+            };
+            let Some(cited) = reason.split_once("ROADMAP ").map(|(_, item)| {
+                let end = item.find(|c: char| !(c.is_ascii_alphanumeric() || c == '(' || c == ')'));
+                &item[..end.unwrap_or(item.len())]
+            }) else {
+                errors.push(format!(
+                    "{at}: ignore reason cites no ROADMAP item: {reason:?}"
+                ));
+                continue;
+            };
+            if !open.contains(cited) {
+                errors.push(format!(
+                    "{at}: ignore reason cites ROADMAP {cited}, which is not an open item"
+                ));
+            }
+        }
+    }
+    assert!(
+        errors.is_empty(),
+        "ignored tests must cite an open ROADMAP item:\n{}",
         errors.join("\n")
     );
 }

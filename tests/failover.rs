@@ -10,7 +10,7 @@ use rivulet::core::probe::{check, AppProbe, IngestProbe, ProbeData};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionProbe, EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::storage::FlushPolicy;
+use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend};
 use rivulet::types::{
     ActuationState, AppId, Duration, EventKind, ProcSet, ProcessId, SensorId, Time,
 };
@@ -249,14 +249,14 @@ fn host_crash_with_express_copies_in_flight_loses_nothing() {
     assert!(after.clone().all(|d| d.by == s.pids[1]), "by the shadow");
 }
 
-/// Pins ROADMAP 2(b): a recovered process mints command ids from 0
-/// again, so the actuator drops its commands as duplicates of the ones
-/// it applied before the crash. Three hosts hear a 10 ev/s sensor; a
-/// lamp reachable only from host 0 is set to each event's sequence
-/// number. Host 0 crashes at 10 s, recovers at 25 s and takes the app
-/// back; every event it processes from then on must reach the lamp.
+/// Guards ROADMAP 2(b): a recovered process used to mint command ids
+/// from 0 again, so the actuator dropped its commands as duplicates of
+/// the ones it applied before the crash. Three hosts hear a 10 ev/s
+/// sensor; a lamp reachable only from host 0 is set to each event's
+/// sequence number. Host 0 crashes at 10 s, recovers at 25 s and takes
+/// the app back; every event it processes from then on must reach the
+/// lamp.
 #[test]
-#[ignore = "ROADMAP 2(b): recovered processes re-mint command ids from 0"]
 fn a_recovered_host_actuates_every_event_it_processes() {
     let mut net = SimNet::new(SimConfig::with_seed(3));
     let config = RivuletConfig::default().with_failure_timeout(Duration::from_secs(2));
@@ -312,6 +312,97 @@ fn a_recovered_host_actuates_every_event_it_processes() {
          {applied} commands ({} suppressed as duplicates)",
         lamp_probe.duplicates_suppressed()
     );
+}
+
+/// Command ids need no recovery: every start of a process mints above
+/// every id its earlier starts minted, even when a promotion replays a
+/// large backlog at its start instant. Host 0 (the app's, durable, with
+/// no checkpoint to bound the replay) turns each of a 100 ev/s sensor's
+/// events into a command. It loses power at 3 s and at 10 s and comes
+/// back at 8 s and 12 s; each time it takes the app back at once and
+/// replays every event its log holds.
+#[test]
+fn a_restarted_process_mints_above_every_id_it_minted_before() {
+    let mut net = SimNet::new(SimConfig::with_seed(21));
+    let config = RivuletConfig::default().with_failure_timeout(Duration::from_secs(2));
+    let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let pids: Vec<ProcessId> = (0..3).map(|i| home.add_host(format!("host{i}"))).collect();
+    let backends: Vec<Arc<SimBackend>> = (0..3).map(|i| Arc::new(SimBackend::new(i))).collect();
+    let for_factory = backends.clone();
+    let no_checkpoint = Duration::from_secs(3600);
+    let mut home = home.with_storage(
+        common::wal_options(FlushPolicy::EveryN(1)),
+        no_checkpoint,
+        move |pid: ProcessId| {
+            Arc::clone(&for_factory[pid.as_u32() as usize]) as Arc<dyn StorageBackend>
+        },
+    );
+    let (sensor, _) = home.add_push_sensor(
+        "motion",
+        PayloadSpec::KindOnly(EventKind::Motion),
+        EmissionSchedule::Periodic(Duration::from_millis(10)),
+        &pids,
+    );
+    let (lamp, _) = home.add_actuator("lamp", ActuationState::Level(0.0), &pids);
+    let app = AppBuilder::new(AppId(1), "follow")
+        .operator(
+            "follow",
+            CombinerSpec::Any,
+            move |ctx: &mut OpCtx, w: &CombinedWindows| {
+                for e in w.all_events() {
+                    ctx.set_level(lamp, e.id.seq as f64);
+                }
+            },
+        )
+        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
+        .actuator(lamp, Delivery::Gapless)
+        .done()
+        .build()
+        .expect("valid app");
+    let probe = home.add_app(app);
+    let home = home.build();
+    let h0 = home.actor_of(pids[0]);
+    let starts = [Time::ZERO, Time::from_secs(8), Time::from_secs(12)];
+    for (down, up) in [(3, 8), (10, 12)] {
+        net.crash_at(h0, Time::from_secs(down));
+        net.run_until(Time::from_secs(down));
+        backends[0].crash();
+        net.recover_at(h0, Time::from_secs(up));
+    }
+    net.run_until(Time::from_secs(15));
+
+    let mine: Vec<(Time, u64)> = probe
+        .commands()
+        .iter()
+        .filter(|(_, c)| c.id.issuer == pids[0])
+        .map(|(at, c)| (*at, c.id.seq))
+        .collect();
+    let backlog = mine.iter().filter(|(at, _)| *at == starts[1]).count();
+    assert!(
+        backlog >= 250,
+        "the promotion at 8 s replayed {backlog} events at one instant"
+    );
+    let mut below = 0;
+    for (k, start) in starts.iter().enumerate() {
+        let end = starts.get(k + 1).copied().unwrap_or(Time::MAX);
+        let ids: Vec<u64> = mine
+            .iter()
+            .filter(|(at, _)| *at >= *start && *at < end)
+            .map(|(_, seq)| *seq)
+            .collect();
+        assert!(ids.len() > 100, "start {k} minted {} ids", ids.len());
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "start {k} mints ascending ids"
+        );
+        assert!(
+            ids[0] >= below,
+            "start {k} minted {} after an earlier start minted {}",
+            ids[0],
+            below - 1
+        );
+        below = ids[ids.len() - 1] + 1;
+    }
 }
 
 /// Pins ROADMAP 2(a), as the checker found it in `fleet_smoke`'s home

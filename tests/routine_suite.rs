@@ -26,12 +26,12 @@ use rivulet::core::deploy::{Home, HomeBuilder};
 use rivulet::core::{RivuletConfig, RoutineSpec};
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::storage::LedgerVerifier;
+use rivulet::storage::{LedgerVerifier, RoutineTransition};
 use rivulet::types::{
     ActuationState, AppId, CommandKind, Duration, EventKind, ProcessId, RoutineId, Time,
 };
 use rivulet_bench::routine::{
-    corruption_exactness, run_routine_scenario, RoutineScenario, CRASH_OFFSETS_MS,
+    corruption_exactness, run_routine_scenario, RoutineScenario, CRASH_BASE, CRASH_OFFSETS_MS,
 };
 
 /// One delivery as `(at, by, seq)` — bit-comparable.
@@ -215,4 +215,116 @@ fn routines_under_crash_are_reproducible() {
     assert_eq!(a.aborted, b.aborted);
     assert_eq!(a.compensated, b.compensated);
     assert_eq!(a.obs.to_json(), b.obs.to_json(), "obs JSON is byte-stable");
+}
+
+/// Every coordinator numbers its routine instances from 0, so a
+/// failover coordinator's instance 0 must not meet its predecessor's
+/// at the actuators. Hosts 0 and 1 both adapt the routine's two
+/// actuators; host 0 coordinates until it crashes at 12 s, host 1 takes
+/// over, and every instance host 1's probe shows committed must have
+/// fired all of its steps.
+#[test]
+fn a_failover_coordinator_fires_every_instance_it_commits() {
+    let mut net = SimNet::new(SimConfig::with_seed(11));
+    let config = RivuletConfig::default()
+        .with_routines(true)
+        .with_failure_timeout(Duration::from_secs(2));
+    let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let hosts: Vec<ProcessId> = (0..3).map(|i| home.add_host(format!("host{i}"))).collect();
+    let (sensor, _) = home.add_push_sensor(
+        "motion",
+        PayloadSpec::KindOnly(EventKind::Motion),
+        EmissionSchedule::Periodic(Duration::from_secs(1)),
+        &hosts,
+    );
+    let adapters = [hosts[0], hosts[1]];
+    let (lights, lights_probe) =
+        home.add_actuator("lights", ActuationState::Switch(true), &adapters);
+    let (lock, lock_probe) = home.add_actuator("lock", ActuationState::Switch(false), &adapters);
+    let routine = home.add_routine(
+        RoutineSpec::new(RoutineId(1), "leaving-home")
+            .step(lights, CommandKind::Set(ActuationState::Switch(false)))
+            .step(lock, CommandKind::Set(ActuationState::Switch(true))),
+    );
+    let app = AppBuilder::new(AppId(1), "scene")
+        .operator(
+            "leaving",
+            CombinerSpec::Any,
+            |ctx: &mut OpCtx, w: &CombinedWindows| {
+                if w.all_events().any(|e| e.id.seq % 5 == 4) {
+                    ctx.run_routine(RoutineId(1));
+                }
+            },
+        )
+        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
+        .actuator(lights, Delivery::Gapless)
+        .done()
+        .build()
+        .expect("valid app");
+    let _ = home.add_app(app);
+    let home = home.build();
+    net.crash_at(home.actor_of(hosts[0]), Time::from_secs(12));
+    net.run_until(Time::from_secs(40));
+
+    let applied: Vec<_> = [&lights_probe, &lock_probe]
+        .iter()
+        .flat_map(|p| p.effects().into_iter().map(|(_, id, _)| id))
+        .collect();
+    let instances = routine.instances();
+    let committed_by = |host: ProcessId| {
+        let by_host = instances.iter().filter(move |r| r.coordinator == host);
+        by_host.filter(|r| r.state == RoutineTransition::Committed)
+    };
+    assert!(
+        committed_by(hosts[0]).count() >= 2,
+        "host 0 committed first"
+    );
+    assert!(committed_by(hosts[1]).count() >= 4, "host 1 took over");
+    for record in committed_by(hosts[1]) {
+        let missing: Vec<_> = record
+            .commands
+            .iter()
+            .filter(|(_, id)| !applied.contains(id))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "host 1's committed instance {} never fired {missing:?}",
+            record.instance
+        );
+    }
+}
+
+/// A coordinator recovered from its log mints step and compensation
+/// ids above every id its ledger already holds, without reading them
+/// back: in chain order, each `(issuer, operator)`'s ids strictly
+/// increase. The crash at +2 ms interrupts a staging, so recovery
+/// compensates it and later firings stage afresh.
+#[test]
+fn a_recovered_coordinator_mints_ids_its_ledger_never_held() {
+    let o = run_routine_scenario(&RoutineScenario {
+        crash_offset: Some(Duration::from_millis(2)),
+        duration: Duration::from_secs(30),
+        seed: 42,
+    });
+    let recovered = CRASH_BASE + Duration::from_secs(5);
+    let after = |t: RoutineTransition| {
+        let entries = o.ledger.iter().filter(|e| e.at >= recovered);
+        entries.filter(|e| e.transition == t).count()
+    };
+    assert!(after(RoutineTransition::Compensated) >= 1, "compensated");
+    assert!(after(RoutineTransition::Staged) >= 2, "staged anew");
+    let mut last = std::collections::BTreeMap::new();
+    for entry in &o.ledger {
+        for (_, id) in &entry.commands {
+            if let Some(prev) = last.insert((id.issuer, id.operator), id.seq) {
+                assert!(
+                    id.seq > prev,
+                    "{id} at {} follows {prev} in the ledger",
+                    entry.at
+                );
+            }
+        }
+    }
+    assert_eq!(o.partial_firings, 0);
+    assert_eq!(o.ledger_broken, None);
 }
