@@ -60,9 +60,11 @@ pub struct GaplessOutcome {
 pub struct GaplessState {
     me: ProcessId,
     store: EventStore,
-    /// The successor we last synchronized with; a change triggers
-    /// Bayou-style anti-entropy (§4.1).
-    synced_successor: Option<ProcessId>,
+    /// The ring successor we last saw.
+    successor: Option<ProcessId>,
+    /// The successor still owed its Bayou-style sync (§4.1): set when
+    /// the successor changes, cleared by its next beacon.
+    sync_owed: Option<ProcessId>,
 }
 
 impl GaplessState {
@@ -72,7 +74,8 @@ impl GaplessState {
         Self {
             me,
             store: EventStore::new(store_cap_per_sensor),
-            synced_successor: None,
+            successor: None,
+            sync_owed: None,
         }
     }
 
@@ -194,37 +197,31 @@ impl GaplessState {
         }
     }
 
-    /// The ring successor changed (membership view update). Returns the
-    /// sync request to send, if the successor is new.
-    pub fn on_successor_change(&mut self, successor: Option<ProcessId>) -> Option<Action> {
-        if self.synced_successor == successor {
+    /// The ring successor as the membership view now has it. A new
+    /// successor is owed a sync, answered by its next beacon
+    /// ([`Self::on_peer_beacon`]).
+    pub fn on_successor_change(&mut self, successor: Option<ProcessId>) {
+        if self.successor != successor {
+            self.successor = successor;
+            self.sync_owed = successor;
+        }
+    }
+
+    /// A peer's keep-alive arrived with its durable-receipt watermarks
+    /// `received`. From the successor owed a sync they answer the Bayou
+    /// query "what is the last event you hold from each sensor": ship it
+    /// everything above them, once. Returns `None` for any other peer,
+    /// once the sync is paid, and when nothing is missing.
+    pub fn on_peer_beacon(
+        &mut self,
+        from: ProcessId,
+        received: &[(SensorId, u64)],
+    ) -> Option<Action> {
+        if self.sync_owed != Some(from) {
             return None;
         }
-        self.synced_successor = successor;
-        let succ = successor?;
-        Some(Action::Send {
-            to: succ,
-            msg: ProcMsg::SyncRequest { from: self.me },
-        })
-    }
-
-    /// A peer asked for our per-sensor watermarks.
-    #[must_use]
-    pub fn on_sync_request(&self, from: ProcessId) -> Action {
-        Action::Send {
-            to: from,
-            msg: ProcMsg::SyncReply {
-                from: self.me,
-                watermarks: self.store.iter_watermarks().collect(),
-            },
-        }
-    }
-
-    /// The successor replied with its watermarks; ship it everything it
-    /// is missing (nothing to send returns `None`).
-    #[must_use]
-    pub fn on_sync_reply(&self, from: ProcessId, watermarks: &[(SensorId, u64)]) -> Option<Action> {
-        let diff = self.store.diff_for(watermarks);
+        self.sync_owed = None;
+        let diff = self.store.diff_for(received);
         if diff.is_empty() {
             return None;
         }
@@ -691,44 +688,50 @@ mod tests {
         assert_eq!(p2.store().retained_seqs(SensorId(7)), vec![0]);
     }
 
-    #[test]
-    fn sync_handshake_ships_missing_events() {
-        let mut ahead = GaplessState::new(ProcessId(0), 100);
-        let view = set(&[0, 1]);
-        for seq in 0..5 {
-            let _ = ingest(&mut ahead, ev(seq), view, None, None);
+    /// The events of a beacon's sync, or `None` when it ships nothing.
+    fn beacon(g: &mut GaplessState, from: u32, received: &[(SensorId, u64)]) -> Option<Vec<Event>> {
+        match g.on_peer_beacon(ProcessId(from), received)? {
+            Action::Send {
+                to,
+                msg: ProcMsg::SyncEvents { events },
+            } => {
+                assert_eq!(to, ProcessId(from), "the sync goes to the beacon's sender");
+                Some(events)
+            }
+            other => panic!("expected sync events, got {other:?}"),
         }
-        let mut behind = GaplessState::new(ProcessId(1), 100);
-        let _ = ingest(&mut behind, ev(0), view, None, None);
+    }
 
-        // New successor appears → ahead asks for watermarks.
-        let req = ahead.on_successor_change(Some(ProcessId(1)));
-        assert!(matches!(
-            req,
-            Some(Action::Send {
-                to: ProcessId(1),
-                msg: ProcMsg::SyncRequest { .. }
-            })
-        ));
-        // behind replies with watermarks.
-        let Action::Send {
-            msg: ProcMsg::SyncReply { watermarks, .. },
-            ..
-        } = behind.on_sync_request(ProcessId(0))
-        else {
-            panic!()
-        };
-        assert_eq!(watermarks, vec![(SensorId(7), 0)]);
-        // ahead ships the diff.
-        let Some(Action::Send {
-            msg: ProcMsg::SyncEvents { events },
-            ..
-        }) = ahead.on_sync_reply(ProcessId(1), &watermarks)
-        else {
-            panic!("expected sync events")
-        };
-        assert_eq!(events.len(), 4);
-        // behind ingests and delivers each new event.
+    fn seqs(events: Option<Vec<Event>>) -> Option<Vec<u64>> {
+        events.map(|events| events.iter().map(|e| e.id.seq).collect())
+    }
+
+    /// A process holding events 0–4 of one sensor.
+    fn ahead() -> GaplessState {
+        let mut g = GaplessState::new(ProcessId(0), 100);
+        for seq in 0..5 {
+            let _ = ingest(&mut g, ev(seq), set(&[0, 1, 2]), None, None);
+        }
+        g
+    }
+
+    #[test]
+    fn the_owed_successors_beacon_ships_what_its_marks_lack_once() {
+        let mut ahead = ahead();
+        let mut behind = GaplessState::new(ProcessId(1), 100);
+        let _ = ingest(&mut behind, ev(0), set(&[0, 1, 2]), None, None);
+        let marks = [(SensorId(7), 0)];
+
+        assert!(beacon(&mut ahead, 1, &marks).is_none(), "no successor yet");
+        ahead.on_successor_change(Some(ProcessId(1)));
+        assert!(
+            beacon(&mut ahead, 2, &[]).is_none(),
+            "another peer's beacon"
+        );
+        let events = beacon(&mut ahead, 1, &marks).expect("the owed sync");
+        assert!(beacon(&mut ahead, 1, &marks).is_none(), "paid once");
+
+        // The successor ingests and delivers each new event.
         let mut delivered = Vec::new();
         behind.on_sync_events(events, &mut delivered);
         assert_eq!(delivered.len(), 4);
@@ -739,24 +742,32 @@ mod tests {
     }
 
     #[test]
-    fn successor_change_dedup() {
-        let mut g = GaplessState::new(ProcessId(0), 100);
-        assert!(g.on_successor_change(Some(ProcessId(1))).is_some());
-        assert!(
-            g.on_successor_change(Some(ProcessId(1))).is_none(),
-            "same successor"
-        );
-        assert!(g.on_successor_change(None).is_none());
-        assert!(
-            g.on_successor_change(Some(ProcessId(1))).is_some(),
-            "re-sync after churn"
-        );
+    fn churn_owes_the_successor_a_fresh_sync() {
+        let mut g = ahead();
+        let marks = [(SensorId(7), 2)];
+        g.on_successor_change(Some(ProcessId(1)));
+        assert_eq!(seqs(beacon(&mut g, 1, &marks)), Some(vec![3, 4]));
+        g.on_successor_change(Some(ProcessId(1)));
+        assert!(beacon(&mut g, 1, &marks).is_none(), "same successor");
+        g.on_successor_change(None);
+        assert!(beacon(&mut g, 1, &marks).is_none(), "no successor");
+        g.on_successor_change(Some(ProcessId(1)));
+        assert_eq!(seqs(beacon(&mut g, 1, &marks)), Some(vec![3, 4]));
     }
 
     #[test]
-    fn sync_reply_with_nothing_missing_sends_nothing() {
-        let g = GaplessState::new(ProcessId(0), 100);
-        assert!(g.on_sync_reply(ProcessId(1), &[]).is_none());
+    fn a_sync_with_nothing_missing_sends_nothing() {
+        let mut empty = GaplessState::new(ProcessId(0), 100);
+        empty.on_successor_change(Some(ProcessId(1)));
+        assert!(beacon(&mut empty, 1, &[]).is_none(), "empty store");
+        let mut g = ahead();
+        g.on_successor_change(Some(ProcessId(1)));
+        assert!(
+            beacon(&mut g, 1, &[(SensorId(7), 4)]).is_none(),
+            "caught up"
+        );
+        // The empty sync still paid the debt.
+        assert!(beacon(&mut g, 1, &[]).is_none());
     }
 
     #[test]

@@ -56,15 +56,52 @@ pub struct ActuatorEntry {
     pub reachers: Vec<ProcessId>,
 }
 
-/// The static deployment facts shared by every process.
+/// The static deployment facts shared by every process. Ids are dense,
+/// as [`HomeBuilder`] hands them out: each list holds the entry of id
+/// `i` at index `i`, and the process actors are consecutive, so every
+/// lookup below is an index.
 #[derive(Debug, Clone, Default)]
 pub struct DirectoryData {
     /// All processes, sorted by process id.
     pub processes: Vec<(ProcessId, ActorId)>,
-    /// All sensors.
+    /// All sensors, sorted by sensor id.
     pub sensors: Vec<SensorEntry>,
-    /// All actuators.
+    /// All actuators, sorted by actuator id.
     pub actuators: Vec<ActuatorEntry>,
+}
+
+impl DirectoryData {
+    /// The actor of process `p`.
+    pub(crate) fn process_actor(&self, p: ProcessId) -> Option<ActorId> {
+        let &(id, actor) = self.processes.get(p.0 as usize)?;
+        (id == p).then_some(actor)
+    }
+
+    /// Whether `actor` is a process's actor.
+    pub(crate) fn is_process(&self, actor: ActorId) -> bool {
+        let Some(&(_, first)) = self.processes.first() else {
+            return false;
+        };
+        let index = actor.0.checked_sub(first.0);
+        let entry = index.and_then(|i| self.processes.get(i as usize));
+        entry.is_some_and(|&(_, a)| a == actor)
+    }
+
+    /// The entry of sensor `s`.
+    pub(crate) fn sensor(&self, s: SensorId) -> Option<&SensorEntry> {
+        self.sensors.get(s.0 as usize).filter(|e| e.id == s)
+    }
+
+    /// The entry of actuator `a`.
+    pub(crate) fn actuator(&self, a: ActuatorId) -> Option<&ActuatorEntry> {
+        self.actuators.get(a.0 as usize).filter(|e| e.id == a)
+    }
+
+    /// The device actor of actuator `a`, if process `p` adapts it.
+    pub(crate) fn adapted_actuator(&self, a: ActuatorId, p: ProcessId) -> Option<ActorId> {
+        let entry = self.actuator(a)?;
+        entry.reachers.contains(&p).then_some(entry.actor)
+    }
 }
 
 /// Abstraction over the two drivers, so one deployment path serves

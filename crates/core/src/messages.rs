@@ -31,7 +31,10 @@ pub enum ProcMsg {
         /// cumulative ack watermarks piggybacked on the beacon. A
         /// broadcast origin retires every pending retransmission whose
         /// seq is covered by the peer's watermark; no per-event ack
-        /// exists on the wire. Empty until the first delivery.
+        /// exists on the wire. The same marks are the anti-entropy
+        /// summary: a predecessor that owes the sender a sync ships it
+        /// every event above them ([`ProcMsg::SyncEvents`]). Empty until
+        /// the first delivery.
         received: Vec<(SensorId, u64)>,
     },
     /// Gapless ring forwarding: `(e : S : V)` from the paper — the
@@ -70,22 +73,9 @@ pub enum ProcMsg {
         /// The event.
         event: Event,
     },
-    /// Anti-entropy: ask a new ring successor for its per-sensor high
-    /// watermarks (Bayou-style, §4.1).
-    SyncRequest {
-        /// The asking process.
-        from: ProcessId,
-    },
-    /// Anti-entropy: the successor's per-sensor last-received sequence
-    /// numbers (absent sensors mean "nothing received").
-    SyncReply {
-        /// The replying process.
-        from: ProcessId,
-        /// `(sensor, highest seq received)` pairs.
-        watermarks: Vec<(SensorId, u64)>,
-    },
-    /// Anti-entropy: events the requester determined the successor is
-    /// missing.
+    /// Anti-entropy: the events a process found its new ring successor
+    /// missing, from the `received` marks of the successor's
+    /// [`ProcMsg::KeepAlive`] (Bayou-style, §4.1).
     SyncEvents {
         /// The events, ascending per sensor.
         events: Vec<Event>,
@@ -103,16 +93,15 @@ pub enum ProcMsg {
 const RING_TAG: u8 = 1;
 
 impl ProcMsg {
-    /// The first wire byte. Tag 3 is retired (it was the per-event
-    /// broadcast ack) and decodes to an error; it is not reused.
+    /// The first wire byte. Tags 3, 5 and 6 are retired (the per-event
+    /// broadcast ack and the anti-entropy request and reply) and decode
+    /// to an error; they are not reused.
     fn tag(&self) -> u8 {
         match self {
             ProcMsg::KeepAlive { .. } => 0,
             ProcMsg::Ring { .. } => RING_TAG,
             ProcMsg::Broadcast { .. } => 2,
             ProcMsg::GapForward { .. } => 4,
-            ProcMsg::SyncRequest { .. } => 5,
-            ProcMsg::SyncReply { .. } => 6,
             ProcMsg::SyncEvents { .. } => 7,
             ProcMsg::CmdForward { .. } => 8,
         }
@@ -140,13 +129,6 @@ impl ProcMsg {
             }),
             4 => Ok(ProcMsg::GapForward {
                 event: Event::decode(r)?,
-            }),
-            5 => Ok(ProcMsg::SyncRequest {
-                from: ProcessId::decode(r)?,
-            }),
-            6 => Ok(ProcMsg::SyncReply {
-                from: ProcessId::decode(r)?,
-                watermarks: Vec::decode(r)?,
             }),
             7 => Ok(ProcMsg::SyncEvents {
                 events: Vec::decode(r)?,
@@ -258,11 +240,6 @@ impl Wire for ProcMsg {
                 origin.encode(w);
             }
             ProcMsg::GapForward { event } => event.encode(w),
-            ProcMsg::SyncRequest { from } => from.encode(w),
-            ProcMsg::SyncReply { from, watermarks } => {
-                from.encode(w);
-                watermarks.encode(w);
-            }
             ProcMsg::SyncEvents { events } => events.encode(w),
             ProcMsg::CmdForward { command } => command.encode(w),
         }
@@ -286,7 +263,7 @@ pub const FRAME_TAG: u8 = 0xC0;
 ///
 /// When one actor activation queues several messages to the same
 /// destination (a ring burst forwarded downstream, a WAL group-commit
-/// releasing gated sends, an anti-entropy exchange), they travel as one
+/// releasing gated sends, a sync beside a keep-alive), they travel as one
 /// frame: one scheduler event, one [`FRAME_HEADER_BYTES`] transport
 /// charge, one link traversal.
 ///
@@ -433,6 +410,15 @@ mod tests {
         )
     }
 
+    /// A keep-alive with nothing to report.
+    fn beacon(from: u32) -> ProcMsg {
+        ProcMsg::KeepAlive {
+            from: ProcessId(from),
+            processed: vec![],
+            received: vec![],
+        }
+    }
+
     #[test]
     fn all_variants_roundtrip() {
         roundtrip(&ProcMsg::KeepAlive {
@@ -463,11 +449,6 @@ mod tests {
             origin: ProcessId(2),
         });
         roundtrip(&ProcMsg::GapForward { event: ev(2) });
-        roundtrip(&ProcMsg::SyncRequest { from: ProcessId(4) });
-        roundtrip(&ProcMsg::SyncReply {
-            from: ProcessId(4),
-            watermarks: vec![(SensorId(1), 10), (SensorId(2), 0)],
-        });
         roundtrip(&ProcMsg::SyncEvents {
             events: vec![ev(3), ev(4)],
         });
@@ -524,7 +505,7 @@ mod tests {
             PeerMsg::from_bytes(&ring.to_bytes()),
             Ok(PeerMsg::Ring(as_sets))
         );
-        let other = ProcMsg::SyncRequest { from: ProcessId(2) };
+        let other = ProcMsg::GapForward { event: ev(2) };
         assert_eq!(
             PeerMsg::from_bytes(&other.to_bytes()),
             Ok(PeerMsg::Other(other.clone()))
@@ -533,7 +514,7 @@ mod tests {
             RingMsg::from_bytes(&other.to_bytes()),
             Err(WireError::InvalidTag {
                 ty: "RingMsg",
-                tag: 5
+                tag: 4
             })
         );
         assert!(matches!(
@@ -593,44 +574,44 @@ mod tests {
         ));
     }
 
-    /// What a peer built before tag 3 was retired sends as a
-    /// per-event broadcast ack: the tag, an event id, a process id.
-    fn old_ack_bytes() -> bytes::Bytes {
-        let mut w = WireWriter::new();
-        w.put_u8(3);
-        EventId::new(SensorId(1), 1).encode(&mut w);
-        ProcessId(1).encode(&mut w);
-        w.into_bytes()
+    /// What a peer built before the retirements sends under each
+    /// retired tag: a per-event broadcast ack (tag 3, an event id, a
+    /// process id), a sync request (tag 5, a process id) and a sync
+    /// reply (tag 6, a process id, per-sensor watermarks).
+    fn retired_bytes() -> [(u8, bytes::Bytes); 3] {
+        let mut ack = WireWriter::new();
+        ack.put_u8(3);
+        EventId::new(SensorId(1), 1).encode(&mut ack);
+        ProcessId(1).encode(&mut ack);
+        let mut request = WireWriter::new();
+        request.put_u8(5);
+        ProcessId(1).encode(&mut request);
+        let mut reply = WireWriter::new();
+        reply.put_u8(6);
+        ProcessId(1).encode(&mut reply);
+        vec![(SensorId(1), 10u64)].encode(&mut reply);
+        [
+            (3, ack.into_bytes()),
+            (5, request.into_bytes()),
+            (6, reply.into_bytes()),
+        ]
     }
 
     #[test]
-    fn retired_tag_3_is_rejected_bare_and_inside_a_frame() {
-        let old_ack = old_ack_bytes();
-        let retired = Err(WireError::InvalidTag {
-            ty: "ProcMsg",
-            tag: 3,
-        });
-        assert_eq!(ProcMsg::from_bytes(&old_ack), retired);
-        assert_eq!(ProcMsg::from_bytes(&[3]), retired);
-
-        let keepalive = ProcMsg::KeepAlive {
-            from: ProcessId(0),
-            processed: vec![],
-            received: vec![],
+    fn retired_tags_are_rejected_bare_and_inside_a_frame() {
+        for (tag, old) in retired_bytes() {
+            let retired = Some(WireError::InvalidTag { ty: "ProcMsg", tag });
+            assert_eq!(ProcMsg::from_bytes(&old).err(), retired);
+            assert_eq!(ProcMsg::from_bytes(&[tag]).err(), retired);
+            assert_eq!(PeerMsg::from_bytes(&old).err(), retired);
+            let parts = [beacon(0).to_bytes(), old];
+            let framed = Frame::encode_parts(&mut WireWriter::new(), &parts);
+            assert_eq!(Frame::from_bytes(&framed).err(), retired);
         }
-        .to_bytes();
-        let framed = Frame::encode_parts(&mut WireWriter::new(), &[keepalive, old_ack]);
-        assert_eq!(
-            Frame::from_bytes(&framed),
-            Err(WireError::InvalidTag {
-                ty: "ProcMsg",
-                tag: 3
-            })
-        );
     }
 
     #[test]
-    fn a_process_drops_the_retired_tag_without_panicking() {
+    fn a_process_drops_the_retired_tags_without_panicking() {
         use crate::config::RivuletConfig;
         use crate::deploy::DirectoryData;
         use crate::process::{ProcessSpec, RivuletProcess};
@@ -639,7 +620,8 @@ mod tests {
         use rivulet_net::sim::{SimConfig, SimNet};
         use std::sync::Arc;
 
-        /// A peer from before tag 3 was retired: acks on start-up.
+        /// A peer from before the retirements: sends each retired
+        /// message on start-up, bare and framed.
         struct StalePeer {
             to: ActorId,
             payloads: Vec<bytes::Bytes>,
@@ -654,8 +636,9 @@ mod tests {
             }
         }
 
-        let old_ack = old_ack_bytes();
-        let framed = Frame::encode_parts(&mut WireWriter::new(), std::slice::from_ref(&old_ack));
+        let old: Vec<bytes::Bytes> = retired_bytes().into_iter().map(|(_, b)| b).collect();
+        let framed = Frame::encode_parts(&mut WireWriter::new(), &old);
+        let payloads: Vec<bytes::Bytes> = old.into_iter().chain([framed]).collect();
         let mut net = SimNet::new(SimConfig::with_seed(1));
         let process = net.next_actor_id();
         let peer = ActorId(process.0 + 1);
@@ -681,11 +664,11 @@ mod tests {
         net.add_actor("p1", ActorClass::Process, move || {
             Box::new(StalePeer {
                 to: process,
-                payloads: vec![old_ack.clone(), framed.clone()],
+                payloads: payloads.clone(),
             })
         });
         net.run_for(rivulet_types::Duration::from_secs(1));
-        assert!(net.metrics().messages_delivered >= 2, "both copies arrived");
+        assert!(net.metrics().messages_delivered >= 4, "every copy arrived");
         assert!(net.is_up(process));
     }
 
@@ -710,7 +693,7 @@ mod tests {
                     seen: vec![ProcessId(0)],
                     need: vec![ProcessId(0), ProcessId(1)],
                 },
-                ProcMsg::SyncRequest { from: ProcessId(2) },
+                ProcMsg::GapForward { event: ev(2) },
                 ProcMsg::KeepAlive {
                     from: ProcessId(2),
                     processed: vec![],
@@ -724,10 +707,7 @@ mod tests {
 
     #[test]
     fn encode_parts_matches_frame_encoding() {
-        let msgs = vec![
-            ProcMsg::GapForward { event: ev(9) },
-            ProcMsg::SyncRequest { from: ProcessId(1) },
-        ];
+        let msgs = vec![ProcMsg::GapForward { event: ev(9) }, beacon(1)];
         let parts: Vec<bytes::Bytes> = msgs.iter().map(Wire::to_bytes).collect();
         let mut w = WireWriter::new();
         let assembled = Frame::encode_parts(&mut w, &parts);
@@ -738,16 +718,13 @@ mod tests {
     #[test]
     fn reused_frame_buffer_is_all_or_nothing() {
         let good = Frame {
-            msgs: vec![
-                ProcMsg::GapForward { event: ev(4) },
-                ProcMsg::SyncRequest { from: ProcessId(1) },
-            ],
+            msgs: vec![ProcMsg::GapForward { event: ev(4) }, beacon(1)],
         };
         let encoded = good.to_bytes();
-        let mut msgs = vec![ProcMsg::SyncRequest { from: ProcessId(9) }];
+        let mut msgs = vec![beacon(9)];
         // The last part is corrupt: its `ProcMsg` tag is unknown.
         let mut corrupt = encoded.to_vec();
-        let last_tag = encoded.len() - ProcMsg::SyncRequest { from: ProcessId(1) }.to_bytes().len();
+        let last_tag = encoded.len() - beacon(1).to_bytes().len();
         corrupt[last_tag] = 0x7f;
         assert!(Frame::decode_shared_into(&bytes::Bytes::from(corrupt), &mut msgs).is_err());
         assert!(
@@ -755,7 +732,7 @@ mod tests {
             "a frame failing in its last part yields nothing"
         );
         // A whole frame followed by a trailing byte.
-        msgs.push(ProcMsg::SyncRequest { from: ProcessId(9) });
+        msgs.push(beacon(9));
         let mut trailing = encoded.to_vec();
         trailing.push(0);
         assert_eq!(
@@ -783,7 +760,7 @@ mod tests {
     #[test]
     fn frame_rejects_truncation_and_overlong_prefix() {
         let frame = Frame {
-            msgs: vec![ProcMsg::SyncRequest { from: ProcessId(3) }],
+            msgs: vec![beacon(3)],
         };
         let good = frame.to_bytes();
         // Every strict prefix fails cleanly.
@@ -793,7 +770,7 @@ mod tests {
         // Overlong per-message length prefix: declare one byte more
         // than the message occupies, padding with a trailing byte the
         // inner decode will not consume.
-        let inner = ProcMsg::SyncRequest { from: ProcessId(3) }.to_bytes();
+        let inner = beacon(3).to_bytes();
         let mut w = WireWriter::new();
         w.put_u8(FRAME_TAG);
         w.put_varint(1);
@@ -878,7 +855,6 @@ mod proptests {
                 origin: ProcessId(o)
             }),
             arb_event().prop_map(|event| ProcMsg::GapForward { event }),
-            any::<u32>().prop_map(|f| ProcMsg::SyncRequest { from: ProcessId(f) }),
             proptest::collection::vec(arb_event(), 0..5)
                 .prop_map(|events| ProcMsg::SyncEvents { events }),
         ]

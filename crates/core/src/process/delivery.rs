@@ -11,6 +11,7 @@ use super::{advance, Running};
 use crate::config::ForwardingMode;
 use crate::delivery::gap::{self, GapRole};
 use crate::delivery::{Action, Delivery};
+use crate::deploy::DirectoryData;
 use crate::execution::active_logic;
 use crate::gating::Released;
 use crate::messages::{PeerMsg, ProcMsg, RingMsg};
@@ -157,10 +158,9 @@ impl Running {
         let now = ctx.now();
         // Any traffic proves liveness.
         match &msg {
-            ProcMsg::KeepAlive { from, .. }
-            | ProcMsg::SyncRequest { from }
-            | ProcMsg::SyncReply { from, .. }
-            | ProcMsg::Broadcast { origin: from, .. } => self.membership.heard_from(*from, now),
+            ProcMsg::KeepAlive { from, .. } | ProcMsg::Broadcast { origin: from, .. } => {
+                self.membership.heard_from(*from, now);
+            }
             _ => {}
         }
         match msg {
@@ -173,12 +173,17 @@ impl Running {
                     advance(&mut self.processed, sensor, seq);
                 }
                 // The peer's durable-receipt watermarks acknowledge
-                // every covered pending broadcast in one beacon.
+                // every covered pending broadcast in one beacon, and
+                // answer the sync query of a predecessor that owes the
+                // peer one.
                 if !received.is_empty() {
                     let retired = self.rbcast.on_cumulative_ack(from, &received);
                     if retired > 0 {
                         self.fanout.record_acks_avoided(retired as u64);
                     }
+                }
+                if let Some(sync) = self.gapless.on_peer_beacon(from, &received) {
+                    self.send_action(sync);
                 }
             }
             ProcMsg::Ring { .. } => unreachable!("ring messages decode as `PeerMsg::Ring`"),
@@ -207,15 +212,6 @@ impl Running {
                 self.admit(ctx);
             }
             ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
-            ProcMsg::SyncRequest { from } => {
-                let reply = self.gapless.on_sync_request(from);
-                self.send_action(reply);
-            }
-            ProcMsg::SyncReply { from, watermarks } => {
-                if let Some(diff) = self.gapless.on_sync_reply(from, &watermarks) {
-                    self.send_action(diff);
-                }
-            }
             ProcMsg::SyncEvents { mut events } => {
                 events.retain(|e| self.sensor_subscribed(e.id.sensor));
                 self.gapless.on_sync_events(events, &mut self.actions);
@@ -223,8 +219,7 @@ impl Running {
             }
             ProcMsg::CmdForward { command } => {
                 let actuator = command.actuator;
-                self.actuators
-                    .radio(ctx, actuator, &RadioFrame::Actuate(command));
+                self.radio(ctx, actuator, &RadioFrame::Actuate(command));
             }
         }
     }
@@ -269,26 +264,31 @@ impl Running {
     /// Queues one protocol message to one peer; it leaves with the rest
     /// of the activation's traffic in [`Running::flush_outbox`].
     pub(super) fn send_proc(&mut self, to: ProcessId, msg: &impl Wire) {
-        if self.peer_actors.contains_key(&to) {
+        if is_peer(self.me, &self.directory, to) {
             self.outbox.queue(to, msg);
         }
     }
 
     /// Queues one protocol message to several peers, encoded once.
     pub(super) fn send_fanout(&mut self, to: ProcSet, msg: &ProcMsg) {
-        let peers = &self.peer_actors;
-        let known = to.iter().filter(|p| peers.contains_key(p));
+        let (me, dir) = (self.me, &self.directory);
+        let known = to.iter().filter(|p| is_peer(me, dir, *p));
         self.outbox.fanout(known, msg);
     }
 
     /// Sends everything queued during this activation, same-destination
     /// messages coalesced into frames.
     pub(super) fn flush_outbox(&mut self, ctx: &mut Context<'_>) {
-        let peers = &self.peer_actors;
+        let dir = &self.directory;
         self.outbox.flush(|to, payload| {
-            if let Some(actor) = peers.get(&to) {
-                ctx.send(*actor, payload);
+            if let Some(actor) = dir.process_actor(to) {
+                ctx.send(actor, payload);
             }
         });
     }
+}
+
+/// Whether `p` is another process of the home than `me`.
+fn is_peer(me: ProcessId, dir: &DirectoryData, p: ProcessId) -> bool {
+    p != me && dir.process_actor(p).is_some()
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
-use rivulet_types::{Command, Event};
+use rivulet_types::{ActuatorId, Command, Event};
 
 use super::{advance, token, Running, KIND_WINDOW};
 use crate::app::{AppRuntime, OpOutput, RuntimeOutput};
@@ -167,18 +167,33 @@ impl Running {
     /// when reachable, otherwise forwarded to the closest live process
     /// with an active actuator node (§4's "analogous" command path).
     pub(super) fn route_command(&mut self, ctx: &mut Context<'_>, command: Command) {
-        if let Some(device) = self.actuators.local(command.actuator) {
+        if let Some(device) = self.directory.adapted_actuator(command.actuator, self.me) {
             let frame = RadioFrame::Actuate(command);
-            self.actuators.send(ctx, device, &frame);
+            ctx.send(device, self.radio_pool.encode(&frame));
             return;
         }
         let now = ctx.now();
-        let reachers = self.actuators.reachers(command.actuator).iter();
+        let entry = self.directory.actuator(command.actuator);
+        let reachers = entry.iter().flat_map(|a| &a.reachers);
         let target = reachers
             .copied()
             .find(|p| self.membership.is_alive(*p, now));
         if let Some(target) = target {
             self.send_proc(target, &ProcMsg::CmdForward { command });
+        }
+    }
+
+    /// Sends `frame` to `actuator` if this process adapts it; stays
+    /// silent otherwise. A command or routine frame reaches a device
+    /// only over the radio of a process that adapts it.
+    pub(super) fn radio(
+        &mut self,
+        ctx: &mut Context<'_>,
+        actuator: ActuatorId,
+        frame: &RadioFrame,
+    ) {
+        if let Some(device) = self.directory.adapted_actuator(actuator, self.me) {
+            ctx.send(device, self.radio_pool.encode(frame));
         }
     }
 

@@ -36,7 +36,7 @@ mod outbox;
 mod polling;
 mod routines;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -46,9 +46,7 @@ use rivulet_net::metrics::FanoutStats;
 use rivulet_obs::Recorder;
 use rivulet_storage::{StorageBackend, WalOptions};
 use rivulet_types::wire::{Wire, WriterPool};
-use rivulet_types::{
-    ActuatorId, CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time,
-};
+use rivulet_types::{CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time};
 
 use crate::app::{AppRuntime, AppSpec, StreamKey};
 use crate::config::RivuletConfig;
@@ -161,7 +159,6 @@ impl std::fmt::Debug for ProcessSpec {
 }
 
 struct SensorRt {
-    device: ActorId,
     reachers: ProcSet,
     delivery: Delivery,
     poll: Option<PollRt>,
@@ -208,7 +205,6 @@ impl SensorRt {
             })
             .next_back();
         Self {
-            device: entry.actor,
             reachers: entry.reachers.iter().copied().collect(),
             delivery,
             poll,
@@ -229,54 +225,19 @@ struct AppRt {
     stale_reported: u64,
 }
 
-/// The home's actuators as this process sees them. A command or routine
-/// frame reaches a device only over the radio of a process that adapts
-/// it, and this is the one place that decides whether we do.
-struct Actuators {
-    me: ProcessId,
-    by_id: HashMap<ActuatorId, (ActorId, Vec<ProcessId>)>,
-    /// Radio frames are encoded into recycled buffers, like the
-    /// outbox's protocol messages.
-    pool: WriterPool,
-}
-
-impl Actuators {
-    /// The device behind `actuator`, if this process adapts it.
-    fn local(&self, actuator: ActuatorId) -> Option<ActorId> {
-        let (device, reachers) = self.by_id.get(&actuator)?;
-        reachers.contains(&self.me).then_some(*device)
-    }
-
-    /// Sends `frame` to `device`, one of ours ([`Actuators::local`]).
-    fn send(&mut self, ctx: &mut Context<'_>, device: ActorId, frame: &RadioFrame) {
-        ctx.send(device, self.pool.encode(frame));
-    }
-
-    /// Sends `frame` to `actuator` if this process adapts it; stays
-    /// silent otherwise.
-    fn radio(&mut self, ctx: &mut Context<'_>, actuator: ActuatorId, frame: &RadioFrame) {
-        if let Some(device) = self.local(actuator) {
-            self.send(ctx, device, frame);
-        }
-    }
-
-    /// The processes that adapt `actuator` (none for an unknown one).
-    fn reachers(&self, actuator: ActuatorId) -> &[ProcessId] {
-        self.by_id.get(&actuator).map_or(&[], |(_, r)| r.as_slice())
-    }
-}
-
 /// The id budget of one start: per operator, it may mint this many ids
 /// per microsecond it runs before the next start's ids could meet its
 /// own.
 const IDS_PER_MICROSECOND: u64 = 1 << 12;
 
 /// The per-operator command sequences of this process — the only place
-/// a [`CommandId`] is minted. Actuators dedup by id, so an id must not
-/// come back, across restarts either. Every sequence starts at the start
-/// instant in µs × [`IDS_PER_MICROSECOND`]: 0 at a home's first start,
-/// and above every id an earlier start minted unless that start minted
-/// more than 2^12 per operator per µs it ran (DESIGN §4.7). The start
+/// a [`CommandId`] is minted, and a routine instance (the `seq` of an id
+/// minted under a reserved operator). Actuators dedup by id and keep
+/// each instance's outcome, so neither may come back, across restarts
+/// either. Every sequence starts at the start instant in µs ×
+/// [`IDS_PER_MICROSECOND`]: 0 at a home's first start, and above every
+/// id an earlier start minted unless that start minted more than 2^12
+/// per operator per µs it ran (DESIGN §4.7). The start
 /// instant is the driver's clock, so this holds within one driver run:
 /// a WAL reopened under a new driver, whose clock starts again at 0,
 /// may see ids its ledger already holds.
@@ -326,9 +287,12 @@ struct Running {
     /// numbers and RNG draws are handed out in iteration order, and a
     /// seeded run must repeat them exactly.
     sensors: BTreeMap<SensorId, SensorRt>,
-    actuators: Actuators,
-    /// Every other process of the home (never `me`).
-    peer_actors: BTreeMap<ProcessId, ActorId>,
+    /// The deployment directory, read in place: peers, devices and who
+    /// adapts each.
+    directory: Arc<DirectoryData>,
+    /// Radio frames to actuators are encoded into recycled buffers,
+    /// like the outbox's protocol messages.
+    radio_pool: WriterPool,
     /// Processed watermarks learned from peers' keep-alives, merged
     /// with our own processing.
     processed: BTreeMap<SensorId, u64>,
@@ -493,21 +457,8 @@ impl Running {
                 .iter()
                 .map(|entry| (entry.id, SensorRt::wire(entry, me, &spec.apps)))
                 .collect(),
-            actuators: Actuators {
-                me,
-                by_id: dir
-                    .actuators
-                    .iter()
-                    .map(|a| (a.id, (a.actor, a.reachers.clone())))
-                    .collect(),
-                pool: WriterPool::new(),
-            },
-            peer_actors: dir
-                .processes
-                .iter()
-                .copied()
-                .filter(|(p, _)| *p != me)
-                .collect(),
+            directory: Arc::clone(dir),
+            radio_pool: WriterPool::new(),
             processed,
             received_marks,
             window_timers,
@@ -574,13 +525,11 @@ impl Running {
             received: self.received_marks.iter().map(|(s, q)| (*s, *q)).collect(),
         };
         self.send_fanout(self.membership.peers(), &beacon);
-        // Ring successor maintenance + anti-entropy (a sync request
-        // only when the successor changed).
+        // Ring successor maintenance: a new successor is owed a sync,
+        // which its next beacon answers.
         let view = self.membership.view(now);
-        let successor = self.membership.successor_in(view);
-        if let Some(action) = self.gapless.on_successor_change(successor) {
-            self.send_action(action);
-        }
+        self.gapless
+            .on_successor_change(self.membership.successor_in(view));
         // Reliable-broadcast retransmission (age-guarded: entries
         // whose cumulative-ack window is still open are skipped).
         for action in self.rbcast.on_tick(view, now) {
@@ -612,7 +561,7 @@ impl Running {
     /// A message arrived: a protocol message (or frame of them) from a
     /// peer process, or a radio frame from a device.
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ActorId, payload: &Bytes) {
-        if self.peer_actors.values().any(|a| *a == from) {
+        if self.directory.is_process(from) {
             // First-byte dispatch: the frame tag is disjoint from
             // every `ProcMsg` tag. Decoding from the shared buffer
             // keeps event payload blobs zero-copy.

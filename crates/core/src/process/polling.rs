@@ -100,8 +100,11 @@ impl Running {
         };
         let Some(poll) = rt.poll.as_ref() else { return };
         let epoch = poll.state.current_epoch();
+        let Some(device) = self.directory.sensor(sensor) else {
+            return;
+        };
         let request = RadioFrame::PollRequest { sensor, epoch };
-        ctx.send(rt.device, request.to_bytes());
+        ctx.send(device.actor, request.to_bytes());
     }
 
     pub(super) fn slot_fired(&mut self, ctx: &mut Context<'_>, sensor: SensorId) {

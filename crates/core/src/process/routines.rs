@@ -14,6 +14,12 @@ use crate::routine::{AbortPlan, AckOutcome, RecoveryAction};
 /// after an abort and belong to no application operator.
 const OP_COMPENSATION: OperatorId = OperatorId(u32::MAX);
 
+/// Synthetic operator identity under which routine instances are
+/// numbered: an instance is the `seq` of an id minted under it, so it
+/// starts above every instance an earlier start numbered, as command
+/// ids do.
+const OP_INSTANCE: OperatorId = OperatorId(u32::MAX - 1);
+
 impl Running {
     /// Triggers a staged all-or-nothing firing of `routine` (§4.7).
     /// Silently ignored when [`crate::config::RivuletConfig::routines`]
@@ -36,13 +42,18 @@ impl Running {
         // actuator is not adapted by this coordinator, refuse the
         // trigger outright — nothing staged, nothing to clean up.
         let targets = spec.actuators();
-        if targets.iter().any(|a| self.actuators.local(*a).is_none()) {
+        let (dir, me) = (&self.directory, self.me);
+        if targets
+            .iter()
+            .any(|a| dir.adapted_actuator(*a, me).is_none())
+        {
             engine.note_unreachable(routine);
             self.obs.inc("routine.unreachable");
             return;
         }
         let ids = &mut self.command_ids;
-        let Some(plan) = engine.trigger(routine, now, |actuator, kind| {
+        let instance = ids.mint(OP_INSTANCE).seq;
+        let Some(plan) = engine.trigger(routine, instance, now, |actuator, kind| {
             Command::new(ids.mint(operator), actuator, kind, now)
         }) else {
             return;
@@ -52,7 +63,6 @@ impl Running {
         // abort instead of orphaned held commands.
         self.gate.append_ledger(&plan.entry);
         self.obs.inc("routine.triggered");
-        let instance = plan.instance;
         for (actuator, step, command) in plan.stages {
             let stage = RadioFrame::Stage {
                 routine,
@@ -60,10 +70,19 @@ impl Running {
                 step,
                 command,
             };
-            self.actuators.radio(ctx, actuator, &stage);
+            self.radio(ctx, actuator, &stage);
         }
         let timeout = self.config.routine_stage_timeout;
-        ctx.set_timer(timeout, token(KIND_ROUTINE, instance as u32));
+        ctx.set_timer(timeout, self.routine_timer(instance));
+    }
+
+    /// The staging-timeout timer of `instance`, one this start numbered:
+    /// a token holds 32 bits, so it carries the instance's offset from
+    /// the start's id base ([`Self::routine_timeout_fired`] adds it
+    /// back).
+    fn routine_timer(&self, instance: u64) -> u64 {
+        let offset = u32::try_from(instance - self.command_ids.base);
+        token(KIND_ROUTINE, offset.expect("2^32 instances in one start"))
     }
 
     /// An actuator acknowledged (or refused) a staged routine step.
@@ -83,27 +102,29 @@ impl Running {
         match outcome {
             AckOutcome::Ignored => {}
             AckOutcome::Commit { entry, targets } => {
-                ctx.cancel_timer(token(KIND_ROUTINE, instance as u32));
+                ctx.cancel_timer(self.routine_timer(instance));
                 // Write-ahead: the commit decision is durable before
                 // any fire frame leaves; recovery re-drives the
                 // idempotent commit if we crash mid-burst.
                 self.gate.append_ledger(&entry);
                 let commit = RadioFrame::CommitRoutine { routine, instance };
                 for actuator in targets {
-                    self.actuators.radio(ctx, actuator, &commit);
+                    self.radio(ctx, actuator, &commit);
                 }
                 self.obs.inc("routine.committed");
             }
             AckOutcome::Abort(plan) => {
-                ctx.cancel_timer(token(KIND_ROUTINE, instance as u32));
+                ctx.cancel_timer(self.routine_timer(instance));
                 self.abort_routine(ctx, plan);
             }
         }
     }
 
-    /// The staging timeout fired for `instance`: abort it unless the
-    /// last ack raced the timer and already resolved the firing.
-    pub(super) fn routine_timeout_fired(&mut self, ctx: &mut Context<'_>, instance: u64) {
+    /// The staging timeout fired for the instance `offset` above the
+    /// start's id base: abort it unless the last ack raced the timer
+    /// and already resolved the firing.
+    pub(super) fn routine_timeout_fired(&mut self, ctx: &mut Context<'_>, offset: u64) {
+        let instance = self.command_ids.base + offset;
         let engine = self.routines.as_mut();
         let Some(plan) = engine.and_then(|e| e.on_timeout(instance, ctx.now())) else {
             return;
@@ -124,7 +145,7 @@ impl Running {
             instance: plan.instance,
         };
         for actuator in &plan.targets {
-            self.actuators.radio(ctx, *actuator, &abort);
+            self.radio(ctx, *actuator, &abort);
         }
         self.obs.inc("routine.aborted");
         if plan.compensations.is_empty() {
@@ -165,7 +186,7 @@ impl Running {
                     self.obs.inc("routine.recommits");
                     let commit = RadioFrame::CommitRoutine { routine, instance };
                     for actuator in targets {
-                        self.actuators.radio(ctx, actuator, &commit);
+                        self.radio(ctx, actuator, &commit);
                     }
                 }
                 RecoveryAction::AbortStaged(plan) => {

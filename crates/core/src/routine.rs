@@ -118,7 +118,7 @@ impl RoutineSpec {
 #[derive(Debug, Clone)]
 pub struct InstanceRecord {
     /// The process that coordinated the firing. Every coordinator
-    /// numbers its instances from 0, so a firing is `(coordinator,
+    /// numbers its own instances, so a firing is `(coordinator,
     /// instance)`.
     pub coordinator: ProcessId,
     /// The firing instance.
@@ -286,7 +286,6 @@ pub struct RoutineEngine {
     /// Each deployed routine with its probe.
     routines: HashMap<RoutineId, (Arc<RoutineSpec>, Arc<RoutineProbe>)>,
     chain: LedgerChain,
-    next_instance: u64,
     inflight: HashMap<u64, Inflight>,
 }
 
@@ -306,7 +305,6 @@ impl RoutineEngine {
                 .map(|(s, p)| (s.id, (Arc::clone(s), Arc::clone(p))))
                 .collect(),
             chain: LedgerChain::seeded(seed),
-            next_instance: 0,
             inflight: HashMap::new(),
         }
     }
@@ -330,12 +328,15 @@ impl RoutineEngine {
         }
     }
 
-    /// Stages a new firing of `routine`. `make_command` mints one
-    /// command per step (the caller owns command-id sequencing).
+    /// Stages firing `instance` of `routine`. The caller numbers the
+    /// instances, as it mints the command `make_command` makes per step:
+    /// an actuator keeps what each `(coordinator, routine, instance)` did,
+    /// so an instance must not come back, across restarts either.
     /// Returns `None` for unknown routines or empty specs.
     pub fn trigger(
         &mut self,
         routine: RoutineId,
+        instance: u64,
         at: Time,
         mut make_command: impl FnMut(ActuatorId, CommandKind) -> Command,
     ) -> Option<StagePlan> {
@@ -343,8 +344,6 @@ impl RoutineEngine {
         if spec.steps.is_empty() {
             return None;
         }
-        let instance = self.next_instance;
-        self.next_instance += 1;
         let commands: Vec<(u32, ActuatorId, Command)> = spec
             .steps
             .iter()
@@ -453,13 +452,12 @@ impl RoutineEngine {
 
     /// Adopts a recovered ledger (chain order, from
     /// [`rivulet_storage::Recovered::ledger`]): resumes the chain head
-    /// and instance numbering, and classifies every unresolved
-    /// instance. Crash-interrupted stagings produce fresh `Aborted`
-    /// entries (append them to the WAL before sending their frames).
+    /// and classifies every unresolved instance. Crash-interrupted
+    /// stagings produce fresh `Aborted` entries (append them to the WAL
+    /// before sending their frames).
     pub fn recover(&mut self, entries: &[LedgerEntry], at: Time) -> Vec<RecoveryAction> {
         if let Some(last) = entries.last() {
             self.chain = LedgerChain::from_head(last.hash);
-            self.next_instance = entries.iter().map(|e| e.instance + 1).max().unwrap_or(0);
         }
         // Last transition per (routine, instance), in first-seen order.
         type LastState = (RoutineTransition, Vec<(ActuatorId, CommandId)>);
@@ -622,7 +620,7 @@ mod tests {
     fn full_commit_cycle_chains_and_verifies() {
         let (mut eng, probe) = engine();
         let plan = eng
-            .trigger(RoutineId(1), Time::from_secs(1), minter())
+            .trigger(RoutineId(1), 0, Time::from_secs(1), minter())
             .expect("staged");
         assert_eq!(plan.stages.len(), 2);
         assert!(matches!(
@@ -648,7 +646,7 @@ mod tests {
     fn refused_stage_aborts_with_compensation() {
         let (mut eng, probe) = engine();
         let plan = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 0, Time::ZERO, minter())
             .expect("staged");
         let AckOutcome::Abort(abort) =
             eng.on_stage_ack(RoutineId(1), plan.instance, 1, false, Time::ZERO)
@@ -673,7 +671,7 @@ mod tests {
     fn timeout_aborts_once() {
         let (mut eng, _) = engine();
         let plan = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 0, Time::ZERO, minter())
             .expect("staged");
         assert!(eng.on_timeout(plan.instance, Time::from_secs(2)).is_some());
         assert!(
@@ -693,7 +691,7 @@ mod tests {
         // Instance 0 commits; instance 1 is left staged (simulated
         // crash before acks).
         let p0 = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 0, Time::ZERO, minter())
             .expect("staged");
         let _ = eng.on_stage_ack(RoutineId(1), p0.instance, 0, true, Time::ZERO);
         let AckOutcome::Commit {
@@ -703,7 +701,7 @@ mod tests {
             panic!("expected commit after last ack");
         };
         let p1 = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 1, Time::ZERO, minter())
             .expect("staged");
         let entries = vec![p0.entry, committed, p1.entry];
 
@@ -725,40 +723,42 @@ mod tests {
         let chain = [entries.as_slice(), std::slice::from_ref(&abort.entry)].concat();
         let trail = LedgerVerifier::verify(7, &chain).expect("chain intact");
         assert_eq!(trail.len(), entries.len() + 1);
-        // Instance numbering resumes beyond everything recovered.
-        let next = recovered
-            .trigger(RoutineId(1), Time::from_secs(6), minter())
-            .expect("staged");
-        assert_eq!(next.instance, 2);
     }
 
     #[test]
     fn unknown_routine_does_not_stage() {
         let (mut eng, _) = engine();
-        assert!(eng.trigger(RoutineId(99), Time::ZERO, minter()).is_none());
-        // Nothing was chained: the next firing is instance 0 and links
-        // to the genesis hash.
+        assert!(eng
+            .trigger(RoutineId(99), 0, Time::ZERO, minter())
+            .is_none());
+        // Nothing was chained: the next firing links to the genesis
+        // hash.
         let plan = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 0, Time::ZERO, minter())
             .expect("staged");
-        assert_eq!(plan.instance, 0);
         LedgerVerifier::verify(7, &[plan.entry]).expect("chain starts at genesis");
     }
 
     #[test]
     fn a_transition_updates_only_its_own_coordinators_record() {
-        // Every engine numbers its firings from 0 and all share the
-        // routine's probe: after a failover, the new coordinator's
-        // commit of its instance 0 must leave the old one's alone.
+        // Every engine numbers its first start's firings from 0 and all
+        // share the routine's probe: after a failover, the new
+        // coordinator's commit of its instance 0 must leave the old
+        // one's alone.
         let probe = RoutineProbe::new();
         let routines = [(Arc::new(spec()), Arc::clone(&probe))];
         let mut old = RoutineEngine::new(ProcessId(0), 7, &routines);
         let mut new = RoutineEngine::new(ProcessId(1), 7, &routines);
         let staged = old
-            .trigger(RoutineId(1), Time::ZERO, minter_for(ProcessId(0)))
+            .trigger(RoutineId(1), 0, Time::ZERO, minter_for(ProcessId(0)))
             .expect("staged");
         let plan = new
-            .trigger(RoutineId(1), Time::from_secs(3), minter_for(ProcessId(1)))
+            .trigger(
+                RoutineId(1),
+                0,
+                Time::from_secs(3),
+                minter_for(ProcessId(1)),
+            )
             .expect("staged");
         assert_eq!((staged.instance, plan.instance), (0, 0));
         for step in 0..2 {
@@ -782,7 +782,7 @@ mod tests {
     fn probe_instances_track_final_state() {
         let (mut eng, probe) = engine();
         let plan = eng
-            .trigger(RoutineId(1), Time::ZERO, minter())
+            .trigger(RoutineId(1), 0, Time::ZERO, minter())
             .expect("staged");
         let _ = eng.on_stage_ack(RoutineId(1), plan.instance, 0, true, Time::ZERO);
         let _ = eng.on_stage_ack(RoutineId(1), plan.instance, 1, true, Time::ZERO);

@@ -136,8 +136,9 @@ impl EventStore {
     }
 
     /// Iterates `(sensor, watermark)` pairs ascending by sensor: each
-    /// sensor's highest stored sequence number, the Bayou-style
-    /// watermark exchanged during successor sync.
+    /// sensor's highest stored sequence number. A process recovered
+    /// from its log starts its received marks — the summary successor
+    /// sync and cumulative acks read — from these.
     pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
         self.sensors
             .iter()

@@ -418,6 +418,37 @@ fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
     assert_eq!(held, Some(8), "host 4 was repaired");
 }
 
+/// Guards the origin's `rbcast.track` entry: it alone repairs a ring
+/// whose first forward is lost on a live link while no view changes.
+/// The link from the origin, host 1, to its successor, host 2, is cut
+/// for one second around event 1 — shorter than the failure timeout, so
+/// no view changes and no successor sync runs. The express copy reaches
+/// the app at host 0 and closes the ring there, so no stall test ever
+/// runs; hosts 2–4 get the event when the tracked entry outlives the
+/// failure timeout and floods. (Sparse emissions, for the reason the
+/// dead-relay test above gives.)
+#[test]
+fn a_first_forward_lost_on_a_live_link_is_repaired_by_the_origins_flood() {
+    let mut s = ring_home(35, common::script(&[1000, 3000]), &[1]);
+    let (origin, successor) = (s.home.actor_of(s.pids[1]), s.home.actor_of(s.pids[2]));
+    s.net.partition_at(
+        Time::from_millis(2_500),
+        vec![vec![origin], vec![successor]],
+    );
+    s.net.heal_at(Time::from_millis(3_500));
+    s.net.run_until(Time::from_secs(10));
+
+    assert_eq!(common::delivered_seqs(&s.probe), vec![0, 1], "exactly once");
+    let promotions = s.probe.transitions().iter().filter(|t| t.2).count();
+    assert_eq!(promotions, 1, "the cut is too short to move the app");
+    let samples = s.store_probe.samples();
+    for pid in &s.pids {
+        let of_pid = samples.iter().filter(|(_, p, _)| p == pid);
+        let held = of_pid.map(|(_, _, len)| *len).next_back();
+        assert_eq!(held, Some(2), "{pid}'s store");
+    }
+}
+
 /// Guards the self-closing rule's condition (DESIGN §4.1): a last hop
 /// closes the ring only when `S = V`. The link host 1 ↔ host 2 is cut
 /// for good; once both views have dropped the other end, host 1's

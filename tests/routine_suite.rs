@@ -23,16 +23,19 @@
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
-use rivulet::core::{RivuletConfig, RoutineSpec};
+use rivulet::core::{InstanceRecord, RivuletConfig, RoutineProbe, RoutineSpec};
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
+use rivulet::devices::{ActuatorProbe, FaultKind, FaultPlan, FaultSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::storage::{LedgerVerifier, RoutineTransition};
 use rivulet::types::{
-    ActuationState, AppId, CommandKind, Duration, EventKind, ProcessId, RoutineId, Time,
+    ActuationState, ActuatorId, AppId, CommandId, CommandKind, Duration, EventKind, ProcessId,
+    RoutineId, Time,
 };
 use rivulet_bench::routine::{
     corruption_exactness, run_routine_scenario, RoutineScenario, CRASH_BASE, CRASH_OFFSETS_MS,
 };
+use std::sync::Arc;
 
 /// One delivery as `(at, by, seq)` — bit-comparable.
 type TraceEntry = (Time, ProcessId, u64);
@@ -217,19 +220,27 @@ fn routines_under_crash_are_reproducible() {
     assert_eq!(a.obs.to_json(), b.obs.to_json(), "obs JSON is byte-stable");
 }
 
-/// Every coordinator numbers its routine instances from 0, so a
-/// failover coordinator's instance 0 must not meet its predecessor's
-/// at the actuators. Hosts 0 and 1 both adapt the routine's two
-/// actuators; host 0 coordinates until it crashes at 12 s, host 1 takes
-/// over, and every instance host 1's probe shows committed must have
-/// fired all of its steps.
-#[test]
-fn a_failover_coordinator_fires_every_instance_it_commits() {
+/// The home of the coordinator-change tests below: three hosts, a
+/// motion sensor every second, and an app on host 0 that runs routine
+/// 1 — lights off, lock on — on every fifth reading. Routines on,
+/// nothing durable, failure timeout 2 s, seed 11. The lights are
+/// adapted by `lights_by`, the lock by hosts 0 and 1.
+struct RoutineHome {
+    net: SimNet,
+    home: Home,
+    hosts: Vec<ProcessId>,
+    routine: Arc<RoutineProbe>,
+    actuators: [Arc<ActuatorProbe>; 2],
+}
+
+fn routine_home(lights_by: &[usize], faults: FaultPlan) -> RoutineHome {
     let mut net = SimNet::new(SimConfig::with_seed(11));
     let config = RivuletConfig::default()
         .with_routines(true)
         .with_failure_timeout(Duration::from_secs(2));
-    let mut home = HomeBuilder::new(&mut net).with_config(config);
+    let mut home = HomeBuilder::new(&mut net)
+        .with_config(config)
+        .with_faults(faults);
     let hosts: Vec<ProcessId> = (0..3).map(|i| home.add_host(format!("host{i}"))).collect();
     let (sensor, _) = home.add_push_sensor(
         "motion",
@@ -237,10 +248,11 @@ fn a_failover_coordinator_fires_every_instance_it_commits() {
         EmissionSchedule::Periodic(Duration::from_secs(1)),
         &hosts,
     );
-    let adapters = [hosts[0], hosts[1]];
+    let lights_by: Vec<ProcessId> = lights_by.iter().map(|i| hosts[*i]).collect();
     let (lights, lights_probe) =
-        home.add_actuator("lights", ActuationState::Switch(true), &adapters);
-    let (lock, lock_probe) = home.add_actuator("lock", ActuationState::Switch(false), &adapters);
+        home.add_actuator("lights", ActuationState::Switch(true), &lights_by);
+    let lock_by = [hosts[0], hosts[1]];
+    let (lock, lock_probe) = home.add_actuator("lock", ActuationState::Switch(false), &lock_by);
     let routine = home.add_routine(
         RoutineSpec::new(RoutineId(1), "leaving-home")
             .step(lights, CommandKind::Set(ActuationState::Switch(false)))
@@ -263,24 +275,66 @@ fn a_failover_coordinator_fires_every_instance_it_commits() {
         .expect("valid app");
     let _ = home.add_app(app);
     let home = home.build();
-    net.crash_at(home.actor_of(hosts[0]), Time::from_secs(12));
-    net.run_until(Time::from_secs(40));
+    RoutineHome {
+        net,
+        home,
+        hosts,
+        routine,
+        actuators: [lights_probe, lock_probe],
+    }
+}
 
-    let applied: Vec<_> = [&lights_probe, &lock_probe]
-        .iter()
-        .flat_map(|p| p.effects().into_iter().map(|(_, id, _)| id))
-        .collect();
-    let instances = routine.instances();
+impl RoutineHome {
+    /// The ids of every command an actuator applied.
+    fn applied(&self) -> Vec<CommandId> {
+        let effects = self.actuators.iter().flat_map(|p| p.effects());
+        effects.map(|(_, id, _)| id).collect()
+    }
+
+    /// Host 0 is down from 12 s to 20 s; the lights are adapted by
+    /// host 0 only, so no other host can coordinate the routine, and
+    /// host 0 coordinates again once it is back. Runs to 40 s and
+    /// returns the instances staged after the restart.
+    fn restart_host_0(&mut self) -> Vec<InstanceRecord> {
+        let host_0 = self.home.actor_of(self.hosts[0]);
+        self.net.crash_at(host_0, Time::from_secs(12));
+        self.net.recover_at(host_0, Time::from_secs(20));
+        self.net.run_until(Time::from_secs(20));
+        let before = self.routine.instances().len();
+        assert!(before >= 2, "host 0 staged {before} instances first");
+        self.net.run_until(Time::from_secs(40));
+        let after = self.routine.instances().split_off(before);
+        assert!(after.len() >= 2, "host 0 staged {} after", after.len());
+        assert!(after.iter().all(|r| r.coordinator == self.hosts[0]));
+        after
+    }
+}
+
+/// Every coordinator numbers its routine instances from 0 at its first
+/// start, so a failover coordinator's instance 0 must not meet its
+/// predecessor's at the actuators. Hosts 0 and 1 both adapt the
+/// routine's two actuators; host 0 coordinates until it crashes at
+/// 12 s, host 1 takes over, and every instance host 1's probe shows
+/// committed must have fired all of its steps.
+#[test]
+fn a_failover_coordinator_fires_every_instance_it_commits() {
+    let mut s = routine_home(&[0, 1], FaultPlan::new(11));
+    s.net
+        .crash_at(s.home.actor_of(s.hosts[0]), Time::from_secs(12));
+    s.net.run_until(Time::from_secs(40));
+
+    let applied = s.applied();
+    let instances = s.routine.instances();
     let committed_by = |host: ProcessId| {
         let by_host = instances.iter().filter(move |r| r.coordinator == host);
         by_host.filter(|r| r.state == RoutineTransition::Committed)
     };
     assert!(
-        committed_by(hosts[0]).count() >= 2,
+        committed_by(s.hosts[0]).count() >= 2,
         "host 0 committed first"
     );
-    assert!(committed_by(hosts[1]).count() >= 4, "host 1 took over");
-    for record in committed_by(hosts[1]) {
+    assert!(committed_by(s.hosts[1]).count() >= 4, "host 1 took over");
+    for record in committed_by(s.hosts[1]) {
         let missing: Vec<_> = record
             .commands
             .iter()
@@ -292,6 +346,48 @@ fn a_failover_coordinator_fires_every_instance_it_commits() {
             record.instance
         );
     }
+}
+
+/// A volatile coordinator that restarts numbers its instances above
+/// every instance it numbered before, as it does its command ids: the
+/// actuators still hold the earlier instances as committed, and an
+/// instance that came back would never fire.
+#[test]
+fn a_restarted_coordinator_fires_every_instance_it_stages() {
+    let mut s = routine_home(&[0], FaultPlan::new(11));
+    let after = s.restart_host_0();
+    let applied = s.applied();
+    for record in &after {
+        let fired = record.commands.iter().all(|(_, id)| applied.contains(id));
+        assert!(
+            record.state == RoutineTransition::Committed && fired,
+            "instance {} staged after the restart reads {:?}, fired = {fired}",
+            record.instance,
+            record.state
+        );
+    }
+}
+
+/// A restarted coordinator's staging timer finds its instance although
+/// the instance no longer fits the timer token's 32 bits: the lights
+/// drop every stage frame, and every instance staged after the restart
+/// times out and aborts.
+#[test]
+fn a_restarted_coordinators_staging_times_out_and_aborts() {
+    let lights_deaf =
+        FaultPlan::new(11).actuator(ActuatorId(0), FaultSpec::new(FaultKind::Missed, 1.0));
+    let mut s = routine_home(&[0], lights_deaf);
+    let after = s.restart_host_0();
+    assert!(after.iter().any(|r| r.instance > u64::from(u32::MAX)));
+    for record in &after {
+        assert_eq!(
+            record.state,
+            RoutineTransition::Aborted,
+            "instance {} staged after the restart",
+            record.instance
+        );
+    }
+    assert!(s.applied().is_empty(), "nothing fired");
 }
 
 /// A coordinator recovered from its log mints step and compensation

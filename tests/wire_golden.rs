@@ -106,19 +106,6 @@ fn every_process_message_keeps_its_bytes() {
             "040307020203000000c0843d00",
         ),
         (
-            "SyncRequest",
-            ProcMsg::SyncRequest { from: ProcessId(1) },
-            "0501",
-        ),
-        (
-            "SyncReply",
-            ProcMsg::SyncReply {
-                from: ProcessId(3),
-                watermarks: vec![(SensorId(0), 5), (SensorId(9), 200)],
-            },
-            "060302000509c801",
-        ),
-        (
             "SyncEvents",
             ProcMsg::SyncEvents {
                 events: vec![event(1, Payload::Empty), event(2, Payload::Scalar(-1.0))],
