@@ -44,7 +44,10 @@ const POLICIES: [(&str, FlushPolicy); 3] = [
 /// simulated disk and the p99 latency an appender observes.
 fn virtual_time_report() {
     const N: u64 = 10_000;
-    println!("wal flush policy comparison over {N} appends (virtual disk time):");
+    let fsync = SimBackend::new(1).sync_cost();
+    println!(
+        "wal flush policy comparison over {N} appends (virtual disk time, {fsync} per fsync):"
+    );
     for (name, policy) in POLICIES {
         let (mut wal, backend) = wal_with(policy);
         let mut latencies: Vec<Duration> = Vec::with_capacity(N as usize);

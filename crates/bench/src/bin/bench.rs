@@ -1,8 +1,10 @@
-//! Gate-table runner: regenerates the two committed correctness tables.
+//! Gate-table runner: regenerates the two committed correctness tables
+//! and prints the group-commit curve.
 //!
 //! ```text
 //! cargo run --release -p rivulet-bench --bin bench -- \
-//!     [--fault-table [--fault-out PATH]] [--routine-table [--routine-out PATH]]
+//!     [--fault-table [--fault-out PATH]] [--routine-table [--routine-out PATH]] \
+//!     [--group-commit-table]
 //! ```
 //!
 //! `--fault-table` runs the correctness-vs-fault-rate sweep, asserts
@@ -10,10 +12,14 @@
 //! `BENCH_fault.json`. `--routine-table` runs the routines-under-crash
 //! sweep and writes `BENCH_routines.json`; its gates are
 //! `tests/routine_suite.rs` and the byte comparison against the
-//! committed file. Throughput, latency and bytes per event are the
-//! `perf/` harness's job.
+//! committed file. `--group-commit-table` prints deliver latency and
+//! fsyncs per event for each WAL flush policy on one durable home
+//! (EXPERIMENTS.md, "A disk that takes time"). Throughput, latency and
+//! bytes per event of the gated workloads are the `perf/` harness's
+//! job.
 
 use rivulet_bench::fault::{correctness_table, render_json, render_table};
+use rivulet_bench::group_commit;
 use rivulet_bench::routine::{
     corruption_exactness, render_json as routine_json, render_table as routine_md, routines_table,
     CRASH_OFFSETS_MS,
@@ -78,10 +84,11 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| default.to_owned())
     };
-    if !flag("--fault-table") && !flag("--routine-table") {
+    let modes = ["--fault-table", "--routine-table", "--group-commit-table"];
+    if !modes.iter().any(|m| flag(m)) {
         eprintln!(
             "usage: bench [--fault-table [--fault-out PATH]] \
-             [--routine-table [--routine-out PATH]]"
+             [--routine-table [--routine-out PATH]] [--group-commit-table]"
         );
         std::process::exit(2);
     }
@@ -90,5 +97,9 @@ fn main() {
     }
     if flag("--routine-table") {
         routine_table(&path("--routine-out", "BENCH_routines.json"));
+    }
+    if flag("--group-commit-table") {
+        let rows = group_commit::curve(Duration::from_secs(30), 42);
+        print!("{}", group_commit::render_table(&rows));
     }
 }

@@ -17,6 +17,7 @@
 //! | [`tables`] | Tables 1 and 3 — app and sensor surveys |
 //! | [`fault`] | correctness vs device-fault rate, repair off/on (`BENCH_fault.json`) |
 //! | [`routine`] | routines under injected crashes + ledger audit (`BENCH_routines.json`) |
+//! | [`group_commit`] | deliver latency and fsyncs per event per WAL flush policy (EXPERIMENTS.md) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +31,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
+pub mod group_commit;
 pub mod routine;
 pub mod tables;

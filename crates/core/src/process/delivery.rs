@@ -52,7 +52,7 @@ impl Running {
                     let view = self.membership.view(now);
                     self.actions.push(deliver);
                     self.actions.extend(self.rbcast.start(event, view, now));
-                    self.admit(ctx);
+                    self.admit(ctx, true);
                 }
             }
             Delivery::Gapless => {
@@ -89,7 +89,7 @@ impl Running {
                     // survivor ever observes the stall condition.
                     self.rbcast.track(tracked, view, now);
                 }
-                self.admit(ctx);
+                self.admit(ctx, true);
             }
             Delivery::Gap => {
                 // The Gap chain follows the placement chain of the
@@ -117,7 +117,7 @@ impl Running {
         // Broadcasting advertises possession: gate it like any other
         // delivery action (the event itself was appended when it was
         // first stored, so this queues behind that flush).
-        self.admit(ctx);
+        self.admit(ctx, false);
     }
 
     /// A message arrived from a peer process.
@@ -141,7 +141,7 @@ impl Running {
         // Gate first, relay second: a transparent gate applies the
         // delivery at once, so a volatile home keeps the send order it
         // has always had.
-        self.admit(ctx);
+        self.admit(ctx, false);
         if let Some(relay) = outcome.relay {
             self.send_action(relay);
         }
@@ -209,13 +209,13 @@ impl Running {
                 // replica holds the event.
                 self.actions.extend(deliver);
                 self.actions.extend(relay);
-                self.admit(ctx);
+                self.admit(ctx, false);
             }
             ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
             ProcMsg::SyncEvents { mut events } => {
                 events.retain(|e| self.sensor_subscribed(e.id.sensor));
                 self.gapless.on_sync_events(events, &mut self.actions);
-                self.admit(ctx);
+                self.admit(ctx, false);
             }
             ProcMsg::CmdForward { command } => {
                 let actuator = command.actuator;
@@ -225,10 +225,17 @@ impl Running {
     }
 
     /// Passes the buffered delivery-service actions through the
-    /// durability gate and applies whatever it releases.
-    fn admit(&mut self, ctx: &mut Context<'_>) {
+    /// durability gate and applies whatever it releases. Their appends
+    /// start a flush at once when the actions are this process's
+    /// `ingested` sensor event or deliver to an app running here.
+    fn admit(&mut self, ctx: &mut Context<'_>, ingested: bool) {
         let actions = std::mem::take(&mut self.actions);
-        let released = self.gate.admit(ctx.now(), actions);
+        let (sensors, apps) = (&self.sensors, &self.apps);
+        let local = |sensor| {
+            let subscribers = sensors.get(&sensor).map(|rt| &rt.subscribed_apps);
+            subscribers.is_some_and(|idx| idx.iter().any(|&a| apps[a].runtime.is_some()))
+        };
+        let released = self.gate.admit_awaited(ctx.now(), actions, ingested, local);
         self.apply_actions(ctx, released);
     }
 

@@ -68,6 +68,7 @@ use outbox::Outbox;
 const TOKEN_TICK: u64 = 1;
 const TOKEN_FLUSH: u64 = 2;
 const TOKEN_CHECKPOINT: u64 = 3;
+const TOKEN_SYNC: u64 = 4;
 const KIND_EPOCH: u64 = 2;
 const KIND_SLOT: u64 = 3;
 const KIND_REPOLL: u64 = 4;
@@ -609,6 +610,11 @@ impl Running {
                     ctx.set_timer(period, TOKEN_FLUSH);
                 }
             }
+            (0, TOKEN_SYNC) => {
+                let spare = std::mem::take(&mut self.actions);
+                let released = self.gate.on_sync(ctx.now(), spare);
+                self.apply_actions(ctx, released);
+            }
             (0, TOKEN_CHECKPOINT) => {
                 let spare = std::mem::take(&mut self.actions);
                 let released = self.gate.checkpoint(ctx.now(), &self.processed, spare);
@@ -643,7 +649,12 @@ impl Actor for RivuletProcess {
             ActorEvent::Timer { token } => run.on_timer(ctx, token),
         }
         // Everything queued during this activation goes out now, with
-        // same-destination messages coalesced into frames.
+        // same-destination messages coalesced into frames. A flush the
+        // activation started reaches the disk with all of its appends,
+        // and gets a completion timer when the gate asks for one.
         run.flush_outbox(ctx);
+        if let Some(at) = run.gate.end_turn() {
+            ctx.set_timer(at.duration_since(ctx.now()), TOKEN_SYNC);
+        }
     }
 }

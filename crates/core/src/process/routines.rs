@@ -61,7 +61,7 @@ impl Running {
         // Write-ahead: the Staged entry is durable before any stage
         // frame leaves, so a crash mid-staging recovers to a clean
         // abort instead of orphaned held commands.
-        self.gate.append_ledger(&plan.entry);
+        self.gate.append_ledger(now, &plan.entry);
         self.obs.inc("routine.triggered");
         for (actuator, step, command) in plan.stages {
             let stage = RadioFrame::Stage {
@@ -106,7 +106,7 @@ impl Running {
                 // Write-ahead: the commit decision is durable before
                 // any fire frame leaves; recovery re-drives the
                 // idempotent commit if we crash mid-burst.
-                self.gate.append_ledger(&entry);
+                self.gate.append_ledger(ctx.now(), &entry);
                 let commit = RadioFrame::CommitRoutine { routine, instance };
                 for actuator in targets {
                     self.radio(ctx, actuator, &commit);
@@ -139,7 +139,7 @@ impl Running {
     /// `Compensated` entry *before* they are routed — write-ahead).
     fn abort_routine(&mut self, ctx: &mut Context<'_>, plan: AbortPlan) {
         let now = ctx.now();
-        self.gate.append_ledger(&plan.entry);
+        self.gate.append_ledger(now, &plan.entry);
         let abort = RadioFrame::AbortRoutine {
             routine: plan.routine,
             instance: plan.instance,
@@ -162,7 +162,7 @@ impl Running {
             .collect();
         let issued = commands.iter().map(|c| (c.actuator, c.id)).collect();
         let entry = engine.record_compensated(plan.routine, plan.instance, now, issued);
-        self.gate.append_ledger(&entry);
+        self.gate.append_ledger(now, &entry);
         for command in commands {
             self.route_command(ctx, command);
         }

@@ -13,6 +13,8 @@
 use std::error::Error;
 use std::fmt;
 
+use rivulet_types::Duration;
+
 /// Identifier of one log segment. Segments are created with strictly
 /// increasing ids; recovery scans them in ascending order.
 pub type SegmentId = u64;
@@ -71,6 +73,11 @@ pub trait StorageBackend: Send + Sync {
     ///
     /// [`StorageError::MissingSegment`] if `id` does not exist.
     fn sync(&self, id: SegmentId) -> Result<()>;
+
+    /// How long one [`sync`](Self::sync) keeps the disk busy in virtual
+    /// time: the one figure a caller modelling the disk's clock reads.
+    /// Zero for a backend whose `sync` blocks for real.
+    fn sync_cost(&self) -> Duration;
 
     /// Reads the full contents of segment `id`.
     ///

@@ -9,6 +9,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use rivulet_types::Duration;
+
 use crate::backend::{Result, SegmentId, StorageBackend, StorageError};
 
 fn io_err(e: &std::io::Error) -> StorageError {
@@ -82,6 +84,12 @@ impl StorageBackend for FsBackend {
     fn sync(&self, id: SegmentId) -> Result<()> {
         let file = self.open_existing(id, true)?;
         file.sync_data().map_err(|e| io_err(&e))
+    }
+
+    /// `sync_data` returns only once the bytes are on the device, so
+    /// no virtual time is left to wait.
+    fn sync_cost(&self) -> Duration {
+        Duration::ZERO
     }
 
     fn read_segment(&self, id: SegmentId) -> Result<Vec<u8>> {

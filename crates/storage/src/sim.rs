@@ -8,9 +8,12 @@
 //!    tail, exactly the state a process finds on restart after a power
 //!    loss.
 //! 2. **Latency.** Every operation is charged a fixed cost in *virtual
-//!    time*, so benchmarks can compare flush policies (per-event fsync
-//!    vs group commit) without a real disk and with perfect
-//!    reproducibility.
+//!    time* to [`SimBackend::busy`], so benchmarks can compare flush
+//!    policies (per-event fsync vs group commit) without a real disk
+//!    and with perfect reproducibility. The fsync cost is also what a
+//!    home's clock waits for: [`StorageBackend::sync_cost`] hands it to
+//!    the process's durability gate, which releases nothing a flush
+//!    covers until that long after the flush started.
 //!
 //! The fault model is seeded, so a given seed produces the identical
 //! sequence of torn writes and corruptions on every run — the property
@@ -210,6 +213,10 @@ impl StorageBackend for SimBackend {
         Ok(())
     }
 
+    fn sync_cost(&self) -> Duration {
+        FSYNC
+    }
+
     fn read_segment(&self, id: SegmentId) -> Result<Vec<u8>> {
         self.inner
             .lock()
@@ -299,6 +306,16 @@ mod tests {
         be.sync(0).unwrap();
         let after_sync = be.busy();
         assert!(after_sync - after_append > after_append - Duration::ZERO);
+    }
+
+    #[test]
+    fn sync_cost_is_what_busy_charges_per_sync() {
+        let be = SimBackend::new(0);
+        be.create_segment(0).unwrap();
+        be.sync(0).unwrap();
+        assert_eq!(be.busy(), be.sync_cost());
+        be.sync(0).unwrap();
+        assert_eq!(be.busy(), be.sync_cost() + be.sync_cost());
     }
 
     #[test]

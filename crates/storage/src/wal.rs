@@ -13,6 +13,9 @@
 //! trade-off: `EveryN(1)` pays one fsync per event (lowest loss window,
 //! lowest throughput), a larger `EveryN` amortizes the fsync over a
 //! batch, and `EveryInterval` leaves flushing to a caller-armed timer.
+//! A caller that keeps its own disk clock (the process runtime's
+//! durability gate) buffers with [`Wal::buffer_event`] and decides
+//! every flush itself.
 //!
 //! # Recovery
 //!
@@ -31,7 +34,7 @@
 //! [`Wal::compact`]. Compaction only removes a contiguous prefix, so
 //! the log on disk always remains a suffix of the logical log.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rivulet_obs::Recorder;
@@ -46,14 +49,23 @@ use crate::record::{
 };
 
 /// When buffered frames are pushed to the backend and fsynced.
+///
+/// In a running home the process's durability gate reads the policy
+/// for its *release* points: when actions waiting on a flush may leave.
+/// It is not the only commit clock there: an append an action waits on
+/// (an ingest, or a delivery to an app running on the process) starts a
+/// flush at once when the disk is idle, whatever the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush once `n` events are buffered (`EveryN(1)`: after every
     /// event). The owner should still flush on a timer or tick so a
-    /// quiet period cannot strand a partial batch.
+    /// quiet period cannot strand a partial batch. A gate releases what
+    /// a flush covers when that flush completes.
     EveryN(usize),
     /// Never flush from [`Wal::append_event`]; the owner arms a timer
-    /// with this period and calls [`Wal::flush`] when it fires.
+    /// with this period and calls [`Wal::flush`] when it fires. A gate
+    /// releases on this beat whatever is durable by then, so the
+    /// process's sends leave together, one frame per peer.
     EveryInterval(Duration),
 }
 
@@ -91,11 +103,36 @@ pub struct Recovered {
     pub dropped_bytes: usize,
 }
 
+/// Highest sequence per sensor, kept sorted by sensor. A home has a
+/// handful of sensors, so a search of a short vector beats hashing, and
+/// raising or merging marks allocates only for a sensor not seen
+/// before.
+#[derive(Debug, Default, Clone)]
+struct SeqMarks(Vec<(SensorId, u64)>);
+
+impl SeqMarks {
+    /// Raises `sensor`'s mark to `seq`; marks never move back.
+    fn raise(&mut self, sensor: SensorId, seq: u64) {
+        match self.0.binary_search_by_key(&sensor, |(s, _)| *s) {
+            Ok(i) => self.0[i].1 = self.0[i].1.max(seq),
+            Err(i) => self.0.insert(i, (sensor, seq)),
+        }
+    }
+
+    /// Raises every mark of `self` to `other`'s and empties `other`,
+    /// keeping its capacity.
+    fn drain_into(&mut self, other: &mut SeqMarks) {
+        for (sensor, seq) in other.0.drain(..) {
+            self.raise(sensor, seq);
+        }
+    }
+}
+
 /// Per-segment summary used to decide compaction eligibility.
 #[derive(Debug, Default, Clone)]
 struct SegmentIndex {
     /// Highest event sequence per sensor flushed into the segment.
-    max_seq: HashMap<SensorId, u64>,
+    max_seq: SeqMarks,
     /// Whether the segment holds ledger entries. Such segments are
     /// never compacted: the hash chain must survive in full so a
     /// recovered node can re-verify it from the genesis hash.
@@ -149,8 +186,7 @@ impl Wal {
                     Ok((record, used)) => {
                         match record {
                             WalRecord::Event(event) => {
-                                let slot = entry.max_seq.entry(event.id.sensor).or_insert(0);
-                                *slot = (*slot).max(event.id.seq);
+                                entry.max_seq.raise(event.id.sensor, event.id.seq);
                                 recovered.events.push(event);
                             }
                             WalRecord::Checkpoint(cp) => {
@@ -229,15 +265,7 @@ impl Wal {
     ///
     /// Propagates backend failures from an implied flush.
     pub fn append_event(&mut self, event: &Event) -> Result<bool> {
-        write_event_frame(&mut self.pending, event);
-        self.pending_events += 1;
-        let slot = self
-            .pending_index
-            .max_seq
-            .entry(event.id.sensor)
-            .or_insert(0);
-        *slot = (*slot).max(event.id.seq);
-        self.obs.inc("wal.appends");
+        self.buffer_event(event);
         let should_flush = match self.options.flush_policy {
             FlushPolicy::EveryN(n) => self.pending_events >= n.max(1),
             FlushPolicy::EveryInterval(_) => false,
@@ -246,6 +274,17 @@ impl Wal {
             self.flush()?;
         }
         Ok(should_flush)
+    }
+
+    /// Buffers `event` for the next flush and never flushes: the caller
+    /// owns the flush policy. Not durable until [`Wal::flush`].
+    pub fn buffer_event(&mut self, event: &Event) {
+        write_event_frame(&mut self.pending, event);
+        self.pending_events += 1;
+        self.pending_index
+            .max_seq
+            .raise(event.id.sensor, event.id.seq);
+        self.obs.inc("wal.appends");
     }
 
     /// Appends a checkpoint and flushes immediately: a checkpoint is
@@ -307,10 +346,9 @@ impl Wal {
         self.obs
             .observe("wal.flush_bytes", self.pending.len() as u64);
         let tail_index = self.index.entry(self.tail).or_default();
-        for (sensor, seq) in self.pending_index.max_seq.drain() {
-            let slot = tail_index.max_seq.entry(sensor).or_insert(0);
-            *slot = (*slot).max(seq);
-        }
+        tail_index
+            .max_seq
+            .drain_into(&mut self.pending_index.max_seq);
         tail_index.has_ledger |= self.pending_index.has_ledger;
         self.pending_index.has_ledger = false;
         self.pending.clear();
@@ -345,8 +383,9 @@ impl Wal {
             }
             let covered = self.index[&seg]
                 .max_seq
+                .0
                 .iter()
-                .all(|(sensor, &max)| processed.get(sensor).is_some_and(|&p| p >= max));
+                .all(|(sensor, max)| processed.get(sensor).is_some_and(|p| p >= max));
             if !covered {
                 break;
             }

@@ -431,6 +431,11 @@ fn a_gapless_relay_hop_does_not_allocate() {
         });
         let per_hop = per_frame / RINGS_PER_FRAME as f64;
         let hops = RINGS_PER_FRAME * (2 * WARM_UP + COUNTED);
+        // The last flush started at the last frame's instant; the next
+        // beat, once its sync has completed, releases what it covered.
+        let end = Time::from_millis(2 * WARM_UP + COUNTED);
+        let released = relay.gate.flush(end, std::mem::take(&mut relay.actions));
+        relay.apply(released);
         assert_eq!((relay.delivered, relay.relayed), (hops, hops), "{home}");
         assert!(
             per_hop <= 0.05,

@@ -9,11 +9,13 @@ use common::{delivered_seqs, deploy, peer_msgs, script, wal_options, Setup};
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::HomeBuilder;
-use rivulet::core::messages::ProcMsg;
+use rivulet::core::messages::{Frame, ProcMsg};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
+use rivulet::net::link::LinkConfig;
 use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal};
+use rivulet::types::wire::Wire;
 use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, Time};
 use std::sync::Arc;
 
@@ -218,13 +220,16 @@ fn seqs_on_disk(backend: &Arc<SimBackend>) -> Vec<u64> {
 }
 
 /// Shape of the durable ring path, in virtual time: the ingest process
-/// holds an event for its own flush and the app's host holds the
-/// delivery for its own, but the relays in between pass it on at ring
-/// speed, so the median costs under two ticks on top of the volatile
-/// path. (When every hop withheld its forward, the same home measured
-/// more than four.)
+/// holds an event's first forward for its flush tick, the relays in
+/// between pass it on at ring speed, and the app's host, where the app
+/// waits on the append, flushes at once and delivers one fsync later.
+/// So the median costs one tick's phase (about half a tick) on top of
+/// the volatile path, never a whole tick. When the app's host also
+/// waited for its own tick, the same home measured more than one tick
+/// (two flush waits); when every hop withheld its forward, more than
+/// four.
 #[test]
-fn durable_ring_delivery_costs_two_flush_waits_not_one_per_hop() {
+fn durable_ring_delivery_costs_one_flush_wait_and_one_fsync() {
     let median_delay = |policy| {
         // 97 ms against a 250 ms tick: emissions sweep every phase.
         let schedule = EmissionSchedule::Periodic(Duration::from_millis(97));
@@ -239,18 +244,20 @@ fn durable_ring_delivery_costs_two_flush_waits_not_one_per_hop() {
     let durable = median_delay(Some(FlushPolicy::EveryInterval(TICK)));
     assert!(volatile < Duration::from_millis(25), "ring path {volatile}");
     assert!(
-        durable < TICK + TICK + volatile,
-        "median {durable} on a {volatile} ring path: a relay waited for its flush"
+        durable < TICK,
+        "median {durable} on a {volatile} ring path: the app's host waited for its tick"
     );
     assert!(
-        durable > TICK,
-        "median {durable}: something skipped its flush"
+        durable > volatile + TICK.mul_f64(0.25),
+        "median {durable} on a {volatile} ring path: the origin skipped its tick"
     );
 }
 
 /// The ingest process is the one place an event waits before it first
-/// goes on the wire: losing power there between ingest and flush loses
-/// the event everywhere, so nobody ever held a copy no disk backed.
+/// goes on the wire: losing power there between ingest and the tick
+/// that would release its forward loses the event everywhere else, so
+/// nobody ever held a copy no disk backed. The origin's own disk holds
+/// it: its flush started at ingest, because the forward waits on it.
 #[test]
 fn an_event_lost_before_its_origin_flushed_reached_nobody() {
     // Ticks fall at 1500 and 1750 ms; the third event is caught between.
@@ -265,7 +272,8 @@ fn an_event_lost_before_its_origin_flushed_reached_nobody() {
     assert_eq!(s.emissions.emitted(), 3, "the event was emitted, and heard");
     assert_eq!(delivered_seqs(&s.probe), vec![0, 1]);
     for (pid, backend) in s.backends.iter().enumerate() {
-        assert_eq!(seqs_on_disk(backend), vec![0, 1], "process {pid}'s disk");
+        let want: &[u64] = if pid == 1 { &[0, 1, 2] } else { &[0, 1] };
+        assert_eq!(seqs_on_disk(backend), want, "process {pid}'s disk");
     }
 }
 
@@ -309,16 +317,73 @@ fn a_relay_lost_between_forward_and_flush_harms_nobody() {
     assert!(beacons > 0, "the relay's beacons were seen");
 }
 
-/// Under an interval policy the flush timer is the only commit clock.
-/// It fires at multiples of 300 ms here and the keep-alive tick at
-/// multiples of 500 ms: an event admitted at 951 ms is released by the
-/// flush at 1200 ms, not by the tick at 1000 ms.
+/// When the send from process `from` that first carried a ring message
+/// left it: its arrival less the mesh's latency for its bytes.
+fn first_ring_send(s: &Setup, from: usize) -> Time {
+    let actor = s.home.actor_of(s.pids[from]);
+    let heard = s.heard.lock().expect("tap lock");
+    let sent = heard
+        .iter()
+        .filter(|(_, f, _)| *f == actor)
+        .find_map(|(at, _, payload)| {
+            let msgs = if Frame::sniff(payload) {
+                Frame::from_bytes(payload).expect("frame").msgs
+            } else {
+                vec![ProcMsg::from_bytes(payload).expect("message")]
+            };
+            let ring = msgs.iter().any(|m| matches!(m, ProcMsg::Ring { .. }));
+            let latency = LinkConfig::wifi().latency_for(payload.len());
+            ring.then(|| Time::from_micros(at.as_micros() - latency.as_micros()))
+        });
+    sent.expect("a ring message was sent")
+}
+
+/// Under an interval policy the tick is not a commit clock: it fires
+/// at multiples of 500 ms here and the flush timer at multiples of
+/// 300 ms, so the first forward of an event ingested at 951 ms leaves
+/// with the flush at 1200 ms, not with the tick at 1000 ms.
 #[test]
 fn the_keepalive_tick_does_not_flush_an_interval_policy() {
     let policy = FlushPolicy::EveryInterval(Duration::from_millis(300));
     let config = RivuletConfig::default();
-    let mut s = deploy(21, Some(policy), config, script(&[950]), &[0], false);
+    let mut s = deploy(21, Some(policy), config, script(&[950]), &[0], true);
     s.net.run_until(Time::from_secs(2));
-    let released: Vec<Time> = s.probe.deliveries().iter().map(|d| d.at).collect();
-    assert_eq!(released, vec![Time::from_millis(1200)]);
+    assert_eq!(first_ring_send(&s, 0), Time::from_millis(1200));
+}
+
+/// The disk's clock, to the microsecond, on an interval home whose app
+/// host is also the ingest process: the app waits on the append, so its
+/// flush starts at ingest and the delivery leaves one fsync after the
+/// volatile home's, while the first forward waits for the first flush
+/// tick after that fsync, as every send does.
+#[test]
+fn an_app_host_delivers_at_its_fsync_and_forwards_on_the_tick() {
+    let delivered =
+        |s: &Setup| -> Vec<Time> { s.probe.deliveries().iter().map(|d| d.at).collect() };
+    let emission = script(&[560]);
+    let mut volatile = deploy(
+        21,
+        None,
+        RivuletConfig::default(),
+        emission.clone(),
+        &[0],
+        false,
+    );
+    volatile.net.run_until(Time::from_secs(1));
+    let heard = delivered(&volatile);
+    assert_eq!(heard.len(), 1, "emit + radio");
+
+    let policy = FlushPolicy::EveryInterval(TICK);
+    let mut s = deploy(
+        21,
+        Some(policy),
+        RivuletConfig::default(),
+        emission,
+        &[0],
+        true,
+    );
+    s.net.run_until(Time::from_secs(1));
+    let fsync = s.backends[0].sync_cost();
+    assert_eq!(delivered(&s), vec![heard[0] + fsync]);
+    assert_eq!(first_ring_send(&s, 0), Time::from_millis(750));
 }
