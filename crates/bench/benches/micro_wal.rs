@@ -1,9 +1,10 @@
 //! Micro-benchmark of the WAL flush policies: per-event fsync vs
 //! group commit.
 //!
-//! The interesting numbers are in *virtual* disk time (the
-//! deterministic [`SimBackend`] latency model), printed as a table
-//! before the wall-clock loops: appends per virtual second and the p99
+//! The interesting numbers are in *virtual* disk time, printed as a
+//! table before the wall-clock loops: the fsyncs [`SimBackend`] counts,
+//! each taking [`StorageBackend::sync_cost`] (appends land in the page
+//! cache and take none), give appends per virtual second and the p99
 //! virtual append latency. Per-event fsync pays the ~500 µs flush on
 //! every append; group commit amortizes it across the batch, which is
 //! exactly why the runtime defaults to batching with a tick-driven
@@ -51,20 +52,21 @@ fn virtual_time_report() {
     for (name, policy) in POLICIES {
         let (mut wal, backend) = wal_with(policy);
         let mut latencies: Vec<Duration> = Vec::with_capacity(N as usize);
-        let mut prev = Duration::ZERO;
+        let synced = || backend.op_counts().1;
+        let mut prev = synced();
         for seq in 0..N {
             wal.append_event(&ev(seq)).expect("append");
-            let busy = backend.busy();
-            latencies.push(busy - prev);
-            prev = busy;
+            let after = synced();
+            latencies.push(fsync.saturating_mul(after - prev));
+            prev = after;
         }
         wal.flush().expect("drain final batch");
-        let total = backend.busy();
+        let syncs = synced();
+        let total = fsync.saturating_mul(syncs);
         latencies.sort_unstable();
         let p50 = latencies[latencies.len() / 2];
         let p99 = latencies[(latencies.len() * 99) / 100];
         let appends_per_vsec = N as f64 * 1e6 / total.as_micros() as f64;
-        let (_, syncs, _) = backend.op_counts();
         println!(
             "  {name:>9}: {appends_per_vsec:>10.0} appends/s  append p50 {p50} p99 {p99}  \
              total disk {total}  fsyncs {syncs}"

@@ -14,23 +14,29 @@
 //! the rule in full. Nothing here touches a driver, so the rule is
 //! unit-tested against a simulated disk.
 //!
-//! The gate also keeps the disk's clock. A flush completes
-//! [`StorageBackend::sync_cost`] after it starts, flushes run one at a
-//! time, and nothing a flush covers leaves before it completes. An
-//! append somebody waits on — an event this process ingested, whose
-//! first forward and express copy wait on it, or a delivery to an app
-//! running here — starts a flush at once when the disk is idle, and
-//! otherwise joins the batch that starts when the running flush
-//! completes (group commit by waiters). A flush started during one of
-//! the owner's activations takes every append of that activation with
-//! it: it reaches the disk when the activation ends
-//! ([`DurableGate::end_turn`]). A delivery to a local app leaves as
-//! soon as its flush completes: the owner is told when to wake the gate
-//! for it. Everything else
-//! leaves at the flush policy's first release point at or after
-//! durability — the `EveryInterval` beat, the completion of an
+//! The gate also keeps the disk's one clock: a durable mark over the
+//! withheld actions, at most one running flush, and whether a batch is
+//! queued behind it. A flush completes [`StorageBackend::sync_cost`]
+//! after it starts, flushes run one at a time, and nothing a flush
+//! covers leaves before it completes. An append somebody waits on — an
+//! event this process ingested, whose first forward and express copy
+//! wait on it, or a delivery to an app running here — starts a flush at
+//! once when the disk is idle, and otherwise joins the batch that starts
+//! when the running flush completes (group commit by waiters). A flush
+//! started during one of the owner's activations takes every append of
+//! that activation with it: it reaches the disk when the activation ends
+//! ([`DurableGate::end_turn`]).
+//!
+//! A delivery to a local app leaves as soon as its flush completes;
+//! everything else leaves at the flush policy's first release point at
+//! or after durability — the `EveryInterval` beat, the completion of an
 //! `EveryN` flush, the tick backstop, the bound or a checkpoint — so a
-//! process's sends still leave together.
+//! process's sends still leave together. The owner wakes the gate at
+//! the running flush's completion only when something leaves then:
+//! under `EveryN` when that flush covers more than is durable or a
+//! batch is queued behind it, under `EveryInterval` when a local
+//! delivery sits past the durable mark. `end_turn` works that out once
+//! per activation, from the state alone.
 //!
 //! A fixed bound stalls bursty workloads (every burst larger than the
 //! cap pays a forced flush) and over-delays sparse ones, so the gate
@@ -103,27 +109,6 @@ struct Flight {
     written: bool,
 }
 
-/// The disk's timeline: one flush at a time, each `sync` long. Marks
-/// are lengths of the gate's withheld prefix.
-#[derive(Debug, Default)]
-struct DiskClock {
-    sync: Duration,
-    /// Withheld actions `..durable` are covered by completed flushes.
-    durable: usize,
-    /// The running flush.
-    running: Option<Flight>,
-    /// Appends somebody waits on came in while the disk was busy: they
-    /// start one batch when the running flush completes.
-    queued: bool,
-    /// A local delivery waits on the running flush.
-    local_running: bool,
-    /// A local delivery waits on a flush not written yet: the one
-    /// starting now or the queued batch.
-    local_next: bool,
-    /// The last completion the owner was asked to wake the gate at.
-    alarmed: Option<Time>,
-}
-
 /// The write-ahead log of one process together with everything that
 /// waits on it.
 ///
@@ -144,11 +129,17 @@ pub struct DurableGate {
     /// Actions held back, in arrival order, until the appends they
     /// depend on are flushed (group commit).
     withheld: Vec<Withheld>,
-    /// How many of them are local deliveries.
-    locals: usize,
-    disk: DiskClock,
-    /// A completion the owner has yet to be told to wake the gate at.
-    alarm: Option<Time>,
+    /// How long one flush occupies the disk.
+    sync: Duration,
+    /// Withheld actions `..durable` are covered by completed flushes.
+    durable: usize,
+    /// The running flush.
+    running: Option<Flight>,
+    /// Appends somebody waits on came in while the disk was busy: they
+    /// start one batch when the running flush completes.
+    queued: bool,
+    /// The last completion the owner was asked to wake the gate at.
+    woken: Option<Time>,
     obs: Recorder,
 }
 
@@ -183,12 +174,11 @@ impl DurableGate {
             wal,
             bound: GATE_INITIAL,
             withheld: Vec::new(),
-            disk: DiskClock {
-                sync,
-                ..DiskClock::default()
-            },
-            locals: 0,
-            alarm: None,
+            sync,
+            durable: 0,
+            running: None,
+            queued: false,
+            woken: None,
             obs: obs.clone(),
         };
         (gate, recovered)
@@ -212,20 +202,25 @@ impl DurableGate {
 
     /// Ends one activation of the owner: a flush started during it is
     /// written now, with every append the activation made. Returns the
-    /// completion instant the owner must wake the gate at with
-    /// [`DurableGate::on_sync`], once per instant: a local delivery
-    /// waits on the running flush or on the batch queued behind it, or
-    /// (under `EveryN`) the running flush covers withheld actions.
+    /// running flush's completion when the owner must wake the gate
+    /// there with [`DurableGate::on_sync`], once per instant: under
+    /// `EveryN` when the flush covers more than is durable or a batch
+    /// is queued behind it, under `EveryInterval` when a local delivery
+    /// sits past the durable mark.
     pub fn end_turn(&mut self) -> Option<Time> {
         self.write_flight();
-        self.alarm.take()
-    }
-
-    /// [`DurableGate::admit_awaited`] for actions nobody waits on: a
-    /// relay's or a shadow's copies, which flush at the policy's
-    /// release points.
-    pub fn admit(&mut self, now: Time, actions: Vec<Action>) -> Released {
-        self.admit_awaited(now, actions, false, |_| false)
+        let flight = self.running?;
+        let wanted = if self.flush_interval().is_none() {
+            flight.covers > self.durable || self.queued
+        } else {
+            self.withheld[self.durable..].iter().any(|w| w.local)
+        };
+        let done = flight.start + self.sync;
+        if !wanted || self.woken == Some(done) {
+            return None;
+        }
+        self.woken = Some(done);
+        Some(done)
     }
 
     /// Takes delivery-service actions in at `now`. Every freshly stored
@@ -236,9 +231,11 @@ impl DurableGate {
     /// flush now (or join the batch queued behind the running one) when
     /// somebody waits on them: `ingested` says the actions are this
     /// process's ingest of a sensor event, and `local` names the
-    /// sensors an app running here subscribes to. The released actions
-    /// come back in `actions` itself, emptied first.
-    pub fn admit_awaited(
+    /// sensors an app running here subscribes to. Nobody waits on a
+    /// relay's or a shadow's copies: they flush at the policy's release
+    /// points. The released actions come back in `actions` itself,
+    /// emptied first.
+    pub fn admit(
         &mut self,
         now: Time,
         mut actions: Vec<Action>,
@@ -262,8 +259,6 @@ impl DurableGate {
                 is_local = local(event.id.sensor);
             }
             awaited |= is_local;
-            self.disk.local_next |= is_local;
-            self.locals += usize::from(is_local);
             self.withheld.push(Withheld {
                 action,
                 at: now,
@@ -277,13 +272,13 @@ impl DurableGate {
         };
         if appended && awaited || count {
             self.start_or_queue(now);
-        } else if !appended && pending == 0 && !self.disk.queued {
+        } else if !appended && pending == 0 && !self.queued {
             // Nothing new to write: these actions wait only on flushes
             // already running or complete.
             let len = self.withheld.len();
-            match &mut self.disk.running {
+            match &mut self.running {
                 Some(flight) => flight.covers = len,
-                None => self.disk.durable = len,
+                None => self.durable = len,
             }
         }
         let at_bound = self.withheld.len() >= self.bound;
@@ -299,10 +294,7 @@ impl DurableGate {
             }
             self.bound = (self.bound * GATE_STEP).min(GATE_MAX);
         }
-        self.settle(now);
-        self.release(now, &mut actions, at_bound);
-        self.request_alarm();
-        Released(actions)
+        self.release(now, actions, at_bound)
     }
 
     /// The policy's release point: the `EveryInterval` timer or — under
@@ -312,7 +304,7 @@ impl DurableGate {
     /// durable. A flush at low depth is the signal that bursts have
     /// subsided: the bound walks back. The released actions come back
     /// in `spare`, an empty buffer of the caller's.
-    pub fn flush(&mut self, now: Time, mut spare: Vec<Action>) -> Released {
+    pub fn flush(&mut self, now: Time, spare: Vec<Action>) -> Released {
         let Some(wal) = self.wal.as_ref() else {
             return Released(spare);
         };
@@ -324,23 +316,17 @@ impl DurableGate {
             self.start_or_queue(now);
         }
         self.idle_flush();
-        self.settle(now);
-        self.release(now, &mut spare, true);
-        self.request_alarm();
-        Released(spare)
+        self.release(now, spare, true)
     }
 
     /// The owner's wake-up at a completion [`DurableGate::end_turn`]
     /// named: local deliveries the flush covered leave (under `EveryN`,
     /// everything it covered), and a batch queued behind it starts.
-    pub fn on_sync(&mut self, now: Time, mut spare: Vec<Action>) -> Released {
+    pub fn on_sync(&mut self, now: Time, spare: Vec<Action>) -> Released {
         if self.wal.is_none() {
             return Released(spare);
         }
-        self.settle(now);
-        self.release(now, &mut spare, false);
-        self.request_alarm();
-        Released(spare)
+        self.release(now, spare, false)
     }
 
     /// Writes a checkpoint of the `processed` watermarks and compacts
@@ -353,7 +339,7 @@ impl DurableGate {
         &mut self,
         now: Time,
         processed: &BTreeMap<SensorId, u64>,
-        mut spare: Vec<Action>,
+        spare: Vec<Action>,
     ) -> Released {
         if self.wal.is_none() {
             return Released(spare);
@@ -369,10 +355,7 @@ impl DurableGate {
         self.start_or_queue(now);
         self.write_flight();
         self.idle_flush();
-        self.settle(now);
-        self.release(now, &mut spare, true);
-        self.request_alarm();
-        Released(spare)
+        self.release(now, spare, true)
     }
 
     /// Appends a routine ledger entry, on the backend's disk before
@@ -390,7 +373,6 @@ impl DurableGate {
         self.start_or_queue(now);
         self.write_flight();
         self.settle(now);
-        self.request_alarm();
     }
 
     /// Whether appends are buffered that no started or queued flush
@@ -400,34 +382,33 @@ impl DurableGate {
             .wal
             .as_ref()
             .is_some_and(|wal| wal.pending_events() > 0);
-        let writing = self.disk.queued || self.disk.running.is_some_and(|f| !f.written);
+        let writing = self.queued || self.running.is_some_and(|f| !f.written);
         pending && !writing
     }
 
     /// Starts a flush now, joins the one starting now (it is not
     /// written yet), or queues one behind the running flush.
     fn start_or_queue(&mut self, now: Time) {
-        match self.disk.running {
+        match self.running {
             None => self.start(now),
-            Some(flight) => self.disk.queued |= flight.written,
+            Some(flight) => self.queued |= flight.written,
         }
     }
 
     /// Starts a flush at `at`; it is written by [`Self::write_flight`].
     fn start(&mut self, at: Time) {
-        self.disk.running = Some(Flight {
+        self.running = Some(Flight {
             start: at,
             covers: self.withheld.len(),
             written: false,
         });
-        self.disk.queued = false;
-        self.disk.local_running = std::mem::take(&mut self.disk.local_next);
+        self.queued = false;
     }
 
     /// Writes the started flush: everything buffered, covering every
     /// action withheld so far.
     fn write_flight(&mut self) {
-        let Some(flight) = self.disk.running.as_mut().filter(|f| !f.written) else {
+        let Some(flight) = self.running.as_mut().filter(|f| !f.written) else {
             return;
         };
         if let Some(wal) = self.wal.as_mut() {
@@ -435,7 +416,6 @@ impl DurableGate {
         }
         flight.written = true;
         flight.covers = self.withheld.len();
-        self.disk.local_running |= std::mem::take(&mut self.disk.local_next);
     }
 
     /// Runs the disk's clock up to `now`: a flush started before `now`
@@ -443,38 +423,33 @@ impl DurableGate {
     /// then makes what it covers durable, and a queued batch starts the
     /// instant the flush ahead of it completes.
     fn settle(&mut self, now: Time) {
-        while let Some(flight) = self.disk.running {
-            let done = flight.start + self.disk.sync;
+        while let Some(flight) = self.running {
+            let done = flight.start + self.sync;
             if flight.start < now || done <= now {
                 self.write_flight();
             }
             if done > now {
                 break;
             }
-            self.disk.durable = self.disk.running.map_or(0, |f| f.covers);
-            self.disk.running = None;
-            self.disk.local_running = false;
-            if self.disk.queued {
+            self.durable = self.running.map_or(0, |f| f.covers);
+            self.running = None;
+            if self.queued {
                 self.start(done);
             }
         }
     }
 
-    /// Moves durable actions into `out` and records how long each
-    /// delivery waited: every durable action at a release point (`all`)
-    /// or under `EveryN`, whose release point is the completion itself;
-    /// otherwise only local deliveries.
-    fn release(&mut self, now: Time, out: &mut Vec<Action>, all: bool) {
-        let durable = self.disk.durable;
-        let every = all || self.flush_interval().is_none();
-        if durable == 0 || !every && self.locals == 0 {
-            return;
-        }
+    /// Runs the disk's clock up to `now`, then moves durable actions
+    /// into `out` and records how long each delivery waited: every
+    /// durable action at a release point (`all`) or under `EveryN`,
+    /// whose release point is the completion itself; otherwise only
+    /// local deliveries.
+    fn release(&mut self, now: Time, mut out: Vec<Action>, all: bool) -> Released {
+        self.settle(now);
+        let durable = self.durable;
         let obs = &self.obs;
         let timed = obs.is_enabled();
-        let mut locals = 0;
-        let mut take = |w: Withheld| {
-            locals += usize::from(w.local);
+        let take = |w: Withheld| {
             if timed && matches!(w.action, Action::Deliver { .. }) {
                 let waited = now.duration_since(w.at).as_micros();
                 obs.observe("wal.gate_wait_us", waited);
@@ -482,42 +457,17 @@ impl DurableGate {
             w.action
         };
         let before = out.len();
-        if every {
-            out.extend(self.withheld.drain(..durable).map(&mut take));
+        if all || self.flush_interval().is_none() {
+            out.extend(self.withheld.drain(..durable).map(take));
         } else {
-            let durable_locals = self.withheld.extract_if(..durable, |w| w.local);
-            out.extend(durable_locals.map(&mut take));
+            out.extend(self.withheld.extract_if(..durable, |w| w.local).map(take));
         }
         let gone = out.len() - before;
-        self.locals -= locals;
-        self.disk.durable -= gone;
-        if let Some(flight) = &mut self.disk.running {
+        self.durable -= gone;
+        if let Some(flight) = &mut self.running {
             flight.covers -= gone;
         }
-    }
-
-    /// Asks the owner for a wake-up at the running flush's completion
-    /// when something must happen then.
-    fn request_alarm(&mut self) {
-        let Some(flight) = self.disk.running else {
-            return;
-        };
-        let done = flight.start + self.disk.sync;
-        let covers = if flight.written {
-            flight.covers
-        } else {
-            self.withheld.len()
-        };
-        let wanted = if self.flush_interval().is_none() {
-            covers > self.disk.durable || self.disk.queued
-        } else {
-            let next = self.disk.queued || !flight.written;
-            self.disk.local_running || self.disk.local_next && next
-        };
-        if wanted && self.disk.alarmed != Some(done) {
-            self.alarm = Some(done);
-            self.disk.alarmed = Some(done);
-        }
+        Released(out)
     }
 
     /// A release point without back-pressure at the current depth: the
@@ -533,7 +483,7 @@ impl DurableGate {
 mod tests {
     use super::*;
     use crate::messages::ProcMsg;
-    use rivulet_storage::{LedgerChain, RoutineTransition, SimBackend};
+    use rivulet_storage::{FsBackend, LedgerChain, RoutineTransition, SimBackend};
     use rivulet_types::{Event, EventId, EventKind, ProcessId, RoutineId};
 
     /// The tests that do not measure waiting start at one instant.
@@ -585,6 +535,12 @@ mod tests {
         true
     }
 
+    /// No app running on the gate's process subscribes to any sensor:
+    /// a relay's or a shadow's copies.
+    fn remote(_: SensorId) -> bool {
+        false
+    }
+
     fn seqs(actions: &[Action]) -> Vec<u64> {
         let delivered = actions.iter().filter_map(|action| match action {
             Action::Deliver { event } => Some(event.id.seq),
@@ -601,7 +557,10 @@ mod tests {
         let mut arrived = Vec::new();
         for seq in 0..7 {
             arrived.extend(deliver_and_relay(seq));
-            assert_eq!(gate.admit(NOW, deliver_and_relay(seq)), Released::default());
+            assert_eq!(
+                gate.admit(NOW, deliver_and_relay(seq), false, remote),
+                Released::default()
+            );
         }
         assert_eq!(
             backend.durable_len(0),
@@ -610,7 +569,7 @@ mod tests {
         );
         assert_eq!(gate.end_turn(), None, "a partial batch has no flush");
         arrived.extend(deliver_and_relay(7));
-        let released = gate.admit(NOW, deliver_and_relay(7));
+        let released = gate.admit(NOW, deliver_and_relay(7), false, remote);
         assert_eq!(released, Released::default(), "the flush has only started");
         assert_eq!(gate.end_turn(), Some(NOW + sync));
         assert!(
@@ -631,7 +590,7 @@ mod tests {
         let sync = backend.sync_cost();
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         // An app host's delivery starts its flush at once.
-        let released = gate.admit_awaited(NOW, deliver_and_relay(0), false, hosted);
+        let released = gate.admit(NOW, deliver_and_relay(0), false, hosted);
         assert_eq!(released, Released::default());
         assert_eq!(gate.end_turn(), Some(NOW + sync));
         assert!(
@@ -651,7 +610,7 @@ mod tests {
         // An ingest with no local app starts its flush at once too, and
         // its first forward leaves on the first beat after the fsync.
         let ingest = NOW + BEAT + BEAT;
-        let released = gate.admit_awaited(ingest, deliver_and_relay(1), true, |_| false);
+        let released = gate.admit(ingest, deliver_and_relay(1), true, remote);
         assert_eq!(released, Released::default());
         assert_eq!(gate.end_turn(), None, "nobody local: the beat releases it");
         let beat = gate.flush(ingest + (sync - MICRO), Vec::new());
@@ -665,21 +624,30 @@ mod tests {
         // A seeded mix of ingests, app-host deliveries and relay copies
         // against beats, count flushes, checkpoints and ledger appends:
         // every released action came in at least one sync earlier,
-        // because the flush covering it started no earlier than that.
+        // because the flush covering it started no earlier than that,
+        // and every local delivery less than two syncs earlier, because
+        // it waits for at most the running flush and its own. Like the
+        // process, the harness ends a turn after every activation,
+        // wake-ups included.
         for policy in [FlushPolicy::EveryInterval(BEAT), FlushPolicy::EveryN(3)] {
             let backend = Arc::new(SimBackend::new(11));
             let sync = backend.sync_cost();
             let (mut gate, _) = gate_on(&backend, policy);
             let mut chain = LedgerChain::seeded(3);
             let mut came_in = Vec::new();
+            let mut local = Vec::new();
             let mut released = Vec::new();
-            let mut alarms = Vec::new();
-            let check = |at: Time, out: Released, came_in: &[Time], released: &mut Vec<u64>| {
+            let mut wake_ups = Vec::new();
+            let mut check = |at: Time, out: Released, came_in: &[Time], local: &[bool]| {
                 for seq in seqs(&out.0) {
                     let since = at.duration_since(came_in[seq as usize]);
                     assert!(
                         since >= sync,
                         "{policy:?}: {seq} left {since} after it came in"
+                    );
+                    assert!(
+                        !local[seq as usize] || since < sync + sync,
+                        "{policy:?}: local {seq} left {since} after it came in"
                     );
                     released.push(seq);
                 }
@@ -691,23 +659,26 @@ mod tests {
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
                 now += Duration::from_micros(rng % 700);
-                while alarms.first().is_some_and(|at| *at <= now) {
-                    let at = alarms.remove(0);
-                    check(at, gate.on_sync(at, Vec::new()), &came_in, &mut released);
+                while wake_ups.first().is_some_and(|at| *at <= now) {
+                    let at = wake_ups.remove(0);
+                    check(at, gate.on_sync(at, Vec::new()), &came_in, &local);
+                    wake_ups.extend(gate.end_turn());
+                    wake_ups.sort_unstable();
                 }
                 came_in.push(now);
+                local.push(rng % 5 == 1);
                 let out = match rng % 5 {
-                    0 => gate.admit_awaited(now, deliver_and_relay(seq), true, |_| false),
-                    1 => gate.admit_awaited(now, deliver(seq), false, hosted),
-                    _ => gate.admit(now, deliver_and_relay(seq)),
+                    0 => gate.admit(now, deliver_and_relay(seq), true, remote),
+                    1 => gate.admit(now, deliver(seq), false, hosted),
+                    _ => gate.admit(now, deliver_and_relay(seq), false, remote),
                 };
-                check(now, out, &came_in, &mut released);
+                check(now, out, &came_in, &local);
                 match (rng >> 8) % 20 {
-                    0..=3 => check(now, gate.flush(now, Vec::new()), &came_in, &mut released),
+                    0..=3 => check(now, gate.flush(now, Vec::new()), &came_in, &local),
                     4 => {
                         let marks = BTreeMap::new();
                         let out = gate.checkpoint(now, &marks, Vec::new());
-                        check(now, out, &came_in, &mut released);
+                        check(now, out, &came_in, &local);
                     }
                     5 => {
                         let staged = RoutineTransition::Staged;
@@ -716,16 +687,62 @@ mod tests {
                     }
                     _ => {}
                 }
-                alarms.extend(gate.end_turn());
-                alarms.sort_unstable();
+                wake_ups.extend(gate.end_turn());
+                wake_ups.sort_unstable();
             }
-            // Drain: beats until nothing is left.
+            // Drain: the wake-ups still owed, then beats until nothing
+            // is left.
+            while !wake_ups.is_empty() {
+                let at = wake_ups.remove(0);
+                check(at, gate.on_sync(at, Vec::new()), &came_in, &local);
+                wake_ups.extend(gate.end_turn());
+            }
             for _ in 0..4 {
                 now += BEAT;
-                check(now, gate.flush(now, Vec::new()), &came_in, &mut released);
+                check(now, gate.flush(now, Vec::new()), &came_in, &local);
             }
             released.sort_unstable();
             assert_eq!(released, (0..2_000).collect::<Vec<_>>(), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_disk_that_takes_no_time_releases_inside_the_call() {
+        // On a real disk `sync_data` blocks, so its flush completes the
+        // instant it starts and nobody is woken for it.
+        let policies = [FlushPolicy::EveryInterval(BEAT), FlushPolicy::EveryN(1)];
+        for (i, policy) in policies.into_iter().enumerate() {
+            let name = format!("rivulet-gate-fs-{}-{i}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            let backend = Arc::new(FsBackend::open(&dir).unwrap());
+            let storage = || {
+                let options = WalOptions {
+                    flush_policy: policy,
+                    ..WalOptions::default()
+                };
+                Some((Arc::clone(&backend) as Arc<dyn StorageBackend>, options))
+            };
+            let (mut gate, _) = DurableGate::open(storage(), &Recorder::default());
+            assert_eq!(backend.sync_cost(), Duration::ZERO);
+            let local = gate.admit(NOW, deliver_and_relay(0), false, hosted).0;
+            let relayed = gate.admit(NOW, deliver_and_relay(1), false, remote).0;
+            assert_eq!(gate.end_turn(), None, "{policy:?}: nothing to wake for");
+            if gate.flush_interval().is_some() {
+                assert_eq!(local, deliver_and_relay(0)[..1], "the delivery alone");
+                assert!(relayed.is_empty(), "a relay copy waits for the beat");
+                let beat = gate.flush(NOW + BEAT, Vec::new()).0;
+                let mut sends = deliver_and_relay(0)[1..].to_vec();
+                sends.extend(deliver_and_relay(1));
+                assert_eq!(beat, sends, "the sends leave on the beat");
+            } else {
+                assert_eq!(local, deliver_and_relay(0), "{policy:?}");
+                assert_eq!(relayed, deliver_and_relay(1), "{policy:?}");
+            }
+            assert_eq!(gate.end_turn(), None, "{policy:?}: nothing to wake for");
+            drop(gate);
+            let (_, recovered) = DurableGate::open(storage(), &Recorder::default());
+            assert_eq!(recovered.events.len(), 2, "{policy:?}");
+            std::fs::remove_dir_all(dir).unwrap();
         }
     }
 
@@ -735,11 +752,11 @@ mod tests {
         let sync = backend.sync_cost();
         let obs = Recorder::enabled();
         let (mut gate, _) = recorded_gate_on(&backend, FlushPolicy::EveryInterval(BEAT), &obs);
-        let _ = gate.admit_awaited(NOW, deliver(0), false, hosted);
+        let _ = gate.admit(NOW, deliver(0), false, hosted);
         assert_eq!(gate.end_turn(), Some(NOW + sync));
         for seq in 1..=5 {
             let at = NOW + Duration::from_micros(50 * seq);
-            let released = gate.admit_awaited(at, deliver(seq), false, hosted);
+            let released = gate.admit(at, deliver(seq), false, hosted);
             assert_eq!(released, Released::default(), "the disk is busy");
         }
         assert_eq!(
@@ -771,8 +788,8 @@ mod tests {
         let sync = backend.sync_cost();
         let obs = Recorder::enabled();
         let (mut gate, _) = recorded_gate_on(&backend, FlushPolicy::EveryInterval(BEAT), &obs);
-        let _ = gate.admit_awaited(NOW, deliver(0), false, hosted);
-        let _ = gate.admit_awaited(NOW, deliver(1), false, hosted);
+        let _ = gate.admit(NOW, deliver(0), false, hosted);
+        let _ = gate.admit(NOW, deliver(1), false, hosted);
         assert_eq!(gate.end_turn(), Some(NOW + sync));
         assert_eq!(obs.snapshot().counter("wal.flushes"), 1);
         let released = gate.on_sync(NOW + sync, Vec::new()).0;
@@ -784,13 +801,13 @@ mod tests {
         let backend = Arc::new(SimBackend::new(13));
         let sync = backend.sync_cost();
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
-        let _ = gate.admit_awaited(NOW, deliver(0), false, hosted);
+        let _ = gate.admit(NOW, deliver(0), false, hosted);
         for seq in 1..=2 {
-            let _ = gate.admit_awaited(NOW + MICRO, deliver(seq), false, hosted);
+            let _ = gate.admit(NOW + MICRO, deliver(seq), false, hosted);
         }
         let released = seqs(&gate.on_sync(NOW + sync, Vec::new()).0);
         assert_eq!(released, [0], "1 and 2 started their flush");
-        let _ = gate.admit_awaited(NOW + sync + MICRO, deliver(3), false, hosted);
+        let _ = gate.admit(NOW + sync + MICRO, deliver(3), false, hosted);
         // Power fails between the second flush's start and completion.
         backend.crash();
         let (_, recovered) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
@@ -810,7 +827,10 @@ mod tests {
         assert_eq!(gate.flush_interval(), Some(Duration::from_secs(3600)));
         let bound = gate.bound().expect("durable");
         for seq in 0..(bound / 2) as u64 {
-            assert!(gate.admit(NOW, deliver_and_relay(seq)).0.is_empty());
+            assert!(gate
+                .admit(NOW, deliver_and_relay(seq), false, remote)
+                .0
+                .is_empty());
         }
         assert_eq!(gate.end_turn(), None, "nothing local waits on it");
         assert!(backend.durable_len(0) > Some(0), "the burst was forced out");
@@ -835,7 +855,7 @@ mod tests {
             // A burst as deep as the bound, then its flush completes.
             let bound = gate.bound().expect("durable");
             while gate.withheld.len() < bound {
-                let _ = gate.admit(now, deliver_and_relay(seq));
+                let _ = gate.admit(now, deliver_and_relay(seq), false, remote);
                 seq += 1;
             }
             bounds.push(gate.bound().expect("durable"));
@@ -863,14 +883,20 @@ mod tests {
         );
         assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
 
-        assert_eq!(gate.admit(NOW, deliver_and_relay(0)), Released::default());
+        assert_eq!(
+            gate.admit(NOW, deliver_and_relay(0), false, remote),
+            Released::default()
+        );
         assert_eq!(gate.flush(NOW, Vec::new()), Released::default());
         assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
         assert_eq!(gate.flush(NOW + sync, Vec::new()).0, deliver_and_relay(0));
         assert_eq!(gate.bound(), Some(bound / 4), "released at low depth");
 
         let later = NOW + BEAT;
-        assert_eq!(gate.admit(later, deliver_and_relay(1)), Released::default());
+        assert_eq!(
+            gate.admit(later, deliver_and_relay(1), false, remote),
+            Released::default()
+        );
         let processed = BTreeMap::from([(SensorId(1), 0)]);
         let released = gate.checkpoint(later, &processed, Vec::new());
         assert_eq!(released, Released::default(), "the checkpoint's sync runs");
@@ -890,8 +916,8 @@ mod tests {
         let backend = Arc::new(SimBackend::new(5));
         let obs = Recorder::enabled();
         let (mut gate, _) = recorded_gate_on(&backend, FlushPolicy::EveryInterval(BEAT), &obs);
-        let _ = gate.admit(Time::from_millis(1), deliver_and_relay(0));
-        let _ = gate.admit(Time::from_millis(4), deliver_and_relay(1));
+        let _ = gate.admit(Time::from_millis(1), deliver_and_relay(0), false, remote);
+        let _ = gate.admit(Time::from_millis(4), deliver_and_relay(1), false, remote);
         let _ = gate.flush(Time::from_millis(5), Vec::new());
         assert!(obs.snapshot().histogram("wal.gate_wait_us").is_none());
         let released = gate.flush(Time::from_millis(10), Vec::new());
@@ -903,7 +929,7 @@ mod tests {
 
         // With the recorder off nothing is recorded.
         obs.set_enabled(false);
-        let _ = gate.admit(Time::from_millis(11), deliver_and_relay(2));
+        let _ = gate.admit(Time::from_millis(11), deliver_and_relay(2), false, remote);
         let _ = gate.flush(Time::from_millis(12), Vec::new());
         let released = gate.flush(Time::from_millis(20), Vec::new()).0;
         assert_eq!(released, deliver_and_relay(2));
@@ -923,7 +949,9 @@ mod tests {
         // Withheld: the caller's buffer comes back empty, capacity kept.
         let admitted = deliver_and_relay(0);
         let (ptr, capacity) = (admitted.as_ptr(), admitted.capacity());
-        let spare = gate.admit(NOW, admitted).apply(|_| panic!("withheld"));
+        let spare = gate
+            .admit(NOW, admitted, false, remote)
+            .apply(|_| panic!("withheld"));
         assert_eq!((spare.as_ptr(), spare.capacity()), (ptr, capacity));
         let spare = gate.flush(NOW, spare).apply(|_| panic!("syncing"));
         // Released: the caller's buffer carries the actions out.
@@ -941,10 +969,10 @@ mod tests {
         assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
         assert_eq!((gate.bound(), gate.flush_interval()), (None, None));
         assert_eq!(
-            gate.admit(NOW, deliver_and_relay(0)).0,
+            gate.admit(NOW, deliver_and_relay(0), false, remote).0,
             deliver_and_relay(0)
         );
-        let released = gate.admit_awaited(NOW, deliver_and_relay(1), true, hosted);
+        let released = gate.admit(NOW, deliver_and_relay(1), true, hosted);
         assert_eq!(released.0, deliver_and_relay(1));
         assert_eq!(gate.flush(NOW, Vec::new()), Released::default());
         assert_eq!(gate.on_sync(NOW, Vec::new()), Released::default());
@@ -964,7 +992,7 @@ mod tests {
         gate.append_ledger(NOW, &entry);
         // A delivery right behind it waits for the ledger's sync, then
         // its own.
-        let _ = gate.admit_awaited(NOW + MICRO, deliver(0), false, hosted);
+        let _ = gate.admit(NOW + MICRO, deliver(0), false, hosted);
         assert_eq!(gate.end_turn(), Some(NOW + sync), "the ledger's sync");
         assert_eq!(gate.on_sync(NOW + sync, Vec::new()), Released::default());
         assert_eq!(gate.end_turn(), Some(NOW + sync + sync));
@@ -982,14 +1010,14 @@ mod tests {
         // one action less halves it.
         gate.bound = 64;
         for seq in 0..8 {
-            let _ = gate.admit(NOW, deliver_and_relay(seq));
+            let _ = gate.admit(NOW, deliver_and_relay(seq), false, remote);
         }
         let _ = gate.flush(NOW, Vec::new());
         assert_eq!(gate.on_sync(NOW + sync, Vec::new()).0.len(), 16);
         assert_eq!(gate.bound(), Some(64), "16 ≥ 64 / 4");
         let later = NOW + BEAT;
         for seq in 8..15 {
-            let _ = gate.admit(later, deliver_and_relay(seq));
+            let _ = gate.admit(later, deliver_and_relay(seq), false, remote);
         }
         let _ = gate.flush(later, Vec::new());
         assert_eq!(gate.on_sync(later + sync, Vec::new()).0.len(), 14);

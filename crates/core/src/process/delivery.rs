@@ -235,7 +235,7 @@ impl Running {
             let subscribers = sensors.get(&sensor).map(|rt| &rt.subscribed_apps);
             subscribers.is_some_and(|idx| idx.iter().any(|&a| apps[a].runtime.is_some()))
         };
-        let released = self.gate.admit_awaited(ctx.now(), actions, ingested, local);
+        let released = self.gate.admit(ctx.now(), actions, ingested, local);
         self.apply_actions(ctx, released);
     }
 

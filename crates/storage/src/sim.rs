@@ -7,13 +7,13 @@
 //!    [`crash`](SimBackend::crash) discards (or tears) the unsynced
 //!    tail, exactly the state a process finds on restart after a power
 //!    loss.
-//! 2. **Latency.** Every operation is charged a fixed cost in *virtual
-//!    time* to [`SimBackend::busy`], so benchmarks can compare flush
-//!    policies (per-event fsync vs group commit) without a real disk
-//!    and with perfect reproducibility. The fsync cost is also what a
-//!    home's clock waits for: [`StorageBackend::sync_cost`] hands it to
-//!    the process's durability gate, which releases nothing a flush
-//!    covers until that long after the flush started.
+//! 2. **Latency.** One `sync` takes a fixed 500 µs of *virtual time*,
+//!    reported by [`StorageBackend::sync_cost`]; appends, which land in
+//!    the page cache, take none. The backend keeps no clock of its own:
+//!    the process's durability gate is the one place disk time passes,
+//!    releasing nothing a flush covers until one sync after the flush
+//!    started. Benchmarks compare flush policies (per-event fsync vs
+//!    group commit) by the syncs [`SimBackend::op_counts`] counts.
 //!
 //! The fault model is seeded, so a given seed produces the identical
 //! sequence of torn writes and corruptions on every run — the property
@@ -28,15 +28,9 @@ use rivulet_types::Duration;
 
 use crate::backend::{Result, SegmentId, StorageBackend, StorageError};
 
-// Virtual-time cost of disk operations, loosely modeled on a consumer
-// SSD: cheap buffered writes, ~half-millisecond flushes.
-
-/// Fixed cost per `append` call (syscall + copy into the cache).
-const APPEND_BASE: Duration = Duration::from_micros(5);
-/// Additional cost per KiB appended.
-const APPEND_PER_KIB: Duration = Duration::from_micros(10);
-/// Cost of one `sync` (fdatasync): the dominant term on real hardware,
-/// and the reason group commit wins.
+/// Virtual-time cost of one `sync` (fdatasync), loosely modeled on a
+/// consumer SSD: the dominant term on real hardware, and the reason
+/// group commit wins.
 const FSYNC: Duration = Duration::from_micros(500);
 
 /// Knobs of the crash/corruption fault model.
@@ -75,7 +69,6 @@ struct Segment {
 struct Inner {
     segments: BTreeMap<SegmentId, Segment>,
     rng: StdRng,
-    busy: Duration,
     appends: u64,
     syncs: u64,
     bytes_appended: u64,
@@ -98,7 +91,6 @@ impl SimBackend {
             inner: Mutex::new(Inner {
                 segments: BTreeMap::new(),
                 rng: StdRng::seed_from_u64(seed),
-                busy: Duration::ZERO,
                 appends: 0,
                 syncs: 0,
                 bytes_appended: 0,
@@ -111,12 +103,6 @@ impl SimBackend {
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Total virtual disk time consumed so far.
-    #[must_use]
-    pub fn busy(&self) -> Duration {
-        self.inner.lock().busy
     }
 
     /// `(appends, syncs, bytes_appended)` counters.
@@ -189,7 +175,6 @@ impl StorageBackend for SimBackend {
         segment.data.extend_from_slice(data);
         inner.appends += 1;
         inner.bytes_appended += data.len() as u64;
-        inner.busy += APPEND_BASE + APPEND_PER_KIB.saturating_mul(data.len().div_ceil(1024) as u64);
         Ok(())
     }
 
@@ -209,7 +194,6 @@ impl StorageBackend for SimBackend {
         };
         segment.durable_len += persisted;
         inner.syncs += 1;
-        inner.busy += FSYNC;
         Ok(())
     }
 
@@ -295,27 +279,6 @@ mod tests {
             be.read_segment(0).unwrap()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn virtual_time_charges_fsync_heaviest() {
-        let be = SimBackend::new(0);
-        be.create_segment(0).unwrap();
-        be.append(0, &[0u8; 100]).unwrap();
-        let after_append = be.busy();
-        be.sync(0).unwrap();
-        let after_sync = be.busy();
-        assert!(after_sync - after_append > after_append - Duration::ZERO);
-    }
-
-    #[test]
-    fn sync_cost_is_what_busy_charges_per_sync() {
-        let be = SimBackend::new(0);
-        be.create_segment(0).unwrap();
-        be.sync(0).unwrap();
-        assert_eq!(be.busy(), be.sync_cost());
-        be.sync(0).unwrap();
-        assert_eq!(be.busy(), be.sync_cost() + be.sync_cost());
     }
 
     #[test]

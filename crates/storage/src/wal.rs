@@ -442,6 +442,8 @@ mod tests {
 
     #[test]
     fn group_commit_beats_per_event_fsync_in_virtual_disk_time() {
+        // Every sync occupies the disk for `sync_cost`, so disk time is
+        // the number of syncs times that.
         let disk_time = |policy: FlushPolicy| {
             let backend = sim();
             let options = WalOptions {
@@ -454,7 +456,8 @@ mod tests {
                 wal.append_event(&event(1, seq)).unwrap();
             }
             wal.flush().unwrap();
-            backend.busy()
+            let (_, syncs, _) = backend.op_counts();
+            backend.sync_cost().saturating_mul(syncs)
         };
         let per_event = disk_time(FlushPolicy::EveryN(1));
         let grouped = disk_time(FlushPolicy::EveryN(16));

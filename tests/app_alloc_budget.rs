@@ -366,7 +366,9 @@ impl Relay {
             let out = self
                 .gapless
                 .on_ring(ring, view, successor, &mut self.actions);
-            let released = self.gate.admit(now, std::mem::take(&mut self.actions));
+            // A relay's copies: no app here waits on them.
+            let actions = std::mem::take(&mut self.actions);
+            let released = self.gate.admit(now, actions, false, |_| false);
             self.apply(released);
             if let Some(Action::Ring { ring, .. }) = out.relay {
                 drop(self.pool.encode(&ring));
