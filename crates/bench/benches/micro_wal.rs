@@ -1,5 +1,5 @@
-//! Micro-benchmark of the WAL flush policies: per-event fsync vs
-//! group commit.
+//! Micro-benchmark of WAL group commit: per-event fsync vs a flush
+//! every 8 or 64 appends.
 //!
 //! The interesting numbers are in *virtual* disk time, printed as a
 //! table before the wall-clock loops: the fsyncs [`SimBackend`] counts,
@@ -7,11 +7,11 @@
 //! cache and take none), give appends per virtual second and the p99
 //! virtual append latency. Per-event fsync pays the ~500 µs flush on
 //! every append; group commit amortizes it across the batch, which is
-//! exactly why the runtime defaults to batching with a tick-driven
-//! backstop.
+//! why the runtime's durability gate flushes on a beat. The log never
+//! flushes by itself, so each row calls [`Wal::flush`] every k appends.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rivulet_storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
+use rivulet_storage::{SimBackend, StorageBackend, Wal, WalOptions};
 use rivulet_types::{Duration, Event, EventId, EventKind, SensorId, Time};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -24,22 +24,27 @@ fn ev(seq: u64) -> Event {
     )
 }
 
-fn wal_with(policy: FlushPolicy) -> (Wal, Arc<SimBackend>) {
+fn wal() -> (Wal, Arc<SimBackend>) {
     let backend = Arc::new(SimBackend::new(1));
     let options = WalOptions {
-        flush_policy: policy,
         segment_max_bytes: 4 * 1024 * 1024,
+        ..WalOptions::default()
     };
     let (wal, _) =
         Wal::open(Arc::clone(&backend) as Arc<dyn StorageBackend>, options).expect("open wal");
     (wal, backend)
 }
 
-const POLICIES: [(&str, FlushPolicy); 3] = [
-    ("per_event", FlushPolicy::EveryN(1)),
-    ("every_8", FlushPolicy::EveryN(8)),
-    ("every_64", FlushPolicy::EveryN(64)),
-];
+/// Each row's name and how many appends share one flush.
+const CADENCES: [(&str, u64); 3] = [("per_event", 1), ("every_8", 8), ("every_64", 64)];
+
+/// Appends event `seq`, flushing when it completes a batch of `every`.
+fn append(wal: &mut Wal, seq: u64, every: u64) {
+    wal.append_event(&ev(seq)).expect("append");
+    if seq % every == every - 1 {
+        wal.flush().expect("flush");
+    }
+}
 
 /// Deterministic virtual-time comparison: appends/sec against the
 /// simulated disk and the p99 latency an appender observes.
@@ -47,15 +52,15 @@ fn virtual_time_report() {
     const N: u64 = 10_000;
     let fsync = SimBackend::new(1).sync_cost();
     println!(
-        "wal flush policy comparison over {N} appends (virtual disk time, {fsync} per fsync):"
+        "wal flush cadence comparison over {N} appends (virtual disk time, {fsync} per fsync):"
     );
-    for (name, policy) in POLICIES {
-        let (mut wal, backend) = wal_with(policy);
+    for (name, every) in CADENCES {
+        let (mut wal, backend) = wal();
         let mut latencies: Vec<Duration> = Vec::with_capacity(N as usize);
         let synced = || backend.op_counts().1;
         let mut prev = synced();
         for seq in 0..N {
-            wal.append_event(&ev(seq)).expect("append");
+            append(&mut wal, seq, every);
             let after = synced();
             latencies.push(fsync.saturating_mul(after - prev));
             prev = after;
@@ -78,16 +83,16 @@ fn bench_micro_wal(c: &mut Criterion) {
     virtual_time_report();
 
     // Wall-clock loops: CPU cost of the append path (framing, CRC,
-    // buffering, simulated backend bookkeeping) per policy.
+    // buffering, simulated backend bookkeeping) per cadence.
     let mut group = c.benchmark_group("micro_wal");
     group.throughput(Throughput::Elements(1));
-    for (name, policy) in POLICIES {
-        group.bench_with_input(BenchmarkId::new("append", name), &policy, |b, &policy| {
-            let (mut wal, _backend) = wal_with(policy);
+    for (name, every) in CADENCES {
+        group.bench_with_input(BenchmarkId::new("append", name), &every, |b, &every| {
+            let (mut wal, _backend) = wal();
             let mut seq = 0u64;
             b.iter(|| {
                 seq += 1;
-                black_box(wal.append_event(&ev(seq)).expect("append"))
+                append(&mut wal, black_box(seq), every);
             })
         });
     }

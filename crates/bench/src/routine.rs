@@ -37,8 +37,7 @@ use rivulet_devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet_net::sim::{SimConfig, SimNet};
 use rivulet_obs::ObsSnapshot;
 use rivulet_storage::{
-    FlushPolicy, LedgerEntry, LedgerVerifier, RoutineTransition, SimBackend, StorageBackend, Wal,
-    WalOptions,
+    LedgerEntry, LedgerVerifier, RoutineTransition, SimBackend, StorageBackend, Wal, WalOptions,
 };
 use rivulet_types::{
     ActuationState, AppId, CommandKind, Duration, EventKind, ProcessId, RoutineId, Time,
@@ -113,8 +112,8 @@ pub fn run_routine_scenario(cfg: &RoutineScenario) -> RoutineOutcome {
         .map(|i| Arc::new(SimBackend::new(cfg.seed.wrapping_mul(131).wrapping_add(i))))
         .collect();
     let wal_options = WalOptions {
-        flush_policy: FlushPolicy::EveryN(1),
         segment_max_bytes: 64 * 1024,
+        ..WalOptions::default()
     };
     let for_factory = backends.clone();
     let mut home = home.with_storage(

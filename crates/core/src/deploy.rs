@@ -29,7 +29,7 @@ use crate::config::RivuletConfig;
 use crate::probe::{AppProbe, IngestProbe, StoreProbe};
 use crate::process::{DurabilitySpec, ProcessSpec, RivuletProcess};
 use crate::routine::{RoutineProbe, RoutineSpec};
-use rivulet_storage::{StorageBackend, WalOptions};
+use rivulet_storage::{FlushPolicy, StorageBackend, WalOptions};
 
 /// One sensor's entry in the deployment directory.
 #[derive(Debug, Clone)]
@@ -347,6 +347,12 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
     /// write-ahead log before being acked or delivered, checkpoints
     /// are written every `checkpoint_interval`, and recovery replays
     /// the log instead of relying solely on anti-entropy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the flush beat in `options` or `checkpoint_interval`
+    /// is zero: its timer would fire at the same instant forever. A
+    /// short beat is how a caller asks for flushing per event.
     #[must_use]
     pub fn with_storage(
         mut self,
@@ -354,6 +360,12 @@ impl<'a, D: Driver> HomeBuilder<'a, D> {
         checkpoint_interval: Duration,
         factory: impl Fn(ProcessId) -> Arc<dyn StorageBackend> + 'static,
     ) -> Self {
+        let FlushPolicy::EveryInterval(beat) = options.flush_policy;
+        assert!(beat > Duration::ZERO, "options.flush_policy: zero beat");
+        assert!(
+            checkpoint_interval > Duration::ZERO,
+            "checkpoint_interval: zero interval"
+        );
         self.storage = Some(StoragePlan {
             factory: Box::new(factory),
             options,
@@ -722,6 +734,31 @@ mod tests {
         };
         let _first = b.add_app(app("first"));
         let _second = b.add_app(app("second"));
+    }
+
+    /// A home whose processes each log to a fresh simulated disk.
+    fn with_storage_of(beat: Duration, checkpoint_interval: Duration) {
+        use rivulet_storage::SimBackend;
+        let mut net = SimNet::new(SimConfig::with_seed(1));
+        let options = WalOptions {
+            flush_policy: FlushPolicy::EveryInterval(beat),
+            ..WalOptions::default()
+        };
+        let _ = HomeBuilder::new(&mut net).with_storage(options, checkpoint_interval, |_| {
+            Arc::new(SimBackend::new(1)) as Arc<dyn StorageBackend>
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "options.flush_policy: zero beat")]
+    fn a_zero_beat_is_refused_by_name() {
+        with_storage_of(Duration::ZERO, Duration::from_secs(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_interval: zero interval")]
+    fn a_zero_checkpoint_interval_is_refused_by_name() {
+        with_storage_of(Duration::from_millis(3), Duration::ZERO);
     }
 
     #[test]

@@ -28,22 +28,17 @@
 //! ([`DurableGate::end_turn`]).
 //!
 //! A delivery to a local app leaves as soon as its flush completes;
-//! everything else leaves at the flush policy's first release point at
-//! or after durability — the `EveryInterval` beat, the completion of an
-//! `EveryN` flush, the tick backstop, the bound or a checkpoint — so a
-//! process's sends still leave together. The owner wakes the gate at
-//! the running flush's completion only when something leaves then:
-//! under `EveryN` when that flush covers more than is durable or a
-//! batch is queued behind it, under `EveryInterval` when a local
-//! delivery sits past the durable mark. `end_turn` works that out once
-//! per activation, from the state alone.
+//! everything else leaves at the first release point at or after
+//! durability — the `EveryInterval` beat, the bound or a checkpoint — so
+//! a process's sends still leave together. The owner wakes the gate at
+//! the running flush's completion only when a local delivery sits past
+//! the durable mark; `end_turn` works that out once per activation, from
+//! the state alone.
 //!
-//! A fixed bound stalls bursty workloads (every burst larger than the
-//! cap pays a forced flush) and over-delays sparse ones, so the gate
-//! grows the bound multiplicatively when bursts force flushes and
-//! shrinks it when flushes fire at low depth, following the adaptive
-//! group-commit argument of the user-space WAL literature: batch size
-//! should track observed arrival pressure, not a constant.
+//! The bound is a constant, `GATE_BOUND`: when that many actions wait,
+//! the gate forces the flush of whatever no flush writes yet and
+//! releases what is durable. DESIGN §4.3 has the measurements that
+//! chose it over a bound that follows burst depth.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,12 +51,9 @@ use rivulet_types::{Duration, SensorId, Time};
 
 use crate::delivery::Action;
 
-/// The bound a process's gate starts from.
-const GATE_INITIAL: usize = 512;
-/// Multiplicative step of the bound's growth and shrink.
-const GATE_STEP: usize = 2;
-/// The bound grows to at most this.
-const GATE_MAX: usize = GATE_INITIAL * 16;
+/// How many actions may be withheld before the gate forces a group
+/// commit and releases what is durable.
+const GATE_BOUND: usize = 8;
 
 /// Actions a [`DurableGate`] has let through: every event they carry
 /// or advertise is on disk (or the process keeps nothing on disk).
@@ -118,14 +110,6 @@ struct Flight {
 #[derive(Debug)]
 pub struct DurableGate {
     wal: Option<Wal>,
-    /// How many actions may wait behind un-flushed appends before a
-    /// group commit is forced. Multiplicative increase, multiplicative
-    /// decrease: a forced flush means a burst outran it, so it doubles
-    /// (up to [`GATE_MAX`]) and the next burst batches more per fsync;
-    /// an idle flush (timer, backstop, checkpoint) below a quarter of
-    /// it means batches no longer fill, so it halves (never below 1)
-    /// and a later trickle is not held to a burst-sized batch.
-    bound: usize,
     /// Actions held back, in arrival order, until the appends they
     /// depend on are flushed (group commit).
     withheld: Vec<Withheld>,
@@ -172,7 +156,6 @@ impl DurableGate {
         };
         let gate = Self {
             wal,
-            bound: GATE_INITIAL,
             withheld: Vec::new(),
             sync,
             durable: 0,
@@ -184,37 +167,23 @@ impl DurableGate {
         (gate, recovered)
     }
 
-    /// The current group-commit bound; `None` without storage.
-    #[must_use]
-    pub fn bound(&self) -> Option<usize> {
-        self.wal.as_ref().map(|_| self.bound)
-    }
-
-    /// The period of the flush timer the owner must run, when the
-    /// flush policy is time-based.
+    /// The period of the flush timer (the beat) the owner must run;
+    /// `None` without storage.
     #[must_use]
     pub fn flush_interval(&self) -> Option<Duration> {
-        match self.wal.as_ref()?.options().flush_policy {
-            FlushPolicy::EveryInterval(period) => Some(period),
-            FlushPolicy::EveryN(_) => None,
-        }
+        let FlushPolicy::EveryInterval(period) = self.wal.as_ref()?.options().flush_policy;
+        Some(period)
     }
 
     /// Ends one activation of the owner: a flush started during it is
     /// written now, with every append the activation made. Returns the
     /// running flush's completion when the owner must wake the gate
-    /// there with [`DurableGate::on_sync`], once per instant: under
-    /// `EveryN` when the flush covers more than is durable or a batch
-    /// is queued behind it, under `EveryInterval` when a local delivery
-    /// sits past the durable mark.
+    /// there with [`DurableGate::on_sync`], once per instant: when a
+    /// local delivery sits past the durable mark.
     pub fn end_turn(&mut self) -> Option<Time> {
         self.write_flight();
         let flight = self.running?;
-        let wanted = if self.flush_interval().is_none() {
-            flight.covers > self.durable || self.queued
-        } else {
-            self.withheld[self.durable..].iter().any(|w| w.local)
-        };
+        let wanted = self.withheld[self.durable..].iter().any(|w| w.local);
         let done = flight.start + self.sync;
         if !wanted || self.woken == Some(done) {
             return None;
@@ -232,8 +201,8 @@ impl DurableGate {
     /// somebody waits on them: `ingested` says the actions are this
     /// process's ingest of a sensor event, and `local` names the
     /// sensors an app running here subscribes to. Nobody waits on a
-    /// relay's or a shadow's copies: they flush at the policy's release
-    /// points. The released actions come back in `actions` itself,
+    /// relay's or a shadow's copies: they flush on the beat or at the
+    /// bound. The released actions come back in `actions` itself,
     /// emptied first.
     pub fn admit(
         &mut self,
@@ -254,7 +223,7 @@ impl DurableGate {
         for action in actions.drain(..) {
             let mut is_local = false;
             if let Action::Deliver { event } = &action {
-                wal.buffer_event(event);
+                wal.append_event(event).expect("wal append");
                 appended = true;
                 is_local = local(event.id.sensor);
             }
@@ -265,14 +234,9 @@ impl DurableGate {
                 local: is_local,
             });
         }
-        let pending = wal.pending_events();
-        let count = match wal.options().flush_policy {
-            FlushPolicy::EveryN(n) => pending >= n.max(1),
-            FlushPolicy::EveryInterval(_) => false,
-        };
-        if appended && awaited || count {
+        if appended && awaited {
             self.start_or_queue(now);
-        } else if !appended && pending == 0 && !self.queued {
+        } else if !appended && wal.pending_events() == 0 && !self.queued {
             // Nothing new to write: these actions wait only on flushes
             // already running or complete.
             let len = self.withheld.len();
@@ -281,29 +245,20 @@ impl DurableGate {
                 None => self.durable = len,
             }
         }
-        let at_bound = self.withheld.len() >= self.bound;
-        if at_bound {
-            // Back-pressure: a burst outran the flush policy. Force the
-            // group commit of whatever no flush is writing yet and
-            // release what is durable, so withheld actions (and their
-            // memory) stay bounded; the bound grows so the next burst
-            // batches more per flush.
-            if self.unflushed() {
-                self.start_or_queue(now);
-                self.obs.inc("wal.forced_flushes");
-            }
-            self.bound = (self.bound * GATE_STEP).min(GATE_MAX);
+        // Back-pressure: a burst outran the beat. Force the group commit
+        // of whatever no flush is writing yet and release what is
+        // durable, so withheld actions (and their memory) stay bounded.
+        let at_bound = self.withheld.len() >= GATE_BOUND;
+        if at_bound && self.unflushed() {
+            self.start_or_queue(now);
+            self.obs.inc("wal.forced_flushes");
         }
         self.release(now, actions, at_bound)
     }
 
-    /// The policy's release point: the `EveryInterval` timer or — under
-    /// a policy without one — the periodic tick as a backstop, so an
-    /// `EveryN` batch that never fills cannot strand its actions. Starts
-    /// a flush of whatever is buffered and releases everything already
-    /// durable. A flush at low depth is the signal that bursts have
-    /// subsided: the bound walks back. The released actions come back
-    /// in `spare`, an empty buffer of the caller's.
+    /// The beat: starts a flush of whatever is buffered and releases
+    /// everything already durable. The released actions come back in
+    /// `spare`, an empty buffer of the caller's.
     pub fn flush(&mut self, now: Time, spare: Vec<Action>) -> Released {
         let Some(wal) = self.wal.as_ref() else {
             return Released(spare);
@@ -315,13 +270,12 @@ impl DurableGate {
         if self.unflushed() {
             self.start_or_queue(now);
         }
-        self.idle_flush();
         self.release(now, spare, true)
     }
 
     /// The owner's wake-up at a completion [`DurableGate::end_turn`]
-    /// named: local deliveries the flush covered leave (under `EveryN`,
-    /// everything it covered), and a batch queued behind it starts.
+    /// named: local deliveries the flush covered leave, and a batch
+    /// queued behind it starts.
     pub fn on_sync(&mut self, now: Time, spare: Vec<Action>) -> Released {
         if self.wal.is_none() {
             return Released(spare);
@@ -333,8 +287,7 @@ impl DurableGate {
     /// the segments they cover. The checkpoint's flush takes whatever
     /// is buffered along and occupies the disk like any other; it is a
     /// release point for everything already durable, returned in
-    /// `spare` as in [`DurableGate::flush`]. At low depth it also
-    /// counts as an idle flush for the bound.
+    /// `spare` as in [`DurableGate::flush`].
     pub fn checkpoint(
         &mut self,
         now: Time,
@@ -354,7 +307,6 @@ impl DurableGate {
         let _ = wal.compact(processed).expect("wal compact");
         self.start_or_queue(now);
         self.write_flight();
-        self.idle_flush();
         self.release(now, spare, true)
     }
 
@@ -441,9 +393,8 @@ impl DurableGate {
 
     /// Runs the disk's clock up to `now`, then moves durable actions
     /// into `out` and records how long each delivery waited: every
-    /// durable action at a release point (`all`) or under `EveryN`,
-    /// whose release point is the completion itself; otherwise only
-    /// local deliveries.
+    /// durable action at a release point (`all`), otherwise only local
+    /// deliveries.
     fn release(&mut self, now: Time, mut out: Vec<Action>, all: bool) -> Released {
         self.settle(now);
         let durable = self.durable;
@@ -457,7 +408,7 @@ impl DurableGate {
             w.action
         };
         let before = out.len();
-        if all || self.flush_interval().is_none() {
+        if all {
             out.extend(self.withheld.drain(..durable).map(take));
         } else {
             out.extend(self.withheld.extract_if(..durable, |w| w.local).map(take));
@@ -468,14 +419,6 @@ impl DurableGate {
             flight.covers -= gone;
         }
         Released(out)
-    }
-
-    /// A release point without back-pressure at the current depth: the
-    /// bound halves when the batch ran well under it.
-    fn idle_flush(&mut self) {
-        if self.withheld.len() < (self.bound / 4).max(1) {
-            self.bound = (self.bound / GATE_STEP).max(1);
-        }
     }
 }
 
@@ -553,35 +496,38 @@ mod tests {
     fn nothing_leaves_before_the_flush_completes_and_everything_after_in_arrival_order() {
         let backend = Arc::new(SimBackend::new(1));
         let sync = backend.sync_cost();
-        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         let mut arrived = Vec::new();
-        for seq in 0..7 {
+        for seq in 0..3 {
             arrived.extend(deliver_and_relay(seq));
             assert_eq!(
                 gate.admit(NOW, deliver_and_relay(seq), false, remote),
                 Released::default()
             );
         }
+        assert_eq!(gate.end_turn(), None, "nobody waits on a relay copy");
         assert_eq!(
             backend.durable_len(0),
             Some(0),
             "no relay ahead of the disk"
         );
-        assert_eq!(gate.end_turn(), None, "a partial batch has no flush");
-        arrived.extend(deliver_and_relay(7));
-        let released = gate.admit(NOW, deliver_and_relay(7), false, remote);
-        assert_eq!(released, Released::default(), "the flush has only started");
-        assert_eq!(gate.end_turn(), Some(NOW + sync));
+        let beat = gate.flush(NOW, Vec::new());
+        assert_eq!(
+            beat,
+            Released::default(),
+            "the beat's flush has only started"
+        );
+        assert_eq!(gate.end_turn(), None, "nothing local to wake for");
         assert!(
             backend.durable_len(0) > Some(0),
-            "the eighth append's flush is written when the turn ends"
+            "the beat's flush is written when the turn ends"
         );
-        let early = gate.on_sync(NOW + (sync - MICRO), Vec::new());
+        let early = gate.flush(NOW + (sync - MICRO), Vec::new());
         assert_eq!(early, Released::default());
-        assert_eq!(gate.on_sync(NOW + sync, Vec::new()).0, arrived);
+        assert_eq!(gate.flush(NOW + sync, Vec::new()).0, arrived);
         backend.crash();
-        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
-        assert_eq!(recovered.events.len(), 8, "what was acked survived");
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
+        assert_eq!(recovered.events.len(), 3, "what was acked survived");
     }
 
     #[test]
@@ -622,14 +568,16 @@ mod tests {
     #[test]
     fn no_action_leaves_before_a_sync_after_it_came_in() {
         // A seeded mix of ingests, app-host deliveries and relay copies
-        // against beats, count flushes, checkpoints and ledger appends:
-        // every released action came in at least one sync earlier,
-        // because the flush covering it started no earlier than that,
-        // and every local delivery less than two syncs earlier, because
-        // it waits for at most the running flush and its own. Like the
-        // process, the harness ends a turn after every activation,
-        // wake-ups included.
-        for policy in [FlushPolicy::EveryInterval(BEAT), FlushPolicy::EveryN(3)] {
+        // against beats, checkpoints and ledger appends: every released
+        // action came in at least one sync earlier, because the flush
+        // covering it started no earlier than that, and every local
+        // delivery less than two syncs earlier, because it waits for at
+        // most the running flush and its own. Like the process, the
+        // harness ends a turn after every activation, wake-ups and beats
+        // included. The second beat is shorter than a sync, so beats
+        // land on a running flush and queue behind it.
+        for beat in [BEAT, Duration::from_micros(200)] {
+            let policy = FlushPolicy::EveryInterval(beat);
             let backend = Arc::new(SimBackend::new(11));
             let sync = backend.sync_cost();
             let (mut gate, _) = gate_on(&backend, policy);
@@ -654,14 +602,28 @@ mod tests {
             };
             let mut rng = 0x2545_f491_4f6c_dd1d_u64;
             let mut now = NOW;
+            let mut next_beat = NOW + beat;
             for seq in 0..2_000u64 {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
                 now += Duration::from_micros(rng % 700);
-                while wake_ups.first().is_some_and(|at| *at <= now) {
-                    let at = wake_ups.remove(0);
-                    check(at, gate.on_sync(at, Vec::new()), &came_in, &local);
+                // The owner's timers up to `now`, in time order.
+                loop {
+                    let wake = wake_ups.first().copied().filter(|at| *at <= now);
+                    let (at, out) = match wake {
+                        Some(at) if at <= next_beat => {
+                            wake_ups.remove(0);
+                            (at, gate.on_sync(at, Vec::new()))
+                        }
+                        _ if next_beat <= now => {
+                            let at = next_beat;
+                            next_beat += beat;
+                            (at, gate.flush(at, Vec::new()))
+                        }
+                        _ => break,
+                    };
+                    check(at, out, &came_in, &local);
                     wake_ups.extend(gate.end_turn());
                     wake_ups.sort_unstable();
                 }
@@ -674,13 +636,12 @@ mod tests {
                 };
                 check(now, out, &came_in, &local);
                 match (rng >> 8) % 20 {
-                    0..=3 => check(now, gate.flush(now, Vec::new()), &came_in, &local),
-                    4 => {
+                    0 => {
                         let marks = BTreeMap::new();
                         let out = gate.checkpoint(now, &marks, Vec::new());
                         check(now, out, &came_in, &local);
                     }
-                    5 => {
+                    1 => {
                         let staged = RoutineTransition::Staged;
                         let entry = chain.append(RoutineId(1), seq, staged, now, Vec::new());
                         gate.append_ledger(now, &entry);
@@ -710,40 +671,32 @@ mod tests {
     fn a_disk_that_takes_no_time_releases_inside_the_call() {
         // On a real disk `sync_data` blocks, so its flush completes the
         // instant it starts and nobody is woken for it.
-        let policies = [FlushPolicy::EveryInterval(BEAT), FlushPolicy::EveryN(1)];
-        for (i, policy) in policies.into_iter().enumerate() {
-            let name = format!("rivulet-gate-fs-{}-{i}", std::process::id());
-            let dir = std::env::temp_dir().join(name);
-            let backend = Arc::new(FsBackend::open(&dir).unwrap());
-            let storage = || {
-                let options = WalOptions {
-                    flush_policy: policy,
-                    ..WalOptions::default()
-                };
-                Some((Arc::clone(&backend) as Arc<dyn StorageBackend>, options))
+        let name = format!("rivulet-gate-fs-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let backend = Arc::new(FsBackend::open(&dir).unwrap());
+        let storage = || {
+            let options = WalOptions {
+                flush_policy: FlushPolicy::EveryInterval(BEAT),
+                ..WalOptions::default()
             };
-            let (mut gate, _) = DurableGate::open(storage(), &Recorder::default());
-            assert_eq!(backend.sync_cost(), Duration::ZERO);
-            let local = gate.admit(NOW, deliver_and_relay(0), false, hosted).0;
-            let relayed = gate.admit(NOW, deliver_and_relay(1), false, remote).0;
-            assert_eq!(gate.end_turn(), None, "{policy:?}: nothing to wake for");
-            if gate.flush_interval().is_some() {
-                assert_eq!(local, deliver_and_relay(0)[..1], "the delivery alone");
-                assert!(relayed.is_empty(), "a relay copy waits for the beat");
-                let beat = gate.flush(NOW + BEAT, Vec::new()).0;
-                let mut sends = deliver_and_relay(0)[1..].to_vec();
-                sends.extend(deliver_and_relay(1));
-                assert_eq!(beat, sends, "the sends leave on the beat");
-            } else {
-                assert_eq!(local, deliver_and_relay(0), "{policy:?}");
-                assert_eq!(relayed, deliver_and_relay(1), "{policy:?}");
-            }
-            assert_eq!(gate.end_turn(), None, "{policy:?}: nothing to wake for");
-            drop(gate);
-            let (_, recovered) = DurableGate::open(storage(), &Recorder::default());
-            assert_eq!(recovered.events.len(), 2, "{policy:?}");
-            std::fs::remove_dir_all(dir).unwrap();
-        }
+            Some((Arc::clone(&backend) as Arc<dyn StorageBackend>, options))
+        };
+        let (mut gate, _) = DurableGate::open(storage(), &Recorder::default());
+        assert_eq!(backend.sync_cost(), Duration::ZERO);
+        let local = gate.admit(NOW, deliver_and_relay(0), false, hosted).0;
+        let relayed = gate.admit(NOW, deliver_and_relay(1), false, remote).0;
+        assert_eq!(gate.end_turn(), None, "nothing to wake for");
+        assert_eq!(local, deliver_and_relay(0)[..1], "the delivery alone");
+        assert!(relayed.is_empty(), "a relay copy waits for the beat");
+        let beat = gate.flush(NOW + BEAT, Vec::new()).0;
+        let mut sends = deliver_and_relay(0)[1..].to_vec();
+        sends.extend(deliver_and_relay(1));
+        assert_eq!(beat, sends, "the sends leave on the beat");
+        assert_eq!(gate.end_turn(), None, "nothing to wake for");
+        drop(gate);
+        let (_, recovered) = DurableGate::open(storage(), &Recorder::default());
+        assert_eq!(recovered.events.len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -818,79 +771,51 @@ mod tests {
     }
 
     #[test]
-    fn reaching_the_bound_forces_one_flush_and_doubles_the_bound() {
+    fn a_burst_forces_one_flush_per_full_bound() {
+        // Relay copies nobody waits on, one activation's worth of a full
+        // bound per sync, under a beat that never comes: each time the
+        // bound fills, the gate forces the flush of what no flush writes
+        // yet and releases what is durable.
         let backend = Arc::new(SimBackend::new(2));
         let sync = backend.sync_cost();
         let obs = Recorder::enabled();
         let never = FlushPolicy::EveryInterval(Duration::from_secs(3600));
         let (mut gate, _) = recorded_gate_on(&backend, never, &obs);
-        assert_eq!(gate.flush_interval(), Some(Duration::from_secs(3600)));
-        let bound = gate.bound().expect("durable");
-        for seq in 0..(bound / 2) as u64 {
-            assert!(gate
-                .admit(NOW, deliver_and_relay(seq), false, remote)
-                .0
-                .is_empty());
-        }
-        assert_eq!(gate.end_turn(), None, "nothing local waits on it");
-        assert!(backend.durable_len(0) > Some(0), "the burst was forced out");
-        assert_eq!(gate.bound(), Some(bound * 2));
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("wal.forced_flushes"), 1);
-        assert_eq!(snap.counter("wal.flushes"), 1);
-        let released = gate.flush(NOW + sync, Vec::new()).0;
-        assert_eq!(released.len(), bound, "the burst left as one batch");
-    }
-
-    #[test]
-    fn gate_grows_under_burst() {
-        let backend = Arc::new(SimBackend::new(8));
-        let never = FlushPolicy::EveryInterval(Duration::from_secs(3600));
-        let (mut gate, _) = gate_on(&backend, never);
-        assert_eq!(gate.bound(), Some(GATE_INITIAL));
-        let mut bounds = Vec::new();
-        let mut seq = 0;
-        let mut now = NOW;
-        for _ in 0..6 {
-            // A burst as deep as the bound, then its flush completes.
-            let bound = gate.bound().expect("durable");
-            while gate.withheld.len() < bound {
-                let _ = gate.admit(now, deliver_and_relay(seq), false, remote);
-                seq += 1;
+        let bound = GATE_BOUND as u64;
+        let mut released = Vec::new();
+        let mut at = NOW;
+        for batch in 0..3 {
+            for seq in batch * bound..(batch + 1) * bound {
+                released.extend(seqs(&gate.admit(at, deliver(seq), false, remote).0));
             }
-            bounds.push(gate.bound().expect("durable"));
-            now += BEAT;
-            let released = gate.flush(now, Vec::new()).0;
-            assert_eq!(released.len(), bound);
+            assert_eq!(gate.end_turn(), None, "nothing local waits on it");
+            at += sync;
         }
-        assert_eq!(
-            bounds,
-            [1024, 2048, 4096, 8192, 8192, 8192],
-            "each forced flush doubles the bound, up to 16 × its start"
-        );
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("wal.forced_flushes"), 3);
+        assert_eq!(snap.counter("wal.flushes"), 3);
+        assert_eq!(released, (0..2 * bound).collect::<Vec<_>>());
+        let last = seqs(&gate.flush(at, Vec::new()).0);
+        assert_eq!(last, (2 * bound..3 * bound).collect::<Vec<_>>());
     }
 
     #[test]
-    fn beat_and_checkpoint_release_and_shrink_an_idle_bound() {
+    fn beat_and_checkpoint_release_what_is_durable() {
         let backend = Arc::new(SimBackend::new(3));
         let sync = backend.sync_cost();
         let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
-        let bound = gate.bound().expect("durable");
         assert_eq!(
             gate.flush(NOW, Vec::new()),
             Released::default(),
             "nothing pending"
         );
-        assert_eq!(gate.bound(), Some(bound), "a no-op flush is not a signal");
 
         assert_eq!(
             gate.admit(NOW, deliver_and_relay(0), false, remote),
             Released::default()
         );
         assert_eq!(gate.flush(NOW, Vec::new()), Released::default());
-        assert_eq!(gate.bound(), Some(bound / 2), "flushed at low depth");
         assert_eq!(gate.flush(NOW + sync, Vec::new()).0, deliver_and_relay(0));
-        assert_eq!(gate.bound(), Some(bound / 4), "released at low depth");
 
         let later = NOW + BEAT;
         assert_eq!(
@@ -900,12 +825,10 @@ mod tests {
         let processed = BTreeMap::from([(SensorId(1), 0)]);
         let released = gate.checkpoint(later, &processed, Vec::new());
         assert_eq!(released, Released::default(), "the checkpoint's sync runs");
-        assert_eq!(gate.bound(), Some(bound / 8));
         let released = gate.checkpoint(later + sync, &processed, Vec::new());
         assert_eq!(released.0, deliver_and_relay(1));
-        assert_eq!(gate.bound(), Some(bound / 16));
         backend.crash();
-        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         assert_eq!(recovered.events.len(), 2);
         let checkpoint = recovered.checkpoint.expect("checkpoint is durable");
         assert_eq!(checkpoint.processed, vec![(SensorId(1), 0)]);
@@ -967,7 +890,7 @@ mod tests {
     fn a_gate_without_storage_releases_at_once() {
         let (mut gate, recovered) = DurableGate::open(None, &Recorder::default());
         assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
-        assert_eq!((gate.bound(), gate.flush_interval()), (None, None));
+        assert_eq!(gate.flush_interval(), None);
         assert_eq!(
             gate.admit(NOW, deliver_and_relay(0), false, remote).0,
             deliver_and_relay(0)
@@ -985,7 +908,7 @@ mod tests {
     fn a_ledger_entry_is_durable_when_append_returns_and_occupies_the_disk() {
         let backend = Arc::new(SimBackend::new(4));
         let sync = backend.sync_cost();
-        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         let mut chain = LedgerChain::seeded(9);
         let staged = RoutineTransition::Staged;
         let entry = chain.append(RoutineId(1), 0, staged, NOW, Vec::new());
@@ -997,35 +920,7 @@ mod tests {
         assert_eq!(gate.on_sync(NOW + sync, Vec::new()), Released::default());
         assert_eq!(gate.end_turn(), Some(NOW + sync + sync));
         backend.crash();
-        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryN(8));
+        let (_, recovered) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         assert_eq!(recovered.ledger, vec![entry]);
-    }
-
-    #[test]
-    fn gate_shrinks_when_idle_never_below_one() {
-        let backend = Arc::new(SimBackend::new(9));
-        let sync = backend.sync_cost();
-        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryN(1000));
-        // A flush at a quarter of the bound is deep enough to keep it;
-        // one action less halves it.
-        gate.bound = 64;
-        for seq in 0..8 {
-            let _ = gate.admit(NOW, deliver_and_relay(seq), false, remote);
-        }
-        let _ = gate.flush(NOW, Vec::new());
-        assert_eq!(gate.on_sync(NOW + sync, Vec::new()).0.len(), 16);
-        assert_eq!(gate.bound(), Some(64), "16 ≥ 64 / 4");
-        let later = NOW + BEAT;
-        for seq in 8..15 {
-            let _ = gate.admit(later, deliver_and_relay(seq), false, remote);
-        }
-        let _ = gate.flush(later, Vec::new());
-        assert_eq!(gate.on_sync(later + sync, Vec::new()).0.len(), 14);
-        assert_eq!(gate.bound(), Some(32));
-        // Checkpoints at depth 0 walk the bound down to 1 and no lower.
-        for _ in 0..20 {
-            let _ = gate.checkpoint(later + sync, &BTreeMap::new(), Vec::new());
-        }
-        assert_eq!(gate.bound(), Some(1), "shrink floors at 1, never 0");
     }
 }

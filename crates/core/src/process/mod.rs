@@ -481,8 +481,8 @@ impl Running {
         // first).
         run.replay_routine_recovery(ctx, routine_recovery);
 
-        // Arm the durability timers: the group-commit flush interval
-        // (when the policy is time-based) and the checkpoint cadence.
+        // Arm the durability timers: the group-commit beat and the
+        // checkpoint cadence.
         if let Some(period) = run.gate.flush_interval() {
             ctx.set_timer(period, TOKEN_FLUSH);
         }
@@ -543,17 +543,6 @@ impl Running {
             .observe("store.len", self.gapless.store().len() as u64);
         self.obs
             .observe("rbcast.pending", self.rbcast.pending_count() as u64);
-        if let Some(bound) = self.gate.bound() {
-            self.obs.observe("wal.gated_bound", bound as u64);
-        }
-        // Group-commit backstop: a partial EveryN batch must not
-        // withhold its actions longer than one keep-alive period. An
-        // interval policy has its own timer, which never idles; a flush
-        // here would be a second, unaligned commit clock.
-        if self.gate.flush_interval().is_none() {
-            let released = self.gate.flush(now, std::mem::take(&mut self.actions));
-            self.apply_actions(ctx, released);
-        }
         self.election(ctx);
         self.repair_tick(ctx);
         ctx.set_timer(KEEPALIVE_INTERVAL, TOKEN_TICK);

@@ -33,7 +33,8 @@
 //! assert!(recovered.events.is_empty());
 //!
 //! let event = Event::new(EventId::new(SensorId(1), 1), EventKind::Motion, Time::ZERO);
-//! wal.append_event(&event).unwrap(); // durable: default policy fsyncs per event
+//! wal.append_event(&event).unwrap(); // buffered, not yet durable
+//! wal.flush().unwrap(); // durable
 //!
 //! // A crash later, the event is still there.
 //! backend.crash();

@@ -12,8 +12,8 @@
 //!    the page cache, take none. The backend keeps no clock of its own:
 //!    the process's durability gate is the one place disk time passes,
 //!    releasing nothing a flush covers until one sync after the flush
-//!    started. Benchmarks compare flush policies (per-event fsync vs
-//!    group commit) by the syncs [`SimBackend::op_counts`] counts.
+//!    started. Benchmarks compare per-event fsync with group commit
+//!    by the syncs [`SimBackend::op_counts`] counts.
 //!
 //! The fault model is seeded, so a given seed produces the identical
 //! sequence of torn writes and corruptions on every run — the property

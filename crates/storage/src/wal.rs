@@ -9,13 +9,13 @@
 //! # Group commit
 //!
 //! Frames accumulate in an in-memory buffer and reach the backend in
-//! one `append` + `sync` pair per flush. [`FlushPolicy`] picks the
-//! trade-off: `EveryN(1)` pays one fsync per event (lowest loss window,
-//! lowest throughput), a larger `EveryN` amortizes the fsync over a
-//! batch, and `EveryInterval` leaves flushing to a caller-armed timer.
-//! A caller that keeps its own disk clock (the process runtime's
-//! durability gate) buffers with [`Wal::buffer_event`] and decides
-//! every flush itself.
+//! one `append` + `sync` pair per flush. Appending never flushes: the
+//! caller decides every flush with [`Wal::flush`]. In a running home
+//! that caller is the process runtime's durability gate, which flushes
+//! on the [`FlushPolicy`] beat and whenever an action waits on an
+//! append; a raw user of the log flushes every k appends to trade the
+//! loss window against fsyncs. Checkpoints and ledger entries flush at
+//! once.
 //!
 //! # Recovery
 //!
@@ -48,31 +48,27 @@ use crate::record::{
     WalRecord,
 };
 
-/// When buffered frames are pushed to the backend and fsynced.
+/// When a process's durability gate flushes the log and releases what
+/// waits on it.
 ///
-/// In a running home the process's durability gate reads the policy
-/// for its *release* points: when actions waiting on a flush may leave.
-/// It is not the only commit clock there: an append an action waits on
+/// The beat is not the only commit clock: an append an action waits on
 /// (an ingest, or a delivery to an app running on the process) starts a
-/// flush at once when the disk is idle, whatever the policy.
+/// flush at once when the disk is idle. A beat shorter than one sync is
+/// how a caller asks for flushing per event. [`Wal`] itself never reads
+/// the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush once `n` events are buffered (`EveryN(1)`: after every
-    /// event). The owner should still flush on a timer or tick so a
-    /// quiet period cannot strand a partial batch. A gate releases what
-    /// a flush covers when that flush completes.
-    EveryN(usize),
-    /// Never flush from [`Wal::append_event`]; the owner arms a timer
-    /// with this period and calls [`Wal::flush`] when it fires. A gate
-    /// releases on this beat whatever is durable by then, so the
-    /// process's sends leave together, one frame per peer.
+    /// The owner arms a timer with this period and flushes when it
+    /// fires. A gate releases on this beat whatever is durable by then,
+    /// so the process's sends leave together, one frame per peer. The
+    /// period must be above zero.
     EveryInterval(Duration),
 }
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
-    /// Group-commit policy.
+    /// Group-commit policy of the gate over the log.
     pub flush_policy: FlushPolicy,
     /// Rotate to a fresh segment once the tail would exceed this size.
     pub segment_max_bytes: usize,
@@ -81,7 +77,7 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            flush_policy: FlushPolicy::EveryN(1),
+            flush_policy: FlushPolicy::EveryInterval(Duration::from_millis(3)),
             segment_max_bytes: 256 * 1024,
         }
     }
@@ -257,34 +253,21 @@ impl Wal {
         self.obs = obs;
     }
 
-    /// Buffers `event` and flushes if the policy calls for it.
-    /// Returns whether a flush happened — until it has (or
-    /// [`Wal::flush`] is called), the event is **not durable**.
+    /// Buffers `event` for the next flush; it is **not durable** until
+    /// [`Wal::flush`].
     ///
     /// # Errors
     ///
-    /// Propagates backend failures from an implied flush.
-    pub fn append_event(&mut self, event: &Event) -> Result<bool> {
-        self.buffer_event(event);
-        let should_flush = match self.options.flush_policy {
-            FlushPolicy::EveryN(n) => self.pending_events >= n.max(1),
-            FlushPolicy::EveryInterval(_) => false,
-        };
-        if should_flush {
-            self.flush()?;
-        }
-        Ok(should_flush)
-    }
-
-    /// Buffers `event` for the next flush and never flushes: the caller
-    /// owns the flush policy. Not durable until [`Wal::flush`].
-    pub fn buffer_event(&mut self, event: &Event) {
+    /// None: appending only buffers. The `Result` lets a caller treat
+    /// every write to the log alike.
+    pub fn append_event(&mut self, event: &Event) -> Result<()> {
         write_event_frame(&mut self.pending, event);
         self.pending_events += 1;
         self.pending_index
             .max_seq
             .raise(event.id.sensor, event.id.seq);
         self.obs.inc("wal.appends");
+        Ok(())
     }
 
     /// Appends a checkpoint and flushes immediately: a checkpoint is
@@ -432,6 +415,21 @@ mod tests {
         }
     }
 
+    /// Appends `event` and flushes it, as a gate does for an append
+    /// somebody waits on.
+    fn append_flushed(wal: &mut Wal, event: &Event) {
+        wal.append_event(event).unwrap();
+        wal.flush().unwrap();
+    }
+
+    /// Segments of 64 bytes: a few frames each.
+    fn small_segments() -> WalOptions {
+        WalOptions {
+            segment_max_bytes: 64,
+            ..WalOptions::default()
+        }
+    }
+
     fn sim() -> Arc<SimBackend> {
         Arc::new(SimBackend::new(0).with_faults(FaultConfig {
             torn_tail: false,
@@ -444,23 +442,25 @@ mod tests {
     fn group_commit_beats_per_event_fsync_in_virtual_disk_time() {
         // Every sync occupies the disk for `sync_cost`, so disk time is
         // the number of syncs times that.
-        let disk_time = |policy: FlushPolicy| {
+        let disk_time = |every: u64| {
             let backend = sim();
-            let options = WalOptions {
-                flush_policy: policy,
-                ..WalOptions::default()
-            };
-            let (mut wal, _) =
-                Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();
+            let (mut wal, _) = Wal::open(
+                backend.clone() as Arc<dyn StorageBackend>,
+                WalOptions::default(),
+            )
+            .unwrap();
             for seq in 0..1000 {
                 wal.append_event(&event(1, seq)).unwrap();
+                if seq % every == every - 1 {
+                    wal.flush().unwrap();
+                }
             }
             wal.flush().unwrap();
             let (_, syncs, _) = backend.op_counts();
             backend.sync_cost().saturating_mul(syncs)
         };
-        let per_event = disk_time(FlushPolicy::EveryN(1));
-        let grouped = disk_time(FlushPolicy::EveryN(16));
+        let per_event = disk_time(1);
+        let grouped = disk_time(16);
         assert!(
             grouped.as_micros() * 4 < per_event.as_micros(),
             "group commit must amortize fsyncs: {grouped} !< {per_event} / 4"
@@ -477,7 +477,7 @@ mod tests {
         .unwrap();
         assert!(rec.events.is_empty());
         for seq in 1..=10 {
-            assert!(wal.append_event(&event(1, seq)).unwrap());
+            append_flushed(&mut wal, &event(1, seq));
         }
         drop(wal);
         let (_, rec) =
@@ -490,14 +490,11 @@ mod tests {
     #[test]
     fn group_commit_defers_durability_until_flush() {
         let backend = sim();
-        let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(4),
-            ..WalOptions::default()
-        };
+        let options = WalOptions::default();
         let (mut wal, _) = Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();
-        assert!(!wal.append_event(&event(1, 1)).unwrap());
-        assert!(!wal.append_event(&event(1, 2)).unwrap());
-        assert!(!wal.append_event(&event(1, 3)).unwrap());
+        for seq in 1..=3 {
+            wal.append_event(&event(1, seq)).unwrap();
+        }
         assert_eq!(wal.pending_events(), 3);
         // Crash now: nothing was flushed, so nothing survives.
         backend.crash();
@@ -506,36 +503,36 @@ mod tests {
     }
 
     #[test]
-    fn every_n_flushes_on_the_nth_append() {
+    fn appends_wait_for_the_callers_flush() {
+        // The beat is the gate's clock: however short it is, appending
+        // alone never flushes.
         let backend = sim();
         let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(3),
+            flush_policy: FlushPolicy::EveryInterval(Duration::from_micros(1)),
             ..WalOptions::default()
         };
         let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
         let obs = Recorder::enabled();
         wal.attach_recorder(obs.clone());
-        assert!(!wal.append_event(&event(1, 1)).unwrap());
-        assert!(!wal.append_event(&event(1, 2)).unwrap());
-        assert!(wal.append_event(&event(1, 3)).unwrap());
+        for seq in 1..=3 {
+            wal.append_event(&event(1, seq)).unwrap();
+        }
+        let counts = |obs: &Recorder| {
+            let snap = obs.snapshot();
+            (snap.counter("wal.appends"), snap.counter("wal.flushes"))
+        };
+        assert_eq!(counts(&obs), (3, 0));
+        wal.flush().unwrap();
         assert_eq!(wal.pending_events(), 0);
-        let snap = obs.snapshot();
-        assert_eq!(
-            (snap.counter("wal.appends"), snap.counter("wal.flushes")),
-            (3, 1)
-        );
+        assert_eq!(counts(&obs), (3, 1));
     }
 
     #[test]
     fn rotation_seals_segments_at_size_limit() {
         let backend = sim();
-        let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(1),
-            segment_max_bytes: 64,
-        };
-        let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
+        let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, small_segments()).unwrap();
         for seq in 1..=20 {
-            wal.append_event(&event(1, seq)).unwrap();
+            append_flushed(&mut wal, &event(1, seq));
         }
         assert!(
             wal.segments().len() > 1,
@@ -553,7 +550,7 @@ mod tests {
         )
         .unwrap();
         for seq in 1..=5 {
-            wal.append_event(&event(1, seq)).unwrap();
+            append_flushed(&mut wal, &event(1, seq));
         }
         drop(wal);
         let len = backend.read_segment(0).unwrap().len();
@@ -573,7 +570,7 @@ mod tests {
         }
         // And the truncated log accepts new appends cleanly.
         let mut wal = wal;
-        wal.append_event(&event(1, 99)).unwrap();
+        append_flushed(&mut wal, &event(1, 99));
         let (_, rec2) =
             Wal::open(backend as Arc<dyn StorageBackend>, WalOptions::default()).unwrap();
         assert_eq!(rec2.dropped_bytes, 0);
@@ -583,13 +580,10 @@ mod tests {
     #[test]
     fn checkpoint_recovers_and_compaction_drops_covered_prefix() {
         let backend = sim();
-        let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(1),
-            segment_max_bytes: 64,
-        };
+        let options = small_segments();
         let (mut wal, _) = Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();
         for seq in 1..=20 {
-            wal.append_event(&event(1, seq)).unwrap();
+            append_flushed(&mut wal, &event(1, seq));
         }
         let before = wal.segments().len();
         assert!(before > 2);
@@ -612,13 +606,10 @@ mod tests {
     #[test]
     fn compaction_spares_uncovered_segments() {
         let backend = sim();
-        let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(1),
-            segment_max_bytes: 64,
-        };
+        let options = small_segments();
         let (mut wal, _) = Wal::open(backend as Arc<dyn StorageBackend>, options).unwrap();
         for seq in 1..=20 {
-            wal.append_event(&event(1, seq)).unwrap();
+            append_flushed(&mut wal, &event(1, seq));
         }
         let cp = Checkpoint {
             at: Time::from_secs(1),
@@ -677,10 +668,7 @@ mod tests {
         use crate::ledger::{LedgerChain, RoutineTransition};
         use rivulet_types::RoutineId;
         let backend = sim();
-        let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(1),
-            segment_max_bytes: 64,
-        };
+        let options = small_segments();
         let (mut wal, _) = Wal::open(backend.clone() as Arc<dyn StorageBackend>, options).unwrap();
         let mut chain = LedgerChain::seeded(7);
         // Segment 0 gets a ledger entry, then events roll segments.
@@ -693,7 +681,7 @@ mod tests {
         ))
         .unwrap();
         for seq in 1..=20 {
-            wal.append_event(&event(1, seq)).unwrap();
+            append_flushed(&mut wal, &event(1, seq));
         }
         wal.append_checkpoint(&Checkpoint {
             at: Time::from_secs(1),
@@ -802,6 +790,7 @@ mod tests {
         for seq in 1..=8 {
             wal.append_event(&event(2, seq)).unwrap();
         }
+        wal.flush().unwrap();
         drop(wal);
         let (_, rec) =
             Wal::open(backend as Arc<dyn StorageBackend>, WalOptions::default()).unwrap();

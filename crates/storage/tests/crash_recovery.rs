@@ -8,9 +8,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rivulet_storage::{
-    Checkpoint, FaultConfig, FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions,
-};
+use rivulet_storage::{Checkpoint, FaultConfig, SimBackend, StorageBackend, Wal, WalOptions};
 use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
 
 fn ev(i: u64) -> Event {
@@ -34,13 +32,13 @@ struct Outcome {
     segments: Vec<(u64, Vec<u8>)>,
 }
 
-/// Appends `n` events under `EveryN(flush_every)`, crashes the disk,
-/// and reopens the log.
+/// Appends `n` events, flushing after every `flush_every`-th, crashes
+/// the disk, and reopens the log.
 fn run(seed: u64, n: usize, flush_every: usize, seg_max: usize, faults: FaultConfig) -> Outcome {
     let backend = Arc::new(SimBackend::new(seed).with_faults(faults));
     let options = WalOptions {
-        flush_policy: FlushPolicy::EveryN(flush_every),
         segment_max_bytes: seg_max,
+        ..WalOptions::default()
     };
     let (mut wal, fresh) =
         Wal::open(Arc::clone(&backend) as Arc<dyn StorageBackend>, options).expect("open");
@@ -50,9 +48,10 @@ fn run(seed: u64, n: usize, flush_every: usize, seg_max: usize, faults: FaultCon
     let mut durable = 0;
     for i in 0..n {
         let event = ev(i as u64);
-        let flushed = wal.append_event(&event).expect("append");
+        wal.append_event(&event).expect("append");
         appended.push(event);
-        if flushed {
+        if (i + 1) % flush_every == 0 {
+            wal.flush().expect("flush");
             durable = i + 1;
         }
     }
@@ -142,8 +141,8 @@ proptest! {
     ) {
         let backend = Arc::new(SimBackend::new(seed));
         let options = WalOptions {
-            flush_policy: FlushPolicy::EveryN(3),
             segment_max_bytes: 512,
+            ..WalOptions::default()
         };
         let (mut wal, _) =
             Wal::open(Arc::clone(&backend) as Arc<dyn StorageBackend>, options).expect("open");
@@ -153,6 +152,9 @@ proptest! {
             let event = ev(i as u64);
             wal.append_event(&event).expect("append");
             appended.push(event);
+            if i % 3 == 2 {
+                wal.flush().expect("flush");
+            }
             if i % every == every - 1 {
                 let at = Time::from_millis(i as u64);
                 wal.append_checkpoint(&Checkpoint {

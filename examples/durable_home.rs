@@ -34,7 +34,7 @@ fn main() {
     let wal_root = root.clone();
     let mut home = home.with_storage(
         WalOptions {
-            flush_policy: FlushPolicy::EveryN(8),
+            flush_policy: FlushPolicy::EveryInterval(Duration::from_millis(10)),
             segment_max_bytes: 64 * 1024,
         },
         Duration::from_secs(5),

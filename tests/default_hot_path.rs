@@ -91,9 +91,9 @@ fn seeded_blob_run_under_crash_and_loss_is_byte_identical() {
     assert_eq!(trace(99), trace(99));
 }
 
-/// A durable home (per-process WAL on a simulated disk, group commit
-/// every 8 events): deliveries gate behind WAL appends, so a partial
-/// batch is released only by the tick backstop.
+/// A durable home (per-process WAL on a simulated disk, group commit on
+/// a 400 ms beat): deliveries gate behind WAL appends, and what no app
+/// waits on is released only by the beat.
 #[test]
 fn durable_home_under_group_commit_delivers_every_event() {
     let seed = 31;
@@ -106,7 +106,7 @@ fn durable_home_under_group_commit_delivers_every_event() {
         .collect();
     let mut home = home.with_storage(
         WalOptions {
-            flush_policy: FlushPolicy::EveryN(8),
+            flush_policy: FlushPolicy::EveryInterval(Duration::from_millis(400)),
             segment_max_bytes: 64 * 1024,
         },
         Duration::from_secs(5),
@@ -134,8 +134,8 @@ fn durable_home_under_group_commit_delivers_every_event() {
     let seqs = common::distinct_seqs(&probe);
     let prefix: Vec<u64> = (0..seqs.len() as u64).collect();
     assert_eq!(seqs, prefix, "delivery has no gap");
-    // Only the five events of the last keep-alive period (19.6–20 s) may
-    // still sit in an unflushed batch when the run stops.
+    // Only the five events of the last beat (19.6–20 s) may still sit
+    // in an unflushed batch when the run stops.
     let verdict = check(&ProbeData {
         owed_before: Time::from_millis(19_600),
         ..common::probe_data(sensor, Delivery::Gapless, &emission, &ingest, &probe)

@@ -21,12 +21,12 @@ use std::sync::Arc;
 
 /// The `failover.rs` standard home (five hosts, one Gapless sensor at
 /// 10 ev/s heard by all, app anchored at host 0) with a per-process
-/// simulated disk.
-fn durable_home(seed: u64, policy: FlushPolicy, config: RivuletConfig) -> Setup {
+/// simulated disk flushed on a `TICK` beat.
+fn durable_home(seed: u64, config: RivuletConfig) -> Setup {
     let schedule = EmissionSchedule::Periodic(Duration::from_millis(100));
     deploy(
         seed,
-        Some(policy),
+        Some(FlushPolicy::EveryInterval(TICK)),
         config,
         schedule,
         &[0, 1, 2, 3, 4],
@@ -40,7 +40,7 @@ fn durable_home(seed: u64, policy: FlushPolicy, config: RivuletConfig) -> Setup 
 #[test]
 fn gapless_survives_power_loss_of_the_active_process() {
     for seed in [1u64, 2, 3] {
-        let mut s = durable_home(seed, FlushPolicy::EveryN(4), RivuletConfig::default());
+        let mut s = durable_home(seed, RivuletConfig::default());
         let h0 = s.home.actor_of(s.pids[0]);
         s.net.crash_at(h0, Time::from_secs(24));
         s.net.run_until(Time::from_millis(24_100));
@@ -55,9 +55,9 @@ fn gapless_survives_power_loss_of_the_active_process() {
             "seed {seed}: the WAL was exercised"
         );
         let lost = s.emissions.emitted() as i64 - s.probe.unique_delivered() as i64;
-        // Margin: the final group-commit batch (up to 3 events under
-        // EveryN(4)) plus one in-flight ring hop may still be pending
-        // when the run is cut off.
+        // Margin: the final group-commit batch (the last 250 ms beat's
+        // two or three events) plus one in-flight ring hop may still be
+        // pending when the run is cut off.
         assert!(
             lost <= 5,
             "seed {seed}: gapless with durability lost {lost} events"
@@ -74,7 +74,7 @@ fn gapless_survives_power_loss_of_the_active_process() {
 fn shadow_recovers_store_from_wal_without_anti_entropy() {
     for seed in [1u64, 2, 3] {
         let config = RivuletConfig::default();
-        let mut s = durable_home(seed, FlushPolicy::EveryN(4), config);
+        let mut s = durable_home(seed, config);
         let h4 = s.home.actor_of(s.pids[4]);
         s.net.crash_at(h4, Time::from_secs(20));
         s.net.run_until(Time::from_millis(20_100));
@@ -123,7 +123,7 @@ fn shadow_recovers_store_from_wal_without_anti_entropy() {
 #[test]
 fn same_seed_runs_leave_byte_identical_logs() {
     let run = || {
-        let mut s = durable_home(7, FlushPolicy::EveryN(4), RivuletConfig::default());
+        let mut s = durable_home(7, RivuletConfig::default());
         let h0 = s.home.actor_of(s.pids[0]);
         s.net.crash_at(h0, Time::from_secs(24));
         s.net.run_until(Time::from_millis(24_100));
@@ -215,7 +215,8 @@ fn far_sensor_home(policy: Option<FlushPolicy>, schedule: EmissionSchedule, tapp
 /// disk right now, in log order.
 fn seqs_on_disk(backend: &Arc<SimBackend>) -> Vec<u64> {
     let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
-    let (_, recovered) = Wal::open(storage, wal_options(FlushPolicy::EveryN(1))).expect("reopen");
+    let (_, recovered) =
+        Wal::open(storage, wal_options(FlushPolicy::EveryInterval(TICK))).expect("reopen");
     recovered.events.iter().map(|e| e.id.seq).collect()
 }
 

@@ -331,7 +331,7 @@ fn a_restarted_process_mints_above_every_id_it_minted_before() {
     let for_factory = backends.clone();
     let no_checkpoint = Duration::from_secs(3600);
     let mut home = home.with_storage(
-        common::wal_options(FlushPolicy::EveryN(1)),
+        common::wal_options(FlushPolicy::EveryInterval(Duration::from_millis(1))),
         no_checkpoint,
         move |pid: ProcessId| {
             Arc::clone(&for_factory[pid.as_u32() as usize]) as Arc<dyn StorageBackend>
