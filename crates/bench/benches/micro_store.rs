@@ -1,5 +1,5 @@
 //! Micro-benchmark of the per-process [`EventStore`] hot paths —
-//! insert, watermark collection and anti-entropy diffing — plus the
+//! insert and anti-entropy diffing against a peer's holdings — plus the
 //! age-guarded garbage collector every process runs from `tick`.
 //!
 //! Each sensor's events are a `seq`-sorted deque, so the steady state
@@ -22,6 +22,7 @@
 //! --test`) so the loops stay wired without paying full sample counts.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rivulet_core::holdings::Holdings;
 use rivulet_core::store::EventStore;
 use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
 use std::hint::black_box;
@@ -68,27 +69,27 @@ fn bench_insert(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_watermarks(c: &mut Criterion) {
-    let mut g = c.benchmark_group("store_watermarks");
-    g.throughput(Throughput::Elements(u64::from(SENSORS)));
-    let store = filled();
-    g.bench_function("flat", |b| {
-        b.iter(|| black_box(store.iter_watermarks().collect::<Vec<_>>()));
-    });
-    g.finish();
-}
-
 fn bench_diff(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_diff_for");
     g.throughput(Throughput::Elements(u64::from(SENSORS)));
     let store = filled();
-    // A peer that is halfway behind on every sensor: the diff has to
-    // materialize EVENTS_PER_SENSOR / 2 events per sensor.
-    let peer: Vec<(SensorId, u64)> = (0..SENSORS)
-        .map(|s| (SensorId(s), EVENTS_PER_SENSOR / 2))
-        .collect();
+    // A peer that is halfway behind on every sensor, and one that holds
+    // every other event: either diff has to materialize about
+    // EVENTS_PER_SENSOR / 2 events per sensor.
+    let held = |keep: fn(u64) -> bool| -> Holdings {
+        let ids = (0..SENSORS).flat_map(|s| {
+            let seqs = (0..EVENTS_PER_SENSOR).filter(move |&q| keep(q));
+            seqs.map(move |q| EventId::new(SensorId(s), q))
+        });
+        ids.collect()
+    };
+    let behind = held(|q| q <= EVENTS_PER_SENSOR / 2);
     g.bench_function("flat", |b| {
-        b.iter(|| black_box(store.diff_for(&peer)));
+        b.iter(|| black_box(store.diff_for(&behind)));
+    });
+    let holed = held(|q| q % 2 == 0);
+    g.bench_function("holes", |b| {
+        b.iter(|| black_box(store.diff_for(&holed)));
     });
     g.finish();
 }
@@ -231,7 +232,6 @@ fn bench_duplicate_below_back(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insert,
-    bench_watermarks,
     bench_diff,
     bench_prune_processed,
     bench_steady_window,

@@ -2,10 +2,10 @@
 //!
 //! The original wiring shipped dead: `on_cumulative_ack` never fired
 //! in simulation runs, so `acks_avoided` stayed zero and no pending
-//! broadcast ever retired through a watermark.
+//! broadcast ever retired through a peer's keep-alive.
 //! No test noticed, because nothing asserted the counter was *live*.
 //! These tests pin the fix at the whole-platform level: a run must
-//! retire pending broadcasts via keep-alive watermarks (counted in
+//! retire pending broadcasts via the holdings on keep-alives (counted in
 //! `fanout.acks_avoided` at the origin).
 
 use rivulet_bench::common::{run_delivery, DeliveryOutcome, DeliveryScenario};
@@ -43,7 +43,7 @@ fn optimized_broadcast_run_retires_events_via_cumulative_acks() {
 #[test]
 fn optimized_ring_run_retires_tracked_events() {
     // Ring-origin events are tracked (registered pending without a
-    // flood) and must also retire through received watermarks.
+    // flood) and must also retire through the peers' holdings.
     let out = run(ForwardingMode::Ring);
     assert!(
         out.obs.counter("fanout.acks_avoided") > 0,

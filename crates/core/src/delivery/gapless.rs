@@ -16,9 +16,12 @@
 //! extends the sets of the message it received and sends that message
 //! on, and its delivery travels in the caller's action buffer: a hop
 //! allocates no set, list or action vector of its own.
-//! The fallback trigger is exactly the paper's condition: a process
-//! that receives an event it has already seen, with `S ≠ V` and itself
-//! in `S`, knows the ring stalled before covering `V`, and broadcasts.
+//! The fallback trigger is the paper's condition with one clause of
+//! ours: a process that receives an event it has already seen, with
+//! `S ≠ V` and itself in `S`, knows the ring stalled before covering
+//! `V`, and broadcasts — when its own view holds a process outside `S`.
+//! A flood to a view inside `S` reaches only processes that have already
+//! forwarded the event, so none of them is fresh and none relays it.
 //!
 //! Two rules of ours shorten that walk without changing the triple
 //! (DESIGN §4.1). The **self-closing ring**: a relay whose successor is
@@ -32,8 +35,9 @@
 //! token walks the arc. An event heard by one process costs n − 1
 //! messages without an express copy and n with one.
 
-use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
+use rivulet_types::{Event, ProcSet, ProcessId};
 
+use crate::holdings::Holdings;
 use crate::messages::{ProcMsg, RingMsg};
 use crate::store::EventStore;
 
@@ -180,8 +184,10 @@ impl GaplessState {
         }
         // Already seen. The paper's stall test: S ≠ V and me ∈ S means
         // we forwarded this event before, yet it has not reached every
-        // process some view said it should — fall back to broadcast.
-        if ring.seen != ring.need && ring.seen.contains(self.me) {
+        // process some view said it should — fall back to broadcast, if
+        // the flood can reach a process outside S.
+        let stalled = ring.seen != ring.need && ring.seen.contains(self.me);
+        if stalled && !view.difference(ring.seen).is_empty() {
             out.start_broadcast = Some(ring.event);
         }
         out
@@ -207,16 +213,12 @@ impl GaplessState {
         }
     }
 
-    /// A peer's keep-alive arrived with its durable-receipt watermarks
-    /// `received`. From the successor owed a sync they answer the Bayou
-    /// query "what is the last event you hold from each sensor": ship it
-    /// everything above them, once. Returns `None` for any other peer,
-    /// once the sync is paid, and when nothing is missing.
-    pub fn on_peer_beacon(
-        &mut self,
-        from: ProcessId,
-        received: &[(SensorId, u64)],
-    ) -> Option<Action> {
+    /// A peer's keep-alive arrived with its holdings `received`. From
+    /// the successor owed a sync they answer the Bayou query "what do
+    /// you hold from each sensor": ship it everything it lacks, holes
+    /// included, once. Returns `None` for any other peer, once the sync
+    /// is paid, and when nothing is missing.
+    pub fn on_peer_beacon(&mut self, from: ProcessId, received: &Holdings) -> Option<Action> {
         if self.sync_owed != Some(from) {
             return None;
         }
@@ -247,7 +249,7 @@ impl GaplessState {
 mod tests {
     use super::*;
     use crate::delivery::gap::express_sender;
-    use rivulet_types::{EventId, EventKind, Time};
+    use rivulet_types::{EventId, EventKind, SensorId, Time};
 
     fn ev(seq: u64) -> Event {
         Event::new(
@@ -530,11 +532,14 @@ mod tests {
     #[test]
     fn the_stall_test_is_s_differs_from_v_and_me_in_s() {
         // (S, V, floods) at p0, which has already seen the event.
-        let cases: [(&[u32], &[u32], bool); 4] = [
+        let cases: [(&[u32], &[u32], bool); 5] = [
             (&[0, 1], &[0, 1, 2], true),
             (&[0, 1, 2], &[0, 1, 2], false), // S = V: everyone covered
             (&[1, 2], &[0, 1, 2], false),    // me ∉ S: someone else's ring
             (&[2, 1, 0], &[0, 1, 2], false), // listing order is not content
+            // S ≠ V, but only over p3, outside our view: a flood would
+            // reach only processes that have forwarded the event.
+            (&[0, 1, 2], &[0, 1, 2, 3], false),
         ];
         for (s, v, floods) in cases {
             let view = set(&[0, 1, 2]);
@@ -688,8 +693,13 @@ mod tests {
         assert_eq!(p2.store().retained_seqs(SensorId(7)), vec![0]);
     }
 
+    /// A peer holding events `0..=high` of the test sensor.
+    fn through(high: u64) -> Holdings {
+        (0..=high).map(|seq| ev(seq).id).collect()
+    }
+
     /// The events of a beacon's sync, or `None` when it ships nothing.
-    fn beacon(g: &mut GaplessState, from: u32, received: &[(SensorId, u64)]) -> Option<Vec<Event>> {
+    fn beacon(g: &mut GaplessState, from: u32, received: &Holdings) -> Option<Vec<Event>> {
         match g.on_peer_beacon(ProcessId(from), received)? {
             Action::Send {
                 to,
@@ -720,12 +730,12 @@ mod tests {
         let mut ahead = ahead();
         let mut behind = GaplessState::new(ProcessId(1), 100);
         let _ = ingest(&mut behind, ev(0), set(&[0, 1, 2]), None, None);
-        let marks = [(SensorId(7), 0)];
+        let marks = through(0);
 
         assert!(beacon(&mut ahead, 1, &marks).is_none(), "no successor yet");
         ahead.on_successor_change(Some(ProcessId(1)));
         assert!(
-            beacon(&mut ahead, 2, &[]).is_none(),
+            beacon(&mut ahead, 2, &Holdings::default()).is_none(),
             "another peer's beacon"
         );
         let events = beacon(&mut ahead, 1, &marks).expect("the owed sync");
@@ -742,9 +752,17 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_fills_the_holes_the_successor_reports() {
+        let mut g = ahead();
+        g.on_successor_change(Some(ProcessId(1)));
+        let holding: Holdings = [0, 1, 3].map(|seq| ev(seq).id).into_iter().collect();
+        assert_eq!(seqs(beacon(&mut g, 1, &holding)), Some(vec![2, 4]));
+    }
+
+    #[test]
     fn churn_owes_the_successor_a_fresh_sync() {
         let mut g = ahead();
-        let marks = [(SensorId(7), 2)];
+        let marks = through(2);
         g.on_successor_change(Some(ProcessId(1)));
         assert_eq!(seqs(beacon(&mut g, 1, &marks)), Some(vec![3, 4]));
         g.on_successor_change(Some(ProcessId(1)));
@@ -759,15 +777,15 @@ mod tests {
     fn a_sync_with_nothing_missing_sends_nothing() {
         let mut empty = GaplessState::new(ProcessId(0), 100);
         empty.on_successor_change(Some(ProcessId(1)));
-        assert!(beacon(&mut empty, 1, &[]).is_none(), "empty store");
+        assert!(
+            beacon(&mut empty, 1, &Holdings::default()).is_none(),
+            "empty store"
+        );
         let mut g = ahead();
         g.on_successor_change(Some(ProcessId(1)));
-        assert!(
-            beacon(&mut g, 1, &[(SensorId(7), 4)]).is_none(),
-            "caught up"
-        );
+        assert!(beacon(&mut g, 1, &through(4)).is_none(), "caught up");
         // The empty sync still paid the debt.
-        assert!(beacon(&mut g, 1, &[]).is_none());
+        assert!(beacon(&mut g, 1, &Holdings::default()).is_none());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! *ring-origin replication* ([`RbcastState::track`]): the ingesting
 //! process registers every fresh event against its peers without
 //! sending anything extra (the ring itself carries the event), and the
-//! peers' cumulative *received* watermarks — piggybacked on their
-//! keep-alive beacons — retire the entries. An entry that outlives its
+//! peers' [`Holdings`] — piggybacked on their keep-alive beacons —
+//! retire the entries. An entry that outlives its
 //! grace period means the ring (plus anti-entropy) silently failed to
 //! replicate the event, and the origin falls back to a flood. This
 //! closes the window where a ring message dies on a crashed hop and no
@@ -22,14 +22,15 @@
 //!
 //! The pending entries are sharded by sensor, each shard a deque sorted
 //! by `seq`: events are tracked almost in `seq` order and cumulative
-//! acks retire a `seq <= watermark` prefix, so tracking is a push at
-//! the back and retirement costs the entries actually covered rather
-//! than the total backlog.
+//! acks retire from the prefix up to a peer's highest held `seq`, so
+//! tracking is a push at the back and retirement costs the entries
+//! actually covered rather than the total backlog.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
+use crate::holdings::{self, Holdings};
 use crate::membership::KEEPALIVE_INTERVAL;
 use crate::messages::ProcMsg;
 use crate::store::{locate, release_slack};
@@ -146,9 +147,9 @@ impl RbcastState {
 
     /// Registers `event` for replication tracking *without* sending
     /// anything: the ring already carries it. Peers acknowledge through
-    /// the received watermarks on their keep-alives; an entry still
-    /// unacked after the track grace period is re-flooded by
-    /// [`RbcastState::on_tick`] (the silent-stall fallback).
+    /// the holdings on their keep-alives; an entry still unacked after
+    /// the track grace period is re-flooded by [`RbcastState::on_tick`]
+    /// (the silent-stall fallback).
     pub fn track(&mut self, event: Event, view: ProcSet, now: Time) {
         if self
             .pending
@@ -165,8 +166,8 @@ impl RbcastState {
     }
 
     /// A broadcast copy arrived. The receipt itself is acknowledged by
-    /// the *received* watermark on our next keep-alive beacon, so the
-    /// only thing to send is a relay: if `was_new` — the replica store's
+    /// the holdings on our next keep-alive beacon, so the only thing to
+    /// send is a relay: if `was_new` — the replica store's
     /// insert verdict, true for the first copy only — a flood of our own
     /// makes delivery survive origin crashes (pass an empty `view` to
     /// suppress relaying — the eager baseline floods only from the
@@ -185,34 +186,24 @@ impl RbcastState {
         }
     }
 
-    /// A peer's cumulative *received* watermarks arrived (piggybacked
-    /// on its keep-alive). Every pending broadcast whose event is
-    /// covered by the peer's watermark is acknowledged at once — one
-    /// beacon retires arbitrarily many entries. Returns how many
-    /// pending entries this ack retired for `from`.
+    /// A peer's holdings arrived (piggybacked on its keep-alive). Every
+    /// pending broadcast whose event the peer holds is acknowledged at
+    /// once — one beacon retires arbitrarily many entries — and one in a
+    /// hole the peer reports stays, to be flooded when it falls due.
+    /// Returns how many pending entries this ack retired for `from`.
     ///
-    /// Each sensor's shard is walked only over its covered prefix
-    /// (`seq <= wm`), compacting the entries that are still waiting
-    /// towards its front, so the cost is proportional to the entries
-    /// actually covered, not the whole backlog.
-    ///
-    /// Retirement is by *highest received* seq, consistent with the
-    /// Bayou-style sync the store already implements: anti-entropy
-    /// never back-fills below a peer's watermark, so retransmitting
-    /// below it could never terminate and acking it loses nothing.
-    pub fn on_cumulative_ack(&mut self, from: ProcessId, received: &[(SensorId, u64)]) -> usize {
-        if self.n_pending == 0 || received.is_empty() {
-            return 0;
-        }
+    /// Each sensor's shard is walked only over the prefix up to the
+    /// peer's highest held `seq`, compacting the entries that are still
+    /// waiting towards its front, so the cost is proportional to the
+    /// entries actually covered, not the whole backlog.
+    pub fn on_cumulative_ack(&mut self, from: ProcessId, received: &Holdings) -> usize {
         let mut retired = 0;
-        for (sensor, wm) in received {
-            let Some(shard) = self.pending.get_mut(sensor) else {
-                continue;
-            };
-            let covered = shard.partition_point(|p| p.seq() <= *wm);
+        for (sensor, shard) in &mut self.pending {
+            let high = holdings::high(received.lacks(*sensor));
+            let covered = shard.partition_point(|p| p.seq() <= high);
             let mut kept = 0;
             for i in 0..covered {
-                if shard[i].unacked.remove(from) {
+                if received.holds(shard[i].event.id) && shard[i].unacked.remove(from) {
                     retired += 1;
                 }
                 if !shard[i].unacked.is_empty() {
@@ -270,7 +261,8 @@ impl RbcastState {
 /// Broadcast state as it was before the shards became deques: one
 /// `seq`-keyed `BTreeMap` of pending entries per sensor. Verbatim but
 /// for the relay markers, which both states dropped together when the
-/// store's insert verdict became the only relay test; `proptests`
+/// store's insert verdict became the only relay test, and for the
+/// cumulative ack, which reads a peer's [`Holdings`]; `proptests`
 /// checks the deque state against it step by step.
 #[cfg(test)]
 mod reference {
@@ -279,6 +271,7 @@ mod reference {
     use rivulet_types::{Duration, Event, ProcSet, ProcessId, SensorId, Time};
 
     use crate::delivery::Action;
+    use crate::holdings::Holdings;
     use crate::messages::ProcMsg;
 
     /// One process's reliable-broadcast state.
@@ -413,50 +406,26 @@ mod reference {
             }
         }
 
-        /// A peer's cumulative *received* watermarks arrived (piggybacked
-        /// on its keep-alive). Every pending broadcast whose event is
-        /// covered by the peer's watermark is acknowledged at once — one
-        /// beacon retires arbitrarily many entries. Returns how many
-        /// pending entries this ack retired for `from`.
-        ///
-        /// The pending shard for each sensor is scanned only up to the
-        /// peer's watermark (`range(..=wm)`), so the cost is proportional
-        /// to the entries actually covered, not the whole backlog.
-        ///
-        /// Retirement is by *highest received* seq, consistent with the
-        /// Bayou-style sync the store already implements: anti-entropy
-        /// never back-fills below a peer's watermark, so retransmitting
-        /// below it could never terminate and acking it loses nothing.
-        pub fn on_cumulative_ack(
-            &mut self,
-            from: ProcessId,
-            received: &[(SensorId, u64)],
-        ) -> usize {
-            if self.n_pending == 0 || received.is_empty() {
-                return 0;
-            }
-            let mut retired = 0;
-            for (sensor, wm) in received {
-                let Some(per) = self.pending.get_mut(sensor) else {
-                    continue;
-                };
-                let mut done: Vec<u64> = Vec::new();
-                for (seq, p) in per.range_mut(..=*wm) {
+        /// A peer's holdings arrived (piggybacked on its keep-alive).
+        /// Every pending broadcast whose event the peer holds is
+        /// acknowledged at once. Returns how many pending entries this
+        /// ack retired for `from`.
+        pub fn on_cumulative_ack(&mut self, from: ProcessId, received: &Holdings) -> usize {
+            let (mut retired, mut done) = (0, 0);
+            for (sensor, per) in &mut self.pending {
+                per.retain(|seq, p| {
+                    if !received.holds(rivulet_types::EventId::new(*sensor, *seq)) {
+                        return true;
+                    }
                     if p.unacked.remove(from) {
                         retired += 1;
                     }
-                    if p.unacked.is_empty() {
-                        done.push(*seq);
-                    }
-                }
-                for seq in done {
-                    per.remove(&seq);
-                    self.n_pending -= 1;
-                }
-                if per.is_empty() {
-                    self.pending.remove(sensor);
-                }
+                    done += usize::from(p.unacked.is_empty());
+                    !p.unacked.is_empty()
+                });
             }
+            self.pending.retain(|_, per| !per.is_empty());
+            self.n_pending -= done;
             retired
         }
 
@@ -525,6 +494,14 @@ mod tests {
         ids.iter().map(|i| ProcessId(*i)).collect()
     }
 
+    /// A peer holding every seq of each sensor up to its mark.
+    fn through(marks: &[(u32, u64)]) -> Holdings {
+        let ids = marks.iter().flat_map(|&(s, high)| {
+            (0..=high).map(move |seq| rivulet_types::EventId::new(SensorId(s), seq))
+        });
+        ids.collect()
+    }
+
     fn send_targets(actions: &[Action]) -> ProcSet {
         let targets = actions.iter().map(|a| match a {
             Action::Send {
@@ -550,7 +527,7 @@ mod tests {
 
     /// Peer `from`'s beacon covering seq 0 of the test sensor.
     fn ack0(b: &mut RbcastState, from: u32) -> usize {
-        b.on_cumulative_ack(ProcessId(from), &[(SensorId(1), 0)])
+        b.on_cumulative_ack(ProcessId(from), &through(&[(1, 0)]))
     }
 
     #[test]
@@ -649,16 +626,31 @@ mod tests {
         }
         assert_eq!(b.pending_count(), 4);
         // Peer 1's beacon covers seqs 0..=2 in one message.
-        assert_eq!(b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 2)]), 3);
+        assert_eq!(b.on_cumulative_ack(ProcessId(1), &through(&[(1, 2)])), 3);
         assert_eq!(b.pending_count(), 4, "peer 2 still unacked everywhere");
-        assert_eq!(b.on_cumulative_ack(ProcessId(2), &[(SensorId(1), 2)]), 3);
+        assert_eq!(b.on_cumulative_ack(ProcessId(2), &through(&[(1, 2)])), 3);
         assert_eq!(b.pending_count(), 1, "only seq 3 outstanding");
-        // Watermark below remaining seq retires nothing; other sensors
+        // Holdings below the remaining seq retire nothing; other sensors
         // are ignored.
-        assert_eq!(b.on_cumulative_ack(ProcessId(1), &[(SensorId(9), 100)]), 0);
-        assert_eq!(b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 3)]), 1);
-        assert_eq!(b.on_cumulative_ack(ProcessId(2), &[(SensorId(1), 3)]), 1);
+        assert_eq!(b.on_cumulative_ack(ProcessId(1), &through(&[(9, 100)])), 0);
+        assert_eq!(b.on_cumulative_ack(ProcessId(1), &through(&[(1, 3)])), 1);
+        assert_eq!(b.on_cumulative_ack(ProcessId(2), &through(&[(1, 3)])), 1);
         assert_eq!(b.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_hole_the_peer_reports_is_not_retired() {
+        let mut b = RbcastState::new(ProcessId(0));
+        let view = pids(&[0, 1]);
+        for seq in 0..3 {
+            b.track(ev(seq), view, Time::ZERO);
+        }
+        // Peer 1 holds 0 and 2 and reports the hole at 1 between them.
+        let holding: Holdings = [0, 2].map(|q| ev(q).id).into_iter().collect();
+        assert_eq!(b.on_cumulative_ack(ProcessId(1), &holding), 2);
+        assert_eq!(b.pending_count(), 1, "seq 1 still awaits peer 1");
+        let due = b.on_tick(view, Time::ZERO);
+        assert_eq!(send_targets(&due), pids(&[1]), "and is flooded to it");
     }
 
     #[test]
@@ -669,7 +661,7 @@ mod tests {
         let _ = b.start(ev_on(2, 5), view, Time::ZERO);
         let _ = b.start(ev_on(3, 9), view, Time::ZERO);
         // One beacon covering two of the three sensors.
-        let retired = b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 10), (SensorId(3), 9)]);
+        let retired = b.on_cumulative_ack(ProcessId(1), &through(&[(1, 10), (3, 9)]));
         assert_eq!(retired, 2);
         assert_eq!(b.pending_count(), 1, "sensor 2 entry remains");
     }
@@ -723,8 +715,8 @@ mod tests {
         // No flood was sent and none is due inside the grace period.
         assert!(b.on_tick(view, Time::from_secs(1)).is_empty());
         // Keep-alive watermarks retire without any broadcast traffic.
-        assert_eq!(b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 1)]), 2);
-        assert_eq!(b.on_cumulative_ack(ProcessId(2), &[(SensorId(1), 0)]), 1);
+        assert_eq!(b.on_cumulative_ack(ProcessId(1), &through(&[(1, 1)])), 2);
+        assert_eq!(b.on_cumulative_ack(ProcessId(2), &through(&[(1, 0)])), 1);
         assert_eq!(b.pending_count(), 1, "seq 1 still awaits peer 2");
         // Past the grace period the survivor escalates to a flood
         // addressed to the lagging peer only.
@@ -756,7 +748,7 @@ mod tests {
         }
         let burst = capacity(&b);
         assert_eq!(
-            b.on_cumulative_ack(ProcessId(1), &[(SensorId(1), 19_899)]),
+            b.on_cumulative_ack(ProcessId(1), &through(&[(1, 19_899)])),
             19_900
         );
         assert_eq!(b.pending_count(), 100);
@@ -872,8 +864,10 @@ mod proptests {
                         reference.on_broadcast(&event(s, q), was_new, view(v), Time::from_millis(t))
                     ),
                     RbOp::Ack(from, received) => {
-                        let received: Vec<(SensorId, u64)> =
-                            received.into_iter().map(|(s, q)| (SensorId(s), q)).collect();
+                        let received: Holdings = received
+                            .into_iter()
+                            .map(|(s, q)| EventId::new(SensorId(s), q))
+                            .collect();
                         prop_assert_eq!(
                             new.on_cumulative_ack(ProcessId(from), &received),
                             reference.on_cumulative_ack(ProcessId(from), &received)

@@ -11,6 +11,8 @@
 use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
 use rivulet_types::{Command, Event, ProcSet, ProcessId, SensorId};
 
+use crate::holdings::Holdings;
+
 /// A message between two Rivulet processes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProcMsg {
@@ -27,15 +29,15 @@ pub enum ProcMsg {
         /// `(sensor, highest seq processed by an active logic node at
         /// the sender)`; empty for pure shadows.
         processed: Vec<(SensorId, u64)>,
-        /// `(sensor, highest seq durably received at the sender)` —
-        /// cumulative ack watermarks piggybacked on the beacon. A
-        /// broadcast origin retires every pending retransmission whose
-        /// seq is covered by the peer's watermark; no per-event ack
-        /// exists on the wire. The same marks are the anti-entropy
-        /// summary: a predecessor that owes the sender a sync ships it
-        /// every event above them ([`ProcMsg::SyncEvents`]). Empty until
+        /// What the sender durably holds of each sensor: the highest
+        /// seq and the holes below it — the cumulative acknowledgement
+        /// piggybacked on the beacon. A broadcast origin retires every
+        /// pending retransmission whose event the peer holds; no
+        /// per-event ack exists on the wire. The same summary answers
+        /// anti-entropy: a predecessor that owes the sender a sync ships
+        /// it every event it lacks ([`ProcMsg::SyncEvents`]). Empty until
         /// the first delivery.
-        received: Vec<(SensorId, u64)>,
+        received: Holdings,
     },
     /// Gapless ring forwarding: `(e : S : V)` from the paper — the
     /// event, the processes that have **seen** it, and the processes
@@ -74,7 +76,7 @@ pub enum ProcMsg {
         event: Event,
     },
     /// Anti-entropy: the events a process found its new ring successor
-    /// missing, from the `received` marks of the successor's
+    /// missing, from the `received` summary of the successor's
     /// [`ProcMsg::KeepAlive`] (Bayou-style, §4.1).
     SyncEvents {
         /// The events, ascending per sensor.
@@ -113,7 +115,7 @@ impl ProcMsg {
             0 => Ok(ProcMsg::KeepAlive {
                 from: ProcessId::decode(r)?,
                 processed: Vec::decode(r)?,
-                received: Vec::decode(r)?,
+                received: Holdings::decode(r)?,
             }),
             RING_TAG => {
                 let RingMsg { event, seen, need } = RingMsg::decode_body(r)?;
@@ -415,7 +417,7 @@ mod tests {
         ProcMsg::KeepAlive {
             from: ProcessId(from),
             processed: vec![],
-            received: vec![],
+            received: Holdings::default(),
         }
     }
 
@@ -424,12 +426,15 @@ mod tests {
         roundtrip(&ProcMsg::KeepAlive {
             from: ProcessId(3),
             processed: vec![],
-            received: vec![],
+            received: Holdings::default(),
         });
         roundtrip(&ProcMsg::KeepAlive {
             from: ProcessId(3),
             processed: vec![(SensorId(1), 99), (SensorId(2), 0)],
-            received: vec![(SensorId(1), 101)],
+            received: [3, 4, 101]
+                .map(|q| EventId::new(SensorId(1), q))
+                .into_iter()
+                .collect(),
         });
         roundtrip(&ProcMsg::CmdForward {
             command: rivulet_types::Command::new(
@@ -558,9 +563,9 @@ mod tests {
         let ka = ProcMsg::KeepAlive {
             from: ProcessId(1),
             processed: vec![],
-            received: vec![],
+            received: Holdings::default(),
         };
-        assert!(ka.to_bytes().len() <= 4, "keep-alive must stay cheap");
+        assert!(ka.to_bytes().len() <= 5, "keep-alive must stay cheap");
     }
 
     #[test]
@@ -697,7 +702,7 @@ mod tests {
                 ProcMsg::KeepAlive {
                     from: ProcessId(2),
                     processed: vec![],
-                    received: vec![(SensorId(1), 7)],
+                    received: [EventId::new(SensorId(1), 7)].into_iter().collect(),
                 },
             ],
         };
@@ -842,7 +847,7 @@ mod proptests {
                         .collect(),
                     received: received
                         .into_iter()
-                        .map(|(s, q)| (SensorId(s), q))
+                        .map(|(s, q)| EventId::new(SensorId(s), q))
                         .collect(),
                 }),
             (arb_event(), arb_pids(), arb_pids()).prop_map(|(event, seen, need)| ProcMsg::Ring {

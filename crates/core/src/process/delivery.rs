@@ -46,8 +46,7 @@ impl Running {
                 // already arrived from another process. The flood goes
                 // through the rbcast state machine so the origin tracks
                 // which peers still owe an acknowledgement: the
-                // cumulative received watermarks on their keep-alive
-                // beacons.
+                // holdings on their keep-alive beacons.
                 if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
                     let view = self.membership.view(now);
                     self.actions.push(deliver);
@@ -81,8 +80,8 @@ impl Running {
                     }
                     // Fresh ingest: register replication tracking.
                     // The ring carries the event (no extra traffic);
-                    // peers retire the entry via their keep-alive
-                    // received watermarks, and an entry that
+                    // peers retire the entry via the holdings on their
+                    // keep-alives, and an entry that
                     // outlives the failure timeout escalates to a
                     // flood — closing the silent-stall window where
                     // a ring message dies with a crashed hop and no
@@ -172,15 +171,12 @@ impl Running {
                 for (sensor, seq) in processed {
                     advance(&mut self.processed, sensor, seq);
                 }
-                // The peer's durable-receipt watermarks acknowledge
-                // every covered pending broadcast in one beacon, and
-                // answer the sync query of a predecessor that owes the
-                // peer one.
-                if !received.is_empty() {
-                    let retired = self.rbcast.on_cumulative_ack(from, &received);
-                    if retired > 0 {
-                        self.fanout.record_acks_avoided(retired as u64);
-                    }
+                // The peer's holdings acknowledge every pending
+                // broadcast it holds in one beacon, and answer the sync
+                // query of a predecessor that owes the peer one.
+                let retired = self.rbcast.on_cumulative_ack(from, &received);
+                if retired > 0 {
+                    self.fanout.record_acks_avoided(retired as u64);
                 }
                 if let Some(sync) = self.gapless.on_peer_beacon(from, &received) {
                     self.send_action(sync);
@@ -193,8 +189,8 @@ impl Running {
                 }
                 let deliver = self.gapless.on_broadcast_copy(event.clone());
                 // Receivers acknowledge every broadcast copy
-                // cumulatively, via the received watermark on their
-                // next keep-alive beacon. In the eager baseline only
+                // cumulatively, via the holdings on their next
+                // keep-alive beacon. In the eager baseline only
                 // the origin floods, so the relay view is empty; the
                 // ring's stall fallback relays through the full view
                 // to survive origin crashes.
@@ -244,10 +240,10 @@ impl Running {
     pub(super) fn apply_actions(&mut self, ctx: &mut Context<'_>, released: Released) {
         let emptied = released.apply(|action| match action {
             Action::Deliver { event } => {
-                // The received watermark advertises durable
-                // possession; past the gate is the only place it
-                // moves, so it never runs ahead of the WAL.
-                advance(&mut self.received_marks, event.id.sensor, event.id.seq);
+                // The holdings advertise durable possession; past the
+                // gate is the only place they grow, so they never run
+                // ahead of the WAL.
+                self.holdings.note(event.id);
                 self.deliver_to_apps(ctx, &event);
             }
             send => self.send_action(send),

@@ -23,12 +23,12 @@
 //! crash-recovery model of §3.1. With a [`DurabilitySpec`] attached,
 //! the process additionally appends every replicated event and
 //! periodic operator checkpoints to a write-ahead log
-//! ([`rivulet_storage::Wal`]) and withholds local delivery, receipt
-//! watermarks (the broadcast acknowledgement), broadcast relays, and
-//! the ingest process's first ring forward until the append is durable
-//! ([`crate::gating::DurableGate`]; ring relays do not wait — DESIGN
-//! §4.2); recovery then restores the event store and processed
-//! watermarks from the log instead of relying solely on peers.
+//! ([`rivulet_storage::Wal`]) and withholds local delivery, the
+//! holdings it advertises (the broadcast acknowledgement), broadcast
+//! relays, and the ingest process's first ring forward until the append
+//! is durable ([`crate::gating::DurableGate`]; ring relays do not wait —
+//! DESIGN §4.2); recovery then restores the event store, holdings and
+//! processed watermarks from the log instead of relying solely on peers.
 
 mod delivery;
 mod exec;
@@ -57,6 +57,7 @@ use crate::delivery::{Action, Delivery};
 use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::placement;
 use crate::gating::DurableGate;
+use crate::holdings::Holdings;
 use crate::membership::{Membership, KEEPALIVE_INTERVAL};
 use crate::messages::{Frame, PeerMsg, ProcMsg};
 use crate::probe::{AppProbe, IngestProbe, StoreProbe};
@@ -297,10 +298,10 @@ struct Running {
     /// Processed watermarks learned from peers' keep-alives, merged
     /// with our own processing.
     processed: BTreeMap<SensorId, u64>,
-    /// Durable-receipt watermarks: highest replicated-store seq per
-    /// sensor, advanced only after the durability gate. Advertised on
-    /// keep-alives as the cumulative broadcast acknowledgement.
-    received_marks: BTreeMap<SensorId, u64>,
+    /// What this process durably holds of each sensor, noted only
+    /// after the durability gate. Advertised on keep-alives as the
+    /// cumulative broadcast acknowledgement and the sync query.
+    holdings: Holdings,
     window_timers: Vec<(usize, OperatorId, StreamKey, Duration)>,
     command_ids: CommandIds,
     /// The write-ahead log (when durable storage is attached) and the
@@ -412,6 +413,10 @@ impl Running {
         for (sensor, seq) in recovered.checkpoint.into_iter().flat_map(|c| c.processed) {
             advance(&mut processed, sensor, seq);
         }
+        // Recovered events are already durable: advertise them, so
+        // peers' pending broadcasts retire, and what the log lacks, so
+        // the next sync fills it.
+        let holdings: Holdings = recovered.events.iter().map(|e| e.id).collect();
         for event in recovered.events {
             gapless.store_mut().insert(event);
         }
@@ -433,9 +438,6 @@ impl Running {
             }
         }
 
-        // Recovered events are already durable: re-advertise their
-        // receipt watermarks so peers' pending broadcasts retire.
-        let received_marks = gapless.store().iter_watermarks().collect();
         let app_specs: Vec<Arc<AppSpec>> = spec.apps.iter().map(|(s, _)| Arc::clone(s)).collect();
         let mut run = Self {
             me,
@@ -449,7 +451,7 @@ impl Running {
             gapless,
             // Tracked ring-origin entries get the failure timeout as
             // grace, so healthy runs always retire them via beacon
-            // watermarks before any fallback flood fires.
+            // holdings before any fallback flood fires.
             rbcast: RbcastState::new(me)
                 .with_timing(rbcast::RETRANSMIT_INTERVAL, spec.config.failure_timeout),
             apps,
@@ -461,7 +463,7 @@ impl Running {
             directory: Arc::clone(dir),
             radio_pool: WriterPool::new(),
             processed,
-            received_marks,
+            holdings,
             window_timers,
             command_ids: CommandIds::new(me, ctx.now()),
             gate,
@@ -506,14 +508,14 @@ impl Running {
         let now = ctx.now();
         // Watermark garbage collection: events processed home-wide
         // and older than the straggler horizon will never be
-        // replayed or synced again. (`Duration` subtraction saturates
-        // at zero.)
+        // replayed or synced again, and neither will the holes below
+        // them. (`Duration` subtraction saturates at zero.)
         let cutoff = Time::ZERO + (now.duration_since(Time::ZERO) - GC_STRAGGLER_HORIZON);
         for (&sensor, &upto) in &self.processed {
-            let _ = self
-                .gapless
-                .store_mut()
-                .prune_processed(sensor, upto, cutoff);
+            let store = self.gapless.store_mut();
+            if let Some(removed) = store.prune_processed(sensor, upto, cutoff) {
+                self.holdings.forgive(sensor, removed);
+            }
         }
         // Keep-alives go to every configured peer, not just the
         // view: a healed partition must be able to un-suspect. One
@@ -523,7 +525,7 @@ impl Running {
         let beacon = ProcMsg::KeepAlive {
             from: self.me,
             processed: self.processed.iter().map(|(s, q)| (*s, *q)).collect(),
-            received: self.received_marks.iter().map(|(s, q)| (*s, *q)).collect(),
+            received: self.holdings.clone(),
         };
         self.send_fanout(self.membership.peers(), &beacon);
         // Ring successor maintenance: a new successor is owed a sync,

@@ -2,19 +2,20 @@
 //!
 //! Gapless delivery replicates every ingested event at all available
 //! processes (§4.1). [`EventStore`] is one process's replica: it
-//! deduplicates (the ring revisits processes), answers the Bayou-style
-//! watermark queries used by successor synchronization, and computes
-//! the difference set to ship to a lagging successor.
+//! deduplicates (the ring revisits processes) and computes the events a
+//! lagging successor's [`Holdings`] lack.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rivulet_types::{Event, PayloadArena, SensorId, Time};
 
+use crate::holdings::Holdings;
+
 /// A bounded, per-sensor-ordered store of replicated events. Sensors
-/// live in a `BTreeMap`, so cross-sensor queries (watermarks, diffs)
-/// iterate in ascending sensor order and the wire encoding is
-/// deterministic without a separate sort.
+/// live in a `BTreeMap`, so cross-sensor queries (diffs) iterate in
+/// ascending sensor order and the wire encoding is deterministic
+/// without a separate sort.
 ///
 /// Each sensor's events are a `VecDeque` kept sorted by `seq`. Events
 /// arrive almost in `seq` order and leave (cap eviction, watermark GC)
@@ -92,11 +93,6 @@ pub(crate) fn release_slack<T>(sorted: &mut VecDeque<T>) {
     }
 }
 
-/// The position of the first event of `per` with a `seq` above `seq`.
-fn first_above(per: &VecDeque<Event>, seq: u64) -> usize {
-    per.partition_point(|e| e.id.seq <= seq)
-}
-
 impl EventStore {
     /// Creates a store retaining at most `cap_per_sensor` events per
     /// sensor (oldest evicted first).
@@ -135,16 +131,6 @@ impl EventStore {
         true
     }
 
-    /// Iterates `(sensor, watermark)` pairs ascending by sensor: each
-    /// sensor's highest stored sequence number. A process recovered
-    /// from its log starts its received marks — the summary successor
-    /// sync and cumulative acks read — from these.
-    pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
-        self.sensors
-            .iter()
-            .filter_map(|(s, per)| per.back().map(|e| (*s, e.id.seq)))
-    }
-
     /// Events of `sensor` with sequence numbers strictly greater than
     /// `after` (or all if `after` is `None`), ascending.
     #[must_use]
@@ -152,39 +138,36 @@ impl EventStore {
         let Some(per) = self.sensors.get(&sensor) else {
             return Vec::new();
         };
-        let from = after.map_or(0, |seq| first_above(per, seq));
+        let from = after.map_or(0, |seq| per.partition_point(|e| e.id.seq <= seq));
         per.range(from..).cloned().collect()
     }
 
-    /// Computes the events a peer with `peer_watermarks` is missing:
-    /// for every sensor we know, everything above the peer's watermark.
-    ///
-    /// This is the paper's Bayou-style sync: it cannot recover holes
-    /// *below* the peer's watermark (a deliberate, documented
-    /// approximation of §4.1), but after a successor change it brings
-    /// the successor up to our high-water mark.
+    /// Computes the events a peer holding `peer` lacks, ascending per
+    /// sensor: for every sensor we know, what we store in the peer's
+    /// holes and above its highest held seq. This is the paper's
+    /// Bayou-style sync (§4.1); after a successor change it fills the
+    /// successor's holes and brings it up to our high-water mark.
     #[must_use]
-    pub fn diff_for(&self, peer_watermarks: &[(SensorId, u64)]) -> Vec<Event> {
-        let peer: HashMap<SensorId, u64> = peer_watermarks.iter().copied().collect();
+    pub fn diff_for(&self, peer: &Holdings) -> Vec<Event> {
         let mut out = Vec::new();
-        // Per-sensor ranges stream straight into the output with no
-        // intermediate Vec.
         for (sensor, per) in &self.sensors {
-            let from = peer.get(sensor).map_or(0, |&wm| first_above(per, wm));
-            out.extend(per.range(from..).cloned());
+            for &(first, last) in peer.lacks(*sensor) {
+                let from = per.partition_point(|e| e.id.seq < first);
+                let to = per.partition_point(|e| e.id.seq <= last);
+                out.extend(per.range(from..to).cloned());
+            }
         }
         out
     }
 
     /// Removes events of `sensor` that are both processed
     /// (`seq <= upto`) **and** old (`emitted_at < emitted_before`),
-    /// returning how many were removed.
+    /// returning the highest `seq` removed, if any.
     ///
     /// This is watermark-based garbage collection: once every process
     /// has learned (via keep-alives) that the active logic node
     /// processed a sensor's stream through `upto`, those events can
-    /// never be needed by a failover replay again, and anti-entropy
-    /// only ships events above a peer's watermark. The age guard keeps
+    /// never be needed by a failover replay again. The age guard keeps
     /// recently processed events around so that a straggling duplicate
     /// copy (a late ring message, broadcast retransmission, or
     /// anti-entropy refill) still hits the store's duplicate check
@@ -200,17 +183,19 @@ impl EventStore {
     /// backwards the walk still removes only events that are processed
     /// and old, just fewer of them: collection is delayed to a later
     /// call (or to the per-sensor cap), never widened.
-    pub fn prune_processed(&mut self, sensor: SensorId, upto: u64, emitted_before: Time) -> usize {
-        let Some(per) = self.sensors.get_mut(&sensor) else {
-            return 0;
-        };
-        let mut removed = 0usize;
+    pub fn prune_processed(
+        &mut self,
+        sensor: SensorId,
+        upto: u64,
+        emitted_before: Time,
+    ) -> Option<u64> {
+        let per = self.sensors.get_mut(&sensor)?;
+        let mut removed = None;
         while let Some(first) = per.front() {
             if first.id.seq > upto || first.emitted_at >= emitted_before {
                 break;
             }
-            per.pop_front();
-            removed += 1;
+            removed = per.pop_front().map(|e| e.id.seq);
         }
         release_slack(per);
         removed
@@ -245,9 +230,11 @@ impl EventStore {
 
 /// The store as it was before the per-sensor logs became deques: one
 /// `seq`-keyed `BTreeMap` per sensor. Verbatim but for the exclusive
-/// lower bounds of `events_after` and `diff_for`, which now exclude an
-/// event at `u64::MAX`; the counters and lookups only tests read and the
-/// doc comments are left out. It keeps two garbage collectors the
+/// lower bound of `events_after`, which now excludes an event at
+/// `u64::MAX`, for `diff_for`, which reads a peer's [`Holdings`], and
+/// for `prune_processed`, which returns the highest `seq` it removed;
+/// the counters and lookups only tests read and the doc comments are
+/// left out. It keeps two garbage collectors the
 /// deque store no longer has: `prune_prefix`, the plain prefix removal
 /// [`EventStore::prune_processed`] performs at `Time::MAX`, and the
 /// pre-front-stop collector, a full scan of the processed range that
@@ -256,10 +243,12 @@ impl EventStore {
 #[cfg(test)]
 mod reference {
     use std::collections::btree_map::Entry;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
     use std::ops::Bound::{Excluded, Unbounded};
 
     use rivulet_types::{Event, PayloadArena, SensorId, Time};
+
+    use crate::holdings::Holdings;
 
     #[derive(Debug)]
     pub struct EventStore {
@@ -312,15 +301,11 @@ mod reference {
             }
         }
 
-        pub fn diff_for(&self, peer_watermarks: &[(SensorId, u64)]) -> Vec<Event> {
-            let peer: HashMap<SensorId, u64> = peer_watermarks.iter().copied().collect();
+        pub fn diff_for(&self, peer: &Holdings) -> Vec<Event> {
             let mut out = Vec::new();
             for (sensor, per) in &self.sensors {
-                match peer.get(sensor) {
-                    None => out.extend(per.values().cloned()),
-                    Some(&wm) => {
-                        out.extend(per.range((Excluded(wm), Unbounded)).map(|(_, e)| e.clone()))
-                    }
+                for &(first, last) in peer.lacks(*sensor) {
+                    out.extend(per.range(first..=last).map(|(_, e)| e.clone()));
                 }
             }
             out
@@ -347,17 +332,15 @@ mod reference {
             sensor: SensorId,
             upto: u64,
             emitted_before: Time,
-        ) -> usize {
-            let Some(per) = self.sensors.get_mut(&sensor) else {
-                return 0;
-            };
-            let mut removed = 0usize;
+        ) -> Option<u64> {
+            let per = self.sensors.get_mut(&sensor)?;
+            let mut removed = None;
             while let Some(first) = per.first_entry() {
                 if *first.key() > upto || first.get().emitted_at >= emitted_before {
                     break;
                 }
+                removed = Some(*first.key());
                 first.remove();
-                removed += 1;
             }
             removed
         }
@@ -408,8 +391,17 @@ mod tests {
         )
     }
 
-    fn wms(s: &EventStore) -> Vec<(SensorId, u64)> {
-        s.iter_watermarks().collect()
+    /// A peer holding exactly `ids`, as `(sensor, seq)`.
+    fn peer(ids: &[(u32, u64)]) -> Holdings {
+        let ids = ids.iter().map(|&(s, q)| EventId::new(SensorId(s), q));
+        ids.collect()
+    }
+
+    /// How many events one collection call removed.
+    fn pruned(s: &mut EventStore, sensor: u32, upto: u64, before: Time) -> usize {
+        let len = s.len();
+        s.prune_processed(SensorId(sensor), upto, before);
+        len - s.len()
     }
 
     #[test]
@@ -419,17 +411,6 @@ mod tests {
         assert!(!s.insert(ev(1, 0)), "duplicate rejected");
         assert_eq!(s.retained_seqs(SensorId(1)), vec![0]);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn watermark_tracks_highest_seq() {
-        let mut s = EventStore::new(10);
-        assert!(wms(&s).is_empty());
-        s.insert(ev(1, 5));
-        s.insert(ev(1, 2));
-        assert_eq!(wms(&s), vec![(SensorId(1), 5)]);
-        s.insert(ev(2, 0));
-        assert_eq!(wms(&s), vec![(SensorId(1), 5), (SensorId(2), 0)]);
     }
 
     #[test]
@@ -460,14 +441,25 @@ mod tests {
         s.insert(ev(1, 1));
         s.insert(ev(2, 4));
         // Peer knows sensor 1 up to 0, nothing of sensor 2.
-        let diff = s.diff_for(&[(SensorId(1), 0)]);
+        let diff = s.diff_for(&peer(&[(1, 0)]));
         let ids: Vec<(u32, u64)> = diff
             .iter()
             .map(|e| (e.id.sensor.as_u32(), e.id.seq))
             .collect();
         assert_eq!(ids, vec![(1, 1), (2, 4)]);
-        // Peer fully caught up → empty diff.
-        assert!(s.diff_for(&[(SensorId(1), 1), (SensorId(2), 4)]).is_empty());
+        // Peer caught up → empty diff, whatever holes we cannot fill.
+        assert!(s.diff_for(&peer(&[(1, 0), (1, 1), (2, 4)])).is_empty());
+    }
+
+    #[test]
+    fn diff_for_fills_the_peers_holes() {
+        let mut s = EventStore::new(20);
+        for seq in 0..10 {
+            s.insert(ev(1, seq));
+        }
+        let diff = s.diff_for(&peer(&[(1, 1), (1, 4), (1, 5), (1, 9)]));
+        let seqs: Vec<u64> = diff.iter().map(|e| e.id.seq).collect();
+        assert_eq!(seqs, vec![0, 2, 3, 6, 7, 8]);
     }
 
     #[test]
@@ -478,7 +470,7 @@ mod tests {
             s.insert(ev(sensor, 0));
             s.insert(ev(sensor, 1));
         }
-        let diff = s.diff_for(&[(SensorId(5), 0)]);
+        let diff = s.diff_for(&peer(&[(5, 0)]));
         let ids: Vec<(u32, u64)> = diff
             .iter()
             .map(|e| (e.id.sensor.as_u32(), e.id.seq))
@@ -507,14 +499,14 @@ mod tests {
         }
         s.insert(ev(2, 3));
         let removed = s.prune_processed(SensorId(1), 4, Time::MAX);
-        assert_eq!(removed, 5, "seqs 0..=4 removed");
+        assert_eq!(removed, Some(4), "seqs 0..=4 removed");
         assert_eq!(s.retained_seqs(SensorId(1)), vec![5, 6, 7, 8, 9]);
         // Other sensors untouched.
         assert_eq!(s.retained_seqs(SensorId(2)), vec![3]);
         // Pruning an unknown sensor is a no-op.
-        assert_eq!(s.prune_processed(SensorId(9), 100, Time::MAX), 0);
+        assert_eq!(s.prune_processed(SensorId(9), 100, Time::MAX), None);
         // Re-pruning is idempotent.
-        assert_eq!(s.prune_processed(SensorId(1), 4, Time::MAX), 0);
+        assert_eq!(s.prune_processed(SensorId(1), 4, Time::MAX), None);
     }
 
     #[test]
@@ -525,16 +517,14 @@ mod tests {
         }
         // Processed through 9, but only events emitted before t=5ms are
         // old enough to collect.
-        let removed = s.prune_processed(SensorId(1), 9, Time::from_millis(5));
-        assert_eq!(removed, 5);
+        assert_eq!(pruned(&mut s, 1, 9, Time::from_millis(5)), 5);
         assert_eq!(
             s.retained_seqs(SensorId(1)),
             vec![5, 6, 7, 8, 9],
             "recent events retained"
         );
         // Unprocessed events are never collected regardless of age.
-        let removed = s.prune_processed(SensorId(1), 6, Time::MAX);
-        assert_eq!(removed, 2, "only seqs 5 and 6");
+        assert_eq!(pruned(&mut s, 1, 6, Time::MAX), 2, "only seqs 5 and 6");
         assert_eq!(s.retained_seqs(SensorId(1)), vec![7, 8, 9]);
     }
 
@@ -561,7 +551,7 @@ mod tests {
                 let upto = step * 17;
                 let cutoff = Time::from_millis(step * 9);
                 assert_eq!(
-                    new.prune_processed(SensorId(sensor), upto, cutoff),
+                    pruned(&mut new, sensor, upto, cutoff),
                     reference.prune_processed_full_scan(SensorId(sensor), upto, cutoff),
                     "step {step} sensor {sensor}"
                 );
@@ -573,7 +563,7 @@ mod tests {
             assert_eq!(new.len(), reference.len());
         }
         assert!(new.len() < total && !new.is_empty(), "partial collection");
-        assert_eq!(new.prune_processed(SensorId(9), 10, Time::MAX), 0);
+        assert_eq!(new.prune_processed(SensorId(9), 10, Time::MAX), None);
     }
 
     #[test]
@@ -589,10 +579,13 @@ mod tests {
                 Time::from_millis(ms),
             ));
         }
-        assert_eq!(s.prune_processed(SensorId(1), 4, Time::from_millis(10)), 1);
+        assert_eq!(pruned(&mut s, 1, 4, Time::from_millis(10)), 1);
         assert_eq!(s.retained_seqs(SensorId(1)), vec![1, 2, 3, 4]);
         // Delayed, not lost: once seq 1 ages out the rest follow.
-        assert_eq!(s.prune_processed(SensorId(1), 4, Time::from_millis(55)), 3);
+        assert_eq!(
+            s.prune_processed(SensorId(1), 4, Time::from_millis(55)),
+            Some(3)
+        );
         assert_eq!(s.retained_seqs(SensorId(1)), vec![4]);
     }
 
@@ -605,7 +598,10 @@ mod tests {
             Time::ZERO,
         ));
         s.insert(ev(1, 0));
-        assert_eq!(s.prune_processed(SensorId(1), u64::MAX, Time::MAX), 2);
+        assert_eq!(
+            s.prune_processed(SensorId(1), u64::MAX, Time::MAX),
+            Some(u64::MAX)
+        );
         assert!(s.is_empty());
     }
 
@@ -618,10 +614,10 @@ mod tests {
         }
         let burst = s.capacity(sensor);
         // Collection that leaves the log over a quarter full keeps it.
-        assert_eq!(s.prune_processed(sensor, 9_999, Time::MAX), 10_000);
+        assert_eq!(pruned(&mut s, 1, 9_999, Time::MAX), 10_000);
         assert_eq!(s.capacity(sensor), burst);
         // Under a quarter full, most of the buffer goes back.
-        assert_eq!(s.prune_processed(sensor, 19_899, Time::MAX), 9_900);
+        assert_eq!(pruned(&mut s, 1, 19_899, Time::MAX), 9_900);
         assert_eq!(s.len(), 100);
         assert!(s.capacity(sensor) < burst / 4);
         assert_eq!(s.capacity(sensor), SLACK_FLOOR);
@@ -629,7 +625,7 @@ mod tests {
         for seq in 20_000..20_900 {
             s.insert(ev(1, seq));
         }
-        assert_eq!(s.prune_processed(sensor, u64::MAX, Time::MAX), 1_000);
+        assert_eq!(pruned(&mut s, 1, u64::MAX, Time::MAX), 1_000);
         assert_eq!(s.capacity(sensor), SLACK_FLOOR);
     }
 
@@ -651,14 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn diff_against_a_u64_max_watermark_ships_nothing() {
+    fn diff_against_a_u64_max_high_ships_nothing() {
         let mut s = EventStore::new(100);
         s.insert(top(1));
         s.insert(ev(2, 7));
-        assert!(s
-            .diff_for(&[(SensorId(1), u64::MAX), (SensorId(2), 7)])
-            .is_empty());
-        assert_eq!(s.diff_for(&[(SensorId(2), 7)]), vec![top(1)]);
+        assert!(s.diff_for(&peer(&[(1, u64::MAX), (2, 7)])).is_empty());
+        assert_eq!(s.diff_for(&peer(&[(2, 7)])), vec![top(1)]);
     }
 
     #[test]
@@ -711,8 +705,7 @@ mod tests {
     fn empty_store_reports_empty() {
         let s = EventStore::new(1);
         assert!(s.is_empty());
-        assert!(wms(&s).is_empty());
-        assert!(s.diff_for(&[]).is_empty());
+        assert!(s.diff_for(&Holdings::default()).is_empty());
     }
 }
 
@@ -730,16 +723,29 @@ mod proptests {
         )
     }
 
+    /// How many events of sensor 1 one collection call removed.
+    fn pruned(s: &mut EventStore, upto: u64, before: Time) -> usize {
+        let len = s.len();
+        s.prune_processed(SensorId(1), upto, before);
+        len - s.len()
+    }
+
+    /// Each sensor's highest stored `seq`, ascending by sensor.
     fn wms(s: &EventStore) -> Vec<(SensorId, u64)> {
-        s.iter_watermarks().collect()
+        let highs = s
+            .sensors
+            .iter()
+            .map(|(s, per)| per.back().map(|e| (*s, e.id.seq)));
+        highs.flatten().collect()
     }
 
     proptest! {
-        /// After syncing a peer with `diff_for`, the peer's watermark
-        /// per sensor equals ours (the Bayou guarantee the ring sync
-        /// relies on).
+        /// A sync fills every hole the peer reports: after the peer
+        /// takes `diff_for` of its holdings, it holds every event we
+        /// store, and the diff carried nothing it already held (the
+        /// Bayou guarantee the ring sync relies on, holes included).
         #[test]
-        fn sync_equalizes_watermarks(
+        fn a_sync_fills_every_hole_the_peer_reports(
             ours in proptest::collection::vec((0u32..4, 0u64..40), 0..80),
             theirs in proptest::collection::vec((0u32..4, 0u64..40), 0..80),
         ) {
@@ -748,18 +754,21 @@ mod proptests {
             for (s, q) in ours {
                 a.insert(ev(s, q));
             }
-            for (s, q) in theirs.iter() {
-                // The peer holds a subset of globally emitted events.
-                b.insert(ev(*s, *q));
+            // The peer holds a subset of globally emitted events, and
+            // says so in its holdings.
+            let mut held = Holdings::default();
+            for &(s, q) in &theirs {
+                b.insert(ev(s, q));
+                held.note(ev(s, q).id);
             }
-            let diff = a.diff_for(&wms(&b));
-            for e in diff {
-                b.insert(e);
+            for e in a.diff_for(&held) {
+                prop_assert!(!held.holds(e.id), "{} shipped, already held", e.id);
+                prop_assert!(b.insert(e));
             }
-            let peer = wms(&b);
-            for (sensor, wm) in a.iter_watermarks() {
-                let (_, peer_wm) = peer.iter().find(|(s, _)| *s == sensor).expect("sensor now known");
-                prop_assert!(*peer_wm >= wm, "peer {peer_wm} < ours {wm}");
+            for sensor in (0..4).map(SensorId) {
+                let ours = a.events_after(sensor, None);
+                let theirs = b.events_after(sensor, None);
+                prop_assert!(ours.iter().all(|e| theirs.contains(e)), "{} left a hole", sensor);
             }
         }
 
@@ -848,7 +857,7 @@ mod proptests {
             for (upto, cutoff) in calls {
                 let cutoff = Time::from_millis(cutoff);
                 prop_assert_eq!(
-                    new.prune_processed(SensorId(1), upto, cutoff),
+                    pruned(&mut new, upto, cutoff),
                     reference.prune_processed_full_scan(SensorId(1), upto, cutoff)
                 );
                 prop_assert_eq!(
@@ -881,7 +890,7 @@ mod proptests {
             }
             let before = new.retained_seqs(SensorId(1));
             let cutoff = Time::from_millis(cutoff);
-            let removed = new.prune_processed(SensorId(1), upto, cutoff);
+            let removed = pruned(&mut new, upto, cutoff);
             let full = reference.prune_processed_full_scan(SensorId(1), upto, cutoff);
             prop_assert!(removed <= full);
             let after = new.retained_seqs(SensorId(1));
@@ -923,13 +932,14 @@ mod proptests {
                             reference.prune_processed(SensorId(sensor), upto, cutoff)
                         );
                     }
-                    StoreOp::PrunePrefix(sensor, upto) => prop_assert_eq!(
-                        new.prune_processed(SensorId(sensor), upto, Time::MAX),
-                        reference.prune_prefix(SensorId(sensor), upto)
-                    ),
+                    StoreOp::PrunePrefix(sensor, upto) => {
+                        let len = new.len();
+                        new.prune_processed(SensorId(sensor), upto, Time::MAX);
+                        prop_assert_eq!(len - new.len(), reference.prune_prefix(SensorId(sensor), upto));
+                    }
                     StoreOp::Diff(peer) => {
-                        let peer: Vec<(SensorId, u64)> =
-                            peer.into_iter().map(|(s, q)| (SensorId(s), q)).collect();
+                        let peer: Holdings =
+                            peer.into_iter().map(|(s, q)| EventId::new(SensorId(s), q)).collect();
                         prop_assert_eq!(new.diff_for(&peer), reference.diff_for(&peer));
                     }
                 }
@@ -973,7 +983,7 @@ mod proptests {
         PruneProcessed(u32, u64, u64),
         /// `(sensor, upto)`: collection of the whole processed prefix.
         PrunePrefix(u32, u64),
-        /// A peer's watermarks.
+        /// The events a peer holds, noted in this order.
         Diff(Vec<(u32, u64)>),
     }
 
@@ -984,7 +994,7 @@ mod proptests {
 
     /// Six inserts to each call of the other three kinds.
     fn store_op() -> impl Strategy<Value = StoreOp> {
-        let peer = proptest::collection::vec((0..=SENSORS, seq()), 0..4);
+        let peer = proptest::collection::vec((0..=SENSORS, seq()), 0..6);
         (0u8..9, 0..SENSORS, seq(), 0u64..60, peer).prop_map(|(kind, s, q, at, peer)| match kind {
             0..=5 => StoreOp::Insert(s, q, at),
             6 => StoreOp::PruneProcessed(s, q, at),

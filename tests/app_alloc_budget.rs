@@ -25,6 +25,7 @@ use rivulet::core::delivery::gapless::GaplessState;
 use rivulet::core::delivery::rbcast::RbcastState;
 use rivulet::core::delivery::{Action, Delivery};
 use rivulet::core::gating::{DurableGate, Released};
+use rivulet::core::holdings::Holdings;
 use rivulet::core::messages::{Frame, PeerMsg, RingMsg};
 use rivulet::core::store::EventStore;
 use rivulet::obs::Recorder;
@@ -245,14 +246,17 @@ const BEACON_EVERY: u64 = 50;
 fn replica_path_does_not_allocate_per_event() {
     // The origin of a five-process home: every event is stored and
     // tracked; every `BEACON_EVERY` events each of the four peers'
-    // received watermarks arrive and the processed watermark collects
-    // the store. The warm-up fills the GC window
-    // twice, so every buffer has reached its steady size. The parent
-    // (one B-tree per sensor in both structures) read 0.61.
+    // holdings arrive and the processed watermark collects the store,
+    // forgiving holes below what it removed. The warm-up fills the GC
+    // window twice, so every buffer has reached its steady size. The
+    // parent (one B-tree per sensor in both structures) read 0.61.
     let view: ProcSet = (0..5).map(ProcessId).collect();
     let mut store = EventStore::new(100_000);
     let mut rbcast = RbcastState::new(ProcessId(0))
         .with_timing(Duration::from_millis(500), Duration::from_secs(2));
+    // What the peers hold: the ring has reached them with every event
+    // but for the newest round.
+    let mut held = Holdings::default();
     let step = |i: u64| {
         let seq = i / REPLICA_SENSORS;
         let now = Time::from_millis(seq);
@@ -261,16 +265,19 @@ fn replica_path_does_not_allocate_per_event() {
         assert!(store.insert(event.clone()));
         rbcast.track(event, view, now);
         if i.is_multiple_of(BEACON_EVERY) {
-            // The ring has reached every peer but for the newest round.
-            let received: [(SensorId, u64); REPLICA_SENSORS as usize] =
-                std::array::from_fn(|s| (SensorId(s as u32), seq.saturating_sub(1)));
             for peer in 1..5 {
-                rbcast.on_cumulative_ack(ProcessId(peer), &received);
+                rbcast.on_cumulative_ack(ProcessId(peer), &held);
             }
             let cutoff = Time::from_millis(seq.saturating_sub(GC_WINDOW));
-            for (sensor, upto) in received {
-                store.prune_processed(sensor, upto, cutoff);
+            for sensor in (0..REPLICA_SENSORS as u32).map(SensorId) {
+                if let Some(removed) = store.prune_processed(sensor, seq.saturating_sub(1), cutoff)
+                {
+                    held.forgive(sensor, removed);
+                }
             }
+        }
+        if let Some(prior) = seq.checked_sub(1) {
+            held.note(EventId::new(sensor, prior));
         }
     };
     let warm_up = 2 * GC_WINDOW * REPLICA_SENSORS;

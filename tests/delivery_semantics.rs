@@ -115,9 +115,8 @@ fn anti_entropy_heals_a_rejoining_process() {
     let mut s = scripted_home(Delivery::Gapless, script, RivuletConfig::default(), 3);
     let tv = s.home.actor_of(s.pids[1]);
     // tv is a receiver; it is down from t = 2 s until after the
-    // stream's last event (t = 12 s). Sync compares per-sensor high
-    // watermarks, so a recovery mid-stream would hear a newer event
-    // itself first and leave the hole below it unfilled.
+    // stream's last event (t = 12 s); the test below recovers it
+    // mid-stream.
     s.net.crash_at(tv, Time::from_secs(2));
     s.net.recover_at(tv, Time::from_secs(13));
     s.net.run_until(Time::from_secs(20));
@@ -135,12 +134,10 @@ fn anti_entropy_heals_a_rejoining_process() {
     assert_eq!(tv_store, Some(30), "tv's store did not catch up");
 }
 
-/// Pins ROADMAP 2(a), sync half: the rejoin above recovers only after
-/// the stream, because sync compares per-sensor high watermarks. Here
-/// tv rejoins at 6 s, mid-stream, hears newer events itself first, and
-/// the hole below them must still be filled.
+/// The rejoin above, mid-stream: tv rejoins at 6 s and hears newer
+/// events itself first. Its holdings report the hole below them, and
+/// its predecessor's sync fills it.
 #[test]
-#[ignore = "ROADMAP 2(a): anti-entropy misses a hole below the high watermark"]
 fn anti_entropy_heals_a_process_rejoining_mid_stream() {
     let script: Vec<Time> = (1..=30).map(|i| Time::from_millis(400 * i)).collect();
     let mut s = scripted_home(Delivery::Gapless, script, RivuletConfig::default(), 3);
@@ -382,9 +379,10 @@ fn a_lost_express_copy_costs_latency_and_nothing_else() {
 /// token stops there, yet the host delivers events 3 and 4 at one hop.
 /// Host 4, behind the dead relay, gets them when the origin's
 /// `rbcast.track` entries outlive the failure timeout and flood, and
-/// the app sees no duplicate. (The emissions are sparse on purpose: a
-/// later event would raise host 4's received watermark over the hole
-/// and retire those entries unrepaired — ROADMAP item 2a, as before.)
+/// the app sees no duplicate. (The emissions are sparse from when a
+/// later event raised host 4's summary over the hole and retired those
+/// entries unrepaired; host 4's holdings now report the hole, so a later
+/// event leaves the entries waiting.)
 #[test]
 fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
     let emissions = common::script(&[1000, 2000, 3000, 4100, 4300, 8000, 8200, 8400]);
@@ -425,8 +423,8 @@ fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
 /// no view changes and no successor sync runs. The express copy reaches
 /// the app at host 0 and closes the ring there, so no stall test ever
 /// runs; hosts 2–4 get the event when the tracked entry outlives the
-/// failure timeout and floods. (Sparse emissions, for the reason the
-/// dead-relay test above gives.)
+/// failure timeout and floods. (Sparse emissions, as in the dead-relay
+/// test above.)
 #[test]
 fn a_first_forward_lost_on_a_live_link_is_repaired_by_the_origins_flood() {
     let mut s = ring_home(35, common::script(&[1000, 3000]), &[1]);
@@ -457,7 +455,8 @@ fn a_first_forward_lost_on_a_live_link_is_repaired_by_the_origins_flood() {
 /// would repair nobody: it relays, the origin's stall test floods a
 /// view that has host 2, and host 2 holds the event a few hops after
 /// its emission instead of a failure timeout later. (No emission while
-/// the views still disagree: ROADMAP item 2a, as in the test above.)
+/// the views still disagree: the test is about the stall test, not
+/// about events emitted during the disagreement.)
 #[test]
 fn a_process_the_last_hop_suspects_is_repaired_by_the_origins_flood() {
     let emitted_ms = [1000, 2000, 6000, 6200, 6400];
@@ -507,4 +506,47 @@ fn a_process_the_last_hop_suspects_is_repaired_by_the_origins_flood() {
     };
     assert_eq!(held_at(5_900), Some(2));
     assert_eq!(held_at(7_000), Some(5), "repaired without the grace period");
+}
+
+/// A reading nobody heard leaves a hole nobody can fill. It is forgiven
+/// once garbage collection removes a held event above it, so the holes
+/// a process advertises are bounded by the straggler horizon, not by the
+/// home's lifetime: one hearer behind 30 % radio loss, at ten readings a
+/// second, carries no more holes at 120 s than at 60 s.
+#[test]
+fn the_holes_a_lossy_hearer_advertises_stay_bounded() {
+    let schedule = EmissionSchedule::Periodic(Duration::from_millis(100));
+    let mut s = common::deploy(47, None, RivuletConfig::default(), schedule, &[2], true);
+    let hearer = s.home.actor_of(s.pids[2]);
+    s.net
+        .topology_mut()
+        .set_loss(s.home.sensors[0].1, hearer, 0.3);
+    s.net.run_until(Time::from_secs(121));
+
+    // The hole count of the hearer's last beacon before each instant.
+    let beacons: Vec<(Time, usize)> = common::peer_msgs(&s)
+        .into_iter()
+        .filter_map(|(at, from, msg)| match msg {
+            ProcMsg::KeepAlive { received, .. } if from == hearer => {
+                Some((at, received.lacks(SensorId(0)).len() - 1))
+            }
+            _ => None,
+        })
+        .collect();
+    let holes_at = |secs| {
+        let before = beacons
+            .iter()
+            .filter(|(at, _)| *at <= Time::from_secs(secs));
+        before
+            .map(|(_, holes)| *holes)
+            .next_back()
+            .expect("a beacon")
+    };
+    assert!(holes_at(60) > 20, "{} holes at 60 s", holes_at(60));
+    assert!(
+        holes_at(120) <= holes_at(60),
+        "{} holes at 120 s, {} at 60 s",
+        holes_at(120),
+        holes_at(60)
+    );
 }

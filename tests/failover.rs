@@ -405,13 +405,13 @@ fn a_restarted_process_mints_above_every_id_it_minted_before() {
     }
 }
 
-/// Pins ROADMAP 2(a), as the checker found it in `fleet_smoke`'s home
-/// 40: three hosts, the sensor heard by hosts 1 and 2 through 10 % loss,
-/// host 0 (the app's) crashed at 2 s, run for 10 s. Events 24 and 31
-/// reach only host 2, whose ring path to the promoted host 1 ran
-/// through the dead host 0; neither is ever delivered.
+/// The hole the checker found in `fleet_smoke`'s home 40: three hosts,
+/// the sensor heard by hosts 1 and 2 through 10 % loss, host 0 (the
+/// app's) crashed at 2 s, run for 10 s. Events 24 and 31 reach only
+/// host 2, whose ring path to the promoted host 1 ran through the dead
+/// host 0. Host 1's holdings report them missing, so host 2's tracked
+/// entries for them do not retire, and both are delivered.
 #[test]
-#[ignore = "ROADMAP 2(a): events heard only behind a crashed host are lost"]
 fn events_heard_only_behind_the_crashed_app_host_are_delivered() {
     let mut cfg = DeliveryScenario::paper_default(Delivery::Gapless);
     cfg.n_processes = 3;

@@ -56,9 +56,15 @@ fn canonical_messages_cost_what_they_did() {
     let beacon = ProcMsg::KeepAlive {
         from: ProcessId(4),
         processed: (0..4).map(|s| (SensorId(s), 1_000)).collect(),
-        received: (0..4).map(|s| (SensorId(s), 1_000)).collect(),
+        received: (0..4)
+            .flat_map(|s| (0..=1_000).map(move |seq| EventId::new(SensorId(s), seq)))
+            .collect(),
     };
-    assert_eq!(beacon.to_bytes().len(), 28, "keep-alive, four sensors");
+    assert_eq!(
+        beacon.to_bytes().len(),
+        29,
+        "keep-alive, four sensors, no hole"
+    );
 
     let flood = ProcMsg::Broadcast {
         event: scalar,

@@ -77,9 +77,23 @@ fn every_process_message_keeps_its_bytes() {
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
                 processed: vec![(SensorId(1), 99), (SensorId(2), 1_000)],
-                received: vec![(SensorId(1), 101)],
+                received: (0..=101)
+                    .map(|seq| EventId::new(SensorId(1), seq))
+                    .collect(),
             },
-            "000402016302e807010165",
+            "000402016302e80701016500",
+        ),
+        (
+            "KeepAlive with holes",
+            ProcMsg::KeepAlive {
+                from: ProcessId(4),
+                processed: vec![],
+                received: [3, 4, 101]
+                    .map(|seq| EventId::new(SensorId(1), seq))
+                    .into_iter()
+                    .collect(),
+            },
+            "0004000101650101020002055f",
         ),
         (
             "Ring",
