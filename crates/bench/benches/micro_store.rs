@@ -75,7 +75,7 @@ fn bench_diff(c: &mut Criterion) {
     let store = filled();
     // A peer that is halfway behind on every sensor, and one that holds
     // every other event: either diff has to materialize about
-    // EVENTS_PER_SENSOR / 2 events per sensor.
+    // EVENTS_PER_SENSOR / 2 events per sensor, all of them settled.
     let held = |keep: fn(u64) -> bool| -> Holdings {
         let ids = (0..SENSORS).flat_map(|s| {
             let seqs = (0..EVENTS_PER_SENSOR).filter(move |&q| keep(q));
@@ -85,11 +85,11 @@ fn bench_diff(c: &mut Criterion) {
     };
     let behind = held(|q| q <= EVENTS_PER_SENSOR / 2);
     g.bench_function("flat", |b| {
-        b.iter(|| black_box(store.diff_for(&behind)));
+        b.iter(|| black_box(store.diff_for(&behind, Time::MAX)));
     });
     let holed = held(|q| q % 2 == 0);
     g.bench_function("holes", |b| {
-        b.iter(|| black_box(store.diff_for(&holed)));
+        b.iter(|| black_box(store.diff_for(&holed, Time::MAX)));
     });
     g.finish();
 }

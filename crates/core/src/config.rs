@@ -5,8 +5,8 @@ use rivulet_types::Duration;
 /// How Gapless replicates ingested events across processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardingMode {
-    /// The paper's ring protocol with reliable-broadcast fallback
-    /// (§4.1): n messages in the failure-free case.
+    /// The paper's ring protocol with its stall flood and per-beacon
+    /// anti-entropy (§4.1): n messages in the failure-free case.
     Ring,
     /// The Fig. 5 baseline: every process that receives an event from
     /// the sensor broadcasts it to all peers unless it already received

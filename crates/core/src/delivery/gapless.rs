@@ -6,7 +6,7 @@
 //! light-weight **ring** circulates each event once around the local
 //! views (at most n messages instead of the O(m·n) of broadcasting from
 //! every receiving process), and only when the ring detects trouble
-//! does the protocol fall back to reliable broadcast.
+//! does the protocol fall back to a flood.
 //!
 //! The ring message is the paper's `(e : S : V)` triple — the event,
 //! the processes that have *seen* it, and the processes that *need* it.
@@ -19,9 +19,19 @@
 //! The fallback trigger is the paper's condition with one clause of
 //! ours: a process that receives an event it has already seen, with
 //! `S ≠ V` and itself in `S`, knows the ring stalled before covering
-//! `V`, and broadcasts — when its own view holds a process outside `S`.
+//! `V`, and floods — when its own view holds a process outside `S`.
 //! A flood to a view inside `S` reaches only processes that have already
-//! forwarded the event, so none of them is fresh and none relays it.
+//! forwarded the event.
+//!
+//! The flood is one encode-once fan-out that nothing acknowledges,
+//! retransmits or relays. What makes the guarantee is the Bayou-style
+//! sync of §4.1, run on every beacon instead of once per successor
+//! change: each keep-alive carries its sender's view and holdings, and
+//! the sender's ring predecessor, in that view or its own, ships every
+//! settled event the holdings lack ([`GaplessState::on_peer_beacon`]).
+//! A lost ring message, a lost flood copy, a dead relay and a rejoining
+//! process are all repaired by it, within a beacon or two of the views
+//! settling; the flood stays as the fast path.
 //!
 //! Two rules of ours shorten that walk without changing the triple
 //! (DESIGN §4.1). The **self-closing ring**: a relay whose successor is
@@ -35,26 +45,24 @@
 //! token walks the arc. An event heard by one process costs n − 1
 //! messages without an express copy and n with one.
 
-use rivulet_types::{Event, ProcSet, ProcessId};
+use rivulet_types::{Event, ProcSet, ProcessId, Time};
 
 use crate::holdings::Holdings;
+use crate::membership::KEEPALIVE_INTERVAL;
 use crate::messages::{ProcMsg, RingMsg};
 use crate::store::EventStore;
 
 use super::Action;
 
 /// Outcome of a ring message at one process. Its effects that wait for
-/// the durability gate — the local delivery — go into the caller's
-/// action buffer instead.
+/// the durability gate — the local delivery, or the stall test's flood —
+/// go into the caller's action buffer instead.
 #[derive(Debug, Default)]
 pub struct GaplessOutcome {
     /// A relay's onward ring forward. Some peer's disk already backs
     /// the event, so it is sent in the same activation, after the
     /// buffered actions went to the gate and without waiting for it.
     pub relay: Option<Action>,
-    /// If set, the caller must initiate reliable broadcast of this
-    /// event (the ring detected a stall).
-    pub start_broadcast: Option<Event>,
     /// The ring ended here, at its last hop, without a closing message.
     pub closed: bool,
 }
@@ -64,11 +72,6 @@ pub struct GaplessOutcome {
 pub struct GaplessState {
     me: ProcessId,
     store: EventStore,
-    /// The ring successor we last saw.
-    successor: Option<ProcessId>,
-    /// The successor still owed its Bayou-style sync (§4.1): set when
-    /// the successor changes, cleared by its next beacon.
-    sync_owed: Option<ProcessId>,
 }
 
 impl GaplessState {
@@ -78,8 +81,6 @@ impl GaplessState {
         Self {
             me,
             store: EventStore::new(store_cap_per_sensor),
-            successor: None,
-            sync_owed: None,
         }
     }
 
@@ -154,7 +155,8 @@ impl GaplessState {
     /// `S ∪ {me} = V ∪ view` the ring closes here: the successor, in our
     /// view and so in `S`, would ignore the message, and it is not sent.
     /// With `S ≠ V` it is sent even to a successor in `S`, whose stall
-    /// test floods *its* view, which may reach a process ours skips.
+    /// test floods *its* view, which may reach a process ours skips. A
+    /// flood advertises possession, so it goes onto `actions` too.
     pub fn on_ring(
         &mut self,
         mut ring: RingMsg,
@@ -184,64 +186,77 @@ impl GaplessState {
         }
         // Already seen. The paper's stall test: S ≠ V and me ∈ S means
         // we forwarded this event before, yet it has not reached every
-        // process some view said it should — fall back to broadcast, if
-        // the flood can reach a process outside S.
+        // process some view said it should — flood, if the flood can
+        // reach a process outside S.
         let stalled = ring.seen != ring.need && ring.seen.contains(self.me);
         if stalled && !view.difference(ring.seen).is_empty() {
-            out.start_broadcast = Some(ring.event);
+            actions.extend(self.flood(ring.event, view));
         }
         out
     }
 
-    /// A reliable-broadcast copy of an event arrived. Returns delivery
-    /// action if it was new; the caller separately acks the origin.
-    pub fn on_broadcast_copy(&mut self, event: Event) -> Option<Action> {
-        if self.store.insert(event.clone()) {
-            Some(Action::Deliver { event })
-        } else {
-            None
-        }
+    /// One flood of `event` to every peer in `view`: a single encode-once
+    /// fan-out, kept nowhere once sent. `None` when `view` holds no peer.
+    #[must_use]
+    pub fn flood(&self, event: Event, view: ProcSet) -> Option<Action> {
+        let to = view.without(self.me);
+        let msg = ProcMsg::Broadcast {
+            event,
+            origin: self.me,
+        };
+        (!to.is_empty()).then_some(Action::Fanout { to, msg })
     }
 
-    /// The ring successor as the membership view now has it. A new
-    /// successor is owed a sync, answered by its next beacon
-    /// ([`Self::on_peer_beacon`]).
-    pub fn on_successor_change(&mut self, successor: Option<ProcessId>) {
-        if self.successor != successor {
-            self.successor = successor;
-            self.sync_owed = successor;
-        }
-    }
-
-    /// A peer's keep-alive arrived with its holdings `received`. From
-    /// the successor owed a sync they answer the Bayou query "what do
-    /// you hold from each sensor": ship it everything it lacks, holes
-    /// included, once. Returns `None` for any other peer, once the sync
-    /// is paid, and when nothing is missing.
-    pub fn on_peer_beacon(&mut self, from: ProcessId, received: &Holdings) -> Option<Action> {
-        if self.sync_owed != Some(from) {
+    /// A peer's keep-alive arrived at `now` with its `view` and its
+    /// holdings `received`; `mine` is our own view. Both views hold only
+    /// the processes their owner exchanges with both ways
+    /// ([`crate::membership::Membership::mutual_view`]). When either
+    /// makes this process the sender's ring predecessor, the holdings
+    /// are the Bayou query "what do you hold from each sensor", answered
+    /// with every event the sender lacks, holes included, that was
+    /// emitted at least one keep-alive interval before `now`: a younger
+    /// one may still be on its way round the ring. Where the views
+    /// agree, one process answers each beacon; where they do not, the
+    /// sender is still answered by the process it names, and every
+    /// process still answers the one it would forward to. Returns `None`
+    /// for any other beacon and when nothing is missing.
+    #[must_use]
+    pub fn on_peer_beacon(
+        &self,
+        from: ProcessId,
+        view: ProcSet,
+        mine: ProcSet,
+        received: &Holdings,
+        now: Time,
+    ) -> Option<Action> {
+        let precedes = |v: ProcSet| v.contains(self.me) && v.successor_of(self.me) == Some(from);
+        if !precedes(view) && !precedes(mine) {
             return None;
         }
-        self.sync_owed = None;
-        let diff = self.store.diff_for(received);
-        if diff.is_empty() {
-            return None;
-        }
-        Some(Action::Send {
+        let settled = Time::ZERO + (now.duration_since(Time::ZERO) - KEEPALIVE_INTERVAL);
+        let events = self.store.diff_for(received, settled);
+        (!events.is_empty()).then_some(Action::Send {
             to: from,
-            msg: ProcMsg::SyncEvents { events: diff },
+            msg: ProcMsg::SyncEvents { events },
         })
     }
 
-    /// Missing events arrived from a predecessor's sync. New ones are
-    /// delivered locally through `actions` (they do not re-enter the
-    /// ring: the sender is responsible for its own successor chain).
-    pub fn on_sync_events(&mut self, events: Vec<Event>, actions: &mut Vec<Action>) {
+    /// Copies of events arrived outside the ring: a peer's flood or
+    /// sync, or, in the eager-broadcast baseline, the sensor's reading.
+    /// New ones are delivered locally through `actions`; they do not
+    /// re-enter the ring. Returns whether any was new.
+    pub fn on_copies(
+        &mut self,
+        events: impl IntoIterator<Item = Event>,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        let known = actions.len();
         for event in events {
             if self.store.insert(event.clone()) {
                 actions.push(Action::Deliver { event });
             }
         }
+        actions.len() > known
     }
 }
 
@@ -267,7 +282,7 @@ mod tests {
     struct Hop {
         actions: Vec<Action>,
         relay: Option<Action>,
-        start_broadcast: Option<Event>,
+        flooded: Option<Event>,
         closed: bool,
     }
 
@@ -284,7 +299,7 @@ mod tests {
         Hop {
             actions,
             relay: None,
-            start_broadcast: None,
+            flooded: None,
             closed: false,
         }
     }
@@ -300,10 +315,26 @@ mod tests {
         let mut actions = Vec::new();
         let ring = RingMsg { event, seen, need };
         let out = g.on_ring(ring, view, successor, &mut actions);
+        let mut flooded = None;
+        actions.retain(|action| match action {
+            Action::Fanout {
+                to,
+                msg: ProcMsg::Broadcast { event, origin },
+            } => {
+                assert_eq!(
+                    (*to, *origin),
+                    (view.without(g.me), g.me),
+                    "floods the view"
+                );
+                assert!(flooded.replace(event.clone()).is_none(), "one flood");
+                false
+            }
+            _ => true,
+        });
         Hop {
             actions,
             relay: out.relay,
-            start_broadcast: out.start_broadcast,
+            flooded,
             closed: out.closed,
         }
     }
@@ -331,7 +362,7 @@ mod tests {
         let mut g = GaplessState::new(ProcessId(0), 100);
         let view = set(&[0, 1, 2]);
         let mut out = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
-        assert!(out.start_broadcast.is_none());
+        assert!(out.flooded.is_none());
         assert!(
             out.relay.is_none(),
             "the origin's forward waits for its disk"
@@ -349,7 +380,7 @@ mod tests {
         let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
         let out = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
         assert!(out.actions.is_empty());
-        assert!(out.start_broadcast.is_none());
+        assert!(out.flooded.is_none());
     }
 
     #[test]
@@ -373,7 +404,7 @@ mod tests {
             view,
             Some(ProcessId(3)),
         );
-        assert!(out.start_broadcast.is_none());
+        assert!(out.flooded.is_none());
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
         let (to, event, seen, need) = ring_send(out.relay.expect("a relay forwards"));
         assert_eq!((to, event), (ProcessId(3), ev(0)));
@@ -390,7 +421,7 @@ mod tests {
         let everyone = set(&[0, 1, 2]);
         let out = hop(&mut g, ev(0), everyone, everyone, view, Some(ProcessId(1)));
         assert!(out.actions.is_empty() && out.relay.is_none());
-        assert!(out.start_broadcast.is_none(), "S == V means all covered");
+        assert!(out.flooded.is_none(), "S == V means all covered");
     }
 
     #[test]
@@ -407,7 +438,7 @@ mod tests {
             view,
             Some(ProcessId(1)),
         );
-        assert_eq!(out.start_broadcast, Some(ev(0)));
+        assert_eq!(out.flooded, Some(ev(0)));
         assert!(out.actions.is_empty() && out.relay.is_none());
     }
 
@@ -427,7 +458,7 @@ mod tests {
             view,
             Some(ProcessId(0)),
         );
-        assert!(out.start_broadcast.is_none());
+        assert!(out.flooded.is_none());
         assert!(out.actions.is_empty() && out.relay.is_none());
     }
 
@@ -450,7 +481,7 @@ mod tests {
         // p2's successor p0 is in S: S ∪ {p2} == V == {0,1,2} → p2 closes
         // the ring silently instead of sending it back.
         assert!(out2.closed && out2.relay.is_none());
-        assert!(out2.start_broadcast.is_none());
+        assert!(out2.flooded.is_none());
         for p in [&p0, &p1, &p2] {
             assert_eq!(p.store().retained_seqs(SensorId(7)), vec![0]);
         }
@@ -473,7 +504,7 @@ mod tests {
             Some(ProcessId(0)),
         );
         assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
-        assert!(!out.closed && out.start_broadcast.is_none());
+        assert!(!out.closed && out.flooded.is_none());
         let (to, event, seen, need) = ring_send(out.relay.expect("S ≠ V: the ring goes on"));
         assert_eq!(
             (to, seen, need),
@@ -483,11 +514,7 @@ mod tests {
         let mut p0 = GaplessState::new(ProcessId(0), 100);
         let _ = ingest(&mut p0, ev(0), view0, Some(ProcessId(1)), None);
         let out = hop(&mut p0, event, seen, need, view0, Some(ProcessId(1)));
-        assert_eq!(
-            out.start_broadcast,
-            Some(ev(0)),
-            "flooded from a view with p3"
-        );
+        assert_eq!(out.flooded, Some(ev(0)), "flooded from a view with p3");
     }
 
     #[test]
@@ -517,7 +544,7 @@ mod tests {
             let mut g = GaplessState::new(me, 100);
             let out = hop(&mut g, ev(0), set(s), set(v), view, succ);
             assert_eq!(out.actions, vec![Action::Deliver { event: ev(0) }]);
-            assert!(out.start_broadcast.is_none());
+            assert!(out.flooded.is_none());
             assert_eq!(out.closed, closes, "{me}: S={s:?} V={v:?} view={view:?}");
             assert_eq!(out.relay.is_none(), closes);
             if let Some(relay) = out.relay {
@@ -546,7 +573,7 @@ mod tests {
             let mut g = GaplessState::new(ProcessId(0), 100);
             let _ = ingest(&mut g, ev(0), view, Some(ProcessId(1)), None);
             let out = hop(&mut g, ev(0), set(s), set(v), view, Some(ProcessId(1)));
-            assert_eq!(out.start_broadcast.is_some(), floods, "S={s:?} V={v:?}");
+            assert_eq!(out.flooded.is_some(), floods, "S={s:?} V={v:?}");
             assert!(out.actions.is_empty() && out.relay.is_none() && !out.closed);
         }
     }
@@ -601,7 +628,7 @@ mod tests {
             let (to, event, seen, need) = token;
             let at = to.0 as usize;
             let out = hop(&mut procs[at], event, seen, need, view, succ(to.0));
-            assert!(out.start_broadcast.is_none() && !out.closed);
+            assert!(out.flooded.is_none() && !out.closed);
             delivered[at] += deliver_count(&out.actions);
             token = ring_send(out.relay.expect("the token runs all the way to the host"));
             messages += 1;
@@ -621,7 +648,7 @@ mod tests {
             // p0's successor p1 is in both copies' S: whichever comes
             // first closes the ring, the other is an ignored duplicate.
             assert_eq!(out.closed, i == 0);
-            assert!(out.relay.is_none() && out.start_broadcast.is_none());
+            assert!(out.relay.is_none() && out.flooded.is_none());
         }
         (messages, delivered)
     }
@@ -664,7 +691,7 @@ mod tests {
             view,
             Some(ProcessId(3)),
         );
-        assert!(out.closed && out.relay.is_none() && out.start_broadcast.is_none());
+        assert!(out.closed && out.relay.is_none() && out.flooded.is_none());
     }
 
     #[test]
@@ -681,7 +708,7 @@ mod tests {
         // p1 receives p0's ring copy: already seen, S={0}, p1 ∉ S → ignore.
         let (_, event, seen, need) = ring_send(o0.actions.remove(1));
         let r = hop(&mut p1, event, seen, need, view, Some(ProcessId(2)));
-        assert!(r.start_broadcast.is_none() && r.relay.is_none());
+        assert!(r.flooded.is_none() && r.relay.is_none());
         // p2 receives p1's ring copy: new → delivers, forwards to p0.
         let (_, event, seen, need) = ring_send(o1.actions.remove(1));
         let r2 = hop(&mut p2, event, seen, need, view, Some(ProcessId(0)));
@@ -689,7 +716,7 @@ mod tests {
         // p0 gets it back: S={1,2}≠V, p0 ∉ S → ignore (no broadcast).
         let (_, event, seen, need) = ring_send(r2.relay.expect("p2 relays"));
         let r3 = hop(&mut p0, event, seen, need, view, Some(ProcessId(1)));
-        assert!(r3.start_broadcast.is_none());
+        assert!(r3.flooded.is_none());
         assert_eq!(p2.store().retained_seqs(SensorId(7)), vec![0]);
     }
 
@@ -698,52 +725,59 @@ mod tests {
         (0..=high).map(|seq| ev(seq).id).collect()
     }
 
-    /// The events of a beacon's sync, or `None` when it ships nothing.
-    fn beacon(g: &mut GaplessState, from: u32, received: &Holdings) -> Option<Vec<Event>> {
-        match g.on_peer_beacon(ProcessId(from), received)? {
+    /// The seqs a beacon from `from` with `view` and `received` is
+    /// answered with at `now_ms` by a process whose own view is `mine`,
+    /// or `None` when it ships nothing.
+    fn beacon(
+        g: &GaplessState,
+        (from, view): (u32, &[u32]),
+        mine: &[u32],
+        received: &Holdings,
+        now_ms: u64,
+    ) -> Option<Vec<u64>> {
+        let now = Time::from_millis(now_ms);
+        match g.on_peer_beacon(ProcessId(from), set(view), set(mine), received, now)? {
             Action::Send {
                 to,
                 msg: ProcMsg::SyncEvents { events },
             } => {
                 assert_eq!(to, ProcessId(from), "the sync goes to the beacon's sender");
-                Some(events)
+                Some(events.iter().map(|e| e.id.seq).collect())
             }
             other => panic!("expected sync events, got {other:?}"),
         }
     }
 
-    fn seqs(events: Option<Vec<Event>>) -> Option<Vec<u64>> {
-        events.map(|events| events.iter().map(|e| e.id.seq).collect())
-    }
-
-    /// A process holding events 0–4 of one sensor.
+    /// Process 1 holding events 0–4 of one sensor, emitted at 0–4 ms.
     fn ahead() -> GaplessState {
-        let mut g = GaplessState::new(ProcessId(0), 100);
+        let mut g = GaplessState::new(ProcessId(1), 100);
         for seq in 0..5 {
             let _ = ingest(&mut g, ev(seq), set(&[0, 1, 2]), None, None);
         }
         g
     }
 
+    /// Well past every event's emission plus one keep-alive interval.
+    const LATER_MS: u64 = 10_000;
+
+    /// A view of our own that makes us nobody's predecessor.
+    const ALONE: &[u32] = &[1];
+
     #[test]
-    fn the_owed_successors_beacon_ships_what_its_marks_lack_once() {
-        let mut ahead = ahead();
-        let mut behind = GaplessState::new(ProcessId(1), 100);
+    fn the_predecessor_the_senders_view_names_ships_what_it_lacks() {
+        let g = ahead();
+        let mut behind = GaplessState::new(ProcessId(2), 100);
         let _ = ingest(&mut behind, ev(0), set(&[0, 1, 2]), None, None);
-        let marks = through(0);
-
-        assert!(beacon(&mut ahead, 1, &marks).is_none(), "no successor yet");
-        ahead.on_successor_change(Some(ProcessId(1)));
-        assert!(
-            beacon(&mut ahead, 2, &Holdings::default()).is_none(),
-            "another peer's beacon"
+        let shipped = beacon(&g, (2, &[0, 1, 2]), ALONE, &through(0), LATER_MS);
+        assert_eq!(shipped, Some(vec![1, 2, 3, 4]));
+        // Every beacon asks again; a caught-up sender is sent nothing.
+        assert_eq!(
+            beacon(&g, (2, &[0, 1, 2]), ALONE, &through(4), LATER_MS),
+            None
         );
-        let events = beacon(&mut ahead, 1, &marks).expect("the owed sync");
-        assert!(beacon(&mut ahead, 1, &marks).is_none(), "paid once");
-
-        // The successor ingests and delivers each new event.
+        // The events arrive and are delivered like any other copy.
         let mut delivered = Vec::new();
-        behind.on_sync_events(events, &mut delivered);
+        assert!(behind.on_copies((1..5).map(ev), &mut delivered));
         assert_eq!(delivered.len(), 4);
         assert_eq!(
             behind.store().retained_seqs(SensorId(7)),
@@ -752,46 +786,64 @@ mod tests {
     }
 
     #[test]
-    fn a_sync_fills_the_holes_the_successor_reports() {
-        let mut g = ahead();
-        g.on_successor_change(Some(ProcessId(1)));
+    fn a_sync_fills_the_holes_the_sender_reports() {
         let holding: Holdings = [0, 1, 3].map(|seq| ev(seq).id).into_iter().collect();
-        assert_eq!(seqs(beacon(&mut g, 1, &holding)), Some(vec![2, 4]));
+        let shipped = beacon(&ahead(), (2, &[1, 2]), ALONE, &holding, LATER_MS);
+        assert_eq!(shipped, Some(vec![2, 4]));
     }
 
     #[test]
-    fn churn_owes_the_successor_a_fresh_sync() {
-        let mut g = ahead();
-        let marks = through(2);
-        g.on_successor_change(Some(ProcessId(1)));
-        assert_eq!(seqs(beacon(&mut g, 1, &marks)), Some(vec![3, 4]));
-        g.on_successor_change(Some(ProcessId(1)));
-        assert!(beacon(&mut g, 1, &marks).is_none(), "same successor");
-        g.on_successor_change(None);
-        assert!(beacon(&mut g, 1, &marks).is_none(), "no successor");
-        g.on_successor_change(Some(ProcessId(1)));
-        assert_eq!(seqs(beacon(&mut g, 1, &marks)), Some(vec![3, 4]));
-    }
-
-    #[test]
-    fn a_sync_with_nothing_missing_sends_nothing() {
-        let mut empty = GaplessState::new(ProcessId(0), 100);
-        empty.on_successor_change(Some(ProcessId(1)));
-        assert!(
-            beacon(&mut empty, 1, &Holdings::default()).is_none(),
-            "empty store"
+    fn the_settle_guard_holds_back_events_younger_than_a_beacon() {
+        // At 503 ms only events 0–3 (emitted at 0–3 ms) are a keep-alive
+        // interval old; event 4 may still be walking the ring.
+        let (g, sender) = (ahead(), (2, &[1, 2][..]));
+        let none = Holdings::default();
+        assert_eq!(
+            beacon(&g, sender, ALONE, &none, 503),
+            Some(vec![0, 1, 2, 3])
         );
-        let mut g = ahead();
-        g.on_successor_change(Some(ProcessId(1)));
-        assert!(beacon(&mut g, 1, &through(4)).is_none(), "caught up");
-        // The empty sync still paid the debt.
-        assert!(beacon(&mut g, 1, &Holdings::default()).is_none());
+        assert_eq!(beacon(&g, sender, ALONE, &through(3), 503), None);
+        assert_eq!(beacon(&g, sender, ALONE, &through(3), 504), Some(vec![4]));
+    }
+
+    #[test]
+    fn a_sender_whose_view_names_another_predecessor_is_answered_only_as_our_successor() {
+        let g = ahead();
+        let none = Holdings::default();
+        // Process 3's view has process 2 between us, and process 0's
+        // view wraps round to process 3: each names another answerer.
+        for sender in [(3, &[1, 2, 3][..]), (0, &[0, 1, 3])] {
+            assert_eq!(beacon(&g, sender, &[0, 1, 2, 3], &none, LATER_MS), None);
+        }
+        // Where the sender's view names us, whoever else we see, we
+        // answer; and where ours makes the sender our successor, too.
+        assert!(beacon(&g, (0, &[0, 1]), &[0, 1, 2], &none, LATER_MS).is_some());
+        assert!(beacon(&g, (3, &[1, 2, 3]), &[0, 1, 3], &none, LATER_MS).is_some());
+    }
+
+    #[test]
+    fn a_sender_whose_view_lacks_the_receiver_is_not_answered() {
+        // Process 2 cannot hear process 1: its view skips it and names
+        // process 0, and ours, told so by its beacons, skips process 2.
+        let g = ahead();
+        let none = Holdings::default();
+        assert_eq!(beacon(&g, (2, &[0, 2]), &[0, 1, 3], &none, LATER_MS), None);
+        assert_eq!(beacon(&g, (2, &[2]), ALONE, &none, LATER_MS), None);
+    }
+
+    #[test]
+    fn an_empty_store_ships_nothing() {
+        let empty = GaplessState::new(ProcessId(1), 100);
+        let none = Holdings::default();
+        assert_eq!(beacon(&empty, (2, &[1, 2]), &[1, 2], &none, LATER_MS), None);
     }
 
     #[test]
     fn broadcast_copy_dedups() {
         let mut g = GaplessState::new(ProcessId(0), 100);
-        assert!(g.on_broadcast_copy(ev(0)).is_some());
-        assert!(g.on_broadcast_copy(ev(0)).is_none());
+        let mut actions = Vec::new();
+        assert!(g.on_copies([ev(0)], &mut actions));
+        assert!(!g.on_copies([ev(0)], &mut actions));
+        assert_eq!(actions, vec![Action::Deliver { event: ev(0) }]);
     }
 }

@@ -11,7 +11,6 @@
 pub mod gap;
 pub mod gapless;
 pub mod polling;
-pub mod rbcast;
 
 use rivulet_types::{Event, ProcSet, ProcessId};
 

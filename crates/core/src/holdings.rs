@@ -4,10 +4,11 @@
 //! Per sensor, a [`Holdings`] keeps the highest `seq` held and the
 //! inclusive ranges below it that are not held — the holes. A process
 //! notes an event here once it is durable and advertises the whole
-//! summary on its keep-alive; peers read it back for two answers: which
-//! tracked broadcasts it acknowledges ([`Holdings::holds`], read by
-//! `RbcastState::on_cumulative_ack`) and which events a successor sync
-//! ships ([`Holdings::lacks`], read by `EventStore::diff_for`).
+//! summary on its keep-alive. It is read back for one answer: the
+//! sender's ring predecessor ships what the summary lacks
+//! ([`Holdings::lacks`], read by `EventStore::diff_for`). Nothing is
+//! acknowledged by it: a flood or a ring message keeps no state at its
+//! sender, and a lost one is what the next beacon's sync repairs.
 //!
 //! A hole nobody fills — a reading no process heard — is forgiven once
 //! garbage collection removes a held event above it
@@ -32,7 +33,7 @@ pub struct Holdings {
 
 /// The highest `seq` a sensor's lacked ranges leave held; 0 for a
 /// sensor nothing of which is held.
-pub(crate) fn high(lacks: &[(u64, u64)]) -> u64 {
+fn high(lacks: &[(u64, u64)]) -> u64 {
     match lacks.last() {
         Some(&(first, u64::MAX)) => first.saturating_sub(1),
         _ => u64::MAX,
@@ -104,11 +105,18 @@ impl FromIterator<EventId> for Holdings {
 /// costs one byte more than its marks.
 impl Wire for Holdings {
     fn encode(&self, w: &mut WireWriter) {
-        let marks: Vec<_> = self.sensors.iter().map(|(s, l)| (*s, high(l))).collect();
-        let spans = |l| holes(l).iter().map(|&(first, last)| (first, last - first));
-        let holed = self.sensors.iter().filter(|(_, l)| !holes(l).is_empty());
-        let holed: Vec<(_, Vec<_>)> = holed.map(|(s, l)| (*s, spans(l).collect())).collect();
-        (marks, holed).encode(w);
+        w.put_varint(self.sensors.len() as u64);
+        for (sensor, lacks) in &self.sensors {
+            (*sensor, high(lacks)).encode(w);
+        }
+        let holed = || self.sensors.iter().filter(|(_, l)| !holes(l).is_empty());
+        w.put_varint(holed().count() as u64);
+        for (sensor, lacks) in holed() {
+            (*sensor, holes(lacks).len() as u64).encode(w);
+            for &(first, last) in holes(lacks) {
+                (first, last - first).encode(w);
+            }
+        }
     }
 
     /// A hole must start past the one before it and end below its

@@ -13,7 +13,8 @@
 //!   guarantees. [`delivery::Delivery::Gap`] is best-effort and cheap;
 //!   [`delivery::Delivery::Gapless`] replicates every ingested event at
 //!   all available processes through a light-weight ring protocol with
-//!   reliable-broadcast fallback, plus coordinated polling for
+//!   a flood fallback and anti-entropy on every keep-alive, plus
+//!   coordinated polling for
 //!   poll-based sensors.
 //! * [`execution`] — the **execution service**: active/shadow logic
 //!   nodes with bully-style failover over a deterministic placement

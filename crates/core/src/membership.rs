@@ -5,6 +5,12 @@
 //! majority-based agreed views; each process maintains a **local view**
 //! from keep-alive silence, and views at different processes may
 //! disagree (§4.1). A process never suspects itself.
+//!
+//! Views may also disagree one way round: a peer we hear may not hear
+//! us. Each keep-alive carries its sender's view, so a process knows
+//! which peers count it, and [`Membership::mutual_view`] keeps only
+//! those — the processes it can exchange with both ways, which is what
+//! the beacon sync needs of a partner.
 
 use std::collections::BTreeMap;
 
@@ -12,8 +18,8 @@ use rivulet_types::{Duration, ProcSet, ProcessId, Time};
 
 /// Interval between keep-alive beacons to every peer (§4.1's "every
 /// *t* seconds"; 500 ms in the evaluation, §8.4). The same periodic
-/// tick also drives view maintenance, election and broadcast
-/// retransmission.
+/// tick also drives view maintenance and election, and each beacon is a
+/// sync query (§4.1).
 pub const KEEPALIVE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// One process's failure detector and local view.
@@ -22,6 +28,9 @@ pub struct Membership {
     me: ProcessId,
     peers: ProcSet,
     last_heard: BTreeMap<ProcessId, Time>,
+    /// Peers whose last keep-alive had `me` in its view; every peer
+    /// until its first keep-alive says otherwise.
+    hears_me: ProcSet,
     failure_timeout: Duration,
 }
 
@@ -46,14 +55,9 @@ impl Membership {
             me,
             peers,
             last_heard: peers.iter().map(|p| (p, now)).collect(),
+            hears_me: peers,
             failure_timeout,
         }
-    }
-
-    /// This process's identity.
-    #[must_use]
-    pub fn me(&self) -> ProcessId {
-        self.me
     }
 
     /// All known peers (excluding `me`).
@@ -73,6 +77,23 @@ impl Membership {
                 *t = now;
             }
         }
+    }
+
+    /// Records the view a keep-alive from `from` carried: whether that
+    /// peer hears us. Unknown senders are ignored.
+    pub fn heard_view(&mut self, from: ProcessId, view: ProcSet) {
+        self.hears_me.remove(from);
+        if view.contains(self.me) && self.peers.contains(from) {
+            self.hears_me.insert(from);
+        }
+    }
+
+    /// The local view less the peers whose last keep-alive did not
+    /// count us: the processes we hear that also hear us. It is the
+    /// view our keep-alives carry.
+    #[must_use]
+    pub fn mutual_view(&self, now: Time) -> ProcSet {
+        self.view(now).intersection(self.hears_me.with(self.me))
     }
 
     /// A peer is suspected once `failure_timeout` has elapsed since it
@@ -193,6 +214,24 @@ mod tests {
         m.heard_from(ProcessId(0), Time::from_secs(4));
         assert_eq!(m.successor_in(m.view(late)), Some(ProcessId(0)));
         assert_eq!(m.successor_in(m.view(Time::from_secs(50))), None);
+    }
+
+    #[test]
+    fn the_mutual_view_drops_a_peer_whose_view_drops_us() {
+        let mut m = m3();
+        let t = Time::from_secs(1);
+        assert_eq!(m.mutual_view(t), set(&[0, 1, 2]), "trusted until told");
+        m.heard_view(ProcessId(2), set(&[0, 2]));
+        assert_eq!(m.mutual_view(t), set(&[0, 1]));
+        assert_eq!(m.view(t), set(&[0, 1, 2]), "we still hear it");
+        m.heard_view(ProcessId(2), set(&[1, 2]));
+        m.heard_view(ProcessId(42), set(&[0]));
+        assert_eq!(m.mutual_view(t), set(&[0, 1, 2]));
+        assert_eq!(
+            m.mutual_view(Time::from_secs(5)),
+            set(&[1]),
+            "silence counts too"
+        );
     }
 
     #[test]

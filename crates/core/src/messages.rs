@@ -7,6 +7,14 @@
 //! sizes; here each set crosses the wire as one [`ProcSet`] bitmask —
 //! one byte in a home of up to seven processes — so a ring message is
 //! two bytes longer than the Gap forward of the same event.
+//!
+//! Nothing here is acknowledged. The keep-alive carries what its sender
+//! holds ([`Holdings`]) and its view, one more set, and the sender's
+//! ring predecessor answers with [`ProcMsg::SyncEvents`]: the events the
+//! sender lacks. That one answer is the repair of every lost ring
+//! message or flood copy.
+
+use std::collections::BTreeMap;
 
 use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
 use rivulet_types::{Command, Event, ProcSet, ProcessId, SensorId};
@@ -26,16 +34,17 @@ pub enum ProcMsg {
     KeepAlive {
         /// The sender.
         from: ProcessId,
-        /// `(sensor, highest seq processed by an active logic node at
-        /// the sender)`; empty for pure shadows.
-        processed: Vec<(SensorId, u64)>,
+        /// The sender's view, less the peers that do not hear it
+        /// (`Membership::mutual_view`). The process it names as the
+        /// sender's ring predecessor answers the beacon.
+        view: ProcSet,
+        /// Per sensor, the highest seq processed by an active logic node
+        /// at the sender; empty for pure shadows.
+        processed: BTreeMap<SensorId, u64>,
         /// What the sender durably holds of each sensor: the highest
-        /// seq and the holes below it — the cumulative acknowledgement
-        /// piggybacked on the beacon. A broadcast origin retires every
-        /// pending retransmission whose event the peer holds; no
-        /// per-event ack exists on the wire. The same summary answers
-        /// anti-entropy: a predecessor that owes the sender a sync ships
-        /// it every event it lacks ([`ProcMsg::SyncEvents`]). Empty until
+        /// seq and the holes below it. It is the Bayou query of
+        /// anti-entropy (§4.1): the sender's predecessor ships it every
+        /// settled event it lacks ([`ProcMsg::SyncEvents`]). Empty until
         /// the first delivery.
         received: Holdings,
     },
@@ -61,8 +70,10 @@ pub enum ProcMsg {
         /// `V`: processes that are supposed to deliver the event.
         need: Vec<ProcessId>,
     },
-    /// Reliable-broadcast fallback: eager flooding of an event that the
-    /// ring failed to spread (§4.1).
+    /// One flood of an event to every peer in the sender's view: the
+    /// ring's stall fallback (§4.1) and the eager-broadcast baseline.
+    /// Nothing acknowledges or retransmits it; the beacon sync repairs
+    /// a lost copy.
     Broadcast {
         /// The event.
         event: Event,
@@ -75,7 +86,7 @@ pub enum ProcMsg {
         /// The event.
         event: Event,
     },
-    /// Anti-entropy: the events a process found its new ring successor
+    /// Anti-entropy: the events a process found its ring successor
     /// missing, from the `received` summary of the successor's
     /// [`ProcMsg::KeepAlive`] (Bayou-style, §4.1).
     SyncEvents {
@@ -114,7 +125,8 @@ impl ProcMsg {
         match tag {
             0 => Ok(ProcMsg::KeepAlive {
                 from: ProcessId::decode(r)?,
-                processed: Vec::decode(r)?,
+                view: ProcSet::decode(r)?,
+                processed: BTreeMap::decode(r)?,
                 received: Holdings::decode(r)?,
             }),
             RING_TAG => {
@@ -226,10 +238,12 @@ impl Wire for ProcMsg {
         match self {
             ProcMsg::KeepAlive {
                 from,
+                view,
                 processed,
                 received,
             } => {
                 from.encode(w);
+                view.encode(w);
                 processed.encode(w);
                 received.encode(w);
             }
@@ -416,21 +430,19 @@ mod tests {
     fn beacon(from: u32) -> ProcMsg {
         ProcMsg::KeepAlive {
             from: ProcessId(from),
-            processed: vec![],
+            view: ProcSet::singleton(ProcessId(from)),
+            processed: BTreeMap::new(),
             received: Holdings::default(),
         }
     }
 
     #[test]
     fn all_variants_roundtrip() {
+        roundtrip(&beacon(3));
         roundtrip(&ProcMsg::KeepAlive {
             from: ProcessId(3),
-            processed: vec![],
-            received: Holdings::default(),
-        });
-        roundtrip(&ProcMsg::KeepAlive {
-            from: ProcessId(3),
-            processed: vec![(SensorId(1), 99), (SensorId(2), 0)],
+            view: [0, 3, 63].map(ProcessId).into_iter().collect(),
+            processed: BTreeMap::from([(SensorId(1), 99), (SensorId(2), 0)]),
             received: [3, 4, 101]
                 .map(|q| EventId::new(SensorId(1), q))
                 .into_iter()
@@ -562,10 +574,11 @@ mod tests {
     fn keepalive_is_tiny() {
         let ka = ProcMsg::KeepAlive {
             from: ProcessId(1),
-            processed: vec![],
+            view: (0..7).map(ProcessId).collect(),
+            processed: BTreeMap::new(),
             received: Holdings::default(),
         };
-        assert!(ka.to_bytes().len() <= 5, "keep-alive must stay cheap");
+        assert!(ka.to_bytes().len() <= 6, "keep-alive must stay cheap");
     }
 
     #[test]
@@ -701,7 +714,8 @@ mod tests {
                 ProcMsg::GapForward { event: ev(2) },
                 ProcMsg::KeepAlive {
                     from: ProcessId(2),
-                    processed: vec![],
+                    view: ProcSet::singleton(ProcessId(2)),
+                    processed: BTreeMap::new(),
                     received: [EventId::new(SensorId(1), 7)].into_iter().collect(),
                 },
             ],
@@ -836,11 +850,13 @@ mod proptests {
         prop_oneof![
             (
                 any::<u32>(),
+                arb_pids(),
                 proptest::collection::vec((any::<u32>(), any::<u64>()), 0..6),
                 proptest::collection::vec((any::<u32>(), any::<u64>()), 0..6)
             )
-                .prop_map(|(from, processed, received)| ProcMsg::KeepAlive {
+                .prop_map(|(from, view, processed, received)| ProcMsg::KeepAlive {
                     from: ProcessId(from),
+                    view: view.into_iter().collect(),
                     processed: processed
                         .into_iter()
                         .map(|(s, q)| (SensorId(s), q))

@@ -43,14 +43,11 @@ impl Running {
         match rt.delivery {
             Delivery::Gapless if self.config.forwarding == ForwardingMode::EagerBroadcast => {
                 // Fig. 5 baseline: flood to all peers unless the event
-                // already arrived from another process. The flood goes
-                // through the rbcast state machine so the origin tracks
-                // which peers still owe an acknowledgement: the
-                // holdings on their keep-alive beacons.
-                if let Some(deliver) = self.gapless.on_broadcast_copy(event.clone()) {
+                // already arrived from another process. A lost copy is
+                // left to the beacon sync, as on the ring.
+                if self.gapless.on_copies([event.clone()], &mut self.actions) {
                     let view = self.membership.view(now);
-                    self.actions.push(deliver);
-                    self.actions.extend(self.rbcast.start(event, view, now));
+                    self.actions.extend(self.gapless.flood(event, view));
                     self.admit(ctx, true);
                 }
             }
@@ -66,7 +63,6 @@ impl Running {
                     (sender == self.me).then_some((h, seen))
                 });
                 let sends_express = express.is_some();
-                let tracked = event.clone();
                 let fresh = self.gapless.on_local_ingest(
                     event,
                     view,
@@ -74,19 +70,8 @@ impl Running {
                     express,
                     &mut self.actions,
                 );
-                if fresh {
-                    if sends_express {
-                        self.obs.inc("ring.express");
-                    }
-                    // Fresh ingest: register replication tracking.
-                    // The ring carries the event (no extra traffic);
-                    // peers retire the entry via the holdings on their
-                    // keep-alives, and an entry that
-                    // outlives the failure timeout escalates to a
-                    // flood — closing the silent-stall window where
-                    // a ring message dies with a crashed hop and no
-                    // survivor ever observes the stall condition.
-                    self.rbcast.track(tracked, view, now);
+                if fresh && sends_express {
+                    self.obs.inc("ring.express");
                 }
                 self.admit(ctx, true);
             }
@@ -107,16 +92,6 @@ impl Running {
                 }
             }
         }
-    }
-
-    fn start_broadcast(&mut self, ctx: &mut Context<'_>, event: Event) {
-        let now = ctx.now();
-        let view = self.membership.view(now);
-        self.actions.extend(self.rbcast.start(event, view, now));
-        // Broadcasting advertises possession: gate it like any other
-        // delivery action (the event itself was appended when it was
-        // first stored, so this queues behind that flush).
-        self.admit(ctx, false);
     }
 
     /// A message arrived from a peer process.
@@ -147,9 +122,6 @@ impl Running {
         if outcome.closed {
             self.obs.inc("ring.closed");
         }
-        if let Some(ev) = outcome.start_broadcast {
-            self.start_broadcast(ctx, ev);
-        }
     }
 
     /// Any other protocol message arrived.
@@ -165,20 +137,21 @@ impl Running {
         match msg {
             ProcMsg::KeepAlive {
                 from,
+                view,
                 processed,
                 received,
             } => {
                 for (sensor, seq) in processed {
                     advance(&mut self.processed, sensor, seq);
                 }
-                // The peer's holdings acknowledge every pending
-                // broadcast it holds in one beacon, and answer the sync
-                // query of a predecessor that owes the peer one.
-                let retired = self.rbcast.on_cumulative_ack(from, &received);
-                if retired > 0 {
-                    self.fanout.record_acks_avoided(retired as u64);
-                }
-                if let Some(sync) = self.gapless.on_peer_beacon(from, &received) {
+                // The peer's holdings are a sync query to its ring
+                // predecessor, as its view or ours has it.
+                self.membership.heard_view(from, view);
+                let mine = self.membership.mutual_view(now);
+                let sync = self
+                    .gapless
+                    .on_peer_beacon(from, view, mine, &received, now);
+                if let Some(sync) = sync {
                     self.send_action(sync);
                 }
             }
@@ -187,30 +160,15 @@ impl Running {
                 if !self.sensor_subscribed(event.id.sensor) {
                     return;
                 }
-                let deliver = self.gapless.on_broadcast_copy(event.clone());
-                // Receivers acknowledge every broadcast copy
-                // cumulatively, via the holdings on their next
-                // keep-alive beacon. In the eager baseline only
-                // the origin floods, so the relay view is empty; the
-                // ring's stall fallback relays through the full view
-                // to survive origin crashes.
-                let view = match self.config.forwarding {
-                    ForwardingMode::EagerBroadcast => ProcSet::EMPTY,
-                    ForwardingMode::Ring => self.membership.view(now),
-                };
-                let fresh = deliver.is_some();
-                let relay = self.rbcast.on_broadcast(&event, fresh, view, now);
-                // Deliver first, then relay — and neither before the
-                // event is durable: a relay tells its receivers this
-                // replica holds the event.
-                self.actions.extend(deliver);
-                self.actions.extend(relay);
+                // A flood copy is not relayed: a peer it missed is
+                // repaired by the beacon sync.
+                self.gapless.on_copies([event], &mut self.actions);
                 self.admit(ctx, false);
             }
             ProcMsg::GapForward { event } => self.deliver_to_apps(ctx, &event),
             ProcMsg::SyncEvents { mut events } => {
                 events.retain(|e| self.sensor_subscribed(e.id.sensor));
-                self.gapless.on_sync_events(events, &mut self.actions);
+                self.gapless.on_copies(events, &mut self.actions);
                 self.admit(ctx, false);
             }
             ProcMsg::CmdForward { command } => {
@@ -253,8 +211,8 @@ impl Running {
 
     /// Queues a send: one the durability gate released, or one it has
     /// no say in — control traffic that carries no newly stored event
-    /// (beacons, anti-entropy, retransmissions) and a ring relay, whose
-    /// event a peer's disk already backs (DESIGN §4.2).
+    /// (beacons, anti-entropy) and a ring relay, whose event a peer's
+    /// disk already backs (DESIGN §4.2).
     pub(super) fn send_action(&mut self, action: Action) {
         match action {
             Action::Send { to, msg } => self.send_proc(to, &msg),

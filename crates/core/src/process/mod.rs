@@ -3,7 +3,7 @@
 //! A [`RivuletProcess`] is an actor gluing every platform service
 //! together: adapters decode device frames, the membership service
 //! maintains the local view, the delivery service runs the Gap chain
-//! and Gapless ring (with reliable-broadcast fallback and anti-entropy),
+//! and Gapless ring (with its stall flood and per-beacon anti-entropy),
 //! the polling coordinator schedules poll-based sensors, and the
 //! execution service elects active logic nodes and runs app runtimes.
 //!
@@ -24,11 +24,11 @@
 //! the process additionally appends every replicated event and
 //! periodic operator checkpoints to a write-ahead log
 //! ([`rivulet_storage::Wal`]) and withholds local delivery, the
-//! holdings it advertises (the broadcast acknowledgement), broadcast
-//! relays, and the ingest process's first ring forward until the append
-//! is durable ([`crate::gating::DurableGate`]; ring relays do not wait —
-//! DESIGN §4.2); recovery then restores the event store, holdings and
-//! processed watermarks from the log instead of relying solely on peers.
+//! holdings it advertises, floods, and the ingest process's first ring
+//! forward until the append is durable ([`crate::gating::DurableGate`];
+//! ring relays do not wait — DESIGN §4.2); recovery then restores the
+//! event store, holdings and processed watermarks from the log instead
+//! of relying solely on peers.
 
 mod delivery;
 mod exec;
@@ -52,7 +52,6 @@ use crate::app::{AppRuntime, AppSpec, StreamKey};
 use crate::config::RivuletConfig;
 use crate::delivery::gapless::GaplessState;
 use crate::delivery::polling::{PollPlan, PollState};
-use crate::delivery::rbcast::{self, RbcastState};
 use crate::delivery::{Action, Delivery};
 use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::placement;
@@ -277,13 +276,11 @@ struct Running {
     me: ProcessId,
     config: RivuletConfig,
     obs: Recorder,
-    fanout: Arc<FanoutStats>,
     store_probe: Option<Arc<StoreProbe>>,
     ingest_probe: Option<Arc<IngestProbe>>,
     checkpoint_interval: Option<Duration>,
     membership: Membership,
     gapless: GaplessState,
-    rbcast: RbcastState,
     apps: Vec<AppRt>,
     /// Ordered, like every map below that is iterated: timer sequence
     /// numbers and RNG draws are handed out in iteration order, and a
@@ -296,11 +293,11 @@ struct Running {
     /// like the outbox's protocol messages.
     radio_pool: WriterPool,
     /// Processed watermarks learned from peers' keep-alives, merged
-    /// with our own processing.
+    /// with our own processing. Lent to each keep-alive and taken back.
     processed: BTreeMap<SensorId, u64>,
     /// What this process durably holds of each sensor, noted only
-    /// after the durability gate. Advertised on keep-alives as the
-    /// cumulative broadcast acknowledgement and the sync query.
+    /// after the durability gate. Lent to each keep-alive as the sync
+    /// query and taken back.
     holdings: Holdings,
     window_timers: Vec<(usize, OperatorId, StreamKey, Duration)>,
     command_ids: CommandIds,
@@ -413,9 +410,8 @@ impl Running {
         for (sensor, seq) in recovered.checkpoint.into_iter().flat_map(|c| c.processed) {
             advance(&mut processed, sensor, seq);
         }
-        // Recovered events are already durable: advertise them, so
-        // peers' pending broadcasts retire, and what the log lacks, so
-        // the next sync fills it.
+        // Recovered events are already durable: advertise them, and what
+        // the log lacks, so the next sync fills it.
         let holdings: Holdings = recovered.events.iter().map(|e| e.id).collect();
         for event in recovered.events {
             gapless.store_mut().insert(event);
@@ -443,17 +439,11 @@ impl Running {
             me,
             config: spec.config.clone(),
             obs: spec.obs.clone(),
-            fanout: Arc::clone(&spec.fanout),
             store_probe: spec.store_probe.clone(),
             ingest_probe: spec.ingest_probe.clone(),
             checkpoint_interval: storage.map(|d| d.checkpoint_interval),
             membership: Membership::new(me, &peers, spec.config.failure_timeout, ctx.now()),
             gapless,
-            // Tracked ring-origin entries get the failure timeout as
-            // grace, so healthy runs always retire them via beacon
-            // holdings before any fallback flood fires.
-            rbcast: RbcastState::new(me)
-                .with_timing(rbcast::RETRANSMIT_INTERVAL, spec.config.failure_timeout),
             apps,
             sensors: dir
                 .sensors
@@ -493,7 +483,7 @@ impl Running {
         }
 
         // Kick off the periodic tick (keep-alives, failure detection,
-        // election, broadcast retransmission) and polling epochs.
+        // election) and polling epochs.
         run.tick(ctx);
         let polled = run.sensors.iter().filter(|(_, s)| s.poll.is_some());
         for sensor in polled.map(|(id, _)| *id).collect::<Vec<_>>() {
@@ -502,8 +492,7 @@ impl Running {
         run
     }
 
-    /// The periodic tick: keep-alives, view maintenance, election,
-    /// broadcast retransmission.
+    /// The periodic tick: garbage collection, keep-alives, election.
     fn tick(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         // Watermark garbage collection: events processed home-wide
@@ -521,30 +510,29 @@ impl Running {
         // view: a healed partition must be able to un-suspect. One
         // fan-out: the beacon is encoded once and cheap-cloned to
         // every destination. The processed watermarks that bounded
-        // the collection above ride it.
+        // the collection above ride it, and the view and holdings the
+        // predecessor it names answers. Both maps are lent to the
+        // beacon and taken back, so a beacon copies neither.
         let beacon = ProcMsg::KeepAlive {
             from: self.me,
-            processed: self.processed.iter().map(|(s, q)| (*s, *q)).collect(),
-            received: self.holdings.clone(),
+            view: self.membership.mutual_view(now),
+            processed: std::mem::take(&mut self.processed),
+            received: std::mem::take(&mut self.holdings),
         };
         self.send_fanout(self.membership.peers(), &beacon);
-        // Ring successor maintenance: a new successor is owed a sync,
-        // which its next beacon answers.
-        let view = self.membership.view(now);
-        self.gapless
-            .on_successor_change(self.membership.successor_in(view));
-        // Reliable-broadcast retransmission (age-guarded: entries
-        // whose cumulative-ack window is still open are skipped).
-        for action in self.rbcast.on_tick(view, now) {
-            self.send_action(action);
+        if let ProcMsg::KeepAlive {
+            processed,
+            received,
+            ..
+        } = beacon
+        {
+            (self.processed, self.holdings) = (processed, received);
         }
         if let Some(probe) = &self.store_probe {
             probe.record_len(now, self.me, self.gapless.store().len());
         }
         self.obs
             .observe("store.len", self.gapless.store().len() as u64);
-        self.obs
-            .observe("rbcast.pending", self.rbcast.pending_count() as u64);
         self.election(ctx);
         self.repair_tick(ctx);
         ctx.set_timer(KEEPALIVE_INTERVAL, TOKEN_TICK);

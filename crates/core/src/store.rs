@@ -37,18 +37,14 @@ pub struct EventStore {
     arena: PayloadArena,
 }
 
-/// Where `seq` sits in a deque strictly increasing by `key`: `Ok` at
-/// the equal entry, `Err` at the insertion point — the answer of
+/// Where `seq` sits in a sensor's log, strictly increasing by `seq`:
+/// `Ok` at the equal entry, `Err` at the insertion point — the answer of
 /// `binary_search_by_key`. The search gallops back from the newest
 /// entry (gaps of 1, 2, 4, …) and binary-searches the bracket it lands
 /// in, so an entry `d` slots below the back costs O(log d) comparisons:
 /// one for the common arrival above the back, a handful for a
 /// duplicate copy of a recent event, wherever the deque's length.
-pub(crate) fn locate<T>(
-    sorted: &VecDeque<T>,
-    seq: u64,
-    key: impl Fn(&T) -> u64,
-) -> Result<usize, usize> {
+fn locate(sorted: &VecDeque<Event>, seq: u64) -> Result<usize, usize> {
     // Every entry at `hi` or above has a key above `seq`.
     let mut hi = sorted.len();
     let mut gap = 1;
@@ -57,7 +53,7 @@ pub(crate) fn locate<T>(
             break 0;
         }
         let probe = hi.saturating_sub(gap);
-        match key(&sorted[probe]).cmp(&seq) {
+        match sorted[probe].id.seq.cmp(&seq) {
             Ordering::Less => break probe + 1,
             Ordering::Equal => return Ok(probe),
             Ordering::Greater => {
@@ -68,7 +64,7 @@ pub(crate) fn locate<T>(
     };
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match key(&sorted[mid]).cmp(&seq) {
+        match sorted[mid].id.seq.cmp(&seq) {
             Ordering::Less => lo = mid + 1,
             Ordering::Equal => return Ok(mid),
             Ordering::Greater => hi = mid,
@@ -77,9 +73,8 @@ pub(crate) fn locate<T>(
     Err(lo)
 }
 
-/// Capacity a deque keeps however far it drains, so a log or shard that
-/// swings below it (the pending entries between two keep-alives, a
-/// polled sensor's short log) never reallocates.
+/// Capacity a deque keeps however far it drains, so a log that swings
+/// below it (a polled sensor's short log) never reallocates.
 const SLACK_FLOOR: usize = 1024;
 
 /// Hands back most of a deque's buffer once garbage collection has left
@@ -87,7 +82,7 @@ const SLACK_FLOOR: usize = 1024;
 /// this a burst (a partition, a processing lag, up to the per-sensor
 /// cap) would hold its peak size for the life of the process. A window
 /// that stays above a quarter of the capacity it grew to is left alone.
-pub(crate) fn release_slack<T>(sorted: &mut VecDeque<T>) {
+fn release_slack(sorted: &mut VecDeque<Event>) {
     if sorted.capacity() > SLACK_FLOOR && sorted.len() < sorted.capacity() / 4 {
         sorted.shrink_to((sorted.len() * 2).max(SLACK_FLOOR));
     }
@@ -117,7 +112,7 @@ impl EventStore {
     pub fn insert(&mut self, mut event: Event) -> bool {
         let cap = self.cap_per_sensor;
         let per = self.sensors.entry(event.id.sensor).or_default();
-        let Err(at) = locate(per, event.id.seq, |e| e.id.seq) else {
+        let Err(at) = locate(per, event.id.seq) else {
             return false;
         };
         // Re-home only *retained* payloads (duplicates bailed out
@@ -142,19 +137,21 @@ impl EventStore {
         per.range(from..).cloned().collect()
     }
 
-    /// Computes the events a peer holding `peer` lacks, ascending per
-    /// sensor: for every sensor we know, what we store in the peer's
-    /// holes and above its highest held seq. This is the paper's
-    /// Bayou-style sync (§4.1); after a successor change it fills the
-    /// successor's holes and brings it up to our high-water mark.
+    /// Computes the events emitted at or before `settled` that a peer
+    /// holding `peer` lacks, ascending per sensor: for every sensor we
+    /// know, what we store in the peer's holes and above its highest
+    /// held seq. This is the paper's Bayou-style sync (§4.1); it fills
+    /// the successor's holes and brings it up to our high-water mark,
+    /// less the events too young to have finished their ring walk.
     #[must_use]
-    pub fn diff_for(&self, peer: &Holdings) -> Vec<Event> {
+    pub fn diff_for(&self, peer: &Holdings, settled: Time) -> Vec<Event> {
         let mut out = Vec::new();
         for (sensor, per) in &self.sensors {
             for &(first, last) in peer.lacks(*sensor) {
                 let from = per.partition_point(|e| e.id.seq < first);
                 let to = per.partition_point(|e| e.id.seq <= last);
-                out.extend(per.range(from..to).cloned());
+                let lacked = per.range(from..to);
+                out.extend(lacked.filter(|e| e.emitted_at <= settled).cloned());
             }
         }
         out
@@ -169,7 +166,7 @@ impl EventStore {
     /// processed a sensor's stream through `upto`, those events can
     /// never be needed by a failover replay again. The age guard keeps
     /// recently processed events around so that a straggling duplicate
-    /// copy (a late ring message, broadcast retransmission, or
+    /// copy (a late ring message, flood copy, or
     /// anti-entropy refill) still hits the store's duplicate check
     /// instead of being re-delivered to applications.
     ///
@@ -301,11 +298,12 @@ mod reference {
             }
         }
 
-        pub fn diff_for(&self, peer: &Holdings) -> Vec<Event> {
+        pub fn diff_for(&self, peer: &Holdings, settled: Time) -> Vec<Event> {
             let mut out = Vec::new();
             for (sensor, per) in &self.sensors {
                 for &(first, last) in peer.lacks(*sensor) {
-                    out.extend(per.range(first..=last).map(|(_, e)| e.clone()));
+                    let lacked = per.range(first..=last).map(|(_, e)| e);
+                    out.extend(lacked.filter(|e| e.emitted_at <= settled).cloned());
                 }
             }
             out
@@ -441,14 +439,16 @@ mod tests {
         s.insert(ev(1, 1));
         s.insert(ev(2, 4));
         // Peer knows sensor 1 up to 0, nothing of sensor 2.
-        let diff = s.diff_for(&peer(&[(1, 0)]));
+        let diff = s.diff_for(&peer(&[(1, 0)]), Time::MAX);
         let ids: Vec<(u32, u64)> = diff
             .iter()
             .map(|e| (e.id.sensor.as_u32(), e.id.seq))
             .collect();
         assert_eq!(ids, vec![(1, 1), (2, 4)]);
         // Peer caught up → empty diff, whatever holes we cannot fill.
-        assert!(s.diff_for(&peer(&[(1, 0), (1, 1), (2, 4)])).is_empty());
+        assert!(s
+            .diff_for(&peer(&[(1, 0), (1, 1), (2, 4)]), Time::MAX)
+            .is_empty());
     }
 
     #[test]
@@ -457,9 +457,21 @@ mod tests {
         for seq in 0..10 {
             s.insert(ev(1, seq));
         }
-        let diff = s.diff_for(&peer(&[(1, 1), (1, 4), (1, 5), (1, 9)]));
+        let diff = s.diff_for(&peer(&[(1, 1), (1, 4), (1, 5), (1, 9)]), Time::MAX);
         let seqs: Vec<u64> = diff.iter().map(|e| e.id.seq).collect();
         assert_eq!(seqs, vec![0, 2, 3, 6, 7, 8]);
+    }
+
+    #[test]
+    fn diff_for_ships_nothing_emitted_after_the_settled_instant() {
+        let mut s = EventStore::new(20);
+        for seq in 0..10 {
+            s.insert(ev(1, seq));
+        }
+        let settled = ev(1, 6).emitted_at;
+        let diff = s.diff_for(&peer(&[(1, 1), (1, 4)]), settled);
+        let seqs: Vec<u64> = diff.iter().map(|e| e.id.seq).collect();
+        assert_eq!(seqs, vec![0, 2, 3, 5, 6]);
     }
 
     #[test]
@@ -470,7 +482,7 @@ mod tests {
             s.insert(ev(sensor, 0));
             s.insert(ev(sensor, 1));
         }
-        let diff = s.diff_for(&peer(&[(5, 0)]));
+        let diff = s.diff_for(&peer(&[(5, 0)]), Time::MAX);
         let ids: Vec<(u32, u64)> = diff
             .iter()
             .map(|e| (e.id.sensor.as_u32(), e.id.seq))
@@ -651,8 +663,10 @@ mod tests {
         let mut s = EventStore::new(100);
         s.insert(top(1));
         s.insert(ev(2, 7));
-        assert!(s.diff_for(&peer(&[(1, u64::MAX), (2, 7)])).is_empty());
-        assert_eq!(s.diff_for(&peer(&[(2, 7)])), vec![top(1)]);
+        assert!(s
+            .diff_for(&peer(&[(1, u64::MAX), (2, 7)]), Time::MAX)
+            .is_empty());
+        assert_eq!(s.diff_for(&peer(&[(2, 7)]), Time::MAX), vec![top(1)]);
     }
 
     #[test]
@@ -705,7 +719,7 @@ mod tests {
     fn empty_store_reports_empty() {
         let s = EventStore::new(1);
         assert!(s.is_empty());
-        assert!(s.diff_for(&Holdings::default()).is_empty());
+        assert!(s.diff_for(&Holdings::default(), Time::MAX).is_empty());
     }
 }
 
@@ -761,7 +775,7 @@ mod proptests {
                 b.insert(ev(s, q));
                 held.note(ev(s, q).id);
             }
-            for e in a.diff_for(&held) {
+            for e in a.diff_for(&held, Time::MAX) {
                 prop_assert!(!held.holds(e.id), "{} shipped, already held", e.id);
                 prop_assert!(b.insert(e));
             }
@@ -791,22 +805,22 @@ mod proptests {
                 })
                 .collect();
             let len = keys.len().saturating_sub(rotated);
-            let mut sorted: VecDeque<u64> = VecDeque::with_capacity(len);
-            sorted.extend(&keys[..len]);
+            let mut sorted: VecDeque<Event> = VecDeque::with_capacity(len);
+            sorted.extend(keys[..len].iter().map(|&q| ev(1, q)));
             for &key in &keys[len..] {
                 if len > 0 {
                     sorted.pop_front();
-                    sorted.push_back(key);
+                    sorted.push_back(ev(1, key));
                 }
             }
-            let above_back = sorted.back().map_or(1, |&back| back + 2);
+            let above_back = sorted.back().map_or(1, |back| back.id.seq + 2);
             for seq in 0..=above_back {
                 prop_assert_eq!(
-                    locate(&sorted, seq, |&k| k),
-                    sorted.binary_search_by_key(&seq, |&k| k),
+                    locate(&sorted, seq),
+                    sorted.binary_search_by_key(&seq, |e| e.id.seq),
                     "seq {} in {:?}",
                     seq,
-                    sorted
+                    sorted.iter().map(|e| e.id.seq).collect::<Vec<_>>()
                 );
             }
         }
@@ -937,10 +951,11 @@ mod proptests {
                         new.prune_processed(SensorId(sensor), upto, Time::MAX);
                         prop_assert_eq!(len - new.len(), reference.prune_prefix(SensorId(sensor), upto));
                     }
-                    StoreOp::Diff(peer) => {
+                    StoreOp::Diff(peer, settled) => {
                         let peer: Holdings =
                             peer.into_iter().map(|(s, q)| EventId::new(SensorId(s), q)).collect();
-                        prop_assert_eq!(new.diff_for(&peer), reference.diff_for(&peer));
+                        let settled = Time::from_millis(settled);
+                        prop_assert_eq!(new.diff_for(&peer, settled), reference.diff_for(&peer, settled));
                     }
                 }
                 prop_assert_eq!(wms(&new), reference.watermarks());
@@ -983,8 +998,9 @@ mod proptests {
         PruneProcessed(u32, u64, u64),
         /// `(sensor, upto)`: collection of the whole processed prefix.
         PrunePrefix(u32, u64),
-        /// The events a peer holds, noted in this order.
-        Diff(Vec<(u32, u64)>),
+        /// The events a peer holds, noted in this order, and the
+        /// settled instant in milliseconds.
+        Diff(Vec<(u32, u64)>, u64),
     }
 
     /// Sequence numbers near both ends of the range.
@@ -999,7 +1015,7 @@ mod proptests {
             0..=5 => StoreOp::Insert(s, q, at),
             6 => StoreOp::PruneProcessed(s, q, at),
             7 => StoreOp::PrunePrefix(s, q),
-            _ => StoreOp::Diff(peer),
+            _ => StoreOp::Diff(peer, at),
         })
     }
 }

@@ -15,7 +15,7 @@
 //! 2. **Executor** ([`executor`]): a fixed-size worker pool stealing
 //!    homes off a shared queue runs every home to completion — each
 //!    an isolated seeded simulation exercising Gapless delivery,
-//!    rbcast, the WAL, and the event store at once — and
+//!    anti-entropy, the WAL, and the event store at once — and
 //!    judges each home with `rivulet_core::probe::check`.
 //! 3. **Report** ([`report`]): per-home [`ObsSnapshot`]s merge as
 //!    homes finish (every family merges regardless of order, so the

@@ -43,7 +43,6 @@ pub struct FanoutStats {
     frames_coalesced: AtomicU64,
     messages_avoided: AtomicU64,
     encode_bytes_saved: AtomicU64,
-    acks_avoided: AtomicU64,
 }
 
 /// A point-in-time copy of [`FanoutStats`].
@@ -57,7 +56,8 @@ pub struct FanoutSnapshot {
     /// Encode work skipped by encode-once fan-out: bytes that were
     /// cheap-cloned to additional destinations instead of re-encoded.
     pub encode_bytes_saved: u64,
-    /// Pending entries retired by a peer's keep-alive watermark.
+    /// Always 0: nothing is acknowledged since the flood keeps no
+    /// pending entries. Kept because the benchmark harness reads it.
     pub acks_avoided: u64,
 }
 
@@ -75,12 +75,6 @@ impl FanoutStats {
         self.encode_bytes_saved.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records `n` per-event acknowledgements retired at once by a
-    /// single cumulative keep-alive watermark.
-    pub fn record_acks_avoided(&self, n: u64) {
-        self.acks_avoided.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Copies the counters.
     #[must_use]
     pub fn snapshot(&self) -> FanoutSnapshot {
@@ -88,7 +82,7 @@ impl FanoutStats {
             frames_coalesced: self.frames_coalesced.load(Ordering::Relaxed),
             messages_avoided: self.messages_avoided.load(Ordering::Relaxed),
             encode_bytes_saved: self.encode_bytes_saved.load(Ordering::Relaxed),
-            acks_avoided: self.acks_avoided.load(Ordering::Relaxed),
+            acks_avoided: 0,
         }
     }
 }
@@ -213,16 +207,14 @@ mod tests {
         stats.record_frame(3);
         stats.record_frame(2);
         stats.record_encode_reuse(120);
-        stats.record_acks_avoided(1);
         let snap = m.fanout.snapshot();
         assert_eq!(snap.frames_coalesced, 2);
         assert_eq!(snap.messages_avoided, 3, "(3-1) + (2-1)");
         assert_eq!(snap.encode_bytes_saved, 120);
-        assert_eq!(snap.acks_avoided, 1);
         // Cloned metrics share the same counters.
         let clone = m.clone();
-        stats.record_acks_avoided(1);
-        assert_eq!(clone.fanout.snapshot().acks_avoided, 2);
+        stats.record_frame(2);
+        assert_eq!(clone.fanout.snapshot().frames_coalesced, 3);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! assert!(r.is_empty());
 //! ```
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -563,6 +564,22 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// The bytes of the `Vec` of its entries, in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_varint(self.len() as u64);
+        for (key, value) in self {
+            key.encode(w);
+            value.encode(w);
+        }
+    }
+
+    /// A repeated key keeps its last value.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        (0..r.get_len()?).map(|_| <(K, V)>::decode(r)).collect()
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
@@ -680,6 +697,14 @@ mod tests {
                 tag: 9
             })
         );
+    }
+
+    #[test]
+    fn a_map_is_the_vec_of_its_entries() {
+        let map = BTreeMap::from([(9u32, 1u64), (2, 300)]);
+        assert_eq!(map.to_bytes(), vec![(2u32, 300u64), (9, 1)].to_bytes());
+        roundtrip(&map);
+        roundtrip(&BTreeMap::<u32, u64>::new());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Allocation budgets of four per-event paths: heap allocations per
 //! `AppRuntime::on_event` on the two app shapes the benchmark runs, per
-//! event on the replica path every Gapless origin runs (the
-//! `EventStore` insert, `RbcastState::track`, and the keep-alive's
-//! cumulative acks and watermark GC), per `Wal::append_event` on the
+//! event on the replica path every Gapless process runs (the
+//! `EventStore` insert, the sync a successor's keep-alive asks for,
+//! and the watermark GC), per `Wal::append_event` on the
 //! durable path every stored event of a durable home takes, and per
 //! Gapless relay hop (frame decode, `GaplessState::on_ring`, the
 //! durability gate, the relay's encode).
 //! `process.allocs_per_event` counts these among everything else; a
 //! change that makes the operator DAG allocate per event again, puts
-//! the store or the broadcast tracking back on a structure that
-//! allocates as it churns, makes the WAL build a frame per record
+//! the store back on a structure that allocates as it churns, makes the WAL build a frame per record
 //! again, or makes a ring hop build lists or action vectors again,
 //! fails here, in tier-1, and says which path grew.
 
@@ -22,7 +21,6 @@ use rivulet::core::app::{
     OpCtx, PollSpec, WindowSpec,
 };
 use rivulet::core::delivery::gapless::GaplessState;
-use rivulet::core::delivery::rbcast::RbcastState;
 use rivulet::core::delivery::{Action, Delivery};
 use rivulet::core::gating::{DurableGate, Released};
 use rivulet::core::holdings::Holdings;
@@ -244,29 +242,26 @@ const BEACON_EVERY: u64 = 50;
 
 #[test]
 fn replica_path_does_not_allocate_per_event() {
-    // The origin of a five-process home: every event is stored and
-    // tracked; every `BEACON_EVERY` events each of the four peers'
-    // holdings arrive and the processed watermark collects the store,
-    // forgiving holes below what it removed. The warm-up fills the GC
-    // window twice, so every buffer has reached its steady size. The
-    // parent (one B-tree per sensor in both structures) read 0.61.
-    let view: ProcSet = (0..5).map(ProcessId).collect();
+    // The origin of a five-process home: every event is stored; every
+    // `BEACON_EVERY` events its successor's holdings arrive and ask for
+    // a sync, and the processed watermark collects the store, forgiving
+    // holes below what it removed. The warm-up fills the GC window
+    // twice, so every buffer has reached its steady size. One B-tree per
+    // sensor in the store read 0.61.
     let mut store = EventStore::new(100_000);
-    let mut rbcast = RbcastState::new(ProcessId(0))
-        .with_timing(Duration::from_millis(500), Duration::from_secs(2));
-    // What the peers hold: the ring has reached them with every event
-    // but for the newest round.
+    // What the successor holds: the ring has reached it with every event
+    // but for the newest round, which a sync's settle guard leaves alone.
     let mut held = Holdings::default();
     let step = |i: u64| {
         let seq = i / REPLICA_SENSORS;
         let now = Time::from_millis(seq);
         let sensor = SensorId((i % REPLICA_SENSORS) as u32);
         let event = Event::new(EventId::new(sensor, seq), EventKind::Motion, now);
-        assert!(store.insert(event.clone()));
-        rbcast.track(event, view, now);
+        assert!(store.insert(event));
         if i.is_multiple_of(BEACON_EVERY) {
-            for peer in 1..5 {
-                rbcast.on_cumulative_ack(ProcessId(peer), &held);
+            if let Some(settled) = seq.checked_sub(500).map(Time::from_millis) {
+                let synced = store.diff_for(&held, settled);
+                assert!(synced.is_empty(), "a healthy ring's sync ships nothing");
             }
             let cutoff = Time::from_millis(seq.saturating_sub(GC_WINDOW));
             for sensor in (0..REPLICA_SENSORS as u32).map(SensorId) {
@@ -287,7 +282,6 @@ fn replica_path_does_not_allocate_per_event() {
         "replica path: {per_event:.2} allocations per event, budget 0.01"
     );
     assert!(store.len() as u64 <= (GC_WINDOW + 1) * REPLICA_SENSORS + BEACON_EVERY);
-    assert!(rbcast.pending_count() <= 2 * BEACON_EVERY as usize);
 }
 
 /// `Wal::append_event` calls counted.

@@ -15,7 +15,9 @@ use rivulet::core::probe::{AppProbe, StoreProbe};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, SensorId, Time};
+use rivulet::types::{
+    ActuationState, AppId, Duration, EventId, EventKind, ProcessId, SensorId, Time,
+};
 use std::sync::Arc;
 
 struct Setup {
@@ -377,17 +379,14 @@ fn a_lost_express_copy_costs_latency_and_nothing_else() {
 /// ordinary ring, so a relay that dies between the origin and the host
 /// is handled as it was. Host 3 dies; until the views drop it the
 /// token stops there, yet the host delivers events 3 and 4 at one hop.
-/// Host 4, behind the dead relay, gets them when the origin's
-/// `rbcast.track` entries outlive the failure timeout and flood, and
-/// the app sees no duplicate. (The emissions are sparse from when a
-/// later event raised host 4's summary over the hole and retired those
-/// entries unrepaired; host 4's holdings now report the hole, so a later
-/// event leaves the entries waiting.)
+/// Host 4, behind the dead relay, gets them once the views drop host 3:
+/// host 2 is then host 4's ring predecessor and answers its beacons,
+/// shipping both by `SyncEvents`. The app sees no duplicate.
 #[test]
 fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
     let emissions = common::script(&[1000, 2000, 3000, 4100, 4300, 8000, 8200, 8400]);
     let mut s = ring_home(33, emissions, &[1]);
-    let origin = s.home.actor_of(s.pids[1]);
+    let predecessor = s.home.actor_of(s.pids[2]);
     s.net
         .crash_at(s.home.actor_of(s.pids[3]), Time::from_secs(4));
     s.net.run_until(Time::from_secs(10));
@@ -400,33 +399,35 @@ fn a_dead_relay_between_origin_and_host_delays_nobody_but_those_behind_it() {
         "a delivery took {worst}: it waited for the dead relay"
     );
 
-    let mut flooded: Vec<u64> = common::peer_msgs(&s)
+    // Host 3 is down, so every sync host 2 sends answers host 4.
+    let mut synced: Vec<u64> = common::peer_msgs(&s)
         .into_iter()
-        .filter_map(|(_, from, msg)| match msg {
-            ProcMsg::Broadcast { event, .. } if from == origin => Some(event.id.seq),
-            _ => None,
+        .filter(|(_, from, _)| *from == predecessor)
+        .flat_map(|(_, _, msg)| match msg {
+            ProcMsg::SyncEvents { events } => events,
+            _ => Vec::new(),
         })
+        .map(|event| event.id.seq)
         .collect();
-    flooded.sort_unstable();
-    flooded.dedup();
-    assert_eq!(flooded, vec![3, 4], "the stalled events, and only they");
+    synced.sort_unstable();
+    synced.dedup();
+    assert_eq!(synced, vec![3, 4], "the stalled events, and only they");
     let samples = s.store_probe.samples();
     let of_host_4 = samples.iter().filter(|(_, p, _)| *p == s.pids[4]);
     let held = of_host_4.map(|(_, _, len)| *len).next_back();
     assert_eq!(held, Some(8), "host 4 was repaired");
 }
 
-/// Guards the origin's `rbcast.track` entry: it alone repairs a ring
-/// whose first forward is lost on a live link while no view changes.
-/// The link from the origin, host 1, to its successor, host 2, is cut
-/// for one second around event 1 — shorter than the failure timeout, so
-/// no view changes and no successor sync runs. The express copy reaches
-/// the app at host 0 and closes the ring there, so no stall test ever
-/// runs; hosts 2–4 get the event when the tracked entry outlives the
-/// failure timeout and floods. (Sparse emissions, as in the dead-relay
-/// test above.)
+/// Guards the beacon sync on a live link: it alone repairs a ring whose
+/// first forward is lost while no view changes. The link from the
+/// origin, host 1, to its successor, host 2, is cut for one second
+/// around event 1 — shorter than the failure timeout, so no view
+/// changes. The express copy reaches the app at host 0 and closes the
+/// ring there, so no stall test ever runs; once the link heals, host
+/// 2's next beacon asks host 1 for the event, host 3's asks host 2, and
+/// so on round the ring.
 #[test]
-fn a_first_forward_lost_on_a_live_link_is_repaired_by_the_origins_flood() {
+fn a_first_forward_lost_on_a_live_link_is_repaired_by_the_beacon_sync() {
     let mut s = ring_home(35, common::script(&[1000, 3000]), &[1]);
     let (origin, successor) = (s.home.actor_of(s.pids[1]), s.home.actor_of(s.pids[2]));
     s.net.partition_at(
@@ -508,6 +509,31 @@ fn a_process_the_last_hop_suspects_is_repaired_by_the_origins_flood() {
     assert_eq!(held_at(7_000), Some(5), "repaired without the grace period");
 }
 
+/// A process that only some peers hear is synced by the predecessor its
+/// own view names. Hosts 1 and 3 are cut off from host 2 for good, so
+/// host 2's view is {0, 2, 4} while everyone else's ring skips it: no
+/// view but its own has host 2 as a successor, and the origin, host 3,
+/// has no flood that reaches it. Its beacons name host 0 as its
+/// predecessor, and host 0 ships it every event it lacks.
+#[test]
+fn a_process_only_some_peers_hear_is_synced_by_its_own_predecessor() {
+    let mut s = ring_home(34, common::script(&[1000, 2000, 6000, 6200, 6400]), &[3]);
+    let ends = vec![
+        vec![s.home.actor_of(s.pids[1]), s.home.actor_of(s.pids[3])],
+        vec![s.home.actor_of(s.pids[2])],
+    ];
+    s.net.partition_at(Time::from_millis(2_500), ends);
+    s.net.run_until(Time::from_secs(12));
+
+    assert_eq!(common::delivered_seqs(&s.probe), vec![0, 1, 2, 3, 4]);
+    let samples = s.store_probe.samples();
+    for pid in &s.pids {
+        let of_pid = samples.iter().filter(|(_, p, _)| p == pid);
+        let held = of_pid.map(|(_, _, len)| *len).next_back();
+        assert_eq!(held, Some(5), "{pid}'s store");
+    }
+}
+
 /// A reading nobody heard leaves a hole nobody can fill. It is forgiven
 /// once garbage collection removes a held event above it, so the holes
 /// a process advertises are bounded by the straggler horizon, not by the
@@ -549,4 +575,178 @@ fn the_holes_a_lossy_hearer_advertises_stay_bounded() {
         holes_at(120),
         holes_at(60)
     );
+}
+
+/// SplitMix64: the sweep's faults are a pure function of its seed.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `from_ms..to_ms`, as an instant.
+    fn instant(&mut self, from_ms: u64, to_ms: u64) -> Time {
+        Time::from_millis(from_ms + self.below(to_ms - from_ms))
+    }
+}
+
+/// What one sweep seed did to its home, for the failure message.
+#[derive(Debug)]
+struct Faults {
+    /// `(victim, others, victim_deaf, from)`: from `from` on, the victim
+    /// cannot hear the others (`victim_deaf`) or they cannot hear it.
+    cut: (usize, [usize; 2], bool, Time),
+    /// `(from, to, loss)` per lossy directed link, from 1 s on.
+    lossy: Vec<(usize, usize, f64)>,
+    /// `(host, down, up)`.
+    restart: (usize, Time, Time),
+    heard_by: Vec<usize>,
+}
+
+/// One seed of the sweep: a five-process ring under a one-way cut, lossy
+/// links and a restarted host, then the two guarantees every seed must
+/// keep. Returns how many events the check required, or what broke.
+fn sweep_case(seed: u64) -> Result<usize, String> {
+    const END_MS: u64 = 24_000;
+    let mut draw = Draw(seed);
+    let victim = draw.below(5) as usize;
+    let mut others: Vec<usize> = (0..5).filter(|p| *p != victim).collect();
+    let first = others.remove(draw.below(4) as usize);
+    let second = others.remove(draw.below(3) as usize);
+    let cut = (
+        victim,
+        [first, second],
+        draw.below(2) == 0,
+        draw.instant(2_000, 6_000),
+    );
+    let lossy = (0..3)
+        .map(|_| {
+            let from = draw.below(5) as usize;
+            let to = (from + 1 + draw.below(4) as usize) % 5;
+            (from, to, (5 + draw.below(26)) as f64 / 100.0)
+        })
+        .collect();
+    let host = 1 + draw.below(4) as usize;
+    let down = draw.instant(3_000, 9_000);
+    let restart = (
+        host,
+        down,
+        down + Duration::from_millis(1_000 + draw.below(3_000)),
+    );
+    let hearer = draw.below(5) as usize;
+    let heard_by = vec![hearer, (hearer + 1 + draw.below(4) as usize) % 5];
+    let faults = Faults {
+        cut,
+        lossy,
+        restart,
+        heard_by,
+    };
+
+    let emissions: Vec<u64> = (1..=150).map(|i| 150 * i).collect();
+    let mut s = common::deploy(
+        seed,
+        None,
+        RivuletConfig::default(),
+        common::script(&emissions),
+        &faults.heard_by,
+        true,
+    );
+    let actor = |p: usize| s.home.actor_of(s.pids[p]);
+    let (victim, cut_off, victim_deaf, from) = faults.cut;
+    for other in cut_off {
+        let (a, b) = if victim_deaf {
+            (actor(other), actor(victim))
+        } else {
+            (actor(victim), actor(other))
+        };
+        s.net.set_blocked_at(from, a, b, true);
+    }
+    for &(a, b, loss) in &faults.lossy {
+        s.net
+            .set_loss_at(Time::from_secs(1), actor(a), actor(b), loss);
+    }
+    let (host, down, up) = faults.restart;
+    s.net.crash_at(actor(host), down);
+    s.net.recover_at(actor(host), up);
+    s.net.run_until(Time::from_millis(END_MS));
+
+    // What each process held at an instant: the holdings of the last
+    // beacon of its that arrived anywhere by then.
+    let msgs = common::peer_msgs(&s);
+    let held_at = |p: usize, t: Time| {
+        let beacons = msgs
+            .iter()
+            .filter(|(at, from, _)| *from == actor(p) && *at <= t);
+        let mut holdings = beacons.filter_map(|(_, _, msg)| match msg {
+            ProcMsg::KeepAlive { received, .. } => Some(received),
+            _ => None,
+        });
+        holdings.next_back().cloned().unwrap_or_default()
+    };
+    let sensor = SensorId(0);
+    let emitted = s.emissions.emitted();
+    // Held by some live process a failure timeout and two beacons
+    // before the end: every process is up at the end.
+    let settled = Time::from_millis(END_MS - 3_000);
+    let required: Vec<u64> = (0..emitted)
+        .filter(|seq| (0..5).any(|p| held_at(p, settled).holds(EventId::new(sensor, *seq))))
+        .collect();
+    let end = Time::from_millis(END_MS);
+    for p in 0..5 {
+        let held = held_at(p, end);
+        let missing: Vec<u64> = required
+            .iter()
+            .copied()
+            .filter(|seq| !held.holds(EventId::new(sensor, *seq)))
+            .collect();
+        if !missing.is_empty() {
+            return Err(format!(
+                "seed {seed}: host {p} lacks {missing:?} at the end; {faults:?}"
+            ));
+        }
+    }
+    // The app's host, host 0, never goes down and is first in its
+    // chain, so it stays active throughout.
+    let by_host_0: Vec<u64> = s
+        .probe
+        .deliveries()
+        .iter()
+        .filter(|d| d.by == s.pids[0])
+        .map(|d| d.event.seq)
+        .collect();
+    for seq in &required {
+        let times = by_host_0.iter().filter(|q| *q == seq).count();
+        if times != 1 {
+            return Err(format!(
+                "seed {seed}: host 0 delivered s0#{seq} {times} times; {faults:?}"
+            ));
+        }
+    }
+    Ok(required.len())
+}
+
+/// A seeded sweep of faults on the five-process ring, after Duarte et
+/// al.'s fault injection (PAPERS.md): each seed cuts one process off
+/// from two others in one direction only, makes three links lossy and
+/// restarts one host other than the app's, at instants drawn from the
+/// seed. Every live process must end up holding every event some live
+/// process held a failure timeout and two beacons before the end, and
+/// the app must deliver each of those exactly once.
+#[test]
+fn seeded_cuts_losses_and_restarts_leave_every_live_process_holding_every_event() {
+    let (required, broken): (Vec<_>, Vec<_>) = (0..32).map(sweep_case).partition(Result::is_ok);
+    let broken: Vec<String> = broken.into_iter().filter_map(Result::err).collect();
+    assert!(broken.is_empty(), "{}", broken.join("\n"));
+    let required: Vec<usize> = required.into_iter().filter_map(Result::ok).collect();
+    assert!(required.iter().all(|n| *n > 100), "{required:?}");
 }

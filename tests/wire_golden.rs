@@ -76,24 +76,26 @@ fn every_process_message_keeps_its_bytes() {
             "KeepAlive",
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
-                processed: vec![(SensorId(1), 99), (SensorId(2), 1_000)],
+                view: pids(&[0, 1, 2, 3, 4]).into_iter().collect(),
+                processed: [(SensorId(1), 99), (SensorId(2), 1_000)].into(),
                 received: (0..=101)
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .collect(),
             },
-            "000402016302e80701016500",
+            "00041f02016302e80701016500",
         ),
         (
             "KeepAlive with holes",
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
-                processed: vec![],
+                view: pids(&[0, 4]).into_iter().collect(),
+                processed: [].into(),
                 received: [3, 4, 101]
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .into_iter()
                     .collect(),
             },
-            "0004000101650101020002055f",
+            "000411000101650101020002055f",
         ),
         (
             "Ring",
