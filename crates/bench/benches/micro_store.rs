@@ -22,9 +22,8 @@
 //! --test`) so the loops stay wired without paying full sample counts.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rivulet_core::holdings::Holdings;
 use rivulet_core::store::EventStore;
-use rivulet_types::{Event, EventId, EventKind, SensorId, Time};
+use rivulet_types::{Event, EventId, EventKind, Holdings, SensorId, Time};
 use std::hint::black_box;
 
 const SENSORS: u32 = 64;
@@ -117,7 +116,7 @@ fn bench_prune_processed(c: &mut Criterion) {
     let mut store = window();
     g.throughput(Throughput::Elements(1));
     g.bench_function("noop", |b| {
-        b.iter(|| black_box(store.prune_processed(sensor, black_box(u64::MAX), Time::ZERO)));
+        b.iter(|| black_box(store.prune_processed(sensor, |_| black_box(true), Time::ZERO)));
     });
     assert_eq!(store.len(), RETAINED as usize);
 
@@ -129,7 +128,7 @@ fn bench_prune_processed(c: &mut Criterion) {
     g.bench_function("one_percent_old", |b| {
         b.iter(|| {
             oldest += AGED_OUT;
-            let pruned = store.prune_processed(sensor, u64::MAX, Time::from_millis(oldest));
+            let pruned = store.prune_processed(sensor, |_| true, Time::from_millis(oldest));
             for seq in oldest + RETAINED - AGED_OUT..oldest + RETAINED {
                 store.insert(ev(0, seq));
             }
@@ -160,7 +159,7 @@ fn bench_steady_window(c: &mut Criterion) {
             // `ev` stamps `emitted_at = seq` ms: everything older than
             // the window's first event ages out.
             let cutoff = Time::from_millis(next - RETAINED);
-            black_box(store.prune_processed(sensor, u64::MAX, cutoff))
+            black_box(store.prune_processed(sensor, |_| true, cutoff))
         });
     });
     assert_eq!(store.len(), RETAINED as usize);
@@ -195,7 +194,8 @@ fn bench_fill_below_back(c: &mut Criterion) {
         let mut step = |store: &mut EventStore| {
             store.insert(ev(0, 2 * (k + d)));
             assert!(store.insert(ev(0, 2 * k + 1)));
-            store.prune_processed(sensor, 2 * (k - w) + 1, Time::MAX);
+            let upto = 2 * (k - w) + 1;
+            store.prune_processed(sensor, |seq| seq <= upto, Time::MAX);
             k += 1;
         };
         g.bench_function(format!("d{d}"), |b| b.iter(|| step(black_box(&mut store))));

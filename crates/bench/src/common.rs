@@ -297,11 +297,11 @@ pub fn run_delivery(cfg: &DeliveryScenario) -> DeliveryOutcome {
 /// event costs nothing: the same sensor emits the same events, heard
 /// only by the application's own process under Gap, which forwards
 /// nothing. What is left is the platform's background traffic — the
-/// keep-alives *with* the processed watermarks they carry once events
-/// flow — subtracted when computing per-event network overhead
-/// (Fig. 5). (An idle home's keep-alives carry no watermarks; using it
-/// as the background would leave them in every protocol's total, Gap's
-/// unit included.)
+/// keep-alives, whose possession summaries are empty under Gap —
+/// subtracted when computing per-event network overhead (Fig. 5). The
+/// summaries a Gapless home's keep-alives carry once events flow (what
+/// each process holds, what was processed) stay in the Gapless and
+/// broadcast totals.
 #[must_use]
 pub fn background_wifi_bytes(cfg: &DeliveryScenario) -> u64 {
     let mut quiet = cfg.clone();

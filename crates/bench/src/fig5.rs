@@ -3,9 +3,8 @@
 //! Five processes; the number of event-receiving processes varies from
 //! one to five; Gapless (ring) and the naive broadcast baseline are
 //! normalized against Gap's bytes-on-wire for the same workload.
-//! Platform background traffic (keep-alives and the processed
-//! watermarks they carry) is measured on a run of the same events that
-//! forwards none of them and subtracted, leaving exactly the "data
+//! Platform background traffic (keep-alives) is measured on a run of
+//! the same events that forwards none of them and subtracted, leaving exactly the "data
 //! transferred over the home network for delivering an event" of §8.2.
 
 use rivulet_core::config::ForwardingMode;

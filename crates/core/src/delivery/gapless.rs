@@ -45,9 +45,8 @@
 //! token walks the arc. An event heard by one process costs n − 1
 //! messages without an express copy and n with one.
 
-use rivulet_types::{Event, ProcSet, ProcessId, Time};
+use rivulet_types::{Event, Holdings, ProcSet, ProcessId, Time};
 
-use crate::holdings::Holdings;
 use crate::membership::KEEPALIVE_INTERVAL;
 use crate::messages::{ProcMsg, RingMsg};
 use crate::store::EventStore;
@@ -90,7 +89,7 @@ impl GaplessState {
         &self.store
     }
 
-    /// Mutable access to the replicated event store (watermark GC).
+    /// Mutable access to the replicated event store (garbage collection).
     pub fn store_mut(&mut self) -> &mut EventStore {
         &mut self.store
     }

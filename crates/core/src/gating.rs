@@ -40,14 +40,13 @@
 //! releases what is durable. DESIGN §4.3 has the measurements that
 //! chose it over a bound that follows burst depth.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rivulet_obs::Recorder;
 use rivulet_storage::{
     Checkpoint, FlushPolicy, LedgerEntry, Recovered, StorageBackend, Wal, WalOptions,
 };
-use rivulet_types::{Duration, SensorId, Time};
+use rivulet_types::{Duration, Holdings, SensorId, Time};
 
 use crate::delivery::Action;
 
@@ -283,17 +282,12 @@ impl DurableGate {
         self.release(now, spare, false)
     }
 
-    /// Writes a checkpoint of the `processed` watermarks and compacts
-    /// the segments they cover. The checkpoint's flush takes whatever
+    /// Writes a checkpoint of the `processed` summary and compacts the
+    /// segments it covers. The checkpoint's flush takes whatever
     /// is buffered along and occupies the disk like any other; it is a
     /// release point for everything already durable, returned in
     /// `spare` as in [`DurableGate::flush`].
-    pub fn checkpoint(
-        &mut self,
-        now: Time,
-        processed: &BTreeMap<SensorId, u64>,
-        spare: Vec<Action>,
-    ) -> Released {
+    pub fn checkpoint(&mut self, now: Time, processed: &Holdings, spare: Vec<Action>) -> Released {
         if self.wal.is_none() {
             return Released(spare);
         }
@@ -301,7 +295,7 @@ impl DurableGate {
         let wal = self.wal.as_mut().expect("durable");
         wal.append_checkpoint(&Checkpoint {
             at: now,
-            processed: processed.iter().map(|(s, q)| (*s, *q)).collect(),
+            processed: processed.clone(),
         })
         .expect("wal checkpoint");
         let _ = wal.compact(processed).expect("wal compact");
@@ -637,8 +631,8 @@ mod tests {
                 check(now, out, &came_in, &local);
                 match (rng >> 8) % 20 {
                     0 => {
-                        let marks = BTreeMap::new();
-                        let out = gate.checkpoint(now, &marks, Vec::new());
+                        let none = Holdings::default();
+                        let out = gate.checkpoint(now, &none, Vec::new());
                         check(now, out, &came_in, &local);
                     }
                     1 => {
@@ -822,7 +816,7 @@ mod tests {
             gate.admit(later, deliver_and_relay(1), false, remote),
             Released::default()
         );
-        let processed = BTreeMap::from([(SensorId(1), 0)]);
+        let processed: Holdings = [EventId::new(SensorId(1), 0)].into_iter().collect();
         let released = gate.checkpoint(later, &processed, Vec::new());
         assert_eq!(released, Released::default(), "the checkpoint's sync runs");
         let released = gate.checkpoint(later + sync, &processed, Vec::new());
@@ -831,7 +825,7 @@ mod tests {
         let (_, recovered) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
         assert_eq!(recovered.events.len(), 2);
         let checkpoint = recovered.checkpoint.expect("checkpoint is durable");
-        assert_eq!(checkpoint.processed, vec![(SensorId(1), 0)]);
+        assert_eq!(checkpoint.processed, processed);
     }
 
     #[test]
@@ -899,7 +893,7 @@ mod tests {
         assert_eq!(released.0, deliver_and_relay(1));
         assert_eq!(gate.flush(NOW, Vec::new()), Released::default());
         assert_eq!(gate.on_sync(NOW, Vec::new()), Released::default());
-        let released = gate.checkpoint(Time::from_secs(1), &BTreeMap::new(), Vec::new());
+        let released = gate.checkpoint(Time::from_secs(1), &Holdings::default(), Vec::new());
         assert_eq!(released, Released::default());
         assert_eq!(gate.end_turn(), None);
     }

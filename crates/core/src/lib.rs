@@ -79,7 +79,6 @@ pub mod delivery;
 pub mod deploy;
 pub mod execution;
 pub mod gating;
-pub mod holdings;
 pub mod membership;
 pub mod messages;
 pub mod probe;

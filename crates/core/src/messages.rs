@@ -14,23 +14,19 @@
 //! sender lacks. That one answer is the repair of every lost ring
 //! message or flood copy.
 
-use std::collections::BTreeMap;
-
 use rivulet_types::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
-use rivulet_types::{Command, Event, ProcSet, ProcessId, SensorId};
-
-use crate::holdings::Holdings;
+use rivulet_types::{Command, Event, Holdings, ProcSet, ProcessId};
 
 /// A message between two Rivulet processes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProcMsg {
     /// Periodic liveness beacon (§4.1's keep-alive exchange).
     ///
-    /// An active logic node piggybacks per-sensor *processed*
-    /// watermarks so shadows know which replicated events were already
-    /// consumed; on promotion a shadow replays only events above these
-    /// marks (the upstream-backup acknowledgement idea of Hwang et
-    /// al., which Fig. 7's bounded catch-up spike implies).
+    /// Every process piggybacks what its home has *processed*, so
+    /// shadows know which replicated events were already consumed; on
+    /// promotion a shadow replays every stored event this summary lacks
+    /// (the upstream-backup acknowledgement idea of Hwang et al., which
+    /// Fig. 7's bounded catch-up spike implies).
     KeepAlive {
         /// The sender.
         from: ProcessId,
@@ -38,9 +34,11 @@ pub enum ProcMsg {
         /// (`Membership::mutual_view`). The process it names as the
         /// sender's ring predecessor answers the beacon.
         view: ProcSet,
-        /// Per sensor, the highest seq processed by an active logic node
-        /// at the sender; empty for pure shadows.
-        processed: BTreeMap<SensorId, u64>,
+        /// The Gapless events an active logic node processed, as the
+        /// sender knows: its own processing merged with every peer's
+        /// summary ([`Holdings::merge`]), holes included. A home that
+        /// delivers nothing Gapless sends it empty.
+        processed: Holdings,
         /// What the sender durably holds of each sensor: the highest
         /// seq and the holes below it. It is the Bayou query of
         /// anti-entropy (§4.1): the sender's predecessor ships it every
@@ -126,7 +124,7 @@ impl ProcMsg {
             0 => Ok(ProcMsg::KeepAlive {
                 from: ProcessId::decode(r)?,
                 view: ProcSet::decode(r)?,
-                processed: BTreeMap::decode(r)?,
+                processed: Holdings::decode(r)?,
                 received: Holdings::decode(r)?,
             }),
             RING_TAG => {
@@ -416,7 +414,7 @@ impl Wire for Frame {
 mod tests {
     use super::*;
     use rivulet_types::wire::roundtrip;
-    use rivulet_types::{EventId, EventKind, Time};
+    use rivulet_types::{EventId, EventKind, SensorId, Time};
 
     fn ev(seq: u64) -> Event {
         Event::new(
@@ -431,7 +429,7 @@ mod tests {
         ProcMsg::KeepAlive {
             from: ProcessId(from),
             view: ProcSet::singleton(ProcessId(from)),
-            processed: BTreeMap::new(),
+            processed: Holdings::default(),
             received: Holdings::default(),
         }
     }
@@ -442,7 +440,10 @@ mod tests {
         roundtrip(&ProcMsg::KeepAlive {
             from: ProcessId(3),
             view: [0, 3, 63].map(ProcessId).into_iter().collect(),
-            processed: BTreeMap::from([(SensorId(1), 99), (SensorId(2), 0)]),
+            processed: [99, 0]
+                .map(|q| EventId::new(SensorId(1), q))
+                .into_iter()
+                .collect(),
             received: [3, 4, 101]
                 .map(|q| EventId::new(SensorId(1), q))
                 .into_iter()
@@ -575,10 +576,10 @@ mod tests {
         let ka = ProcMsg::KeepAlive {
             from: ProcessId(1),
             view: (0..7).map(ProcessId).collect(),
-            processed: BTreeMap::new(),
+            processed: Holdings::default(),
             received: Holdings::default(),
         };
-        assert!(ka.to_bytes().len() <= 6, "keep-alive must stay cheap");
+        assert!(ka.to_bytes().len() <= 7, "keep-alive must stay cheap");
     }
 
     #[test]
@@ -715,7 +716,7 @@ mod tests {
                 ProcMsg::KeepAlive {
                     from: ProcessId(2),
                     view: ProcSet::singleton(ProcessId(2)),
-                    processed: BTreeMap::new(),
+                    processed: Holdings::default(),
                     received: [EventId::new(SensorId(1), 7)].into_iter().collect(),
                 },
             ],
@@ -808,7 +809,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use rivulet_types::wire::roundtrip;
-    use rivulet_types::{EventId, EventKind, Payload, Time};
+    use rivulet_types::{EventId, EventKind, Payload, SensorId, Time};
 
     fn arb_event() -> impl Strategy<Value = Event> {
         (
@@ -859,7 +860,7 @@ mod proptests {
                     view: view.into_iter().collect(),
                     processed: processed
                         .into_iter()
-                        .map(|(s, q)| (SensorId(s), q))
+                        .map(|(s, q)| EventId::new(SensorId(s), q))
                         .collect(),
                     received: received
                         .into_iter()

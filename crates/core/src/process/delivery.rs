@@ -7,7 +7,7 @@ use rivulet_net::actor::Context;
 use rivulet_types::wire::Wire;
 use rivulet_types::{Event, ProcSet, ProcessId, SensorId};
 
-use super::{advance, Running};
+use super::Running;
 use crate::config::ForwardingMode;
 use crate::delivery::gap::{self, GapRole};
 use crate::delivery::{Action, Delivery};
@@ -19,9 +19,9 @@ use crate::messages::{PeerMsg, ProcMsg, RingMsg};
 impl Running {
     /// Whether any deployed app subscribes to `sensor`. Events of
     /// unsubscribed sensors are dropped at ingest instead of being
-    /// stored and replicated: no app will ever process them, so their
-    /// watermarks never advance and the store would retain them until
-    /// the per-sensor cap — unbounded residency in practice.
+    /// stored and replicated: no app will ever process them, so garbage
+    /// collection never removes them and the store would retain them
+    /// until the per-sensor cap — unbounded residency in practice.
     fn sensor_subscribed(&self, sensor: SensorId) -> bool {
         let rt = self.sensors.get(&sensor);
         rt.is_some_and(|rt| !rt.subscribed_apps.is_empty())
@@ -141,9 +141,7 @@ impl Running {
                 processed,
                 received,
             } => {
-                for (sensor, seq) in processed {
-                    advance(&mut self.processed, sensor, seq);
-                }
+                self.processed.merge(&processed);
                 // The peer's holdings are a sync query to its ring
                 // predecessor, as its view or ours has it.
                 self.membership.heard_view(from, view);

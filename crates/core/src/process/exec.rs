@@ -5,10 +5,11 @@ use std::sync::Arc;
 
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::Context;
-use rivulet_types::{ActuatorId, Command, Event};
+use rivulet_types::{ActuatorId, Command, Event, EventId, Time};
 
-use super::{advance, token, Running, KIND_WINDOW};
+use super::{token, Running, KIND_WINDOW};
 use crate::app::{AppRuntime, OpOutput, RuntimeOutput};
+use crate::delivery::Delivery;
 use crate::execution::active_logic;
 use crate::messages::ProcMsg;
 use crate::probe::DeliveryRecord;
@@ -49,17 +50,15 @@ impl Running {
         }
     }
 
-    /// On promotion: feed replicated-but-unprocessed events (above the
-    /// merged processed watermarks) into the fresh runtime, in
-    /// per-sensor sequence order — this produces the Fig. 7 catch-up
-    /// spike under Gapless delivery.
+    /// On promotion: feed every stored event of the app's sensors that
+    /// the processed summary lacks into the fresh runtime, holes
+    /// included, in per-sensor sequence order — this produces the
+    /// Fig. 7 catch-up spike under Gapless delivery. (Only Gapless
+    /// inputs are replicated in the store.)
     fn replay_outstanding(&mut self, ctx: &mut Context<'_>, app_idx: usize) {
-        let mut events = Vec::new();
-        for sensor in self.apps[app_idx].spec.sensors() {
-            // Only Gapless inputs are replicated in the store.
-            let after = self.processed.get(&sensor).copied();
-            events.extend(self.gapless.store().events_after(sensor, after));
-        }
+        let sensors = self.apps[app_idx].spec.sensors();
+        let mut events = self.gapless.store().diff_for(&self.processed, Time::MAX);
+        events.retain(|e| sensors.contains(&e.id.sensor));
         for event in events {
             self.process_at_app(ctx, app_idx, &event);
         }
@@ -92,9 +91,9 @@ impl Running {
                 }
                 RepairVerdict::DropOutlier | RepairVerdict::DropQuarantined => {
                     // The platform consumed the event even though
-                    // no app will: advance the watermark so the
-                    // drop is not replayed forever.
-                    advance(&mut self.processed, event.id.sensor, event.id.seq);
+                    // no app will: note it processed so the drop is
+                    // not replayed forever.
+                    self.note_processed(event.id);
                     return;
                 }
             }
@@ -126,8 +125,17 @@ impl Running {
             self.obs.add("app.stale_drops", stale - app.stale_reported);
             app.stale_reported = stale;
         }
-        advance(&mut self.processed, event.id.sensor, event.id.seq);
+        self.note_processed(event.id);
         self.handle_outputs(ctx, app_idx, outputs);
+    }
+
+    /// Notes `id` in the processed summary if its sensor is delivered
+    /// Gapless: nothing replays, collects or checkpoints a Gap event.
+    fn note_processed(&mut self, id: EventId) {
+        let rt = self.sensors.get(&id.sensor);
+        if rt.is_some_and(|rt| rt.delivery == Delivery::Gapless) {
+            self.processed.note(id);
+        }
     }
 
     /// Handles operator outputs: actuation routing and alerts.

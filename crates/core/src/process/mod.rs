@@ -27,7 +27,7 @@
 //! holdings it advertises, floods, and the ingest process's first ring
 //! forward until the append is durable ([`crate::gating::DurableGate`];
 //! ring relays do not wait — DESIGN §4.2); recovery then restores the
-//! event store, holdings and processed watermarks from the log instead
+//! event store, holdings and processed summary from the log instead
 //! of relying solely on peers.
 
 mod delivery;
@@ -46,7 +46,9 @@ use rivulet_net::metrics::FanoutStats;
 use rivulet_obs::Recorder;
 use rivulet_storage::{StorageBackend, WalOptions};
 use rivulet_types::wire::{Wire, WriterPool};
-use rivulet_types::{CommandId, Duration, OperatorId, ProcSet, ProcessId, SensorId, Time};
+use rivulet_types::{
+    CommandId, Duration, EventId, Holdings, OperatorId, ProcSet, ProcessId, SensorId, Time,
+};
 
 use crate::app::{AppRuntime, AppSpec, StreamKey};
 use crate::config::RivuletConfig;
@@ -56,7 +58,6 @@ use crate::delivery::{Action, Delivery};
 use crate::deploy::{DirectoryData, SensorEntry};
 use crate::execution::placement;
 use crate::gating::DurableGate;
-use crate::holdings::Holdings;
 use crate::membership::{Membership, KEEPALIVE_INTERVAL};
 use crate::messages::{Frame, PeerMsg, ProcMsg};
 use crate::probe::{AppProbe, IngestProbe, StoreProbe};
@@ -87,13 +88,6 @@ fn token(kind: u64, idx: u32) -> u64 {
     (kind << 32) | u64::from(idx)
 }
 
-/// Raises the watermark under `key` to `to`; watermarks never move
-/// back.
-fn advance<K: Ord>(marks: &mut BTreeMap<K, u64>, key: K, to: u64) {
-    let mark = marks.entry(key).or_insert(0);
-    *mark = (*mark).max(to);
-}
-
 /// Durable-storage attachment for one process: the backend outlives
 /// crashes (it is cloned into the factory as an `Arc`), so a recovered
 /// incarnation reopens the same log.
@@ -103,8 +97,8 @@ pub struct DurabilitySpec {
     pub backend: Arc<dyn StorageBackend>,
     /// WAL tuning: flush policy and segment size.
     pub options: WalOptions,
-    /// How often the process checkpoints processed watermarks and
-    /// compacts fully-acked segments.
+    /// How often the process checkpoints its processed summary and
+    /// compacts the segments it covers.
     pub checkpoint_interval: Duration,
 }
 
@@ -292,9 +286,11 @@ struct Running {
     /// Radio frames to actuators are encoded into recycled buffers,
     /// like the outbox's protocol messages.
     radio_pool: WriterPool,
-    /// Processed watermarks learned from peers' keep-alives, merged
-    /// with our own processing. Lent to each keep-alive and taken back.
-    processed: BTreeMap<SensorId, u64>,
+    /// The Gapless events processed home-wide: our own processing,
+    /// merged with every peer's keep-alive. Promotion replays what it
+    /// lacks and garbage collection removes only what it holds. Lent to
+    /// each keep-alive and taken back.
+    processed: Holdings,
     /// What this process durably holds of each sensor, noted only
     /// after the durability gate. Lent to each keep-alive as the sync
     /// query and taken back.
@@ -398,18 +394,17 @@ impl Running {
         // durable prefix: events re-enter the replicated store
         // silently (no delivery, no ring traffic — peers already saw
         // them) and the newest checkpoint seeds the processed
-        // watermarks, so a later promotion replays only the suffix
-        // beyond the checkpoint.
+        // summary, so a later promotion replays only what it lacks.
         let storage = spec.storage.as_ref();
         let (gate, recovered) = DurableGate::open(
             storage.map(|d| (Arc::clone(&d.backend), d.options)),
             &spec.obs,
         );
         let mut gapless = GaplessState::new(me, STORE_CAP_PER_SENSOR);
-        let mut processed = BTreeMap::new();
-        for (sensor, seq) in recovered.checkpoint.into_iter().flat_map(|c| c.processed) {
-            advance(&mut processed, sensor, seq);
-        }
+        let processed = recovered
+            .checkpoint
+            .map(|c| c.processed)
+            .unwrap_or_default();
         // Recovered events are already durable: advertise them, and what
         // the log lacks, so the next sync fills it.
         let holdings: Holdings = recovered.events.iter().map(|e| e.id).collect();
@@ -495,23 +490,26 @@ impl Running {
     /// The periodic tick: garbage collection, keep-alives, election.
     fn tick(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        // Watermark garbage collection: events processed home-wide
-        // and older than the straggler horizon will never be
-        // replayed or synced again, and neither will the holes below
-        // them. (`Duration` subtraction saturates at zero.)
+        // Garbage collection: events processed home-wide and older
+        // than the straggler horizon will never be replayed or synced
+        // again, and neither will the holes below them, in either
+        // summary. (`Duration` subtraction saturates at zero.)
         let cutoff = Time::ZERO + (now.duration_since(Time::ZERO) - GC_STRAGGLER_HORIZON);
-        for (&sensor, &upto) in &self.processed {
+        for &sensor in self.sensors.keys() {
+            let processed = &self.processed;
+            let done = |seq| processed.holds(EventId::new(sensor, seq));
             let store = self.gapless.store_mut();
-            if let Some(removed) = store.prune_processed(sensor, upto, cutoff) {
+            if let Some(removed) = store.prune_processed(sensor, done, cutoff) {
                 self.holdings.forgive(sensor, removed);
+                self.processed.forgive(sensor, removed);
             }
         }
         // Keep-alives go to every configured peer, not just the
         // view: a healed partition must be able to un-suspect. One
         // fan-out: the beacon is encoded once and cheap-cloned to
-        // every destination. The processed watermarks that bounded
-        // the collection above ride it, and the view and holdings the
-        // predecessor it names answers. Both maps are lent to the
+        // every destination. The processed summary that bounded the
+        // collection above rides it, and the view and holdings the
+        // predecessor it names answers. Both summaries are lent to the
         // beacon and taken back, so a beacon copies neither.
         let beacon = ProcMsg::KeepAlive {
             from: self.me,

@@ -8,9 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
-use rivulet_types::{Event, PayloadArena, SensorId, Time};
-
-use crate::holdings::Holdings;
+use rivulet_types::{Event, Holdings, PayloadArena, SensorId, Time};
 
 /// A bounded, per-sensor-ordered store of replicated events. Sensors
 /// live in a `BTreeMap`, so cross-sensor queries (diffs) iterate in
@@ -18,12 +16,12 @@ use crate::holdings::Holdings;
 /// without a separate sort.
 ///
 /// Each sensor's events are a `VecDeque` kept sorted by `seq`. Events
-/// arrive almost in `seq` order and leave (cap eviction, watermark GC)
-/// from the low end, so the common insert is a push at the back and
-/// the common removal a pop at the front; an out-of-order arrival is a
-/// search back from the newest entry (`locate`) and a shift of the
-/// shorter side. Every query answers exactly as a `seq`-keyed ordered
-/// map would, whatever the input order.
+/// arrive almost in `seq` order and leave (cap eviction, garbage
+/// collection) from the low end, so the common insert is a push at the
+/// back and the common removal a pop at the front; an out-of-order
+/// arrival is a search back from the newest entry (`locate`) and a
+/// shift of the shorter side. Every query answers exactly as a
+/// `seq`-keyed ordered map would, whatever the input order.
 /// Garbage collection hands back a buffer it leaves under a quarter
 /// full, so memory follows what is retained, not the largest burst.
 #[derive(Debug)]
@@ -126,17 +124,6 @@ impl EventStore {
         true
     }
 
-    /// Events of `sensor` with sequence numbers strictly greater than
-    /// `after` (or all if `after` is `None`), ascending.
-    #[must_use]
-    pub fn events_after(&self, sensor: SensorId, after: Option<u64>) -> Vec<Event> {
-        let Some(per) = self.sensors.get(&sensor) else {
-            return Vec::new();
-        };
-        let from = after.map_or(0, |seq| per.partition_point(|e| e.id.seq <= seq));
-        per.range(from..).cloned().collect()
-    }
-
     /// Computes the events emitted at or before `settled` that a peer
     /// holding `peer` lacks, ascending per sensor: for every sensor we
     /// know, what we store in the peer's holes and above its highest
@@ -147,7 +134,7 @@ impl EventStore {
     pub fn diff_for(&self, peer: &Holdings, settled: Time) -> Vec<Event> {
         let mut out = Vec::new();
         for (sensor, per) in &self.sensors {
-            for &(first, last) in peer.lacks(*sensor) {
+            for (first, last) in peer.lacks(*sensor) {
                 let from = per.partition_point(|e| e.id.seq < first);
                 let to = per.partition_point(|e| e.id.seq <= last);
                 let lacked = per.range(from..to);
@@ -157,39 +144,40 @@ impl EventStore {
         out
     }
 
-    /// Removes events of `sensor` that are both processed
-    /// (`seq <= upto`) **and** old (`emitted_at < emitted_before`),
-    /// returning the highest `seq` removed, if any.
+    /// Removes events of `sensor` that are both `processed` **and** old
+    /// (`emitted_at < emitted_before`), from the lowest `seq` up to the
+    /// first that is not, returning the highest `seq` removed, if any.
     ///
-    /// This is watermark-based garbage collection: once every process
-    /// has learned (via keep-alives) that the active logic node
-    /// processed a sensor's stream through `upto`, those events can
-    /// never be needed by a failover replay again. The age guard keeps
-    /// recently processed events around so that a straggling duplicate
-    /// copy (a late ring message, flood copy, or
-    /// anti-entropy refill) still hits the store's duplicate check
-    /// instead of being re-delivered to applications.
+    /// This is the garbage collection of the processed summary: once
+    /// every process has learned (via keep-alives) that an active logic
+    /// node processed an event, no failover replay needs it again. The
+    /// walk stops at the first unprocessed event, so an event a hole of
+    /// the summary names stays until it is processed. The age guard
+    /// keeps recently processed events around so that a straggling
+    /// duplicate copy (a late ring message, flood copy, or anti-entropy
+    /// refill) still hits the store's duplicate check instead of being
+    /// re-delivered to applications.
     ///
     /// Costs O(removed), independent of how many events are retained:
     /// events are popped from the low-`seq` end and the walk stops at
     /// the first one that is unprocessed or too young. Sensors stamp
     /// `emitted_at` with the clock while incrementing `seq`, so
     /// `emitted_at` is non-decreasing in `seq` and everything behind
-    /// that first survivor survives the age guard too — the removed set
-    /// is exactly "processed and old". On a stream whose timestamps run
-    /// backwards the walk still removes only events that are processed
-    /// and old, just fewer of them: collection is delayed to a later
-    /// call (or to the per-sensor cap), never widened.
+    /// that first young event survives the age guard too. On a stream
+    /// whose timestamps run backwards the walk still removes only events
+    /// that are processed and old, just fewer of them: collection is
+    /// delayed to a later call (or to the per-sensor cap), never
+    /// widened.
     pub fn prune_processed(
         &mut self,
         sensor: SensorId,
-        upto: u64,
+        processed: impl Fn(u64) -> bool,
         emitted_before: Time,
     ) -> Option<u64> {
         let per = self.sensors.get_mut(&sensor)?;
         let mut removed = None;
         while let Some(first) = per.front() {
-            if first.id.seq > upto || first.emitted_at >= emitted_before {
+            if !processed(first.id.seq) || first.emitted_at >= emitted_before {
                 break;
             }
             removed = per.pop_front().map(|e| e.id.seq);
@@ -213,6 +201,12 @@ impl EventStore {
 
 #[cfg(test)]
 impl EventStore {
+    fn events(&self, sensor: SensorId) -> Vec<Event> {
+        let per = self.sensors.get(&sensor);
+        per.map(|per| per.iter().cloned().collect())
+            .unwrap_or_default()
+    }
+
     pub(crate) fn retained_seqs(&self, sensor: SensorId) -> Vec<u64> {
         self.sensors
             .get(&sensor)
@@ -226,13 +220,13 @@ impl EventStore {
 }
 
 /// The store as it was before the per-sensor logs became deques: one
-/// `seq`-keyed `BTreeMap` per sensor. Verbatim but for the exclusive
-/// lower bound of `events_after`, which now excludes an event at
-/// `u64::MAX`, for `diff_for`, which reads a peer's [`Holdings`], and
-/// for `prune_processed`, which returns the highest `seq` it removed;
-/// the counters and lookups only tests read and the doc comments are
-/// left out. It keeps two garbage collectors the
-/// deque store no longer has: `prune_prefix`, the plain prefix removal
+/// `seq`-keyed `BTreeMap` per sensor. Verbatim but for `diff_for`,
+/// which reads a peer's [`Holdings`], for `prune_processed`, which
+/// takes a "processed?" predicate and returns the highest `seq` it
+/// removed, and for `events`, which lists a sensor's log; the counters
+/// and lookups only tests read and the doc comments are left out. It
+/// keeps two garbage collectors the deque store no longer has:
+/// `prune_prefix`, the plain prefix removal
 /// [`EventStore::prune_processed`] performs at `Time::MAX`, and the
 /// pre-front-stop collector, a full scan of the processed range that
 /// removes every event older than the cutoff. `proptests` checks the
@@ -241,11 +235,8 @@ impl EventStore {
 mod reference {
     use std::collections::btree_map::Entry;
     use std::collections::BTreeMap;
-    use std::ops::Bound::{Excluded, Unbounded};
 
-    use rivulet_types::{Event, PayloadArena, SensorId, Time};
-
-    use crate::holdings::Holdings;
+    use rivulet_types::{Event, Holdings, PayloadArena, SensorId, Time};
 
     #[derive(Debug)]
     pub struct EventStore {
@@ -285,23 +276,17 @@ mod reference {
                 .collect()
         }
 
-        pub fn events_after(&self, sensor: SensorId, after: Option<u64>) -> Vec<Event> {
-            let Some(per) = self.sensors.get(&sensor) else {
-                return Vec::new();
-            };
-            match after {
-                None => per.values().cloned().collect(),
-                Some(seq) => per
-                    .range((Excluded(seq), Unbounded))
-                    .map(|(_, e)| e.clone())
-                    .collect(),
-            }
+        pub fn events(&self, sensor: SensorId) -> Vec<Event> {
+            self.sensors
+                .get(&sensor)
+                .map(|per| per.values().cloned().collect())
+                .unwrap_or_default()
         }
 
         pub fn diff_for(&self, peer: &Holdings, settled: Time) -> Vec<Event> {
             let mut out = Vec::new();
             for (sensor, per) in &self.sensors {
-                for &(first, last) in peer.lacks(*sensor) {
+                for (first, last) in peer.lacks(*sensor) {
                     let lacked = per.range(first..=last).map(|(_, e)| e);
                     out.extend(lacked.filter(|e| e.emitted_at <= settled).cloned());
                 }
@@ -328,13 +313,13 @@ mod reference {
         pub fn prune_processed(
             &mut self,
             sensor: SensorId,
-            upto: u64,
+            processed: impl Fn(u64) -> bool,
             emitted_before: Time,
         ) -> Option<u64> {
             let per = self.sensors.get_mut(&sensor)?;
             let mut removed = None;
             while let Some(first) = per.first_entry() {
-                if *first.key() > upto || first.get().emitted_at >= emitted_before {
+                if !processed(*first.key()) || first.get().emitted_at >= emitted_before {
                     break;
                 }
                 removed = Some(*first.key());
@@ -398,7 +383,7 @@ mod tests {
     /// How many events one collection call removed.
     fn pruned(s: &mut EventStore, sensor: u32, upto: u64, before: Time) -> usize {
         let len = s.len();
-        s.prune_processed(SensorId(sensor), upto, before);
+        s.prune_processed(SensorId(sensor), |seq| seq <= upto, before);
         len - s.len()
     }
 
@@ -409,27 +394,6 @@ mod tests {
         assert!(!s.insert(ev(1, 0)), "duplicate rejected");
         assert_eq!(s.retained_seqs(SensorId(1)), vec![0]);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn events_after_is_exclusive_and_sorted() {
-        let mut s = EventStore::new(10);
-        for seq in [3, 1, 7, 5] {
-            s.insert(ev(1, seq));
-        }
-        let after3: Vec<u64> = s
-            .events_after(SensorId(1), Some(3))
-            .iter()
-            .map(|e| e.id.seq)
-            .collect();
-        assert_eq!(after3, vec![5, 7]);
-        let all: Vec<u64> = s
-            .events_after(SensorId(1), None)
-            .iter()
-            .map(|e| e.id.seq)
-            .collect();
-        assert_eq!(all, vec![1, 3, 5, 7]);
-        assert!(s.events_after(SensorId(9), None).is_empty());
     }
 
     #[test]
@@ -510,15 +474,21 @@ mod tests {
             s.insert(ev(1, seq));
         }
         s.insert(ev(2, 3));
-        let removed = s.prune_processed(SensorId(1), 4, Time::MAX);
+        let removed = s.prune_processed(SensorId(1), |seq| seq <= 4, Time::MAX);
         assert_eq!(removed, Some(4), "seqs 0..=4 removed");
         assert_eq!(s.retained_seqs(SensorId(1)), vec![5, 6, 7, 8, 9]);
         // Other sensors untouched.
         assert_eq!(s.retained_seqs(SensorId(2)), vec![3]);
         // Pruning an unknown sensor is a no-op.
-        assert_eq!(s.prune_processed(SensorId(9), 100, Time::MAX), None);
+        assert_eq!(
+            s.prune_processed(SensorId(9), |seq| seq <= 100, Time::MAX),
+            None
+        );
         // Re-pruning is idempotent.
-        assert_eq!(s.prune_processed(SensorId(1), 4, Time::MAX), None);
+        assert_eq!(
+            s.prune_processed(SensorId(1), |seq| seq <= 4, Time::MAX),
+            None
+        );
     }
 
     #[test]
@@ -575,7 +545,10 @@ mod tests {
             assert_eq!(new.len(), reference.len());
         }
         assert!(new.len() < total && !new.is_empty(), "partial collection");
-        assert_eq!(new.prune_processed(SensorId(9), 10, Time::MAX), None);
+        assert_eq!(
+            new.prune_processed(SensorId(9), |seq| seq <= 10, Time::MAX),
+            None
+        );
     }
 
     #[test]
@@ -595,7 +568,7 @@ mod tests {
         assert_eq!(s.retained_seqs(SensorId(1)), vec![1, 2, 3, 4]);
         // Delayed, not lost: once seq 1 ages out the rest follow.
         assert_eq!(
-            s.prune_processed(SensorId(1), 4, Time::from_millis(55)),
+            s.prune_processed(SensorId(1), |seq| seq <= 4, Time::from_millis(55)),
             Some(3)
         );
         assert_eq!(s.retained_seqs(SensorId(1)), vec![4]);
@@ -611,7 +584,7 @@ mod tests {
         ));
         s.insert(ev(1, 0));
         assert_eq!(
-            s.prune_processed(SensorId(1), u64::MAX, Time::MAX),
+            s.prune_processed(SensorId(1), |_| true, Time::MAX),
             Some(u64::MAX)
         );
         assert!(s.is_empty());
@@ -649,24 +622,16 @@ mod tests {
         )
     }
 
+    /// No summary holds `u64::MAX`, so an event there is lacked by every
+    /// peer: a sync ships it each time, and nothing else of its sensor.
     #[test]
-    fn events_after_u64_max_is_empty() {
+    fn an_event_at_u64_max_is_lacked_by_every_peer() {
         let mut s = EventStore::new(100);
         s.insert(top(1));
-        s.insert(ev(1, 0));
-        assert!(s.events_after(SensorId(1), Some(u64::MAX)).is_empty());
-        assert_eq!(s.events_after(SensorId(1), Some(0)), vec![top(1)]);
-    }
-
-    #[test]
-    fn diff_against_a_u64_max_high_ships_nothing() {
-        let mut s = EventStore::new(100);
-        s.insert(top(1));
+        s.insert(ev(1, 7));
         s.insert(ev(2, 7));
-        assert!(s
-            .diff_for(&peer(&[(1, u64::MAX), (2, 7)]), Time::MAX)
-            .is_empty());
-        assert_eq!(s.diff_for(&peer(&[(2, 7)]), Time::MAX), vec![top(1)]);
+        let peer = peer(&[(1, u64::MAX), (1, 7), (2, 7)]);
+        assert_eq!(s.diff_for(&peer, Time::MAX), vec![top(1)]);
     }
 
     #[test]
@@ -688,7 +653,7 @@ mod tests {
         let mut e = ev(1, 0);
         e.payload = Payload::Blob(view.clone());
         assert!(s.insert(e));
-        let stored = &s.events_after(SensorId(1), None)[0];
+        let stored = &s.events(SensorId(1))[0];
         let Payload::Blob(b) = &stored.payload else {
             panic!("blob stays blob");
         };
@@ -705,7 +670,7 @@ mod tests {
         let mut next = ev(1, 1);
         next.payload = Payload::Blob(frame.slice_ref(&frame[60..70]));
         assert!(s.insert(next));
-        let Payload::Blob(n) = &s.events_after(SensorId(1), Some(0))[0].payload else {
+        let Payload::Blob(n) = &s.events(SensorId(1))[1].payload else {
             panic!("blob stays blob");
         };
         assert_eq!(
@@ -740,7 +705,7 @@ mod proptests {
     /// How many events of sensor 1 one collection call removed.
     fn pruned(s: &mut EventStore, upto: u64, before: Time) -> usize {
         let len = s.len();
-        s.prune_processed(SensorId(1), upto, before);
+        s.prune_processed(SensorId(1), |seq| seq <= upto, before);
         len - s.len()
     }
 
@@ -780,8 +745,8 @@ mod proptests {
                 prop_assert!(b.insert(e));
             }
             for sensor in (0..4).map(SensorId) {
-                let ours = a.events_after(sensor, None);
-                let theirs = b.events_after(sensor, None);
+                let ours = a.events(sensor);
+                let theirs = b.events(sensor);
                 prop_assert!(ours.iter().all(|e| theirs.contains(e)), "{} left a hole", sensor);
             }
         }
@@ -840,8 +805,8 @@ mod proptests {
             }
             prop_assert_eq!(wms(&a), wms(&b));
             prop_assert_eq!(a.len(), b.len());
-            let ia: Vec<u64> = a.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
-            let ib: Vec<u64> = b.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
+            let ia: Vec<u64> = a.events(SensorId(1)).iter().map(|e| e.id.seq).collect();
+            let ib: Vec<u64> = b.events(SensorId(1)).iter().map(|e| e.id.seq).collect();
             prop_assert_eq!(ia, ib);
         }
 
@@ -942,13 +907,13 @@ mod proptests {
                     StoreOp::PruneProcessed(sensor, upto, cutoff) => {
                         let cutoff = Time::from_millis(cutoff);
                         prop_assert_eq!(
-                            new.prune_processed(SensorId(sensor), upto, cutoff),
-                            reference.prune_processed(SensorId(sensor), upto, cutoff)
+                            new.prune_processed(SensorId(sensor), |seq| seq <= upto, cutoff),
+                            reference.prune_processed(SensorId(sensor), |seq| seq <= upto, cutoff)
                         );
                     }
                     StoreOp::PrunePrefix(sensor, upto) => {
                         let len = new.len();
-                        new.prune_processed(SensorId(sensor), upto, Time::MAX);
+                        new.prune_processed(SensorId(sensor), |seq| seq <= upto, Time::MAX);
                         prop_assert_eq!(len - new.len(), reference.prune_prefix(SensorId(sensor), upto));
                     }
                     StoreOp::Diff(peer, settled) => {
@@ -961,16 +926,7 @@ mod proptests {
                 prop_assert_eq!(wms(&new), reference.watermarks());
                 prop_assert_eq!(new.len(), reference.len());
                 for sensor in (0..=SENSORS).map(SensorId) {
-                    prop_assert_eq!(
-                        new.events_after(sensor, None),
-                        reference.events_after(sensor, None)
-                    );
-                    for seq in PROBES {
-                        prop_assert_eq!(
-                            new.events_after(sensor, Some(seq)),
-                            reference.events_after(sensor, Some(seq))
-                        );
-                    }
+                    prop_assert_eq!(new.events(sensor), reference.events(sensor));
                 }
             }
         }
@@ -978,17 +934,6 @@ mod proptests {
 
     /// Sensors the differential test writes to (one more is probed).
     const SENSORS: u32 = 3;
-    /// `seq`s the differential test queries after every step.
-    const PROBES: [u64; 8] = [
-        0,
-        1,
-        7,
-        23,
-        u64::MAX - 8,
-        u64::MAX - 4,
-        u64::MAX - 1,
-        u64::MAX,
-    ];
 
     #[derive(Debug, Clone)]
     enum StoreOp {

@@ -18,7 +18,7 @@
 //! prefix.
 
 use rivulet_types::wire::{Wire, WireError, WireReader, WireWriter};
-use rivulet_types::{Event, SensorId, Time};
+use rivulet_types::{Event, Holdings, Time};
 
 use crate::crc::crc32;
 use crate::ledger::LedgerEntry;
@@ -30,16 +30,16 @@ const TAG_EVENT: u8 = 0;
 const TAG_CHECKPOINT: u8 = 1;
 const TAG_LEDGER: u8 = 2;
 
-/// A snapshot of operator progress: every event at or below these
-/// per-sensor watermarks has been fully processed by the local
-/// application runtime, so recovery may skip replaying it and
-/// compaction may drop segments it covers.
+/// A snapshot of operator progress: every event the summary holds has
+/// been processed by an active logic node, so a recovered process's
+/// promotion replays only what it lacks, and compaction drops only the
+/// segments whose events it holds, holes included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Virtual time at which the checkpoint was taken.
     pub at: Time,
-    /// Highest processed sequence number per sensor.
-    pub processed: Vec<(SensorId, u64)>,
+    /// The Gapless events processed home-wide, as the process knew.
+    pub processed: Holdings,
 }
 
 impl Wire for Checkpoint {
@@ -51,7 +51,7 @@ impl Wire for Checkpoint {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
             at: Time::decode(r)?,
-            processed: Vec::decode(r)?,
+            processed: Holdings::decode(r)?,
         })
     }
 }
@@ -174,7 +174,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(WalRecord, usize), FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rivulet_types::{EventId, EventKind, Payload};
+    use rivulet_types::{EventId, EventKind, Payload, SensorId};
 
     /// `record`'s frame in a fresh buffer, written as the WAL writes it.
     fn encode_frame(record: &WalRecord) -> bytes::Bytes {
@@ -206,11 +206,17 @@ mod tests {
         assert_eq!(used, frame.len());
     }
 
+    /// A checkpoint keeps its summary's holes: sensor 1 processed up to
+    /// 42 but for 3–4 and 17, sensor 9 only its first event.
     #[test]
     fn checkpoint_roundtrip() {
+        let done = (0..=42u64).filter(|seq| !matches!(seq, 3 | 4 | 17));
+        let done = done.map(|seq| EventId::new(SensorId(1), seq));
+        let processed: Holdings = done.chain([EventId::new(SensorId(9), 0)]).collect();
+        assert_eq!(processed.lacks(SensorId(1)).len(), 3);
         let rec = WalRecord::Checkpoint(Checkpoint {
             at: Time::from_secs(30),
-            processed: vec![(SensorId(1), 42), (SensorId(9), 0)],
+            processed,
         });
         let frame = encode_frame(&rec);
         let (back, used) = decode_frame(&frame).unwrap();

@@ -28,18 +28,21 @@
 //!
 //! # Compaction
 //!
-//! A [`Checkpoint`] records per-sensor processed watermarks. A segment
-//! older than the newest checkpoint whose events are all at or below
-//! those watermarks can never be needed again and is deleted by
-//! [`Wal::compact`]. Compaction only removes a contiguous prefix, so
-//! the log on disk always remains a suffix of the logical log.
+//! A [`Checkpoint`] records which events were processed, as a
+//! possession summary with holes. A segment older than the newest
+//! checkpoint can never be needed again once, for each sensor, the
+//! summary lacks no `seq` at or below the segment's highest: then
+//! [`Wal::compact`] deletes it. A hole keeps its segment until the hole
+//! is processed or forgiven. Compaction only removes a contiguous
+//! prefix, so the log on disk always remains a suffix of the logical
+//! log.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rivulet_obs::Recorder;
 use rivulet_types::wire::WireWriter;
-use rivulet_types::{Duration, Event, SensorId};
+use rivulet_types::{Duration, Event, Holdings, SensorId};
 
 use crate::backend::{Result, SegmentId, StorageBackend};
 use crate::ledger::LedgerEntry;
@@ -340,14 +343,15 @@ impl Wal {
     }
 
     /// Deletes the longest prefix of sealed segments whose events are
-    /// all covered by `processed` watermarks, never touching the tail
-    /// or the segment holding the newest checkpoint. Returns how many
-    /// segments were deleted.
+    /// all covered by `processed`, never touching the tail or the
+    /// segment holding the newest checkpoint: for each sensor of a
+    /// segment, the summary must lack no `seq` at or below the highest
+    /// the segment holds. Returns how many segments were deleted.
     ///
     /// # Errors
     ///
     /// Propagates backend failures.
-    pub fn compact(&mut self, processed: &BTreeMap<SensorId, u64>) -> Result<usize> {
+    pub fn compact(&mut self, processed: &Holdings) -> Result<usize> {
         let Some(checkpoint_seg) = self.latest_checkpoint_segment else {
             return Ok(0);
         };
@@ -368,7 +372,7 @@ impl Wal {
                 .max_seq
                 .0
                 .iter()
-                .all(|(sensor, max)| processed.get(sensor).is_some_and(|p| p >= max));
+                .all(|(sensor, max)| processed.lacks(*sensor).all(|(first, _)| first > *max));
             if !covered {
                 break;
             }
@@ -420,6 +424,14 @@ mod tests {
     fn append_flushed(wal: &mut Wal, event: &Event) {
         wal.append_event(event).unwrap();
         wal.flush().unwrap();
+    }
+
+    /// A summary of `sensor` holding exactly `seqs`.
+    fn processed(sensor: u32, seqs: impl IntoIterator<Item = u64>) -> Holdings {
+        let ids = seqs
+            .into_iter()
+            .map(|seq| EventId::new(SensorId(sensor), seq));
+        ids.collect()
     }
 
     /// Segments of 64 bytes: a few frames each.
@@ -589,12 +601,10 @@ mod tests {
         assert!(before > 2);
         let cp = Checkpoint {
             at: Time::from_secs(1),
-            processed: vec![(SensorId(1), 20)],
+            processed: processed(1, 0..=20),
         };
         wal.append_checkpoint(&cp).unwrap();
-        let mut processed = BTreeMap::new();
-        processed.insert(SensorId(1), 20u64);
-        let deleted = wal.compact(&processed).unwrap();
+        let deleted = wal.compact(&cp.processed).unwrap();
         assert!(deleted > 0);
         assert!(wal.segments().len() < before + 1);
         // Recovery after compaction still sees the checkpoint.
@@ -613,12 +623,40 @@ mod tests {
         }
         let cp = Checkpoint {
             at: Time::from_secs(1),
-            processed: vec![(SensorId(1), 0)],
+            processed: processed(1, 0..=0),
         };
         wal.append_checkpoint(&cp).unwrap();
         // Nothing processed yet: every event segment must survive.
-        let deleted = wal.compact(&BTreeMap::new()).unwrap();
+        let deleted = wal.compact(&Holdings::default()).unwrap();
         assert_eq!(deleted, 0);
+    }
+
+    /// A hole in the processed summary keeps its segment: one sealed
+    /// segment holds events 1–20 and everything but 7 is processed. A
+    /// per-sensor maximum (20) would have deleted the segment and, with
+    /// it, the one copy of 7 a promotion replays.
+    #[test]
+    fn compaction_keeps_a_segment_whose_events_are_not_all_processed() {
+        let (mut wal, _) = Wal::open(sim() as Arc<dyn StorageBackend>, small_segments()).unwrap();
+        for seq in 1..=20 {
+            wal.append_event(&event(1, seq)).unwrap();
+        }
+        wal.flush().unwrap();
+        let mut done = processed(1, (0..=20).filter(|seq| *seq != 7));
+        wal.append_checkpoint(&Checkpoint {
+            at: Time::from_secs(1),
+            processed: done.clone(),
+        })
+        .unwrap();
+        assert_eq!(
+            wal.segments(),
+            vec![0, 1],
+            "1–20 sealed, then the checkpoint"
+        );
+        assert_eq!(wal.compact(&done).unwrap(), 0, "event 7 is not processed");
+        done.note(EventId::new(SensorId(1), 7));
+        assert_eq!(wal.compact(&done).unwrap(), 1);
+        assert_eq!(wal.segments(), vec![1]);
     }
 
     #[test]
@@ -683,13 +721,12 @@ mod tests {
         for seq in 1..=20 {
             append_flushed(&mut wal, &event(1, seq));
         }
+        let processed = processed(1, 0..=20);
         wal.append_checkpoint(&Checkpoint {
             at: Time::from_secs(1),
-            processed: vec![(SensorId(1), 20)],
+            processed: processed.clone(),
         })
         .unwrap();
-        let mut processed = BTreeMap::new();
-        processed.insert(SensorId(1), 20u64);
         let deleted = wal.compact(&processed).unwrap();
         // The ledger entry sits in the first segment, so the contiguous
         // compactable prefix is empty.
@@ -727,7 +764,7 @@ mod tests {
         )));
         records.push(WalRecord::Checkpoint(Checkpoint {
             at: Time::from_secs(1),
-            processed: vec![(SensorId(1), 12)],
+            processed: processed(1, 0..=12),
         }));
 
         let mut old_log = Vec::new();
@@ -772,7 +809,7 @@ mod tests {
         for (got, want) in rec.events.iter().zip(&records) {
             assert_eq!(&WalRecord::Event(got.clone()), want);
         }
-        assert_eq!(rec.checkpoint.unwrap().processed, vec![(SensorId(1), 12)]);
+        assert_eq!(rec.checkpoint.unwrap().processed, processed(1, 0..=12));
         assert_eq!(LedgerVerifier::verify(9, &rec.ledger).unwrap().len(), 1);
     }
 

@@ -159,7 +159,7 @@ proptest! {
                 let at = Time::from_millis(i as u64);
                 wal.append_checkpoint(&Checkpoint {
                     at,
-                    processed: vec![(SensorId(0), i as u64)],
+                    processed: appended.iter().map(|e| e.id).collect(),
                 })
                 .expect("checkpoint");
                 checkpoint_times.push(at);

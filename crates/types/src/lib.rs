@@ -15,6 +15,9 @@
 //! * [`Event`] — a sensed value flowing from a sensor toward logic
 //!   nodes; [`EventId`] makes each event globally unique and
 //!   gap-detectable via per-sensor sequence numbers.
+//! * [`Holdings`] — which `seq`s of each sensor a process holds (or its
+//!   home has processed), holes included: the possession summary a
+//!   keep-alive carries and a checkpoint stores.
 //! * [`Command`] — an actuation command flowing from logic nodes toward
 //!   actuators.
 //! * [`wire`] — the length-delimited binary codec used on the
@@ -47,6 +50,7 @@
 
 mod command;
 mod event;
+mod holdings;
 mod id;
 mod procset;
 mod time;
@@ -57,6 +61,7 @@ pub mod wire;
 pub use arena::PayloadArena;
 pub use command::{ActuationState, Command, CommandId, CommandKind};
 pub use event::{Event, EventKind, Payload, SizeClass};
+pub use holdings::Holdings;
 pub use id::{ActuatorId, AppId, EventId, OperatorId, ProcessId, RoutineId, SensorId};
 pub use procset::{ProcSet, ProcSetIter};
 pub use time::{Duration, Time};

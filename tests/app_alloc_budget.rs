@@ -1,11 +1,13 @@
-//! Allocation budgets of four per-event paths: heap allocations per
+//! Allocation budgets of five per-event paths: heap allocations per
 //! `AppRuntime::on_event` on the two app shapes the benchmark runs, per
 //! event on the replica path every Gapless process runs (the
 //! `EventStore` insert, the sync a successor's keep-alive asks for,
-//! and the watermark GC), per `Wal::append_event` on the
-//! durable path every stored event of a durable home takes, and per
+//! and the GC of what was processed), per `Wal::append_event` on the
+//! durable path every stored event of a durable home takes, per
 //! Gapless relay hop (frame decode, `GaplessState::on_ring`, the
-//! durability gate, the relay's encode).
+//! durability gate, the relay's encode), and per keep-alive received
+//! (its two summaries decoded, the processed one merged, the sync
+//! query answered).
 //! `process.allocs_per_event` counts these among everything else; a
 //! change that makes the operator DAG allocate per event again, puts
 //! the store back on a structure that allocates as it churns, makes the WAL build a frame per record
@@ -23,14 +25,14 @@ use rivulet::core::app::{
 use rivulet::core::delivery::gapless::GaplessState;
 use rivulet::core::delivery::{Action, Delivery};
 use rivulet::core::gating::{DurableGate, Released};
-use rivulet::core::holdings::Holdings;
-use rivulet::core::messages::{Frame, PeerMsg, RingMsg};
+use rivulet::core::messages::{Frame, PeerMsg, ProcMsg, RingMsg};
 use rivulet::core::store::EventStore;
 use rivulet::obs::Recorder;
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
 use rivulet::types::wire::{Wire, WireWriter, WriterPool};
 use rivulet::types::{
-    ActuatorId, AppId, Duration, Event, EventId, EventKind, ProcSet, ProcessId, SensorId, Time,
+    ActuatorId, AppId, Duration, Event, EventId, EventKind, Holdings, ProcSet, ProcessId, SensorId,
+    Time,
 };
 
 /// `System`, counting the allocations of the thread that switched
@@ -244,8 +246,8 @@ const BEACON_EVERY: u64 = 50;
 fn replica_path_does_not_allocate_per_event() {
     // The origin of a five-process home: every event is stored; every
     // `BEACON_EVERY` events its successor's holdings arrive and ask for
-    // a sync, and the processed watermark collects the store, forgiving
-    // holes below what it removed. The warm-up fills the GC window
+    // a sync, and what was processed (all but the newest round) is
+    // collected from the store, forgiving holes below what it removed. The warm-up fills the GC window
     // twice, so every buffer has reached its steady size. One B-tree per
     // sensor in the store read 0.61.
     let mut store = EventStore::new(100_000);
@@ -265,8 +267,8 @@ fn replica_path_does_not_allocate_per_event() {
             }
             let cutoff = Time::from_millis(seq.saturating_sub(GC_WINDOW));
             for sensor in (0..REPLICA_SENSORS as u32).map(SensorId) {
-                if let Some(removed) = store.prune_processed(sensor, seq.saturating_sub(1), cutoff)
-                {
+                let upto = seq.saturating_sub(1);
+                if let Some(removed) = store.prune_processed(sensor, |q| q <= upto, cutoff) {
                     held.forgive(sensor, removed);
                 }
             }
@@ -388,7 +390,7 @@ fn a_gapless_relay_hop_does_not_allocate() {
     // releases at once; the durable one appends every delivery and
     // releases on a flush every other frame, as its timer would. The
     // store is collected behind a window, as the keep-alive's processed
-    // watermarks collect it. With two decoded member `Vec`s per
+    // summary collects it. With two decoded member `Vec`s per
     // message, a fresh action vector per hop and a gate that gave its
     // withheld buffer away at each release, the hop read 3.00 volatile
     // and 3.25 durable.
@@ -428,7 +430,7 @@ fn a_gapless_relay_hop_does_not_allocate() {
                     relay
                         .gapless
                         .store_mut()
-                        .prune_processed(sensor, seq, cutoff);
+                        .prune_processed(sensor, |q| q <= seq, cutoff);
                 }
             }
         });
@@ -445,4 +447,68 @@ fn a_gapless_relay_hop_does_not_allocate() {
             "{home} relay hop: {per_hop:.2} allocations per hop, budget 0.05"
         );
     }
+}
+
+/// Keep-alives counted on the receive path.
+const BEACONS: u64 = 4_000;
+
+#[test]
+fn a_keep_alive_costs_its_two_summaries() {
+    // p1 of a five-process home hears p2's beacons while the ring keeps
+    // everyone level on four sensors: decode the beacon, merge its
+    // processed summary into p1's own, answer its holdings as p2's ring
+    // predecessor with nothing to ship. Each decoded summary is one
+    // list; the merge and the empty sync allocate nothing once warm.
+    // With the processed summary a B-tree of marks and the holdings a
+    // B-tree of one `Vec` per sensor, the path read 7.00.
+    let sensors = || (0..4).map(SensorId);
+    let beacon = |i: u64| {
+        let through = |high: u64| -> Holdings {
+            let seqs = move |s| (0..=high).map(move |seq| EventId::new(s, seq));
+            sensors().flat_map(seqs).collect()
+        };
+        let msg = ProcMsg::KeepAlive {
+            from: ProcessId(2),
+            view: (0..5).map(ProcessId).collect(),
+            processed: through(i.saturating_sub(20)),
+            received: through(i),
+        };
+        msg.to_bytes()
+    };
+    let beacons: Vec<_> = (0..WARM_UP + BEACONS).map(beacon).collect();
+    let mut gapless = GaplessState::new(ProcessId(1), 100_000);
+    for seq in 0..WARM_UP + BEACONS + 1_000 {
+        for sensor in sensors() {
+            let at = Time::from_millis(seq);
+            gapless.store_mut().insert(Event::new(
+                EventId::new(sensor, seq),
+                EventKind::Motion,
+                at,
+            ));
+        }
+    }
+    let mut processed = Holdings::default();
+    let per_beacon = allocs_per_step(WARM_UP, BEACONS, |i| {
+        let msg = PeerMsg::from_shared_bytes(&beacons[i as usize]).expect("a keep-alive");
+        let PeerMsg::Other(ProcMsg::KeepAlive {
+            from,
+            view,
+            processed: theirs,
+            received,
+        }) = msg
+        else {
+            panic!("a keep-alive decodes as one")
+        };
+        processed.merge(&theirs);
+        // Everything the store holds above `i` is younger than a beacon.
+        let now = Time::from_millis(i);
+        assert!(gapless
+            .on_peer_beacon(from, view, view, &received, now)
+            .is_none());
+    });
+    assert!(processed.holds(EventId::new(SensorId(3), WARM_UP + BEACONS - 21)));
+    assert!(
+        per_beacon <= 2.0,
+        "keep-alive receive path: {per_beacon:.2} allocations per beacon, budget 2"
+    );
 }

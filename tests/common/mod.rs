@@ -105,6 +105,20 @@ pub fn deploy(
     heard_by: &[usize],
     tapped: bool,
 ) -> Setup {
+    let delivery = Delivery::Gapless;
+    deploy_delivered(delivery, seed, policy, config, schedule, heard_by, tapped)
+}
+
+/// [`deploy`], with the app asking for `delivery` instead of Gapless.
+pub fn deploy_delivered(
+    delivery: Delivery,
+    seed: u64,
+    policy: Option<FlushPolicy>,
+    config: RivuletConfig,
+    schedule: EmissionSchedule,
+    heard_by: &[usize],
+    tapped: bool,
+) -> Setup {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let heard = Heard::default();
     let mut driver = TapDriver {
@@ -141,8 +155,8 @@ pub fn deploy(
             CombinerSpec::Any,
             |_: &mut OpCtx, _: &CombinedWindows| {},
         )
-        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
-        .actuator(anchor, Delivery::Gapless)
+        .sensor(sensor, delivery, WindowSpec::count(1))
+        .actuator(anchor, delivery)
         .done()
         .build()
         .expect("valid app");
@@ -284,5 +298,28 @@ pub fn assert_deliveries_only_from_active(probe: &AppProbe, crashes: &[(ProcessI
             d.event,
             d.at
         );
+    }
+}
+
+/// SplitMix64: a sweep's faults are a pure function of its seed.
+pub struct Draw(pub u64);
+
+impl Draw {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `from_ms..to_ms`, as an instant.
+    pub fn instant(&mut self, from_ms: u64, to_ms: u64) -> Time {
+        Time::from_millis(from_ms + self.below(to_ms - from_ms))
     }
 }

@@ -16,7 +16,7 @@ use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::types::{
-    ActuationState, AppId, Duration, EventId, EventKind, ProcessId, SensorId, Time,
+    ActuationState, AppId, Duration, EventId, EventKind, Holdings, ProcessId, SensorId, Time,
 };
 use std::sync::Arc;
 
@@ -535,69 +535,71 @@ fn a_process_only_some_peers_hear_is_synced_by_its_own_predecessor() {
 }
 
 /// A reading nobody heard leaves a hole nobody can fill. It is forgiven
-/// once garbage collection removes a held event above it, so the holes
-/// a process advertises are bounded by the straggler horizon, not by the
-/// home's lifetime: one hearer behind 30 % radio loss, at ten readings a
-/// second, carries no more holes at 120 s than at 60 s.
+/// once garbage collection removes a processed event above it, so the
+/// holes a process advertises are bounded by the straggler horizon, not
+/// by the home's lifetime: one hearer behind 30 % radio loss, at ten
+/// readings a second, carries no more holes at 120 s than at 60 s, in
+/// what it holds or in what the app's host says was processed.
 #[test]
 fn the_holes_a_lossy_hearer_advertises_stay_bounded() {
     let schedule = EmissionSchedule::Periodic(Duration::from_millis(100));
     let mut s = common::deploy(47, None, RivuletConfig::default(), schedule, &[2], true);
-    let hearer = s.home.actor_of(s.pids[2]);
+    let (hearer, app_host) = (s.home.actor_of(s.pids[2]), s.home.actor_of(s.pids[0]));
     s.net
         .topology_mut()
         .set_loss(s.home.sensors[0].1, hearer, 0.3);
     s.net.run_until(Time::from_secs(121));
 
-    // The hole count of the hearer's last beacon before each instant.
-    let beacons: Vec<(Time, usize)> = common::peer_msgs(&s)
+    // The hole counts of the hearer's holdings and the app host's
+    // processed summary, in the last beacon of each before an instant.
+    let msgs = common::peer_msgs(&s);
+    let holes_at = |sender, processed: bool, secs| {
+        let before = msgs
+            .iter()
+            .filter(|(at, from, _)| *from == sender && *at <= Time::from_secs(secs));
+        let mut summaries = before.filter_map(|(_, _, msg)| match msg {
+            ProcMsg::KeepAlive {
+                processed: done,
+                received,
+                ..
+            } => Some(if processed { done } else { received }),
+            _ => None,
+        });
+        let summary = summaries.next_back().expect("a beacon");
+        summary.lacks(SensorId(0)).len() - 1
+    };
+    for (sender, processed) in [(hearer, false), (app_host, true)] {
+        let (at_60, at_120) = (
+            holes_at(sender, processed, 60),
+            holes_at(sender, processed, 120),
+        );
+        assert!(at_60 > 20, "{at_60} holes at 60 s (processed: {processed})");
+        assert!(
+            at_120 <= at_60,
+            "{at_120} holes at 120 s, {at_60} at 60 s (processed: {processed})"
+        );
+    }
+}
+
+/// Nothing replays, collects or checkpoints a Gap event, so a home that
+/// delivers nothing Gapless says nothing was processed: every beacon's
+/// processed summary is empty while the app processes every event.
+#[test]
+fn a_gap_only_home_advertises_nothing_processed() {
+    let config = RivuletConfig::default();
+    let schedule = common::paced(20);
+    let mut s = common::deploy_delivered(Delivery::Gap, 48, None, config, schedule, &[1, 2], true);
+    s.net.run_until(Time::from_secs(4));
+    assert_eq!(common::distinct_seqs(&s.probe), (0..20).collect::<Vec<_>>());
+    let processed: Vec<Holdings> = common::peer_msgs(&s)
         .into_iter()
-        .filter_map(|(at, from, msg)| match msg {
-            ProcMsg::KeepAlive { received, .. } if from == hearer => {
-                Some((at, received.lacks(SensorId(0)).len() - 1))
-            }
+        .filter_map(|(_, _, msg)| match msg {
+            ProcMsg::KeepAlive { processed, .. } => Some(processed),
             _ => None,
         })
         .collect();
-    let holes_at = |secs| {
-        let before = beacons
-            .iter()
-            .filter(|(at, _)| *at <= Time::from_secs(secs));
-        before
-            .map(|(_, holes)| *holes)
-            .next_back()
-            .expect("a beacon")
-    };
-    assert!(holes_at(60) > 20, "{} holes at 60 s", holes_at(60));
-    assert!(
-        holes_at(120) <= holes_at(60),
-        "{} holes at 120 s, {} at 60 s",
-        holes_at(120),
-        holes_at(60)
-    );
-}
-
-/// SplitMix64: the sweep's faults are a pure function of its seed.
-struct Draw(u64);
-
-impl Draw {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Uniform in `from_ms..to_ms`, as an instant.
-    fn instant(&mut self, from_ms: u64, to_ms: u64) -> Time {
-        Time::from_millis(from_ms + self.below(to_ms - from_ms))
-    }
+    assert!(processed.len() > 20, "{} beacons", processed.len());
+    assert!(processed.iter().all(|p| *p == Holdings::default()));
 }
 
 /// What one sweep seed did to its home, for the failure message.
@@ -618,7 +620,7 @@ struct Faults {
 /// keep. Returns how many events the check required, or what broke.
 fn sweep_case(seed: u64) -> Result<usize, String> {
     const END_MS: u64 = 24_000;
-    let mut draw = Draw(seed);
+    let mut draw = common::Draw(seed);
     let victim = draw.below(5) as usize;
     let mut others: Vec<usize> = (0..5).filter(|p| *p != victim).collect();
     let first = others.remove(draw.below(4) as usize);

@@ -30,16 +30,30 @@ struct Setup {
 /// Five hosts, sensor heard everywhere at 10 ev/s, app anchored at
 /// host 0.
 fn standard_home(delivery: Delivery, seed: u64, timeout: Duration) -> Setup {
+    let every = Duration::from_millis(100);
+    home_of(delivery, seed, timeout, every, &[0, 1, 2, 3, 4])
+}
+
+/// Five hosts, a sensor emitting `every` heard by the hosts `heard_by`,
+/// the app and its actuator anchored at host 0.
+fn home_of(
+    delivery: Delivery,
+    seed: u64,
+    timeout: Duration,
+    every: Duration,
+    heard_by: &[usize],
+) -> Setup {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let config = RivuletConfig::default().with_failure_timeout(timeout);
     let mut home = HomeBuilder::new(&mut net).with_config(config);
     let ingest = home.with_ingest_probe();
     let pids: Vec<ProcessId> = (0..5).map(|i| home.add_host(format!("host{i}"))).collect();
+    let hearers: Vec<ProcessId> = heard_by.iter().map(|i| pids[*i]).collect();
     let (sensor, emissions) = home.add_push_sensor(
         "motion",
         PayloadSpec::KindOnly(EventKind::Motion),
-        EmissionSchedule::Periodic(Duration::from_millis(100)),
-        &pids,
+        EmissionSchedule::Periodic(every),
+        &hearers,
     );
     let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &[pids[0]]);
     let app = AppBuilder::new(AppId(1), "activity")
@@ -424,4 +438,69 @@ fn events_heard_only_behind_the_crashed_app_host_are_delivered() {
     cfg.seed = 0x53f5_8f6e_3018_ac9f;
     let verdict = run_delivery(&cfg).verdict;
     assert!(verdict.passed(), "{}", common::describe(&verdict));
+}
+
+/// One case of the sweep below: 50 ev/s heard by hosts 0 and 1, the
+/// sensor's radio link to host 0 losing `radio_loss`, every peer's link
+/// to host 0 losing `link_loss` from 1 s, host 0 down for good at an
+/// instant drawn from `seed` between 3 s and 6 s. Returns what the
+/// checker finds wrong with the app's deliveries by 14 s, if anything.
+fn lossy_app_host_case(seed: u64, link_loss: f64, radio_loss: f64) -> Result<(), String> {
+    let timeout = RivuletConfig::default().failure_timeout;
+    let every = Duration::from_millis(20);
+    let mut s = home_of(Delivery::Gapless, seed, timeout, every, &[0, 1]);
+    let host_0 = s.home.actor_of(s.pids[0]);
+    let radio = s.home.sensors[0].1;
+    s.net.topology_mut().set_loss(radio, host_0, radio_loss);
+    for peer in &s.pids[1..] {
+        let peer = s.home.actor_of(*peer);
+        s.net
+            .set_loss_at(Time::from_secs(1), peer, host_0, link_loss);
+    }
+    let crash = common::Draw(seed).instant(3_000, 6_000);
+    s.net.crash_at(host_0, crash);
+    s.net.run_until(Time::from_secs(14));
+    let verdict = check(&ProbeData {
+        crashed: ProcSet::singleton(s.pids[0]),
+        owed_before: Time::from_secs(10),
+        ..common::probe_data(
+            s.sensor,
+            Delivery::Gapless,
+            &s.emissions,
+            &s.ingest,
+            &s.probe,
+        )
+    });
+    if verdict.owed < 400 {
+        return Err(format!("seed {seed}: owed only {}", verdict.owed));
+    }
+    verdict.passed().then_some(()).ok_or_else(|| {
+        let loss = format!("links {link_loss}, radio {radio_loss}");
+        let crash = crash.as_millis();
+        format!(
+            "seed {seed} ({loss}, crash {crash} ms):\n{}",
+            common::describe(&verdict)
+        )
+    })
+}
+
+/// The app's host processes a lossy stream with holes — events it never
+/// heard, by radio or from its peers — and dies. The processed summary
+/// it advertised holds everything it processed and nothing else, so the
+/// promoted host 1 replays every stored event in those holes. A summary
+/// that kept only the highest `seq` processed told host 1 the holes
+/// were done, and it never delivered them. Forty seeds, two loss
+/// settings each.
+#[test]
+fn a_promoted_shadow_replays_every_event_the_crashed_host_left_unprocessed() {
+    let cases = (0..40).flat_map(|seed| [(seed, 0.5, 0.3), (seed, 0.8, 0.5)]);
+    let broken: Vec<String> = cases
+        .filter_map(|(seed, link, radio)| lossy_app_host_case(seed, link, radio).err())
+        .collect();
+    assert!(
+        broken.is_empty(),
+        "{} of 80 cases:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
 }

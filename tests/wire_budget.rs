@@ -56,14 +56,16 @@ fn canonical_messages_cost_what_they_did() {
     let beacon = ProcMsg::KeepAlive {
         from: ProcessId(4),
         view: pids(&[0, 1, 2, 3, 4]).into_iter().collect(),
-        processed: (0..4).map(|s| (SensorId(s), 1_000)).collect(),
+        processed: (0..4)
+            .flat_map(|s| (0..=1_000).map(move |seq| EventId::new(SensorId(s), seq)))
+            .collect(),
         received: (0..4)
             .flat_map(|s| (0..=1_000).map(move |seq| EventId::new(SensorId(s), seq)))
             .collect(),
     };
     assert_eq!(
         beacon.to_bytes().len(),
-        30,
+        31,
         "keep-alive, four sensors, no hole"
     );
 

@@ -19,7 +19,7 @@ use rivulet::storage::{
 use rivulet::types::wire::{Wire, WireWriter};
 use rivulet::types::{
     ActuationState, ActuatorId, Command, CommandId, CommandKind, Event, EventId, EventKind,
-    OperatorId, Payload, ProcessId, RoutineId, SensorId, Time,
+    Holdings, OperatorId, Payload, ProcessId, RoutineId, SensorId, Time,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -77,25 +77,28 @@ fn every_process_message_keeps_its_bytes() {
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
                 view: pids(&[0, 1, 2, 3, 4]).into_iter().collect(),
-                processed: [(SensorId(1), 99), (SensorId(2), 1_000)].into(),
+                processed: (0..=99)
+                    .map(|seq| EventId::new(SensorId(1), seq))
+                    .chain((0..=1_000).map(|seq| EventId::new(SensorId(2), seq)))
+                    .collect(),
                 received: (0..=101)
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .collect(),
             },
-            "00041f02016302e80701016500",
+            "00041f02016302e8070001016500",
         ),
         (
             "KeepAlive with holes",
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
                 view: pids(&[0, 4]).into_iter().collect(),
-                processed: [].into(),
+                processed: Holdings::default(),
                 received: [3, 4, 101]
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .into_iter()
                     .collect(),
             },
-            "000411000101650101020002055f",
+            "00041100000101650101020002055f",
         ),
         (
             "Ring",
@@ -256,7 +259,7 @@ fn a_wal_segment_keeps_its_bytes() {
     }
     wal.append_checkpoint(&Checkpoint {
         at: Time::from_secs(2),
-        processed: vec![(SensorId(3), 3)],
+        processed: (0..=3).map(|seq| EventId::new(SensorId(3), seq)).collect(),
     })
     .unwrap();
     let entry = LedgerChain::seeded(42).append(
@@ -276,7 +279,7 @@ fn a_wal_segment_keeps_its_bytes() {
         "0aebf16336000301020200c0843d00",
         "217 bytes d301f88463600003.. sha256 77a411c75068613cd178a2f6bbd9bf777fd853506999c6ad133f50afe8308367",
         "20019 bytes ac9c01f23f1c0600.. sha256 838cc0a7e1fb23c89d4ec6717f13dcbd58704b02a724fbd36c54fd9642c22e4d",
-        "07473a392e0180897a010303",
+        "088402943a0180897a01030300",
         "83 bytes 4ebc1b602b020409.. sha256 28d4c403ae8c3b93044e8567710e0aa68619fc00220bfa95563fec8e4a3f0dec",
     ];
     let got = frames(&segment);
