@@ -123,14 +123,19 @@ pub struct DurableGate {
     queued: bool,
     /// The last completion the owner was asked to wake the gate at.
     woken: Option<Time>,
+    /// The last beat the owner was asked to run: the gate's opening
+    /// until the first, and every later one a whole number of periods
+    /// after it.
+    beat: Time,
     obs: Recorder,
 }
 
 impl DurableGate {
-    /// Opens the log on `storage` (if any) and returns the gate with
-    /// the durable prefix found there; without storage the prefix is
-    /// empty. The gate's disk takes the backend's
-    /// [`StorageBackend::sync_cost`] per flush.
+    /// Opens the log on `storage` (if any) at `now` and returns the
+    /// gate with the durable prefix found there; without storage the
+    /// prefix is empty. The gate's disk takes the backend's
+    /// [`StorageBackend::sync_cost`] per flush, and its beat falls a
+    /// whole number of periods after `now`.
     ///
     /// # Panics
     ///
@@ -140,6 +145,7 @@ impl DurableGate {
     pub fn open(
         storage: Option<(Arc<dyn StorageBackend>, WalOptions)>,
         obs: &Recorder,
+        now: Time,
     ) -> (Self, Recovered) {
         let (wal, recovered, sync) = match storage {
             None => (None, Recovered::default(), Duration::ZERO),
@@ -161,13 +167,14 @@ impl DurableGate {
             running: None,
             queued: false,
             woken: None,
+            beat: now,
             obs: obs.clone(),
         };
         (gate, recovered)
     }
 
-    /// The period of the flush timer (the beat) the owner must run;
-    /// `None` without storage.
+    /// The period of the flush timer (the beat); `None` without
+    /// storage.
     #[must_use]
     pub fn flush_interval(&self) -> Option<Duration> {
         let FlushPolicy::EveryInterval(period) = self.wal.as_ref()?.options().flush_policy;
@@ -189,6 +196,23 @@ impl DurableGate {
         }
         self.woken = Some(done);
         Some(done)
+    }
+
+    /// The beat, armed on demand beside [`DurableGate::end_turn`]: when
+    /// the gate holds an append or a withheld action and no beat is
+    /// armed after `now`, the beat's next instant strictly after `now`,
+    /// at which the owner calls [`DurableGate::flush`]. An idle gate
+    /// asks for none, and the instants are those of a beat that never
+    /// stops, so no release moves.
+    pub fn next_beat(&mut self, now: Time) -> Option<Time> {
+        let period = self.flush_interval()?.as_micros();
+        let buffered = self.wal.as_ref().is_some_and(|w| w.pending_events() > 0);
+        if self.beat > now || (self.withheld.is_empty() && !buffered) {
+            return None;
+        }
+        let periods = (now - self.beat).as_micros() / period + 1;
+        self.beat = Time::from_micros(self.beat.as_micros() + periods * period);
+        Some(self.beat)
     }
 
     /// Takes delivery-service actions in at `now`. Every freshly stored
@@ -443,7 +467,7 @@ mod tests {
             ..WalOptions::default()
         };
         let storage = Arc::clone(backend) as Arc<dyn StorageBackend>;
-        DurableGate::open(Some((storage, options)), obs)
+        DurableGate::open(Some((storage, options)), obs, Time::ZERO)
     }
 
     fn event(seq: u64) -> Event {
@@ -675,7 +699,7 @@ mod tests {
             };
             Some((Arc::clone(&backend) as Arc<dyn StorageBackend>, options))
         };
-        let (mut gate, _) = DurableGate::open(storage(), &Recorder::default());
+        let (mut gate, _) = DurableGate::open(storage(), &Recorder::default(), Time::ZERO);
         assert_eq!(backend.sync_cost(), Duration::ZERO);
         let local = gate.admit(NOW, deliver_and_relay(0), false, hosted).0;
         let relayed = gate.admit(NOW, deliver_and_relay(1), false, remote).0;
@@ -688,7 +712,7 @@ mod tests {
         assert_eq!(beat, sends, "the sends leave on the beat");
         assert_eq!(gate.end_turn(), None, "nothing to wake for");
         drop(gate);
-        let (_, recovered) = DurableGate::open(storage(), &Recorder::default());
+        let (_, recovered) = DurableGate::open(storage(), &Recorder::default(), Time::ZERO);
         assert_eq!(recovered.events.len(), 2);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -829,6 +853,24 @@ mod tests {
     }
 
     #[test]
+    fn the_beat_is_asked_for_on_its_phase_only_while_something_waits() {
+        // The gate opens at zero, so the beat's instants are whole BEATs.
+        let backend = Arc::new(SimBackend::new(4));
+        let (mut gate, _) = gate_on(&backend, FlushPolicy::EveryInterval(BEAT));
+        assert_eq!(gate.next_beat(NOW), None, "an idle gate");
+        let _ = gate.admit(NOW + MICRO, deliver_and_relay(0), false, remote);
+        assert_eq!(gate.next_beat(NOW + MICRO), Some(NOW + BEAT));
+        assert_eq!(gate.next_beat(NOW + MICRO), None, "armed already");
+        // The beat starts the flush; what it covers waits for the next.
+        let beat = gate.flush(NOW + BEAT, Vec::new());
+        assert_eq!(beat, Released::default());
+        assert_eq!(gate.next_beat(NOW + BEAT), Some(NOW + BEAT + BEAT));
+        let beat = gate.flush(NOW + BEAT + BEAT, Vec::new());
+        assert_eq!(beat.0, deliver_and_relay(0));
+        assert_eq!(gate.next_beat(NOW + BEAT + BEAT), None, "idle again");
+    }
+
+    #[test]
     fn each_delivery_records_its_wait_from_admit_to_release() {
         let backend = Arc::new(SimBackend::new(5));
         let obs = Recorder::enabled();
@@ -882,7 +924,7 @@ mod tests {
 
     #[test]
     fn a_gate_without_storage_releases_at_once() {
-        let (mut gate, recovered) = DurableGate::open(None, &Recorder::default());
+        let (mut gate, recovered) = DurableGate::open(None, &Recorder::default(), Time::ZERO);
         assert!(recovered.events.is_empty() && recovered.ledger.is_empty());
         assert_eq!(gate.flush_interval(), None);
         assert_eq!(

@@ -399,6 +399,7 @@ impl Running {
         let (gate, recovered) = DurableGate::open(
             storage.map(|d| (Arc::clone(&d.backend), d.options)),
             &spec.obs,
+            ctx.now(),
         );
         let mut gapless = GaplessState::new(me, STORE_CAP_PER_SENSOR);
         let processed = recovered
@@ -468,11 +469,8 @@ impl Running {
         // first).
         run.replay_routine_recovery(ctx, routine_recovery);
 
-        // Arm the durability timers: the group-commit beat and the
-        // checkpoint cadence.
-        if let Some(period) = run.gate.flush_interval() {
-            ctx.set_timer(period, TOKEN_FLUSH);
-        }
+        // Arm the checkpoint cadence; the group-commit beat is armed
+        // only when the gate holds something (`Actor::on_event`).
         if let Some(interval) = run.checkpoint_interval {
             ctx.set_timer(interval, TOKEN_CHECKPOINT);
         }
@@ -583,9 +581,6 @@ impl Running {
                     .gate
                     .flush(ctx.now(), std::mem::take(&mut self.actions));
                 self.apply_actions(ctx, released);
-                if let Some(period) = self.gate.flush_interval() {
-                    ctx.set_timer(period, TOKEN_FLUSH);
-                }
             }
             (0, TOKEN_SYNC) => {
                 let spare = std::mem::take(&mut self.actions);
@@ -628,10 +623,14 @@ impl Actor for RivuletProcess {
         // Everything queued during this activation goes out now, with
         // same-destination messages coalesced into frames. A flush the
         // activation started reaches the disk with all of its appends,
-        // and gets a completion timer when the gate asks for one.
+        // and gets a completion timer when the gate asks for one; the
+        // beat is armed when the gate holds something and none is.
         run.flush_outbox(ctx);
         if let Some(at) = run.gate.end_turn() {
             ctx.set_timer(at.duration_since(ctx.now()), TOKEN_SYNC);
+        }
+        if let Some(at) = run.gate.next_beat(ctx.now()) {
+            ctx.set_timer(at.duration_since(ctx.now()), TOKEN_FLUSH);
         }
     }
 }

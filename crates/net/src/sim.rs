@@ -12,9 +12,16 @@
 //! [`SimNet::set_loss_at`] schedule control actions at virtual times,
 //! mirroring how the paper's testbed runs "induce a process failure at
 //! t = 24 seconds" (Fig. 7).
+//!
+//! The queue is a binary heap of 24-byte keys `(at, seq, index)`: the
+//! sequence number orders items due at one instant by when they were
+//! pushed, and the index names the place in a slab where the item
+//! itself is parked, reused through a free list. [`Context::cancel_timer`]
+//! empties the parked timers it names in place, so a cancelled timer
+//! costs one skipped key and no bookkeeping outlives it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -59,8 +66,6 @@ struct Slot {
     /// addressed to an older incarnation are dropped (their TCP
     /// connections died with the process).
     incarnation: u32,
-    /// Cancellation generation per timer token.
-    timer_gens: HashMap<u64, u64>,
 }
 
 impl std::fmt::Debug for Slot {
@@ -85,7 +90,6 @@ enum Pending {
         actor: ActorId,
         inc: u32,
         token: u64,
-        gen: u64,
     },
     Control(Control),
     Start {
@@ -163,32 +167,6 @@ impl ActiveBurst {
     }
 }
 
-/// Heap entry ordered by (time, sequence number); the sequence number
-/// makes ordering of simultaneous events deterministic.
-#[derive(Debug)]
-struct Scheduled {
-    at: Time,
-    seq: u64,
-    pending: Pending,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The deterministic simulation driver.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end
@@ -197,7 +175,15 @@ impl Ord for Scheduled {
 pub struct SimNet {
     topology: Topology,
     slots: Vec<Slot>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The queue's keys, `(at, seq, index)`: the sequence number
+    /// orders simultaneous items by push, and the index names the
+    /// item's place in `parked`.
+    queue: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    /// Queued items; `None` where a timer was cancelled in place (its
+    /// key is still queued) or the place is on `free`.
+    parked: Vec<Option<Pending>>,
+    /// Places in `parked` no key names.
+    free: Vec<u32>,
     now: Time,
     seq: u64,
     rng: StdRng,
@@ -218,6 +204,8 @@ impl SimNet {
             topology: Topology::new(),
             slots: Vec::new(),
             queue: BinaryHeap::new(),
+            parked: Vec::new(),
+            free: Vec::new(),
             now: Time::ZERO,
             seq: 0,
             rng: StdRng::seed_from_u64(config.seed),
@@ -243,7 +231,6 @@ impl SimNet {
             factory: Box::new(factory),
             instance: Some(instance),
             incarnation: 0,
-            timer_gens: HashMap::new(),
         });
         self.push(self.now, Pending::Start { actor: id, inc: 0 });
         id
@@ -364,8 +351,8 @@ impl SimNet {
         /// at this many events instead of hanging.
         const MAX_EVENTS_PER_RUN: u64 = 50_000_000;
         let mut processed = 0u64;
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > deadline {
+        while let Some(&Reverse((at, _, index))) = self.queue.peek() {
+            if at > deadline {
                 break;
             }
             processed += 1;
@@ -374,10 +361,14 @@ impl SimNet {
                 "simulation livelock suspected at {} (> max events per run)",
                 self.now
             );
-            let Reverse(item) = self.queue.pop().expect("peeked");
-            debug_assert!(item.at >= self.now, "time went backwards");
-            self.now = item.at;
-            self.dispatch(item.pending);
+            self.queue.pop();
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            self.free.push(index);
+            // A cancelled timer left `None` behind.
+            if let Some(pending) = self.parked[index as usize].take() {
+                self.dispatch(pending);
+            }
         }
         self.now = deadline;
         processed
@@ -389,9 +380,19 @@ impl SimNet {
     }
 
     fn push(&mut self, at: Time, pending: Pending) {
-        let seq = self.seq;
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.parked[index as usize] = Some(pending);
+                index
+            }
+            None => {
+                let index = u32::try_from(self.parked.len()).expect("under 2^32 queued items");
+                self.parked.push(Some(pending));
+                index
+            }
+        };
+        self.queue.push(Reverse((at, self.seq, index)));
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, pending }));
     }
 
     fn dispatch(&mut self, pending: Pending) {
@@ -415,18 +416,10 @@ impl SimNet {
                 self.metrics.record_delivery();
                 self.fire(to, ActorEvent::Message { from, payload });
             }
-            Pending::Timer {
-                actor,
-                inc,
-                token,
-                gen,
-            } => {
+            Pending::Timer { actor, inc, token } => {
                 let slot = &self.slots[actor.0 as usize];
                 if slot.instance.is_none() || slot.incarnation != inc {
                     return;
-                }
-                if slot.timer_gens.get(&token).copied().unwrap_or(0) != gen {
-                    return; // cancelled
                 }
                 self.metrics.record_timer();
                 self.fire(actor, ActorEvent::Timer { token });
@@ -448,7 +441,6 @@ impl SimNet {
                 let slot = &mut self.slots[actor.0 as usize];
                 if slot.instance.is_none() {
                     slot.incarnation += 1;
-                    slot.timer_gens.clear();
                     slot.instance = Some((slot.factory)());
                     let inc = slot.incarnation;
                     self.metrics.obs.event(
@@ -577,22 +569,20 @@ impl SimNet {
                 }
             }
             Effect::SetTimer { token, after } => {
-                let slot = &self.slots[actor.0 as usize];
-                let gen = slot.timer_gens.get(&token).copied().unwrap_or(0);
-                let inc = slot.incarnation;
-                self.push(
-                    self.now + after,
-                    Pending::Timer {
-                        actor,
-                        inc,
-                        token,
-                        gen,
-                    },
-                );
+                let inc = self.slots[actor.0 as usize].incarnation;
+                self.push(self.now + after, Pending::Timer { actor, inc, token });
             }
             Effect::CancelTimer { token } => {
-                let slot = &mut self.slots[actor.0 as usize];
-                *slot.timer_gens.entry(token).or_insert(0) += 1;
+                // In place: the timers this actor queued with `token`,
+                // its sets earlier in this activation included, become
+                // `None`, which the run loop skips.
+                for parked in &mut self.parked {
+                    if matches!(parked, Some(Pending::Timer { actor: a, token: t, .. })
+                        if *a == actor && *t == token)
+                    {
+                        *parked = None;
+                    }
+                }
             }
         }
     }
@@ -728,6 +718,100 @@ mod tests {
         });
         net.run_until(Time::from_secs(1));
         assert_eq!(fired.load(Ordering::SeqCst), 3);
+    }
+
+    /// What a [`Scripted`] actor does to its timers.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Set { after_ms: u64, token: u64 },
+        Cancel(u64),
+    }
+
+    /// Runs `ops[i].1` when `ops[i].0` fires (token 0 stands for
+    /// Start) and logs every timer that fires as `(time, actor, token)`.
+    struct Scripted {
+        ops: Vec<(u64, Op)>,
+        log: Arc<std::sync::Mutex<Vec<(Time, ActorId, u64)>>>,
+    }
+
+    impl Actor for Scripted {
+        fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+            let trigger = match event {
+                ActorEvent::Start => 0,
+                ActorEvent::Timer { token } => {
+                    self.log.lock().unwrap().push((ctx.now(), ctx.id(), token));
+                    token
+                }
+                ActorEvent::Message { .. } => return,
+            };
+            for &(_, op) in self.ops.iter().filter(|(t, _)| *t == trigger) {
+                match op {
+                    Op::Set { after_ms, token } => {
+                        ctx.set_timer(Duration::from_millis(after_ms), token);
+                    }
+                    Op::Cancel(token) => ctx.cancel_timer(token),
+                }
+            }
+        }
+    }
+
+    /// Runs one [`Scripted`] actor per entry of `actors` for a second
+    /// and returns the timers that fired, in dispatch order.
+    fn scripted(actors: Vec<Vec<(u64, Op)>>) -> Vec<(Time, ActorId, u64)> {
+        let mut net = SimNet::new(SimConfig::with_seed(8));
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        for ops in actors {
+            let log = Arc::clone(&log);
+            net.add_actor("scripted", ActorClass::Process, move || {
+                Box::new(Scripted {
+                    ops: ops.clone(),
+                    log: Arc::clone(&log),
+                })
+            });
+        }
+        net.run_until(Time::from_secs(1));
+        let log = log.lock().unwrap().clone();
+        log
+    }
+
+    const fn set(after_ms: u64, token: u64) -> Op {
+        Op::Set { after_ms, token }
+    }
+
+    #[test]
+    fn same_instant_items_dispatch_in_push_order_after_places_are_reused() {
+        // Four timers fire at 1 ms and free their places; the last
+        // re-arms six timers for one instant, the first four into
+        // those places, which the free list hands out last-freed first.
+        let mut ops: Vec<(u64, Op)> = (1..=4).map(|token| (0, set(1, token))).collect();
+        ops.extend((10..16).map(|token| (4, set(5, token))));
+        let log = scripted(vec![ops]);
+        let at_6ms: Vec<u64> = log
+            .iter()
+            .filter(|(at, ..)| *at == Time::from_millis(6))
+            .map(|&(.., token)| token)
+            .collect();
+        assert_eq!(at_6ms, (10..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_cancel_after_a_set_in_one_activation_cancels_it() {
+        let log = scripted(vec![vec![(0, set(10, 7)), (0, Op::Cancel(7))]]);
+        assert_eq!(log, vec![]);
+    }
+
+    #[test]
+    fn a_set_after_a_cancel_survives() {
+        let ops = vec![(0, set(10, 7)), (0, Op::Cancel(7)), (0, set(20, 7))];
+        let log = scripted(vec![ops]);
+        assert_eq!(log, vec![(Time::from_millis(20), ActorId(0), 7)]);
+    }
+
+    #[test]
+    fn a_cancel_never_touches_another_actors_timer_with_the_same_token() {
+        // Actor 1 cancels token 7 while actor 0's token-7 timer is queued.
+        let log = scripted(vec![vec![(0, set(10, 7))], vec![(0, Op::Cancel(7))]]);
+        assert_eq!(log, vec![(Time::from_millis(10), ActorId(0), 7)]);
     }
 
     #[test]

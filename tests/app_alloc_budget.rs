@@ -1,4 +1,4 @@
-//! Allocation budgets of five per-event paths: heap allocations per
+//! Allocation budgets of six per-event paths: heap allocations per
 //! `AppRuntime::on_event` on the two app shapes the benchmark runs, per
 //! event on the replica path every Gapless process runs (the
 //! `EventStore` insert, the sync a successor's keep-alive asks for,
@@ -7,11 +7,12 @@
 //! Gapless relay hop (frame decode, `GaplessState::on_ring`, the
 //! durability gate, the relay's encode), and per keep-alive received
 //! (its two summaries decoded, the processed one merged, the sync
-//! query answered).
+//! query answered), and per dispatch of the simulator's queue.
 //! `process.allocs_per_event` counts these among everything else; a
 //! change that makes the operator DAG allocate per event again, puts
 //! the store back on a structure that allocates as it churns, makes the WAL build a frame per record
-//! again, or makes a ring hop build lists or action vectors again,
+//! again, makes a ring hop build lists or action vectors again, or
+//! makes the simulator keep a record per timer token,
 //! fails here, in tier-1, and says which path grew.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,6 +28,9 @@ use rivulet::core::delivery::{Action, Delivery};
 use rivulet::core::gating::{DurableGate, Released};
 use rivulet::core::messages::{Frame, PeerMsg, ProcMsg, RingMsg};
 use rivulet::core::store::EventStore;
+use rivulet::net::actor::{Actor, ActorEvent, ActorId, Context};
+use rivulet::net::link::ActorClass;
+use rivulet::net::sim::{SimConfig, SimNet};
 use rivulet::obs::Recorder;
 use rivulet::storage::{FlushPolicy, SimBackend, StorageBackend, Wal, WalOptions};
 use rivulet::types::wire::{Wire, WireWriter, WriterPool};
@@ -335,7 +339,7 @@ struct Relay {
 impl Relay {
     fn new(storage: Option<(Arc<dyn StorageBackend>, WalOptions)>) -> Self {
         let me = ProcessId(1);
-        let (gate, _) = DurableGate::open(storage, &Recorder::new());
+        let (gate, _) = DurableGate::open(storage, &Recorder::new(), Time::ZERO);
         Self {
             me,
             gapless: GaplessState::new(me, 100_000),
@@ -447,6 +451,65 @@ fn a_gapless_relay_hop_does_not_allocate() {
             "{home} relay hop: {per_hop:.2} allocations per hop, budget 0.05"
         );
     }
+}
+
+/// Two actors, each on a 1 ms heartbeat: every beat sends the peer an
+/// empty message, arms a timer of a token it never used before and arms and
+/// cancels a second fresh one.
+struct Churn {
+    peer: ActorId,
+    fresh: u64,
+}
+
+impl Actor for Churn {
+    fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+        let heartbeat = match event {
+            ActorEvent::Start => true,
+            ActorEvent::Timer { token } => token == 0,
+            ActorEvent::Message { .. } => false,
+        };
+        if heartbeat {
+            let ms = Duration::from_millis;
+            ctx.set_timer(ms(1), 0);
+            ctx.send(self.peer, Default::default());
+            ctx.set_timer(ms(2), self.fresh + 1);
+            ctx.set_timer(ms(5), self.fresh + 2);
+            ctx.cancel_timer(self.fresh + 2);
+            self.fresh += 2;
+        }
+    }
+}
+
+#[test]
+fn the_simulator_dispatches_without_allocating() {
+    // Once the queue and its parked items have reached their steady
+    // size, a message, a timer and a cancel cost no allocation, however
+    // many distinct tokens have been cancelled. A per-token cancellation
+    // record grows with every fresh token and reallocates as it does.
+    let mut net = SimNet::new(SimConfig::with_seed(42));
+    for peer in [ActorId(1), ActorId(0)] {
+        net.add_actor("churn", ActorClass::Process, move || {
+            Box::new(Churn { peer, fresh: 0 })
+        });
+    }
+    let per_ms = allocs_per_step(WARM_UP, COUNTED, |ms| {
+        net.run_until(Time::from_millis(ms));
+    });
+    // Messages still in flight and timers still queued at the end
+    // account for the few missing.
+    let (metrics, ms) = (net.metrics(), WARM_UP + COUNTED);
+    assert!(
+        metrics.messages_delivered > 2 * (ms - 5),
+        "a message per actor per ms"
+    );
+    assert!(
+        metrics.timers_fired > 4 * (ms - 5),
+        "two timers per actor per ms"
+    );
+    assert_eq!(
+        per_ms, 0.0,
+        "simulator: {per_ms} allocations per virtual ms"
+    );
 }
 
 /// Keep-alives counted on the receive path.

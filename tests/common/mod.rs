@@ -25,6 +25,8 @@ pub struct Setup {
     pub probe: Arc<AppProbe>,
     pub store_probe: Arc<StoreProbe>,
     pub emissions: Arc<EmissionProbe>,
+    pub ingest: Arc<IngestProbe>,
+    pub sensor: SensorId,
     pub pids: Vec<ProcessId>,
     pub backends: Vec<Arc<SimBackend>>,
     /// What the process actors were sent, when the home is tapped.
@@ -126,6 +128,7 @@ pub fn deploy_delivered(
         tap: tapped.then(|| Arc::clone(&heard)),
     };
     let mut home = HomeBuilder::new(&mut driver).with_config(config);
+    let ingest = home.with_ingest_probe();
     let pids: Vec<ProcessId> = (0..5).map(|i| home.add_host(format!("host{i}"))).collect();
     let backends: Vec<Arc<SimBackend>> = (0..5)
         .map(|i| Arc::new(SimBackend::new(seed.wrapping_mul(31).wrapping_add(i))))
@@ -168,6 +171,8 @@ pub fn deploy_delivered(
         probe,
         store_probe,
         emissions,
+        ingest,
+        sensor,
         pids,
         backends,
         heard,

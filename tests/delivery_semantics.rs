@@ -11,7 +11,7 @@ use rivulet::core::config::ForwardingMode;
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
 use rivulet::core::messages::ProcMsg;
-use rivulet::core::probe::{AppProbe, StoreProbe};
+use rivulet::core::probe::{check, AppProbe, ProbeData, StoreProbe};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
@@ -600,6 +600,43 @@ fn a_gap_only_home_advertises_nothing_processed() {
         .collect();
     assert!(processed.len() > 20, "{} beacons", processed.len());
     assert!(processed.iter().all(|p| *p == Holdings::default()));
+}
+
+/// ROADMAP 2(c): events emitted in a home's first second are not lost
+/// to start-up. Eleven events from t = 0 to 1 s, heard by the app's
+/// host, by one far host, by two far hosts or by all five, at eight
+/// seeds: the checker owes every one and finds each delivered.
+#[test]
+fn events_emitted_from_the_first_instant_are_all_delivered() {
+    let emissions: Vec<u64> = (0..=10).map(|i| 100 * i).collect();
+    let end = Time::from_secs(3);
+    for heard_by in [&[0][..], &[2], &[3, 4], &[0, 1, 2, 3, 4]] {
+        for seed in 0..8 {
+            let schedule = common::script(&emissions);
+            let mut s = common::deploy(
+                seed,
+                None,
+                RivuletConfig::default(),
+                schedule,
+                heard_by,
+                false,
+            );
+            s.net.run_until(end);
+            let verdict = check(&ProbeData {
+                owed_before: end,
+                ..common::probe_data(
+                    s.sensor,
+                    Delivery::Gapless,
+                    &s.emissions,
+                    &s.ingest,
+                    &s.probe,
+                )
+            });
+            let case = format!("seed {seed}, heard by {heard_by:?}");
+            assert_eq!(verdict.owed, 11, "{case}");
+            assert!(verdict.passed(), "{case}: {}", common::describe(&verdict));
+        }
+    }
 }
 
 /// What one sweep seed did to its home, for the failure message.

@@ -319,15 +319,15 @@ fn a_relay_lost_between_forward_and_flush_harms_nobody() {
     assert!(beacons > 0, "the relay's beacons were seen");
 }
 
-/// When the send from process `from` that first carried a ring message
-/// left it: its arrival less the mesh's latency for its bytes.
-fn first_ring_send(s: &Setup, from: usize) -> Time {
+/// When each send from process `from` that carried a ring message left
+/// it: its arrival less the mesh's latency for its bytes.
+fn ring_sends(s: &Setup, from: usize) -> Vec<Time> {
     let actor = s.home.actor_of(s.pids[from]);
     let heard = s.heard.lock().expect("tap lock");
-    let sent = heard
+    heard
         .iter()
         .filter(|(_, f, _)| *f == actor)
-        .find_map(|(at, _, payload)| {
+        .filter_map(|(at, _, payload)| {
             let msgs = if Frame::sniff(payload) {
                 Frame::from_bytes(payload).expect("frame").msgs
             } else {
@@ -336,8 +336,8 @@ fn first_ring_send(s: &Setup, from: usize) -> Time {
             let ring = msgs.iter().any(|m| matches!(m, ProcMsg::Ring { .. }));
             let latency = LinkConfig::wifi().latency_for(payload.len());
             ring.then(|| Time::from_micros(at.as_micros() - latency.as_micros()))
-        });
-    sent.expect("a ring message was sent")
+        })
+        .collect()
 }
 
 /// Under an interval policy the tick is not a commit clock: it fires
@@ -350,7 +350,7 @@ fn the_keepalive_tick_does_not_flush_an_interval_policy() {
     let config = RivuletConfig::default();
     let mut s = deploy(21, Some(policy), config, script(&[950]), &[0], true);
     s.net.run_until(Time::from_secs(2));
-    assert_eq!(first_ring_send(&s, 0), Time::from_millis(1200));
+    assert_eq!(ring_sends(&s, 0)[0], Time::from_millis(1200));
 }
 
 /// The disk's clock, to the microsecond, on an interval home whose app
@@ -387,5 +387,34 @@ fn an_app_host_delivers_at_its_fsync_and_forwards_on_the_tick() {
     s.net.run_until(Time::from_secs(1));
     let fsync = s.backends[0].sync_cost();
     assert_eq!(delivered(&s), vec![heard[0] + fsync]);
-    assert_eq!(first_ring_send(&s, 0), Time::from_millis(750));
+    assert_eq!(ring_sends(&s, 0)[0], Time::from_millis(750));
+}
+
+/// An idle home arms no beat. Between 2 s and 11 s the sensor is silent
+/// and the durable home fires exactly the volatile home's timers — the
+/// keep-alive ticks and the sensor's own — plus one checkpoint per
+/// process at 5 s and 10 s; a beat that re-armed itself would add 36 per
+/// process. The first event after the silence, ingested at 11 060 ms,
+/// still leaves on the beat's phase: at 11 250 ms, a whole number of
+/// 250 ms periods after start, as under a beat that never stopped.
+#[test]
+fn a_silent_sensor_arms_no_beat_and_the_next_event_keeps_its_phase() {
+    let silent = |policy| {
+        let emissions = script(&[560, 11_060]);
+        let mut s = deploy(21, policy, RivuletConfig::default(), emissions, &[0], true);
+        s.net.run_until(Time::from_secs(2));
+        let before = s.net.metrics().timers_fired;
+        s.net.run_until(Time::from_secs(11));
+        let fired = s.net.metrics().timers_fired - before;
+        s.net.run_until(Time::from_secs(12));
+        (fired, s)
+    };
+    let (volatile, _) = silent(None);
+    let (durable, s) = silent(Some(FlushPolicy::EveryInterval(TICK)));
+    assert_eq!(durable, volatile + 5 * 2, "timers fired in the silence");
+    assert_eq!(
+        ring_sends(&s, 0),
+        vec![Time::from_millis(750), Time::from_millis(11_250)]
+    );
+    assert_eq!(delivered_seqs(&s.probe), vec![0, 1]);
 }
