@@ -19,7 +19,6 @@
 //! live driver exists to show the same protocol code working outside
 //! simulation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -229,7 +228,6 @@ impl Drop for LiveNet {
 struct PendingTimer {
     deadline: Time,
     token: u64,
-    gen: u64,
 }
 
 fn actor_thread<F>(
@@ -244,7 +242,6 @@ fn actor_thread<F>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut instance: Option<Box<dyn Actor>> = Some(factory());
     let mut timers: Vec<PendingTimer> = Vec::new();
-    let mut timer_gens: HashMap<u64, u64> = HashMap::new();
     let mut pending_start = true;
 
     loop {
@@ -259,7 +256,6 @@ fn actor_thread<F>(
                     ActorEvent::Start,
                     &mut rng,
                     &mut timers,
-                    &mut timer_gens,
                 );
             }
         }
@@ -268,12 +264,10 @@ fn actor_thread<F>(
         let now = router.now();
         let mut fired = Vec::new();
         timers.retain(|t| {
-            if t.deadline <= now && timer_gens.get(&t.token).copied().unwrap_or(0) == t.gen {
+            if t.deadline <= now {
                 fired.push(t.token);
-                false
-            } else {
-                t.deadline > now // silently discard cancelled timers
             }
+            t.deadline > now
         });
         for token in fired {
             router.metrics.lock().record_timer();
@@ -285,17 +279,12 @@ fn actor_thread<F>(
                     ActorEvent::Timer { token },
                     &mut rng,
                     &mut timers,
-                    &mut timer_gens,
                 );
             }
         }
 
         // Wait for the next input or timer deadline.
-        let next_deadline = timers
-            .iter()
-            .filter(|t| timer_gens.get(&t.token).copied().unwrap_or(0) == t.gen)
-            .map(|t| t.deadline)
-            .min();
+        let next_deadline = timers.iter().map(|t| t.deadline).min();
         let wait = match next_deadline {
             Some(deadline) => deadline.duration_since(router.now()).to_std(),
             None => std::time::Duration::from_millis(50),
@@ -303,15 +292,7 @@ fn actor_thread<F>(
         match rx.recv_timeout(wait) {
             Ok(ThreadInput::Event(event)) => {
                 if let Some(actor) = instance.as_mut() {
-                    run_handler(
-                        &router,
-                        id,
-                        actor.as_mut(),
-                        event,
-                        &mut rng,
-                        &mut timers,
-                        &mut timer_gens,
-                    );
+                    run_handler(&router, id, actor.as_mut(), event, &mut rng, &mut timers);
                 } else {
                     router
                         .metrics
@@ -322,7 +303,6 @@ fn actor_thread<F>(
             Ok(ThreadInput::Crash) => {
                 instance = None;
                 timers.clear();
-                timer_gens.clear();
             }
             Ok(ThreadInput::Recover) => {
                 if instance.is_none() {
@@ -344,24 +324,19 @@ fn run_handler(
     event: ActorEvent,
     rng: &mut StdRng,
     timers: &mut Vec<PendingTimer>,
-    timer_gens: &mut HashMap<u64, u64>,
 ) {
     let mut ctx = Context::new(id, router.now(), rng);
     actor.on_event(&mut ctx, event);
     for effect in std::mem::take(&mut ctx.effects) {
         match effect {
             Effect::Send { to, payload } => router.route(id, to, payload),
-            Effect::SetTimer { token, after } => {
-                let gen = timer_gens.get(&token).copied().unwrap_or(0);
-                timers.push(PendingTimer {
-                    deadline: router.now() + after,
-                    token,
-                    gen,
-                });
-            }
-            Effect::CancelTimer { token } => {
-                *timer_gens.entry(token).or_insert(0) += 1;
-            }
+            Effect::SetTimer { token, after } => timers.push(PendingTimer {
+                deadline: router.now() + after,
+                token,
+            }),
+            // A set earlier in this handler is cancelled with the rest;
+            // a later one survives.
+            Effect::CancelTimer { token } => timers.retain(|t| t.token != token),
         }
     }
 }
@@ -484,6 +459,40 @@ mod tests {
         assert!(snap.counter("net.messages_sent") >= 6);
         assert_eq!(snap.events_named("net.crash").len(), 1);
         assert!(snap.histogram("net.payload_bytes").is_some());
+        net.shutdown();
+    }
+
+    /// On start: arms token 7, cancels it, arms token 8; logs what fires.
+    struct Canceller {
+        fired: Arc<Mutex<Vec<u64>>>,
+    }
+    impl Actor for Canceller {
+        fn on_event(&mut self, ctx: &mut Context<'_>, event: ActorEvent) {
+            match event {
+                ActorEvent::Start => {
+                    ctx.set_timer(Duration::from_millis(5), 7);
+                    ctx.cancel_timer(7);
+                    ctx.set_timer(Duration::from_millis(10), 8);
+                }
+                ActorEvent::Timer { token } => self.fired.lock().push(token),
+                ActorEvent::Message { .. } => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancel_removes_earlier_sets_and_spares_later_ones() {
+        let mut net = LiveNet::new(LiveConfig::default());
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let f = Arc::clone(&fired);
+        net.add_actor("canceller", ActorClass::Process, move || {
+            Box::new(Canceller {
+                fired: Arc::clone(&f),
+            })
+        });
+        assert!(wait_until(2_000, || !fired.lock().is_empty()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(*fired.lock(), vec![8]);
         net.shutdown();
     }
 }
