@@ -26,9 +26,11 @@
 //! The flood is one encode-once fan-out that nothing acknowledges,
 //! retransmits or relays. What makes the guarantee is the Bayou-style
 //! sync of §4.1, run on every beacon instead of once per successor
-//! change: each keep-alive carries its sender's view and holdings, and
-//! the sender's ring predecessor, in that view or its own, ships every
-//! settled event the holdings lack ([`GaplessState::on_peer_beacon`]).
+//! change: each keep-alive carries its sender's row of the hearing graph
+//! and its holdings, and the sender's ring predecessor, in the sender's
+//! view or its own, ships every settled event the holdings lack
+//! ([`GaplessState::on_peer_beacon`]); both views are read from the one
+//! graph (`crate::membership`).
 //! A lost ring message, a lost flood copy, a dead relay and a rejoining
 //! process are all repaired by it, within a beacon or two of the views
 //! settling; the flood stays as the fast path.
@@ -206,10 +208,11 @@ impl GaplessState {
         (!to.is_empty()).then_some(Action::Fanout { to, msg })
     }
 
-    /// A peer's keep-alive arrived at `now` with its `view` and its
-    /// holdings `received`; `mine` is our own view. Both views hold only
-    /// the processes their owner exchanges with both ways
-    /// ([`crate::membership::Membership::mutual_view`]). When either
+    /// A peer's keep-alive arrived at `now` with its holdings
+    /// `received`; `view` is the sender's view and `mine` our own, each
+    /// holding only the processes its owner exchanges with both ways, as
+    /// the hearing graph says (`Membership::sender_view`, read from the
+    /// beacon alone, and `Membership::sync_view`). When either
     /// makes this process the sender's ring predecessor, the holdings
     /// are the Bayou query "what do you hold from each sensor", answered
     /// with every event the sender lacks, holes included, that was

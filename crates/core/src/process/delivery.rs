@@ -14,6 +14,7 @@ use crate::delivery::{Action, Delivery};
 use crate::deploy::DirectoryData;
 use crate::execution::active_logic;
 use crate::gating::Released;
+use crate::membership::Membership;
 use crate::messages::{PeerMsg, ProcMsg, RingMsg};
 
 impl Running {
@@ -127,34 +128,31 @@ impl Running {
     /// Any other protocol message arrived.
     fn on_proc_msg(&mut self, ctx: &mut Context<'_>, msg: ProcMsg) {
         let now = ctx.now();
-        // Any traffic proves liveness.
-        match &msg {
-            ProcMsg::KeepAlive { from, .. } | ProcMsg::Broadcast { origin: from, .. } => {
-                self.membership.heard_from(*from, now);
-            }
-            _ => {}
-        }
         match msg {
             ProcMsg::KeepAlive {
                 from,
-                view,
+                row,
+                relayed,
                 processed,
                 received,
             } => {
+                self.membership.heard_beacon(from, row, &relayed, now);
                 self.processed.merge(&processed);
                 // The peer's holdings are a sync query to its ring
                 // predecessor, as its view or ours has it.
-                self.membership.heard_view(from, view);
-                let mine = self.membership.mutual_view(now);
+                let theirs = Membership::sender_view(from, row, &relayed);
+                let mine = self.membership.sync_view(now);
                 let sync = self
                     .gapless
-                    .on_peer_beacon(from, view, mine, &received, now);
+                    .on_peer_beacon(from, theirs, mine, &received, now);
                 if let Some(sync) = sync {
                     self.send_action(sync);
                 }
             }
             ProcMsg::Ring { .. } => unreachable!("ring messages decode as `PeerMsg::Ring`"),
-            ProcMsg::Broadcast { event, .. } => {
+            ProcMsg::Broadcast { event, origin } => {
+                // A flood proves its origin alive, as a beacon does.
+                self.membership.heard_from(origin, now);
                 if !self.sensor_subscribed(event.id.sensor) {
                     return;
                 }

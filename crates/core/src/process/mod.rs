@@ -506,12 +506,15 @@ impl Running {
         // view: a healed partition must be able to un-suspect. One
         // fan-out: the beacon is encoded once and cheap-cloned to
         // every destination. The processed summary that bounded the
-        // collection above rides it, and the view and holdings the
-        // predecessor it names answers. Both summaries are lent to the
-        // beacon and taken back, so a beacon copies neither.
+        // collection above rides it, with our row of the hearing graph
+        // and the holdings the predecessor it names answers. Both
+        // summaries are lent to the beacon and taken back, so a beacon
+        // copies neither.
+        let row = self.membership.row(now);
         let beacon = ProcMsg::KeepAlive {
             from: self.me,
-            view: self.membership.mutual_view(now),
+            row,
+            relayed: self.membership.relayed(row, now),
             processed: std::mem::take(&mut self.processed),
             received: std::mem::take(&mut self.holdings),
         };

@@ -254,8 +254,9 @@ impl WriterPool {
     }
 }
 
-/// Cursor over a byte slice for decoding wire values.
-#[derive(Debug)]
+/// Cursor over a byte slice for decoding wire values. A clone reads
+/// ahead without moving the original.
+#[derive(Debug, Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     /// When the slice is backed by a refcounted [`Bytes`] buffer,

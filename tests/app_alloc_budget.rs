@@ -26,7 +26,8 @@ use rivulet::core::app::{
 use rivulet::core::delivery::gapless::GaplessState;
 use rivulet::core::delivery::{Action, Delivery};
 use rivulet::core::gating::{DurableGate, Released};
-use rivulet::core::messages::{Frame, PeerMsg, ProcMsg, RingMsg};
+use rivulet::core::membership::Membership;
+use rivulet::core::messages::{Frame, PeerMsg, ProcMsg, Relayed, RingMsg};
 use rivulet::core::store::EventStore;
 use rivulet::net::actor::{Actor, ActorEvent, ActorId, Context};
 use rivulet::net::link::ActorClass;
@@ -518,9 +519,10 @@ const BEACONS: u64 = 4_000;
 #[test]
 fn a_keep_alive_costs_its_two_summaries() {
     // p1 of a five-process home hears p2's beacons while the ring keeps
-    // everyone level on four sensors: decode the beacon, merge its
-    // processed summary into p1's own, answer its holdings as p2's ring
-    // predecessor with nothing to ship. Each decoded summary is one
+    // everyone level on four sensors: decode the beacon, take in its
+    // row and the four it relays, merge its processed summary into
+    // p1's own, answer its holdings as p2's ring predecessor with
+    // nothing to ship. Each decoded summary is one
     // list; the merge and the empty sync allocate nothing once warm.
     // With the processed summary a B-tree of marks and the holdings a
     // B-tree of one `Vec` per sensor, the path read 7.00.
@@ -530,9 +532,13 @@ fn a_keep_alive_costs_its_two_summaries() {
             let seqs = move |s| (0..=high).map(move |seq| EventId::new(s, seq));
             sensors().flat_map(seqs).collect()
         };
+        let everyone: ProcSet = (0..5).map(ProcessId).collect();
         let msg = ProcMsg::KeepAlive {
             from: ProcessId(2),
-            view: (0..5).map(ProcessId).collect(),
+            row: everyone,
+            relayed: Relayed::new(everyone.without(ProcessId(2)), |_| {
+                Some((Duration::from_millis(499), everyone))
+            }),
             processed: through(i.saturating_sub(20)),
             received: through(i),
         };
@@ -551,22 +557,28 @@ fn a_keep_alive_costs_its_two_summaries() {
         }
     }
     let mut processed = Holdings::default();
+    let peers: Vec<ProcessId> = (0..5).map(ProcessId).collect();
+    let mut membership = Membership::new(ProcessId(1), &peers, Duration::from_secs(2), Time::ZERO);
     let per_beacon = allocs_per_step(WARM_UP, BEACONS, |i| {
         let msg = PeerMsg::from_shared_bytes(&beacons[i as usize]).expect("a keep-alive");
         let PeerMsg::Other(ProcMsg::KeepAlive {
             from,
-            view,
+            row,
+            relayed,
             processed: theirs,
             received,
         }) = msg
         else {
             panic!("a keep-alive decodes as one")
         };
+        let now = Time::from_millis(i);
+        membership.heard_beacon(from, row, &relayed, now);
         processed.merge(&theirs);
         // Everything the store holds above `i` is younger than a beacon.
-        let now = Time::from_millis(i);
+        let view = Membership::sender_view(from, row, &relayed);
+        let mine = membership.sync_view(now);
         assert!(gapless
-            .on_peer_beacon(from, view, view, &received, now)
+            .on_peer_beacon(from, view, mine, &received, now)
             .is_none());
     });
     assert!(processed.holds(EventId::new(SensorId(3), WARM_UP + BEACONS - 21)));

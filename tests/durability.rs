@@ -394,18 +394,25 @@ fn an_app_host_delivers_at_its_fsync_and_forwards_on_the_tick() {
 /// and the durable home fires exactly the volatile home's timers — the
 /// keep-alive ticks and the sensor's own — plus one checkpoint per
 /// process at 5 s and 10 s; a beat that re-armed itself would add 36 per
-/// process. The first event after the silence, ingested at 11 060 ms,
+/// process. Only the 5 s checkpoint writes: the disk takes no sync
+/// from 6 s to 11 s. The first event after the silence, ingested at 11 060 ms,
 /// still leaves on the beat's phase: at 11 250 ms, a whole number of
 /// 250 ms periods after start, as under a beat that never stopped.
 #[test]
 fn a_silent_sensor_arms_no_beat_and_the_next_event_keeps_its_phase() {
+    let syncs = |s: &Setup| -> Vec<u64> { s.backends.iter().map(|b| b.op_counts().1).collect() };
     let silent = |policy| {
         let emissions = script(&[560, 11_060]);
         let mut s = deploy(21, policy, RivuletConfig::default(), emissions, &[0], true);
         s.net.run_until(Time::from_secs(2));
         let before = s.net.metrics().timers_fired;
+        s.net.run_until(Time::from_secs(6));
+        let checkpointed = syncs(&s);
         s.net.run_until(Time::from_secs(11));
         let fired = s.net.metrics().timers_fired - before;
+        // The 10 s checkpoint finds nothing appended since the 5 s one
+        // and the same processed summary: it writes nothing.
+        assert_eq!(syncs(&s), checkpointed, "syncs in the silence");
         s.net.run_until(Time::from_secs(12));
         (fired, s)
     };

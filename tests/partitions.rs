@@ -235,3 +235,56 @@ fn events_ingested_during_partition_survive_the_heal() {
     common::assert_all_but_tail_owed(&verdict, emissions.emitted(), 1);
     assert!(verdict.passed(), "{}", common::describe(&verdict));
 }
+
+/// A healed partition leaves no lasting mark on who answers whom. Side
+/// b alone hears the sensor; the sides are cut from 10 s to 20 s, and
+/// from 30.4 s to 30.6 s the b → a link loses everything, so the ring
+/// copy of the event emitted at 30.5 s never reaches a. Once each side
+/// hears the other's beacons again, a's beacons name b as its ring
+/// predecessor and b ships a the lost event. When a beacon said only
+/// who its sender hears both ways, each side left the other out because
+/// the other had left it out, for ever after the heal, and the event
+/// was owed and never delivered.
+#[test]
+fn a_ring_copy_lost_long_after_a_healed_partition_is_repaired_by_the_beacon_sync() {
+    let mut net = SimNet::new(SimConfig::with_seed(24));
+    let mut home = HomeBuilder::new(&mut net).with_config(RivuletConfig::default());
+    let ingest = home.with_ingest_probe();
+    let a = home.add_host("side-a");
+    let b = home.add_host("side-b");
+    let (sensor, emissions) = home.add_push_sensor(
+        "motion",
+        PayloadSpec::KindOnly(EventKind::Motion),
+        EmissionSchedule::Periodic(Duration::from_millis(500)),
+        &[b],
+    );
+    let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &[a]);
+    let app = AppBuilder::new(AppId(1), "watch")
+        .operator(
+            "sink",
+            CombinerSpec::Any,
+            |_: &mut OpCtx, _: &CombinedWindows| {},
+        )
+        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
+        .actuator(anchor, Delivery::Gapless)
+        .done()
+        .build()
+        .unwrap();
+    let probe = home.add_app(app);
+    let home = home.build();
+
+    let (side_a, side_b) = (home.actor_of(a), home.actor_of(b));
+    net.partition_at(Time::from_secs(10), vec![vec![side_a], vec![side_b]]);
+    net.heal_at(Time::from_secs(20));
+    net.set_blocked_at(Time::from_millis(30_400), side_b, side_a, true);
+    net.set_blocked_at(Time::from_millis(30_600), side_b, side_a, false);
+    net.run_until(Time::from_secs(35));
+
+    let verdict = check(&ProbeData {
+        partitioned: true,
+        owed_before: Time::from_secs(35),
+        ..common::probe_data(sensor, Delivery::Gapless, &emissions, &ingest, &probe)
+    });
+    common::assert_all_but_tail_owed(&verdict, emissions.emitted(), 1);
+    assert!(verdict.passed(), "{}", common::describe(&verdict));
+}

@@ -5,11 +5,13 @@
 
 mod common;
 
-use rivulet::core::messages::{Frame, ProcMsg};
+use rivulet::core::messages::{Frame, ProcMsg, Relayed};
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::EmissionSchedule;
 use rivulet::types::wire::{Wire, FRAME_HEADER_BYTES};
-use rivulet::types::{Duration, Event, EventId, EventKind, Payload, ProcessId, SensorId, Time};
+use rivulet::types::{
+    Duration, Event, EventId, EventKind, Payload, ProcSet, ProcessId, SensorId, Time,
+};
 
 fn pids(ids: &[u32]) -> Vec<ProcessId> {
     ids.iter().map(|i| ProcessId(*i)).collect()
@@ -53,9 +55,15 @@ fn canonical_messages_cost_what_they_did() {
     };
     assert_eq!(bare.to_bytes().len(), 12, "kind-only ring message");
 
+    // Every peer heard half a beacon or more ago: a two-byte age and a
+    // one-byte row each.
+    let everyone: ProcSet = pids(&[0, 1, 2, 3, 4]).into_iter().collect();
     let beacon = ProcMsg::KeepAlive {
         from: ProcessId(4),
-        view: pids(&[0, 1, 2, 3, 4]).into_iter().collect(),
+        row: everyone,
+        relayed: Relayed::new(everyone.without(ProcessId(4)), |_| {
+            Some((Duration::from_millis(499), everyone))
+        }),
         processed: (0..4)
             .flat_map(|s| (0..=1_000).map(move |seq| EventId::new(SensorId(s), seq)))
             .collect(),
@@ -65,8 +73,8 @@ fn canonical_messages_cost_what_they_did() {
     };
     assert_eq!(
         beacon.to_bytes().len(),
-        31,
-        "keep-alive, four sensors, no hole"
+        31 + 4 * 3,
+        "keep-alive, four sensors, no hole, four rows relayed"
     );
 
     let flood = ProcMsg::Broadcast {

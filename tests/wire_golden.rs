@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use rivulet::core::messages::{Frame, ProcMsg};
+use rivulet::core::messages::{Frame, ProcMsg, Relayed};
 use rivulet::devices::RadioFrame;
 use rivulet::storage::record::decode_frame;
 use rivulet::storage::{
@@ -18,8 +18,8 @@ use rivulet::storage::{
 };
 use rivulet::types::wire::{Wire, WireWriter};
 use rivulet::types::{
-    ActuationState, ActuatorId, Command, CommandId, CommandKind, Event, EventId, EventKind,
-    Holdings, OperatorId, Payload, ProcessId, RoutineId, SensorId, Time,
+    ActuationState, ActuatorId, Command, CommandId, CommandKind, Duration, Event, EventId,
+    EventKind, Holdings, OperatorId, Payload, ProcSet, ProcessId, RoutineId, SensorId, Time,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -71,12 +71,16 @@ fn command(kind: CommandKind) -> Command {
 
 #[test]
 fn every_process_message_keeps_its_bytes() {
+    let everyone: ProcSet = pids(&[0, 1, 2, 3, 4]).into_iter().collect();
     let cases = [
         (
             "KeepAlive",
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
-                view: pids(&[0, 1, 2, 3, 4]).into_iter().collect(),
+                row: everyone,
+                relayed: Relayed::new(everyone.without(ProcessId(4)), |_| {
+                    Some((Duration::from_millis(499), everyone))
+                }),
                 processed: (0..=99)
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .chain((0..=1_000).map(|seq| EventId::new(SensorId(2), seq)))
@@ -85,20 +89,21 @@ fn every_process_message_keeps_its_bytes() {
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .collect(),
             },
-            "00041f02016302e8070001016500",
+            "00041ff3031ff3031ff3031ff3031f02016302e8070001016500",
         ),
         (
             "KeepAlive with holes",
             ProcMsg::KeepAlive {
                 from: ProcessId(4),
-                view: pids(&[0, 4]).into_iter().collect(),
+                row: pids(&[0, 4]).into_iter().collect(),
+                relayed: Relayed::new(ProcSet::singleton(ProcessId(0)), |_| None),
                 processed: Holdings::default(),
                 received: [3, 4, 101]
                     .map(|seq| EventId::new(SensorId(1), seq))
                     .into_iter()
                     .collect(),
             },
-            "00041100000101650101020002055f",
+            "0004110000000101650101020002055f",
         ),
         (
             "Ring",
